@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from hvlab.catalog import entries
-from hvlab.formats import dump_json, behavior_to_dict, expression_to_dict, model_to_dict
+from hvlab.formats import SERIALIZERS, dump_json
 from hvlab.scalar import format_scalar
 
 
@@ -21,13 +21,8 @@ def main() -> int:
             path = out_dir / f"{entry.key}.txt"
             path.write_text(format_scalar(entry.value) + "\n")
         else:
-            serializers = {
-                "behavior": behavior_to_dict,
-                "model": model_to_dict,
-                "expression": expression_to_dict,
-            }
             path = out_dir / f"{entry.key}.{suffix[entry.kind]}.json"
-            path.write_text(dump_json(serializers[entry.kind](entry.value)))
+            path.write_text(dump_json(SERIALIZERS[entry.kind](entry.value)))
         print(f"wrote {path}")
     return 0
 

@@ -13,6 +13,7 @@ from .boxes import (
     LabelSet,
     NsWitness,
     ProductWitness,
+    Tensor,
     check_product,
     deterministic_behavior,
     is_no_signalling,
@@ -55,6 +56,7 @@ from .errors import (
     MalformedScalar,
     NotLocal,
     SignallingInput,
+    SizeBudgetExceeded,
     SpaceMismatch,
     UnknownOutcome,
     UnknownSetting,

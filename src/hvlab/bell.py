@@ -1,72 +1,31 @@
 """Linear Bell functionals on behaviors.
 
-An expression is a coefficient tensor c(a,b,x,y) over the same spaces
-as a behavior; its value on a box is the full contraction.  The local
-bound enumerates all deterministic strategies exhaustively (cost
-|X|^|A| * |Y|^|B|, fine at two settings and two outcomes per side, and
-deliberately unpruned); the no-signalling bound is an exact LP over the
-no-signalling polytope.
+An expression is a :class:`~hvlab.boxes.Tensor` read as coefficients
+c(a,b,x,y), so it shares a behavior's spaces and row-major table layout;
+its value on a box is the full contraction.  The local bound enumerates
+all deterministic strategies exhaustively (cost |X|^|A| * |Y|^|B|,
+deliberately unpruned, and refused past ``boxes.STRATEGY_BUDGET``); the
+no-signalling bound is an exact LP over the no-signalling polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable
 
-from .boxes import Behavior, LabelSet, deterministic_behavior
+from .boxes import Behavior, LabelSet, Spaces, Tensor, _output_tables, deterministic_behavior
 from .errors import LpFailure, SpaceMismatch
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from .simplex import OPTIMAL, LpProblem, solve_lp
 
 
-@dataclass(frozen=True)
-class BellExpression:
-    """Coefficient tensor defining a linear functional on behaviors."""
+class BellExpression(Tensor):
+    """Coefficient tensor c(a,b,x,y) defining a linear functional on behaviors."""
 
-    settings_a: LabelSet
-    settings_b: LabelSet
-    outcomes_x: LabelSet
-    outcomes_y: LabelSet
-    coefficients: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        expected = len(self.settings_a) * len(self.settings_b) * len(self.outcomes_x) * len(self.outcomes_y)
-        if len(self.coefficients) != expected:
-            raise ValueError(f"coefficient tensor has {len(self.coefficients)} entries, expected {expected}")
+    coefficient = Tensor.value
 
     @property
-    def spaces(self) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
-        return (self.settings_a, self.settings_b, self.outcomes_x, self.outcomes_y)
-
-    def coefficient(self, a: str, b: str, x: str, y: str) -> Scalar:
-        ia = self.settings_a.position(a)
-        ib = self.settings_b.position(b)
-        ix = self.outcomes_x.position(x)
-        iy = self.outcomes_y.position(y)
-        if None in (ia, ib, ix, iy):
-            raise SpaceMismatch(f"no coefficient at ({a},{b},{x},{y})")
-        nx, ny = len(self.outcomes_x), len(self.outcomes_y)
-        return self.coefficients[((ia * len(self.settings_b) + ib) * nx + ix) * ny + iy]
-
-    @classmethod
-    def from_function(
-        cls,
-        settings_a: LabelSet,
-        settings_b: LabelSet,
-        outcomes_x: LabelSet,
-        outcomes_y: LabelSet,
-        fn: Callable[[str, str, str, str], Scalar],
-    ) -> BellExpression:
-        coefficients = tuple(
-            as_scalar(fn(a, b, x, y))
-            for a in settings_a
-            for b in settings_b
-            for x in outcomes_x
-            for y in outcomes_y
-        )
-        return cls(settings_a, settings_b, outcomes_x, outcomes_y, coefficients)
+    def coefficients(self) -> tuple[Scalar, ...]:
+        return self.table
 
 
 def evaluate(expression: BellExpression, behavior: Behavior) -> Scalar:
@@ -105,9 +64,8 @@ class DeterministicStrategy:
     outputs_a: tuple[str, ...]
     outputs_b: tuple[str, ...]
 
-    def to_behavior(self, spaces: tuple[LabelSet, LabelSet, LabelSet, LabelSet]) -> Behavior:
-        sa, sb, ox, oy = spaces
-        return deterministic_behavior(sa, sb, ox, oy, self.outputs_a, self.outputs_b)
+    def to_behavior(self, spaces: Spaces) -> Behavior:
+        return deterministic_behavior(*spaces, self.outputs_a, self.outputs_b)
 
 
 def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrategy]:
@@ -116,16 +74,14 @@ def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrate
     Ties are broken by the first strategy in lexicographic order of the
     (Alice, Bob) output tables, so the witness is deterministic.
     """
-    sa, sb, ox, oy = expression.spaces
     best_value: Scalar | None = None
     best_strategy: DeterministicStrategy | None = None
-    for outputs_a in product(ox.labels, repeat=len(sa)):
-        for outputs_b in product(oy.labels, repeat=len(sb)):
-            strategy = DeterministicStrategy(outputs_a, outputs_b)
-            value = evaluate(expression, strategy.to_behavior(expression.spaces))
-            if best_value is None or value > best_value:
-                best_value = value
-                best_strategy = strategy
+    for outputs_a, outputs_b in _output_tables(expression.spaces):
+        strategy = DeterministicStrategy(outputs_a, outputs_b)
+        value = evaluate(expression, strategy.to_behavior(expression.spaces))
+        if best_value is None or value > best_value:
+            best_value = value
+            best_strategy = strategy
     return best_value, best_strategy
 
 
@@ -133,13 +89,9 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     """LP over table entries: nonnegativity, exact normalization per
     setting pair, and marginal equality against the first counterpart
     setting (equalities encoded as inequality pairs)."""
-    sa, sb, ox, oy = expression.spaces
-    na, nb, nx, ny = len(sa), len(sb), len(ox), len(oy)
-    n = na * nb * nx * ny
-
-    def idx(ia: int, ib: int, ix: int, iy: int) -> int:
-        return ((ia * nb + ib) * nx + ix) * ny + iy
-
+    na, nb, nx, ny = (len(space) for space in expression.spaces)
+    n = len(expression.table)
+    idx = expression.index
     rows: list[tuple[Scalar, ...]] = []
     rhs: list[Scalar] = []
 
@@ -171,7 +123,7 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
                     coeffs[idx(ia, ib, ix, iy)] = ONE
                     coeffs[idx(0, ib, ix, iy)] = -ONE
                 add_equality(coeffs, ZERO)
-    return LpProblem(tuple(expression.coefficients), tuple(rows), tuple(rhs))
+    return LpProblem(expression.table, tuple(rows), tuple(rhs))
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

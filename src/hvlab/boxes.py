@@ -1,8 +1,14 @@
-"""Bipartite behaviors (boxes) and finite joint tables.
+"""Bipartite behaviors (boxes), the labelled tensor they share with Bell
+expressions, and finite joint tables.
 
-A behavior is a conditional distribution P(x,y|a,b) over finite label
-sets, stored as an exact Scalar per cell.  All operations are pure and
-all values immutable, so everything here is safe for concurrent use.
+Every table over the four spaces (a, b, x, y) is a :class:`Tensor`: the
+four label sets plus one exact Scalar per cell, stored flat in row-major
+order with y varying fastest.  The layout, its index, label lookup, cell
+iteration and construction from a function are written there once; a
+behavior is a tensor read as P(x,y|a,b), a Bell expression
+(:mod:`hvlab.bell`) one read as coefficients c(a,b,x,y).  All
+operations are pure and all values immutable, so everything here is
+safe for concurrent use.
 
 Construction only checks structure (label sets and table shape); the
 probabilistic invariants are the job of :func:`validate_behavior`,
@@ -14,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .errors import (
     BadPartition,
     InvalidBehavior,
     InvalidJointTable,
+    SizeBudgetExceeded,
     SpaceMismatch,
     UnknownOutcome,
     UnknownSetting,
@@ -28,6 +35,12 @@ from .errors import (
 from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 
 Side = Literal["alice", "bob"]
+
+# Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
+# and vertex enumeration will visit.  Past it the input is refused
+# before anything is built: a 6-setting, 3-outcome scenario would
+# otherwise build 531 441 vertex behaviors.
+STRATEGY_BUDGET = 65_536
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,9 @@ class LabelSet:
             return None
 
 
+Spaces = tuple[LabelSet, LabelSet, LabelSet, LabelSet]
+
+
 def _require_setting(space: LabelSet, label: str, side: str) -> int:
     pos = space.position(label)
     if pos is None:
@@ -77,9 +93,12 @@ def _require_outcome(space: LabelSet, label: str, side: str) -> int:
     return pos
 
 
+_T = TypeVar("_T", bound="Tensor")
+
+
 @dataclass(frozen=True)
-class Behavior:
-    """Conditional distribution P(x,y|a,b), row-major over (a,b,x,y)."""
+class Tensor:
+    """Exact table over the spaces (a, b, x, y), row-major with y fastest."""
 
     settings_a: LabelSet
     settings_b: LabelSet
@@ -97,17 +116,18 @@ class Behavior:
                 raise TypeError(f"table entries must be Scalar, got {type(value).__name__}")
 
     @property
-    def spaces(self) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
+    def spaces(self) -> Spaces:
         return (self.settings_a, self.settings_b, self.outcomes_x, self.outcomes_y)
 
-    def _index(self, ia: int, ib: int, ix: int, iy: int) -> int:
+    def index(self, ia: int, ib: int, ix: int, iy: int) -> int:
+        """Position in ``table`` of the cell with these label positions."""
         nx, ny = len(self.outcomes_x), len(self.outcomes_y)
         return ((ia * len(self.settings_b) + ib) * nx + ix) * ny + iy
 
     def at(self, ia: int, ib: int, ix: int, iy: int) -> Scalar:
-        return self.table[self._index(ia, ib, ix, iy)]
+        return self.table[self.index(ia, ib, ix, iy)]
 
-    def p(self, a: str, b: str, x: str, y: str) -> Scalar:
+    def value(self, a: str, b: str, x: str, y: str) -> Scalar:
         """Cell lookup by labels."""
         return self.at(
             _require_setting(self.settings_a, a, "alice"),
@@ -118,31 +138,40 @@ class Behavior:
 
     def cells(self) -> Iterator[tuple[tuple[str, str, str, str], Scalar]]:
         """Iterate ((a,b,x,y), value) in canonical row-major order."""
-        i = 0
-        for a in self.settings_a:
-            for b in self.settings_b:
-                for x in self.outcomes_x:
-                    for y in self.outcomes_y:
-                        yield (a, b, x, y), self.table[i]
-                        i += 1
+        return zip(product(*self.spaces), self.table)
 
     @classmethod
     def from_function(
-        cls,
+        cls: type[_T],
         settings_a: LabelSet,
         settings_b: LabelSet,
         outcomes_x: LabelSet,
         outcomes_y: LabelSet,
         fn: Callable[[str, str, str, str], Scalar],
-    ) -> Behavior:
-        table = tuple(
-            as_scalar(fn(a, b, x, y))
-            for a in settings_a
-            for b in settings_b
-            for x in outcomes_x
-            for y in outcomes_y
+    ) -> _T:
+        spaces = (settings_a, settings_b, outcomes_x, outcomes_y)
+        return cls(*spaces, tuple(as_scalar(fn(*cell)) for cell in product(*spaces)))
+
+
+class Behavior(Tensor):
+    """Conditional distribution P(x,y|a,b); ``table`` holds the probabilities."""
+
+    p = Tensor.value
+
+
+def _output_tables(spaces: Spaces) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Every deterministic strategy as its (Alice, Bob) output tables, in
+    lexicographic order; refuses more than STRATEGY_BUDGET of them."""
+    settings_a, settings_b, outcomes_x, outcomes_y = spaces
+    count = len(outcomes_x) ** len(settings_a) * len(outcomes_y) ** len(settings_b)
+    if count > STRATEGY_BUDGET:
+        raise SizeBudgetExceeded(
+            f"{count} deterministic strategies exceed the budget of {STRATEGY_BUDGET}"
         )
-        return cls(settings_a, settings_b, outcomes_x, outcomes_y, table)
+    return product(
+        product(outcomes_x.labels, repeat=len(settings_a)),
+        product(outcomes_y.labels, repeat=len(settings_b)),
+    )
 
 
 def deterministic_behavior(

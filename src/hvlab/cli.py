@@ -39,16 +39,7 @@ from .decompose import (
 )
 from .simplex import check_certificate
 from .errors import HvlabError, NotLocal, SignallingInput
-from .formats import (
-    behavior_to_dict,
-    dump_json,
-    expression_to_dict,
-    load_box,
-    load_expression,
-    load_model,
-    model_to_dict,
-    save_model,
-)
+from .formats import SERIALIZERS, dump_json, load_box, load_expression, load_model, save_model
 from .hvmodel import (
     ExtendedModel,
     HiddenVariableModel,
@@ -386,29 +377,20 @@ def _cmd_catalog_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalog_value_dict(entry: catalog_module.CatalogEntry) -> Any:
-    if entry.kind == "scalar":
-        return format_scalar(entry.value)
-    if entry.kind == "behavior":
-        return behavior_to_dict(entry.value)
-    if entry.kind == "model":
-        return model_to_dict(entry.value)
-    return expression_to_dict(entry.value)
-
-
 def _cmd_catalog_show(args: argparse.Namespace) -> int:
     listing = catalog_module.entries()
     entry = listing.get(args.key)
     if entry is None:
         print(f"unknown catalog key {args.key!r}; try 'hvlab catalog list'", file=sys.stderr)
         return 2
-    value = _catalog_value_dict(entry)
-    report = {"key": entry.key, "kind": entry.kind, "note": entry.note, "value": value}
     lines = [f"key: {entry.key}", f"kind: {entry.kind}", f"note: {entry.note}"]
     if entry.kind == "scalar":
+        report = {"key": entry.key, "kind": entry.kind, "note": entry.note, "value": format_scalar(entry.value)}
         lines.append(f"value: {_display(entry.value)}")
     else:
-        lines.append(dump_json(value).rstrip("\n"))
+        # JSON output is the bare file, so it can be redirected to disk and read back.
+        report = SERIALIZERS[entry.kind](entry.value)
+        lines.append(dump_json(report).rstrip("\n"))
     _emit(args, lines, report)
     return 0
 

@@ -16,35 +16,29 @@ output labels the value "maximal local content (decomposition-based)".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .boxes import (
     Behavior,
-    LabelSet,
+    Spaces,
+    _output_tables,
     deterministic_behavior,
     is_no_signalling,
     uniform_behavior,
     validate_behavior,
 )
-from .errors import InvalidBehavior, InvalidDecomposition, LpFailure, SignallingInput
+from .errors import InvalidDecomposition, LpFailure, SignallingInput
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, solve_lp
 
-Spaces = tuple[LabelSet, LabelSet, LabelSet, LabelSet]
-
 
 def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     """All deterministic local behaviors, in lexicographic order of the
-    (Alice, Bob) output tables; there are |X|^|A| * |Y|^|B| of them."""
-    settings_a, settings_b, outcomes_x, outcomes_y = spaces
-    vertices = []
-    for outputs_a in product(outcomes_x.labels, repeat=len(settings_a)):
-        for outputs_b in product(outcomes_y.labels, repeat=len(settings_b)):
-            vertices.append(
-                deterministic_behavior(settings_a, settings_b, outcomes_x, outcomes_y, outputs_a, outputs_b)
-            )
-    return tuple(vertices)
+    (Alice, Bob) output tables; there are |X|^|A| * |Y|^|B| of them,
+    and past ``boxes.STRATEGY_BUDGET`` the spaces are refused."""
+    return tuple(
+        deterministic_behavior(*spaces, outputs_a, outputs_b) for outputs_a, outputs_b in _output_tables(spaces)
+    )
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,6 @@ def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> Lp
 
 def max_local_content(behavior: Behavior) -> LocalDecomposition:
     """Exact maximal local content of a valid no-signalling box."""
-    report = validate_behavior(behavior)
-    if not report.ok:
-        raise InvalidBehavior(report.summary())
     ok, witness = is_no_signalling(behavior)
     if not ok:
         raise SignallingInput(

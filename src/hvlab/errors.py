@@ -79,3 +79,7 @@ class InvalidDecomposition(HvlabError):
 
 class FileFormatError(HvlabError):
     """A box/model/expression file does not match its schema."""
+
+
+class SizeBudgetExceeded(HvlabError):
+    """An enumeration would exceed its fixed size budget."""

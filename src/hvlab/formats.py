@@ -1,10 +1,14 @@
 """JSON file formats for boxes, models and Bell expressions.
 
 JSON is the container; every number is a string in the exact scalar
-grammar, because raw JSON numbers cannot represent sqrt(2).  Table maps
-are keyed by the literal setting labels joined with "|", which is why
-labels may not contain that character.  Serialization emits canonical
-scalar strings, so parse -> serialize -> parse is the identity.
+grammar, because raw JSON numbers cannot represent sqrt(2).  Boxes and
+expressions are both :class:`~hvlab.boxes.Tensor` files and share one
+codec: the four label arrays plus one table under ``"p"`` (a box) or
+``"c"`` (an expression).  Model files hold one such table per kernel.
+A table is a map keyed by the literal setting labels joined with "|",
+which is why labels may not contain that character, to |X| x |Y|
+arrays.  Serialization emits canonical scalar strings, so
+parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .bell import BellExpression
-from .boxes import Behavior, LabelSet, validate_behavior
+from .boxes import Behavior, LabelSet, Spaces, Tensor, validate_behavior
 from .errors import (
     FileFormatError,
     HvlabError,
@@ -47,7 +51,7 @@ def _parse_label_array(data: Any, key: str) -> LabelSet:
         raise FileFormatError(f"{key}: {exc}") from exc
 
 
-def _parse_spaces(data: dict[str, Any]) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
+def _parse_spaces(data: dict[str, Any]) -> Spaces:
     return tuple(_parse_label_array(data.get(key), key) for key in _SPACE_KEYS)
 
 
@@ -60,11 +64,7 @@ def _parse_cell(text: Any, where: str) -> Scalar:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_table(
-    data: Any,
-    spaces: tuple[LabelSet, LabelSet, LabelSet, LabelSet],
-    where: str,
-) -> tuple[Scalar, ...]:
+def _parse_table(data: Any, spaces: Spaces, where: str) -> tuple[Scalar, ...]:
     settings_a, settings_b, outcomes_x, outcomes_y = spaces
     if not isinstance(data, dict):
         raise FileFormatError(f"{where} must be an object keyed by 'a|b'")
@@ -91,24 +91,13 @@ def _parse_table(
     return tuple(table)
 
 
-def _serialize_table(spaces, table) -> dict[str, list[list[str]]]:
-    settings_a, settings_b, outcomes_x, outcomes_y = spaces
-    nx, ny = len(outcomes_x), len(outcomes_y)
-    result: dict[str, list[list[str]]] = {}
-    i = 0
-    for a in settings_a:
-        for b in settings_b:
-            block = [[format_scalar(table[i + ix * ny + iy]) for iy in range(ny)] for ix in range(nx)]
-            result[f"{a}|{b}"] = block
-            i += nx * ny
-    return result
-
-
-def _check_labels_serializable(spaces) -> None:
-    for space in spaces:
-        for label in space:
-            if "|" in label:
-                raise FileFormatError(f"label {label!r} contains the reserved character '|'")
+def _serialize_table(tensor: Tensor) -> dict[str, list[list[str]]]:
+    nx, ny = len(tensor.outcomes_x), len(tensor.outcomes_y)
+    return {
+        f"{a}|{b}": [[format_scalar(tensor.at(ia, ib, ix, iy)) for iy in range(ny)] for ix in range(nx)]
+        for ia, a in enumerate(tensor.settings_a)
+        for ib, b in enumerate(tensor.settings_b)
+    }
 
 
 def _require_keys(data: dict[str, Any], required: set[str], optional: set[str], what: str) -> None:
@@ -119,19 +108,34 @@ def _require_keys(data: dict[str, Any], required: set[str], optional: set[str], 
         raise FileFormatError(f"{what}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
 
 
-def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
-    _check_labels_serializable(behavior.spaces)
-    data: dict[str, Any] = {key: list(space.labels) for key, space in zip(_SPACE_KEYS, behavior.spaces)}
-    data["p"] = _serialize_table(behavior.spaces, behavior.table)
+def _spaces_dict(spaces: Spaces) -> dict[str, Any]:
+    for space in spaces:
+        for label in space:
+            if "|" in label:
+                raise FileFormatError(f"label {label!r} contains the reserved character '|'")
+    return {key: list(space.labels) for key, space in zip(_SPACE_KEYS, spaces)}
+
+
+def _tensor_to_dict(tensor: Tensor, key: str) -> dict[str, Any]:
+    data = _spaces_dict(tensor.spaces)
+    data[key] = _serialize_table(tensor)
     return data
 
 
-def behavior_from_dict(data: Any, require_valid: bool = True) -> Behavior:
+def _tensor_from_dict(data: Any, cls: type[Tensor], key: str, what: str) -> Any:
     if not isinstance(data, dict):
-        raise FileFormatError("box file must contain a JSON object")
-    _require_keys(data, set(_SPACE_KEYS) | {"p"}, set(), "box file")
+        raise FileFormatError(f"{what} must contain a JSON object")
+    _require_keys(data, set(_SPACE_KEYS) | {key}, set(), what)
     spaces = _parse_spaces(data)
-    behavior = Behavior(*spaces, _parse_table(data["p"], spaces, "p"))
+    return cls(*spaces, _parse_table(data[key], spaces, key))
+
+
+def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
+    return _tensor_to_dict(behavior, "p")
+
+
+def behavior_from_dict(data: Any, require_valid: bool = True) -> Behavior:
+    behavior = _tensor_from_dict(data, Behavior, "p", "box file")
     if require_valid:
         report = validate_behavior(behavior)
         if not report.ok:
@@ -140,23 +144,15 @@ def behavior_from_dict(data: Any, require_valid: bool = True) -> Behavior:
 
 
 def expression_to_dict(expression: BellExpression) -> dict[str, Any]:
-    _check_labels_serializable(expression.spaces)
-    data: dict[str, Any] = {key: list(space.labels) for key, space in zip(_SPACE_KEYS, expression.spaces)}
-    data["c"] = _serialize_table(expression.spaces, expression.coefficients)
-    return data
+    return _tensor_to_dict(expression, "c")
 
 
 def expression_from_dict(data: Any) -> BellExpression:
-    if not isinstance(data, dict):
-        raise FileFormatError("expression file must contain a JSON object")
-    _require_keys(data, set(_SPACE_KEYS) | {"c"}, set(), "expression file")
-    spaces = _parse_spaces(data)
-    return BellExpression(*spaces, _parse_table(data["c"], spaces, "c"))
+    return _tensor_from_dict(data, BellExpression, "c", "expression file")
 
 
 def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
-    _check_labels_serializable(model.spaces)
-    data: dict[str, Any] = {key: list(space.labels) for key, space in zip(_SPACE_KEYS, model.spaces)}
+    data = _spaces_dict(model.spaces)
     pairs = []
     if isinstance(model, HiddenVariableModel):
         for pair, weight, kernel in model.items():
@@ -165,7 +161,7 @@ def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
                     "u": pair[0],
                     "v": pair[1],
                     "weight": format_scalar(weight),
-                    "p": _serialize_table(model.spaces, kernel.table),
+                    "p": _serialize_table(kernel),
                 }
             )
     else:
@@ -175,7 +171,7 @@ def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
                 {
                     "w": w,
                     "weight": format_scalar(w_weight),
-                    "p": _serialize_table(model.spaces, kernel.table),
+                    "p": _serialize_table(kernel),
                 }
                 for w, w_weight, kernel in zip(extension.values, extension.weights, extension.kernels)
             ]
@@ -269,6 +265,10 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
     return model
 
 
+# The file codec of each catalog kind that has a file format.
+SERIALIZERS = {"behavior": behavior_to_dict, "model": model_to_dict, "expression": expression_to_dict}
+
+
 def _load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -280,6 +280,8 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} nests JSON values too deeply") from exc
 
 
 def load_box(path: str | Path, require_valid: bool = True) -> Behavior:

@@ -29,7 +29,7 @@ from .boxes import (
     mix,
     validate_behavior,
 )
-from .errors import InvalidDistribution, InvalidModel, NotLocal, UnknownSetting
+from .errors import InvalidDistribution, InvalidModel, NotLocal
 from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 
 Pair = tuple[str, str]
@@ -229,23 +229,11 @@ def guessing_probability(model: HiddenVariableModel, side: Side, setting: str) -
     Only defined for local models, where the one-side kernel marginal
     does not depend on the counterpart's setting.
     """
-    _require_valid(model)
     local, witness = check_locality(model)
     if not local:
         raise NotLocal(f"guessing probability undefined: {witness.describe()}")
     sa, sb, _, _ = model.spaces
-    if side == "alice":
-        _ = sa.position(setting)
-        if _ is None:
-            raise UnknownSetting(f"unknown alice setting {setting!r}")
-        pair_settings = (setting, sb.labels[0])
-    elif side == "bob":
-        _ = sb.position(setting)
-        if _ is None:
-            raise UnknownSetting(f"unknown bob setting {setting!r}")
-        pair_settings = (sa.labels[0], setting)
-    else:
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    pair_settings = (setting, sb.labels[0]) if side == "alice" else (sa.labels[0], setting)
     total = ZERO
     for _, weight, kernel in model.items():
         if weight.sign() <= 0:

@@ -197,13 +197,14 @@ def compare(x: Scalar, y: Scalar) -> int:
 
 
 def _parse_rational(token: str) -> Fraction:
-    if "/" in token:
-        num_text, den_text = token.split("/", 1)
-        den = int(den_text)
-        if den == 0:
-            raise ZeroDenominator(f"zero denominator in {token!r}")
-        return Fraction(int(num_text), den)
-    return Fraction(int(token))
+    num_text, _, den_text = token.partition("/")
+    try:
+        num, den = int(num_text), int(den_text or "1")
+    except ValueError as exc:  # the grammar matched, so only the interpreter's digit limit is left
+        raise MalformedScalar(f"number {token[:20]}... has more digits than int() converts") from exc
+    if den == 0:
+        raise ZeroDenominator(f"zero denominator in {token!r}")
+    return Fraction(num, den)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -30,6 +30,15 @@ SMALL_SPACES = (
     LabelSet(("y0", "y1", "y2")),
 )
 
+# Six settings and three outcomes per side: 3**6 * 3**6 = 531 441
+# deterministic strategies, past the enumeration size budget.
+OVERSIZED_SPACES = (
+    LabelSet(tuple(f"a{i}" for i in range(6))),
+    LabelSet(tuple(f"b{i}" for i in range(6))),
+    LabelSet(("x0", "x1", "x2")),
+    LabelSet(("y0", "y1", "y2")),
+)
+
 
 # -- plain random.Random generators (for counted randomized suites) ---------
 

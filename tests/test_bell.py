@@ -7,7 +7,7 @@ from helpers import CHSH_SPACES, ns_behaviors, valid_behaviors
 from hvlab.bell import BellExpression, chsh, evaluate, local_bound, ns_bound
 from hvlab.boxes import LabelSet, mix
 from hvlab.catalog import pr_box, table1_box
-from hvlab.errors import SpaceMismatch
+from hvlab.errors import SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, ZERO, Scalar, parse_scalar
 
 
@@ -22,6 +22,8 @@ def test_chsh_coefficients():
     assert e.coefficient("0", "3", "+1", "+1") == -ONE
     assert e.coefficient("2", "3", "+1", "-1") == -ONE
     assert e.coefficient("2", "1", "-1", "-1") == ONE
+    with pytest.raises(UnknownSetting):
+        e.coefficient("1", "1", "+1", "+1")
 
 
 def _correlator(box, a, b):

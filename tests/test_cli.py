@@ -144,6 +144,17 @@ def test_decompose_signalling_exits_one(files, capsys):
     assert "signalling input: no local hidden variable model exists" in err
 
 
+def test_decompose_past_the_size_budget_exits_two(capsys, tmp_path):
+    from helpers import OVERSIZED_SPACES
+    from hvlab.boxes import uniform_behavior
+
+    path = tmp_path / "big.box.json"
+    save_box(uniform_behavior(*OVERSIZED_SPACES), path)
+    code, _, err = run(capsys, "decompose", str(path))
+    assert code == 2
+    assert "budget" in err
+
+
 def test_decompose_emit_model_round_trips(files, capsys, tmp_path):
     out_path = tmp_path / "decomposition.model.json"
     code, out, _ = run(capsys, "decompose", files["table1"], "--emit-model", str(out_path))
@@ -226,7 +237,7 @@ def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "show", "table1-box", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["value"]["p"]["0|1"][0][0] == "1/4+1/8*sqrt2"
+    assert report["p"]["0|1"][0][0] == "1/4+1/8*sqrt2"
     code, _, err = run(capsys, "catalog", "show", "nope")
     assert code == 2
 
@@ -265,6 +276,13 @@ def test_fuzzed_inputs_never_crash(capsys, tmp_path):
         b'{"settings_a": [], "settings_b": [], "outcomes_x": [], "outcomes_y": [], "p": {}}',
         "{\"p\": {\"a|b\": [[\"1/0\"]]}}".encode(),
         b"\xff\xfe\x00\x01binary",
+        # past the interpreter's int() digit limit
+        json.dumps(
+            {"settings_a": ["0"], "settings_b": ["0"], "outcomes_x": ["0"], "outcomes_y": ["0"],
+             "p": {"0|0": [["1" * 5001]]}}
+        ).encode(),
+        # past the interpreter's recursion limit
+        b"[" * 200000,
     ]
     for _ in range(20):
         samples.append(bytes(rng.randrange(256) for _ in range(rng.randrange(1, 80))))
@@ -273,5 +291,6 @@ def test_fuzzed_inputs_never_crash(capsys, tmp_path):
         path.write_bytes(blob)
         for argv in (["check", str(path)], ["bell", "chsh", str(path)], ["decompose", str(path)]):
             code = main(argv)
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code == 2, (argv, blob)
+            assert "unexpected error" not in err, (argv, blob[:80], err)

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import CHSH_SPACES, random_ns_behavior
+from helpers import CHSH_SPACES, OVERSIZED_SPACES, random_ns_behavior
 from oracle import oracle_local_content
-from hvlab.boxes import Behavior, LabelSet, is_no_signalling, mix, validate_behavior
+from hvlab.bell import BellExpression, local_bound
+from hvlab.boxes import Behavior, LabelSet, is_no_signalling, mix, uniform_behavior, validate_behavior
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
@@ -18,7 +19,7 @@ from hvlab.decompose import (
     max_local_content,
     verify_decomposition,
 )
-from hvlab.errors import InvalidBehavior, InvalidDecomposition, SignallingInput
+from hvlab.errors import InvalidBehavior, InvalidDecomposition, SignallingInput, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality, nontrivial_weight, reconstruct
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
 from hvlab.simplex import check_certificate
@@ -35,6 +36,15 @@ def test_vertex_count_chsh_spaces():
 def test_vertex_count_degenerate_spaces():
     spaces = (LabelSet(("a",)), LabelSet(("b",)), LabelSet(("0", "1")), LabelSet(("0", "1")))
     assert len(enumerate_local_vertices(spaces)) == 4
+
+
+def test_strategy_enumeration_refuses_sizes_past_the_budget():
+    with pytest.raises(SizeBudgetExceeded, match="531441"):
+        enumerate_local_vertices(OVERSIZED_SPACES)
+    with pytest.raises(SizeBudgetExceeded):
+        max_local_content(uniform_behavior(*OVERSIZED_SPACES))
+    with pytest.raises(SizeBudgetExceeded):
+        local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))
 
 
 def test_vertices_are_valid_deterministic_and_no_signalling():

@@ -17,7 +17,7 @@ from hvlab.boxes import (
     mix,
 )
 from hvlab.catalog import appendix_a_model, classical_model, pr_box, signalling_box, table1_box
-from hvlab.errors import InvalidDistribution, InvalidModel, NotLocal
+from hvlab.errors import InvalidDistribution, InvalidModel, NotLocal, UnknownSetting
 from hvlab.hvmodel import (
     ExtendedModel,
     HiddenVariableModel,
@@ -154,6 +154,16 @@ def test_guessing_probability_requires_locality():
     model = _model_with_signalling_pair(HALF)
     with pytest.raises(NotLocal):
         guessing_probability(model, "alice", "0")
+
+
+def test_guessing_probability_rejects_unknown_setting_and_side():
+    model = appendix_a_model()
+    with pytest.raises(UnknownSetting):
+        guessing_probability(model, "alice", "1")
+    with pytest.raises(UnknownSetting):
+        guessing_probability(model, "bob", "0")
+    with pytest.raises(ValueError):
+        guessing_probability(model, "carol", "1")
 
 
 def test_validate_model_flags_problems():
