@@ -309,6 +309,11 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     report = validate_behavior(behavior)
     if not report.ok:
         raise InvalidBehavior(report.summary())
+    return _is_no_signalling(behavior)
+
+
+def _is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
+    """:func:`is_no_signalling` for a behavior the caller has already validated."""
     b_ref = behavior.settings_b.labels[0]
     for a in behavior.settings_a:
         reference = marginal(behavior, "alice", (a, b_ref))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .boxes import (
     Behavior,
     NsWitness,
     ProductWitness,
+    _is_no_signalling,
     check_product,
     is_no_signalling,
     mix,
@@ -66,7 +68,9 @@ def _display(value: Scalar) -> str:
 
 def _scalar_fields(report: dict[str, Any], key: str, value: Scalar) -> None:
     report[key] = format_scalar(value)
-    report[f"{key}_approx"] = value.to_float()
+    approx = value.to_float()
+    # Strict JSON has no Infinity; the exact string still carries the value.
+    report[f"{key}_approx"] = approx if math.isfinite(approx) else None
 
 
 def _ns_witness_dict(witness: NsWitness) -> dict[str, Any]:
@@ -146,7 +150,7 @@ def _check_box(args: argparse.Namespace, data: Any) -> int:
         lines.append(f"problems: {validation.summary()}")
         _emit(args, lines, report)
         return 2
-    ok, witness = is_no_signalling(behavior)
+    ok, witness = _is_no_signalling(behavior)
     report["no_signalling"] = ok
     lines.append(f"no-signalling: {str(ok).lower()}")
     if witness is not None:

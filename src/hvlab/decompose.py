@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .boxes import (
     Behavior,
     Spaces,
+    _is_no_signalling,
     _output_tables,
     deterministic_behavior,
     is_no_signalling,
@@ -111,7 +112,7 @@ def _is_deterministic_vertex(behavior: Behavior) -> bool:
         return False
     if any(not (cell.is_zero() or cell == ONE) for cell in behavior.table):
         return False
-    ok, _ = is_no_signalling(behavior)
+    ok, _ = _is_no_signalling(behavior)
     return ok
 
 
@@ -237,9 +238,9 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
             )
         )
 
-        original_ns, _ = is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
+        original_ns, _ = _is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
         if original_ns and d.residual_used and residual_report.ok:
-            residual_ns, ns_witness = is_no_signalling(d.residual)
+            residual_ns, ns_witness = _is_no_signalling(d.residual)
             checks.append(
                 CheckResult(
                     "residual_no_signalling",

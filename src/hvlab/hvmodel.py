@@ -24,7 +24,7 @@ from .boxes import (
     LabelSet,
     NsWitness,
     Side,
-    is_no_signalling,
+    _is_no_signalling,
     marginal,
     mix,
     validate_behavior,
@@ -137,7 +137,7 @@ def check_locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | 
     for pair, weight, kernel in model.items():
         if weight.sign() <= 0:
             continue
-        ok, ns_witness = is_no_signalling(kernel)
+        ok, ns_witness = _is_no_signalling(kernel)
         if not ok:
             return False, LocalityWitness(pair, ns_witness)
     return True, None

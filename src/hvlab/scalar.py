@@ -1,16 +1,19 @@
 """Exact arithmetic in the ordered field Q(sqrt(2)).
 
-A Scalar is the real number ``a + b*sqrt(2)`` with rational components.
-Since sqrt(2) is irrational the representation is unique, so equality,
-ordering and hashing are decided exactly from the components.  Floats
-appear only in the display helper :func:`Scalar.to_float` and are never
-used in decision logic.
+A Scalar is the real number ``(p + q*sqrt(2)) / d`` stored as three
+Python ints in canonical form: ``d > 0`` and ``gcd(p, q, d) == 1``, with
+zero as ``(0, 0, 1)``.  Since sqrt(2) is irrational every value has
+exactly one canonical triple, so equality is a comparison of the three
+ints, and the sign is decided in integer arithmetic (when ``p`` and
+``q`` disagree in sign, by comparing ``p*p`` with ``2*q*q``).  Floats
+appear only in the display helper :meth:`Scalar.to_float` and are never
+used in decision logic.  Python ints are arbitrary-precision; that
+matters, because simplex pivoting grows numerators and denominators and
+fixed-width overflow would be a correctness bug.
 
-Components are :class:`fractions.Fraction` values, which already keep
-the canonical reduced form (positive denominator, gcd one, zero as 0/1)
-with arbitrary-precision integers underneath.  That matters: simplex
-pivoting grows numerators and denominators, and fixed-width overflow
-would be a correctness bug.
+The rational components of ``a + b*sqrt(2)`` are derived on demand:
+``a`` and ``b`` are reduced :class:`fractions.Fraction` values (``p/d``
+and ``q/d``), and a Scalar hashes like the pair ``(a, b)``.
 
 The text grammar, shared by every file format in the package::
 
@@ -25,8 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, MalformedScalar, ZeroDenominator
 
@@ -38,65 +41,113 @@ _MIXED_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})\*sqrt2\Z")
 _ROOT_RE = re.compile(rf"([+-]?)({_RATIONAL})\*sqrt2\Z")
 
 _SQRT2_FLOAT = math.sqrt(2.0)
+_COMPONENT_TYPES = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class Scalar:
     """The exact real number ``a + b*sqrt(2)``."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("_v",)  # the canonical (p, q, d) triple
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            value = getattr(self, name)
-            if isinstance(value, Fraction):
-                continue
-            if isinstance(value, int):
-                object.__setattr__(self, name, Fraction(value))
-            else:
-                raise TypeError(f"Scalar component {name} must be int or Fraction, got {type(value).__name__}")
+    def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0) -> Scalar:
+        if not (isinstance(a, _COMPONENT_TYPES) and isinstance(b, _COMPONENT_TYPES)):
+            name, value = ("b", b) if isinstance(a, _COMPONENT_TYPES) else ("a", a)
+            raise TypeError(f"Scalar component {name} must be int or Fraction, got {type(value).__name__}")
+        na, da = a.as_integer_ratio()
+        nb, db = b.as_integer_ratio()
+        # Over the lcm of two reduced denominators gcd(p, q, d) is already one.
+        d = math.lcm(da, db)
+        s = _new(cls)
+        _set(s, (na * (d // da), nb * (d // db), d))
+        return s
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Scalar is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type[Scalar], tuple[Fraction, Fraction]]:
+        return Scalar, (self.a, self.b)
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part, reduced."""
+        p, _, d = self._v
+        return Fraction(p, d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(2), reduced."""
+        _, q, d = self._v
+        return Fraction(q, d)
 
     def sign(self) -> int:
-        """Exact sign of the real value, in {-1, 0, +1}.
-
-        When the components disagree in sign the comparison reduces to
-        a*a vs 2*b*b, which is decided in exact rational arithmetic.
-        """
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # Components of opposite sign; a*a == 2*b*b is impossible here
-        # because sqrt(2) is irrational.
-        return sa if self.a * self.a > 2 * self.b * self.b else sb
+        """Exact sign of the real value, in {-1, 0, +1}."""
+        p, q, _ = self._v
+        return _sign(p, q)
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        p, q, _ = self._v
+        return not p and not q
 
     def to_float(self) -> float:
-        """Double-precision approximation, for display only."""
-        return float(self.a) + float(self.b) * _SQRT2_FLOAT
+        """Double-precision approximation, for display only; never raises.
+
+        A value past the float range gives ``inf`` or ``-inf``.
+        """
+        p, q, d = self._v
+        try:
+            return p / d + q / d * _SQRT2_FLOAT
+        except OverflowError:
+            pass
+        # A component is past the float range but the value may not be:
+        # scale by 2**k with k large enough that the error of the integer
+        # sqrt(2) cannot swamp |p + q*sqrt(2)| >= 1 / (2*max(|p|, 2|q|)).
+        k = 2 * max(p.bit_length(), q.bit_length()) + 64
+        n = (p << k) + q * math.isqrt(2 << (2 * k))
+        try:
+            return n / (d << k)
+        except OverflowError:
+            return math.inf if n > 0 else -math.inf
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Scalar:
+            return NotImplemented
+        return self._v == other._v
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     # -- field operations ------------------------------------------------
 
     def __add__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.a + other.a, self.b + other.b)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        if d1 == d2:
+            if d1 == 1:
+                return _canonical(p1 + p2, q1 + q2, 1)
+            return _reduced(p1 + p2, q1 + q2, d1)
+        return _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.a - other.a, self.b - other.b)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        if d1 == d2:
+            if d1 == 1:
+                return _canonical(p1 - p2, q1 - q2, 1)
+            return _reduced(p1 - p2, q1 - q2, d1)
+        return _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
     def __rsub__(self, other: Scalar | int | Fraction) -> Scalar:
         other = _coerce(other)
@@ -105,27 +156,44 @@ class Scalar:
         return other - self
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b)
+        p, q, d = self._v
+        return _canonical(-p, -q, d)
 
     def __pos__(self) -> Scalar:
         return self
 
     def __mul__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p1, q1, d1 = self._v
+        p2, q2, d2 = other._v
+        if not q1 and not q2:
+            p = p1 * p2
+            d = d1 * d2
+            g = gcd(p, d)
+            if g != 1:
+                p, d = p // g, d // g
+            return _canonical(p, 0, d)
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other._inverse()
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        p2, q2, d2 = other._v
+        if q2:
+            return self * other._inverse()
+        if not p2:
+            raise DivisionByZero("division by zero scalar")
+        if p2 < 0:
+            p2, d2 = -p2, -d2
+        p1, q1, d1 = self._v
+        return _reduced(p1 * d2, q1 * d2, d1 * p2)
 
     def __rtruediv__(self, other: Scalar | int | Fraction) -> Scalar:
         other = _coerce(other)
@@ -134,11 +202,14 @@ class Scalar:
         return other * self._inverse()
 
     def _inverse(self) -> Scalar:
-        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
+        # d/(p + q*sqrt2) = d*(p - q*sqrt2)/(p^2 - 2 q^2)
+        p, q, d = self._v
+        norm = p * p - 2 * q * q
+        if not norm:
             raise DivisionByZero("division by zero scalar")
-        return Scalar(self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _reduced(-d * p, d * q, -norm)
+        return _reduced(d * p, -d * q, norm)
 
     # -- order -----------------------------------------------------------
 
@@ -146,25 +217,25 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() < 0
+        return _compare(self, other) < 0
 
     def __le__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() <= 0
+        return _compare(self, other) <= 0
 
     def __gt__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() > 0
+        return _compare(self, other) > 0
 
     def __ge__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (self - other).sign() >= 0
+        return _compare(self, other) >= 0
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -173,16 +244,59 @@ class Scalar:
         return f"Scalar({format_scalar(self)!r})"
 
 
+# Results the class computes itself are built without argument checks;
+# the slot's own setter writes past the immutability guard.
+_new = object.__new__
+_set = Scalar._v.__set__
+
+
+def _canonical(p: int, q: int, d: int) -> Scalar:
+    """The Scalar (p + q*sqrt2)/d for a triple already in canonical form."""
+    s = _new(Scalar)
+    _set(s, (p, q, d))
+    return s
+
+
+def _reduced(p: int, q: int, d: int) -> Scalar:
+    """The Scalar (p + q*sqrt2)/d for d > 0, brought to canonical form."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _canonical(p, q, d)
+
+
+def _sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(2) for ints p and q."""
+    if not q:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if not p or (p > 0) == (q > 0):
+        return sq
+    # Opposite signs; p*p == 2*q*q is impossible because sqrt(2) is irrational.
+    return -sq if p * p > 2 * q * q else sq
+
+
+def _compare(x: Scalar, y: Scalar) -> int:
+    """sign(x - y), without building the difference."""
+    p1, q1, d1 = x._v
+    p2, q2, d2 = y._v
+    if d1 == d2:
+        return _sign(p1 - p2, q1 - q2)
+    return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1)
+
+
 def _coerce(value: object) -> Scalar | None:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Scalar(Fraction(value))
+        return _canonical(value.numerator, 0, value.denominator)
     return None
 
 
 def as_scalar(value: Scalar | int | Fraction | str) -> Scalar:
     """Coerce ints, Fractions and grammar strings to Scalar."""
+    if type(value) is Scalar:
+        return value
     if isinstance(value, str):
         return parse_scalar(value)
     coerced = _coerce(value)

@@ -109,6 +109,30 @@ def test_bell_with_expression_file(files, capsys, tmp_path):
     assert "value: 2*sqrt2" in out
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_bell_with_coefficient_past_float_range(files, capsys, tmp_path, fmt):
+    from hvlab.bell import BellExpression, chsh, evaluate
+    from hvlab.formats import save_expression
+    from hvlab.scalar import Scalar, format_scalar
+
+    big = Scalar(10**400)
+    expression = chsh()
+    table = (big,) + expression.table[1:]
+    path = tmp_path / "big.expr.json"
+    save_expression(BellExpression(*expression.spaces, table), path)
+    box = table1_box()
+    expected = format_scalar(evaluate(expression, box) + (big - expression.table[0]) * box.table[0])
+    code, out, err = run(capsys, "bell", str(path), files["table1"], *fmt)
+    assert code == 0
+    assert "unexpected error" not in err
+    if fmt:
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON constant {name}"))
+        assert report["value"] == expected
+        assert report["value_approx"] is None
+    else:
+        assert f"value: {expected} (~inf)" in out
+
+
 def test_check_rejects_expression_file(files, capsys, tmp_path):
     from hvlab.bell import chsh
     from hvlab.formats import save_expression

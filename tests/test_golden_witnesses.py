@@ -1,0 +1,81 @@
+"""Exact LP witnesses pinned to the values the solver has always returned.
+
+The simplex skips terms with a zero factor; that must change no pivot, so
+the primal vector, the duals and the decomposition support below stay
+exactly as first recorded.  A skip that altered pivot order would still
+give the same optimum but a different vertex or dual vector.
+"""
+
+import random
+from fractions import Fraction
+
+from helpers import random_ns_behavior
+from hvlab.bell import _ns_lp, chsh
+from hvlab.boxes import Behavior, LabelSet, mix
+from hvlab.catalog import table1_box
+from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
+from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
+from hvlab.simplex import LpSolution, check_certificate, solve_lp
+
+A = "1/4-1/8*sqrt2"
+
+
+def _scalars(texts):
+    return tuple(parse_scalar(t) for t in texts)
+
+
+def test_table1_content_lp_solution():
+    box = table1_box()
+    solution = solve_lp(content_lp_problem(box, enumerate_local_vertices(box.spaces)))
+    assert solution.q == _scalars([A, A, "0", "0", "0", A, "0", A, A, "0", A, "0", "0", "0", A, A])
+    assert solution.dual == _scalars("0 1 1 0 1 0 0 1 0 1 1 0 0 1 1 0".split())
+    assert solution.value == parse_scalar("2-1*sqrt2")
+
+
+def test_chsh_ns_lp_solution():
+    solution = solve_lp(_ns_lp(chsh()))
+    assert solution.q == _scalars("1/2 0 0 1/2 0 1/2 1/2 0 1/2 0 0 1/2 1/2 0 0 1/2".split())
+    assert solution.dual == _scalars(["1", "0", "1", "0", "1", "0", "1", "0"] + ["0"] * 16)
+    assert solution.value == parse_scalar("4")
+
+
+def _box_3322() -> Behavior:
+    """3/4 of a PR-type box (x XOR y = a*b mod 2) plus 1/4 of a random
+    no-signalling box: non-local, with local content 2593/5040.  (An even
+    mixture with this random box is fully local.)"""
+    settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
+    spaces = (settings, settings, outcomes, outcomes)
+    pr_type = Behavior.from_function(
+        *spaces, lambda a, b, x, y: HALF if int(x) ^ int(y) == int(a) * int(b) % 2 else ZERO
+    )
+    w = Scalar(Fraction(3, 4))
+    return mix([(w, pr_type), (ONE - w, random_ns_behavior(random.Random(7), spaces))])
+
+
+def test_3322_decomposition_support():
+    box = _box_3322()
+    decomposition = max_local_content(box)
+    vertices = enumerate_local_vertices(box.spaces)
+    assert decomposition.local_content == Scalar(Fraction(2593, 5040))
+    assert [vertices.index(v) for v in decomposition.vertices] == [0, 2, 29, 30, 31, 32, 35, 46, 47, 53, 60, 61]
+    assert decomposition.weights == _scalars(
+        "8273/65520 759/14560 543/14560 145/20384 1/10192 183/14560 "
+        "489/14560 25/1764 9419/76440 289/3640 739/183456 1411/57330".split()
+    )
+
+
+def test_3322_tampered_primal_fails_certificate():
+    box = _box_3322()
+    problem = content_lp_problem(box, enumerate_local_vertices(box.spaces))
+    solution = solve_lp(problem)
+    assert check_certificate(problem, solution)
+    t = Scalar(Fraction(1, 10**6))
+    raised = list(solution.q)
+    raised[0] = raised[0] + t
+    # Moving weight from vertex 0 to the unused vertex 3 keeps c.q and the
+    # value, so only A.q <= b can reject it.
+    moved = list(solution.q)
+    moved[0], moved[3] = moved[0] - t, moved[3] + t
+    for q in (raised, moved):
+        tampered = LpSolution(solution.status, tuple(q), solution.value, solution.dual)
+        assert not check_certificate(problem, tampered)
