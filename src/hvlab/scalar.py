@@ -98,12 +98,15 @@ class Scalar:
         """
         p, q, d = self._v
         try:
-            return p / d + q / d * _SQRT2_FLOAT
+            x = p / d + q / d * _SQRT2_FLOAT
         except OverflowError:
-            pass
-        # A component is past the float range but the value may not be:
-        # scale by 2**k with k large enough that the error of the integer
-        # sqrt(2) cannot swamp |p + q*sqrt(2)| >= 1 / (2*max(|p|, 2|q|)).
+            x = math.inf
+        if math.isfinite(x):
+            return x
+        # A component or the sqrt(2) term is past the float range but the
+        # value may not be: scale by 2**k with k large enough that the error
+        # of the integer sqrt(2) cannot swamp
+        # |p + q*sqrt(2)| >= 1 / (2*max(|p|, 2|q|)).
         k = 2 * max(p.bit_length(), q.bit_length()) + 64
         n = (p << k) + q * math.isqrt(2 << (2 * k))
         try:
@@ -129,8 +132,6 @@ class Scalar:
         p1, q1, d1 = self._v
         p2, q2, d2 = other._v
         if d1 == d2:
-            if d1 == 1:
-                return _canonical(p1 + p2, q1 + q2, 1)
             return _reduced(p1 + p2, q1 + q2, d1)
         return _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
 
@@ -144,8 +145,6 @@ class Scalar:
         p1, q1, d1 = self._v
         p2, q2, d2 = other._v
         if d1 == d2:
-            if d1 == 1:
-                return _canonical(p1 - p2, q1 - q2, 1)
             return _reduced(p1 - p2, q1 - q2, d1)
         return _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2)
 
@@ -185,15 +184,7 @@ class Scalar:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        p2, q2, d2 = other._v
-        if q2:
-            return self * other._inverse()
-        if not p2:
-            raise DivisionByZero("division by zero scalar")
-        if p2 < 0:
-            p2, d2 = -p2, -d2
-        p1, q1, d1 = self._v
-        return _reduced(p1 * d2, q1 * d2, d1 * p2)
+        return self * other._inverse()
 
     def __rtruediv__(self, other: Scalar | int | Fraction) -> Scalar:
         other = _coerce(other)
@@ -217,25 +208,25 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _compare(self, other) < 0
+        return compare(self, other) < 0
 
     def __le__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _compare(self, other) <= 0
+        return compare(self, other) <= 0
 
     def __gt__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _compare(self, other) > 0
+        return compare(self, other) > 0
 
     def __ge__(self, other: Scalar | int | Fraction) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _compare(self, other) >= 0
+        return compare(self, other) >= 0
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -259,7 +250,8 @@ def _canonical(p: int, q: int, d: int) -> Scalar:
 
 def _reduced(p: int, q: int, d: int) -> Scalar:
     """The Scalar (p + q*sqrt2)/d for d > 0, brought to canonical form."""
-    g = gcd(p, q, d)
+    # d first: math.gcd skips the remaining arguments once it reaches 1.
+    g = gcd(d, p, q)
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _canonical(p, q, d)
@@ -274,15 +266,6 @@ def _sign(p: int, q: int) -> int:
         return sq
     # Opposite signs; p*p == 2*q*q is impossible because sqrt(2) is irrational.
     return -sq if p * p > 2 * q * q else sq
-
-
-def _compare(x: Scalar, y: Scalar) -> int:
-    """sign(x - y), without building the difference."""
-    p1, q1, d1 = x._v
-    p2, q2, d2 = y._v
-    if d1 == d2:
-        return _sign(p1 - p2, q1 - q2)
-    return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1)
 
 
 def _coerce(value: object) -> Scalar | None:
@@ -306,8 +289,12 @@ def as_scalar(value: Scalar | int | Fraction | str) -> Scalar:
 
 
 def compare(x: Scalar, y: Scalar) -> int:
-    """sign(x - y), exactly."""
-    return (x - y).sign()
+    """sign(x - y), exactly, without building the difference."""
+    p1, q1, d1 = x._v
+    p2, q2, d2 = y._v
+    if d1 == d2:
+        return _sign(p1 - p2, q1 - q2)
+    return _sign(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1)
 
 
 def _parse_rational(token: str) -> Fraction:

@@ -143,6 +143,8 @@ def test_to_float_never_raises():
     assert (-big).to_float() == -math.inf
     assert Scalar(0, -(10**400)).to_float() == -math.inf
     assert Scalar(1, Fraction(1, 10**400)).to_float() == 1.0
+    # Both components fit in a float but the sqrt(2) term alone does not.
+    assert Scalar(-17 * 10**307, 13 * 10**307).to_float() == pytest.approx(1e307 * (-17 + 13 * math.sqrt(2)), rel=1e-12)
     # Components past the float range whose parts nearly cancel:
     # p*(p - q*sqrt2) = +-p / (p + q*sqrt2), about +-1/2.
     p, q = _pell(400)
