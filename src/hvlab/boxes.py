@@ -6,21 +6,24 @@ four label sets plus one exact Scalar per cell, stored flat in row-major
 order with y varying fastest.  The layout, its index, label lookup, cell
 iteration and construction from a function are written there once; a
 behavior is a tensor read as P(x,y|a,b), a Bell expression
-(:mod:`hvlab.bell`) one read as coefficients c(a,b,x,y).  All
-operations are pure and all values immutable, so everything here is
-safe for concurrent use.
+(:mod:`hvlab.bell`) one read as coefficients c(a,b,x,y).
 
 Construction only checks structure (label sets and table shape); the
 probabilistic invariants are the job of :func:`validate_behavior`,
 which reports violations instead of raising so that deliberately broken
-tables can be inspected.
+tables can be inspected.  A box cannot change after it is built, so its
+report is computed once and kept on the instance (:func:`_remembered`):
+every function that needs a valid box checks its own input at no further
+cost.  All values are otherwise immutable and all operations pure, so
+everything here is safe for concurrent use; two threads that both
+compute a report store equal values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Literal, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .errors import (
     BadPartition,
@@ -233,8 +236,30 @@ class BehaviorReport:
         return "; ".join(parts)
 
 
+def _remembered(obj: Any, compute: Callable[[Any], Any]) -> Any:
+    """``compute(obj)``, kept on the immutable ``obj`` after the first call;
+    each kind of object has one validator, so one attribute serves all."""
+    try:
+        return obj._validity
+    except AttributeError:
+        report = compute(obj)
+        object.__setattr__(obj, "_validity", report)
+        return report
+
+
 def validate_behavior(behavior: Behavior) -> BehaviorReport:
     """Check nonnegativity and exact per-(a,b) normalization."""
+    return _remembered(behavior, _behavior_report)
+
+
+def require_valid_behavior(behavior: Behavior) -> None:
+    """Raise InvalidBehavior, with the report's summary, unless the box is valid."""
+    report = validate_behavior(behavior)
+    if not report.ok:
+        raise InvalidBehavior(report.summary())
+
+
+def _behavior_report(behavior: Behavior) -> BehaviorReport:
     negatives: list[tuple[str, str, str, str, Scalar]] = []
     bad_rows: list[tuple[str, str, Scalar]] = []
     totals: dict[tuple[str, str], Scalar] = {}
@@ -306,14 +331,7 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     equality relation is transitive so this is equivalent to comparing
     all pairs.  Requires a valid behavior.
     """
-    report = validate_behavior(behavior)
-    if not report.ok:
-        raise InvalidBehavior(report.summary())
-    return _is_no_signalling(behavior)
-
-
-def _is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
-    """:func:`is_no_signalling` for a behavior the caller has already validated."""
+    require_valid_behavior(behavior)
     b_ref = behavior.settings_b.labels[0]
     for a in behavior.settings_a:
         reference = marginal(behavior, "alice", (a, b_ref))

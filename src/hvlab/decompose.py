@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .boxes import (
     Behavior,
     Spaces,
-    _is_no_signalling,
     _output_tables,
     deterministic_behavior,
     is_no_signalling,
@@ -108,12 +107,11 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
 
 
 def _is_deterministic_vertex(behavior: Behavior) -> bool:
-    if not validate_behavior(behavior).ok:
-        return False
-    if any(not (cell.is_zero() or cell == ONE) for cell in behavior.table):
-        return False
-    ok, _ = _is_no_signalling(behavior)
-    return ok
+    return (
+        validate_behavior(behavior).ok
+        and all(cell.is_zero() or cell == ONE for cell in behavior.table)
+        and is_no_signalling(behavior)[0]
+    )
 
 
 def _strategy_of_vertex(vertex: Behavior) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -163,48 +161,59 @@ class DecompositionReport:
         )
 
 
+def _intrinsic_checks(d: LocalDecomposition, spaces: Spaces | None = None) -> list[tuple[CheckResult, str]]:
+    """The checks of the weights and vertices that need no target box, each
+    with the message :func:`decomposition_to_model` raises when it fails;
+    given ``spaces``, every vertex must also have them."""
+    negative = [format_scalar(q) for q in d.weights if q.sign() < 0]
+    total = ZERO
+    for q in d.weights:
+        total = total + q
+    bad_vertices = [
+        i
+        for i, vertex in enumerate(d.vertices)
+        if (spaces is not None and vertex.spaces != spaces) or not _is_deterministic_vertex(vertex)
+    ]
+    inconsistent = "weights are inconsistent with the recorded local content"
+    return [
+        (
+            CheckResult("weights_nonnegative", not negative, ", ".join(negative)),
+            f"negative weight {negative[0]}" if negative else "",
+        ),
+        (
+            CheckResult(
+                "local_content_is_weight_sum",
+                total == d.local_content and len(d.weights) == len(d.vertices),
+                f"sum {format_scalar(total)} vs recorded {format_scalar(d.local_content)}",
+            ),
+            inconsistent,
+        ),
+        (
+            CheckResult(
+                "local_content_at_most_one", (d.local_content - ONE).sign() <= 0, format_scalar(d.local_content)
+            ),
+            inconsistent,
+        ),
+        (
+            CheckResult(
+                "vertices_are_local_deterministic",
+                not bad_vertices,
+                f"offending indices {bad_vertices}" if bad_vertices else "",
+            ),
+            "vertices must be deterministic local behaviors",
+        ),
+    ]
+
+
 def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) -> DecompositionReport:
     """Re-check every decomposition invariant against the target box.
 
     Works by direct arithmetic on the decomposition data; it shares no
     code with the LP and so serves as its external auditor.
     """
-    checks: list[CheckResult] = []
     d = decomposition
-
-    negative = [format_scalar(q) for q in d.weights if q.sign() < 0]
-    checks.append(CheckResult("weights_nonnegative", not negative, ", ".join(negative)))
-
-    total = ZERO
-    for q in d.weights:
-        total = total + q
-    checks.append(
-        CheckResult(
-            "local_content_is_weight_sum",
-            total == d.local_content and len(d.weights) == len(d.vertices),
-            f"sum {format_scalar(total)} vs recorded {format_scalar(d.local_content)}",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "local_content_at_most_one",
-            (d.local_content - ONE).sign() <= 0,
-            format_scalar(d.local_content),
-        )
-    )
-
-    bad_vertices = [
-        i
-        for i, vertex in enumerate(d.vertices)
-        if vertex.spaces != behavior.spaces or not _is_deterministic_vertex(vertex)
-    ]
-    checks.append(
-        CheckResult(
-            "vertices_are_local_deterministic",
-            not bad_vertices,
-            f"offending indices {bad_vertices}" if bad_vertices else "",
-        )
-    )
+    checks = [check for check, _ in _intrinsic_checks(d, behavior.spaces)]
+    vertices_ok = checks[-1].ok  # vertices_are_local_deterministic
 
     residual_report = validate_behavior(d.residual) if d.residual_used else None
     if d.residual_used:
@@ -216,7 +225,7 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
             )
         )
 
-    if not bad_vertices:
+    if vertices_ok:
         recombined = [ZERO] * len(behavior.table)
         for vertex, q in zip(d.vertices, d.weights):
             for i, cell in enumerate(vertex.table):
@@ -238,9 +247,9 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
             )
         )
 
-        original_ns, _ = _is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
+        original_ns, _ = is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
         if original_ns and d.residual_used and residual_report.ok:
-            residual_ns, ns_witness = _is_no_signalling(d.residual)
+            residual_ns, ns_witness = is_no_signalling(d.residual)
             checks.append(
                 CheckResult(
                     "residual_no_signalling",
@@ -259,17 +268,9 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     when present, becomes the pair ("0","0").
     """
     d = decomposition
-    for q in d.weights:
-        if q.sign() < 0:
-            raise InvalidDecomposition(f"negative weight {format_scalar(q)}")
-    total = ZERO
-    for q in d.weights:
-        total = total + q
-    if total != d.local_content or (d.local_content - ONE).sign() > 0:
-        raise InvalidDecomposition("weights are inconsistent with the recorded local content")
-    for vertex in d.vertices:
-        if not _is_deterministic_vertex(vertex):
-            raise InvalidDecomposition("vertices must be deterministic local behaviors")
+    for check, message in _intrinsic_checks(d):
+        if not check.ok:
+            raise InvalidDecomposition(message)
 
     pairs: list[tuple[str, str]] = []
     weights: list[Scalar] = []

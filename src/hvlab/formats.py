@@ -18,20 +18,9 @@ from pathlib import Path
 from typing import Any
 
 from .bell import BellExpression
-from .boxes import Behavior, LabelSet, Spaces, Tensor, validate_behavior
-from .errors import (
-    FileFormatError,
-    HvlabError,
-    InvalidBehavior,
-    InvalidModel,
-)
-from .hvmodel import (
-    ExtendedModel,
-    HiddenVariableModel,
-    WExtension,
-    validate_extended_model,
-    validate_model,
-)
+from .boxes import Behavior, LabelSet, Spaces, Tensor, require_valid_behavior
+from .errors import FileFormatError, HvlabError, InvalidModel
+from .hvmodel import ExtendedModel, HiddenVariableModel, WExtension, require_valid_model
 from .scalar import Scalar, format_scalar, parse_scalar
 
 _SPACE_KEYS = ("settings_a", "settings_b", "outcomes_x", "outcomes_y")
@@ -137,9 +126,7 @@ def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
 def behavior_from_dict(data: Any, require_valid: bool = True) -> Behavior:
     behavior = _tensor_from_dict(data, Behavior, "p", "box file")
     if require_valid:
-        report = validate_behavior(behavior)
-        if not report.ok:
-            raise InvalidBehavior(report.summary())
+        require_valid_behavior(behavior)
     return behavior
 
 
@@ -254,14 +241,7 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
     except InvalidModel as exc:
         raise FileFormatError(f"model file: {exc}") from exc
     if require_valid:
-        if isinstance(model, HiddenVariableModel):
-            report = validate_model(model)
-            if not report.ok:
-                raise InvalidModel(report.summary())
-        else:
-            problems = validate_extended_model(model)
-            if problems:
-                raise InvalidModel("; ".join(problems))
+        require_valid_model(model)
     return model
 
 
@@ -284,12 +264,12 @@ def _load_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path} nests JSON values too deeply") from exc
 
 
-def load_box(path: str | Path, require_valid: bool = True) -> Behavior:
-    return behavior_from_dict(_load_json(path), require_valid=require_valid)
+def load_box(path: str | Path) -> Behavior:
+    return behavior_from_dict(_load_json(path))
 
 
-def load_model(path: str | Path, require_valid: bool = True) -> HiddenVariableModel | ExtendedModel:
-    return model_from_dict(_load_json(path), require_valid=require_valid)
+def load_model(path: str | Path) -> HiddenVariableModel | ExtendedModel:
+    return model_from_dict(_load_json(path))
 
 
 def load_expression(path: str | Path) -> BellExpression:
@@ -306,16 +286,6 @@ def sniff_kind(data: Any) -> str:
         if "c" in data:
             return "expression"
     raise FileFormatError("file is neither a box, a model nor an expression file")
-
-
-def load_any(path: str | Path, require_valid: bool = True):
-    data = _load_json(path)
-    kind = sniff_kind(data)
-    if kind == "box":
-        return kind, behavior_from_dict(data, require_valid=require_valid)
-    if kind == "model":
-        return kind, model_from_dict(data, require_valid=require_valid)
-    return kind, expression_from_dict(data)
 
 
 def dump_json(data: dict[str, Any]) -> str:

@@ -9,6 +9,9 @@ Locality here means every positive-weight kernel is no-signalling, so
 conditioning on the hidden pair could never be used to signal.
 Triviality means the hidden pair reveals nothing: every positive-weight
 kernel has the same one-side marginals as the reconstructed behavior.
+
+Every check validates its input through :func:`require_valid_model`; as
+for boxes, the report is computed once and kept on the model.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from .boxes import (
     LabelSet,
     NsWitness,
     Side,
-    _is_no_signalling,
+    _remembered,
+    is_no_signalling,
     marginal,
     mix,
+    require_valid_behavior,
     validate_behavior,
 )
-from .errors import InvalidDistribution, InvalidModel, NotLocal
+from .errors import InvalidDistribution, InvalidModel, NotLocal, SpaceMismatch
 from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 
 Pair = tuple[str, str]
@@ -92,6 +97,10 @@ class ModelReport:
 
 
 def validate_model(model: HiddenVariableModel) -> ModelReport:
+    return _remembered(model, _model_report)
+
+
+def _model_report(model: HiddenVariableModel) -> ModelReport:
     negatives = []
     total = ZERO
     bad_kernels = []
@@ -105,10 +114,15 @@ def validate_model(model: HiddenVariableModel) -> ModelReport:
     return ModelReport(tuple(negatives), total, tuple(bad_kernels))
 
 
-def _require_valid(model: HiddenVariableModel) -> None:
-    report = validate_model(model)
-    if not report.ok:
-        raise InvalidModel(report.summary())
+def require_valid_model(model: HiddenVariableModel | ExtendedModel) -> None:
+    """Raise InvalidModel, listing the problems, unless the model is valid."""
+    if isinstance(model, ExtendedModel):
+        problems = validate_extended_model(model)
+    else:
+        report = validate_model(model)
+        problems = [] if report.ok else [report.summary()]
+    if problems:
+        raise InvalidModel("; ".join(problems))
 
 
 def reconstruct(model: HiddenVariableModel) -> Behavior:
@@ -133,11 +147,11 @@ def check_locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | 
     Zero-weight pairs are exempt: they are unobservable and the
     conditional distributions are undefined there.
     """
-    _require_valid(model)
+    require_valid_model(model)
     for pair, weight, kernel in model.items():
         if weight.sign() <= 0:
             continue
-        ok, ns_witness = _is_no_signalling(kernel)
+        ok, ns_witness = is_no_signalling(kernel)
         if not ok:
             return False, LocalityWitness(pair, ns_witness)
     return True, None
@@ -196,9 +210,14 @@ def check_triviality(
     outcomes beyond the behavior's own marginals.
 
     The reference defaults to the reconstructed behavior; pass
-    ``against`` to compare with an externally specified box instead.
+    ``against`` to compare with an externally specified valid box with
+    the model's spaces instead.
     """
-    _require_valid(model)
+    require_valid_model(model)
+    if against is not None:
+        if against.spaces != model.spaces:
+            raise SpaceMismatch("triviality reference and model spaces differ")
+        require_valid_behavior(against)
     reference = against if against is not None else reconstruct(model)
     for pair, weight, kernel in model.items():
         if weight.sign() <= 0:
@@ -212,7 +231,7 @@ def check_triviality(
 def nontrivial_weight(model: HiddenVariableModel) -> Scalar:
     """Total weight of pairs whose kernel fails the per-pair triviality
     test against the reconstructed behavior."""
-    _require_valid(model)
+    require_valid_model(model)
     reference = reconstruct(model)
     total = ZERO
     for pair, weight, kernel in model.items():
@@ -291,6 +310,10 @@ class ExtendedModel:
 
 def validate_extended_model(model: ExtendedModel) -> list[str]:
     """List of problems; empty means valid."""
+    return list(_remembered(model, _extended_model_problems))
+
+
+def _extended_model_problems(model: ExtendedModel) -> tuple[str, ...]:
     problems: list[str] = []
     total = ZERO
     for pair, weight in zip(model.pairs, model.weights):
@@ -311,7 +334,7 @@ def validate_extended_model(model: ExtendedModel) -> list[str]:
             report = validate_behavior(kernel)
             if not report.ok:
                 problems.append(f"kernel at pair {pair}, w={w}: {report.summary()}")
-    return problems
+    return tuple(problems)
 
 
 def marginalize_nonlocal(model: ExtendedModel) -> HiddenVariableModel:
@@ -320,9 +343,7 @@ def marginalize_nonlocal(model: ExtendedModel) -> HiddenVariableModel:
     The per-w kernels may individually signal; only the averaged
     pair-level kernels enter the resulting model.
     """
-    problems = validate_extended_model(model)
-    if problems:
-        raise InvalidModel("; ".join(problems))
+    require_valid_model(model)
     kernels = tuple(
         mix(zip(extension.weights, extension.kernels)) for extension in model.extensions
     )
@@ -367,7 +388,7 @@ def first_mover_joint(
     local that factor is independent of b, which is exactly what the
     product check against {B} detects.
     """
-    _require_valid(model)
+    require_valid_model(model)
     sa, sb, ox, _ = model.spaces
     dist_a = _check_distribution(p_a, sa, "setting distribution for A")
     dist_b = _check_distribution(p_b, sb, "setting distribution for B")

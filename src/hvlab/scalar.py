@@ -41,6 +41,7 @@ _MIXED_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})\*sqrt2\Z")
 _ROOT_RE = re.compile(rf"([+-]?)({_RATIONAL})\*sqrt2\Z")
 
 _SQRT2_FLOAT = math.sqrt(2.0)
+_MAX_CANCELLATION = 2.0**20
 _COMPONENT_TYPES = (int, Fraction)
 
 
@@ -98,13 +99,15 @@ class Scalar:
         """
         p, q, d = self._v
         try:
-            x = p / d + q / d * _SQRT2_FLOAT
+            rational = p / d
+            x = rational + q / d * _SQRT2_FLOAT
         except OverflowError:
-            x = math.inf
-        if math.isfinite(x):
+            rational = x = math.inf
+        # Keep the float sum unless it is non-finite or cancelled (lost over 20 of 53 bits).
+        if math.isfinite(x) and abs(x) * _MAX_CANCELLATION >= abs(rational):
             return x
-        # A component or the sqrt(2) term is past the float range but the
-        # value may not be: scale by 2**k with k large enough that the error
+        # A component or the sqrt(2) term is past the float range, or the
+        # two nearly cancel: scale by 2**k with k large enough that the error
         # of the integer sqrt(2) cannot swamp
         # |p + q*sqrt(2)| >= 1 / (2*max(|p|, 2|q|)).
         k = 2 * max(p.bit_length(), q.bit_length()) + 64

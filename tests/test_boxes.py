@@ -242,3 +242,13 @@ def test_validate_accepts_exactly_the_invariant_holders(box):
     assert not validate_behavior(broken).ok
     negated = _tweak(box, 0, box.table[0] - ONE)  # negative cell
     assert not validate_behavior(negated).ok
+
+
+@pytest.mark.parametrize("make", [table1_box, lambda: _tweak(table1_box(), 0, parse_scalar("-1/8"))])
+def test_validate_behavior_returns_one_report_per_box(make):
+    box = make()
+    report = validate_behavior(box)
+    assert validate_behavior(box) is report
+    twin = make()
+    assert twin == box and twin is not box
+    assert validate_behavior(twin) == report

@@ -318,3 +318,121 @@ def test_fuzzed_inputs_never_crash(capsys, tmp_path):
             err = capsys.readouterr().err
             assert code == 2, (argv, blob)
             assert "unexpected error" not in err, (argv, blob[:80], err)
+
+
+# -- check on invalid and w-extension models --------------------------------
+# The expected reports below were recorded before validity reports were
+# kept on the objects, and must not change.
+
+
+def _invalid_model():
+    """Weights summing to 5/6, and a normalized kernel row with a negative cell."""
+    from hvlab.boxes import Behavior, deterministic_behavior
+    from hvlab.hvmodel import HiddenVariableModel
+
+    spaces = table1_box().spaces
+    vertex = deterministic_behavior(*spaces, ("+1", "+1"), ("+1", "+1"))
+    broken = Behavior(*spaces, (parse_scalar("3/2"), parse_scalar("-1/2")) + vertex.table[2:])
+    return HiddenVariableModel((("u0", "v0"), ("u1", "v1")), (parse_scalar("1/2"), parse_scalar("1/3")), (vertex, broken))
+
+
+def _extended_model(valid: bool):
+    """Pair (s, s) averages the signalling box X=B, Y=A with its
+    outcome-flipped twin; pair (d, d) has a plain deterministic kernel.
+    The invalid variant weights w with 3/2 and -1/2 and breaks one kernel."""
+    from hvlab.boxes import Behavior, LabelSet, deterministic_behavior
+    from hvlab.hvmodel import ExtendedModel, WExtension
+
+    box = signalling_box()
+    flipped = Behavior(*box.spaces, tuple(v for i in range(0, 16, 4) for v in reversed(box.table[i : i + 4])))
+    w_weights = (parse_scalar("1/2"), parse_scalar("1/2"))
+    if not valid:
+        w_weights = (parse_scalar("3/2"), parse_scalar("-1/2"))
+        flipped = Behavior(*box.spaces, (parse_scalar("2"),) + flipped.table[1:])
+    plain = deterministic_behavior(*box.spaces, ("0", "0"), ("1", "1"))
+    extensions = (
+        WExtension(LabelSet(("0", "1")), w_weights, (box, flipped)),
+        WExtension(LabelSet(("0",)), (parse_scalar("1"),), (plain,)),
+    )
+    return ExtendedModel((("s", "s"), ("d", "d")), (parse_scalar("1/2"), parse_scalar("1/2")), extensions)
+
+
+_INVALID_MODEL_PROBLEMS = (
+    "weights sum to 5/6, expected 1; kernel at pair ('u1', 'v1'): negative cell P(+1,-1|0,1) = -1/2"
+)
+_INVALID_EXTENDED_PROBLEMS = (
+    "negative weight -1/2 for w=1 at pair ('s', 's'); kernel at pair ('s', 's'), w=1: row (0,0) sums to 3"
+)
+
+
+def test_check_invalid_model_reports(capsys, tmp_path):
+    path = tmp_path / "invalid.model.json"
+    save_model(_invalid_model(), path)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == f"kind: model\nvalid: false\nproblems: {_INVALID_MODEL_PROBLEMS}\n"
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"kind": "model", "valid": False, "problems": _INVALID_MODEL_PROBLEMS}
+
+
+def test_check_extended_model_reports(capsys, tmp_path):
+    path = tmp_path / "extended.model.json"
+    save_model(_extended_model(valid=True), path)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert out == (
+        "kind: model\n"
+        "w_extension: folded into pair kernels\n"
+        "valid: true\n"
+        "local: true\n"
+        "trivial: false\n"
+        "triviality witness: pair (s,s), alice setting 0, outcome 0: kernel marginal 1/2 != behavior marginal 3/4\n"
+        "nontrivial_weight: 1\n"
+        "note: nontrivial_weight is this tool's quantification of the non-trivial local mass\n"
+    )
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "model",
+        "w_extension": "folded",
+        "valid": True,
+        "local": True,
+        "trivial": False,
+        "triviality_witness": {
+            "pair": ["s", "s"],
+            "side": "alice",
+            "setting": "0",
+            "counterpart": "0",
+            "outcome": "0",
+            "kernel_value": "1/2",
+            "model_value": "3/4",
+        },
+        "nontrivial_weight": "1",
+        "nontrivial_weight_approx": 1.0,
+    }
+
+
+def test_check_invalid_extended_model_reports(capsys, tmp_path):
+    path = tmp_path / "invalid-extended.model.json"
+    save_model(_extended_model(valid=False), path)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == f"kind: model\nvalid: false\nproblems: {_INVALID_EXTENDED_PROBLEMS}\n"
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"kind": "model", "valid": False, "problems": _INVALID_EXTENDED_PROBLEMS}
+
+
+@pytest.mark.parametrize("outcomes_x", [("+", "-"), ("+1", "-1", "0")])
+def test_check_model_against_box_with_other_spaces_exits_two(files, capsys, tmp_path, outcomes_x):
+    from hvlab.boxes import LabelSet, uniform_behavior
+
+    sa, sb, _, oy = table1_box().spaces
+    path = tmp_path / "other.box.json"
+    save_box(uniform_behavior(sa, sb, LabelSet(outcomes_x), oy), path)
+    code, out, err = run(capsys, "check", files["model"], "--against", str(path))
+    assert code == 2
+    assert "unexpected error" not in err
+    assert err == "error: triviality reference and model spaces differ\n"
+    assert out == ""

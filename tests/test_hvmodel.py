@@ -364,3 +364,80 @@ def test_reconstruct_commutes_with_marginalize():
         for w_weight, kernel in zip(extension.weights, extension.kernels):
             components.append((weight * w_weight, kernel))
     assert direct == mix(components)
+
+
+@pytest.mark.parametrize("outcomes_x", [("+", "-"), ("+1", "-1", "0")])
+def test_triviality_against_box_with_other_spaces_raises(outcomes_x):
+    from hvlab.boxes import uniform_behavior
+    from hvlab.errors import SpaceMismatch
+
+    other = uniform_behavior(SA, SB, LabelSet(outcomes_x), OY)
+    with pytest.raises(SpaceMismatch):
+        check_triviality(appendix_a_model(), against=other)
+
+
+def test_triviality_against_invalid_box_raises():
+    from hvlab.errors import InvalidBehavior
+
+    broken = Behavior(SA, SB, OX, OY, (parse_scalar("2"),) + table1_box().table[1:])
+    with pytest.raises(InvalidBehavior):
+        check_triviality(appendix_a_model(), against=broken)
+
+
+def _invalid_model() -> HiddenVariableModel:
+    return HiddenVariableModel((("u", "v"),), (HALF,), (pr_box(),))
+
+
+@pytest.mark.parametrize("make", [appendix_a_model, _invalid_model])
+def test_validate_model_returns_one_report_per_model(make):
+    model = make()
+    report = validate_model(model)
+    assert validate_model(model) is report
+    twin = make()
+    assert twin == model and twin is not model
+    assert validate_model(twin) == report
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_validate_extended_model_gives_equal_problem_lists(valid):
+    from hvlab.hvmodel import validate_extended_model
+
+    def make() -> ExtendedModel:
+        weights = (HALF, HALF) if valid else (HALF, parse_scalar("-1/2"))
+        kernels = (pr_box(), table1_box())
+        return ExtendedModel((("u", "v"),), (ONE,), (WExtension(LabelSet(("w0", "w1")), weights, kernels),))
+
+    model = make()
+    problems = validate_extended_model(model)
+    assert (problems == []) == valid
+    problems.append("edited by the caller")
+    assert validate_extended_model(model) == validate_extended_model(make()) != problems
+
+
+def test_concurrent_validation_stores_equal_reports():
+    import sys
+    import threading
+
+    model = appendix_a_model()
+    workers = 8
+    results = []
+    barrier = threading.Barrier(workers)
+
+    def validate():
+        barrier.wait(timeout=30)
+        results.append(validate_model(model))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=validate) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == workers
+    assert all(report.ok and report == results[0] for report in results)
+    assert any(validate_model(model) is report for report in results)

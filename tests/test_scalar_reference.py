@@ -9,6 +9,7 @@ against the reference on the components it reports.
 import copy
 import math
 import pickle
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,39 @@ def test_to_float_never_raises():
     p, q = _pell(400)
     cancelling = Scalar(p * p, -p * q)
     assert cancelling.to_float() == pytest.approx(0.5 * cancelling.sign(), rel=1e-12)
+
+
+def _decimal_value(x: Scalar) -> Decimal:
+    """a + b*sqrt(2) to 1000 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        a = Decimal(x.a.numerator) / Decimal(x.a.denominator)
+        b = Decimal(x.b.numerator) / Decimal(x.b.denominator)
+        return a + b * Decimal(2).sqrt()
+
+
+def _inverse_sqrt2(digits: int) -> Fraction:
+    """1/sqrt(2) rounded to the given number of significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Fraction(Decimal(1) / Decimal(2).sqrt())
+
+
+def test_to_float_when_the_parts_nearly_cancel():
+    # The float formula gave -1.59e234 here: every digit and the sign lost.
+    x = Scalar(10**250, -_inverse_sqrt2(100) * 10**250)
+    reference = float(_decimal_value(x))
+    assert reference > 0
+    assert x.to_float() == pytest.approx(reference, rel=1e-12)
+
+
+@given(
+    st.integers(1, 80),
+    st.fractions(min_value=Fraction(1, 10**12), max_value=10**40, max_denominator=10**12),
+    st.sampled_from([1, -1]),
+)
+def test_to_float_of_near_cancelling_parts_matches_decimal(digits, scale, sign):
+    x = Scalar(sign * scale, -sign * scale * _inverse_sqrt2(digits))
+    reference = float(_decimal_value(x))
+    assert math.copysign(1, reference) == x.sign()
+    assert x.to_float() == pytest.approx(reference, rel=1e-9)
