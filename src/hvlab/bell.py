@@ -2,19 +2,23 @@
 
 An expression is a :class:`~hvlab.boxes.Tensor` read as coefficients
 c(a,b,x,y), so it shares a behavior's spaces and row-major table layout;
-its value on a box is the full contraction.  The local bound enumerates
-all deterministic strategies exhaustively (cost |X|^|A| * |Y|^|B|,
-deliberately unpruned, and refused past ``boxes.STRATEGY_BUDGET``); the
-no-signalling bound is an exact LP over the no-signalling polytope.
+its value on a box is the full contraction.  The local bound is a
+best-response search: it walks Alice's |X|^|A| output tables, and for
+each one Bob's best reply splits into one independent choice per
+setting, so it costs |X|^|A| * |B| * |Y| * |A| exact additions and no
+multiplication (spaces past ``boxes.STRATEGY_BUDGET`` total strategies
+are still refused).  The no-signalling bound is an exact LP over the
+no-signalling polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .boxes import Behavior, LabelSet, Spaces, Tensor, _output_tables, deterministic_behavior
+from .boxes import Behavior, LabelSet, Spaces, Tensor, _strategy_count, deterministic_behavior
 from .errors import LpFailure, SpaceMismatch
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar, compare
 from .simplex import OPTIMAL, LpProblem, solve_lp
 
 
@@ -72,17 +76,44 @@ def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrate
     """Exact maximum over all deterministic local strategies.
 
     Ties are broken by the first strategy in lexicographic order of the
-    (Alice, Bob) output tables, so the witness is deterministic.
+    (Alice, Bob) output tables, so the witness is deterministic.  The
+    search keeps that witness: Alice's tables are walked in order and a
+    total replaces the best only when strictly greater, and Bob's best
+    replies to one table form a product over his settings, whose first
+    element takes the first maximising outcome at each setting.
     """
+    _strategy_count(expression.spaces)
+    settings_a, settings_b, outcomes_x, outcomes_y = expression.spaces
+    nx = len(outcomes_x)
+    # gains[ib][iy][ia][ix] = c(a, b, x, y)
+    gains = [
+        [
+            [tuple(expression.at(ia, ib, ix, iy) for ix in range(nx)) for ia in range(len(settings_a))]
+            for iy in range(len(outcomes_y))
+        ]
+        for ib in range(len(settings_b))
+    ]
     best_value: Scalar | None = None
-    best_strategy: DeterministicStrategy | None = None
-    for outputs_a, outputs_b in _output_tables(expression.spaces):
-        strategy = DeterministicStrategy(outputs_a, outputs_b)
-        value = evaluate(expression, strategy.to_behavior(expression.spaces))
-        if best_value is None or value > best_value:
-            best_value = value
-            best_strategy = strategy
-    return best_value, best_strategy
+    best_tables: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    for xs in product(range(nx), repeat=len(settings_a)):
+        total = ZERO
+        ys = []
+        for by_outcome in gains:
+            reply_value: Scalar | None = None
+            for iy, by_setting in enumerate(by_outcome):
+                value = ZERO
+                for row, ix in zip(by_setting, xs):
+                    value = value + row[ix]
+                if reply_value is None or compare(value, reply_value) > 0:
+                    reply_value, reply = value, iy
+            total = total + reply_value
+            ys.append(reply)
+        if best_value is None or compare(total, best_value) > 0:
+            best_value, best_tables = total, (xs, tuple(ys))
+    xs, ys = best_tables
+    return best_value, DeterministicStrategy(
+        tuple(outcomes_x.labels[ix] for ix in xs), tuple(outcomes_y.labels[iy] for iy in ys)
+    )
 
 
 def _ns_lp(expression: BellExpression) -> LpProblem:

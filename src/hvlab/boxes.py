@@ -40,7 +40,7 @@ from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 Side = Literal["alice", "bob"]
 
 # Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
-# and vertex enumeration will visit.  Past it the input is refused
+# and vertex enumeration will accept.  Past it the input is refused
 # before anything is built: a 6-setting, 3-outcome scenario would
 # otherwise build 531 441 vertex behaviors.
 STRATEGY_BUDGET = 65_536
@@ -96,6 +96,12 @@ def _require_outcome(space: LabelSet, label: str, side: str) -> int:
     return pos
 
 
+def _position(nb: int, nx: int, ny: int, ia: int, ib: int, ix: int, iy: int) -> int:
+    """Row-major position of cell (ia, ib, ix, iy), y fastest, in a table
+    with ``nb`` Bob settings and ``nx``, ``ny`` outcomes."""
+    return ((ia * nb + ib) * nx + ix) * ny + iy
+
+
 _T = TypeVar("_T", bound="Tensor")
 
 
@@ -124,8 +130,7 @@ class Tensor:
 
     def index(self, ia: int, ib: int, ix: int, iy: int) -> int:
         """Position in ``table`` of the cell with these label positions."""
-        nx, ny = len(self.outcomes_x), len(self.outcomes_y)
-        return ((ia * len(self.settings_b) + ib) * nx + ix) * ny + iy
+        return _position(len(self.settings_b), len(self.outcomes_x), len(self.outcomes_y), ia, ib, ix, iy)
 
     def at(self, ia: int, ib: int, ix: int, iy: int) -> Scalar:
         return self.table[self.index(ia, ib, ix, iy)]
@@ -162,15 +167,23 @@ class Behavior(Tensor):
     p = Tensor.value
 
 
-def _output_tables(spaces: Spaces) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Every deterministic strategy as its (Alice, Bob) output tables, in
-    lexicographic order; refuses more than STRATEGY_BUDGET of them."""
+def _strategy_count(spaces: Spaces) -> int:
+    """The number |X|^|A| * |Y|^|B| of deterministic strategies; raises
+    SizeBudgetExceeded when it is past STRATEGY_BUDGET."""
     settings_a, settings_b, outcomes_x, outcomes_y = spaces
     count = len(outcomes_x) ** len(settings_a) * len(outcomes_y) ** len(settings_b)
     if count > STRATEGY_BUDGET:
         raise SizeBudgetExceeded(
             f"{count} deterministic strategies exceed the budget of {STRATEGY_BUDGET}"
         )
+    return count
+
+
+def _output_tables(spaces: Spaces) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Every deterministic strategy as its (Alice, Bob) output tables, in
+    lexicographic order; refuses more than STRATEGY_BUDGET of them."""
+    _strategy_count(spaces)
+    settings_a, settings_b, outcomes_x, outcomes_y = spaces
     return product(
         product(outcomes_x.labels, repeat=len(settings_a)),
         product(outcomes_y.labels, repeat=len(settings_b)),
@@ -192,19 +205,14 @@ def deterministic_behavior(
     """
     if len(outputs_a) != len(settings_a) or len(outputs_b) != len(settings_b):
         raise ValueError("one output per setting is required")
-    fa = dict(zip(settings_a, outputs_a))
-    fb = dict(zip(settings_b, outputs_b))
-    for out in outputs_a:
-        _require_outcome(outcomes_x, out, "alice")
-    for out in outputs_b:
-        _require_outcome(outcomes_y, out, "bob")
-    return Behavior.from_function(
-        settings_a,
-        settings_b,
-        outcomes_x,
-        outcomes_y,
-        lambda a, b, x, y: ONE if (fa[a] == x and fb[b] == y) else ZERO,
-    )
+    xs = [_require_outcome(outcomes_x, out, "alice") for out in outputs_a]
+    ys = [_require_outcome(outcomes_y, out, "bob") for out in outputs_b]
+    nb, nx, ny = len(settings_b), len(outcomes_x), len(outcomes_y)
+    table = [ZERO] * (len(settings_a) * nb * nx * ny)
+    for ia, ix in enumerate(xs):
+        for ib, iy in enumerate(ys):
+            table[_position(nb, nx, ny, ia, ib, ix, iy)] = ONE
+    return Behavior(settings_a, settings_b, outcomes_x, outcomes_y, table)
 
 
 def uniform_behavior(

@@ -16,26 +16,45 @@ output labels the value "maximal local content (decomposition-based)".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .boxes import (
     Behavior,
     Spaces,
     _output_tables,
+    _strategy_count,
     deterministic_behavior,
     is_no_signalling,
     uniform_behavior,
     validate_behavior,
 )
-from .errors import InvalidDecomposition, LpFailure, SignallingInput
+from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, solve_lp
 
 
+# Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
+# enumeration will build.  The strategy budget alone lets through two
+# settings with sixteen outcomes per side: 65 536 vertices of 1024
+# cells each and a content LP to match.  Eight outcomes per side (4096
+# vertices of 256 cells, a quarter of the budget) hold about 9 MB of
+# tables; the largest benchmark rung, 3333, has 729 vertices of 81 cells.
+VERTEX_CELL_BUDGET = 2**22
+
+
 def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     """All deterministic local behaviors, in lexicographic order of the
-    (Alice, Bob) output tables; there are |X|^|A| * |Y|^|B| of them,
-    and past ``boxes.STRATEGY_BUDGET`` the spaces are refused."""
+    (Alice, Bob) output tables; there are |X|^|A| * |Y|^|B| of them.
+    Spaces past ``boxes.STRATEGY_BUDGET`` strategies, or past
+    ``VERTEX_CELL_BUDGET`` cells in all, are refused before any is built."""
+    count = _strategy_count(spaces)
+    cells = count * prod(len(space) for space in spaces)
+    if cells > VERTEX_CELL_BUDGET:
+        raise SizeBudgetExceeded(
+            f"{count} vertices of {cells // count} cells ({cells} cells) exceed the budget of "
+            f"{VERTEX_CELL_BUDGET} cells"
+        )
     return tuple(
         deterministic_behavior(*spaces, outputs_a, outputs_b) for outputs_a, outputs_b in _output_tables(spaces)
     )

@@ -30,6 +30,16 @@ SMALL_SPACES = (
     LabelSet(("y0", "y1", "y2")),
 )
 
+# Two settings and sixteen outcomes per side: 16**2 * 16**2 = 65 536
+# strategies, within the strategy budget, but 65 536 vertices of 1024
+# cells are past the vertex cell budget.
+WIDE_SPACES = (
+    LabelSet(("a0", "a1")),
+    LabelSet(("b0", "b1")),
+    LabelSet(tuple(f"x{i}" for i in range(16))),
+    LabelSet(tuple(f"y{i}" for i in range(16))),
+)
+
 # Six settings and three outcomes per side: 3**6 * 3**6 = 531 441
 # deterministic strategies, past the enumeration size budget.
 OVERSIZED_SPACES = (

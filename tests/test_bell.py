@@ -1,11 +1,14 @@
 """Bell functionals: evaluation, bounds and the CHSH instance."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import CHSH_SPACES, ns_behaviors, valid_behaviors
 from hvlab.bell import BellExpression, chsh, evaluate, local_bound, ns_bound
-from hvlab.boxes import LabelSet, mix
+from hvlab.boxes import LabelSet, deterministic_behavior, mix
 from hvlab.catalog import pr_box, table1_box
 from hvlab.errors import SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, ZERO, Scalar, parse_scalar
@@ -151,3 +154,41 @@ def test_local_bound_never_exceeds_ns_bound(e):
     ns = ns_bound(e)
     assert (local - ns).sign() <= 0
     assert evaluate(e, strategy.to_behavior(e.spaces)) == local
+
+
+def _reference_local_bound(e):
+    """Every strategy as a behavior, in lexicographic order of the output
+    tables, replacing the best only on a strictly greater value."""
+    sa, sb, ox, oy = e.spaces
+    best = None
+    for outputs_a in product(ox.labels, repeat=len(sa)):
+        for outputs_b in product(oy.labels, repeat=len(sb)):
+            value = evaluate(e, deterministic_behavior(*e.spaces, outputs_a, outputs_b))
+            if best is None or value > best[0]:
+                best = (value, outputs_a, outputs_b)
+    return best
+
+
+@st.composite
+def _tie_prone_expressions(draw):
+    """Coefficients in {-1, 0, 1}, some times sqrt2, on spaces of one to
+    three settings and outcomes per side, at most 243 strategies."""
+    na, nb, nx, ny = (draw(st.integers(1, 3)) for _ in range(4))
+    assume(nx**na * ny**nb <= 243)
+    spaces = (
+        LabelSet(tuple(f"a{i}" for i in range(na))),
+        LabelSet(tuple(f"b{i}" for i in range(nb))),
+        LabelSet(tuple(f"x{i}" for i in range(nx))),
+        LabelSet(tuple(f"y{i}" for i in range(ny))),
+    )
+    unit = st.sampled_from((-1, 0, 1))
+    cell = st.one_of(unit.map(Scalar), unit.map(lambda k: Scalar(0, k)))
+    table = draw(st.lists(cell, min_size=na * nb * nx * ny, max_size=na * nb * nx * ny))
+    return BellExpression(*spaces, tuple(table))
+
+
+@given(_tie_prone_expressions())
+@settings(max_examples=60, deadline=None)
+def test_local_bound_matches_the_lexicographic_reference(e):
+    value, strategy = local_bound(e)
+    assert (value, strategy.outputs_a, strategy.outputs_b) == _reference_local_bound(e)

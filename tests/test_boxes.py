@@ -1,11 +1,12 @@
 """Behaviors: validation, marginals, no-signalling, mixtures, joint tables."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import CHSH_SPACES, ns_behaviors, valid_behaviors
+from helpers import CHSH_SPACES, SMALL_SPACES, ns_behaviors, valid_behaviors
 from hvlab.boxes import (
     Behavior,
     JointTable,
@@ -24,6 +25,7 @@ from hvlab.errors import (
     InvalidBehavior,
     InvalidJointTable,
     SpaceMismatch,
+    UnknownOutcome,
     UnknownSetting,
     WeightSumMismatch,
 )
@@ -180,6 +182,25 @@ def test_deterministic_behavior_unit_rows():
     assert box.p("2", "3", "-1", "-1") == ONE
     assert validate_behavior(box).ok
     assert is_no_signalling(box)[0]
+
+
+def test_deterministic_behavior_cells_and_refusals_on_asymmetric_spaces():
+    sa, sb, ox, oy = SMALL_SPACES
+    for spaces in (SMALL_SPACES, (sb, sa, oy, ox)):
+        for outputs_a in product(spaces[2].labels, repeat=len(spaces[0])):
+            for outputs_b in product(spaces[3].labels, repeat=len(spaces[1])):
+                box = deterministic_behavior(*spaces, outputs_a, outputs_b)
+                fa, fb = dict(zip(spaces[0], outputs_a)), dict(zip(spaces[1], outputs_b))
+                for (a, b, x, y), value in box.cells():
+                    assert value == (ONE if (x == fa[a] and y == fb[b]) else ZERO)
+    with pytest.raises(UnknownOutcome):
+        deterministic_behavior(sa, sb, ox, oy, ("x0", "y0"), ("y0",))
+    with pytest.raises(UnknownOutcome):
+        deterministic_behavior(sa, sb, ox, oy, ("x0", "x1"), ("x0",))
+    with pytest.raises(ValueError):
+        deterministic_behavior(sa, sb, ox, oy, ("x0",), ("y0",))
+    with pytest.raises(ValueError):
+        deterministic_behavior(sa, sb, ox, oy, ("x0", "x1"), ("y0", "y1"))
 
 
 def test_degenerate_single_setting_spaces_allowed():

@@ -169,14 +169,16 @@ def test_decompose_signalling_exits_one(files, capsys):
 
 
 def test_decompose_past_the_size_budget_exits_two(capsys, tmp_path):
-    from helpers import OVERSIZED_SPACES
+    from helpers import OVERSIZED_SPACES, WIDE_SPACES
     from hvlab.boxes import uniform_behavior
 
-    path = tmp_path / "big.box.json"
-    save_box(uniform_behavior(*OVERSIZED_SPACES), path)
-    code, _, err = run(capsys, "decompose", str(path))
-    assert code == 2
-    assert "budget" in err
+    for spaces in (OVERSIZED_SPACES, WIDE_SPACES):
+        path = tmp_path / "big.box.json"
+        save_box(uniform_behavior(*spaces), path)
+        code, _, err = run(capsys, "decompose", str(path))
+        assert code == 2
+        assert "budget" in err
+        assert "unexpected error" not in err
 
 
 def test_decompose_emit_model_round_trips(files, capsys, tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import CHSH_SPACES, OVERSIZED_SPACES, random_ns_behavior
+from helpers import CHSH_SPACES, OVERSIZED_SPACES, WIDE_SPACES, random_ns_behavior
 from oracle import oracle_local_content
 from hvlab.bell import BellExpression, local_bound
 from hvlab.boxes import Behavior, LabelSet, is_no_signalling, mix, uniform_behavior, validate_behavior
@@ -45,6 +45,12 @@ def test_strategy_enumeration_refuses_sizes_past_the_budget():
         max_local_content(uniform_behavior(*OVERSIZED_SPACES))
     with pytest.raises(SizeBudgetExceeded):
         local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))
+    with pytest.raises(SizeBudgetExceeded, match="67108864 cells"):
+        enumerate_local_vertices(WIDE_SPACES)
+    with pytest.raises(SizeBudgetExceeded):
+        max_local_content(uniform_behavior(*WIDE_SPACES))
+    bound, _ = local_bound(BellExpression.from_function(*WIDE_SPACES, lambda a, b, x, y: ZERO))
+    assert bound == ZERO
 
 
 def test_vertices_are_valid_deterministic_and_no_signalling():
