@@ -52,6 +52,7 @@ from .errors import (
     InvalidDistribution,
     InvalidJointTable,
     InvalidModel,
+    IrrationalMatrix,
     LpFailure,
     MalformedScalar,
     NotLocal,

@@ -8,7 +8,7 @@ each one Bob's best reply splits into one independent choice per
 setting, so it costs |X|^|A| * |B| * |Y| * |A| exact additions and no
 multiplication (spaces past ``boxes.STRATEGY_BUDGET`` total strategies
 are still refused).  The no-signalling bound is an exact LP over the
-no-signalling polytope.
+no-signalling polytope, returned only once its certificate checks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import product
 from .boxes import Behavior, LabelSet, Spaces, Tensor, _strategy_count, deterministic_behavior
 from .errors import LpFailure, SpaceMismatch
 from .scalar import ONE, ZERO, Scalar, as_scalar, compare
-from .simplex import OPTIMAL, LpProblem, solve_lp
+from .simplex import OPTIMAL, LpProblem, check_certificate, solve_lp
 
 
 class BellExpression(Tensor):
@@ -158,8 +158,16 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
 
 
 def ns_bound(expression: BellExpression) -> Scalar:
-    """Exact maximum of the functional over all no-signalling behaviors."""
-    solution = solve_lp(_ns_lp(expression))
+    """Exact maximum of the functional over all no-signalling behaviors.
+
+    The value is returned only after :func:`~hvlab.simplex.check_certificate`
+    has verified the LP's strong-duality certificate; a solution that fails
+    the check raises :class:`~hvlab.errors.LpFailure`.
+    """
+    problem = _ns_lp(expression)
+    solution = solve_lp(problem)
     if solution.status != OPTIMAL:
         raise LpFailure(f"no-signalling bound LP ended {solution.status}")
+    if not check_certificate(problem, solution):
+        raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
     return solution.value

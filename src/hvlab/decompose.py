@@ -80,9 +80,8 @@ class LocalDecomposition:
 
 def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> LpProblem:
     """maximize sum(q) s.t. sum_i q_i * D_i <= behavior entrywise, q >= 0."""
-    rows = tuple(
-        tuple(vertex.table[cell] for vertex in vertices) for cell in range(len(behavior.table))
-    )
+    # Row i of the constraint matrix is cell i of every vertex table.
+    rows = tuple(zip(*(vertex.table for vertex in vertices))) if vertices else ((),) * len(behavior.table)
     return LpProblem((ONE,) * len(vertices), rows, behavior.table)
 
 

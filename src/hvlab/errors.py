@@ -65,6 +65,10 @@ class DimensionMismatch(HvlabError):
     """Linear program data with inconsistent dimensions."""
 
 
+class IrrationalMatrix(HvlabError):
+    """An LP constraint matrix entry has a nonzero sqrt2 part."""
+
+
 class LpFailure(HvlabError):
     """The LP solver ended in an unexpected state."""
 

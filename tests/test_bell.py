@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import CHSH_SPACES, ns_behaviors, valid_behaviors
+import hvlab.bell
 from hvlab.bell import BellExpression, chsh, evaluate, local_bound, ns_bound
 from hvlab.boxes import LabelSet, deterministic_behavior, mix
 from hvlab.catalog import pr_box, table1_box
-from hvlab.errors import SpaceMismatch, UnknownSetting
+from hvlab.errors import LpFailure, SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, ZERO, Scalar, parse_scalar
+from hvlab.simplex import LpSolution, solve_lp
 
 
 def _zero_expression() -> BellExpression:
@@ -94,6 +96,16 @@ def test_ns_bound_of_chsh_is_four_attained_by_pr():
     bound = ns_bound(chsh())
     assert bound == parse_scalar("4")
     assert evaluate(chsh(), pr_box()) == bound
+
+
+def test_ns_bound_refuses_a_solution_that_fails_its_certificate(monkeypatch):
+    def overstated(problem):
+        solution = solve_lp(problem)
+        return LpSolution(solution.status, solution.q, solution.value + ONE, solution.dual)
+
+    monkeypatch.setattr(hvlab.bell, "solve_lp", overstated)
+    with pytest.raises(LpFailure, match="certificate"):
+        ns_bound(chsh())
 
 
 def test_ns_bound_zero_expression():

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import hvlab.bell
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.cli import main
 from hvlab.formats import load_model, save_box, save_model
 from hvlab.hvmodel import reconstruct
-from hvlab.scalar import parse_scalar
+from hvlab.scalar import ONE, parse_scalar
+from hvlab.simplex import LpSolution, solve_lp
 
 
 @pytest.fixture()
@@ -90,6 +92,18 @@ def test_bell_chsh_on_pr_and_noise(files, capsys):
     assert code == 0 and "value: 4" in out
     code, out, _ = run(capsys, "bell", "chsh", files["noise"])
     assert code == 0 and "value: 0" in out
+
+
+def test_bell_with_an_uncertified_ns_bound_exits_two(files, capsys, monkeypatch):
+    def overstated(problem):
+        solution = solve_lp(problem)
+        return LpSolution(solution.status, solution.q, solution.value + ONE, solution.dual)
+
+    monkeypatch.setattr(hvlab.bell, "solve_lp", overstated)
+    code, out, err = run(capsys, "bell", "chsh", files["table1"])
+    assert code == 2
+    assert "certificate" in err and "unexpected error" not in err
+    assert "ns_bound" not in out
 
 
 def test_bell_space_mismatch_exits_two(files, capsys):

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from helpers import random_ns_behavior
-from hvlab.bell import _ns_lp, chsh
-from hvlab.boxes import Behavior, LabelSet, mix
+from hvlab.bell import BellExpression, _ns_lp, chsh
+from hvlab.boxes import Behavior, LabelSet, deterministic_behavior, mix
 from hvlab.catalog import table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
@@ -79,3 +79,84 @@ def test_3322_tampered_primal_fails_certificate():
     for q in (raised, moved):
         tampered = LpSolution(solution.status, tuple(q), solution.value, solution.dual)
         assert not check_certificate(problem, tampered)
+
+
+def _box_3333() -> Behavior:
+    """(3/10)*sqrt2 of a PR-type box (y - x = a*b mod 3 on the first two
+    settings, uniform elsewhere) plus the rest over four vertices that each
+    satisfy three of those four relations; local content 1 - (3/10)*sqrt2."""
+    labels = LabelSet(("0", "1", "2"))
+    spaces = (labels,) * 4
+    third, ninth = Scalar(Fraction(1, 3)), Scalar(Fraction(1, 9))
+
+    def pr_cell(a, b, x, y):
+        if int(a) < 2 and int(b) < 2:
+            return third if (int(y) - int(x)) % 3 == int(a) * int(b) % 3 else ZERO
+        return ninth
+
+    w = Scalar(0, Fraction(3, 10))
+    components = [(w, Behavior.from_function(*spaces, pr_cell))]
+    for twelfths, (xs, ys) in zip((4, 4, 1, 3), (("022", "002"), ("112", "121"), ("210", "122"), ("220", "200"))):
+        components.append(((ONE - w) * Scalar(Fraction(twelfths, 12)), deterministic_behavior(*spaces, tuple(xs), tuple(ys))))
+    return mix(components)
+
+
+def test_3333_sqrt2_content_lp_solution():
+    box = _box_3333()
+    problem = content_lp_problem(box, enumerate_local_vertices(box.spaces))
+    solution = solve_lp(problem)
+    support = {
+        162: "1/30*sqrt2",
+        191: "1/30*sqrt2",
+        217: "1/30*sqrt2",
+        218: "1/3-1/5*sqrt2",
+        341: "1/30*sqrt2",
+        367: "1/30*sqrt2",
+        393: "1/30*sqrt2",
+        394: "1/3-1/5*sqrt2",
+        583: "1/30*sqrt2",
+        584: "1/12-7/120*sqrt2",
+        666: "1/4-3/40*sqrt2",
+    }
+    assert solution.q == tuple(parse_scalar(support.get(j, "0")) for j in range(729))
+    assert solution.dual == _scalars(
+        (
+            "0 1 1 1 0 1 1 1 0 0 1 1 1 0 1 1 1 0 0 0 0 0 0 0 0 0 0 "
+            "0 1 1 1 0 1 1 1 0 1 0 0 0 1 0 0 0 1 0 0 0 0 0 0 0 0 0 "
+            "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
+        ).split()
+    )
+    assert solution.value == parse_scalar("1-3/10*sqrt2")
+    assert check_certificate(problem, solution)
+
+
+def test_3322_sqrt2_ns_lp_solution():
+    settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
+    coefficients = _scalars(
+        "1 -1*sqrt2 -1*sqrt2 1 -1 -1*sqrt2 1*sqrt2 1/2 -1*sqrt2 0 -1*sqrt2 0 "
+        "1*sqrt2 -1 -1*sqrt2 1 1 1/2 1*sqrt2 -1*sqrt2 -1*sqrt2 1*sqrt2 1*sqrt2 1/2 "
+        "1 1 1/2 1 -1*sqrt2 1*sqrt2 1/2 0 1/2 0 1 -1*sqrt2".split()
+    )
+    problem = _ns_lp(BellExpression(settings, settings, outcomes, outcomes, coefficients))
+    solution = solve_lp(problem)
+    assert solution.q == _scalars("0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0".split())
+    dual = ["0"] * 66
+    for i, value in {
+        0: "3-2*sqrt2",
+        2: "1/2",
+        6: "1*sqrt2",
+        8: "1*sqrt2",
+        10: "1*sqrt2",
+        12: "1",
+        14: "1*sqrt2",
+        19: "-2+2*sqrt2",
+        33: "-1+1*sqrt2",
+        47: "-2+2*sqrt2",
+        53: "-1/2+1*sqrt2",
+        58: "-1+1*sqrt2",
+        60: "1",
+    }.items():
+        dual[i] = value
+    assert solution.dual == _scalars(dual)
+    assert solution.value == parse_scalar("9/2+2*sqrt2")
+    assert check_certificate(problem, solution)

@@ -1,13 +1,19 @@
 """Exact LP solver and its strong-duality certificate checker."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import small_fractions
+from hvlab import HvlabError, IrrationalMatrix
+from hvlab.bell import BellExpression, _ns_lp
+from hvlab.boxes import LabelSet
 from hvlab.errors import DimensionMismatch
-from hvlab.scalar import ONE, ZERO, Scalar, parse_scalar
+from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
 from hvlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, check_certificate, solve_lp
+from reference_simplex import reference_solve_lp
 
 
 def test_single_bound():
@@ -132,3 +138,95 @@ def test_random_lps_have_verifiable_outcomes(problem):
     elif solution.status == INFEASIBLE:
         # the origin must genuinely be cut off: some row with b_i < 0
         assert any(rhs.sign() < 0 for rhs in problem.b)
+
+
+def test_matrix_entry_with_sqrt2_part_is_refused():
+    with pytest.raises(IrrationalMatrix) as caught:
+        LpProblem((ONE, ONE), ((ONE, ZERO), (ZERO, ONE + SQRT2)), (ONE, ONE))
+    assert isinstance(caught.value, HvlabError)
+    assert "(1, 1)" in str(caught.value)
+    # sqrt2 stays welcome in the objective and the right-hand side
+    LpProblem((SQRT2,), ((ONE,),), (ONE - SQRT2,))
+
+
+# Rational matrix entries, half of them 0 or +-1 as in both of hvlab's LPs;
+# objective and right-hand side values with sqrt2 parts.
+_matrix_entries = st.one_of(st.sampled_from((0, 0, 1, -1)).map(Scalar), small_fractions(3, 4).map(Scalar))
+_field_values = st.builds(Scalar, small_fractions(2, 4), st.one_of(st.just(0), small_fractions(2, 4)))
+_nonnegative_fractions = st.fractions(min_value=0, max_value=2, max_denominator=4)
+_nonnegative_values = st.builds(Scalar, _nonnegative_fractions, st.one_of(st.just(0), _nonnegative_fractions))
+_positive_fractions = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
+_one_in_four = st.integers(0, 3).map(lambda k: k == 0)
+
+
+def _dot(row, q):
+    total = ZERO
+    for a, v in zip(row, q):
+        total = total + a * v
+    return total
+
+
+@st.composite
+def _field_problems(draw):
+    """Random LPs around a drawn point q0 >= 0.  Each row is A_i.q <= A_i.q0
+    plus a slack that is often zero (degenerate ties), so b has sqrt2 parts
+    and is negative wherever A_i.q0 is; equality pairs through q0 come once
+    or twice (one copy is then redundant and its artificial stays basic).
+    Drawn structure adds a contradictory pair of rows (infeasible), a
+    bounding row sum(q) <= b, and a rewarded column that no row bounds."""
+    n = draw(st.integers(1, 5))
+    q0 = [draw(_nonnegative_values) for _ in range(n)]
+    A: list[list[Scalar]] = []
+    b: list[Scalar] = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = [draw(_matrix_entries) for _ in range(n)]
+        A.append(row)
+        b.append(_dot(row, q0) + draw(st.one_of(st.just(ZERO), _nonnegative_values)))
+    for _ in range(draw(st.integers(0, 2))):
+        row = [draw(_matrix_entries) for _ in range(n)]
+        value = _dot(row, q0)
+        for _ in range(draw(st.integers(1, 2))):
+            A += [list(row), [-v for v in row]]
+            b += [value, -value]
+    if draw(_one_in_four):
+        row = [draw(_matrix_entries) for _ in range(n)]
+        value = draw(_field_values)
+        A += [row, [-v for v in row]]
+        b += [value, -value - Scalar(draw(_positive_fractions))]
+    if not draw(_one_in_four):
+        A.append([ONE] * n)
+        b.append(_dot(A[-1], q0) + draw(_nonnegative_values))
+    c = [draw(_field_values) for _ in range(n)]
+    if draw(_one_in_four):
+        c.append(Scalar(draw(_positive_fractions)))
+        for row in A:
+            row.append(draw(st.sampled_from((ZERO, -ONE))))
+    return LpProblem(tuple(c), tuple(tuple(row) for row in A), tuple(b))
+
+
+@given(_field_problems())
+@settings(max_examples=200, deadline=None)
+def test_solutions_match_the_scalar_tableau_reference(problem):
+    solution = solve_lp(problem)
+    assert solution == reference_solve_lp(problem)
+    if solution.status == OPTIMAL:
+        assert check_certificate(problem, solution)
+
+
+@st.composite
+def _ns_problems(draw):
+    """No-signalling LPs of expressions with 0, +-1 and +-sqrt2
+    coefficients on up to two settings and three outcomes per side."""
+    na, nb, nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    labels = [LabelSet(tuple(f"{name}{i}" for i in range(k))) for name, k in zip("abxy", (na, nb, nx, ny))]
+    cell = st.sampled_from((ZERO, ONE, -ONE, SQRT2, -SQRT2))
+    return _ns_lp(BellExpression(*labels, tuple(draw(cell) for _ in range(na * nb * nx * ny))))
+
+
+@given(_ns_problems())
+@settings(max_examples=40, deadline=None)
+def test_ns_lps_match_the_scalar_tableau_reference(problem):
+    solution = solve_lp(problem)
+    assert solution == reference_solve_lp(problem)
+    assert solution.status == OPTIMAL
+    assert check_certificate(problem, solution)
