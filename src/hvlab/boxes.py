@@ -45,6 +45,10 @@ Side = Literal["alice", "bob"]
 # otherwise build 531 441 vertex behaviors.
 STRATEGY_BUDGET = 65_536
 
+# How many sets of spaces the per-spaces caches keep: the local vertices
+# in ``decompose`` and the no-signalling constraints in ``bell``.
+CACHED_SPACES = 4
+
 
 @dataclass(frozen=True)
 class LabelSet:

@@ -11,14 +11,27 @@ an exact LP over the vertex weights, solved by the field simplex.
 This is the standard convex-decomposition quantity; the qualitative
 notion it grounds does not come with a numeric definition, so all
 output labels the value "maximal local content (decomposition-based)".
+
+The vertices depend only on the spaces, so each process builds them once
+per set of spaces: :func:`enumerate_local_vertices` hands every caller
+(the content LP, its certificate problem, ``hvlab decompose --verify``
+and the demos) the same tuple of the same vertex objects, kept for the
+``boxes.CACHED_SPACES`` = 4 most recently used sets of spaces.  That
+holds at most 4 entries of ``VERTEX_CELL_BUDGET`` = 2**22 cell references
+(to the shared ZERO and ONE Scalars), about 32 MB each; the benchmark's
+largest content rung holds 81 vertices of 36 cells.  The audit,
+:func:`verify_decomposition`, does not trust that tuple: it checks every
+support vertex against the definition by index arithmetic on its table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from .boxes import (
+    CACHED_SPACES,
     Behavior,
     Spaces,
     _output_tables,
@@ -47,7 +60,10 @@ def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     """All deterministic local behaviors, in lexicographic order of the
     (Alice, Bob) output tables; there are |X|^|A| * |Y|^|B| of them.
     Spaces past ``boxes.STRATEGY_BUDGET`` strategies, or past
-    ``VERTEX_CELL_BUDGET`` cells in all, are refused before any is built."""
+    ``VERTEX_CELL_BUDGET`` cells in all, are refused before any is built,
+    on every call.  Equal spaces give the same tuple of the same objects
+    (see the module docstring)."""
+    spaces = tuple(spaces)
     count = _strategy_count(spaces)
     cells = count * prod(len(space) for space in spaces)
     if cells > VERTEX_CELL_BUDGET:
@@ -55,6 +71,11 @@ def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
             f"{count} vertices of {cells // count} cells ({cells} cells) exceed the budget of "
             f"{VERTEX_CELL_BUDGET} cells"
         )
+    return _local_vertices(spaces)
+
+
+@lru_cache(maxsize=CACHED_SPACES)
+def _local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     return tuple(
         deterministic_behavior(*spaces, outputs_a, outputs_b) for outputs_a, outputs_b in _output_tables(spaces)
     )
@@ -125,11 +146,28 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
 
 
 def _is_deterministic_vertex(behavior: Behavior) -> bool:
-    return (
-        validate_behavior(behavior).ok
-        and all(cell.is_zero() or cell == ONE for cell in behavior.table)
-        and is_no_signalling(behavior)[0]
-    )
+    """Whether the box is a local deterministic vertex, checked against the
+    definition by index arithmetic on its table: each (a, b) block holds
+    exactly one cell equal to ONE and zeros elsewhere, Alice's unit outcome
+    does not depend on b, and Bob's does not depend on a.  That is the
+    same as valid, 0/1 and no-signalling, and shares no code with vertex
+    enumeration or the LP."""
+    na, nb, nx, ny = (len(space) for space in behavior.spaces)
+    table = behavior.table
+    block = nx * ny
+    outcome_a: dict[int, int] = {}
+    outcome_b: dict[int, int] = {}
+    for ia in range(na):
+        for ib in range(nb):
+            start = (ia * nb + ib) * block
+            cells = table[start : start + block]
+            units = [k for k, cell in enumerate(cells) if cell == ONE]
+            if len(units) != 1 or sum(cell.is_zero() for cell in cells) != block - 1:
+                return False
+            ix, iy = divmod(units[0], ny)
+            if outcome_a.setdefault(ia, ix) != ix or outcome_b.setdefault(ib, iy) != iy:
+                return False
+    return True
 
 
 def _strategy_of_vertex(vertex: Behavior) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -326,12 +326,14 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     q, y = solution.q, solution.dual
     if any(v.sign() < 0 for v in q) or any(v.sign() < 0 for v in y):
         return False
-    for i in range(m):
+    support = [(j, v) for j, v in enumerate(q) if not v.is_zero()]
+    for row, bound in zip(problem.A, problem.b):
         lhs = ZERO
-        for a, v in zip(problem.A[i], q):
-            if not (a.is_zero() or v.is_zero()):
+        for j, v in support:
+            a = row[j]
+            if not a.is_zero():
                 lhs = lhs + a * v
-        if (lhs - problem.b[i]).sign() > 0:
+        if (lhs - bound).sign() > 0:
             return False
     column_sums = [ZERO] * n
     for i in range(m):
@@ -343,8 +345,8 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     if any((total - cj).sign() < 0 for total, cj in zip(column_sums, problem.c)):
         return False
     primal_value = ZERO
-    for j in range(n):
-        primal_value = primal_value + problem.c[j] * q[j]
+    for j, v in support:
+        primal_value = primal_value + problem.c[j] * v
     dual_value = ZERO
     for i in range(m):
         dual_value = dual_value + y[i] * problem.b[i]
