@@ -33,6 +33,7 @@ from math import prod
 from .boxes import (
     CACHED_SPACES,
     Behavior,
+    LabelSet,
     Spaces,
     _output_tables,
     _strategy_count,
@@ -145,13 +146,13 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     )
 
 
-def _is_deterministic_vertex(behavior: Behavior) -> bool:
-    """Whether the box is a local deterministic vertex, checked against the
-    definition by index arithmetic on its table: each (a, b) block holds
-    exactly one cell equal to ONE and zeros elsewhere, Alice's unit outcome
-    does not depend on b, and Bob's does not depend on a.  That is the
-    same as valid, 0/1 and no-signalling, and shares no code with vertex
-    enumeration or the LP."""
+def _vertex_output_tables(behavior: Behavior) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The (Alice, Bob) output index tables of a local deterministic vertex,
+    or None for any other box, checked against the definition by index
+    arithmetic on its table: each (a, b) block holds exactly one cell equal
+    to ONE and zeros elsewhere, Alice's unit outcome does not depend on b,
+    and Bob's does not depend on a.  That is the same as valid, 0/1 and
+    no-signalling, and shares no code with vertex enumeration or the LP."""
     na, nb, nx, ny = (len(space) for space in behavior.spaces)
     table = behavior.table
     block = nx * ny
@@ -163,36 +164,20 @@ def _is_deterministic_vertex(behavior: Behavior) -> bool:
             cells = table[start : start + block]
             units = [k for k, cell in enumerate(cells) if cell == ONE]
             if len(units) != 1 or sum(cell.is_zero() for cell in cells) != block - 1:
-                return False
+                return None
             ix, iy = divmod(units[0], ny)
             if outcome_a.setdefault(ia, ix) != ix or outcome_b.setdefault(ib, iy) != iy:
-                return False
-    return True
+                return None
+    # Both dicts were filled in setting order.
+    return tuple(outcome_a.values()), tuple(outcome_b.values())
 
 
-def _strategy_of_vertex(vertex: Behavior) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Recover the output tables of a deterministic no-signalling vertex."""
-    b0 = vertex.settings_b.labels[0]
-    a0 = vertex.settings_a.labels[0]
-    outputs_a = []
-    for a in vertex.settings_a:
-        for x in vertex.outcomes_x:
-            if any(vertex.p(a, b0, x, y) == ONE for y in vertex.outcomes_y):
-                outputs_a.append(x)
-                break
-    outputs_b = []
-    for b in vertex.settings_b:
-        for y in vertex.outcomes_y:
-            if any(vertex.p(a0, b, x, y) == ONE for x in vertex.outcomes_x):
-                outputs_b.append(y)
-                break
-    return tuple(outputs_a), tuple(outputs_b)
-
-
-def _strategy_label(outputs: tuple[str, ...]) -> str:
+def _strategy_label(outcomes: LabelSet, outputs: tuple[int, ...]) -> str:
+    """An output index table as outcome labels, collapsed to the bare
+    outcome when constant."""
     if len(set(outputs)) == 1:
-        return outputs[0]
-    return ",".join(outputs)
+        return outcomes.labels[outputs[0]]
+    return ",".join(outcomes.labels[i] for i in outputs)
 
 
 @dataclass(frozen=True)
@@ -217,21 +202,26 @@ class DecompositionReport:
         )
 
 
-def _intrinsic_checks(d: LocalDecomposition, spaces: Spaces | None = None) -> list[tuple[CheckResult, str]]:
+def _intrinsic_checks(
+    d: LocalDecomposition, spaces: Spaces | None = None
+) -> tuple[list[tuple[CheckResult, str]], list[tuple[tuple[int, ...], tuple[int, ...]] | None]]:
     """The checks of the weights and vertices that need no target box, each
-    with the message :func:`decomposition_to_model` raises when it fails;
-    given ``spaces``, every vertex must also have them."""
+    with the message :func:`decomposition_to_model` raises when it fails,
+    and each vertex's output index tables (None for a vertex that is not
+    local deterministic); given ``spaces``, every vertex must also have
+    them."""
     negative = [format_scalar(q) for q in d.weights if q.sign() < 0]
     total = ZERO
     for q in d.weights:
         total = total + q
+    tables = [_vertex_output_tables(vertex) for vertex in d.vertices]
     bad_vertices = [
         i
-        for i, vertex in enumerate(d.vertices)
-        if (spaces is not None and vertex.spaces != spaces) or not _is_deterministic_vertex(vertex)
+        for i, (vertex, outputs) in enumerate(zip(d.vertices, tables))
+        if (spaces is not None and vertex.spaces != spaces) or outputs is None
     ]
     inconsistent = "weights are inconsistent with the recorded local content"
-    return [
+    checks = [
         (
             CheckResult("weights_nonnegative", not negative, ", ".join(negative)),
             f"negative weight {negative[0]}" if negative else "",
@@ -259,6 +249,7 @@ def _intrinsic_checks(d: LocalDecomposition, spaces: Spaces | None = None) -> li
             "vertices must be deterministic local behaviors",
         ),
     ]
+    return checks, tables
 
 
 def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) -> DecompositionReport:
@@ -268,43 +259,45 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     code with the LP and so serves as its external auditor.
     """
     d = decomposition
-    checks = [check for check, _ in _intrinsic_checks(d, behavior.spaces)]
+    checks = [check for check, _ in _intrinsic_checks(d, behavior.spaces)[0]]
     vertices_ok = checks[-1].ok  # vertices_are_local_deterministic
 
-    residual_report = validate_behavior(d.residual) if d.residual_used else None
+    # The residual counts only on the box's own spaces.
+    same_spaces = d.residual.spaces == behavior.spaces
+    residual_ok = False
     if d.residual_used:
-        checks.append(
-            CheckResult(
-                "residual_valid",
-                d.residual.spaces == behavior.spaces and residual_report.ok,
-                residual_report.summary() if not residual_report.ok else "",
-            )
-        )
+        residual_report = validate_behavior(d.residual)
+        residual_ok = same_spaces and residual_report.ok
+        detail = residual_report.summary() if not residual_report.ok else "residual spaces differ"
+        checks.append(CheckResult("residual_valid", residual_ok, "" if residual_ok else detail))
 
     if vertices_ok:
-        recombined = [ZERO] * len(behavior.table)
-        for vertex, q in zip(d.vertices, d.weights):
-            for i, cell in enumerate(vertex.table):
-                if not cell.is_zero():
-                    recombined[i] = recombined[i] + q * cell
-        if d.residual_used:
-            remainder_weight = ONE - d.local_content
-            recombined = [
-                value + remainder_weight * cell for value, cell in zip(recombined, d.residual.table)
-            ]
-        mismatch = next(
-            (i for i, (got, want) in enumerate(zip(recombined, behavior.table)) if got != want), None
-        )
-        checks.append(
-            CheckResult(
-                "reconstruction_exact",
-                mismatch is None,
-                "" if mismatch is None else f"first differing cell index {mismatch}",
+        if d.residual_used and not same_spaces:
+            checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
+        else:
+            recombined = [ZERO] * len(behavior.table)
+            for vertex, q in zip(d.vertices, d.weights):
+                for i, cell in enumerate(vertex.table):
+                    if not cell.is_zero():
+                        recombined[i] = recombined[i] + q * cell
+            if d.residual_used:
+                remainder_weight = ONE - d.local_content
+                recombined = [
+                    value + remainder_weight * cell for value, cell in zip(recombined, d.residual.table)
+                ]
+            mismatch = next(
+                (i for i, (got, want) in enumerate(zip(recombined, behavior.table)) if got != want), None
             )
-        )
+            checks.append(
+                CheckResult(
+                    "reconstruction_exact",
+                    mismatch is None,
+                    "" if mismatch is None else f"first differing cell index {mismatch}",
+                )
+            )
 
         original_ns, _ = is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
-        if original_ns and d.residual_used and residual_report.ok:
+        if original_ns and residual_ok:
             residual_ns, ns_witness = is_no_signalling(d.residual)
             checks.append(
                 CheckResult(
@@ -324,16 +317,16 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     when present, becomes the pair ("0","0").
     """
     d = decomposition
-    for check, message in _intrinsic_checks(d):
+    checks, tables = _intrinsic_checks(d)
+    for check, message in checks:
         if not check.ok:
             raise InvalidDecomposition(message)
 
     pairs: list[tuple[str, str]] = []
     weights: list[Scalar] = []
     kernels: list[Behavior] = []
-    for vertex, q in zip(d.vertices, d.weights):
-        outputs_a, outputs_b = _strategy_of_vertex(vertex)
-        pairs.append((_strategy_label(outputs_a), _strategy_label(outputs_b)))
+    for vertex, q, (outputs_a, outputs_b) in zip(d.vertices, d.weights, tables):
+        pairs.append((_strategy_label(vertex.outcomes_x, outputs_a), _strategy_label(vertex.outcomes_y, outputs_b)))
         weights.append(q)
         kernels.append(vertex)
     if d.local_content != ONE:

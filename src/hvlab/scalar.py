@@ -33,8 +33,6 @@ from math import gcd
 
 from .errors import DivisionByZero, MalformedScalar, ZeroDenominator
 
-Rational = Fraction
-
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _PURE_RE = re.compile(rf"({_RATIONAL})\Z")
 _MIXED_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})\*sqrt2\Z")
@@ -357,6 +355,5 @@ def format_scalar(s: Scalar) -> str:
 
 ZERO = Scalar()
 ONE = Scalar(Fraction(1))
-TWO = Scalar(Fraction(2))
 HALF = Scalar(Fraction(1, 2))
 SQRT2 = Scalar(Fraction(0), Fraction(1))

@@ -11,19 +11,24 @@ Since every basis inverse of a rational matrix is rational, the tableau
 is kept in integers.  Row i is a list of Python ints over one positive
 int denominator, and its right-hand side is the int pair
 ``(rp_i, rq_i)``, meaning ``(rp_i + rq_i*sqrt2)``, over that same
-denominator.  The reduced-cost row is two int lists, the rational and
-the sqrt2 parts, over one denominator of its own.  A pivot is then
-integer arithmetic on whole rows: a row whose factor the pivot element
+denominator.  The reduced costs are two more such rows after the
+constraints, P for their rational parts and Q for their sqrt2 parts,
+each over its own denominator; the right-hand sides of P and Q hold the
+matching parts of the objective value.  One elimination routine clears
+a column from any set of rows: a row whose factor the pivot element
 divides keeps its denominator and changes only in the pivot row's
 nonzero columns; any other row is cross-multiplied and brought back to
-lowest terms by one gcd.  Scalars are built only for the answer.
+lowest terms by one gcd.  A pivot eliminates over every row, P and Q
+included, and pricing out a basis for a new objective eliminates its
+costed columns from P and Q.  Scalars are built only for the answer.
 
 Bland's anti-cycling rule is used throughout (entering: lowest column
 index with a negative reduced cost; leaving: minimum ratio, ties broken
 by lowest basic variable index), so termination is guaranteed.  Every
 decision is an exact sign of ``p + q*sqrt2`` for ints ``p`` and ``q``:
 a ratio test cross-multiplies the two right-hand sides by the positive
-pivot-column entries.  The decisions, and so the pivots and the
+pivot-column entries, and a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2``
+over the positive ``dP*dQ``.  The decisions, and so the pivots and the
 returned solution, are those of a tableau of Scalar entries.
 
 Rows with negative right-hand side are negated and given an artificial
@@ -37,24 +42,15 @@ arithmetic, independent of the pivoting code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix
-from .scalar import ONE, ZERO, Scalar, _reduced, _sign, as_scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _reduced, _sign, format_scalar
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-def _scalars(values: Sequence[Scalar | int | Fraction | str]) -> tuple[Scalar, ...]:
-    """The values as a tuple of Scalars, coercing only when one is not."""
-    values = tuple(values)
-    if all(type(v) is Scalar for v in values):
-        return values
-    return tuple(as_scalar(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,21 @@ class LpProblem:
     b: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _scalars(self.c))
-        object.__setattr__(self, "A", tuple(_scalars(row) for row in self.A))
-        object.__setattr__(self, "b", _scalars(self.b))
+        object.__setattr__(self, "c", tuple(self.c))
+        object.__setattr__(self, "A", tuple(tuple(row) for row in self.A))
+        object.__setattr__(self, "b", tuple(self.b))
         n = len(self.c)
         if len(self.A) != len(self.b):
             raise DimensionMismatch(f"{len(self.A)} constraint rows but {len(self.b)} right-hand sides")
+        for v in (*self.c, *self.b):
+            if not isinstance(v, Scalar):
+                raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
         for i, row in enumerate(self.A):
             if len(row) != n:
                 raise DimensionMismatch(f"constraint row has {len(row)} entries, expected {n}")
             for j, v in enumerate(row):
+                if not isinstance(v, Scalar):
+                    raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
                 if v._v[1]:
                     raise IrrationalMatrix(
                         f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational"
@@ -93,12 +94,14 @@ class LpSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau of integer rows with a reduced-cost row.
+    """Dense simplex tableau of integer rows, the reduced costs among them.
 
     Entry (i, j) is ``rows[i][j] / den[i]`` and the right-hand side of row
-    i is ``(rp[i] + rq[i]*sqrt2) / den[i]``; the reduced cost of column j
-    is ``(zp[j] + zq[j]*sqrt2) / zden`` and the objective value
-    ``(zvp + zvq*sqrt2) / zden``.  Every denominator is positive.
+    i is ``(rp[i] + rq[i]*sqrt2) / den[i]``, every denominator positive.
+    Rows ``0 .. m-1`` are the constraints, one per basis entry.  Rows m
+    and m+1, P and Q, are the rational and the sqrt2 parts of the
+    reduced costs, ``z_j - c_j = P_j + Q_j*sqrt2``, and the objective
+    value is ``rhs(P) + rhs(Q)*sqrt2``.
     """
 
     def __init__(self, rows: list[list[int]], rp: list[int], rq: list[int], den: list[int], basis: list[int]):
@@ -107,65 +110,39 @@ class _Tableau:
         self.rq = rq
         self.den = den
         self.basis = basis
-        self.zp: list[int] = []
-        self.zq: list[int] = []
-        self.zden = 1
-        self.zvp = 0
-        self.zvq = 0
 
     def set_objective(self, cost: Sequence[Scalar]) -> None:
-        """Recompute reduced costs z_j - c_j for the current basis."""
+        """Write -c into rows P and Q and price out the current basis."""
         triples = [c._v for c in cost]
-        basic = [(i, triples[bi]) for i, bi in enumerate(self.basis) if triples[bi][0] or triples[bi][1]]
-        zden = lcm(*{d for _, _, d in triples}, *(cd * self.den[i] for i, (_, _, cd) in basic))
-        zp = [-p * (zden // d) for p, _, d in triples]
-        zq = [-q * (zden // d) for _, q, d in triples]
-        zvp = zvq = 0
-        for i, (cp, cq, cd) in basic:
-            scale = zden // (cd * self.den[i])
-            cp, cq = cp * scale, cq * scale
-            row = self.rows[i]
-            for j, a in enumerate(row):
-                if a:
-                    zp[j] += cp * a
-                    zq[j] += cq * a
-            rp, rq = self.rp[i], self.rq[i]
-            zvp += cp * rp + 2 * cq * rq
-            zvq += cp * rq + cq * rp
-        self.zp, self.zq, self.zden, self.zvp, self.zvq = zp, zq, zden, zvp, zvq
-        self._reduce_objective()
+        d = lcm(*{cd for _, _, cd in triples})
+        m = len(self.basis)
+        self.rows[m:] = [[-p * (d // cd) for p, _, cd in triples], [-q * (d // cd) for _, q, cd in triples]]
+        self.rp[m:] = self.rq[m:] = [0, 0]
+        self.den[m:] = [d, d]
+        # Basic column bi holds den[i] > 0 in row i and zeros in the other constraint rows.
+        for i, bi in enumerate(self.basis):
+            if self.rows[m][bi] or self.rows[m + 1][bi]:
+                self.eliminate(i, bi, (m, m + 1))
 
-    def _reduce_objective(self) -> None:
-        g = gcd(self.zden, self.zvp, self.zvq, *self.zp, *self.zq)
-        if g != 1:
-            self.zp = [v // g for v in self.zp]
-            self.zq = [v // g for v in self.zq]
-            self.zden //= g
-            self.zvp //= g
-            self.zvq //= g
-
-    def pivot(self, r: int, c: int) -> None:
+    def eliminate(self, r: int, c: int, targets: Iterable[int]) -> None:
+        """Clear column c from the target rows with row r, whose entry in
+        column c is positive: a row whose factor that entry divides keeps
+        its denominator and changes only in row r's nonzero columns; any
+        other row is cross-multiplied and brought to lowest terms."""
         rows, rp, rq, den = self.rows, self.rp, self.rq, self.den
-        # Divide row r by its entry in column c: the row's ints over that
-        # entry, made positive and brought to lowest terms.
         pivot_row = rows[r]
         p, prp, prq = pivot_row[c], rp[r], rq[r]
-        if p < 0:
-            pivot_row = [-v for v in pivot_row]
-            p, prp, prq = -p, -prp, -prq
-        g = gcd(p, prp, prq, *pivot_row)
-        if g != 1:
-            pivot_row = [v // g for v in pivot_row]
-            p, prp, prq = p // g, prp // g, prq // g
-        rows[r], rp[r], rq[r], den[r] = pivot_row, prp, prq, p
-        nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
-        for i, row in enumerate(rows):
+        nonzero = None
+        for i in targets:
+            row = rows[i]
             f = row[c]
             if not f or i == r:
                 continue
             k, rem = divmod(f, p)
             if not rem:
                 # row - (f/p) * pivot_row over the same denominator.
+                if nonzero is None:
+                    nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
                 for j, v in nonzero:
                     row[j] -= k * v
                 rp[i] -= k * prp
@@ -178,39 +155,50 @@ class _Tableau:
                 row = [v // g for v in row]
                 ip, iq, d = ip // g, iq // g, d // g
             rows[i], rp[i], rq[i], den[i] = row, ip, iq, d
-        fp, fq = self.zp[c], self.zq[c]
-        if fp or fq:
-            kp, remp = divmod(fp, p)
-            kq, remq = divmod(fq, p)
-            if not (remp or remq):
-                zp, zq = self.zp, self.zq
-                for j, v in nonzero:
-                    zp[j] -= kp * v
-                    zq[j] -= kq * v
-                self.zvp -= kp * prp + 2 * kq * prq
-                self.zvq -= kp * prq + kq * prp
-            else:
-                self.zp = [a * p - fp * v for a, v in zip(self.zp, pivot_row)]
-                self.zq = [a * p - fq * v for a, v in zip(self.zq, pivot_row)]
-                self.zvp = self.zvp * p - (fp * prp + 2 * fq * prq)
-                self.zvq = self.zvq * p - (fp * prq + fq * prp)
-                self.zden *= p
-                self._reduce_objective()
+
+    def pivot(self, r: int, c: int) -> None:
+        # Divide row r by its entry in column c: the row's ints over that
+        # entry, made positive and brought to lowest terms.
+        pivot_row = self.rows[r]
+        p, prp, prq = pivot_row[c], self.rp[r], self.rq[r]
+        if p < 0:
+            pivot_row = [-v for v in pivot_row]
+            p, prp, prq = -p, -prp, -prq
+        g = gcd(p, prp, prq, *pivot_row)
+        if g != 1:
+            pivot_row = [v // g for v in pivot_row]
+            p, prp, prq = p // g, prp // g, prq // g
+        self.rows[r], self.rp[r], self.rq[r], self.den[r] = pivot_row, prp, prq, p
+        self.eliminate(r, c, range(len(self.rows)))
         self.basis[r] = c
+
+    def value(self) -> tuple[int, int, int]:
+        """The objective value as ints (p, q, d) meaning (p + q*sqrt2)/d."""
+        m = len(self.basis)
+        rp, rq, dp, dq = self.rp, self.rq, self.den[m], self.den[m + 1]
+        return rp[m] * dq + 2 * rq[m + 1] * dp, rq[m] * dq + rp[m + 1] * dp, dp * dq
 
     def run_bland(self) -> str:
         """Pivot until optimal or unbounded."""
-        rows, rp, rq, basis = self.rows, self.rp, self.rq, self.basis
+        rows, rp, rq, den, basis = self.rows, self.rp, self.rq, self.den, self.basis
+        m = len(basis)
         while True:
+            # sign(z_j - c_j) = sign(P_j*dQ + Q_j*dP*sqrt2): both denominators are positive.
+            dp, dq = den[m], den[m + 1]
             entering = next(
-                (j for j, (p, q) in enumerate(zip(self.zp, self.zq)) if (p < 0 or q < 0) and _sign(p, q) < 0), -1
+                (
+                    j
+                    for j, (p, q) in enumerate(zip(rows[m], rows[m + 1]))
+                    if (p < 0 or q < 0) and _sign(p * dq, q * dp) < 0
+                ),
+                -1,
             )
             if entering < 0:
                 return OPTIMAL
             # Minimum of rhs_i / a_i over a_i > 0; the row denominators cancel.
             leaving = -1
-            for i, row in enumerate(rows):
-                a = row[entering]
+            for i in range(m):
+                a = rows[i][entering]
                 if a <= 0:
                     continue
                 if leaving >= 0:
@@ -237,12 +225,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Exact simplex; see the module docstring for conventions."""
     n = len(problem.c)
     m = len(problem.b)
-    if m == 0:
-        # Only q >= 0 remains: unbounded along any rewarded coordinate.
-        if any(cj.sign() > 0 for cj in problem.c):
-            return LpSolution(UNBOUNDED)
-        return LpSolution(OPTIMAL, (ZERO,) * n, ZERO, ())
-
     negated = [problem.b[i].sign() < 0 for i in range(m)]
     artificial_rows = [i for i in range(m) if negated[i]]
     n_art = len(artificial_rows)
@@ -272,7 +254,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         tableau.set_objective(phase1_cost)
         status = tableau.run_bland()
         assert status == OPTIMAL  # phase one is bounded above by zero
-        if _sign(tableau.zvp, tableau.zvq) < 0:
+        if _sign(*tableau.value()[:2]) < 0:
             return LpSolution(INFEASIBLE)
         # Drive zero-valued artificials out of the basis; rows where no
         # structural or slack column can pivot are redundant and dropped.
@@ -303,9 +285,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             q[bi] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
     # Reduced cost of slack i is the dual multiplier of constraint i;
     # for dropped redundant rows the slack column is zero, giving dual 0.
-    zden = tableau.zden
-    dual = tuple(_reduced(tableau.zp[n + i], tableau.zq[n + i], zden) for i in range(m))
-    return LpSolution(OPTIMAL, tuple(q), _reduced(tableau.zvp, tableau.zvq, zden), dual)
+    k = len(tableau.basis)
+    P, Q, dp, dq = tableau.rows[k], tableau.rows[k + 1], tableau.den[k], tableau.den[k + 1]
+    dual = tuple(_reduced(P[n + i] * dq, Q[n + i] * dp, dp * dq) for i in range(m))
+    return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:

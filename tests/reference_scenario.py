@@ -3,7 +3,7 @@
 These are the vertex audit and the no-signalling LP builder hvlab shipped
 before each scenario's structure was built once per process; they are
 kept here, unchanged, only so that the tests can demand that
-``hvlab.decompose._is_deterministic_vertex`` gives the same verdict on
+``hvlab.decompose._vertex_output_tables`` gives the same verdict on
 every table and that ``hvlab.bell._ns_lp`` builds the same ``LpProblem``
 (same rows in the same order, so the same pivots).
 """

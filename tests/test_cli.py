@@ -61,7 +61,8 @@ def test_check_model_report(files, capsys):
 
 
 def test_check_invalid_box_exits_two(files, capsys, tmp_path):
-    data = json.loads(open(files["table1"]).read())
+    with open(files["table1"]) as handle:
+        data = json.load(handle)
     data["p"]["0|1"][0][0] = "1"
     bad = tmp_path / "bad.box.json"
     bad.write_text(json.dumps(data))

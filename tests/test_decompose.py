@@ -195,6 +195,24 @@ def test_verify_detects_negative_weight():
     assert "weights_nonnegative" in failed
 
 
+@pytest.mark.parametrize("outcomes_y", [("0", "1", "2"), ("0",)], ids=["longer", "shorter"])
+def test_verify_refuses_a_residual_on_other_spaces(outcomes_y):
+    box = table1_box()
+    d = max_local_content(box)
+    # A valid, no-signalling residual whose table is longer or shorter
+    # than the box's.
+    residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(outcomes_y))
+    assert validate_behavior(residual).ok
+    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content, residual_used=True)
+    checks = {check.name: check for check in verify_decomposition(moved, box).checks}
+    assert not checks["residual_valid"].ok
+    assert checks["residual_valid"].detail == "residual spaces differ"
+    assert not checks["reconstruction_exact"].ok
+    assert checks["reconstruction_exact"].detail == "residual spaces differ"
+    assert "residual_no_signalling" not in checks
+    assert checks["vertices_are_local_deterministic"].ok
+
+
 def test_decomposition_to_model_rejects_inconsistent_data():
     d = max_local_content(table1_box())
     broken = LocalDecomposition(

@@ -18,8 +18,8 @@ from hvlab.boxes import CACHED_SPACES, Behavior, LabelSet, deterministic_behavio
 from hvlab.catalog import noise_box, pr_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
-    _is_deterministic_vertex,
     _local_vertices,
+    _vertex_output_tables,
     content_lp_problem,
     decomposition_to_model,
     enumerate_local_vertices,
@@ -125,7 +125,7 @@ def _near_vertices(draw):
 @given(_near_vertices())
 @settings(max_examples=300, deadline=None)
 def test_vertex_audit_matches_the_reference(behavior):
-    assert _is_deterministic_vertex(behavior) == is_deterministic_vertex(behavior)
+    assert (_vertex_output_tables(behavior) is not None) == is_deterministic_vertex(behavior)
 
 
 @given(_near_vertices(), st.booleans())

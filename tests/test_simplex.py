@@ -41,6 +41,34 @@ def test_unbounded():
     assert solve_lp(LpProblem((ONE, -ONE), ((ZERO, ONE),), (ONE,))).status == UNBOUNDED
 
 
+def test_no_constraint_rows_match_the_reference():
+    # Only q >= 0 bounds the program: optimal at the origin unless some
+    # column is rewarded.  ONE - SQRT2 and SQRT2 - ONE have parts of
+    # opposite signs, so the exact sign of the reduced cost decides.
+    bounded = LpProblem((ZERO, -ONE, ONE - SQRT2), (), ())
+    solution = solve_lp(bounded)
+    assert solution == reference_solve_lp(bounded)
+    assert solution == LpSolution(OPTIMAL, (ZERO, ZERO, ZERO), ZERO, ())
+    unbounded = LpProblem((ONE - SQRT2, SQRT2 - ONE), (), ())
+    solution = solve_lp(unbounded)
+    assert solution == reference_solve_lp(unbounded)
+    assert solution.status == UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "c, A, b",
+    [
+        ((1,), ((ONE,),), (ONE,)),
+        ((ONE,), ((1,),), (ONE,)),
+        ((ONE,), ((ONE,),), (1,)),
+    ],
+    ids=["objective", "matrix", "rhs"],
+)
+def test_non_scalar_entries_are_refused(c, A, b):
+    with pytest.raises(TypeError):
+        LpProblem(c, A, b)
+
+
 def test_zero_objective_is_optimal_at_zero():
     solution = solve_lp(LpProblem((ZERO, ZERO), ((ONE, ONE),), (ONE,)))
     assert solution.status == OPTIMAL
