@@ -13,10 +13,12 @@ no-signalling polytope, returned only once its certificate checks.
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
-on those spaces shares one matrix.  An entry holds
+on those spaces shares one :class:`~hvlab.simplex.Matrix`, validated
+once, with its right-hand sides.  An entry holds
 2 * (|A||B| + |A||X|(|B|-1) + |B||Y|(|A|-1)) rows of |A||B||X||Y|
-references to the shared ZERO, ONE and -1 Scalars, far less than the
-tableau the solve over it builds; 5522 has 210 rows of 100 cells.
+references to the shared ZERO, ONE and -1 Scalars, the same rows as
+ints and each column's nonzero entries, far less than the tableau the
+solve over it builds; 5522 has 210 rows of 100 cells.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .boxes import (
 )
 from .errors import LpFailure, SpaceMismatch
 from .scalar import ONE, ZERO, Scalar, as_scalar, compare
-from .simplex import OPTIMAL, LpProblem, check_certificate, solve_lp
+from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
 
 
 class BellExpression(Tensor):
@@ -141,8 +143,8 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
 
 
 @lru_cache(maxsize=CACHED_SPACES)
-def _ns_constraints(spaces: Spaces) -> tuple[tuple[tuple[Scalar, ...], ...], tuple[Scalar, ...]]:
-    """Rows and right-hand sides of the no-signalling polytope over table
+def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
+    """Matrix and right-hand sides of the no-signalling polytope over table
     entries: exact normalization per setting pair, then marginal equality
     against the first counterpart setting, Alice's before Bob's.  Each
     equality is a pair of inequalities, the row and its negation."""
@@ -178,7 +180,7 @@ def _ns_constraints(spaces: Spaces) -> tuple[tuple[tuple[Scalar, ...], ...], tup
                 plus = [_position(nb, nx, ny, ia, ib, ix, iy) for ix in range(nx)]
                 minus = [_position(nb, nx, ny, 0, ib, ix, iy) for ix in range(nx)]
                 add_equality(plus, minus, ZERO, ZERO)
-    return tuple(rows), tuple(rhs)
+    return Matrix(rows, n), tuple(rhs)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

@@ -17,12 +17,20 @@ every function that needs a valid box checks its own input at no further
 cost.  All values are otherwise immutable and all operations pure, so
 everything here is safe for concurrent use; two threads that both
 compute a report store equal values.
+
+Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
+caches of :mod:`hvlab.decompose` (the local vertices with the content
+LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
+:func:`is_no_signalling` is not remembered on the box: it sums the
+marginals it compares straight from the flat table each time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .errors import (
@@ -46,7 +54,8 @@ Side = Literal["alice", "bob"]
 STRATEGY_BUDGET = 65_536
 
 # How many sets of spaces the per-spaces caches keep: the local vertices
-# in ``decompose`` and the no-signalling constraints in ``bell``.
+# and the content LP's matrix in ``decompose``, the no-signalling
+# constraints in ``bell``.
 CACHED_SPACES = 4
 
 
@@ -341,25 +350,40 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
 
     Marginals are compared against the first counterpart setting; the
     equality relation is transitive so this is equivalent to comparing
-    all pairs.  Requires a valid behavior.
+    all pairs.  Requires a valid behavior.  Each marginal is summed from
+    its cells of the flat table by index arithmetic: the (a, b) block
+    starts at ``(ia*|B| + ib) * |X||Y|``, Alice's outcome ix is the run
+    of |Y| cells from ``ix*|Y|`` within it and Bob's outcome iy every
+    |Y|-th cell from ``iy``.
     """
     require_valid_behavior(behavior)
-    b_ref = behavior.settings_b.labels[0]
-    for a in behavior.settings_a:
-        reference = marginal(behavior, "alice", (a, b_ref))
-        for b in behavior.settings_b.labels[1:]:
-            other = marginal(behavior, "alice", (a, b))
-            for x in behavior.outcomes_x:
-                if reference[x] != other[x]:
-                    return False, NsWitness("alice", a, b_ref, b, x, reference[x], other[x])
-    a_ref = behavior.settings_a.labels[0]
-    for b in behavior.settings_b:
-        reference = marginal(behavior, "bob", (a_ref, b))
-        for a in behavior.settings_a.labels[1:]:
-            other = marginal(behavior, "bob", (a, b))
-            for y in behavior.outcomes_y:
-                if reference[y] != other[y]:
-                    return False, NsWitness("bob", b, a_ref, a, y, reference[y], other[y])
+    settings_a, settings_b, outcomes_x, outcomes_y = behavior.spaces
+    nb, nx, ny = len(settings_b), len(outcomes_x), len(outcomes_y)
+    table = behavior.table
+    block = nx * ny
+
+    def alice(ia: int, ib: int) -> list[Scalar]:
+        start = (ia * nb + ib) * block
+        return [reduce(add, table[start + ix * ny : start + ix * ny + ny]) for ix in range(nx)]
+
+    def bob(ia: int, ib: int) -> list[Scalar]:
+        start = (ia * nb + ib) * block
+        return [reduce(add, table[start + iy : start + block : ny]) for iy in range(ny)]
+
+    for ia, a in enumerate(settings_a):
+        reference = alice(ia, 0)
+        for ib in range(1, nb):
+            for x, value_reference, value_other in zip(outcomes_x, reference, alice(ia, ib)):
+                if value_reference != value_other:
+                    b_ref, b = settings_b.labels[0], settings_b.labels[ib]
+                    return False, NsWitness("alice", a, b_ref, b, x, value_reference, value_other)
+    for ib, b in enumerate(settings_b):
+        reference = bob(0, ib)
+        for ia in range(1, len(settings_a)):
+            for y, value_reference, value_other in zip(outcomes_y, reference, bob(ia, ib)):
+                if value_reference != value_other:
+                    a_ref, a = settings_a.labels[0], settings_a.labels[ia]
+                    return False, NsWitness("bob", b, a_ref, a, y, value_reference, value_other)
     return True, None
 
 

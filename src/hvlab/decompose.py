@@ -12,13 +12,20 @@ This is the standard convex-decomposition quantity; the qualitative
 notion it grounds does not come with a numeric definition, so all
 output labels the value "maximal local content (decomposition-based)".
 
-The vertices depend only on the spaces, so each process builds them once
-per set of spaces: :func:`enumerate_local_vertices` hands every caller
-(the content LP, its certificate problem, ``hvlab decompose --verify``
-and the demos) the same tuple of the same vertex objects, kept for the
-``boxes.CACHED_SPACES`` = 4 most recently used sets of spaces.  That
-holds at most 4 entries of ``VERTEX_CELL_BUDGET`` = 2**22 cell references
-(to the shared ZERO and ONE Scalars), about 32 MB each; the benchmark's
+The vertices and the content LP's constraint matrix depend only on the
+spaces, so each process builds them once per set of spaces:
+:func:`enumerate_local_vertices` hands every caller (the content LP, its
+certificate problem, ``hvlab decompose --verify`` and the demos) the same
+tuple of the same vertex objects, and that tuple carries the transposed
+vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
+:func:`content_lp_problem` reuses for it (any other tuple gets a matrix
+of its own).  Entries are kept for the ``boxes.CACHED_SPACES`` = 4 most
+recently used sets of spaces.  With two settings and eight outcomes per
+side (4096 vertices of 256 cells) one entry takes about 26 MB, measured
+with tracemalloc: 9 MB of vertex tables (references to the shared ZERO
+and ONE Scalars) and 17 MB of matrix (its Scalar rows, its int rows and
+its column lists).  That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22
+cells, so an entry at the budget takes about 100 MB; the benchmark's
 largest content rung holds 81 vertices of 36 cells.  The audit,
 :func:`verify_decomposition`, does not trust that tuple: it checks every
 support vertex against the definition by index arithmetic on its table.
@@ -45,7 +52,7 @@ from .boxes import (
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, format_scalar
-from .simplex import OPTIMAL, LpProblem, LpSolution, solve_lp
+from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
 
 # Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
@@ -53,7 +60,8 @@ from .simplex import OPTIMAL, LpProblem, LpSolution, solve_lp
 # settings with sixteen outcomes per side: 65 536 vertices of 1024
 # cells each and a content LP to match.  Eight outcomes per side (4096
 # vertices of 256 cells, a quarter of the budget) hold about 9 MB of
-# tables; the largest benchmark rung, 3333, has 729 vertices of 81 cells.
+# tables and 17 MB of content-LP matrix; the largest benchmark rung,
+# 3333, has 729 vertices of 81 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -75,11 +83,25 @@ def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     return _local_vertices(spaces)
 
 
+class _LocalVertices(tuple):
+    """The cached vertex tuple of one set of spaces.  It carries, as
+    ``matrix``, the content LP's constraint matrix over those vertices,
+    built with it: row i is cell i of every vertex table."""
+
+
 @lru_cache(maxsize=CACHED_SPACES)
-def _local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
-    return tuple(
+def _local_vertices(spaces: Spaces) -> _LocalVertices:
+    vertices = _LocalVertices(
         deterministic_behavior(*spaces, outputs_a, outputs_b) for outputs_a, outputs_b in _output_tables(spaces)
     )
+    vertices.matrix = _transposed(vertices, prod(len(space) for space in spaces))
+    return vertices
+
+
+def _transposed(vertices: tuple[Behavior, ...], cells: int) -> Matrix:
+    """The matrix whose column j is the table of vertex j."""
+    rows = zip(*(vertex.table for vertex in vertices)) if vertices else ((),) * cells
+    return Matrix(rows, len(vertices))
 
 
 @dataclass(frozen=True)
@@ -101,10 +123,15 @@ class LocalDecomposition:
 
 
 def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> LpProblem:
-    """maximize sum(q) s.t. sum_i q_i * D_i <= behavior entrywise, q >= 0."""
-    # Row i of the constraint matrix is cell i of every vertex table.
-    rows = tuple(zip(*(vertex.table for vertex in vertices))) if vertices else ((),) * len(behavior.table)
-    return LpProblem((ONE,) * len(vertices), rows, behavior.table)
+    """maximize sum(q) s.t. sum_i q_i * D_i <= behavior entrywise, q >= 0.
+
+    The tuple :func:`enumerate_local_vertices` returns brings its own
+    matrix, built once per spaces; any other tuple is transposed here."""
+    if type(vertices) is _LocalVertices:
+        matrix = vertices.matrix
+    else:
+        matrix = _transposed(vertices, len(behavior.table))
+    return LpProblem((ONE,) * len(vertices), matrix, behavior.table)
 
 
 def max_local_content(behavior: Behavior) -> LocalDecomposition:
@@ -321,6 +348,12 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     for check, message in checks:
         if not check.ok:
             raise InvalidDecomposition(message)
+    # Every kernel of a model lies on one set of spaces.
+    spaces = d.vertices[0].spaces if d.vertices else d.residual.spaces
+    if any(vertex.spaces != spaces for vertex in d.vertices):
+        raise InvalidDecomposition("vertex spaces differ")
+    if d.local_content != ONE and d.residual.spaces != spaces:
+        raise InvalidDecomposition("residual spaces differ")
 
     pairs: list[tuple[str, str]] = []
     weights: list[Scalar] = []

@@ -7,6 +7,15 @@ entry with a nonzero sqrt2 part is refused with
 contract, with a 0/±1 matrix and sqrt2 only in ``b`` (the content LP) or
 only in ``c`` (the no-signalling LP).
 
+The matrix is a :class:`Matrix`: a tuple of rows of Scalars, validated
+once when it is built (every row the same width, every entry a Scalar
+with no sqrt2 part) and carrying two more views of the same numbers,
+each row as ints over one denominator and each column's nonzero entries.
+:class:`LpProblem` wraps a plain ``A`` in one, and takes a ``Matrix`` of
+the objective's width as it is, so a matrix that callers share (both of
+hvlab's LPs cache theirs per set of spaces) is checked only once.  The
+solver reads the int rows; :func:`check_certificate` reads the columns.
+
 Since every basis inverse of a rational matrix is rational, the tableau
 is kept in integers.  Row i is a list of Python ints over one positive
 int denominator, and its right-hand side is the int pair
@@ -19,8 +28,10 @@ a column from any set of rows: a row whose factor the pivot element
 divides keeps its denominator and changes only in the pivot row's
 nonzero columns; any other row is cross-multiplied and brought back to
 lowest terms by one gcd.  A pivot eliminates over every row, P and Q
-included, and pricing out a basis for a new objective eliminates its
-costed columns from P and Q.  Scalars are built only for the answer.
+included, except the pivots that drive artificials out after phase one,
+which skip P and Q because the phase-two objective rewrites them; pricing
+out a basis for a new objective eliminates its costed columns from P and
+Q.  Scalars are built only for the answer.
 
 Bland's anti-cycling rule is used throughout (entering: lowest column
 index with a negative reduced cost; leaving: minimum ratio, ties broken
@@ -36,51 +47,113 @@ variable; phase one drives the artificials to zero or proves the
 program infeasible.  On optimal termination the reduced costs of the
 slack columns provide the dual vector, giving an exact strong-duality
 certificate that :func:`check_certificate` verifies by plain Scalar
-arithmetic, independent of the pivoting code.
+arithmetic, independent of the pivoting code: A.q from the columns of
+q's support and y.A column by column, checking every row and column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, lcm
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix
-from .scalar import ONE, ZERO, Scalar, _reduced, _sign, format_scalar
+from .scalar import ONE, ZERO, Scalar, _reduced, _sign, compare, format_scalar
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+class Matrix(tuple):
+    """An immutable, validated constraint matrix: a tuple of rows of
+    rational Scalars, all ``width`` long, with two more views of it.
+
+    ``int_rows[i]`` holds row i as ints over the positive denominator
+    ``den[i]``, the lcm of the row's entry denominators; ``columns[j]``
+    holds the nonzero entries of column j as ``(row, Scalar)`` pairs in
+    row order.  The rows are checked once, here, in order: the length of
+    each, then the type and the sqrt2 part of each entry.
+    """
+
+    def __new__(cls, rows: Iterable[Sequence[Scalar]], width: int) -> Matrix:
+        rows = tuple(tuple(row) for row in rows)
+        int_rows: list[tuple[int, ...]] = []
+        den: list[int] = []
+        columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise DimensionMismatch(f"constraint row has {len(row)} entries, expected {width}")
+            # Whole-row tests first; a row that fails one is walked entry by
+            # entry, so the first offending entry names the error.
+            if not _SCALAR_TYPE.issuperset(map(type, row)):
+                _check_entries(i, row)
+            triples = list(map(_TRIPLE, row))
+            if any(map(_SQRT2_PART, triples)):
+                _check_entries(i, row)
+            d = lcm(*set(map(_DENOMINATOR, triples)))
+            ints = tuple(map(_NUMERATOR, triples)) if d == 1 else tuple(p * (d // vd) for p, _, vd in triples)
+            int_rows.append(ints)
+            den.append(d)
+            for j in compress(range(width), ints):
+                columns[j].append((i, row[j]))
+        matrix = super().__new__(cls, rows)
+        object.__setattr__(matrix, "width", width)
+        object.__setattr__(matrix, "int_rows", tuple(int_rows))
+        object.__setattr__(matrix, "den", tuple(den))
+        object.__setattr__(matrix, "columns", tuple(tuple(column) for column in columns))
+        return matrix
+
+    def __reduce__(self) -> tuple[type[Matrix], tuple[tuple[tuple[Scalar, ...], ...], int]]:
+        return Matrix, (tuple(self), self.width)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
+
+
+_SCALAR_TYPE = {Scalar}
+_TRIPLE = attrgetter("_v")
+_NUMERATOR, _SQRT2_PART, _DENOMINATOR = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _check_entries(i: int, row: tuple[object, ...]) -> None:
+    """Raise for the first entry of row i that is not a rational Scalar."""
+    for j, v in enumerate(row):
+        if not isinstance(v, Scalar):
+            raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
+        if v._v[1]:
+            raise IrrationalMatrix(f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational")
+
+
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize c.q subject to A.q <= b, q >= 0, with A rational."""
+    """maximize c.q subject to A.q <= b, q >= 0, with A rational.
+
+    A plain ``A`` is wrapped in a :class:`Matrix`, which validates it; a
+    ``Matrix`` of the objective's width is taken as it is."""
 
     c: tuple[Scalar, ...]
-    A: tuple[tuple[Scalar, ...], ...]
+    A: Matrix
     b: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", tuple(self.c))
-        object.__setattr__(self, "A", tuple(tuple(row) for row in self.A))
         object.__setattr__(self, "b", tuple(self.b))
+        A = self.A if isinstance(self.A, Matrix) else tuple(self.A)
         n = len(self.c)
-        if len(self.A) != len(self.b):
-            raise DimensionMismatch(f"{len(self.A)} constraint rows but {len(self.b)} right-hand sides")
+        if len(A) != len(self.b):
+            raise DimensionMismatch(f"{len(A)} constraint rows but {len(self.b)} right-hand sides")
         for v in (*self.c, *self.b):
             if not isinstance(v, Scalar):
                 raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
-        for i, row in enumerate(self.A):
-            if len(row) != n:
-                raise DimensionMismatch(f"constraint row has {len(row)} entries, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, Scalar):
-                    raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
-                if v._v[1]:
-                    raise IrrationalMatrix(
-                        f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational"
-                    )
+        if not isinstance(A, Matrix) or A.width != n:
+            A = Matrix(A, n)
+        object.__setattr__(self, "A", A)
 
 
 @dataclass(frozen=True)
@@ -156,9 +229,10 @@ class _Tableau:
                 ip, iq, d = ip // g, iq // g, d // g
             rows[i], rp[i], rq[i], den[i] = row, ip, iq, d
 
-    def pivot(self, r: int, c: int) -> None:
-        # Divide row r by its entry in column c: the row's ints over that
-        # entry, made positive and brought to lowest terms.
+    def pivot(self, r: int, c: int, targets: Iterable[int]) -> None:
+        """Make column c basic in row r and clear it from the target rows.
+        Row r is divided by its entry in column c: the row's ints over
+        that entry, made positive and brought to lowest terms."""
         pivot_row = self.rows[r]
         p, prp, prq = pivot_row[c], self.rp[r], self.rq[r]
         if p < 0:
@@ -169,7 +243,7 @@ class _Tableau:
             pivot_row = [v // g for v in pivot_row]
             p, prp, prq = p // g, prp // g, prq // g
         self.rows[r], self.rp[r], self.rq[r], self.den[r] = pivot_row, prp, prq, p
-        self.eliminate(r, c, range(len(self.rows)))
+        self.eliminate(r, c, targets)
         self.basis[r] = c
 
     def value(self) -> tuple[int, int, int]:
@@ -208,17 +282,7 @@ class _Tableau:
                 leaving, best_a, best_p, best_q = i, a, rp[i], rq[i]
             if leaving < 0:
                 return UNBOUNDED
-            self.pivot(leaving, entering)
-
-
-def _integer_row(values: Sequence[Scalar], rhs: Scalar, negate: bool) -> tuple[list[int], int, int, int]:
-    """A rational row and its right-hand side as ints over one denominator."""
-    triples = [v._v for v in values]
-    bp, bq, bd = rhs._v
-    den = lcm(bd, *{d for _, _, d in triples})
-    sign = -1 if negate else 1
-    scale = sign * (den // bd)
-    return [sign * p * (den // d) for p, _, d in triples], bp * scale, bq * scale, den
+            self.pivot(leaving, entering, range(len(rows)))
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -235,8 +299,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     den: list[int] = []
     basis: list[int] = []
     art_col = {row: n + m + k for k, row in enumerate(artificial_rows)}
-    for i in range(m):
-        row, p, q, d = _integer_row(problem.A[i], problem.b[i], negated[i])
+    for i, (int_row, row_den, rhs) in enumerate(zip(problem.A.int_rows, problem.A.den, problem.b)):
+        # Row i and its right-hand side over the lcm of their denominators.
+        bp, bq, bd = rhs._v
+        d = lcm(row_den, bd)
+        sign = -1 if negated[i] else 1
+        scale, row_scale = sign * (d // bd), sign * (d // row_den)
+        row = list(int_row) if row_scale == 1 else [v * row_scale for v in int_row]
+        p, q = bp * scale, bq * scale
         slack = [0] * (m + n_art)
         slack[i] = -d if negated[i] else d
         if negated[i]:
@@ -258,6 +328,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             return LpSolution(INFEASIBLE)
         # Drive zero-valued artificials out of the basis; rows where no
         # structural or slack column can pivot are redundant and dropped.
+        # These pivots clear only the constraint rows: set_objective
+        # rewrites P and Q next.
         drop: list[int] = []
         for i in range(len(tableau.basis)):
             if tableau.basis[i] < n + m:
@@ -265,7 +337,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             row = tableau.rows[i]
             pivot_col = next((j for j in range(n + m) if row[j]), -1)
             if pivot_col >= 0:
-                tableau.pivot(i, pivot_col)
+                tableau.pivot(i, pivot_col, range(len(tableau.basis)))
             else:
                 drop.append(i)
         for i in reversed(drop):
@@ -306,31 +378,33 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     m = len(problem.b)
     if len(solution.q) != n or len(solution.dual) != m:
         return False
-    q, y = solution.q, solution.dual
-    if any(v.sign() < 0 for v in q) or any(v.sign() < 0 for v in y):
+    # q's support and y's nonzero entries, None for a zero one.
+    support = [(j, v) for j, v in enumerate(solution.q) if not v.is_zero()]
+    weights = [None if v.is_zero() else v for v in solution.dual]
+    if any(v.sign() < 0 for _, v in support) or any(w.sign() < 0 for w in weights if w is not None):
         return False
-    support = [(j, v) for j, v in enumerate(q) if not v.is_zero()]
-    for row, bound in zip(problem.A, problem.b):
-        lhs = ZERO
-        for j, v in support:
-            a = row[j]
-            if not a.is_zero():
-                lhs = lhs + a * v
-        if (lhs - bound).sign() > 0:
+    # A.q, one Scalar sum per row, from the columns of q's support.  Both
+    # LPs' matrices are mostly ones, and a unit entry adds the value as is.
+    lhs = [ZERO] * m
+    for j, v in support:
+        for i, a in problem.A.columns[j]:
+            lhs[i] = lhs[i] + (v if a == ONE else a * v)
+    if any(compare(total, bound) > 0 for total, bound in zip(lhs, problem.b)):
+        return False
+    # y.A, column by column, over y's nonzero entries.
+    for column, cj in zip(problem.A.columns, problem.c):
+        total = ZERO
+        for i, a in column:
+            w = weights[i]
+            if w is not None:
+                total = total + (w if a == ONE else w * a)
+        if compare(total, cj) < 0:
             return False
-    column_sums = [ZERO] * n
-    for i in range(m):
-        if y[i].is_zero():
-            continue
-        for j, a in enumerate(problem.A[i]):
-            if not a.is_zero():
-                column_sums[j] = column_sums[j] + y[i] * a
-    if any((total - cj).sign() < 0 for total, cj in zip(column_sums, problem.c)):
-        return False
     primal_value = ZERO
     for j, v in support:
         primal_value = primal_value + problem.c[j] * v
     dual_value = ZERO
-    for i in range(m):
-        dual_value = dual_value + y[i] * problem.b[i]
+    for w, bound in zip(weights, problem.b):
+        if w is not None:
+            dual_value = dual_value + w * bound
     return primal_value == solution.value and dual_value == solution.value

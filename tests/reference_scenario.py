@@ -5,13 +5,16 @@ before each scenario's structure was built once per process; they are
 kept here, unchanged, only so that the tests can demand that
 ``hvlab.decompose._vertex_output_tables`` gives the same verdict on
 every table and that ``hvlab.bell._ns_lp`` builds the same ``LpProblem``
-(same rows in the same order, so the same pivots).
+(same rows in the same order, so the same pivots).  The no-signalling
+check that summed each marginal through ``hvlab.boxes.marginal`` is kept
+too, so that the index-arithmetic ``hvlab.boxes.is_no_signalling`` must
+give the same verdict and the same witness.
 """
 
 from __future__ import annotations
 
 from hvlab.bell import BellExpression
-from hvlab.boxes import Behavior, is_no_signalling, validate_behavior
+from hvlab.boxes import Behavior, NsWitness, is_no_signalling, marginal, require_valid_behavior, validate_behavior
 from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import LpProblem
 
@@ -63,3 +66,26 @@ def ns_lp(expression: BellExpression) -> LpProblem:
                     coeffs[idx(0, ib, ix, iy)] = -ONE
                 add_equality(coeffs, ZERO)
     return LpProblem(expression.table, tuple(rows), tuple(rhs))
+
+
+def marginal_is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
+    """Each party's marginals, by label through ``marginal``, compared
+    against the first counterpart setting."""
+    require_valid_behavior(behavior)
+    b_ref = behavior.settings_b.labels[0]
+    for a in behavior.settings_a:
+        reference = marginal(behavior, "alice", (a, b_ref))
+        for b in behavior.settings_b.labels[1:]:
+            other = marginal(behavior, "alice", (a, b))
+            for x in behavior.outcomes_x:
+                if reference[x] != other[x]:
+                    return False, NsWitness("alice", a, b_ref, b, x, reference[x], other[x])
+    a_ref = behavior.settings_a.labels[0]
+    for b in behavior.settings_b:
+        reference = marginal(behavior, "bob", (a_ref, b))
+        for a in behavior.settings_a.labels[1:]:
+            other = marginal(behavior, "bob", (a, b))
+            for y in behavior.outcomes_y:
+                if reference[y] != other[y]:
+                    return False, NsWitness("bob", b, a_ref, a, y, reference[y], other[y])
+    return True, None

@@ -9,7 +9,15 @@ import pytest
 from helpers import CHSH_SPACES, OVERSIZED_SPACES, WIDE_SPACES, random_ns_behavior
 from oracle import oracle_local_content
 from hvlab.bell import BellExpression, local_bound
-from hvlab.boxes import Behavior, LabelSet, is_no_signalling, mix, uniform_behavior, validate_behavior
+from hvlab.boxes import (
+    Behavior,
+    LabelSet,
+    deterministic_behavior,
+    is_no_signalling,
+    mix,
+    uniform_behavior,
+    validate_behavior,
+)
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
@@ -224,6 +232,48 @@ def test_decomposition_to_model_rejects_inconsistent_data():
     )
     with pytest.raises(InvalidDecomposition):
         decomposition_to_model(broken)
+
+
+def test_decomposition_to_model_refuses_a_residual_on_other_spaces():
+    box = table1_box()
+    d = max_local_content(box)
+    residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(("0", "1", "2")))
+    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content, residual_used=True)
+    assert verify_decomposition(moved, box).summary().count("residual spaces differ") == 2
+    with pytest.raises(InvalidDecomposition, match="^residual spaces differ$"):
+        decomposition_to_model(moved)
+
+
+def test_decomposition_to_model_refuses_a_vertex_on_other_spaces():
+    box = table1_box()
+    d = max_local_content(box)
+    wider = (*box.spaces[:3], LabelSet(("+1", "-1", "0")))
+    # A local deterministic vertex, but on other spaces than the first one.
+    other = deterministic_behavior(*wider, ("+1", "+1"), ("0", "-1"))
+    vertices = (*d.vertices[:-1], other)
+    moved = LocalDecomposition(vertices, d.weights, d.residual, d.local_content, residual_used=True)
+    assert not verify_decomposition(moved, box).ok
+    with pytest.raises(InvalidDecomposition, match="^vertex spaces differ$"):
+        decomposition_to_model(moved)
+    # A fully local decomposition carries an unused residual, whose spaces
+    # do not matter.
+    vertex = enumerate_local_vertices(box.spaces)[5]
+    local = max_local_content(vertex)
+    assert local.local_content == ONE and not local.residual_used
+    unused = LocalDecomposition(local.vertices, local.weights, uniform_behavior(*wider), ONE, residual_used=False)
+    assert decomposition_to_model(unused).kernels == (vertex,)
+
+
+@pytest.mark.parametrize("tenths", range(11))
+def test_content_of_the_noisy_pr_box_is_the_closed_form(tenths):
+    # w*PR + (1-w)*noise has local content min(1, 2(1-w)): the survey line
+    # of scripts/content_survey.py.
+    w = Scalar(Fraction(tenths, 10))
+    box = mix([(w, pr_box()), (ONE - w, noise_box())])
+    d = max_local_content(box)
+    assert d.local_content == Scalar(min(Fraction(1), 2 * (1 - Fraction(tenths, 10))))
+    assert verify_decomposition(d, box).ok
+    assert check_certificate(content_lp_problem(box, enumerate_local_vertices(box.spaces)), d.certificate)
 
 
 def _random_box_with_extremal_mass(rng: random.Random) -> Behavior:

@@ -1,5 +1,6 @@
-"""Per-spaces structure built once per process: the cached local vertices,
-the cached no-signalling constraints, and the direct vertex audit, each
+"""Per-spaces structure built once per process: the cached local vertices
+with their content-LP matrix, the cached no-signalling constraints, the
+direct vertex audit and the index-arithmetic no-signalling check, each
 against the reference it replaced (``reference_scenario``)."""
 
 import random
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CHSH_SPACES, OVERSIZED_SPACES, SMALL_SPACES, WIDE_SPACES, random_ns_behavior
+from helpers import CHSH_SPACES, OVERSIZED_SPACES, SMALL_SPACES, WIDE_SPACES, ns_behaviors, random_ns_behavior
 from hvlab.bell import BellExpression, _ns_constraints, _ns_lp, chsh, ns_bound
-from hvlab.boxes import CACHED_SPACES, Behavior, LabelSet, deterministic_behavior
+from hvlab.boxes import CACHED_SPACES, Behavior, LabelSet, deterministic_behavior, is_no_signalling
 from hvlab.catalog import noise_box, pr_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
@@ -26,11 +27,11 @@ from hvlab.decompose import (
     max_local_content,
     verify_decomposition,
 )
-from hvlab.errors import SizeBudgetExceeded
+from hvlab.errors import InvalidBehavior, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
-from hvlab.simplex import check_certificate
-from reference_scenario import is_deterministic_vertex, ns_lp
+from hvlab.simplex import LpProblem, Matrix, check_certificate
+from reference_scenario import is_deterministic_vertex, marginal_is_no_signalling, ns_lp
 
 
 def _spaces(na: int, nb: int, nx: int, ny: int) -> tuple[LabelSet, ...]:
@@ -85,6 +86,39 @@ def test_evicted_spaces_are_rebuilt_equal():
     assert enumerate_local_vertices(spaces) == before
 
 
+# -- content-LP matrix ---------------------------------------------------------
+
+
+def _transposed_problem(box, vertices):
+    """The content LP built directly: row i is cell i of every vertex table."""
+    rows = tuple(zip(*(vertex.table for vertex in vertices))) if vertices else ((),) * len(box.table)
+    return LpProblem((ONE,) * len(vertices), rows, box.table)
+
+
+@pytest.mark.parametrize("spaces", [SMALL_SPACES, CHSH_SPACES, _spaces(3, 2, 2, 3)], ids=["small", "chsh", "3223"])
+def test_content_lp_uses_the_matrix_built_with_the_vertices(spaces):
+    box = random_ns_behavior(random.Random(3), spaces)
+    vertices = enumerate_local_vertices(spaces)
+    problem = content_lp_problem(box, vertices)
+    assert isinstance(vertices.matrix, Matrix)
+    assert problem.A is vertices.matrix
+    assert problem == _transposed_problem(box, vertices)
+
+
+@pytest.mark.parametrize(
+    "pick",
+    [lambda v: tuple(reversed(v)), lambda v: v[1::3], lambda v: tuple(v), lambda v: v[:1], lambda v: ()],
+    ids=["reversed", "every-third", "copy", "first", "empty"],
+)
+def test_content_lp_on_a_caller_built_vertex_tuple(pick):
+    box = random_ns_behavior(random.Random(4), _spaces(2, 3, 2, 2))
+    cached = enumerate_local_vertices(box.spaces)
+    vertices = pick(cached)
+    problem = content_lp_problem(box, vertices)
+    assert problem.A is not cached.matrix
+    assert problem == _transposed_problem(box, vertices)
+
+
 # -- direct vertex audit -------------------------------------------------------
 
 _CELL_VALUES = (ZERO, ONE, -ONE, Scalar(2), HALF, SQRT2, ONE - SQRT2)
@@ -137,6 +171,41 @@ def test_audit_refuses_vertices_on_other_spaces(vertex, same_spaces):
     assert check.ok == (vertex.spaces == target.spaces and is_deterministic_vertex(vertex))
 
 
+# -- no-signalling check by index arithmetic ------------------------------------
+
+
+@st.composite
+def _perturbed_boxes(draw):
+    """No-signalling boxes on asymmetric spaces of up to three settings and
+    outcomes per side, with up to two moves of mass inside one (a, b)
+    block: a valid box that generically signals.  A move takes a
+    fraction 1/2, 1/sqrt2 or 1 of a cell, so cells can carry sqrt2 parts."""
+    counts = [draw(st.sampled_from((1, 2, 2, 3))) for _ in range(2)] + [draw(st.integers(1, 3)) for _ in range(2)]
+    box = draw(ns_behaviors(spaces=_spaces(*counts)))
+    table = list(box.table)
+    block = len(box.outcomes_x) * len(box.outcomes_y)
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        start = draw(st.integers(0, len(table) // block - 1)) * block
+        source, target = (start + draw(st.integers(0, block - 1)) for _ in range(2))
+        if source != target:
+            moved = table[source] * draw(st.sampled_from((HALF, SQRT2 / 2, ONE)))
+            table[source], table[target] = table[source] - moved, table[target] + moved
+    return Behavior(*box.spaces, tuple(table))
+
+
+@given(_perturbed_boxes())
+@settings(max_examples=300, deadline=None)
+def test_no_signalling_check_matches_the_marginal_reference(box):
+    assert is_no_signalling(box) == marginal_is_no_signalling(box)
+
+
+def test_no_signalling_check_refuses_an_invalid_box_as_the_reference_does():
+    box = Behavior(*CHSH_SPACES, (ONE,) * 16)
+    for check in (is_no_signalling, marginal_is_no_signalling):
+        with pytest.raises(InvalidBehavior):
+            check(box)
+
+
 # -- cached no-signalling constraints -------------------------------------------
 
 
@@ -178,24 +247,27 @@ def _work(boxes, expressions):
                 verify_decomposition(d, box).ok,
                 check_certificate(problem, d.certificate),
                 locality,
+                problem,
             )
         )
-    results.extend(ns_bound(expression) for expression in expressions)
+    results.extend((ns_bound(expression), _ns_lp(expression)) for expression in expressions)
     return results
 
 
 def test_concurrent_builds_match_the_serial_results():
     # Every box and expression is on CHSH_SPACES, so all threads share one
-    # vertex tuple and one constraint matrix, built while they race.
+    # vertex tuple with its content-LP matrix and one no-signalling
+    # matrix, built while they race from empty caches.
     rng = random.Random(11)
     boxes = [table1_box(), pr_box(), noise_box()] + [random_ns_behavior(rng, CHSH_SPACES) for _ in range(2)]
     coefficients = tuple(rng.choice((ZERO, ONE, -ONE, SQRT2)) for _ in range(16))
     expressions = [chsh(), BellExpression(*CHSH_SPACES, coefficients)]
     serial = _work(boxes, expressions)
-    assert all(ok and certified and local for *_, ok, certified, local in serial[: len(boxes)])
+    assert all(ok and certified and local for *_, ok, certified, local, _ in serial[: len(boxes)])
 
     _local_vertices.cache_clear()
     _ns_constraints.cache_clear()
+    assert _local_vertices.cache_info().currsize == _ns_constraints.cache_info().currsize == 0
     workers = 8
     results = []
     barrier = threading.Barrier(workers)

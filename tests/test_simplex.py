@@ -1,6 +1,8 @@
 """Exact LP solver and its strong-duality certificate checker."""
 
+import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,17 @@ from hvlab import HvlabError, IrrationalMatrix
 from hvlab.bell import BellExpression, _ns_lp
 from hvlab.boxes import LabelSet
 from hvlab.errors import DimensionMismatch
-from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
-from hvlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution, check_certificate, solve_lp
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
+from hvlab.simplex import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LpProblem,
+    LpSolution,
+    Matrix,
+    check_certificate,
+    solve_lp,
+)
 from reference_simplex import reference_solve_lp
 
 
@@ -258,3 +269,112 @@ def test_ns_lps_match_the_scalar_tableau_reference(problem):
     assert solution == reference_solve_lp(problem)
     assert solution.status == OPTIMAL
     assert check_certificate(problem, solution)
+
+
+# -- the validated Matrix and its two views -----------------------------------
+
+
+@st.composite
+def _matrix_rows(draw):
+    """Rows of rational Scalars, from 0 by 0 to 4 by 5: zero rows, zero
+    width and asymmetric shapes, entries 0, +-1 or fractions."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    entry = st.one_of(st.sampled_from((ZERO, ZERO, ONE, -ONE)), small_fractions(3, 12).map(Scalar))
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(m)), n
+
+
+@given(_matrix_rows())
+@settings(max_examples=300, deadline=None)
+def test_matrix_views_reproduce_its_dense_rows(drawn):
+    rows, n = drawn
+    matrix = Matrix(rows, n)
+    assert matrix == rows and matrix.width == n
+    assert len(matrix.int_rows) == len(matrix.den) == len(rows)
+    for row, ints, den in zip(rows, matrix.int_rows, matrix.den):
+        # One denominator per row, the least one: the lcm of the entries'.
+        assert den == lcm(*(v.a.denominator for v in row))
+        assert tuple(Scalar(Fraction(p, den)) for p in ints) == row
+    assert len(matrix.columns) == n
+    for j, column in enumerate(matrix.columns):
+        assert column == tuple((i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero())
+
+
+def test_empty_and_zero_width_matrices():
+    empty = Matrix((), 3)
+    assert empty == () and empty.int_rows == () and empty.den == () and empty.columns == ((), (), ())
+    flat = Matrix(((), ()), 0)
+    assert flat == ((), ()) and flat.int_rows == ((), ()) and flat.den == (1, 1) and flat.columns == ()
+
+
+def test_matrix_is_immutable_and_pickles():
+    matrix = Matrix(((ONE, parse_scalar("1/2")), (ZERO, -ONE)), 2)
+    with pytest.raises(AttributeError):
+        matrix.den = (1, 1)
+    copy = pickle.loads(pickle.dumps(matrix))
+    assert type(copy) is Matrix and copy == matrix
+    assert (copy.int_rows, copy.den, copy.columns) == (matrix.int_rows, matrix.den, matrix.columns)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ((ONE + SQRT2, "x"), IrrationalMatrix),
+        (("x", ONE + SQRT2), TypeError),
+        ((ONE, ZERO, 1), TypeError),
+    ],
+    ids=["irrational-first", "type-first", "int-last"],
+)
+def test_matrix_names_the_first_bad_entry_of_a_row(row, error):
+    with pytest.raises(error):
+        Matrix(((ONE,) * len(row), row), len(row))
+
+
+def test_a_scalar_subclass_is_a_matrix_entry():
+    class Tagged(Scalar):
+        __slots__ = ()
+
+    entry = Tagged(Fraction(1, 3))
+    matrix = Matrix(((entry, ZERO),), 2)
+    assert matrix.int_rows == ((1, 0),) and matrix.den == (3,) and matrix.columns == (((0, entry),), ())
+
+
+def test_lp_problem_keeps_a_matrix_of_its_width():
+    matrix = Matrix(((ONE, ONE),), 2)
+    assert LpProblem((ONE, ONE), matrix, (ONE,)).A is matrix
+    with pytest.raises(DimensionMismatch, match="constraint row has 2 entries, expected 3"):
+        LpProblem((ONE, ONE, ONE), matrix, (ONE,))
+    # A matrix without rows fits any width.
+    assert LpProblem((ONE, ONE), Matrix((), 5), ()).A.columns == ((), ())
+
+
+@given(_field_problems())
+@settings(max_examples=100, deadline=None)
+def test_problems_from_a_matrix_equal_those_from_plain_rows(problem):
+    plain = tuple(tuple(row) for row in problem.A)
+    from_plain = LpProblem(problem.c, plain, problem.b)
+    from_matrix = LpProblem(problem.c, Matrix(plain, len(problem.c)), problem.b)
+    assert from_plain == from_matrix
+    assert solve_lp(from_matrix) == reference_solve_lp(from_plain)
+
+
+@pytest.mark.parametrize("violated", range(4))
+def test_certificate_checks_every_row(violated):
+    # q_j <= 1 for each j, nothing rewarded: the zero dual certifies any
+    # feasible q, so only the row test can catch the one q_j = 2.
+    identity = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+    problem = LpProblem((ZERO,) * 4, identity, (ONE,) * 4)
+    q = tuple(Scalar(2) if j == violated else ONE for j in range(4))
+    assert check_certificate(problem, LpSolution(OPTIMAL, (ONE,) * 4, ZERO, (ZERO,) * 4))
+    assert not check_certificate(problem, LpSolution(OPTIMAL, q, ZERO, (ZERO,) * 4))
+
+
+@pytest.mark.parametrize("short", range(3))
+def test_certificate_checks_every_column(short):
+    # max sum(q) s.t. row.q <= 1 with q at a unit vector and dual 1: with
+    # a row of ones every column is covered; an entry 1/2 leaves y.A
+    # short of c in that column alone.
+    q = tuple(ONE if j == (short + 1) % 3 else ZERO for j in range(3))
+    candidate = LpSolution(OPTIMAL, q, ONE, (ONE,))
+    assert check_certificate(LpProblem((ONE,) * 3, ((ONE,) * 3,), (ONE,)), candidate)
+    row = tuple(HALF if j == short else ONE for j in range(3))
+    assert not check_certificate(LpProblem((ONE,) * 3, (row,), (ONE,)), candidate)
