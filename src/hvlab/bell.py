@@ -8,17 +8,21 @@ each one Bob's best reply splits into one independent choice per
 setting, so it costs |X|^|A| * |B| * |Y| * |A| exact additions and no
 multiplication (spaces past ``boxes.STRATEGY_BUDGET`` total strategies
 are still refused).  The no-signalling bound is an exact LP over the
-no-signalling polytope, returned only once its certificate checks.
+no-signalling polytope in Collins-Gisin coordinates (Collins and Gisin,
+J. Phys. A 37, 1775 (2004)): the marginals and joint probabilities of
+every outcome but the last, one inequality per table cell and no
+equalities, so the slack basis is feasible and the solver needs no phase
+one.  Its value is returned only once its certificate checks.
 
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, validated
-once, with its right-hand sides.  An entry holds
-2 * (|A||B| + |A||X|(|B|-1) + |B||Y|(|A|-1)) rows of |A||B||X||Y|
-references to the shared ZERO, ONE and -1 Scalars, the same rows as
-ints and each column's nonzero entries, far less than the tableau the
-solve over it builds; 5522 has 210 rows of 100 cells.
+once, with its right-hand sides.  An entry holds |A||B||X||Y| rows of
+|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) references to the shared
+ZERO, ONE and -1 Scalars, the same rows as ints and each column's
+nonzero entries, far less than the tableau the solve over it builds;
+5522 has 100 rows of 35 columns.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .boxes import (
     LabelSet,
     Spaces,
     Tensor,
-    _position,
     _strategy_count,
     deterministic_behavior,
 )
@@ -137,49 +140,69 @@ def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrate
 
 
 def _ns_lp(expression: BellExpression) -> LpProblem:
-    """LP over table entries maximising the expression; see
-    :func:`_ns_constraints`."""
-    return LpProblem(expression.table, *_ns_constraints(expression.spaces))
+    """LP over the Collins-Gisin coordinates q maximising the expression
+    less its constant part; see :func:`_ns_constraints`.
+
+    Cell i of the table is b_i - A_i.q, so the expression is
+    c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
+    of ``A``: every entry is +-1, so a coefficient is added or subtracted.
+    """
+    constraints, rhs = _ns_constraints(expression.spaces)
+    coefficients = expression.table
+    objective = []
+    for column in constraints.columns:
+        total = ZERO
+        for i, entry in column:
+            coefficient = coefficients[i]
+            if not coefficient.is_zero():
+                total = total - coefficient if entry == ONE else total + coefficient
+        objective.append(total)
+    return LpProblem(tuple(objective), constraints, rhs)
 
 
 @lru_cache(maxsize=CACHED_SPACES)
 def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
-    """Matrix and right-hand sides of the no-signalling polytope over table
-    entries: exact normalization per setting pair, then marginal equality
-    against the first counterpart setting, Alice's before Bob's.  Each
-    equality is a pair of inequalities, the row and its negation."""
+    """The no-signalling polytope A.q <= b in Collins-Gisin coordinates.
+
+    The columns are Alice's marginals p(x|a) for every outcome x but the
+    last, Bob's p(y|b) likewise, then the joint p(x,y|a,b) for x and y
+    both not last, each group row-major.  A no-signalling box is fixed by
+    these numbers, and each table cell is b_i - A_i.q: P(x,y|a,b) is
+    p(x|a)*p(y|b) with a last outcome's factor read as 1 minus the sum of
+    the others, expanded and with each product p(x|a)*p(y|b) read as
+    p(x,y|a,b).  There is one row per cell, in table order, stating that
+    the cell is nonnegative; b_i is 1 where both outcomes are last and 0
+    elsewhere, so the slack basis is feasible.  The q that satisfy the
+    rows are exactly the no-signalling boxes, so the LP is always
+    feasible and bounded."""
     na, nb, nx, ny = (len(space) for space in spaces)
-    n = na * nb * nx * ny
-    minus_one = -ONE
-    rows: list[tuple[Scalar, ...]] = []
+    kx, ky = nx - 1, ny - 1
+    n_alice, n_bob = na * kx, nb * ky
+    n = n_alice + n_bob + na * nb * kx * ky
+
+    def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
+        # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
+        return ((1, i),) if i < k else ((1, None), *((-1, j) for j in range(k)))
+
+    # A cell's entry is minus the sign of its term.
+    entry = {1: -ONE, -1: ONE}
+    rows: list[list[Scalar]] = []
     rhs: list[Scalar] = []
-
-    def add_equality(plus: list[int], minus: list[int], value: Scalar, negated: Scalar) -> None:
-        forward = [ZERO] * n
-        backward = [ZERO] * n
-        for j in plus:
-            forward[j], backward[j] = ONE, minus_one
-        for j in minus:
-            forward[j], backward[j] = minus_one, ONE
-        rows.extend((tuple(forward), tuple(backward)))
-        rhs.extend((value, negated))
-
-    for ia in range(na):
-        for ib in range(nb):
-            cells = [_position(nb, nx, ny, ia, ib, ix, iy) for ix in range(nx) for iy in range(ny)]
-            add_equality(cells, [], ONE, minus_one)
-    for ia in range(na):
-        for ix in range(nx):
-            for ib in range(1, nb):
-                plus = [_position(nb, nx, ny, ia, ib, ix, iy) for iy in range(ny)]
-                minus = [_position(nb, nx, ny, ia, 0, ix, iy) for iy in range(ny)]
-                add_equality(plus, minus, ZERO, ZERO)
-    for ib in range(nb):
-        for iy in range(ny):
-            for ia in range(1, na):
-                plus = [_position(nb, nx, ny, ia, ib, ix, iy) for ix in range(nx)]
-                minus = [_position(nb, nx, ny, 0, ib, ix, iy) for ix in range(nx)]
-                add_equality(plus, minus, ZERO, ZERO)
+    for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
+        row = [ZERO] * n
+        for sx, jx in terms(ix, kx):
+            for sy, jy in terms(iy, ky):
+                if jx is None and jy is None:
+                    continue  # the constant, in b
+                if jy is None:
+                    column = ia * kx + jx
+                elif jx is None:
+                    column = n_alice + ib * ky + jy
+                else:
+                    column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
+                row[column] = entry[sx * sy]
+        rows.append(row)
+        rhs.append(ONE if ix == kx and iy == ky else ZERO)
     return Matrix(rows, n), tuple(rhs)
 
 
@@ -196,4 +219,9 @@ def ns_bound(expression: BellExpression) -> Scalar:
         raise LpFailure(f"no-signalling bound LP ended {solution.status}")
     if not check_certificate(problem, solution):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
-    return solution.value
+    # The expression's constant part, c.b: its coefficients where b is 1.
+    constant = ZERO
+    for coefficient, bound in zip(expression.table, problem.b):
+        if not bound.is_zero():
+            constant = constant + coefficient
+    return constant + solution.value

@@ -6,7 +6,8 @@ number in JSON output is an exact scalar string and approximations are
 marked ``*_approx``).  Errors go to stderr.
 
 Exit codes: 0 when all checked properties hold, 1 when a checked
-property is false (a witness is printed), 2 on malformed input.
+property is false (a witness is printed), 2 on malformed input, 141 when
+the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -603,6 +605,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device,
+    so the interpreter's last flush of what is still buffered is quiet."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -610,7 +626,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone (``hvlab catalog list | head -1``):
+        # end quietly with the status of a tool that SIGPIPE killed.
+        _discard_stdout()
+        return 141
     except (SignallingInput, NotLocal) as exc:
         print(f"property failed: {exc}", file=sys.stderr)
         return 1

@@ -44,10 +44,14 @@ returned solution, are those of a tableau of Scalar entries.
 
 Rows with negative right-hand side are negated and given an artificial
 variable; phase one drives the artificials to zero or proves the
-program infeasible.  On optimal termination the reduced costs of the
-slack columns provide the dual vector, giving an exact strong-duality
-certificate that :func:`check_certificate` verifies by plain Scalar
-arithmetic, independent of the pivoting code: A.q from the columns of
+program infeasible.  Neither of hvlab's own LPs needs it: the content
+LP's right-hand side is a box and the no-signalling LP's is 0 or 1, so
+their slack bases are feasible and the solve starts in phase two.
+
+On optimal termination the reduced costs of the slack columns provide
+the dual vector, giving an exact strong-duality certificate that
+:func:`check_certificate` verifies by plain Scalar arithmetic,
+independent of the pivoting code: A.q from the columns of
 q's support and y.A column by column, checking every row and column.
 """
 

@@ -4,8 +4,10 @@ These are the vertex audit and the no-signalling LP builder hvlab shipped
 before each scenario's structure was built once per process; they are
 kept here, unchanged, only so that the tests can demand that
 ``hvlab.decompose._vertex_output_tables`` gives the same verdict on
-every table and that ``hvlab.bell._ns_lp`` builds the same ``LpProblem``
-(same rows in the same order, so the same pivots).  The no-signalling
+every table and that ``hvlab.bell.ns_bound``, now an LP in Collins-Gisin
+coordinates, gives this equality-pair LP's optimum.  The equality-pair LP
+also keeps the solver's phase one under test, since its negated
+normalisation rows need artificials.  The no-signalling
 check that summed each marginal through ``hvlab.boxes.marginal`` is kept
 too, so that the index-arithmetic ``hvlab.boxes.is_no_signalling`` must
 give the same verdict and the same witness.

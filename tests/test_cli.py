@@ -1,7 +1,11 @@
 """Command-line behavior: reports, exit codes, JSON mode, robustness."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +285,43 @@ def test_catalog_list_and_show(capsys):
     assert report["p"]["0|1"][0][0] == "1/4+1/8*sqrt2"
     code, _, err = run(capsys, "catalog", "show", "nope")
     assert code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+
+def test_closed_stdout_ends_quietly_with_141(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["catalog", "list"])
+    err = capsys.readouterr().err
+    assert code == 141
+    assert "unexpected error" not in err
+
+
+def test_closed_stdout_pipe_in_a_fresh_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "hvlab.cli", "catalog", "list"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == ""  # no "unexpected error", no ignored exception at exit
 
 
 def test_demo_appendix_a(capsys):

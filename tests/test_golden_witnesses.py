@@ -3,19 +3,23 @@
 The simplex skips terms with a zero factor; that must change no pivot, so
 the primal vector, the duals and the decomposition support below stay
 exactly as first recorded.  A skip that altered pivot order would still
-give the same optimum but a different vertex or dual vector.
+give the same optimum but a different vertex or dual vector.  The
+no-signalling LP is pinned twice: as hvlab builds it, in Collins-Gisin
+coordinates, and as the equality-pair reference builds it, whose negated
+rows give the solver a phase one to pivot through.
 """
 
 import random
 from fractions import Fraction
 
 from helpers import random_ns_behavior
-from hvlab.bell import BellExpression, _ns_lp, chsh
+from hvlab.bell import BellExpression, _ns_lp, chsh, ns_bound
 from hvlab.boxes import Behavior, LabelSet, deterministic_behavior, mix
 from hvlab.catalog import table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
 from hvlab.simplex import LpSolution, check_certificate, solve_lp
+from reference_scenario import ns_lp
 
 A = "1/4-1/8*sqrt2"
 
@@ -33,10 +37,20 @@ def test_table1_content_lp_solution():
 
 
 def test_chsh_ns_lp_solution():
-    solution = solve_lp(_ns_lp(chsh()))
+    solution = solve_lp(ns_lp(chsh()))
     assert solution.q == _scalars("1/2 0 0 1/2 0 1/2 1/2 0 1/2 0 0 1/2 1/2 0 0 1/2".split())
     assert solution.dual == _scalars(["1", "0", "1", "0", "1", "0", "1", "0"] + ["0"] * 16)
     assert solution.value == parse_scalar("4")
+
+
+def test_chsh_collins_gisin_ns_lp_solution():
+    problem = _ns_lp(chsh())
+    solution = solve_lp(problem)
+    assert solution.q == _scalars("1/2 1/2 1/2 1/2 1/2 0 1/2 1/2".split())
+    assert solution.dual == _scalars("0 2 2 0 0 0 0 2 0 2 2 0 0 2 2 0".split())
+    # The LP value plus the expression's constant part, 2.
+    assert solution.value == parse_scalar("2")
+    assert check_certificate(problem, solution)
 
 
 def _box_3322() -> Behavior:
@@ -130,14 +144,18 @@ def test_3333_sqrt2_content_lp_solution():
     assert check_certificate(problem, solution)
 
 
-def test_3322_sqrt2_ns_lp_solution():
+def _expression_3322() -> BellExpression:
     settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
     coefficients = _scalars(
         "1 -1*sqrt2 -1*sqrt2 1 -1 -1*sqrt2 1*sqrt2 1/2 -1*sqrt2 0 -1*sqrt2 0 "
         "1*sqrt2 -1 -1*sqrt2 1 1 1/2 1*sqrt2 -1*sqrt2 -1*sqrt2 1*sqrt2 1*sqrt2 1/2 "
         "1 1 1/2 1 -1*sqrt2 1*sqrt2 1/2 0 1/2 0 1 -1*sqrt2".split()
     )
-    problem = _ns_lp(BellExpression(settings, settings, outcomes, outcomes, coefficients))
+    return BellExpression(settings, settings, outcomes, outcomes, coefficients)
+
+
+def test_3322_sqrt2_ns_lp_solution():
+    problem = ns_lp(_expression_3322())
     solution = solve_lp(problem)
     assert solution.q == _scalars("0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0".split())
     dual = ["0"] * 66
@@ -160,3 +178,26 @@ def test_3322_sqrt2_ns_lp_solution():
     assert solution.dual == _scalars(dual)
     assert solution.value == parse_scalar("9/2+2*sqrt2")
     assert check_certificate(problem, solution)
+
+
+def test_3322_sqrt2_collins_gisin_ns_lp_solution():
+    problem = _ns_lp(_expression_3322())
+    solution = solve_lp(problem)
+    assert solution.q == _scalars("0 0 0 0 1 1 0 0 0 0 0 0 0 0 0".split())
+    dual = ["0"] * 36
+    for i, value in {
+        1: "-1/2+2*sqrt2",
+        2: "5/2",
+        13: "2",
+        14: "2*sqrt2",
+        19: "-1/2+1*sqrt2",
+        23: "1/2+1*sqrt2",
+        25: "1/2",
+        31: "1/2+2*sqrt2",
+    }.items():
+        dual[i] = value
+    assert solution.dual == _scalars(dual)
+    # The LP value plus the expression's constant part, 4-2*sqrt2.
+    assert solution.value == parse_scalar("1/2+4*sqrt2")
+    assert check_certificate(problem, solution)
+    assert ns_bound(_expression_3322()) == parse_scalar("9/2+2*sqrt2")

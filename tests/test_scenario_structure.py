@@ -32,6 +32,7 @@ from hvlab.hvmodel import check_locality
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
 from reference_scenario import is_deterministic_vertex, marginal_is_no_signalling, ns_lp
+from reference_simplex import reference_solve_lp
 
 
 def _spaces(na: int, nb: int, nx: int, ny: int) -> tuple[LabelSet, ...]:
@@ -215,12 +216,58 @@ def test_no_signalling_check_refuses_an_invalid_box_as_the_reference_does():
     ids=["small", "chsh", "3223", "1332", "3333"],
 )
 def test_ns_lp_equals_the_reference(spaces):
+    """The Collins-Gisin LP and the equality-pair reference LP have the
+    same optimum."""
     rng = random.Random(7)
     values = (ZERO, ONE, -ONE, HALF, SQRT2, -SQRT2)
     size = prod(len(space) for space in spaces)
     expression = BellExpression(*spaces, tuple(rng.choice(values) for _ in range(size)))
-    problem, reference = _ns_lp(expression), ns_lp(expression)
-    assert (problem.c, problem.A, problem.b) == (reference.c, reference.A, reference.b)
+    assert ns_bound(expression) == reference_solve_lp(ns_lp(expression)).value
+
+
+_COEFFICIENTS = (ZERO, ONE, -ONE, HALF, -HALF, SQRT2, -SQRT2)
+
+
+@st.composite
+def _expressions(draw):
+    """Expressions on up to three settings and outcomes per side, often
+    with one setting or one outcome on a side (no Collins-Gisin marginal
+    variables for that side when it has one outcome)."""
+    counts = [draw(st.sampled_from((1, 1, 2, 3))) for _ in range(4)]
+    size = prod(counts)
+    return BellExpression(*_spaces(*counts), tuple(draw(st.sampled_from(_COEFFICIENTS)) for _ in range(size)))
+
+
+@given(_expressions())
+@settings(max_examples=150, deadline=None)
+def test_ns_bound_equals_the_equality_pair_optimum(expression):
+    assert ns_bound(expression) == reference_solve_lp(ns_lp(expression)).value
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [((2, 2, 2, 2), (16, 8)), ((3, 3, 2, 2), (36, 15)), ((5, 5, 2, 2), (100, 35)), ((2, 3, 1, 3), (18, 6))],
+)
+def test_ns_constraints_have_one_row_per_cell(shape, size):
+    matrix, rhs = _ns_constraints(_spaces(*shape))
+    assert (len(matrix), matrix.width) == size
+    assert all(v in (ZERO, ONE) for v in rhs)
+    assert all(v in (ZERO, ONE, -ONE) for row in matrix for v in row)
+
+
+@given(_perturbed_boxes())
+@settings(max_examples=100, deadline=None)
+def test_collins_gisin_rows_give_back_every_no_signalling_box(box):
+    """b - A.q, with q read off the box, is the box's table exactly when
+    the box does not signal."""
+    matrix, rhs = _ns_constraints(box.spaces)
+    na, nb, nx, ny = (len(space) for space in box.spaces)
+    alice = [sum((box.at(ia, 0, ix, iy) for iy in range(ny)), ZERO) for ia in range(na) for ix in range(nx - 1)]
+    bob = [sum((box.at(0, ib, ix, iy) for ix in range(nx)), ZERO) for ib in range(nb) for iy in range(ny - 1)]
+    joint = [box.at(ia, ib, ix, iy) for ia, ib, ix, iy in product(range(na), range(nb), range(nx - 1), range(ny - 1))]
+    q = alice + bob + joint
+    cells = tuple(bound - sum((a * v for a, v in zip(row, q)), ZERO) for row, bound in zip(matrix, rhs))
+    assert (cells == box.table) == is_no_signalling(box)[0]
 
 
 def test_expressions_on_equal_spaces_share_one_constraint_matrix():

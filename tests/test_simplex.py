@@ -24,6 +24,7 @@ from hvlab.simplex import (
     check_certificate,
     solve_lp,
 )
+from reference_scenario import ns_lp
 from reference_simplex import reference_solve_lp
 
 
@@ -253,18 +254,31 @@ def test_solutions_match_the_scalar_tableau_reference(problem):
 
 
 @st.composite
-def _ns_problems(draw):
-    """No-signalling LPs of expressions with 0, +-1 and +-sqrt2
-    coefficients on up to two settings and three outcomes per side."""
+def _ns_problems(draw, build=_ns_lp):
+    """No-signalling LPs, as ``build`` writes them, of expressions with 0,
+    +-1 and +-sqrt2 coefficients on up to two settings and three outcomes
+    per side."""
     na, nb, nx, ny = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     labels = [LabelSet(tuple(f"{name}{i}" for i in range(k))) for name, k in zip("abxy", (na, nb, nx, ny))]
     cell = st.sampled_from((ZERO, ONE, -ONE, SQRT2, -SQRT2))
-    return _ns_lp(BellExpression(*labels, tuple(draw(cell) for _ in range(na * nb * nx * ny))))
+    return build(BellExpression(*labels, tuple(draw(cell) for _ in range(na * nb * nx * ny))))
 
 
 @given(_ns_problems())
 @settings(max_examples=40, deadline=None)
 def test_ns_lps_match_the_scalar_tableau_reference(problem):
+    solution = solve_lp(problem)
+    assert solution == reference_solve_lp(problem)
+    assert solution.status == OPTIMAL
+    assert check_certificate(problem, solution)
+
+
+@given(_ns_problems(build=ns_lp))
+@settings(max_examples=40, deadline=None)
+def test_equality_pair_ns_lps_match_the_scalar_tableau_reference(problem):
+    # Every normalisation row comes with its negation, whose right-hand
+    # side -1 needs an artificial: phase one and the drive-out run.
+    assert any(v.sign() < 0 for v in problem.b)
     solution = solve_lp(problem)
     assert solution == reference_solve_lp(problem)
     assert solution.status == OPTIMAL
