@@ -3,16 +3,25 @@
 An expression is a :class:`~hvlab.boxes.Tensor` read as coefficients
 c(a,b,x,y), so it shares a behavior's spaces and row-major table layout;
 its value on a box is the full contraction.  The local bound is a
-best-response search: it walks Alice's |X|^|A| output tables, and for
-each one Bob's best reply splits into one independent choice per
-setting, so it costs |X|^|A| * |B| * |Y| * |A| exact additions and no
-multiplication (spaces past ``boxes.STRATEGY_BUDGET`` total strategies
-are still refused).  The no-signalling bound is an exact LP over the
-no-signalling polytope in Collins-Gisin coordinates (Collins and Gisin,
-J. Phys. A 37, 1775 (2004)): the marginals and joint probabilities of
-every outcome but the last, one inequality per table cell and no
-equalities, so the slack basis is feasible and the solver needs no phase
-one.  Its value is returned only once its certificate checks.
+best-response search on the table written as Python ints over one
+common denominator (:func:`_best_response`, which takes a plain table so
+that other searches can call it): it walks Alice's |X|^|A| output tables
+depth-first, and for each one Bob's best reply splits into one
+independent choice per setting.  The sum over Alice's settings is kept
+for every depth, so a table costs about |B| * |Y| int additions (a
+vector of them, twice that with sqrt2 parts) and as many comparisons,
+and one Scalar is built for the answer; spaces past
+``boxes.STRATEGY_BUDGET`` total strategies are refused before anything
+is built.  At that budget (four settings and four outcomes per side, or
+eight and two) a search takes 2-4 ms with Python 3.11 on a shared 2-core
+host, against 15-46 ms with a Scalar addition per step.
+
+The no-signalling bound is an exact LP over the no-signalling polytope
+in Collins-Gisin coordinates (Collins and Gisin, J. Phys. A 37, 1775
+(2004)): the marginals and joint probabilities of every outcome but the
+last, one inequality per table cell and no equalities, so the slack
+basis is feasible and the solver needs no phase one.  Its value is
+returned only once its certificate checks.
 
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
@@ -30,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import add
+from typing import Iterator, Sequence
 
 from .boxes import (
     CACHED_SPACES,
@@ -41,7 +52,7 @@ from .boxes import (
     deterministic_behavior,
 )
 from .errors import LpFailure, SpaceMismatch
-from .scalar import ONE, ZERO, Scalar, as_scalar, compare
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar
 from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
 
 
@@ -99,44 +110,97 @@ def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrate
     """Exact maximum over all deterministic local strategies.
 
     Ties are broken by the first strategy in lexicographic order of the
-    (Alice, Bob) output tables, so the witness is deterministic.  The
-    search keeps that witness: Alice's tables are walked in order and a
-    total replaces the best only when strictly greater, and Bob's best
-    replies to one table form a product over his settings, whose first
-    element takes the first maximising outcome at each setting.
+    (Alice, Bob) output tables, so the witness is deterministic; see
+    :func:`_best_response`, which searches the table written as ints over
+    one common denominator.
     """
     _strategy_count(expression.spaces)
-    settings_a, settings_b, outcomes_x, outcomes_y = expression.spaces
-    nx = len(outcomes_x)
-    # gains[ib][iy][ia][ix] = c(a, b, x, y)
-    gains = [
-        [
-            [tuple(expression.at(ia, ib, ix, iy) for ix in range(nx)) for ia in range(len(settings_a))]
-            for iy in range(len(outcomes_y))
-        ]
-        for ib in range(len(settings_b))
-    ]
-    best_value: Scalar | None = None
-    best_tables: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for xs in product(range(nx), repeat=len(settings_a)):
-        total = ZERO
-        ys = []
-        for by_outcome in gains:
-            reply_value: Scalar | None = None
-            for iy, by_setting in enumerate(by_outcome):
-                value = ZERO
-                for row, ix in zip(by_setting, xs):
-                    value = value + row[ix]
-                if reply_value is None or compare(value, reply_value) > 0:
-                    reply_value, reply = value, iy
-            total = total + reply_value
-            ys.append(reply)
-        if best_value is None or compare(total, best_value) > 0:
-            best_value, best_tables = total, (xs, tuple(ys))
-    xs, ys = best_tables
-    return best_value, DeterministicStrategy(
+    ps, qs, den = _common_denominator(expression.table)
+    p, q, xs, ys = _best_response(tuple(map(len, expression.spaces)), ps, qs)
+    _, _, outcomes_x, outcomes_y = expression.spaces
+    return _reduced(p, q, den), DeterministicStrategy(
         tuple(outcomes_x.labels[ix] for ix in xs), tuple(outcomes_y.labels[iy] for iy in ys)
     )
+
+
+def _best_response(
+    shape: tuple[int, int, int, int], ps: Sequence[int], qs: Sequence[int]
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The best deterministic strategy for a plain table: ``shape`` is
+    (|A|, |B|, |X|, |Y|) and cell i of the row-major (a, b, x, y) table is
+    ``ps[i] + qs[i]*sqrt2``.  Returns the strategy's value as ints (p, q),
+    meaning p + q*sqrt2, and its output indices (xs, ys) per setting.
+
+    Alice's output tables are walked in lexicographic order, and Bob's
+    best reply to one splits into one independent choice per setting,
+    whose first maximising outcome is taken; a total replaces the best
+    only when strictly greater, so the strategy is the lexicographically
+    first maximiser.  A table with no sqrt2 part is searched in plain
+    ints; otherwise each value is a (p, q) pair compared by the exact
+    sign of the difference.
+    """
+    na, nb, nx, ny = shape
+    width = nb * ny
+    rational = not any(qs)
+    # columns[a][x] lists c(a, b, x, y) for every Bob (b, y), b-major, the
+    # sqrt2 parts after the rational ones when the table has any.
+    parts = (ps,) if rational else (ps, qs)
+    columns = [
+        [
+            [part[((a * nb + b) * nx + x) * ny + y] for part in parts for b in range(nb) for y in range(ny)]
+            for x in range(nx)
+        ]
+        for a in range(na)
+    ]
+    starts = range(0, width, ny)
+    best: tuple[int, int, tuple[int, ...], tuple[int, ...]] | None = None
+    for xs, sums in _alice_tables(columns):
+        if rational:
+            replies = [sums[i : i + ny] for i in starts]
+            total = sum(map(max, replies))
+            if best is None or total > best[0]:
+                best = total, 0, tuple(xs), tuple(reply.index(max(reply)) for reply in replies)
+            continue
+        total_p = total_q = 0
+        ys = []
+        for i in starts:
+            iy, bp, bq = i, sums[i], sums[width + i]
+            for j in range(i + 1, i + ny):
+                if _sign(sums[j] - bp, sums[width + j] - bq) > 0:
+                    iy, bp, bq = j, sums[j], sums[width + j]
+            total_p += bp
+            total_q += bq
+            ys.append(iy - i)
+        if best is None or _sign(total_p - best[0], total_q - best[1]) > 0:
+            best = total_p, total_q, tuple(xs), tuple(ys)
+    return best
+
+
+def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], list[int]]]:
+    """Every output table xs of Alice, in lexicographic order, with the
+    sum of columns[a][xs[a]] over her settings a.
+
+    Depth-first: the partial sum over the settings fixed so far is kept
+    for every depth, so moving to the next table adds one column for each
+    setting that changed, on average little more than one per table.  The
+    yielded list xs is reused; copy it to keep it.
+    """
+    na, nx = len(columns), len(columns[0])
+    xs = [0] * na
+    sums = [[0] * len(columns[0][0])]
+    for a in range(na):
+        sums.append(list(map(add, sums[a], columns[a][0])))
+    while True:
+        yield xs, sums[na]
+        a = na - 1
+        while xs[a] == nx - 1:
+            xs[a] = 0
+            a -= 1
+            if a < 0:
+                return
+        xs[a] += 1
+        for k in range(a, na):
+            sums[k + 1] = list(map(add, sums[k], columns[k][xs[k]]))
 
 
 def _ns_lp(expression: BellExpression) -> LpProblem:
@@ -145,18 +209,20 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
 
     Cell i of the table is b_i - A_i.q, so the expression is
     c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
-    of ``A``: every entry is +-1, so a coefficient is added or subtracted.
+    of ``A``: every entry is +-1, so a coefficient is added or subtracted,
+    in ints over the table's common denominator.
     """
     constraints, rhs = _ns_constraints(expression.spaces)
-    coefficients = expression.table
+    ps, qs, den = _common_denominator(expression.table)
     objective = []
     for column in constraints.columns:
-        total = ZERO
+        p = q = 0
         for i, entry in column:
-            coefficient = coefficients[i]
-            if not coefficient.is_zero():
-                total = total - coefficient if entry == ONE else total + coefficient
-        objective.append(total)
+            if entry == ONE:
+                p, q = p - ps[i], q - qs[i]
+            else:
+                p, q = p + ps[i], q + qs[i]
+        objective.append(_reduced(p, q, den))
     return LpProblem(tuple(objective), constraints, rhs)
 
 

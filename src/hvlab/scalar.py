@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Iterable
 
 from .errors import DivisionByZero, MalformedScalar, ZeroDenominator
 
@@ -256,6 +257,15 @@ def _reduced(p: int, q: int, d: int) -> Scalar:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _canonical(p, q, d)
+
+
+def _common_denominator(values: Iterable[Scalar]) -> tuple[list[int], list[int], int]:
+    """The values as ints ``(ps, qs, den)``: value i is
+    ``(ps[i] + qs[i]*sqrt2) / den``, where den is the lcm of their
+    denominators (1 for no values)."""
+    triples = [v._v for v in values]
+    den = lcm(*{d for _, _, d in triples})
+    return [p * (den // d) for p, _, d in triples], [q * (den // d) for _, q, d in triples], den
 
 
 def _sign(p: int, q: int) -> int:

@@ -52,7 +52,8 @@ On optimal termination the reduced costs of the slack columns provide
 the dual vector, giving an exact strong-duality certificate that
 :func:`check_certificate` verifies by plain Scalar arithmetic,
 independent of the pivoting code: A.q from the columns of
-q's support and y.A column by column, checking every row and column.
+q's support and y.A column by column, checking every row and column,
+with a +-1 entry adding or subtracting as is.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix
-from .scalar import ONE, ZERO, Scalar, _reduced, _sign, compare, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, compare, format_scalar
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -190,10 +191,9 @@ class _Tableau:
 
     def set_objective(self, cost: Sequence[Scalar]) -> None:
         """Write -c into rows P and Q and price out the current basis."""
-        triples = [c._v for c in cost]
-        d = lcm(*{cd for _, _, cd in triples})
+        ps, qs, d = _common_denominator(cost)
         m = len(self.basis)
-        self.rows[m:] = [[-p * (d // cd) for p, _, cd in triples], [-q * (d // cd) for _, q, cd in triples]]
+        self.rows[m:] = [[-p for p in ps], [-q for q in qs]]
         self.rp[m:] = self.rq[m:] = [0, 0]
         self.den[m:] = [d, d]
         # Basic column bi holds den[i] > 0 in row i and zeros in the other constraint rows.
@@ -367,6 +367,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
 
 
+_MINUS_ONE = -ONE
+
+
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     """Verify the strong-duality certificate by direct arithmetic.
 
@@ -388,11 +391,17 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     if any(v.sign() < 0 for _, v in support) or any(w.sign() < 0 for w in weights if w is not None):
         return False
     # A.q, one Scalar sum per row, from the columns of q's support.  Both
-    # LPs' matrices are mostly ones, and a unit entry adds the value as is.
+    # LPs' matrices are all 0 and +-1, and a unit entry adds or subtracts
+    # the value as is.
     lhs = [ZERO] * m
     for j, v in support:
         for i, a in problem.A.columns[j]:
-            lhs[i] = lhs[i] + (v if a == ONE else a * v)
+            if a == ONE:
+                lhs[i] = lhs[i] + v
+            elif a == _MINUS_ONE:
+                lhs[i] = lhs[i] - v
+            else:
+                lhs[i] = lhs[i] + a * v
     if any(compare(total, bound) > 0 for total, bound in zip(lhs, problem.b)):
         return False
     # y.A, column by column, over y's nonzero entries.
@@ -400,8 +409,14 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         total = ZERO
         for i, a in column:
             w = weights[i]
-            if w is not None:
-                total = total + (w if a == ONE else w * a)
+            if w is None:
+                continue
+            if a == ONE:
+                total = total + w
+            elif a == _MINUS_ONE:
+                total = total - w
+            else:
+                total = total + w * a
         if compare(total, cj) < 0:
             return False
     primal_value = ZERO

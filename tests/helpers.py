@@ -50,6 +50,12 @@ OVERSIZED_SPACES = (
 )
 
 
+def numbered_spaces(na: int, nb: int, nx: int, ny: int) -> tuple[LabelSet, ...]:
+    """Spaces with the given numbers of settings and outcomes per side,
+    labelled a0, a1, ..., b0, ..., x0, ..., y0, ..."""
+    return tuple(LabelSet(tuple(f"{name}{i}" for i in range(k))) for name, k in zip("abxy", (na, nb, nx, ny)))
+
+
 # -- plain random.Random generators (for counted randomized suites) ---------
 
 

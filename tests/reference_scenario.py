@@ -10,12 +10,15 @@ also keeps the solver's phase one under test, since its negated
 normalisation rows need artificials.  The no-signalling
 check that summed each marginal through ``hvlab.boxes.marginal`` is kept
 too, so that the index-arithmetic ``hvlab.boxes.is_no_signalling`` must
-give the same verdict and the same witness.
+give the same verdict and the same witness.  The Collins-Gisin builder
+that summed each objective coefficient in Scalars is kept too, so that
+``hvlab.bell._ns_lp``, which sums in ints over one common denominator,
+must build the same ``LpProblem``.
 """
 
 from __future__ import annotations
 
-from hvlab.bell import BellExpression
+from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import Behavior, NsWitness, is_no_signalling, marginal, require_valid_behavior, validate_behavior
 from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import LpProblem
@@ -91,3 +94,24 @@ def marginal_is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | Non
                 if reference[y] != other[y]:
                     return False, NsWitness("bob", b, a_ref, a, y, reference[y], other[y])
     return True, None
+
+
+def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
+    """LP over the Collins-Gisin coordinates q maximising the expression
+    less its constant part; see ``hvlab.bell._ns_constraints``.
+
+    Cell i of the table is b_i - A_i.q, so the expression is
+    c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
+    of ``A``: every entry is +-1, so a coefficient is added or subtracted.
+    """
+    constraints, rhs = _ns_constraints(expression.spaces)
+    coefficients = expression.table
+    objective = []
+    for column in constraints.columns:
+        total = ZERO
+        for i, entry in column:
+            coefficient = coefficients[i]
+            if not coefficient.is_zero():
+                total = total - coefficient if entry == ONE else total + coefficient
+        objective.append(total)
+    return LpProblem(tuple(objective), constraints, rhs)

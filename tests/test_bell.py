@@ -1,19 +1,22 @@
 """Bell functionals: evaluation, bounds and the CHSH instance."""
 
+import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import CHSH_SPACES, ns_behaviors, valid_behaviors
+from helpers import CHSH_SPACES, OVERSIZED_SPACES, numbered_spaces, ns_behaviors, valid_behaviors
 import hvlab.bell
-from hvlab.bell import BellExpression, chsh, evaluate, local_bound, ns_bound
-from hvlab.boxes import LabelSet, deterministic_behavior, mix
+from hvlab.bell import BellExpression, _best_response, chsh, evaluate, local_bound, ns_bound
+from hvlab.boxes import STRATEGY_BUDGET, LabelSet, _strategy_count, deterministic_behavior, mix
 from hvlab.catalog import pr_box, table1_box
-from hvlab.errors import LpFailure, SpaceMismatch, UnknownSetting
-from hvlab.scalar import ONE, ZERO, Scalar, parse_scalar
+from hvlab.errors import LpFailure, SizeBudgetExceeded, SpaceMismatch, UnknownSetting
+from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
 from hvlab.simplex import LpSolution, solve_lp
+from reference_local_bound import local_bound as reference_local_bound
 
 
 def _zero_expression() -> BellExpression:
@@ -90,6 +93,13 @@ def test_local_bound_single_setting_correlator():
     )
     bound, _ = local_bound(e)
     assert bound == ONE
+
+
+def test_local_bound_of_a_table_with_no_rational_part():
+    e = BellExpression(*CHSH_SPACES, tuple(SQRT2 * c for c in chsh().table))
+    bound, strategy = local_bound(e)
+    assert bound == parse_scalar("2*sqrt2")
+    assert evaluate(e, strategy.to_behavior(e.spaces)) == bound
 
 
 def test_ns_bound_of_chsh_is_four_attained_by_pr():
@@ -204,3 +214,101 @@ def _tie_prone_expressions(draw):
 def test_local_bound_matches_the_lexicographic_reference(e):
     value, strategy = local_bound(e)
     assert (value, strategy.outputs_a, strategy.outputs_b) == _reference_local_bound(e)
+
+
+# -- the int best-response kernel against the Scalar search it replaced ------
+
+
+def _pell(k: int) -> tuple[int, int]:
+    """The k-th solution of p*p - 2*q*q = +-1, so p - q*sqrt2 is about
+    1/(2*p) while p and q have about 0.38*k digits."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+_P1, _Q1 = _pell(1045)
+_P2, _Q2 = _pell(1046)
+# Unit-sized values with mixed denominators, values near 10**400 and values
+# of about 10**-400 whose components near 10**400 nearly cancel.
+_BASES = (
+    ONE,
+    Scalar(Fraction(1, 3)),
+    Scalar(Fraction(-1, 7)),
+    Scalar(0, Fraction(1, 5)),
+    Scalar(10**400),
+    Scalar(10**400, Fraction(-1, 5)),
+    Scalar(_P1, -_Q1),
+    Scalar(Fraction(_P2, 3), Fraction(-_Q2, 3)),
+    Scalar(-(_P1 * _P2), _Q1 * _Q2),
+)
+_cells = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from(_BASES)), min_size=1, max_size=2
+).map(lambda terms: sum((k * base for k, base in terms), ZERO))
+
+
+@st.composite
+def _wide_range_expressions(draw):
+    """Up to three settings and outcomes per side, often one, at most 729
+    strategies; cells from ``_cells``."""
+    counts = [draw(st.sampled_from((1, 1, 2, 3))) for _ in range(4)]
+    na, nb, nx, ny = counts
+    assume(nx**na * ny**nb <= 729)
+    size = na * nb * nx * ny
+    return BellExpression(*numbered_spaces(*counts), tuple(draw(st.lists(_cells, min_size=size, max_size=size))))
+
+
+@given(_wide_range_expressions())
+@settings(max_examples=150, deadline=None)
+def test_local_bound_matches_the_scalar_search(e):
+    assert local_bound(e) == reference_local_bound(e)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4, 4), (8, 8, 2, 2)], ids=["4444", "8822"])
+@pytest.mark.parametrize("kind", ["ties", "rational", "sqrt2"])
+def test_local_bound_at_the_strategy_budget_matches_the_scalar_search(shape, kind):
+    spaces = numbered_spaces(*shape)
+    assert _strategy_count(spaces) == STRATEGY_BUDGET
+    rng = random.Random(f"{shape}{kind}")
+    if kind == "ties":
+        pool = (ZERO, ONE, -ONE)
+    elif kind == "rational":
+        pool = (ZERO, ONE, -ONE, Scalar(Fraction(1, 3)), Scalar(Fraction(-2, 7)), Scalar(10**400))
+    else:
+        pool = (ZERO, ONE, -ONE, SQRT2, Scalar(0, Fraction(-1, 5)), Scalar(_P1, -_Q1))
+    e = BellExpression(*spaces, tuple(rng.choice(pool) for _ in range(256)))
+    assert local_bound(e) == reference_local_bound(e)
+
+
+@st.composite
+def _int_tables(draw):
+    counts = [draw(st.integers(1, 3)) for _ in range(4)]
+    na, nb, nx, ny = counts
+    assume(nx**na * ny**nb <= 729)
+    size = na * nb * nx * ny
+    ps = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+    qs = draw(st.one_of(st.just([0] * size), st.lists(st.integers(-5, 5), min_size=size, max_size=size)))
+    return tuple(counts), ps, qs
+
+
+@given(_int_tables())
+@settings(max_examples=100, deadline=None)
+def test_best_response_on_a_plain_table_matches_local_bound(table):
+    shape, ps, qs = table
+    p, q, xs, ys = _best_response(shape, ps, qs)
+    spaces = numbered_spaces(*shape)
+    value, strategy = local_bound(BellExpression(*spaces, tuple(map(Scalar, ps, qs))))
+    assert Scalar(p, q) == value
+    assert tuple(spaces[2].labels[ix] for ix in xs) == strategy.outputs_a
+    assert tuple(spaces[3].labels[iy] for iy in ys) == strategy.outputs_b
+
+
+def test_local_bound_refuses_past_the_budget_before_building_anything(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("local_bound built its table before the budget check")
+
+    monkeypatch.setattr(hvlab.bell, "_common_denominator", unreachable)
+    monkeypatch.setattr(hvlab.bell, "_best_response", unreachable)
+    with pytest.raises(SizeBudgetExceeded):
+        local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))

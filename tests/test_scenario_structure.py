@@ -13,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CHSH_SPACES, OVERSIZED_SPACES, SMALL_SPACES, WIDE_SPACES, ns_behaviors, random_ns_behavior
+from helpers import (
+    CHSH_SPACES,
+    OVERSIZED_SPACES,
+    SMALL_SPACES,
+    WIDE_SPACES,
+    numbered_spaces,
+    ns_behaviors,
+    random_ns_behavior,
+)
 from hvlab.bell import BellExpression, _ns_constraints, _ns_lp, chsh, ns_bound
-from hvlab.boxes import CACHED_SPACES, Behavior, LabelSet, deterministic_behavior, is_no_signalling
+from hvlab.boxes import CACHED_SPACES, Behavior, deterministic_behavior, is_no_signalling
 from hvlab.catalog import noise_box, pr_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
@@ -31,12 +39,8 @@ from hvlab.errors import InvalidBehavior, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
-from reference_scenario import is_deterministic_vertex, marginal_is_no_signalling, ns_lp
+from reference_scenario import collins_gisin_ns_lp, is_deterministic_vertex, marginal_is_no_signalling, ns_lp
 from reference_simplex import reference_solve_lp
-
-
-def _spaces(na: int, nb: int, nx: int, ny: int) -> tuple[LabelSet, ...]:
-    return tuple(LabelSet(tuple(f"{name}{i}" for i in range(k))) for name, k in zip("abxy", (na, nb, nx, ny)))
 
 
 # -- cached vertices -----------------------------------------------------------
@@ -49,18 +53,18 @@ def test_cache_sizes_are_the_module_constant():
 
 
 def test_equal_spaces_built_separately_share_one_vertex_tuple():
-    first = enumerate_local_vertices(_spaces(2, 3, 2, 2))
-    second = enumerate_local_vertices(_spaces(2, 3, 2, 2))
+    first = enumerate_local_vertices(numbered_spaces(2, 3, 2, 2))
+    second = enumerate_local_vertices(numbered_spaces(2, 3, 2, 2))
     assert first is second
     assert all(a is b for a, b in zip(first, second))
 
 
 def test_a_list_of_label_sets_is_accepted():
-    spaces = _spaces(3, 2, 2, 2)
+    spaces = numbered_spaces(3, 2, 2, 2)
     assert enumerate_local_vertices(list(spaces)) is enumerate_local_vertices(spaces)
 
 
-@pytest.mark.parametrize("spaces", [SMALL_SPACES, CHSH_SPACES, _spaces(3, 2, 2, 3)])
+@pytest.mark.parametrize("spaces", [SMALL_SPACES, CHSH_SPACES, numbered_spaces(3, 2, 2, 3)])
 def test_vertices_are_the_lexicographic_strategy_behaviors(spaces):
     settings_a, settings_b, outcomes_x, outcomes_y = spaces
     expected = tuple(
@@ -80,10 +84,10 @@ def test_both_budgets_refuse_on_every_call():
 
 
 def test_evicted_spaces_are_rebuilt_equal():
-    spaces = _spaces(1, 3, 2, 2)
+    spaces = numbered_spaces(1, 3, 2, 2)
     before = enumerate_local_vertices(spaces)
     for k in range(CACHED_SPACES):
-        enumerate_local_vertices(_spaces(1, 1, 2, k + 2))
+        enumerate_local_vertices(numbered_spaces(1, 1, 2, k + 2))
     assert enumerate_local_vertices(spaces) == before
 
 
@@ -96,7 +100,9 @@ def _transposed_problem(box, vertices):
     return LpProblem((ONE,) * len(vertices), rows, box.table)
 
 
-@pytest.mark.parametrize("spaces", [SMALL_SPACES, CHSH_SPACES, _spaces(3, 2, 2, 3)], ids=["small", "chsh", "3223"])
+@pytest.mark.parametrize(
+    "spaces", [SMALL_SPACES, CHSH_SPACES, numbered_spaces(3, 2, 2, 3)], ids=["small", "chsh", "3223"]
+)
 def test_content_lp_uses_the_matrix_built_with_the_vertices(spaces):
     box = random_ns_behavior(random.Random(3), spaces)
     vertices = enumerate_local_vertices(spaces)
@@ -112,7 +118,7 @@ def test_content_lp_uses_the_matrix_built_with_the_vertices(spaces):
     ids=["reversed", "every-third", "copy", "first", "empty"],
 )
 def test_content_lp_on_a_caller_built_vertex_tuple(pick):
-    box = random_ns_behavior(random.Random(4), _spaces(2, 3, 2, 2))
+    box = random_ns_behavior(random.Random(4), numbered_spaces(2, 3, 2, 2))
     cached = enumerate_local_vertices(box.spaces)
     vertices = pick(cached)
     problem = content_lp_problem(box, vertices)
@@ -154,7 +160,7 @@ def _near_vertices(draw):
         else:
             table[start + other] = draw(st.sampled_from(_CELL_VALUES))
     shape = draw(st.sampled_from(((na, nb, nx, ny), (na, nb, ny, nx), (nb, na, nx, ny))))
-    return Behavior(*_spaces(*shape), tuple(table))
+    return Behavior(*numbered_spaces(*shape), tuple(table))
 
 
 @given(_near_vertices())
@@ -182,7 +188,7 @@ def _perturbed_boxes(draw):
     block: a valid box that generically signals.  A move takes a
     fraction 1/2, 1/sqrt2 or 1 of a cell, so cells can carry sqrt2 parts."""
     counts = [draw(st.sampled_from((1, 2, 2, 3))) for _ in range(2)] + [draw(st.integers(1, 3)) for _ in range(2)]
-    box = draw(ns_behaviors(spaces=_spaces(*counts)))
+    box = draw(ns_behaviors(spaces=numbered_spaces(*counts)))
     table = list(box.table)
     block = len(box.outcomes_x) * len(box.outcomes_y)
     for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
@@ -212,7 +218,7 @@ def test_no_signalling_check_refuses_an_invalid_box_as_the_reference_does():
 
 @pytest.mark.parametrize(
     "spaces",
-    [SMALL_SPACES, CHSH_SPACES, _spaces(3, 2, 2, 3), _spaces(1, 3, 3, 2), _spaces(3, 3, 3, 3)],
+    [SMALL_SPACES, CHSH_SPACES, numbered_spaces(3, 2, 2, 3), numbered_spaces(1, 3, 3, 2), numbered_spaces(3, 3, 3, 3)],
     ids=["small", "chsh", "3223", "1332", "3333"],
 )
 def test_ns_lp_equals_the_reference(spaces):
@@ -235,7 +241,7 @@ def _expressions(draw):
     variables for that side when it has one outcome)."""
     counts = [draw(st.sampled_from((1, 1, 2, 3))) for _ in range(4)]
     size = prod(counts)
-    return BellExpression(*_spaces(*counts), tuple(draw(st.sampled_from(_COEFFICIENTS)) for _ in range(size)))
+    return BellExpression(*numbered_spaces(*counts), tuple(draw(st.sampled_from(_COEFFICIENTS)) for _ in range(size)))
 
 
 @given(_expressions())
@@ -249,7 +255,7 @@ def test_ns_bound_equals_the_equality_pair_optimum(expression):
     [((2, 2, 2, 2), (16, 8)), ((3, 3, 2, 2), (36, 15)), ((5, 5, 2, 2), (100, 35)), ((2, 3, 1, 3), (18, 6))],
 )
 def test_ns_constraints_have_one_row_per_cell(shape, size):
-    matrix, rhs = _ns_constraints(_spaces(*shape))
+    matrix, rhs = _ns_constraints(numbered_spaces(*shape))
     assert (len(matrix), matrix.width) == size
     assert all(v in (ZERO, ONE) for v in rhs)
     assert all(v in (ZERO, ONE, -ONE) for row in matrix for v in row)
@@ -275,6 +281,30 @@ def test_expressions_on_equal_spaces_share_one_constraint_matrix():
     assert _ns_constraints(other.spaces) is _ns_constraints(chsh().spaces)
     first, second = _ns_lp(chsh()), _ns_lp(other)
     assert all(a is b for a, b in zip(first.A, second.A)) and first.b is second.b
+
+
+def _mixed_expression(spaces, seed: int) -> BellExpression:
+    """Coefficients with mixed denominators and sqrt2 parts, some zero."""
+    rng = random.Random(seed)
+    values = (ZERO, ONE, -ONE, HALF, SQRT2, -SQRT2, Scalar(1, 0) / 3, Scalar(0, 1) / 5, Scalar(-2, 3) / 7)
+    return BellExpression(*spaces, tuple(rng.choice(values) for _ in range(prod(len(space) for space in spaces))))
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        _mixed_expression(SMALL_SPACES, 1),
+        chsh(),
+        _mixed_expression(CHSH_SPACES, 2),
+        _mixed_expression(numbered_spaces(3, 3, 2, 2), 3),
+        BellExpression(*numbered_spaces(3, 3, 2, 2), (SQRT2,) * 36),
+    ],
+    ids=["small", "chsh", "chsh-mixed", "3322-sqrt2", "3322-constant"],
+)
+def test_ns_lp_objective_equals_the_scalar_sum_builder(expression):
+    """Summing each objective coefficient in ints over one common
+    denominator builds the same LP as summing it in Scalars."""
+    assert _ns_lp(expression) == collins_gisin_ns_lp(expression)
 
 
 # -- shared objects under threads ----------------------------------------------

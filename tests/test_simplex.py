@@ -392,3 +392,36 @@ def test_certificate_checks_every_column(short):
     assert check_certificate(LpProblem((ONE,) * 3, ((ONE,) * 3,), (ONE,)), candidate)
     row = tuple(HALF if j == short else ONE for j in range(3))
     assert not check_certificate(LpProblem((ONE,) * 3, (row,), (ONE,)), candidate)
+
+
+def test_certificate_subtracts_on_minus_one_entries():
+    # max q0 s.t. q0 - q1 <= 1, q1 <= 2: optimum 3 at q = (3, 2), dual (1, 1).
+    problem = LpProblem((ONE, ZERO), ((ONE, -ONE), (ZERO, ONE)), (ONE, Scalar(2)))
+    solution = solve_lp(problem)
+    assert (solution.q, solution.value, solution.dual) == ((Scalar(3), Scalar(2)), Scalar(3), (ONE, ONE))
+    assert check_certificate(problem, solution)
+    # Row 0 holds only if the -1 entry subtracts q1; column 1 of y.A is
+    # short of c only if the -1 entry subtracts y0.
+    assert not check_certificate(problem, LpSolution(OPTIMAL, (Scalar(3), ZERO), Scalar(3), solution.dual))
+    assert not check_certificate(problem, LpSolution(OPTIMAL, solution.q, Scalar(3), (Scalar(3), ZERO)))
+
+
+def test_certificate_multiplies_only_for_the_objective_values(monkeypatch):
+    """A 0/+-1 matrix is checked by additions and subtractions alone: the
+    only products are c_j*q_j over q's support and y_i*b_i over y's."""
+    settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
+    coefficients = tuple(Scalar(k % 3 - 1, k % 2) for k in range(36))
+    problem = _ns_lp(BellExpression(settings, settings, outcomes, outcomes, coefficients))
+    solution = solve_lp(problem)
+    products = []
+    multiply = Scalar.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    assert check_certificate(problem, solution)
+    support = sum(not v.is_zero() for v in solution.q)
+    weights = sum(not w.is_zero() for w in solution.dual)
+    assert len(products) == support + weights
