@@ -5,8 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import CHSH_SPACES, OVERSIZED_SPACES, WIDE_SPACES, random_ns_behavior
+from helpers import (
+    CHSH_SPACES,
+    OVERSIZED_SPACES,
+    SMALL_SPACES,
+    WIDE_SPACES,
+    numbered_spaces,
+    random_ns_behavior,
+)
 from oracle import oracle_local_content
 from hvlab.bell import BellExpression, local_bound
 from hvlab.boxes import (
@@ -19,6 +28,7 @@ from hvlab.boxes import (
     validate_behavior,
 )
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
+from hvlab import decompose
 from hvlab.decompose import (
     LocalDecomposition,
     content_lp_problem,
@@ -30,7 +40,7 @@ from hvlab.decompose import (
 from hvlab.errors import InvalidBehavior, InvalidDecomposition, SignallingInput, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality, nontrivial_weight, reconstruct
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
-from hvlab.simplex import check_certificate
+from hvlab.simplex import check_certificate, solve_lp
 
 ALPHA = parse_scalar("1/4-1/8*sqrt2")
 
@@ -312,6 +322,124 @@ def test_monotonicity_of_content_under_vertex_mixing():
         mixed = mix([(w, vertex), (ONE - w, box)])
         mixed_content = max_local_content(mixed).local_content
         assert (mixed_content - (w + (ONE - w) * content)).sign() >= 0
+
+
+def test_an_unused_residual_needs_full_content():
+    # Content 0 with the residual flagged unused: the vertices and weights
+    # are consistent, but nothing rebuilds the box.
+    pr = pr_box()
+    d = LocalDecomposition((), (), pr, ZERO, residual_used=False)
+    checks = {check.name: check for check in verify_decomposition(d, pr).checks}
+    assert not checks["residual_used_unless_fully_local"].ok
+    assert checks["residual_used_unless_fully_local"].detail == "local content 0"
+    assert not checks["reconstruction_exact"].ok
+    with pytest.raises(InvalidDecomposition, match="residual is unused"):
+        decomposition_to_model(d)
+
+
+# -- the content LP over the box's support -------------------------------------
+
+SUPPORT_SPACES = (
+    SMALL_SPACES,
+    CHSH_SPACES,
+    numbered_spaces(3, 3, 2, 2),
+    numbered_spaces(2, 2, 3, 3),
+    numbered_spaces(3, 2, 2, 3),
+)
+
+
+def _pr_type(spaces) -> Behavior:
+    """x XOR y = a*b mod 2 on the first two outcomes of each side: no-signalling
+    for any settings, with zero cells everywhere else."""
+    sa, sb, ox, oy = spaces
+
+    def cell(a, b, x, y):
+        ix, iy = ox.labels.index(x), oy.labels.index(y)
+        if ix < 2 and iy < 2 and ix ^ iy == sa.labels.index(a) * sb.labels.index(b) % 2:
+            return HALF
+        return ZERO
+
+    return Behavior.from_function(*spaces, cell)
+
+
+@st.composite
+def _boxes_with_zero_cells(draw):
+    """A mixture of one to three deterministic vertices, optionally a
+    PR-type box and a random no-signalling box, with rational weights or
+    with sqrt2 in the first two."""
+    spaces = draw(st.sampled_from(SUPPORT_SPACES))
+    vertices = enumerate_local_vertices(spaces)
+    parts = [vertices[draw(st.integers(0, len(vertices) - 1))] for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        parts.append(_pr_type(spaces))
+    if draw(st.booleans()):
+        parts.append(random_ns_behavior(random.Random(draw(st.integers(0, 2**16))), spaces, components=2))
+    raw = [draw(st.integers(1, 9)) for _ in parts]
+    weights = [Scalar(Fraction(r, sum(raw))) for r in raw]
+    if len(weights) > 1 and draw(st.booleans()):
+        # Move 1 - sqrt2/2 of the first weight onto the second.
+        moved = weights[0] * (ONE - parse_scalar("1/2*sqrt2"))
+        weights[0], weights[1] = weights[0] - moved, weights[1] + moved
+    return mix(list(zip(weights, parts)))
+
+
+@given(_boxes_with_zero_cells())
+@settings(max_examples=100, deadline=None)
+def test_support_lp_matches_the_full_lp(box):
+    problem = content_lp_problem(box, enumerate_local_vertices(box.spaces))
+    d = max_local_content(box)
+    assert d.local_content == solve_lp(problem).value
+    assert check_certificate(problem, d.certificate)
+    report = verify_decomposition(d, box)
+    assert report.ok, report.summary()
+
+
+def _solved_problems(monkeypatch):
+    """Record every LP that max_local_content hands to the solver."""
+    problems = []
+
+    def recording_solve_lp(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(decompose, "solve_lp", recording_solve_lp)
+    return problems
+
+
+def test_pr_box_rules_out_every_vertex(monkeypatch):
+    pr = pr_box()
+    problems = _solved_problems(monkeypatch)
+    d = max_local_content(pr)
+    [reduced] = problems
+    assert reduced.c == ()
+    assert reduced.b == tuple(cell for cell in pr.table if not cell.is_zero())
+    assert d.local_content == ZERO
+    full = content_lp_problem(pr, enumerate_local_vertices(pr.spaces))
+    assert d.certificate.q == (ZERO,) * 16
+    assert check_certificate(full, d.certificate)
+
+
+def test_a_vertex_leaves_one_column(monkeypatch):
+    vertices = enumerate_local_vertices(CHSH_SPACES)
+    problems = _solved_problems(monkeypatch)
+    d = max_local_content(vertices[5])
+    [reduced] = problems
+    assert reduced.c == (ONE,)
+    assert reduced.b == (ONE,) * 4
+    assert d.local_content == ONE
+    assert d.vertices == (vertices[5],)
+    assert check_certificate(content_lp_problem(vertices[5], vertices), d.certificate)
+
+
+@pytest.mark.parametrize("box", [table1_box(), noise_box()], ids=["table1", "noise"])
+def test_a_box_without_zero_cells_solves_the_full_lp(box, monkeypatch):
+    assert not any(cell.is_zero() for cell in box.table)
+    vertices = enumerate_local_vertices(box.spaces)
+    problems = _solved_problems(monkeypatch)
+    d = max_local_content(box)
+    [full] = problems
+    assert full.A is vertices.matrix
+    assert d.certificate == solve_lp(content_lp_problem(box, vertices))
 
 
 def test_positive_content_gives_nontrivial_model_for_uniform_marginal_boxes():
