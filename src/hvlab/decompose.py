@@ -16,13 +16,12 @@ that put no unit on a zero cell, and only over the box's nonzero cells
 (the presolve step for a row with zero right-hand side and nonnegative
 entries; Andersen and Andersen, Math. Prog. 71, 221 (1995)).  It lifts
 that LP's answer to a certificate of the full LP of
-:func:`content_lp_problem`: the weights are 0 on the dropped vertices,
-the dual is the reduced one on the kept cells and, on a zero cell i, the
-largest deficit 1 - y.D_k among the dropped vertices k whose first zero
-cell in table order is i (0 when none is positive).  Raising y_i can only
-raise y.D for the other vertices, since D >= 0, and leaves y.b alone,
-since b_i = 0, so the lifted pair passes :func:`check_certificate` with
-the same value.  A box with no zero cell is solved over the full LP.
+:func:`content_lp_problem`: the weights are 0 on the dropped vertices
+and the dual is the reduced one on the kept cells and 1 on every zero
+cell.  Every dropped vertex has a unit on a zero cell and y, D >= 0, so
+y.D >= 1 for it, and y.b is unchanged since b is 0 there; the lifted
+pair passes :func:`check_certificate` with the same value.  A box with
+no zero cell drops nothing and solves the full LP.
 
 This is the standard convex-decomposition quantity; the qualitative
 notion it grounds does not come with a numeric definition, so all
@@ -68,7 +67,7 @@ from .boxes import (
 )
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
 from .hvmodel import HiddenVariableModel
-from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, format_scalar
+from .scalar import ONE, ZERO, Scalar, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
 
@@ -163,11 +162,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
             f"no local decomposition exists for a signalling box ({witness.describe()})"
         )
     vertices = enumerate_local_vertices(behavior.spaces)
-    zero_cells = [i for i, cell in enumerate(behavior.table) if cell.is_zero()]
-    if zero_cells:
-        solution = _solve_over_support(behavior, vertices, zero_cells)
-    else:
-        solution = solve_lp(content_lp_problem(behavior, vertices))
+    solution = _solve_over_support(behavior, vertices)
     if solution.status != OPTIMAL:
         raise LpFailure(f"local-content LP ended {solution.status}")
     content = solution.value
@@ -197,47 +192,28 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     )
 
 
-def _solve_over_support(behavior: Behavior, vertices: _LocalVertices, zero_cells: list[int]) -> LpSolution:
+def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolution:
     """The content LP over the vertices that put no unit on a zero cell
     and over the nonzero cells, lifted to a certificate of the full LP
     (see the module docstring)."""
     matrix, table, n = vertices.matrix, behavior.table, len(vertices)
-    # The first zero cell, in table order, of every vertex that has one.
-    first: dict[int, int] = {}
-    for i in zero_cells:
-        for k in compress(range(n), matrix.int_rows[i]):
-            first.setdefault(k, i)
-    kept = [k for k in range(n) if k not in first]
-    cells = [i for i, cell in enumerate(table) if not cell.is_zero()]
+    cells, dropped = [], set()
+    for i, cell in enumerate(table):
+        if cell.is_zero():
+            dropped.update(compress(range(n), matrix.int_rows[i]))
+        else:
+            cells.append(i)
+    kept = [k for k in range(n) if k not in dropped]
     rows = [[row[k] for k in kept] for row in map(matrix.__getitem__, cells)]
     reduced = solve_lp(LpProblem((ONE,) * len(kept), rows, [table[i] for i in cells]))
     if reduced.status != OPTIMAL:
         return reduced
-
     q = [ZERO] * n
     for k, v in zip(kept, reduced.q):
         q[k] = v
-    # y.D_k for every vertex k, as ints over the reduced dual's denominator.
-    ps, qs, den = _common_denominator(reduced.dual)
-    sp, sq = [0] * n, [0] * n
-    for i, p, r in zip(cells, ps, qs):
-        if p or r:
-            for k in compress(range(n), matrix.int_rows[i]):
-                sp[k] += p
-                sq[k] += r
-    # Per zero cell, the largest positive deficit 1 - y.D_k, times den,
-    # among the vertices whose first zero cell it is.
-    lift: dict[int, tuple[int, int]] = {}
-    for k, i in first.items():
-        dp, dq = den - sp[k], -sq[k]
-        bp, bq = lift.get(i, (0, 0))
-        if _sign(dp - bp, dq - bq) > 0:
-            lift[i] = (dp, dq)
-    dual = [ZERO] * len(table)
+    dual = [ONE] * len(table)
     for i, y in zip(cells, reduced.dual):
         dual[i] = y
-    for i, (dp, dq) in lift.items():
-        dual[i] = _reduced(dp, dq, den)
     return LpSolution(OPTIMAL, tuple(q), reduced.value, tuple(dual))
 
 

@@ -437,9 +437,10 @@ def test_a_box_without_zero_cells_solves_the_full_lp(box, monkeypatch):
     vertices = enumerate_local_vertices(box.spaces)
     problems = _solved_problems(monkeypatch)
     d = max_local_content(box)
-    [full] = problems
-    assert full.A is vertices.matrix
-    assert d.certificate == solve_lp(content_lp_problem(box, vertices))
+    [solved] = problems
+    full = content_lp_problem(box, vertices)
+    assert solved == full
+    assert d.certificate == solve_lp(full)
 
 
 def test_positive_content_gives_nontrivial_model_for_uniform_marginal_boxes():
