@@ -36,7 +36,6 @@ nonzero entries, far less than the tableau the solve over it builds;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import add
@@ -52,6 +51,7 @@ from .boxes import (
     deterministic_behavior,
 )
 from .errors import LpFailure, SpaceMismatch
+from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar
 from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
 
@@ -95,8 +95,7 @@ def chsh() -> BellExpression:
     return BellExpression.from_function(settings_a, settings_b, outcomes, outcomes, coefficient)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(Frozen):
     """A pair of functions from settings to outcomes, one per side."""
 
     outputs_a: tuple[str, ...]

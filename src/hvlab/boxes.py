@@ -27,7 +27,6 @@ marginals it compares straight from the flat table each time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import add
@@ -43,6 +42,7 @@ from .errors import (
     UnknownSetting,
     WeightSumMismatch,
 )
+from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 
 Side = Literal["alice", "bob"]
@@ -59,8 +59,7 @@ STRATEGY_BUDGET = 65_536
 CACHED_SPACES = 4
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class LabelSet(Frozen):
     """Ordered set of distinct non-empty labels; order defines indexing."""
 
     labels: tuple[str, ...]
@@ -118,8 +117,7 @@ def _position(nb: int, nx: int, ny: int, ia: int, ib: int, ix: int, iy: int) -> 
 _T = TypeVar("_T", bound="Tensor")
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Frozen):
     """Exact table over the spaces (a, b, x, y), row-major with y fastest."""
 
     settings_a: LabelSet
@@ -235,8 +233,7 @@ def uniform_behavior(
     return Behavior.from_function(settings_a, settings_b, outcomes_x, outcomes_y, lambda a, b, x, y: cell)
 
 
-@dataclass(frozen=True)
-class BehaviorReport:
+class BehaviorReport(Frozen):
     """Outcome of validate_behavior; empty fields mean a valid box."""
 
     negative_cells: tuple[tuple[str, str, str, str, Scalar], ...]
@@ -257,14 +254,15 @@ class BehaviorReport:
         return "; ".join(parts)
 
 
-def _remembered(obj: Any, compute: Callable[[Any], Any]) -> Any:
-    """``compute(obj)``, kept on the immutable ``obj`` after the first call;
-    each kind of object has one validator, so one attribute serves all."""
+def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
+    """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
+    after the first call; each kind of object has one validator, whose
+    report is kept as ``_validity``."""
     try:
-        return obj._validity
+        return getattr(obj, name)
     except AttributeError:
         report = compute(obj)
-        object.__setattr__(obj, "_validity", report)
+        object.__setattr__(obj, name, report)
         return report
 
 
@@ -317,8 +315,7 @@ def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[
     return result
 
 
-@dataclass(frozen=True)
-class NsWitness:
+class NsWitness(Frozen):
     """Counterexample to no-signalling: one marginal value moved when the
     other party changed setting."""
 
@@ -413,8 +410,7 @@ def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
     return Behavior(*spaces, tuple(table))
 
 
-@dataclass(frozen=True)
-class JointTable:
+class JointTable(Frozen):
     """Exact joint distribution over a list of named finite variables."""
 
     variables: tuple[tuple[str, LabelSet], ...]
@@ -481,8 +477,7 @@ class JointTable:
         return result
 
 
-@dataclass(frozen=True)
-class ProductWitness:
+class ProductWitness(Frozen):
     """Assignment where a joint table differs from the product of its
     two block marginals."""
 

@@ -6,11 +6,11 @@ components, so repeated construction is bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import chsh
 from .boxes import Behavior, LabelSet, deterministic_behavior, uniform_behavior
+from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import HALF, ONE, ZERO, Scalar
 
@@ -115,8 +115,7 @@ def classical_model() -> HiddenVariableModel:
     return HiddenVariableModel(tuple(pairs), tuple(weights), tuple(kernels))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     key: str
     kind: str  # scalar | behavior | model | expression
     value: object

@@ -66,6 +66,7 @@ from .boxes import (
     validate_behavior,
 )
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
+from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
@@ -120,6 +121,8 @@ def _transposed(vertices: tuple[Behavior, ...], cells: int) -> Matrix:
     return Matrix(rows, len(vertices))
 
 
+# A frozen dataclass, unlike the other value classes: callers copy one
+# with a field changed through dataclasses.replace.
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Vertex weights, remainder box and total local content.
@@ -173,10 +176,10 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
             if not cell.is_zero():
                 local_part[i] = local_part[i] + q * cell
     if content != ONE:
-        remainder_weight = ONE - content
+        scale = ONE / (ONE - content)
         residual = Behavior(
             *behavior.spaces,
-            tuple((cell - local) / remainder_weight for cell, local in zip(behavior.table, local_part)),
+            tuple((cell - local) * scale for cell, local in zip(behavior.table, local_part)),
         )
         residual_used = True
     else:
@@ -251,15 +254,13 @@ def _strategy_label(outcomes: LabelSet, outputs: tuple[int, ...]) -> str:
     return ",".join(outcomes.labels[i] for i in outputs)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Frozen):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -53,7 +53,10 @@ def _parse_cell(text: Any, where: str) -> Scalar:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_table(data: Any, spaces: Spaces, where: str) -> tuple[Scalar, ...]:
+def _parse_table(data: Any, spaces: Spaces, where: str, parsed: dict[str, Scalar]) -> tuple[Scalar, ...]:
+    """The row-major table of one ``"p"`` or ``"c"`` object.  ``parsed``
+    maps each cell string already read to its Scalar; the tables of one
+    file share it, so each distinct string is parsed once."""
     settings_a, settings_b, outcomes_x, outcomes_y = spaces
     if not isinstance(data, dict):
         raise FileFormatError(f"{where} must be an object keyed by 'a|b'")
@@ -76,7 +79,11 @@ def _parse_table(data: Any, spaces: Spaces, where: str) -> tuple[Scalar, ...]:
                 )
             for ix, row in enumerate(block):
                 for iy, cell in enumerate(row):
-                    table.append(_parse_cell(cell, f"{where}['{a}|{b}'][{ix}][{iy}]"))
+                    value = parsed.get(cell) if isinstance(cell, str) else None
+                    if value is None:
+                        # Only a string gets past _parse_cell, so only strings are keys.
+                        value = parsed[cell] = _parse_cell(cell, f"{where}['{a}|{b}'][{ix}][{iy}]")
+                    table.append(value)
     return tuple(table)
 
 
@@ -116,7 +123,7 @@ def _tensor_from_dict(data: Any, cls: type[Tensor], key: str, what: str) -> Any:
         raise FileFormatError(f"{what} must contain a JSON object")
     _require_keys(data, set(_SPACE_KEYS) | {key}, set(), what)
     spaces = _parse_spaces(data)
-    return cls(*spaces, _parse_table(data[key], spaces, key))
+    return cls(*spaces, _parse_table(data[key], spaces, key, {}))
 
 
 def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
@@ -197,8 +204,10 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
         weights.append(_parse_cell(entry["weight"], f"{where}.weight"))
         bodies.append(entry)
 
+    parsed: dict[str, Scalar] = {}
+
     def kernel_of(entry: Any, where: str) -> Behavior:
-        return Behavior(*spaces, _parse_table(entry["p"], spaces, f"{where}.p"))
+        return Behavior(*spaces, _parse_table(entry["p"], spaces, f"{where}.p", parsed))
 
     try:
         if not extended:

@@ -11,12 +11,12 @@ Triviality means the hidden pair reveals nothing: every positive-weight
 kernel has the same one-side marginals as the reconstructed behavior.
 
 Every check validates its input through :func:`require_valid_model`; as
-for boxes, the report is computed once and kept on the model.
+for boxes, the report is computed once and kept on the model, and so is
+the locality verdict of :func:`check_locality`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,13 +35,13 @@ from .boxes import (
     validate_behavior,
 )
 from .errors import InvalidDistribution, InvalidModel, NotLocal, SpaceMismatch
+from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
 
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(Frozen):
     """Weights P(u,v) plus one kernel behavior per hidden pair."""
 
     pairs: tuple[Pair, ...]
@@ -71,8 +71,7 @@ class HiddenVariableModel:
         return zip(self.pairs, self.weights, self.kernels)
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(Frozen):
     """Validation outcome for a model's weights and kernels."""
 
     negative_weights: tuple[tuple[Pair, Scalar], ...]
@@ -130,8 +129,7 @@ def reconstruct(model: HiddenVariableModel) -> Behavior:
     return mix(zip(model.weights, model.kernels))
 
 
-@dataclass(frozen=True)
-class LocalityWitness:
+class LocalityWitness(Frozen):
     """A positive-weight pair whose kernel signals."""
 
     pair: Pair
@@ -145,8 +143,14 @@ def check_locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | 
     """True iff every kernel carrying weight is no-signalling.
 
     Zero-weight pairs are exempt: they are unobservable and the
-    conditional distributions are undefined there.
+    conditional distributions are undefined there.  The verdict is kept
+    on the model, as its validity report is: :func:`guessing_probability`
+    asks for it once per setting.
     """
+    return _remembered(model, _locality, "_locality")
+
+
+def _locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | None]:
     require_valid_model(model)
     for pair, weight, kernel in model.items():
         if weight.sign() <= 0:
@@ -157,8 +161,7 @@ def check_locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | 
     return True, None
 
 
-@dataclass(frozen=True)
-class TrivialityWitness:
+class TrivialityWitness(Frozen):
     """A positive-weight pair whose kernel marginal differs from the
     reference behavior's marginal."""
 
@@ -263,8 +266,7 @@ def guessing_probability(model: HiddenVariableModel, side: Side, setting: str) -
     return total
 
 
-@dataclass(frozen=True)
-class WExtension:
+class WExtension(Frozen):
     """Per-pair extra variable w with weights P(w|u,v) and one kernel per w."""
 
     values: LabelSet
@@ -278,8 +280,7 @@ class WExtension:
             raise InvalidModel("w values, weights and kernels must align")
 
 
-@dataclass(frozen=True)
-class ExtendedModel:
+class ExtendedModel(Frozen):
     """Model skeleton plus, per pair, an extra variable that may break
     no-signalling at its own level."""
 

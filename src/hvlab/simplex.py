@@ -58,13 +58,13 @@ with a +-1 entry adding or subtracting as is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix
+from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, compare, format_scalar
 
 OPTIMAL = "optimal"
@@ -114,11 +114,8 @@ class Matrix(tuple):
     def __reduce__(self) -> tuple[type[Matrix], tuple[tuple[tuple[Scalar, ...], ...], int]]:
         return Matrix, (tuple(self), self.width)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Matrix is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Matrix is immutable; cannot delete {name!r}")
+    __setattr__ = Frozen.__setattr__
+    __delattr__ = Frozen.__delattr__
 
 
 _SCALAR_TYPE = {Scalar}
@@ -135,8 +132,7 @@ def _check_entries(i: int, row: tuple[object, ...]) -> None:
             raise IrrationalMatrix(f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational")
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Frozen):
     """maximize c.q subject to A.q <= b, q >= 0, with A rational.
 
     A plain ``A`` is wrapped in a :class:`Matrix`, which validates it; a
@@ -161,8 +157,7 @@ class LpProblem:
         object.__setattr__(self, "A", A)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Frozen):
     """Solver outcome; q, value and dual are present only when optimal."""
 
     status: str

@@ -240,6 +240,18 @@ def test_model_guess_not_local_exits_one(files, capsys, tmp_path):
     assert "property failed" in err
 
 
+@pytest.mark.parametrize("cell", [["1/4"], {"x": "1/4"}])
+def test_model_file_with_a_cell_that_is_not_a_string_exits_two(files, capsys, tmp_path, cell):
+    data = json.loads(Path(files["model"]).read_text())
+    data["pairs"][1]["p"]["0|1"][0][0] = cell
+    path = tmp_path / "bad-cell.model.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "pairs[1].p['0|1'][0][0]: expected a scalar string" in err
+    assert "unexpected error" not in err
+
+
 def test_model_marginalize_writes_plain_model(files, capsys, tmp_path):
     from helpers import CHSH_SPACES
     from hvlab.boxes import LabelSet, deterministic_behavior

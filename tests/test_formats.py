@@ -149,6 +149,39 @@ def test_bad_scalar_string_rejected():
         behavior_from_dict(data)
 
 
+def test_a_repeated_malformed_cell_is_reported_where_it_first_appears():
+    data = model_to_dict(appendix_a_model())
+    data["pairs"][1]["p"]["0|3"][1][0] = "1/4 + nonsense"
+    data["pairs"][3]["p"]["2|1"][0][1] = "1/4 + nonsense"
+    with pytest.raises(FileFormatError, match=r"pairs\[1\]\.p\['0\|3'\]\[1\]\[0\]"):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("cell", [["1/2"], {"1/2": "1/2"}, 1, None])
+def test_a_cell_that_is_not_a_string_is_refused(cell):
+    # A list or dict cannot key the table of cells already parsed; it must
+    # still be a format error, in the first kernel or in a later one.
+    for index in (0, 2):
+        data = model_to_dict(appendix_a_model())
+        data["pairs"][index]["p"]["2|3"][1][1] = cell
+        with pytest.raises(FileFormatError, match=rf"pairs\[{index}\]\.p\['2\|3'\]\[1\]\[1\]: expected a scalar string"):
+            model_from_dict(data)
+
+
+def test_a_model_file_parses_each_distinct_cell_string_once(monkeypatch):
+    import hvlab.formats
+
+    data = model_to_dict(appendix_a_model())
+    cells = [cell for pair in data["pairs"] for block in pair["p"].values() for row in block for cell in row]
+    parsed = []
+    original = hvlab.formats.parse_scalar
+    monkeypatch.setattr(hvlab.formats, "parse_scalar", lambda text: parsed.append(text) or original(text))
+    model = model_from_dict(data)
+    weights = [pair["weight"] for pair in data["pairs"]]
+    assert sorted(parsed) == sorted(weights + sorted(set(cells)))
+    assert model == appendix_a_model()
+
+
 def test_validation_enforced_by_default_but_optional():
     data = behavior_to_dict(table1_box())
     data["p"]["0|1"][0][0] = "1"  # breaks normalization

@@ -141,6 +141,41 @@ def test_guessing_probability_appendix_a():
         assert guessing_probability(model, "bob", setting) == expected
 
 
+def test_guessing_probability_checks_locality_once_per_model(monkeypatch):
+    import hvlab.hvmodel
+
+    checked = []
+    original = hvlab.hvmodel.is_no_signalling
+    monkeypatch.setattr(hvlab.hvmodel, "is_no_signalling", lambda kernel: checked.append(kernel) or original(kernel))
+    model = appendix_a_model()
+    expected = parse_scalar("1-1/4*sqrt2")
+    for side, settings_ in (("alice", SA), ("bob", SB)):
+        for setting in settings_:
+            assert guessing_probability(model, side, setting) == expected
+    assert len(checked) == sum(weight.sign() > 0 for weight in model.weights)
+
+
+@given(local_models(spaces=SMALL_SPACES))
+@settings(max_examples=25)
+def test_guessing_probability_is_the_weighted_best_guess(model):
+    sa, sb = model.spaces[0], model.spaces[1]
+    for side, settings_ in (("alice", sa), ("bob", sb)):
+        for setting in settings_:
+            pair = (setting, sb.labels[0]) if side == "alice" else (sa.labels[0], setting)
+            expected = ZERO
+            for weight, kernel in zip(model.weights, model.kernels):
+                if weight.sign() > 0:
+                    expected = expected + weight * max(marginal(kernel, side, pair).values())
+            assert guessing_probability(model, side, setting) == expected
+
+
+def test_guessing_probability_refuses_a_nonlocal_model_on_every_call():
+    model = HiddenVariableModel((("u", "v"),), (ONE,), (signalling_box(),))
+    for _ in range(2):
+        with pytest.raises(NotLocal):
+            guessing_probability(model, "alice", "0")
+
+
 def test_guessing_probability_trivial_model_is_half():
     model = _single_pair(table1_box())
     assert guessing_probability(model, "alice", "0") == HALF
