@@ -27,11 +27,15 @@ The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, validated
-once, with its right-hand sides.  An entry holds |A||B||X||Y| rows of
-|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) references to the shared
-ZERO, ONE and -1 Scalars, the same rows as ints and each column's
-nonzero entries, far less than the tableau the solve over it builds;
-5522 has 100 rows of 35 columns.
+once, with its right-hand sides.  The matrix has |A||B||X||Y| rows of
+|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
+holds it as int rows and as each column's nonzero entries, references
+to the shared ONE and -1 Scalars, far less than the tableau the solve
+over it builds.  Measured with tracemalloc under Python 3.11, 5522 (100
+rows of 35 columns) takes 0.05 MiB, and one setting with 45 outcomes per
+side (2025 rows of 2024 columns, just within ``NS_CELL_BUDGET`` = 2**22
+cells) takes 32 MiB.  Spaces whose matrix would pass that budget are
+refused before it is built.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .boxes import (
     _strategy_count,
     deterministic_behavior,
 )
-from .errors import LpFailure, SpaceMismatch
+from .errors import LpFailure, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar
 from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
@@ -202,15 +206,34 @@ def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], l
             sums[k + 1] = list(map(add, sums[k], columns[k][xs[k]]))
 
 
+# Most cells, rows times columns, of the no-signalling LP's constraint
+# matrix that _ns_lp will build.  Spaces within the strategy budget can
+# ask for far more: one setting and 128 outcomes per side give 16 384
+# rows of 16 383 columns.  With one setting per side, 45 outcomes (2025
+# rows of 2024 columns) are within it and 46 are not; ns_bound of a
+# 45-outcome expression took 1.3 s at 111 MB peak RSS with Python 3.11
+# on a shared 2-core host.  5522 has 100 rows of 35 columns.
+NS_CELL_BUDGET = 2**22
+
+
 def _ns_lp(expression: BellExpression) -> LpProblem:
     """LP over the Collins-Gisin coordinates q maximising the expression
-    less its constant part; see :func:`_ns_constraints`.
+    less its constant part; see :func:`_ns_constraints`.  Spaces whose
+    matrix would pass ``NS_CELL_BUDGET`` cells are refused before it is
+    built, on every call.
 
     Cell i of the table is b_i - A_i.q, so the expression is
     c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
     of ``A``: every entry is +-1, so a coefficient is added or subtracted,
     in ints over the table's common denominator.
     """
+    na, nb, nx, ny = map(len, expression.spaces)
+    rows, columns = na * nb * nx * ny, na * (nx - 1) + nb * (ny - 1) + na * nb * (nx - 1) * (ny - 1)
+    if rows * columns > NS_CELL_BUDGET:
+        raise SizeBudgetExceeded(
+            f"the no-signalling LP's {rows} rows of {columns} columns ({rows * columns} cells) exceed "
+            f"the budget of {NS_CELL_BUDGET} cells"
+        )
     constraints, rhs = _ns_constraints(expression.spaces)
     ps, qs, den = _common_denominator(expression.table)
     objective = []
@@ -268,7 +291,7 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
                 row[column] = entry[sx * sy]
         rows.append(row)
         rhs.append(ONE if ix == kx and iy == ky else ZERO)
-    return Matrix(rows, n), tuple(rhs)
+    return Matrix.from_rows(rows, n), tuple(rhs)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

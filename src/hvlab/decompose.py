@@ -34,14 +34,17 @@ certificate problem, ``hvlab decompose --verify`` and the demos) the same
 tuple of the same vertex objects, and that tuple carries the transposed
 vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
 :func:`content_lp_problem` reuses for it (any other tuple gets a matrix
-of its own).  Entries are kept for the ``boxes.CACHED_SPACES`` = 4 most
-recently used sets of spaces.  With two settings and eight outcomes per
-side (4096 vertices of 256 cells) one entry takes about 26 MB, measured
-with tracemalloc: 9 MB of vertex tables (references to the shared ZERO
-and ONE Scalars) and 17 MB of matrix (its Scalar rows, its int rows and
-its column lists).  That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22
-cells, so an entry at the budget takes about 100 MB; the benchmark's
-largest content rung holds 81 vertices of 36 cells.  The audit,
+of its own) and from which :func:`max_local_content` cuts its support
+LP's matrix with ``Matrix.restrict``, checking no entry again.  Entries
+are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
+spaces.  With two settings and eight outcomes per side (4096 vertices of
+256 cells) one entry takes about 17.8 MiB, measured with tracemalloc
+under Python 3.11: 8.6 MiB of vertex tables (references to the shared
+ZERO and ONE Scalars) and 9.2 MiB of matrix (its int rows and its
+column lists).  That is a quarter of
+``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
+about 71 MiB; the benchmark's largest content rung holds 81 vertices of
+36 cells.  The audit,
 :func:`verify_decomposition`, does not trust that tuple: it checks every
 support vertex against the definition by index arithmetic on its table.
 """
@@ -76,8 +79,8 @@ from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 # enumeration will build.  The strategy budget alone lets through two
 # settings with sixteen outcomes per side: 65 536 vertices of 1024
 # cells each and a content LP to match.  Eight outcomes per side (4096
-# vertices of 256 cells, a quarter of the budget) hold about 9 MB of
-# tables and 17 MB of content-LP matrix; the largest benchmark rung,
+# vertices of 256 cells, a quarter of the budget) hold about 8.6 MiB of
+# tables and 9.2 MiB of content-LP matrix; the largest benchmark rung,
 # 3333, has 729 vertices of 81 cells.
 VERTEX_CELL_BUDGET = 2**22
 
@@ -118,7 +121,7 @@ def _local_vertices(spaces: Spaces) -> _LocalVertices:
 def _transposed(vertices: tuple[Behavior, ...], cells: int) -> Matrix:
     """The matrix whose column j is the table of vertex j."""
     rows = zip(*(vertex.table for vertex in vertices)) if vertices else ((),) * cells
-    return Matrix(rows, len(vertices))
+    return Matrix.from_rows(rows, len(vertices))
 
 
 # A frozen dataclass, unlike the other value classes: callers copy one
@@ -198,7 +201,8 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
 def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolution:
     """The content LP over the vertices that put no unit on a zero cell
     and over the nonzero cells, lifted to a certificate of the full LP
-    (see the module docstring)."""
+    (see the module docstring).  Its matrix is cut from the cached one,
+    so no entry is checked again."""
     matrix, table, n = vertices.matrix, behavior.table, len(vertices)
     cells, dropped = [], set()
     for i, cell in enumerate(table):
@@ -207,8 +211,7 @@ def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolut
         else:
             cells.append(i)
     kept = [k for k in range(n) if k not in dropped]
-    rows = [[row[k] for k in kept] for row in map(matrix.__getitem__, cells)]
-    reduced = solve_lp(LpProblem((ONE,) * len(kept), rows, [table[i] for i in cells]))
+    reduced = solve_lp(LpProblem((ONE,) * len(kept), matrix.restrict(cells, kept), [table[i] for i in cells]))
     if reduced.status != OPTIMAL:
         return reduced
     q = [ZERO] * n
@@ -252,6 +255,15 @@ def _strategy_label(outcomes: LabelSet, outputs: tuple[int, ...]) -> str:
     if len(set(outputs)) == 1:
         return outcomes.labels[outputs[0]]
     return ",".join(outcomes.labels[i] for i in outputs)
+
+
+def _unused_label(label: tuple[str, str], taken: set[tuple[str, str]]) -> tuple[str, str]:
+    """``label`` with primes appended to both parts until it is not in
+    ``taken``, to which it is then added."""
+    while label in taken:
+        label = (label[0] + "'", label[1] + "'")
+    taken.add(label)
+    return label
 
 
 class CheckResult(Frozen):
@@ -395,7 +407,9 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
 
     Each vertex becomes a hidden pair labelled by its output tables
     (collapsed to the bare outcome when constant), and the remainder,
-    when present, becomes the pair ("0","0").
+    when present, becomes the pair ("0","0").  A label already taken,
+    which outcome labels holding "," can cause, gets primes appended to
+    both parts until it is not.
     """
     d = decomposition
     checks, tables = _intrinsic_checks(d)
@@ -412,17 +426,16 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     pairs: list[tuple[str, str]] = []
     weights: list[Scalar] = []
     kernels: list[Behavior] = []
+    taken: set[tuple[str, str]] = set()
     for vertex, q, (outputs_a, outputs_b) in zip(d.vertices, d.weights, tables):
-        pairs.append((_strategy_label(vertex.outcomes_x, outputs_a), _strategy_label(vertex.outcomes_y, outputs_b)))
+        label = (_strategy_label(vertex.outcomes_x, outputs_a), _strategy_label(vertex.outcomes_y, outputs_b))
+        pairs.append(_unused_label(label, taken))
         weights.append(q)
         kernels.append(vertex)
     if d.local_content != ONE:
         if not validate_behavior(d.residual).ok:
             raise InvalidDecomposition("residual is not a valid behavior")
-        label = ("0", "0")
-        while label in pairs:
-            label = (label[0] + "'", label[1] + "'")
-        pairs.append(label)
+        pairs.append(_unused_label(("0", "0"), taken))
         weights.append(ONE - d.local_content)
         kernels.append(d.residual)
     return HiddenVariableModel(tuple(pairs), tuple(weights), tuple(kernels))

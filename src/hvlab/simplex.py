@@ -7,14 +7,16 @@ entry with a nonzero sqrt2 part is refused with
 contract, with a 0/±1 matrix and sqrt2 only in ``b`` (the content LP) or
 only in ``c`` (the no-signalling LP).
 
-The matrix is a :class:`Matrix`: a tuple of rows of Scalars, validated
-once when it is built (every row the same width, every entry a Scalar
-with no sqrt2 part) and carrying two more views of the same numbers,
-each row as ints over one denominator and each column's nonzero entries.
-:class:`LpProblem` wraps a plain ``A`` in one, and takes a ``Matrix`` of
-the objective's width as it is, so a matrix that callers share (both of
-hvlab's LPs cache theirs per set of spaces) is checked only once.  The
-solver reads the int rows; :func:`check_certificate` reads the columns.
+The matrix is a :class:`Matrix`, which holds only the two views of it
+that are read: each row as ints over one denominator, for the solver,
+and each column's nonzero entries, for :func:`check_certificate`.  Its
+entries are checked once, when :meth:`Matrix.from_rows` builds it from
+rows of Scalars (every row the same width, every entry a Scalar with no
+sqrt2 part), and :meth:`Matrix.restrict` cuts a sub-matrix out of a
+checked one without building or checking a Scalar.  :class:`LpProblem`
+builds a plain ``A`` into a ``Matrix`` and keeps a ``Matrix`` as it is,
+so a matrix that callers share (both of hvlab's LPs cache theirs per
+set of spaces) is checked only once.
 
 Since every basis inverse of a rational matrix is rational, the tableau
 is kept in integers.  Row i is a list of Python ints over one positive
@@ -72,23 +74,35 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class Matrix(tuple):
-    """An immutable, validated constraint matrix: a tuple of rows of
-    rational Scalars, all ``width`` long, with two more views of it.
+class Matrix(Frozen):
+    """An immutable rational constraint matrix, held as the two views its
+    readers use and nothing else.
 
     ``int_rows[i]`` holds row i as ints over the positive denominator
-    ``den[i]``, the lcm of the row's entry denominators; ``columns[j]``
-    holds the nonzero entries of column j as ``(row, Scalar)`` pairs in
-    row order.  The rows are checked once, here, in order: the length of
-    each, then the type and the sqrt2 part of each entry.
+    ``den[i]``, the least one (the lcm of the row's entry denominators),
+    and is what :func:`solve_lp` reads; ``columns[j]`` holds the nonzero
+    entries of column j as ``(row, Scalar)`` pairs in row order, and is
+    what :func:`check_certificate` reads.  The width is ``len(columns)``.
+
+    :meth:`from_rows` builds one from rows of Scalars and is the one place
+    where entries are checked; :meth:`restrict` cuts one from another.
+    The constructor takes the three views as they are and checks nothing.
     """
 
-    def __new__(cls, rows: Iterable[Sequence[Scalar]], width: int) -> Matrix:
-        rows = tuple(tuple(row) for row in rows)
+    int_rows: tuple[tuple[int, ...], ...]
+    den: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, Scalar], ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[Scalar]], width: int) -> Matrix:
+        """The matrix of the given rows, each ``width`` long.  The rows are
+        checked in order: the length of each, then the type and the sqrt2
+        part of each entry."""
         int_rows: list[tuple[int, ...]] = []
         den: list[int] = []
         columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
         for i, row in enumerate(rows):
+            row = tuple(row)
             if len(row) != width:
                 raise DimensionMismatch(f"constraint row has {len(row)} entries, expected {width}")
             # Whole-row tests first; a row that fails one is walked entry by
@@ -104,18 +118,28 @@ class Matrix(tuple):
             den.append(d)
             for j in compress(range(width), ints):
                 columns[j].append((i, row[j]))
-        matrix = super().__new__(cls, rows)
-        object.__setattr__(matrix, "width", width)
-        object.__setattr__(matrix, "int_rows", tuple(int_rows))
-        object.__setattr__(matrix, "den", tuple(den))
-        object.__setattr__(matrix, "columns", tuple(tuple(column) for column in columns))
-        return matrix
+        return cls(tuple(int_rows), tuple(den), tuple(map(tuple, columns)))
 
-    def __reduce__(self) -> tuple[type[Matrix], tuple[tuple[tuple[Scalar, ...], ...], int]]:
-        return Matrix, (tuple(self), self.width)
-
-    __setattr__ = Frozen.__setattr__
-    __delattr__ = Frozen.__delattr__
+    def restrict(self, rows: Sequence[int], columns: Sequence[int]) -> Matrix:
+        """The sub-matrix whose row r is row ``rows[r]`` and whose column k
+        is column ``columns[k]``; each sequence holds distinct indices in
+        any order.  Each int row is brought back to its least denominator
+        and each column keeps its entries' Scalars, renumbered by row, so
+        no entry is built or checked again."""
+        int_rows: list[tuple[int, ...]] = []
+        den: list[int] = []
+        for i in rows:
+            row, d = self.int_rows[i], self.den[i]
+            ints = tuple(row[j] for j in columns)
+            g = gcd(d, *ints)
+            if g != 1:
+                ints, d = tuple(p // g for p in ints), d // g
+            int_rows.append(ints)
+            den.append(d)
+        # The new row numbers are distinct, so sorting never compares entries.
+        position = {i: r for r, i in enumerate(rows)}
+        kept = tuple(tuple(sorted((position[i], v) for i, v in self.columns[j] if i in position)) for j in columns)
+        return Matrix(tuple(int_rows), tuple(den), kept)
 
 
 _SCALAR_TYPE = {Scalar}
@@ -135,8 +159,9 @@ def _check_entries(i: int, row: tuple[object, ...]) -> None:
 class LpProblem(Frozen):
     """maximize c.q subject to A.q <= b, q >= 0, with A rational.
 
-    A plain ``A`` is wrapped in a :class:`Matrix`, which validates it; a
-    ``Matrix`` of the objective's width is taken as it is."""
+    A plain ``A``, a sequence of rows, is built into a :class:`Matrix` by
+    :meth:`Matrix.from_rows`, which checks it; a ``Matrix`` is kept as it
+    is and must have the objective's width."""
 
     c: tuple[Scalar, ...]
     A: Matrix
@@ -147,13 +172,16 @@ class LpProblem(Frozen):
         object.__setattr__(self, "b", tuple(self.b))
         A = self.A if isinstance(self.A, Matrix) else tuple(self.A)
         n = len(self.c)
-        if len(A) != len(self.b):
-            raise DimensionMismatch(f"{len(A)} constraint rows but {len(self.b)} right-hand sides")
+        m = len(A.int_rows) if isinstance(A, Matrix) else len(A)
+        if m != len(self.b):
+            raise DimensionMismatch(f"{m} constraint rows but {len(self.b)} right-hand sides")
         for v in (*self.c, *self.b):
             if not isinstance(v, Scalar):
                 raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
-        if not isinstance(A, Matrix) or A.width != n:
-            A = Matrix(A, n)
+        if not isinstance(A, Matrix):
+            A = Matrix.from_rows(A, n)
+        elif len(A.columns) != n:
+            raise DimensionMismatch(f"constraint matrix has {len(A.columns)} columns, expected {n}")
         object.__setattr__(self, "A", A)
 
 

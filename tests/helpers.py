@@ -12,9 +12,9 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from hvlab.boxes import Behavior, LabelSet
+from hvlab.boxes import Behavior, LabelSet, deterministic_behavior, mix
 from hvlab.hvmodel import HiddenVariableModel
-from hvlab.scalar import Scalar
+from hvlab.scalar import HALF, Scalar
 
 CHSH_SPACES = (
     LabelSet(("0", "2")),
@@ -48,6 +48,20 @@ OVERSIZED_SPACES = (
     LabelSet(("x0", "x1", "x2")),
     LabelSet(("y0", "y1", "y2")),
 )
+
+
+def comma_label_box() -> Behavior:
+    """Half each of two vertices whose output tables, written as hidden-pair
+    labels, coincide: ("0", "1") by ("p", "q") joins to ("0,1", "p,q"),
+    and the constant ("0,1", "0,1") by ("p,q", "p,q") collapses to it."""
+    settings = LabelSet(("0", "1"))
+    spaces = (settings, settings, LabelSet(("0", "1", "0,1")), LabelSet(("p", "q", "p,q")))
+    return mix(
+        [
+            (HALF, deterministic_behavior(*spaces, ("0", "1"), ("p", "q"))),
+            (HALF, deterministic_behavior(*spaces, ("0,1", "0,1"), ("p,q", "p,q"))),
+        ]
+    )
 
 
 def numbered_spaces(na: int, nb: int, nx: int, ny: int) -> tuple[LabelSet, ...]:

@@ -1,11 +1,12 @@
 """Reference solver: the dense two-phase Bland simplex over Scalar entries.
 
 This is the solver hvlab shipped before its tableau moved to integer rows;
-it is kept here, unchanged, only so that the tests can demand that
+it is kept here, its pivoting unchanged, only so that the tests can demand that
 ``hvlab.simplex.solve_lp`` returns exactly the same ``LpSolution`` (same
 pivots, so the same primal vertex and dual vector, not just the same
 optimum).  Every entry is a Scalar and every decision an exact Scalar
-comparison.
+comparison.  Its dense rows are rebuilt from the matrix's columns, not
+from the int rows the solver reads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ from typing import Sequence
 
 from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+
+
+def dense_rows(columns: Sequence[Sequence[tuple[int, Scalar]]], m: int) -> list[list[Scalar]]:
+    """The m dense rows of Scalars whose columns' nonzero entries are
+    ``columns``, as ``(row, Scalar)`` pairs."""
+    rows = [[ZERO] * len(columns) for _ in range(m)]
+    for j, column in enumerate(columns):
+        for i, v in column:
+            rows[i][j] = v
+    return rows
 
 
 class _Tableau:
@@ -120,9 +131,10 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     rhs: list[Scalar] = []
     basis: list[int] = []
     art_col = {row: n + m + k for k, row in enumerate(artificial_rows)}
+    matrix = dense_rows(problem.A.columns, m)
     for i in range(m):
         sign = -ONE if negated[i] else ONE
-        row = [-v for v in problem.A[i]] if negated[i] else list(problem.A[i])
+        row = [-v for v in matrix[i]] if negated[i] else matrix[i]
         row += [sign if k == i else ZERO for k in range(m)]
         row += [ONE if art_col.get(i) == n + m + k else ZERO for k in range(n_art)]
         rows.append(row)

@@ -312,3 +312,22 @@ def test_local_bound_refuses_past_the_budget_before_building_anything(monkeypatc
     monkeypatch.setattr(hvlab.bell, "_best_response", unreachable)
     with pytest.raises(SizeBudgetExceeded):
         local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))
+
+
+def test_ns_bound_refuses_an_oversized_matrix_before_building_it(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ns_bound built its constraints before the budget check")
+
+    monkeypatch.setattr(hvlab.bell, "_ns_constraints", unreachable)
+    # One setting and 128 outcomes per side: 16 384 strategies, within the
+    # strategy budget, but 16 384 rows of 16 383 columns.
+    wide = BellExpression(*numbered_spaces(1, 1, 128, 128), (ONE,) * 128**2)
+    for _ in range(3):
+        with pytest.raises(SizeBudgetExceeded, match="16384 rows of 16383 columns"):
+            ns_bound(wide)
+    assert local_bound(wide)[0] == ONE
+    # 46 outcomes exceed the budget (2116 rows of 2115 columns); 45 are the most within it.
+    with pytest.raises(SizeBudgetExceeded, match=f"budget of {hvlab.bell.NS_CELL_BUDGET} cells"):
+        ns_bound(BellExpression(*numbered_spaces(1, 1, 46, 46), (ZERO,) * 46**2))
+    with pytest.raises(AssertionError, match="before the budget check"):
+        ns_bound(BellExpression(*numbered_spaces(1, 1, 45, 45), (ZERO,) * 45**2))

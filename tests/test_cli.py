@@ -200,12 +200,44 @@ def test_decompose_past_the_size_budget_exits_two(capsys, tmp_path):
         assert "unexpected error" not in err
 
 
+def test_bell_past_the_no_signalling_budget_exits_two(capsys, tmp_path):
+    from helpers import numbered_spaces
+    from hvlab.bell import BellExpression
+    from hvlab.boxes import uniform_behavior
+    from hvlab.formats import save_expression
+
+    # One setting and 128 outcomes per side: the local bound runs, the
+    # no-signalling LP's matrix would hold 16 384 rows of 16 383 columns.
+    spaces = numbered_spaces(1, 1, 128, 128)
+    save_expression(BellExpression(*spaces, (ONE,) * 128**2), tmp_path / "wide.expr.json")
+    save_box(uniform_behavior(*spaces), tmp_path / "wide.box.json")
+    code, out, err = run(capsys, "bell", str(tmp_path / "wide.expr.json"), str(tmp_path / "wide.box.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert "unexpected error" not in err
+
+
 def test_decompose_emit_model_round_trips(files, capsys, tmp_path):
     out_path = tmp_path / "decomposition.model.json"
     code, out, _ = run(capsys, "decompose", files["table1"], "--emit-model", str(out_path))
     assert code == 0
     model = load_model(out_path)
     assert reconstruct(model) == table1_box()
+
+
+def test_decompose_emits_distinct_pairs_for_colliding_labels(capsys, tmp_path):
+    from helpers import comma_label_box
+
+    box_path, model_path = tmp_path / "comma.box.json", tmp_path / "comma.model.json"
+    save_box(comma_label_box(), box_path)
+    code, out, err = run(capsys, "decompose", str(box_path), "--verify", "--emit-model", str(model_path))
+    assert code == 0 and err == ""
+    assert "local_content: 1" in out
+    assert load_model(model_path).pairs == (("0,1", "p,q"), ("0,1'", "p,q'"))
+    code, out, _ = run(capsys, "model", "verify", str(model_path), "--against", str(box_path))
+    assert code == 0
+    assert "reconstruction matches: true" in out
 
 
 def test_model_verify_match_and_mismatch(files, capsys):

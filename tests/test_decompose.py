@@ -13,6 +13,7 @@ from helpers import (
     OVERSIZED_SPACES,
     SMALL_SPACES,
     WIDE_SPACES,
+    comma_label_box,
     numbered_spaces,
     random_ns_behavior,
 )
@@ -40,7 +41,7 @@ from hvlab.decompose import (
 from hvlab.errors import InvalidBehavior, InvalidDecomposition, SignallingInput, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality, nontrivial_weight, reconstruct
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
-from hvlab.simplex import check_certificate, solve_lp
+from hvlab.simplex import Matrix, check_certificate, solve_lp
 
 ALPHA = parse_scalar("1/4-1/8*sqrt2")
 
@@ -146,6 +147,16 @@ def test_decomposition_to_model_round_trip_on_table1():
     assert nontrivial_weight(model) == parse_scalar("2-1*sqrt2")
     assert reconstruct(model) == box
     assert ("0", "0") in model.pairs
+
+
+def test_vertices_whose_labels_collide_get_distinct_hidden_pairs():
+    box = comma_label_box()
+    decomposition = max_local_content(box)
+    assert verify_decomposition(decomposition, box).ok
+    assert decomposition.local_content == ONE and len(decomposition.vertices) == 2
+    model = decomposition_to_model(decomposition)
+    assert model.pairs == (("0,1", "p,q"), ("0,1'", "p,q'"))
+    assert reconstruct(model) == box
 
 
 def test_zero_content_decomposition_gives_single_pair_model():
@@ -429,6 +440,24 @@ def test_a_vertex_leaves_one_column(monkeypatch):
     assert d.local_content == ONE
     assert d.vertices == (vertices[5],)
     assert check_certificate(content_lp_problem(vertices[5], vertices), d.certificate)
+
+
+@pytest.mark.parametrize("spaces", SUPPORT_SPACES, ids=["small", "chsh", "3322", "2233", "3223"])
+def test_a_warm_cache_builds_no_matrix_from_rows(spaces, monkeypatch):
+    vertices = enumerate_local_vertices(spaces)
+    box = mix([(HALF, _pr_type(spaces)), (HALF, vertices[len(vertices) // 2])])
+    problems = _solved_problems(monkeypatch)
+
+    def refuse(rows, width):
+        raise AssertionError("a Matrix was built from rows on a warm cache")
+
+    monkeypatch.setattr(Matrix, "from_rows", refuse)
+    d = max_local_content(box)
+    [reduced] = problems
+    assert 0 < len(reduced.c) < len(vertices) and 0 < len(reduced.b) < len(box.table)
+    full = content_lp_problem(box, vertices)
+    assert check_certificate(full, d.certificate)
+    assert d.local_content == solve_lp(full).value
 
 
 @pytest.mark.parametrize("box", [table1_box(), noise_box()], ids=["table1", "noise"])

@@ -46,7 +46,7 @@ from hvlab.hvmodel import (
     validate_model,
 )
 from hvlab.scalar import HALF, ONE, ZERO, Scalar
-from hvlab.simplex import INFEASIBLE, LpProblem, LpSolution, solve_lp
+from hvlab.simplex import INFEASIBLE, LpProblem, LpSolution, Matrix, solve_lp
 
 BITS = LabelSet(("0", "1"))
 
@@ -107,6 +107,7 @@ INSTANCES = {
         lambda: ExtendedModel((("u", "v"),), (ONE,), (_extension(),)),
         ("pairs", "weights", "extensions"),
     ),
+    Matrix: (lambda: Matrix.from_rows(((ONE, HALF), (ZERO, -ONE)), 2), ("int_rows", "den", "columns")),
     LpProblem: (_lp, ("c", "A", "b")),
     LpSolution: (lambda: solve_lp(_lp()), ("status", "q", "value", "dual")),
 }

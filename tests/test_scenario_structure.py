@@ -6,6 +6,7 @@ against the reference it replaced (``reference_scenario``)."""
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from math import prod
 
@@ -40,7 +41,7 @@ from hvlab.hvmodel import check_locality
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
 from reference_scenario import collins_gisin_ns_lp, is_deterministic_vertex, marginal_is_no_signalling, ns_lp
-from reference_simplex import reference_solve_lp
+from reference_simplex import dense_rows, reference_solve_lp
 
 
 # -- cached vertices -----------------------------------------------------------
@@ -81,6 +82,23 @@ def test_both_budgets_refuse_on_every_call():
             enumerate_local_vertices(OVERSIZED_SPACES)
         with pytest.raises(SizeBudgetExceeded, match="67108864 cells"):
             enumerate_local_vertices(list(WIDE_SPACES))
+
+
+def test_a_vertex_cache_entry_holds_no_dense_scalar_rows():
+    """One entry at two settings and six outcomes per side (1296 vertices
+    of 144 cells) takes about 3.4 MiB with Python 3.11.  The bound fails
+    if the matrix keeps its rows a third time, as dense Scalar rows,
+    which take 1.4 MiB more."""
+    spaces = numbered_spaces(2, 2, 6, 6)
+    _local_vertices.cache_clear()
+    tracemalloc.start()
+    try:
+        vertices = enumerate_local_vertices(spaces)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vertices) == 1296
+    assert size < 4.2 * 2**20
 
 
 def test_evicted_spaces_are_rebuilt_equal():
@@ -256,9 +274,9 @@ def test_ns_bound_equals_the_equality_pair_optimum(expression):
 )
 def test_ns_constraints_have_one_row_per_cell(shape, size):
     matrix, rhs = _ns_constraints(numbered_spaces(*shape))
-    assert (len(matrix), matrix.width) == size
+    assert (len(matrix.int_rows), len(matrix.columns)) == size
     assert all(v in (ZERO, ONE) for v in rhs)
-    assert all(v in (ZERO, ONE, -ONE) for row in matrix for v in row)
+    assert all(v in (ZERO, ONE, -ONE) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
 
 
 @given(_perturbed_boxes())
@@ -272,7 +290,8 @@ def test_collins_gisin_rows_give_back_every_no_signalling_box(box):
     bob = [sum((box.at(0, ib, ix, iy) for ix in range(nx)), ZERO) for ib in range(nb) for iy in range(ny - 1)]
     joint = [box.at(ia, ib, ix, iy) for ia, ib, ix, iy in product(range(na), range(nb), range(nx - 1), range(ny - 1))]
     q = alice + bob + joint
-    cells = tuple(bound - sum((a * v for a, v in zip(row, q)), ZERO) for row, bound in zip(matrix, rhs))
+    rows = dense_rows(matrix.columns, len(rhs))
+    cells = tuple(bound - sum((a * v for a, v in zip(row, q)), ZERO) for row, bound in zip(rows, rhs))
     assert (cells == box.table) == is_no_signalling(box)[0]
 
 
@@ -280,7 +299,7 @@ def test_expressions_on_equal_spaces_share_one_constraint_matrix():
     other = BellExpression(*CHSH_SPACES, (ONE,) * 16)
     assert _ns_constraints(other.spaces) is _ns_constraints(chsh().spaces)
     first, second = _ns_lp(chsh()), _ns_lp(other)
-    assert all(a is b for a, b in zip(first.A, second.A)) and first.b is second.b
+    assert first.A is second.A and first.b is second.b
 
 
 def _mixed_expression(spaces, seed: int) -> BellExpression:

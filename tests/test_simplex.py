@@ -25,7 +25,7 @@ from hvlab.simplex import (
     solve_lp,
 )
 from reference_scenario import ns_lp
-from reference_simplex import reference_solve_lp
+from reference_simplex import dense_rows, reference_solve_lp
 
 
 def test_single_bound():
@@ -285,7 +285,7 @@ def test_equality_pair_ns_lps_match_the_scalar_tableau_reference(problem):
     assert check_certificate(problem, solution)
 
 
-# -- the validated Matrix and its two views -----------------------------------
+# -- the Matrix, its two views and its sub-matrices ---------------------------
 
 
 @st.composite
@@ -301,8 +301,8 @@ def _matrix_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_matrix_views_reproduce_its_dense_rows(drawn):
     rows, n = drawn
-    matrix = Matrix(rows, n)
-    assert matrix == rows and matrix.width == n
+    matrix = Matrix.from_rows(rows, n)
+    assert dense_rows(matrix.columns, len(rows)) == [list(row) for row in rows]
     assert len(matrix.int_rows) == len(matrix.den) == len(rows)
     for row, ints, den in zip(rows, matrix.int_rows, matrix.den):
         # One denominator per row, the least one: the lcm of the entries'.
@@ -314,14 +314,14 @@ def test_matrix_views_reproduce_its_dense_rows(drawn):
 
 
 def test_empty_and_zero_width_matrices():
-    empty = Matrix((), 3)
-    assert empty == () and empty.int_rows == () and empty.den == () and empty.columns == ((), (), ())
-    flat = Matrix(((), ()), 0)
-    assert flat == ((), ()) and flat.int_rows == ((), ()) and flat.den == (1, 1) and flat.columns == ()
+    empty = Matrix.from_rows((), 3)
+    assert empty == Matrix((), (), ((), (), ()))
+    flat = Matrix.from_rows(((), ()), 0)
+    assert flat == Matrix(((), ()), (1, 1), ())
 
 
 def test_matrix_is_immutable_and_pickles():
-    matrix = Matrix(((ONE, parse_scalar("1/2")), (ZERO, -ONE)), 2)
+    matrix = Matrix.from_rows(((ONE, parse_scalar("1/2")), (ZERO, -ONE)), 2)
     with pytest.raises(AttributeError):
         matrix.den = (1, 1)
     copy = pickle.loads(pickle.dumps(matrix))
@@ -340,7 +340,7 @@ def test_matrix_is_immutable_and_pickles():
 )
 def test_matrix_names_the_first_bad_entry_of_a_row(row, error):
     with pytest.raises(error):
-        Matrix(((ONE,) * len(row), row), len(row))
+        Matrix.from_rows(((ONE,) * len(row), row), len(row))
 
 
 def test_a_scalar_subclass_is_a_matrix_entry():
@@ -348,25 +348,49 @@ def test_a_scalar_subclass_is_a_matrix_entry():
         __slots__ = ()
 
     entry = Tagged(Fraction(1, 3))
-    matrix = Matrix(((entry, ZERO),), 2)
+    matrix = Matrix.from_rows(((entry, ZERO),), 2)
     assert matrix.int_rows == ((1, 0),) and matrix.den == (3,) and matrix.columns == (((0, entry),), ())
 
 
 def test_lp_problem_keeps_a_matrix_of_its_width():
-    matrix = Matrix(((ONE, ONE),), 2)
+    matrix = Matrix.from_rows(((ONE, ONE),), 2)
     assert LpProblem((ONE, ONE), matrix, (ONE,)).A is matrix
-    with pytest.raises(DimensionMismatch, match="constraint row has 2 entries, expected 3"):
+    with pytest.raises(DimensionMismatch, match="constraint matrix has 2 columns, expected 3"):
         LpProblem((ONE, ONE, ONE), matrix, (ONE,))
-    # A matrix without rows fits any width.
-    assert LpProblem((ONE, ONE), Matrix((), 5), ()).A.columns == ((), ())
+    with pytest.raises(DimensionMismatch, match="1 constraint rows but 2 right-hand sides"):
+        LpProblem((ONE, ONE), matrix, (ONE, ONE))
+    # A matrix without rows has a width too; plain rows take the objective's.
+    with pytest.raises(DimensionMismatch, match="constraint matrix has 5 columns, expected 2"):
+        LpProblem((ONE, ONE), Matrix.from_rows((), 5), ())
+    assert LpProblem((ONE, ONE), (), ()).A.columns == ((), ())
+
+
+def _distinct_indices(data, size: int) -> list[int]:
+    """Distinct indices below size, some or none, sorted or in any order."""
+    picked = data.draw(st.permutations(range(size)))[: data.draw(st.integers(0, size))]
+    return sorted(picked) if data.draw(st.booleans()) else picked
+
+
+@given(_matrix_rows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_restrict_equals_the_matrix_of_the_dense_sub_rows(drawn, data):
+    rows, n = drawn
+    matrix = Matrix.from_rows(rows, n)
+    kept_rows, kept_columns = _distinct_indices(data, len(rows)), _distinct_indices(data, n)
+    sub = matrix.restrict(kept_rows, kept_columns)
+    expected = Matrix.from_rows([[rows[i][j] for j in kept_columns] for i in kept_rows], len(kept_columns))
+    # The same int rows over the same least denominators, and columns
+    # renumbered by row that hold the very entry objects of the dense rows.
+    assert sub == expected
+    assert all(a is b for got, want in zip(sub.columns, expected.columns) for (_, a), (_, b) in zip(got, want))
 
 
 @given(_field_problems())
 @settings(max_examples=100, deadline=None)
 def test_problems_from_a_matrix_equal_those_from_plain_rows(problem):
-    plain = tuple(tuple(row) for row in problem.A)
+    plain = dense_rows(problem.A.columns, len(problem.b))
     from_plain = LpProblem(problem.c, plain, problem.b)
-    from_matrix = LpProblem(problem.c, Matrix(plain, len(problem.c)), problem.b)
+    from_matrix = LpProblem(problem.c, Matrix.from_rows(plain, len(problem.c)), problem.b)
     assert from_plain == from_matrix
     assert solve_lp(from_matrix) == reference_solve_lp(from_plain)
 
