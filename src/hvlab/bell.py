@@ -19,8 +19,8 @@ host, against 15-46 ms with a Scalar addition per step.
 The no-signalling bound is an exact LP over the no-signalling polytope
 in Collins-Gisin coordinates (Collins and Gisin, J. Phys. A 37, 1775
 (2004)): the marginals and joint probabilities of every outcome but the
-last, one inequality per table cell and no equalities, so the slack
-basis is feasible and the solver needs no phase one.  Its value is
+last, one inequality per table cell and no equalities, so its
+right-hand side is nonnegative, as the simplex requires.  Its value is
 returned only once its certificate checks.
 
 The constraints of that LP depend only on the spaces, so each process

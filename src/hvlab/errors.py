@@ -70,7 +70,9 @@ class IrrationalMatrix(HvlabError):
 
 
 class LpFailure(HvlabError):
-    """The LP solver ended in an unexpected state."""
+    """An LP was not solved: the simplex refused a negative right-hand
+    side, since it starts from the slack basis, or an LP that must be
+    optimal ended otherwise or failed its certificate check."""
 
 
 class SignallingInput(HvlabError):

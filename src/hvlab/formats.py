@@ -301,13 +301,20 @@ def dump_json(data: dict[str, Any]) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _save_json(data: dict[str, Any], path: str | Path) -> None:
+    try:
+        Path(path).write_text(dump_json(data), encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_box(behavior: Behavior, path: str | Path) -> None:
-    Path(path).write_text(dump_json(behavior_to_dict(behavior)), encoding="utf-8")
+    _save_json(behavior_to_dict(behavior), path)
 
 
 def save_model(model: HiddenVariableModel | ExtendedModel, path: str | Path) -> None:
-    Path(path).write_text(dump_json(model_to_dict(model)), encoding="utf-8")
+    _save_json(model_to_dict(model), path)
 
 
 def save_expression(expression: BellExpression, path: str | Path) -> None:
-    Path(path).write_text(dump_json(expression_to_dict(expression)), encoding="utf-8")
+    _save_json(expression_to_dict(expression), path)

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over Q(sqrt(2)) with a rational constraint matrix.
+"""Exact one-phase simplex over Q(sqrt(2)) with a rational constraint matrix.
 
 Solves  maximize c.q  subject to  A.q <= b, q >= 0, where the entries of
 ``A`` are rational and ``b`` and ``c`` may carry sqrt2 parts: an ``A``
@@ -18,6 +18,14 @@ builds a plain ``A`` into a ``Matrix`` and keeps a ``Matrix`` as it is,
 so a matrix that callers share (both of hvlab's LPs cache theirs per
 set of spaces) is checked only once.
 
+:func:`solve_lp` starts from the slack basis, which is feasible exactly
+when ``b >= 0``, and so solves only such problems: a negative
+right-hand-side entry is refused with :class:`~hvlab.errors.LpFailure`
+naming its row, before any tableau row is built.  Both of hvlab's LPs
+qualify: the content LP's right-hand side is a box and the
+no-signalling LP's is 0 or 1.  :class:`LpProblem` itself still accepts
+any ``b``.
+
 Since every basis inverse of a rational matrix is rational, the tableau
 is kept in integers.  Row i is a list of Python ints over one positive
 int denominator, and its right-hand side is the int pair
@@ -25,15 +33,13 @@ int denominator, and its right-hand side is the int pair
 denominator.  The reduced costs are two more such rows after the
 constraints, P for their rational parts and Q for their sqrt2 parts,
 each over its own denominator; the right-hand sides of P and Q hold the
-matching parts of the objective value.  One elimination routine clears
-a column from any set of rows: a row whose factor the pivot element
-divides keeps its denominator and changes only in the pivot row's
-nonzero columns; any other row is cross-multiplied and brought back to
-lowest terms by one gcd.  A pivot eliminates over every row, P and Q
-included, except the pivots that drive artificials out after phase one,
-which skip P and Q because the phase-two objective rewrites them; pricing
-out a basis for a new objective eliminates its costed columns from P and
-Q.  Scalars are built only for the answer.
+matching parts of the objective value.  The slack columns cost 0, so
+the slack basis's reduced costs are -c and its value is 0.  Each pivot
+clears its column from every other row, P and Q included, with one
+elimination routine: a row whose factor the pivot element divides keeps
+its denominator and changes only in the pivot row's nonzero columns;
+any other row is cross-multiplied and brought back to lowest terms by
+one gcd.  Scalars are built only for the answer.
 
 Bland's anti-cycling rule is used throughout (entering: lowest column
 index with a negative reduced cost; leaving: minimum ratio, ties broken
@@ -43,12 +49,6 @@ a ratio test cross-multiplies the two right-hand sides by the positive
 pivot-column entries, and a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2``
 over the positive ``dP*dQ``.  The decisions, and so the pivots and the
 returned solution, are those of a tableau of Scalar entries.
-
-Rows with negative right-hand side are negated and given an artificial
-variable; phase one drives the artificials to zero or proves the
-program infeasible.  Neither of hvlab's own LPs needs it: the content
-LP's right-hand side is a box and the no-signalling LP's is 0 or 1, so
-their slack bases are feasible and the solve starts in phase two.
 
 On optimal termination the reduced costs of the slack columns provide
 the dual vector, giving an exact strong-duality certificate that
@@ -65,12 +65,11 @@ from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, IrrationalMatrix
+from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
 from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, compare, format_scalar
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -212,20 +211,8 @@ class _Tableau:
         self.den = den
         self.basis = basis
 
-    def set_objective(self, cost: Sequence[Scalar]) -> None:
-        """Write -c into rows P and Q and price out the current basis."""
-        ps, qs, d = _common_denominator(cost)
-        m = len(self.basis)
-        self.rows[m:] = [[-p for p in ps], [-q for q in qs]]
-        self.rp[m:] = self.rq[m:] = [0, 0]
-        self.den[m:] = [d, d]
-        # Basic column bi holds den[i] > 0 in row i and zeros in the other constraint rows.
-        for i, bi in enumerate(self.basis):
-            if self.rows[m][bi] or self.rows[m + 1][bi]:
-                self.eliminate(i, bi, (m, m + 1))
-
-    def eliminate(self, r: int, c: int, targets: Iterable[int]) -> None:
-        """Clear column c from the target rows with row r, whose entry in
+    def eliminate(self, r: int, c: int) -> None:
+        """Clear column c from every other row with row r, whose entry in
         column c is positive: a row whose factor that entry divides keeps
         its denominator and changes only in row r's nonzero columns; any
         other row is cross-multiplied and brought to lowest terms."""
@@ -233,8 +220,7 @@ class _Tableau:
         pivot_row = rows[r]
         p, prp, prq = pivot_row[c], rp[r], rq[r]
         nonzero = None
-        for i in targets:
-            row = rows[i]
+        for i, row in enumerate(rows):
             f = row[c]
             if not f or i == r:
                 continue
@@ -256,21 +242,19 @@ class _Tableau:
                 ip, iq, d = ip // g, iq // g, d // g
             rows[i], rp[i], rq[i], den[i] = row, ip, iq, d
 
-    def pivot(self, r: int, c: int, targets: Iterable[int]) -> None:
-        """Make column c basic in row r and clear it from the target rows.
-        Row r is divided by its entry in column c: the row's ints over
-        that entry, made positive and brought to lowest terms."""
+    def pivot(self, r: int, c: int) -> None:
+        """Make column c basic in row r and clear it from every other row.
+        Row r is divided by its entry in column c, which the ratio test
+        chose positive: the row's ints over that entry, brought to lowest
+        terms."""
         pivot_row = self.rows[r]
         p, prp, prq = pivot_row[c], self.rp[r], self.rq[r]
-        if p < 0:
-            pivot_row = [-v for v in pivot_row]
-            p, prp, prq = -p, -prp, -prq
         g = gcd(p, prp, prq, *pivot_row)
         if g != 1:
             pivot_row = [v // g for v in pivot_row]
             p, prp, prq = p // g, prp // g, prq // g
         self.rows[r], self.rp[r], self.rq[r], self.den[r] = pivot_row, prp, prq, p
-        self.eliminate(r, c, targets)
+        self.eliminate(r, c)
         self.basis[r] = c
 
     def value(self) -> tuple[int, int, int]:
@@ -309,83 +293,53 @@ class _Tableau:
                 leaving, best_a, best_p, best_q = i, a, rp[i], rq[i]
             if leaving < 0:
                 return UNBOUNDED
-            self.pivot(leaving, entering, range(len(rows)))
+            self.pivot(leaving, entering)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Exact simplex; see the module docstring for conventions."""
+    """Exact simplex from the slack basis, for ``b >= 0`` only; see the
+    module docstring for conventions."""
+    for i, rhs in enumerate(problem.b):
+        if rhs.sign() < 0:
+            raise LpFailure(
+                f"right-hand side entry {i} is {format_scalar(rhs)}; "
+                "the simplex starts from the slack basis and needs b >= 0"
+            )
     n = len(problem.c)
     m = len(problem.b)
-    negated = [problem.b[i].sign() < 0 for i in range(m)]
-    artificial_rows = [i for i in range(m) if negated[i]]
-    n_art = len(artificial_rows)
-
     rows: list[list[int]] = []
     rp: list[int] = []
     rq: list[int] = []
     den: list[int] = []
-    basis: list[int] = []
-    art_col = {row: n + m + k for k, row in enumerate(artificial_rows)}
     for i, (int_row, row_den, rhs) in enumerate(zip(problem.A.int_rows, problem.A.den, problem.b)):
-        # Row i and its right-hand side over the lcm of their denominators.
+        # Row i, its slack and its right-hand side over the lcm of their denominators.
         bp, bq, bd = rhs._v
         d = lcm(row_den, bd)
-        sign = -1 if negated[i] else 1
-        scale, row_scale = sign * (d // bd), sign * (d // row_den)
+        scale, row_scale = d // bd, d // row_den
         row = list(int_row) if row_scale == 1 else [v * row_scale for v in int_row]
-        p, q = bp * scale, bq * scale
-        slack = [0] * (m + n_art)
-        slack[i] = -d if negated[i] else d
-        if negated[i]:
-            slack[art_col[i] - n] = d
+        slack = [0] * m
+        slack[i] = d
         rows.append(row + slack)
-        rp.append(p)
-        rq.append(q)
+        rp.append(bp * scale)
+        rq.append(bq * scale)
         den.append(d)
-        basis.append(art_col[i] if negated[i] else n + i)
+    # Rows P and Q hold -c: no slack column is costed, so none needs pricing out.
+    ps, qs, d = _common_denominator(problem.c)
+    rows += [[-p for p in ps] + [0] * m, [-q for q in qs] + [0] * m]
+    rp += [0, 0]
+    rq += [0, 0]
+    den += [d, d]
 
-    tableau = _Tableau(rows, rp, rq, den, basis)
-
-    if n_art:
-        phase1_cost = [ZERO] * (n + m) + [-ONE] * n_art
-        tableau.set_objective(phase1_cost)
-        status = tableau.run_bland()
-        assert status == OPTIMAL  # phase one is bounded above by zero
-        if _sign(*tableau.value()[:2]) < 0:
-            return LpSolution(INFEASIBLE)
-        # Drive zero-valued artificials out of the basis; rows where no
-        # structural or slack column can pivot are redundant and dropped.
-        # These pivots clear only the constraint rows: set_objective
-        # rewrites P and Q next.
-        drop: list[int] = []
-        for i in range(len(tableau.basis)):
-            if tableau.basis[i] < n + m:
-                continue
-            row = tableau.rows[i]
-            pivot_col = next((j for j in range(n + m) if row[j]), -1)
-            if pivot_col >= 0:
-                tableau.pivot(i, pivot_col, range(len(tableau.basis)))
-            else:
-                drop.append(i)
-        for i in reversed(drop):
-            for column in (tableau.rows, tableau.rp, tableau.rq, tableau.den, tableau.basis):
-                del column[i]
-        tableau.rows = [row[: n + m] for row in tableau.rows]
-
-    phase2_cost = list(problem.c) + [ZERO] * m
-    tableau.set_objective(phase2_cost)
-    status = tableau.run_bland()
-    if status == UNBOUNDED:
+    tableau = _Tableau(rows, rp, rq, den, list(range(n, n + m)))
+    if tableau.run_bland() == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
     q = [ZERO] * n
     for i, bi in enumerate(tableau.basis):
         if bi < n:
             q[bi] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
-    # Reduced cost of slack i is the dual multiplier of constraint i;
-    # for dropped redundant rows the slack column is zero, giving dual 0.
-    k = len(tableau.basis)
-    P, Q, dp, dq = tableau.rows[k], tableau.rows[k + 1], tableau.den[k], tableau.den[k + 1]
+    # Reduced cost of slack i is the dual multiplier of constraint i.
+    P, Q, dp, dq = tableau.rows[m], tableau.rows[m + 1], tableau.den[m], tableau.den[m + 1]
     dual = tuple(_reduced(P[n + i] * dq, Q[n + i] * dp, dp * dq) for i in range(m))
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
 

@@ -6,8 +6,9 @@ kept here, unchanged, only so that the tests can demand that
 ``hvlab.decompose._vertex_output_tables`` gives the same verdict on
 every table and that ``hvlab.bell.ns_bound``, now an LP in Collins-Gisin
 coordinates, gives this equality-pair LP's optimum.  The equality-pair LP
-also keeps the solver's phase one under test, since its negated
-normalisation rows need artificials.  The no-signalling
+also keeps the reference solver's phase one under test, since its negated
+normalisation rows need artificials; ``hvlab.simplex.solve_lp``, which
+has no phase one, refuses it.  The no-signalling
 check that summed each marginal through ``hvlab.boxes.marginal`` is kept
 too, so that the index-arithmetic ``hvlab.boxes.is_no_signalling`` must
 give the same verdict and the same witness.  The Collins-Gisin builder

@@ -7,6 +7,11 @@ pivots, so the same primal vertex and dual vector, not just the same
 optimum).  Every entry is a Scalar and every decision an exact Scalar
 comparison.  Its dense rows are rebuilt from the matrix's columns, not
 from the int rows the solver reads.
+
+It keeps the phase one that ``solve_lp`` no longer has: a problem with a
+negative right-hand side, which ``solve_lp`` refuses, is solved here, and
+may end ``INFEASIBLE``, a status only this reference returns.  With
+``b >= 0`` phase one never runs, and the two solvers must agree.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from hvlab.scalar import ONE, ZERO, Scalar
-from hvlab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+from hvlab.simplex import OPTIMAL, UNBOUNDED, LpProblem, LpSolution
+
+INFEASIBLE = "infeasible"
 
 
 def dense_rows(columns: Sequence[Sequence[tuple[int, Scalar]]], m: int) -> list[list[Scalar]]:

@@ -226,6 +226,21 @@ def test_decompose_emit_model_round_trips(files, capsys, tmp_path):
     assert reconstruct(model) == table1_box()
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["decompose", "marginalize"])
+def test_an_unwritable_output_path_exits_two(files, capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    if command == "decompose":
+        argv = ("decompose", files["table1"], "--emit-model", str(path))
+    else:
+        argv = ("model", "marginalize", files["model"], "-o", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "unexpected error" not in err
+
+
 def test_decompose_emits_distinct_pairs_for_colliding_labels(capsys, tmp_path):
     from helpers import comma_label_box
 

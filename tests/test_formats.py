@@ -19,6 +19,7 @@ from hvlab.formats import (
     model_from_dict,
     model_to_dict,
     save_box,
+    save_expression,
     save_model,
     sniff_kind,
 )
@@ -216,6 +217,19 @@ def test_load_rejects_bad_json(tmp_path):
     path2 = tmp_path / "missing.json"
     with pytest.raises(FileFormatError):
         load_box(path2)
+
+
+@pytest.mark.parametrize(
+    "save, value",
+    [(save_box, table1_box()), (save_model, appendix_a_model()), (save_expression, chsh())],
+    ids=["box", "model", "expression"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_path_is_a_file_format_error(tmp_path, save, value, target):
+    path = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    with pytest.raises(FileFormatError, match=f"^cannot write {path}: ") as caught:
+        save(value, path)
+    assert isinstance(caught.value.__cause__, OSError)
 
 
 def test_emitted_json_is_stable(tmp_path):

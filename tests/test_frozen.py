@@ -46,7 +46,7 @@ from hvlab.hvmodel import (
     validate_model,
 )
 from hvlab.scalar import HALF, ONE, ZERO, Scalar
-from hvlab.simplex import INFEASIBLE, LpProblem, LpSolution, Matrix, solve_lp
+from hvlab.simplex import UNBOUNDED, LpProblem, LpSolution, Matrix, solve_lp
 
 BITS = LabelSet(("0", "1"))
 
@@ -192,8 +192,8 @@ def test_each_field_takes_part_in_equality_and_hash():
 def test_defaults_fill_trailing_fields():
     assert CheckResult("name", True).detail == ""
     assert CheckResult(ok=True, name="name") == CheckResult("name", True, "")
-    assert LpSolution(INFEASIBLE) == LpSolution(INFEASIBLE, None, None, None)
-    assert LpSolution(INFEASIBLE).q is None and LpSolution(status=INFEASIBLE).dual is None
+    assert LpSolution(UNBOUNDED) == LpSolution(UNBOUNDED, None, None, None)
+    assert LpSolution(UNBOUNDED).q is None and LpSolution(status=UNBOUNDED).dual is None
     with pytest.raises(TypeError):
         CheckResult(ok=True)
     with pytest.raises(TypeError):

@@ -5,21 +5,27 @@ the primal vector, the duals and the decomposition support below stay
 exactly as first recorded.  A skip that altered pivot order would still
 give the same optimum but a different vertex or dual vector.  The
 no-signalling LP is pinned twice: as hvlab builds it, in Collins-Gisin
-coordinates, and as the equality-pair reference builds it, whose negated
-rows give the solver a phase one to pivot through.
+coordinates, and as the equality-pair reference builds it.  The negated
+rows of the latter need a phase one, which ``solve_lp`` does not have:
+it refuses that LP, and the reference solver, which keeps phase one,
+must still return the values first recorded from hvlab's solver.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 from helpers import random_ns_behavior
 from hvlab.bell import BellExpression, _ns_lp, chsh, ns_bound
 from hvlab.boxes import Behavior, LabelSet, deterministic_behavior, mix
 from hvlab.catalog import table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
+from hvlab.errors import LpFailure
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
 from hvlab.simplex import LpSolution, check_certificate, solve_lp
 from reference_scenario import ns_lp
+from reference_simplex import reference_solve_lp
 
 A = "1/4-1/8*sqrt2"
 
@@ -37,7 +43,10 @@ def test_table1_content_lp_solution():
 
 
 def test_chsh_ns_lp_solution():
-    solution = solve_lp(ns_lp(chsh()))
+    problem = ns_lp(chsh())
+    with pytest.raises(LpFailure):
+        solve_lp(problem)
+    solution = reference_solve_lp(problem)
     assert solution.q == _scalars("1/2 0 0 1/2 0 1/2 1/2 0 1/2 0 0 1/2 1/2 0 0 1/2".split())
     assert solution.dual == _scalars(["1", "0", "1", "0", "1", "0", "1", "0"] + ["0"] * 16)
     assert solution.value == parse_scalar("4")
@@ -156,7 +165,9 @@ def _expression_3322() -> BellExpression:
 
 def test_3322_sqrt2_ns_lp_solution():
     problem = ns_lp(_expression_3322())
-    solution = solve_lp(problem)
+    with pytest.raises(LpFailure):
+        solve_lp(problem)
+    solution = reference_solve_lp(problem)
     assert solution.q == _scalars("0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0".split())
     dual = ["0"] * 66
     for i, value in {

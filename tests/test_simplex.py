@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_fractions
-from hvlab import HvlabError, IrrationalMatrix
-from hvlab.bell import BellExpression, _ns_lp
+from helpers import ns_behaviors, small_fractions, valid_behaviors
+from hvlab import HvlabError, IrrationalMatrix, decompose
+from hvlab.bell import BellExpression, _ns_lp, ns_bound
 from hvlab.boxes import LabelSet
-from hvlab.errors import DimensionMismatch
+from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
+from hvlab.errors import DimensionMismatch, LpFailure
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
 from hvlab.simplex import (
-    INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
@@ -25,7 +25,7 @@ from hvlab.simplex import (
     solve_lp,
 )
 from reference_scenario import ns_lp
-from reference_simplex import dense_rows, reference_solve_lp
+from reference_simplex import INFEASIBLE, dense_rows, reference_solve_lp
 
 
 def test_single_bound():
@@ -33,12 +33,6 @@ def test_single_bound():
     assert solution.status == OPTIMAL
     assert solution.value == parse_scalar("1/2")
     assert solution.q == (parse_scalar("1/2"),)
-
-
-def test_infeasible_pair_of_constraints():
-    solution = solve_lp(LpProblem((ONE,), ((-ONE,), (ONE,)), (-ONE, ZERO)))
-    assert solution.status == INFEASIBLE
-    assert solution.q is None
 
 
 def test_irrational_right_hand_side():
@@ -94,38 +88,37 @@ def test_dimension_mismatch():
         LpProblem((ONE,), ((ONE,),), (ONE, ONE))
 
 
-def test_equality_encoded_as_inequality_pair():
-    # q1 + q2 == 1, maximize q1
-    problem = LpProblem(
-        (ONE, ZERO),
-        ((ONE, ONE), (-ONE, -ONE)),
-        (ONE, -ONE),
-    )
-    solution = solve_lp(problem)
-    assert solution.status == OPTIMAL
-    assert solution.value == ONE
-    assert check_certificate(problem, solution)
+# Problems with a negative right-hand side, which only a phase one could
+# start from: an infeasible pair of rows, an equality as a pair of rows,
+# that equality stated twice (one copy redundant) and x >= 1 with nothing
+# above.  solve_lp refuses each, naming its first negative row; the
+# reference, which keeps phase one, still answers each.
+_NEGATIVE_RHS_PROBLEMS = [
+    (LpProblem((ONE,), ((-ONE,), (ONE,)), (-ONE, ZERO)), 0, INFEASIBLE, None),
+    (LpProblem((ONE, ZERO), ((ONE, ONE), (-ONE, -ONE)), (ONE, -ONE)), 1, OPTIMAL, ONE),
+    (
+        LpProblem((ONE, ZERO), ((ONE, ONE), (-ONE, -ONE), (ONE, ONE), (-ONE, -ONE)), (ONE, -ONE, ONE, -ONE)),
+        1,
+        OPTIMAL,
+        ONE,
+    ),
+    (LpProblem((ONE,), ((-ONE,),), (-ONE,)), 0, UNBOUNDED, None),
+]
 
 
-def test_redundant_equalities_are_handled():
-    # x + y == 1 stated twice; the duplicated rows leave an artificial
-    # stuck in the basis, exercising the redundant-row drop
-    problem = LpProblem(
-        (ONE, ZERO),
-        ((ONE, ONE), (-ONE, -ONE), (ONE, ONE), (-ONE, -ONE)),
-        (ONE, -ONE, ONE, -ONE),
-    )
-    solution = solve_lp(problem)
-    assert solution.status == OPTIMAL
-    assert solution.value == ONE
-    assert len(solution.dual) == 4
-    assert check_certificate(problem, solution)
-
-
-def test_unbounded_after_phase_one():
-    # x >= 1 with nothing above: phase one is needed, phase two diverges
-    solution = solve_lp(LpProblem((ONE,), ((-ONE,),), (-ONE,)))
-    assert solution.status == UNBOUNDED
+@pytest.mark.parametrize(
+    "problem, row, status, value",
+    _NEGATIVE_RHS_PROBLEMS,
+    ids=["infeasible-pair", "equality-pair", "redundant-equalities", "x-at-least-one"],
+)
+def test_a_negative_right_hand_side_is_refused(problem, row, status, value):
+    with pytest.raises(LpFailure, match=rf"^right-hand side entry {row} is -1; .*b >= 0"):
+        solve_lp(problem)
+    answer = reference_solve_lp(problem)
+    assert (answer.status, answer.value) == (status, value)
+    if status == OPTIMAL:
+        assert len(answer.dual) == len(problem.b)
+        assert check_certificate(problem, answer)
 
 
 def test_certificate_on_known_solution():
@@ -146,25 +139,28 @@ def test_certificate_rejects_tampering():
 
 
 def test_solver_is_deterministic():
+    # A tie in the first ratio test (rows 0 and 2), a sqrt2 right-hand
+    # side and a negative matrix entry; three pivots to the optimum.
     problem = LpProblem(
-        (ONE, parse_scalar("1/3"), ZERO),
-        ((ONE, ONE, ZERO), (ZERO, ONE, ONE), (-ONE, ZERO, -ONE)),
-        (ONE, parse_scalar("3/2"), parse_scalar("-1/4")),
+        (ONE, parse_scalar("1/3"), HALF),
+        ((ONE, ONE, ZERO), (ZERO, ONE, ONE), (ONE, -ONE, ONE)),
+        (ONE, parse_scalar("1/2*sqrt2"), ONE),
     )
     first = solve_lp(problem)
     second = solve_lp(problem)
-    assert first == second
+    assert first == second == reference_solve_lp(problem)
     assert first.status == OPTIMAL
     assert check_certificate(problem, first)
 
 
 @st.composite
 def random_problems(draw):
+    """Random LPs with rational b >= 0, often with zero entries."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
     c = tuple(Scalar(draw(small_fractions(2, 4))) for _ in range(n))
     A = tuple(tuple(Scalar(draw(small_fractions(2, 4))) for _ in range(n)) for _ in range(m))
-    b = tuple(Scalar(draw(small_fractions(2, 4))) for _ in range(m))
+    b = tuple(draw(st.one_of(st.just(ZERO), _nonnegative_fractions.map(Scalar))) for _ in range(m))
     return LpProblem(c, A, b)
 
 
@@ -172,12 +168,12 @@ def random_problems(draw):
 @settings(max_examples=150, deadline=None)
 def test_random_lps_have_verifiable_outcomes(problem):
     solution = solve_lp(problem)
-    assert solution.status in (OPTIMAL, INFEASIBLE, UNBOUNDED)
+    assert solution.status in (OPTIMAL, UNBOUNDED)
     if solution.status == OPTIMAL:
         assert check_certificate(problem, solution)
-    elif solution.status == INFEASIBLE:
-        # the origin must genuinely be cut off: some row with b_i < 0
-        assert any(rhs.sign() < 0 for rhs in problem.b)
+    else:
+        # The origin is feasible, so only a rewarded direction can run off.
+        assert any(cj.sign() > 0 for cj in problem.c)
 
 
 def test_matrix_entry_with_sqrt2_part_is_refused():
@@ -195,6 +191,7 @@ _matrix_entries = st.one_of(st.sampled_from((0, 0, 1, -1)).map(Scalar), small_fr
 _field_values = st.builds(Scalar, small_fractions(2, 4), st.one_of(st.just(0), small_fractions(2, 4)))
 _nonnegative_fractions = st.fractions(min_value=0, max_value=2, max_denominator=4)
 _nonnegative_values = st.builds(Scalar, _nonnegative_fractions, st.one_of(st.just(0), _nonnegative_fractions))
+_zero_or_nonnegative_values = st.one_of(st.just(ZERO), _nonnegative_values)
 _positive_fractions = st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)
 _one_in_four = st.integers(0, 3).map(lambda k: k == 0)
 
@@ -208,12 +205,12 @@ def _dot(row, q):
 
 @st.composite
 def _field_problems(draw):
-    """Random LPs around a drawn point q0 >= 0.  Each row is A_i.q <= A_i.q0
-    plus a slack that is often zero (degenerate ties), so b has sqrt2 parts
-    and is negative wherever A_i.q0 is; equality pairs through q0 come once
-    or twice (one copy is then redundant and its artificial stays basic).
-    Drawn structure adds a contradictory pair of rows (infeasible), a
-    bounding row sum(q) <= b, and a rewarded column that no row bounds."""
+    """Random LPs with b >= 0 around a drawn point q0 >= 0.  Each row is
+    A_i.q <= max(A_i.q0, 0) plus a slack that is often zero, so q0 is
+    feasible, b has sqrt2 parts and many entries of b are zero
+    (degenerate ties); equality pairs A_i.q == 0 come once or twice (one
+    copy is then redundant).  Drawn structure adds a bounding row
+    sum(q) <= b and a rewarded column that no row bounds."""
     n = draw(st.integers(1, 5))
     q0 = [draw(_nonnegative_values) for _ in range(n)]
     A: list[list[Scalar]] = []
@@ -221,18 +218,12 @@ def _field_problems(draw):
     for _ in range(draw(st.integers(0, 4))):
         row = [draw(_matrix_entries) for _ in range(n)]
         A.append(row)
-        b.append(_dot(row, q0) + draw(st.one_of(st.just(ZERO), _nonnegative_values)))
+        b.append(max(_dot(row, q0), ZERO) + draw(_zero_or_nonnegative_values))
     for _ in range(draw(st.integers(0, 2))):
         row = [draw(_matrix_entries) for _ in range(n)]
-        value = _dot(row, q0)
         for _ in range(draw(st.integers(1, 2))):
             A += [list(row), [-v for v in row]]
-            b += [value, -value]
-    if draw(_one_in_four):
-        row = [draw(_matrix_entries) for _ in range(n)]
-        value = draw(_field_values)
-        A += [row, [-v for v in row]]
-        b += [value, -value - Scalar(draw(_positive_fractions))]
+            b += [ZERO, ZERO]
     if not draw(_one_in_four):
         A.append([ONE] * n)
         b.append(_dot(A[-1], q0) + draw(_nonnegative_values))
@@ -273,16 +264,39 @@ def test_ns_lps_match_the_scalar_tableau_reference(problem):
     assert check_certificate(problem, solution)
 
 
-@given(_ns_problems(build=ns_lp))
+@given(_ns_problems(build=lambda expression: expression))
 @settings(max_examples=40, deadline=None)
-def test_equality_pair_ns_lps_match_the_scalar_tableau_reference(problem):
+def test_equality_pair_ns_lps_match_the_scalar_tableau_reference(expression):
     # Every normalisation row comes with its negation, whose right-hand
-    # side -1 needs an artificial: phase one and the drive-out run.
-    assert any(v.sign() < 0 for v in problem.b)
-    solution = solve_lp(problem)
-    assert solution == reference_solve_lp(problem)
+    # side -1 only the reference's phase one can start from: solve_lp
+    # refuses the LP, and the reference's optimum is the bound hvlab
+    # finds in Collins-Gisin coordinates.
+    problem = ns_lp(expression)
+    with pytest.raises(LpFailure, match="right-hand side entry 1 is -1"):
+        solve_lp(problem)
+    solution = reference_solve_lp(problem)
     assert solution.status == OPTIMAL
     assert check_certificate(problem, solution)
+    assert ns_bound(expression) == solution.value
+
+
+@given(valid_behaviors(), ns_behaviors(), _ns_problems())
+@settings(max_examples=40, deadline=None)
+def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns_problem):
+    # The content LP of a valid box, the support LP that max_local_content
+    # solves and the no-signalling LP: each starts from its slack basis.
+    solved = []
+
+    def recording_solve_lp(problem):
+        solved.append(problem)
+        return solve_lp(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decompose, "solve_lp", recording_solve_lp)
+        max_local_content(ns_box)
+    assert len(solved) == 1
+    for problem in (content_lp_problem(box, enumerate_local_vertices(box.spaces)), *solved, ns_problem):
+        assert all(v.sign() >= 0 for v in problem.b)
 
 
 # -- the Matrix, its two views and its sub-matrices ---------------------------
