@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .boxes import (
@@ -71,14 +71,14 @@ class BellExpression(Tensor):
 
 
 def evaluate(expression: BellExpression, behavior: Behavior) -> Scalar:
-    """Full contraction sum c(a,b,x,y) * P(x,y|a,b)."""
+    """Full contraction sum c(a,b,x,y) * P(x,y|a,b), in ints over the
+    tables' common denominators dc and db, then divided by dc*db."""
     if expression.spaces != behavior.spaces:
         raise SpaceMismatch("expression and behavior spaces differ")
-    total = ZERO
-    for coefficient, probability in zip(expression.coefficients, behavior.table):
-        if not coefficient.is_zero():
-            total = total + coefficient * probability
-    return total
+    cp, cq, dc = _common_denominator(expression.coefficients)
+    bp, bq, db = _common_denominator(behavior.table)
+    p = sum(map(mul, cp, bp)) + 2 * sum(map(mul, cq, bq))
+    return _reduced(p, sum(map(mul, cp, bq)) + sum(map(mul, cq, bp)), dc * db)
 
 
 def chsh() -> BellExpression:
@@ -307,9 +307,5 @@ def ns_bound(expression: BellExpression) -> Scalar:
         raise LpFailure(f"no-signalling bound LP ended {solution.status}")
     if not check_certificate(problem, solution):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
-    # The expression's constant part, c.b: its coefficients where b is 1.
-    constant = ZERO
-    for coefficient, bound in zip(expression.table, problem.b):
-        if not bound.is_zero():
-            constant = constant + coefficient
-    return constant + solution.value
+    # Plus the expression's constant part, c.b: its coefficients where b is 1.
+    return sum((c for c, bound in zip(expression.table, problem.b) if not bound.is_zero()), solution.value)

@@ -21,15 +21,15 @@ compute a report store equal values.
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
 LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
-:func:`is_no_signalling` is not remembered on the box: it sums the
-marginals it compares straight from the flat table each time.
+The report and :func:`is_no_signalling` sum and compare the table as
+ints over its common denominator, building a Scalar only for a value
+they report; that int view is not remembered on the box, and neither is
+:func:`is_no_signalling`.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
-from operator import add
 from typing import Any, Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     WeightSumMismatch,
 )
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar, format_scalar
 
 Side = Literal["alice", "bob"]
 
@@ -279,17 +279,16 @@ def require_valid_behavior(behavior: Behavior) -> None:
 
 
 def _behavior_report(behavior: Behavior) -> BehaviorReport:
-    negatives: list[tuple[str, str, str, str, Scalar]] = []
+    ps, qs, den = _common_denominator(behavior.table)
+    negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
+    labels = list(product(*behavior.spaces)) if negatives else []
     bad_rows: list[tuple[str, str, Scalar]] = []
-    totals: dict[tuple[str, str], Scalar] = {}
-    for (a, b, x, y), value in behavior.cells():
-        if value.sign() < 0:
-            negatives.append((a, b, x, y, value))
-        totals[(a, b)] = totals.get((a, b), ZERO) + value
-    for (a, b), total in totals.items():
-        if total != ONE:
-            bad_rows.append((a, b, total))
-    return BehaviorReport(tuple(negatives), tuple(bad_rows))
+    block = len(behavior.outcomes_x) * len(behavior.outcomes_y)
+    for start, (a, b) in zip(range(0, len(ps), block), product(behavior.settings_a, behavior.settings_b)):
+        p, q = sum(ps[start : start + block]), sum(qs[start : start + block])
+        if p != den or q:
+            bad_rows.append((a, b, _reduced(p, q, den)))
+    return BehaviorReport(tuple((*labels[i], behavior.table[i]) for i in negatives), tuple(bad_rows))
 
 
 def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[str, Scalar]:
@@ -297,22 +296,14 @@ def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[
     a, b = settings
     ia = _require_setting(behavior.settings_a, a, "alice")
     ib = _require_setting(behavior.settings_b, b, "bob")
-    result: dict[str, Scalar] = {}
+    nx, ny = len(behavior.outcomes_x), len(behavior.outcomes_y)
+    start = (ia * len(behavior.settings_b) + ib) * nx * ny
+    cells = behavior.table[start : start + nx * ny]
     if side == "alice":
-        for ix, x in enumerate(behavior.outcomes_x):
-            total = ZERO
-            for iy in range(len(behavior.outcomes_y)):
-                total = total + behavior.at(ia, ib, ix, iy)
-            result[x] = total
-    elif side == "bob":
-        for iy, y in enumerate(behavior.outcomes_y):
-            total = ZERO
-            for ix in range(len(behavior.outcomes_x)):
-                total = total + behavior.at(ia, ib, ix, iy)
-            result[y] = total
-    else:
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    return result
+        return {x: sum(cells[ix * ny : ix * ny + ny], ZERO) for ix, x in enumerate(behavior.outcomes_x)}
+    if side == "bob":
+        return {y: sum(cells[iy::ny], ZERO) for iy, y in enumerate(behavior.outcomes_y)}
+    raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
 
 
 class NsWitness(Frozen):
@@ -347,41 +338,43 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
 
     Marginals are compared against the first counterpart setting; the
     equality relation is transitive so this is equivalent to comparing
-    all pairs.  Requires a valid behavior.  Each marginal is summed from
-    its cells of the flat table by index arithmetic: the (a, b) block
-    starts at ``(ia*|B| + ib) * |X||Y|``, Alice's outcome ix is the run
-    of |Y| cells from ``ix*|Y|`` within it and Bob's outcome iy every
-    |Y|-th cell from ``iy``.
+    all pairs.  Requires a valid behavior.  The table is read as ints
+    ``ps[i] + qs[i]*sqrt2`` over its common denominator, and each party's
+    marginals are int sums laid out as one row per own setting, in
+    (counterpart setting, outcome) order: Alice's are the runs of |Y|
+    cells, Bob's the runs of |X| among every |Y|-th cell, regrouped by b.
+    A row is no-signalling when it repeats its first |X| (or |Y|) sums;
+    only a witness's two values become Scalars.
     """
     require_valid_behavior(behavior)
     settings_a, settings_b, outcomes_x, outcomes_y = behavior.spaces
-    nb, nx, ny = len(settings_b), len(outcomes_x), len(outcomes_y)
-    table = behavior.table
-    block = nx * ny
-
-    def alice(ia: int, ib: int) -> list[Scalar]:
-        start = (ia * nb + ib) * block
-        return [reduce(add, table[start + ix * ny : start + ix * ny + ny]) for ix in range(nx)]
-
-    def bob(ia: int, ib: int) -> list[Scalar]:
-        start = (ia * nb + ib) * block
-        return [reduce(add, table[start + iy : start + block : ny]) for iy in range(ny)]
-
-    for ia, a in enumerate(settings_a):
-        reference = alice(ia, 0)
-        for ib in range(1, nb):
-            for x, value_reference, value_other in zip(outcomes_x, reference, alice(ia, ib)):
-                if value_reference != value_other:
-                    b_ref, b = settings_b.labels[0], settings_b.labels[ib]
-                    return False, NsWitness("alice", a, b_ref, b, x, value_reference, value_other)
+    na, nb, nx, ny = map(len, behavior.spaces)
+    ps, qs, den = _common_denominator(behavior.table)
+    # Alice's marginals in (a, b, x) order, and Bob's in (a, b) order for each y.
+    alice = list(zip(_run_sums(ps, ny), _run_sums(qs, ny)))
+    bob = [list(zip(_run_sums(ps[iy::ny], nx), _run_sums(qs[iy::ny], nx))) for iy in range(ny)]
+    width = nb * nx
+    rows = [
+        ("alice", a, settings_b, outcomes_x, alice[ia * width : (ia + 1) * width]) for ia, a in enumerate(settings_a)
+    ]
+    if all(row == row[:nx] * nb for *_, row in rows) and all(by_y == by_y[:nb] * na for by_y in bob):
+        return True, None
     for ib, b in enumerate(settings_b):
-        reference = bob(0, ib)
-        for ia in range(1, len(settings_a)):
-            for y, value_reference, value_other in zip(outcomes_y, reference, bob(ia, ib)):
-                if value_reference != value_other:
-                    a_ref, a = settings_a.labels[0], settings_a.labels[ia]
-                    return False, NsWitness("bob", b, a_ref, a, y, value_reference, value_other)
+        rows.append(("bob", b, settings_a, outcomes_y, [m for ms in zip(*(by_y[ib::nb] for by_y in bob)) for m in ms]))
+    # The first moved marginal, in the order of the rows.
+    for side, setting, counterparts, outcomes, row in rows:
+        n = len(outcomes)
+        if row != row[:n] * len(counterparts):
+            k = next(k for k in range(n, len(row)) if row[k] != row[k % n])
+            values = _reduced(*row[k % n], den), _reduced(*row[k], den)
+            counterpart = counterparts.labels[k // n]
+            return False, NsWitness(side, setting, counterparts.labels[0], counterpart, outcomes.labels[k % n], *values)
     return True, None
+
+
+def _run_sums(values: list[int], size: int) -> list[int]:
+    """The sums of the consecutive runs of ``size`` values."""
+    return list(map(sum, zip(*[iter(values)] * size)))
 
 
 def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:

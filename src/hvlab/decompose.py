@@ -28,25 +28,23 @@ notion it grounds does not come with a numeric definition, so all
 output labels the value "maximal local content (decomposition-based)".
 
 The vertices and the content LP's constraint matrix depend only on the
-spaces, so each process builds them once per set of spaces:
+spaces, so each process builds them once per set of spaces and keeps
+them for the ``boxes.CACHED_SPACES`` = 4 most recently used sets:
 :func:`enumerate_local_vertices` hands every caller (the content LP, its
 certificate problem, ``hvlab decompose --verify`` and the demos) the same
-tuple of the same vertex objects, and that tuple carries the transposed
-vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
-:func:`content_lp_problem` reuses for it (any other tuple gets a matrix
-of its own) and from which :func:`max_local_content` cuts its support
-LP's matrix with ``Matrix.restrict``, checking no entry again.  Entries
-are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
-spaces.  With two settings and eight outcomes per side (4096 vertices of
-256 cells) one entry takes about 17.8 MiB, measured with tracemalloc
-under Python 3.11: 8.6 MiB of vertex tables (references to the shared
-ZERO and ONE Scalars) and 9.2 MiB of matrix (its int rows and its
-column lists).  That is a quarter of
-``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
-about 71 MiB; the benchmark's largest content rung holds 81 vertices of
-36 cells.  The audit,
-:func:`verify_decomposition`, does not trust that tuple: it checks every
-support vertex against the definition by index arithmetic on its table.
+tuple of the same vertex objects, carrying the transposed vertex matrix
+as a :class:`~hvlab.simplex.Matrix`, validated once, which
+:func:`content_lp_problem` reuses (any other tuple gets a matrix of its
+own) and from which :func:`max_local_content` cuts its support LP's
+matrix with ``Matrix.restrict``, checking no entry again.  At two
+settings and eight outcomes per side an entry takes about 17.8 MiB (see
+``VERTEX_CELL_BUDGET``), and about 71 MiB at that budget.
+
+The remainder and the audit work in ints over common denominators.  The
+audit, :func:`verify_decomposition`, does not trust the cached tuple: it
+checks every support vertex against the definition on its table's
+canonical triples, puts each weight on the unit cells that vertex's
+output tables name, and compares each cell by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ from .boxes import (
     LabelSet,
     Spaces,
     _output_tables,
+    _position,
     _strategy_count,
     deterministic_behavior,
     is_no_signalling,
@@ -71,17 +70,19 @@ from .boxes import (
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
 from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
-from .scalar import ONE, ZERO, Scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, compare, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
+_ONE, _ZERO = ONE._v, ZERO._v
 
 # Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
 # enumeration will build.  The strategy budget alone lets through two
 # settings with sixteen outcomes per side: 65 536 vertices of 1024
 # cells each and a content LP to match.  Eight outcomes per side (4096
 # vertices of 256 cells, a quarter of the budget) hold about 8.6 MiB of
-# tables and 9.2 MiB of content-LP matrix; the largest benchmark rung,
-# 3333, has 729 vertices of 81 cells.
+# tables (references to the shared ZERO and ONE) and 9.2 MiB of
+# content-LP matrix, measured with tracemalloc under Python 3.11; the
+# largest benchmark rung, 3333, has 729 vertices of 81 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -164,32 +165,37 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     """Exact maximal local content of a valid no-signalling box."""
     ok, witness = is_no_signalling(behavior)
     if not ok:
-        raise SignallingInput(
-            f"no local decomposition exists for a signalling box ({witness.describe()})"
-        )
+        raise SignallingInput(f"no local decomposition exists for a signalling box ({witness.describe()})")
     vertices = enumerate_local_vertices(behavior.spaces)
     solution = _solve_over_support(behavior, vertices)
     if solution.status != OPTIMAL:
         raise LpFailure(f"local-content LP ended {solution.status}")
     content = solution.value
-    support = [(vertex, q) for vertex, q in zip(vertices, solution.q) if q.sign() > 0]
-    local_part = [ZERO] * len(behavior.table)
-    for vertex, q in support:
-        for i, cell in enumerate(vertex.table):
-            if not cell.is_zero():
-                local_part[i] = local_part[i] + q * cell
+    support = [(k, q) for k, q in enumerate(solution.q) if q.sign() > 0]
     if content != ONE:
-        scale = ONE / (ONE - content)
-        residual = Behavior(
-            *behavior.spaces,
-            tuple((cell - local) * scale for cell, local in zip(behavior.table, local_part)),
-        )
+        # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
+        # matrix, all 1s: numerators r over b*w, the box's and the weights' common
+        # denominators; 1/(1 - content) = cd*(u - v*sqrt2)/(u*u - 2*v*v).
+        bp, bq, b = _common_denominator(behavior.table)
+        wp, wq, w = _common_denominator([q for _, q in support])
+        rp, rq = [p * w for p in bp], [q * w for q in bq]
+        for (k, _), p, q in zip(support, wp, wq):
+            for i, _ in vertices.matrix.columns[k]:
+                rp[i] -= p * b
+                rq[i] -= q * b
+        cp, cq, cd = content._v
+        u, v = cd - cp, -cq
+        norm = u * u - 2 * v * v
+        if norm < 0:
+            u, v, norm = -u, -v, -norm
+        cells = (_reduced(cd * (p * u - 2 * q * v), cd * (q * u - p * v), b * w * norm) for p, q in zip(rp, rq))
+        residual = Behavior(*behavior.spaces, cells)
         residual_used = True
     else:
         residual = uniform_behavior(*behavior.spaces)
         residual_used = False
     return LocalDecomposition(
-        vertices=tuple(v for v, _ in support),
+        vertices=tuple(vertices[k] for k, _ in support),
         weights=tuple(q for _, q in support),
         residual=residual,
         local_content=content,
@@ -211,7 +217,8 @@ def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolut
         else:
             cells.append(i)
     kept = [k for k in range(n) if k not in dropped]
-    reduced = solve_lp(LpProblem((ONE,) * len(kept), matrix.restrict(cells, kept), [table[i] for i in cells]))
+    sub = matrix if len(cells) == len(table) else matrix.restrict(cells, kept)
+    reduced = solve_lp(LpProblem((ONE,) * len(kept), sub, [table[i] for i in cells]))
     if reduced.status != OPTIMAL:
         return reduced
     q = [ZERO] * n
@@ -226,23 +233,23 @@ def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolut
 def _vertex_output_tables(behavior: Behavior) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The (Alice, Bob) output index tables of a local deterministic vertex,
     or None for any other box, checked against the definition by index
-    arithmetic on its table: each (a, b) block holds exactly one cell equal
-    to ONE and zeros elsewhere, Alice's unit outcome does not depend on b,
-    and Bob's does not depend on a.  That is the same as valid, 0/1 and
-    no-signalling, and shares no code with vertex enumeration or the LP."""
+    arithmetic on its table's canonical triples: each (a, b) block holds
+    exactly one cell equal to ONE and zeros elsewhere, Alice's unit outcome
+    does not depend on b, and Bob's does not depend on a.  That is the same
+    as valid, 0/1 and no-signalling, and shares no code with vertex
+    enumeration or the LP."""
     na, nb, nx, ny = (len(space) for space in behavior.spaces)
-    table = behavior.table
+    cells = [cell._v for cell in behavior.table]
     block = nx * ny
     outcome_a: dict[int, int] = {}
     outcome_b: dict[int, int] = {}
     for ia in range(na):
         for ib in range(nb):
             start = (ia * nb + ib) * block
-            cells = table[start : start + block]
-            units = [k for k, cell in enumerate(cells) if cell == ONE]
-            if len(units) != 1 or sum(cell.is_zero() for cell in cells) != block - 1:
+            triples = cells[start : start + block]
+            if triples.count(_ZERO) != block - 1 or _ONE not in triples:
                 return None
-            ix, iy = divmod(units[0], ny)
+            ix, iy = divmod(triples.index(_ONE), ny)
             if outcome_a.setdefault(ia, ix) != ix or outcome_b.setdefault(ib, iy) != iy:
                 return None
     # Both dicts were filled in setting order.
@@ -295,9 +302,8 @@ def _intrinsic_checks(
     local deterministic); given ``spaces``, every vertex must also have
     them."""
     negative = [format_scalar(q) for q in d.weights if q.sign() < 0]
-    total = ZERO
-    for q in d.weights:
-        total = total + q
+    ps, qs, den = _common_denominator(d.weights)
+    total = _reduced(sum(ps), sum(qs), den)
     tables = [_vertex_output_tables(vertex) for vertex in d.vertices]
     bad_vertices = [
         i
@@ -321,7 +327,7 @@ def _intrinsic_checks(
         ),
         (
             CheckResult(
-                "local_content_at_most_one", (d.local_content - ONE).sign() <= 0, format_scalar(d.local_content)
+                "local_content_at_most_one", compare(d.local_content, ONE) <= 0, format_scalar(d.local_content)
             ),
             inconsistent,
         ),
@@ -352,7 +358,8 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     code with the LP and so serves as its external auditor.
     """
     d = decomposition
-    checks = [check for check, _ in _intrinsic_checks(d, behavior.spaces)[0]]
+    intrinsic, tables = _intrinsic_checks(d, behavior.spaces)
+    checks = [check for check, _ in intrinsic]
     vertices_ok = checks[-1].ok  # vertices_are_local_deterministic
 
     # The residual counts only on the box's own spaces.
@@ -368,37 +375,39 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
         if d.residual_used and not same_spaces:
             checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
         else:
-            recombined = [ZERO] * len(behavior.table)
-            for vertex, q in zip(d.vertices, d.weights):
-                for i, cell in enumerate(vertex.table):
-                    if not cell.is_zero():
-                        recombined[i] = recombined[i] + q * cell
-            if d.residual_used:
-                remainder_weight = ONE - d.local_content
-                recombined = [
-                    value + remainder_weight * cell for value, cell in zip(recombined, d.residual.table)
-                ]
-            mismatch = next(
-                (i for i, (got, want) in enumerate(zip(recombined, behavior.table)) if got != want), None
+            # Each weight goes on the unit cells its vertex's output tables name,
+            # as ints over the weights' common denominator w.  With the residual
+            # (zero when unused) over s, its weight 1 - content over rd and the
+            # box over b, each cell is compared times w*rd*s*b.
+            _, nb, nx, ny = (len(space) for space in behavior.spaces)
+            size = len(behavior.table)
+            wp, wq, w = _common_denominator(d.weights)
+            lp, lq = [0] * size, [0] * size
+            for (xs, ys), p, q in zip(tables, wp, wq):
+                for ia, ix in enumerate(xs):
+                    for ib, iy in enumerate(ys):
+                        i = _position(nb, nx, ny, ia, ib, ix, iy)
+                        lp[i] += p
+                        lq[i] += q
+            sp, sq, s = _common_denominator(d.residual.table if d.residual_used else (ZERO,) * size)
+            cp, cq, rd = d.local_content._v
+            rp, rq = rd - cp, -cq
+            bp, bq, b = _common_denominator(behavior.table)
+            local, remainder, box = rd * s * b, w * b, w * rd * s
+            rebuilt = (
+                p * local + (rp * ps + 2 * rq * qs) * remainder == box_p * box
+                and q * local + (rp * qs + rq * ps) * remainder == box_q * box
+                for p, q, ps, qs, box_p, box_q in zip(lp, lq, sp, sq, bp, bq)
             )
-            checks.append(
-                CheckResult(
-                    "reconstruction_exact",
-                    mismatch is None,
-                    "" if mismatch is None else f"first differing cell index {mismatch}",
-                )
-            )
+            mismatch = next((i for i, ok in enumerate(rebuilt) if not ok), None)
+            detail = "" if mismatch is None else f"first differing cell index {mismatch}"
+            checks.append(CheckResult("reconstruction_exact", mismatch is None, detail))
 
         original_ns, _ = is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
         if original_ns and residual_ok:
             residual_ns, ns_witness = is_no_signalling(d.residual)
-            checks.append(
-                CheckResult(
-                    "residual_no_signalling",
-                    residual_ns,
-                    "" if residual_ns else ns_witness.describe(),
-                )
-            )
+            detail = "" if residual_ns else ns_witness.describe()
+            checks.append(CheckResult("residual_no_signalling", residual_ns, detail))
     return DecompositionReport(tuple(checks))
 
 

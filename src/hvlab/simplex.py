@@ -52,22 +52,23 @@ returned solution, are those of a tableau of Scalar entries.
 
 On optimal termination the reduced costs of the slack columns provide
 the dual vector, giving an exact strong-duality certificate that
-:func:`check_certificate` verifies by plain Scalar arithmetic,
-independent of the pivoting code: A.q from the columns of
-q's support and y.A column by column, checking every row and column,
-with a +-1 entry adding or subtracting as is.
+:func:`check_certificate` verifies in ints too, independent of the
+pivoting code: q and y each over their own common denominator, A.q and
+y.A summed from the columns' entries, each sum over the lcm of the entry
+denominators it has met (1 for a 0/+-1 matrix), every row and column
+decided by the exact sign of a cross-multiplied difference.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, compare, format_scalar
+from .scalar import ZERO, Scalar, _common_denominator, _reduced, _sign, format_scalar
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -143,6 +144,7 @@ class Matrix(Frozen):
 
 _SCALAR_TYPE = {Scalar}
 _TRIPLE = attrgetter("_v")
+_ZERO = ZERO._v
 _NUMERATOR, _SQRT2_PART, _DENOMINATOR = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
@@ -344,63 +346,63 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
 
 
-_MINUS_ONE = -ONE
-
-
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     """Verify the strong-duality certificate by direct arithmetic.
 
     Requires primal feasibility (A.q <= b, q >= 0), dual feasibility
     (y >= 0, y.A >= c componentwise) and matching objectives
-    (c.q == y.b == value).  Deliberately shares no code with the solver.
+    (c.q == y.b == value).  Deliberately shares no code with the solver;
+    see the module docstring.  c.q and y.b are one Scalar product per
+    nonzero term, summed as ints.
     """
     if solution.status != OPTIMAL:
         return False
     if solution.q is None or solution.value is None or solution.dual is None:
         return False
-    n = len(problem.c)
     m = len(problem.b)
-    if len(solution.q) != n or len(solution.dual) != m:
+    if len(solution.q) != len(problem.c) or len(solution.dual) != m:
         return False
-    # q's support and y's nonzero entries, None for a zero one.
-    support = [(j, v) for j, v in enumerate(solution.q) if not v.is_zero()]
-    weights = [None if v.is_zero() else v for v in solution.dual]
-    if any(v.sign() < 0 for _, v in support) or any(w.sign() < 0 for w in weights if w is not None):
+    # q over its support, y in full, each as ints over its own common denominator.
+    support = [j for j, v in enumerate(map(_TRIPLE, solution.q)) if v != _ZERO]
+    qp, qq, qd = _common_denominator([solution.q[j] for j in support])
+    yp, yq, yd = _common_denominator(solution.dual)
+    pairs = chain(zip(qp, qq), zip(yp, yq))
+    if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, q) < 0 for p, q in pairs):
         return False
-    # A.q, one Scalar sum per row, from the columns of q's support.  Both
-    # LPs' matrices are all 0 and +-1, and a unit entry adds or subtracts
-    # the value as is.
-    lhs = [ZERO] * m
-    for j, v in support:
+    # A.q: row i is (P[i] + Q[i]*sqrt2) / (D[i]*qd).
+    P, Q, D = [0] * m, [0] * m, [1] * m
+    for j, p, q in zip(support, qp, qq):
         for i, a in problem.A.columns[j]:
-            if a == ONE:
-                lhs[i] = lhs[i] + v
-            elif a == _MINUS_ONE:
-                lhs[i] = lhs[i] - v
-            else:
-                lhs[i] = lhs[i] + a * v
-    if any(compare(total, bound) > 0 for total, bound in zip(lhs, problem.b)):
-        return False
-    # y.A, column by column, over y's nonzero entries.
-    for column, cj in zip(problem.A.columns, problem.c):
-        total = ZERO
-        for i, a in column:
-            w = weights[i]
-            if w is None:
-                continue
-            if a == ONE:
-                total = total + w
-            elif a == _MINUS_ONE:
-                total = total - w
-            else:
-                total = total + w * a
-        if compare(total, cj) < 0:
+            an, _, ad = a._v
+            d = D[i]
+            if ad != d:
+                if d % ad:
+                    f = ad // gcd(d, ad)
+                    P[i], Q[i], D[i] = P[i] * f, Q[i] * f, d * f
+                    d *= f
+                an *= d // ad
+            P[i] += an * p
+            Q[i] += an * q
+    for (bp, bq, bd), p, q, d in zip(map(_TRIPLE, problem.b), P, Q, D):
+        t = d * qd
+        if _sign(p * bd - bp * t, q * bd - bq * t) > 0:
             return False
-    primal_value = ZERO
-    for j, v in support:
-        primal_value = primal_value + problem.c[j] * v
-    dual_value = ZERO
-    for w, bound in zip(weights, problem.b):
-        if w is not None:
-            dual_value = dual_value + w * bound
-    return primal_value == solution.value and dual_value == solution.value
+    # y.A: column j is (p + q*sqrt2) / (d*yd).
+    for column, (cp, cq, cd) in zip(problem.A.columns, map(_TRIPLE, problem.c)):
+        p, q, d = 0, 0, 1
+        for i, a in column:
+            an, _, ad = a._v
+            if ad != d:
+                if d % ad:
+                    f = ad // gcd(d, ad)
+                    p, q, d = p * f, q * f, d * f
+                an *= d // ad
+            p += an * yp[i]
+            q += an * yq[i]
+        t = d * yd
+        if _sign(p * cd - cp * t, q * cd - cq * t) < 0:
+            return False
+    primal = _common_denominator([problem.c[j] * solution.q[j] for j in support])
+    dual = _common_denominator([w * bound for w, bound, p, q in zip(solution.dual, problem.b, yp, yq) if p or q])
+    vp, vq, vd = solution.value._v
+    return all(sum(ps) * vd == vp * d and sum(qs) * vd == vq * d for ps, qs, d in (primal, dual))

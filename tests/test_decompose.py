@@ -478,3 +478,58 @@ def test_positive_content_gives_nontrivial_model_for_uniform_marginal_boxes():
     assert decomposition.local_content.sign() > 0
     model = decomposition_to_model(decomposition)
     assert nontrivial_weight(model).sign() > 0
+
+
+# -- the audit's failure texts, pinned -----------------------------------------
+
+
+def _corrupted_table1_decomposition(kind: str) -> LocalDecomposition:
+    """The table1 box's decomposition with one kind of corruption."""
+    box = table1_box()
+    d = max_local_content(box)
+    if kind == "weight":
+        weights = (*d.weights[:2], d.weights[2] + parse_scalar("1/1000"), *d.weights[3:])
+        return LocalDecomposition(d.vertices, weights, d.residual, d.local_content)
+    if kind == "residual_cell":
+        table = list(d.residual.table)
+        table[5] = table[5] + parse_scalar("1/1000*sqrt2")
+        return LocalDecomposition(d.vertices, d.weights, Behavior(*box.spaces, tuple(table)), d.local_content)
+    if kind == "non_vertex":
+        vertices = (d.vertices[0], mix([(HALF, d.vertices[0]), (HALF, d.vertices[1])]), *d.vertices[2:])
+        return LocalDecomposition(vertices, d.weights, d.residual, d.local_content)
+    if kind == "residual_spaces":
+        residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(("0", "1", "2")))
+        return LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
+    assert kind == "residual_unused"
+    return LocalDecomposition(d.vertices, d.weights, d.residual, d.local_content, residual_used=False)
+
+
+AUDIT_FAILURES = {
+    "weight": [
+        ("local_content_is_weight_sum", "sum 2001/1000-1*sqrt2 vs recorded 2-1*sqrt2"),
+        ("reconstruction_exact", "first differing cell index 0"),
+    ],
+    "residual_cell": [
+        ("residual_valid", "row (0,3) sums to 1+1/1000*sqrt2"),
+        ("reconstruction_exact", "first differing cell index 5"),
+    ],
+    "non_vertex": [("vertices_are_local_deterministic", "offending indices [1]")],
+    "residual_spaces": [
+        ("residual_valid", "residual spaces differ"),
+        ("reconstruction_exact", "residual spaces differ"),
+    ],
+    "residual_unused": [
+        ("residual_used_unless_fully_local", "local content 2-1*sqrt2"),
+        ("reconstruction_exact", "first differing cell index 0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", AUDIT_FAILURES)
+def test_the_audit_names_each_corruption_in_fixed_words(kind):
+    report = verify_decomposition(_corrupted_table1_decomposition(kind), table1_box())
+    assert [(check.name, check.detail) for check in report.checks if not check.ok] == AUDIT_FAILURES[kind]
+    # Every other check passes, and the residual's no-signalling is judged
+    # only when the vertices and the residual are both sound.
+    names = [check.name for check in report.checks]
+    assert ("residual_no_signalling" in names) == (kind == "weight")
