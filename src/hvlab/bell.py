@@ -307,5 +307,9 @@ def ns_bound(expression: BellExpression) -> Scalar:
         raise LpFailure(f"no-signalling bound LP ended {solution.status}")
     if not check_certificate(problem, solution):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
-    # Plus the expression's constant part, c.b: its coefficients where b is 1.
-    return sum((c for c, bound in zip(expression.table, problem.b) if not bound.is_zero()), solution.value)
+    # The expression's constant part, c.b: its coefficients where b is 1.
+    constant = ZERO
+    for coefficient, bound in zip(expression.table, problem.b):
+        if not bound.is_zero():
+            constant = constant + coefficient
+    return constant + solution.value

@@ -23,8 +23,10 @@ caches of :mod:`hvlab.decompose` (the local vertices with the content
 LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
 The report and :func:`is_no_signalling` sum and compare the table as
 ints over its common denominator, building a Scalar only for a value
-they report; that int view is not remembered on the box, and neither is
-:func:`is_no_signalling`.
+they report.  Both take that int view from a caller that has already
+built it, and :func:`is_no_signalling` shares its own with the report
+when the box has none yet; the view is not remembered on the box, and
+neither is :func:`is_no_signalling`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar, format_scalar
 
 Side = Literal["alice", "bob"]
+
+# A table read as ints (ps, qs, den): cell i is (ps[i] + qs[i]*sqrt2) / den.
+_IntView = tuple[list[int], list[int], int]
 
 # Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
 # and vertex enumeration will accept.  Past it the input is refused
@@ -266,9 +271,11 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
         return report
 
 
-def validate_behavior(behavior: Behavior) -> BehaviorReport:
-    """Check nonnegativity and exact per-(a,b) normalization."""
-    return _remembered(behavior, _behavior_report)
+def validate_behavior(behavior: Behavior, *, view: _IntView | None = None) -> BehaviorReport:
+    """Check nonnegativity and exact per-(a,b) normalization.  ``view``
+    is the table's int view ``scalar._common_denominator(behavior.table)``
+    when the caller has already built it."""
+    return _remembered(behavior, lambda _: _behavior_report(behavior, view))
 
 
 def require_valid_behavior(behavior: Behavior) -> None:
@@ -278,8 +285,10 @@ def require_valid_behavior(behavior: Behavior) -> None:
         raise InvalidBehavior(report.summary())
 
 
-def _behavior_report(behavior: Behavior) -> BehaviorReport:
-    ps, qs, den = _common_denominator(behavior.table)
+def _behavior_report(behavior: Behavior, view: _IntView | None = None) -> BehaviorReport:
+    """The validity report, from the table's int view ``(ps, qs, den)``
+    when the caller already has it."""
+    ps, qs, den = _common_denominator(behavior.table) if view is None else view
     negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
     labels = list(product(*behavior.spaces)) if negatives else []
     bad_rows: list[tuple[str, str, Scalar]] = []
@@ -296,14 +305,22 @@ def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[
     a, b = settings
     ia = _require_setting(behavior.settings_a, a, "alice")
     ib = _require_setting(behavior.settings_b, b, "bob")
-    nx, ny = len(behavior.outcomes_x), len(behavior.outcomes_y)
-    start = (ia * len(behavior.settings_b) + ib) * nx * ny
-    cells = behavior.table[start : start + nx * ny]
+    result: dict[str, Scalar] = {}
     if side == "alice":
-        return {x: sum(cells[ix * ny : ix * ny + ny], ZERO) for ix, x in enumerate(behavior.outcomes_x)}
-    if side == "bob":
-        return {y: sum(cells[iy::ny], ZERO) for iy, y in enumerate(behavior.outcomes_y)}
-    raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+        for ix, x in enumerate(behavior.outcomes_x):
+            total = ZERO
+            for iy in range(len(behavior.outcomes_y)):
+                total = total + behavior.at(ia, ib, ix, iy)
+            result[x] = total
+    elif side == "bob":
+        for iy, y in enumerate(behavior.outcomes_y):
+            total = ZERO
+            for ix in range(len(behavior.outcomes_x)):
+                total = total + behavior.at(ia, ib, ix, iy)
+            result[y] = total
+    else:
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    return result
 
 
 class NsWitness(Frozen):
@@ -333,7 +350,7 @@ class NsWitness(Frozen):
         )
 
 
-def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
+def is_no_signalling(behavior: Behavior, *, view: _IntView | None = None) -> tuple[bool, NsWitness | None]:
     """Check that each party's marginals ignore the other's setting.
 
     Marginals are compared against the first counterpart setting; the
@@ -344,31 +361,39 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     (counterpart setting, outcome) order: Alice's are the runs of |Y|
     cells, Bob's the runs of |X| among every |Y|-th cell, regrouped by b.
     A row is no-signalling when it repeats its first |X| (or |Y|) sums;
-    only a witness's two values become Scalars.
+    only a witness's two values become Scalars.  That int view, or
+    ``view`` when the caller has already built it, also serves the
+    validity report if the box has none yet.
     """
-    require_valid_behavior(behavior)
+    if view is None:
+        view = _common_denominator(behavior.table)
+    report = validate_behavior(behavior, view=view)
+    if not report.ok:
+        raise InvalidBehavior(report.summary())
     settings_a, settings_b, outcomes_x, outcomes_y = behavior.spaces
     na, nb, nx, ny = map(len, behavior.spaces)
-    ps, qs, den = _common_denominator(behavior.table)
+    ps, qs, den = view
     # Alice's marginals in (a, b, x) order, and Bob's in (a, b) order for each y.
     alice = list(zip(_run_sums(ps, ny), _run_sums(qs, ny)))
     bob = [list(zip(_run_sums(ps[iy::ny], nx), _run_sums(qs[iy::ny], nx))) for iy in range(ny)]
     width = nb * nx
     rows = [
-        ("alice", a, settings_b, outcomes_x, alice[ia * width : (ia + 1) * width]) for ia, a in enumerate(settings_a)
+        ("alice", a, settings_b, outcomes_x, alice[ia * width : (ia + 1) * width])
+        for ia, a in enumerate(settings_a)
     ]
     if all(row == row[:nx] * nb for *_, row in rows) and all(by_y == by_y[:nb] * na for by_y in bob):
         return True, None
     for ib, b in enumerate(settings_b):
-        rows.append(("bob", b, settings_a, outcomes_y, [m for ms in zip(*(by_y[ib::nb] for by_y in bob)) for m in ms]))
+        row = [m for ms in zip(*(by_y[ib::nb] for by_y in bob)) for m in ms]
+        rows.append(("bob", b, settings_a, outcomes_y, row))
     # The first moved marginal, in the order of the rows.
     for side, setting, counterparts, outcomes, row in rows:
         n = len(outcomes)
         if row != row[:n] * len(counterparts):
             k = next(k for k in range(n, len(row)) if row[k] != row[k % n])
             values = _reduced(*row[k % n], den), _reduced(*row[k], den)
-            counterpart = counterparts.labels[k // n]
-            return False, NsWitness(side, setting, counterparts.labels[0], counterpart, outcomes.labels[k % n], *values)
+            moved = counterparts.labels[0], counterparts.labels[k // n], outcomes.labels[k % n]
+            return False, NsWitness(side, setting, *moved, *values)
     return True, None
 
 

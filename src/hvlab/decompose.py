@@ -28,23 +28,30 @@ notion it grounds does not come with a numeric definition, so all
 output labels the value "maximal local content (decomposition-based)".
 
 The vertices and the content LP's constraint matrix depend only on the
-spaces, so each process builds them once per set of spaces and keeps
-them for the ``boxes.CACHED_SPACES`` = 4 most recently used sets:
+spaces, so each process builds them once per set of spaces:
 :func:`enumerate_local_vertices` hands every caller (the content LP, its
 certificate problem, ``hvlab decompose --verify`` and the demos) the same
-tuple of the same vertex objects, carrying the transposed vertex matrix
-as a :class:`~hvlab.simplex.Matrix`, validated once, which
-:func:`content_lp_problem` reuses (any other tuple gets a matrix of its
-own) and from which :func:`max_local_content` cuts its support LP's
-matrix with ``Matrix.restrict``, checking no entry again.  At two
-settings and eight outcomes per side an entry takes about 17.8 MiB (see
-``VERTEX_CELL_BUDGET``), and about 71 MiB at that budget.
+tuple of the same vertex objects, and that tuple carries the transposed
+vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
+:func:`content_lp_problem` reuses for it (any other tuple gets a matrix
+of its own) and from which :func:`max_local_content` cuts its support
+LP's matrix with ``Matrix.restrict``, checking no entry again.  Entries
+are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
+spaces.  With two settings and eight outcomes per side (4096 vertices of
+256 cells) one entry takes about 17.8 MiB, measured with tracemalloc
+under Python 3.11: 8.6 MiB of vertex tables (references to the shared
+ZERO and ONE Scalars) and 9.2 MiB of matrix (its int rows and its
+column lists).  That is a quarter of
+``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
+about 71 MiB; the benchmark's largest content rung holds 81 vertices of
+36 cells.
 
-The remainder and the audit work in ints over common denominators.  The
-audit, :func:`verify_decomposition`, does not trust the cached tuple: it
-checks every support vertex against the definition on its table's
-canonical triples, puts each weight on the unit cells that vertex's
-output tables name, and compares each cell by cross-multiplication.
+The remainder and the audit work in ints over common denominators, with
+one Scalar per reported cell.  The audit, :func:`verify_decomposition`,
+does not trust the cached tuple: it checks every support vertex against
+the definition by index arithmetic on its table's canonical triples,
+puts each weight on the unit cells that vertex's output tables name,
+and compares each cell with the box by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ from .boxes import (
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
 from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
-from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, compare, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_scalar
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
 _ONE, _ZERO = ONE._v, ZERO._v
@@ -80,9 +87,8 @@ _ONE, _ZERO = ONE._v, ZERO._v
 # settings with sixteen outcomes per side: 65 536 vertices of 1024
 # cells each and a content LP to match.  Eight outcomes per side (4096
 # vertices of 256 cells, a quarter of the budget) hold about 8.6 MiB of
-# tables (references to the shared ZERO and ONE) and 9.2 MiB of
-# content-LP matrix, measured with tracemalloc under Python 3.11; the
-# largest benchmark rung, 3333, has 729 vertices of 81 cells.
+# tables and 9.2 MiB of content-LP matrix; the largest benchmark rung,
+# 3333, has 729 vertices of 81 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -163,9 +169,12 @@ def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> Lp
 
 def max_local_content(behavior: Behavior) -> LocalDecomposition:
     """Exact maximal local content of a valid no-signalling box."""
-    ok, witness = is_no_signalling(behavior)
+    view = _common_denominator(behavior.table)
+    ok, witness = is_no_signalling(behavior, view=view)
     if not ok:
-        raise SignallingInput(f"no local decomposition exists for a signalling box ({witness.describe()})")
+        raise SignallingInput(
+            f"no local decomposition exists for a signalling box ({witness.describe()})"
+        )
     vertices = enumerate_local_vertices(behavior.spaces)
     solution = _solve_over_support(behavior, vertices)
     if solution.status != OPTIMAL:
@@ -176,7 +185,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, the box's and the weights' common
         # denominators; 1/(1 - content) = cd*(u - v*sqrt2)/(u*u - 2*v*v).
-        bp, bq, b = _common_denominator(behavior.table)
+        bp, bq, b = view
         wp, wq, w = _common_denominator([q for _, q in support])
         rp, rq = [p * w for p in bp], [q * w for q in bq]
         for (k, _), p, q in zip(support, wp, wq):
@@ -188,7 +197,8 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         norm = u * u - 2 * v * v
         if norm < 0:
             u, v, norm = -u, -v, -norm
-        cells = (_reduced(cd * (p * u - 2 * q * v), cd * (q * u - p * v), b * w * norm) for p, q in zip(rp, rq))
+        scale = b * w * norm
+        cells = (_reduced(cd * (p * u - 2 * q * v), cd * (q * u - p * v), scale) for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
         residual_used = True
     else:
@@ -217,8 +227,7 @@ def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolut
         else:
             cells.append(i)
     kept = [k for k in range(n) if k not in dropped]
-    sub = matrix if len(cells) == len(table) else matrix.restrict(cells, kept)
-    reduced = solve_lp(LpProblem((ONE,) * len(kept), sub, [table[i] for i in cells]))
+    reduced = solve_lp(LpProblem((ONE,) * len(kept), matrix.restrict(cells, kept), [table[i] for i in cells]))
     if reduced.status != OPTIMAL:
         return reduced
     q = [ZERO] * n
@@ -327,7 +336,7 @@ def _intrinsic_checks(
         ),
         (
             CheckResult(
-                "local_content_at_most_one", compare(d.local_content, ONE) <= 0, format_scalar(d.local_content)
+                "local_content_at_most_one", (d.local_content - ONE).sign() <= 0, format_scalar(d.local_content)
             ),
             inconsistent,
         ),
@@ -365,13 +374,16 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     # The residual counts only on the box's own spaces.
     same_spaces = d.residual.spaces == behavior.spaces
     residual_ok = False
+    size = len(behavior.table)
+    residual_view = _common_denominator(d.residual.table) if d.residual_used else ([0] * size, [0] * size, 1)
     if d.residual_used:
-        residual_report = validate_behavior(d.residual)
+        residual_report = validate_behavior(d.residual, view=residual_view)
         residual_ok = same_spaces and residual_report.ok
         detail = residual_report.summary() if not residual_report.ok else "residual spaces differ"
         checks.append(CheckResult("residual_valid", residual_ok, "" if residual_ok else detail))
 
     if vertices_ok:
+        box_view = _common_denominator(behavior.table)
         if d.residual_used and not same_spaces:
             checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
         else:
@@ -380,7 +392,6 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
             # (zero when unused) over s, its weight 1 - content over rd and the
             # box over b, each cell is compared times w*rd*s*b.
             _, nb, nx, ny = (len(space) for space in behavior.spaces)
-            size = len(behavior.table)
             wp, wq, w = _common_denominator(d.weights)
             lp, lq = [0] * size, [0] * size
             for (xs, ys), p, q in zip(tables, wp, wq):
@@ -389,10 +400,10 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
                         i = _position(nb, nx, ny, ia, ib, ix, iy)
                         lp[i] += p
                         lq[i] += q
-            sp, sq, s = _common_denominator(d.residual.table if d.residual_used else (ZERO,) * size)
+            sp, sq, s = residual_view
             cp, cq, rd = d.local_content._v
             rp, rq = rd - cp, -cq
-            bp, bq, b = _common_denominator(behavior.table)
+            bp, bq, b = box_view
             local, remainder, box = rd * s * b, w * b, w * rd * s
             rebuilt = (
                 p * local + (rp * ps + 2 * rq * qs) * remainder == box_p * box
@@ -400,14 +411,25 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
                 for p, q, ps, qs, box_p, box_q in zip(lp, lq, sp, sq, bp, bq)
             )
             mismatch = next((i for i, ok in enumerate(rebuilt) if not ok), None)
-            detail = "" if mismatch is None else f"first differing cell index {mismatch}"
-            checks.append(CheckResult("reconstruction_exact", mismatch is None, detail))
+            checks.append(
+                CheckResult(
+                    "reconstruction_exact",
+                    mismatch is None,
+                    "" if mismatch is None else f"first differing cell index {mismatch}",
+                )
+            )
 
-        original_ns, _ = is_no_signalling(behavior) if validate_behavior(behavior).ok else (False, None)
+        box_valid = validate_behavior(behavior, view=box_view).ok
+        original_ns = box_valid and is_no_signalling(behavior, view=box_view)[0]
         if original_ns and residual_ok:
-            residual_ns, ns_witness = is_no_signalling(d.residual)
-            detail = "" if residual_ns else ns_witness.describe()
-            checks.append(CheckResult("residual_no_signalling", residual_ns, detail))
+            residual_ns, ns_witness = is_no_signalling(d.residual, view=residual_view)
+            checks.append(
+                CheckResult(
+                    "residual_no_signalling",
+                    residual_ns,
+                    "" if residual_ns else ns_witness.describe(),
+                )
+            )
     return DecompositionReport(tuple(checks))
 
 

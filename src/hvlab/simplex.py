@@ -346,6 +346,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
 
 
+def _widen(d: int, ad: int) -> tuple[int, int]:
+    """(f, k) that bring a sum over d and an entry over ad to their lcm
+    d*f: the sum's numerators are multiplied by f, the entry's by k."""
+    f = ad // gcd(d, ad)
+    return f, d * f // ad
+
+
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     """Verify the strong-duality certificate by direct arithmetic.
 
@@ -359,8 +366,9 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         return False
     if solution.q is None or solution.value is None or solution.dual is None:
         return False
+    n = len(problem.c)
     m = len(problem.b)
-    if len(solution.q) != len(problem.c) or len(solution.dual) != m:
+    if len(solution.q) != n or len(solution.dual) != m:
         return False
     # q over its support, y in full, each as ints over its own common denominator.
     support = [j for j, v in enumerate(map(_TRIPLE, solution.q)) if v != _ZERO]
@@ -374,13 +382,10 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     for j, p, q in zip(support, qp, qq):
         for i, a in problem.A.columns[j]:
             an, _, ad = a._v
-            d = D[i]
-            if ad != d:
-                if d % ad:
-                    f = ad // gcd(d, ad)
-                    P[i], Q[i], D[i] = P[i] * f, Q[i] * f, d * f
-                    d *= f
-                an *= d // ad
+            if ad != D[i]:
+                f, k = _widen(D[i], ad)
+                P[i], Q[i], D[i] = P[i] * f, Q[i] * f, D[i] * f
+                an *= k
             P[i] += an * p
             Q[i] += an * q
     for (bp, bq, bd), p, q, d in zip(map(_TRIPLE, problem.b), P, Q, D):
@@ -393,16 +398,17 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         for i, a in column:
             an, _, ad = a._v
             if ad != d:
-                if d % ad:
-                    f = ad // gcd(d, ad)
-                    p, q, d = p * f, q * f, d * f
-                an *= d // ad
+                f, k = _widen(d, ad)
+                p, q, d = p * f, q * f, d * f
+                an *= k
             p += an * yp[i]
             q += an * yq[i]
         t = d * yd
         if _sign(p * cd - cp * t, q * cd - cq * t) < 0:
             return False
     primal = _common_denominator([problem.c[j] * solution.q[j] for j in support])
-    dual = _common_denominator([w * bound for w, bound, p, q in zip(solution.dual, problem.b, yp, yq) if p or q])
+    dual = _common_denominator(
+        [w * bound for w, bound, p, q in zip(solution.dual, problem.b, yp, yq) if p or q]
+    )
     vp, vq, vd = solution.value._v
     return all(sum(ps) * vd == vp * d and sum(qs) * vd == vq * d for ps, qs, d in (primal, dual))

@@ -163,6 +163,23 @@ def test_the_audit_matches_the_reference_on_a_signalling_target():
     assert "residual_no_signalling" not in [check.name for check in report.checks]
 
 
+
+def test_the_audit_names_a_signalling_residual_as_the_reference_does():
+    # A valid residual on table1's spaces whose Alice outcome follows Bob's
+    # setting: the audit must judge the residual's own marginals.
+    box = table1_box()
+    d = max_local_content(box)
+    b0, (x0, x1), y0 = box.settings_b.labels[0], box.outcomes_x.labels[:2], box.outcomes_y.labels[0]
+    residual = Behavior.from_function(
+        *box.spaces, lambda a, b, x, y: ONE if (x, y) == (x0 if b == b0 else x1, y0) else ZERO
+    )
+    corrupted = LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
+    report = verify_decomposition(corrupted, box)
+    assert report == reference.verify_decomposition(corrupted, box)
+    failed = [check.name for check in report.checks if not check.ok]
+    assert failed == ["reconstruction_exact", "residual_no_signalling"]
+
+
 # -- the certificate check -------------------------------------------------------
 
 # Rational matrix entries, among them the non-unit 1/3 and -5/2.
