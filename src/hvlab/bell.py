@@ -30,12 +30,12 @@ on those spaces shares one :class:`~hvlab.simplex.Matrix`, validated
 once, with its right-hand sides.  The matrix has |A||B||X||Y| rows of
 |A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
 holds it as int rows and as each column's nonzero entries, references
-to the shared ONE and -1 Scalars, far less than the tableau the solve
-over it builds.  Measured with tracemalloc under Python 3.11, 5522 (100
-rows of 35 columns) takes 0.05 MiB, and one setting with 45 outcomes per
-side (2025 rows of 2024 columns, just within ``NS_CELL_BUDGET`` = 2**22
-cells) takes 32 MiB.  Spaces whose matrix would pass that budget are
-refused before it is built.
+to the shared ONE and -1 Scalars.  Measured with tracemalloc under
+Python 3.11, 5522 (100 rows of 35 columns) takes 0.05 MiB, and one
+setting with 45 outcomes per side (2025 rows of 2024 columns, just
+within ``NS_CELL_BUDGET`` = 2**22 cells) takes 32 MiB; the simplex
+tableau holds exactly those m x n cells, and the solve peaks at 31.8 MiB.
+Spaces whose matrix would pass that budget are refused before it is built.
 """
 
 from __future__ import annotations
@@ -207,12 +207,13 @@ def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], l
 
 
 # Most cells, rows times columns, of the no-signalling LP's constraint
-# matrix that _ns_lp will build.  Spaces within the strategy budget can
-# ask for far more: one setting and 128 outcomes per side give 16 384
-# rows of 16 383 columns.  With one setting per side, 45 outcomes (2025
-# rows of 2024 columns) are within it and 46 are not; ns_bound of a
-# 45-outcome expression took 1.3 s at 111 MB peak RSS with Python 3.11
-# on a shared 2-core host.  5522 has 100 rows of 35 columns.
+# matrix that _ns_lp will build, and so of the simplex tableau, which
+# holds exactly those m x n cells.  The strategy budget lets through far
+# more: one setting and 128 outcomes per side give 16 384 rows of 16 383
+# columns.  With one setting per side, 45 outcomes (2025 rows of 2024
+# columns) are within it and 46 are not; ns_bound of a 45-outcome
+# expression took about 1.0 s at 81 MB peak RSS, its solve_lp 31.8 MiB of
+# tracemalloc, with Python 3.11 on a shared 2-core host.
 NS_CELL_BUDGET = 2**22
 
 

@@ -41,10 +41,10 @@ spaces.  With two settings and eight outcomes per side (4096 vertices of
 256 cells) one entry takes about 17.8 MiB, measured with tracemalloc
 under Python 3.11: 8.6 MiB of vertex tables (references to the shared
 ZERO and ONE Scalars) and 9.2 MiB of matrix (its int rows and its
-column lists).  That is a quarter of
-``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
-about 71 MiB; the benchmark's largest content rung holds 81 vertices of
-36 cells.
+column lists).  That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22
+cells, so an entry at the budget takes about 71 MiB, and the simplex
+tableau of its LP holds exactly those m x n cells; the benchmark's
+largest content rung holds 81 vertices of 36 cells.
 
 The remainder and the audit work in ints over common denominators, with
 one Scalar per reported cell.  The audit, :func:`verify_decomposition`,
@@ -83,9 +83,10 @@ from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 _ONE, _ZERO = ONE._v, ZERO._v
 
 # Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
-# enumeration will build.  The strategy budget alone lets through two
-# settings with sixteen outcomes per side: 65 536 vertices of 1024
-# cells each and a content LP to match.  Eight outcomes per side (4096
+# enumeration will build, and so the m x n cells of the content LP's
+# simplex tableau.  The strategy budget alone lets through two settings
+# with sixteen outcomes per side: 65 536 vertices of 1024 cells each and
+# a content LP to match.  Eight outcomes per side (4096
 # vertices of 256 cells, a quarter of the budget) hold about 8.6 MiB of
 # tables and 9.2 MiB of content-LP matrix; the largest benchmark rung,
 # 3333, has 729 vertices of 81 cells.

@@ -26,37 +26,43 @@ qualify: the content LP's right-hand side is a box and the
 no-signalling LP's is 0 or 1.  :class:`LpProblem` itself still accepts
 any ``b``.
 
-Since every basis inverse of a rational matrix is rational, the tableau
-is kept in integers.  Row i is a list of Python ints over one positive
-int denominator, and its right-hand side is the int pair
-``(rp_i, rq_i)``, meaning ``(rp_i + rq_i*sqrt2)``, over that same
-denominator.  The reduced costs are two more such rows after the
-constraints, P for their rational parts and Q for their sqrt2 parts,
-each over its own denominator; the right-hand sides of P and Q hold the
-matching parts of the objective value.  The slack columns cost 0, so
-the slack basis's reduced costs are -c and its value is 0.  Each pivot
-clears its column from every other row, P and Q included, with one
-elimination routine: a row whose factor the pivot element divides keeps
-its denominator and changes only in the pivot row's nonzero columns;
-any other row is cross-multiplied and brought back to lowest terms by
-one gcd.  Scalars are built only for the answer.
+The tableau is condensed (a dictionary; Chvatal, *Linear Programming*,
+1983, ch. 2-3): it holds only the n nonbasic columns, the m x n cells of
+the matrix and no slack block.  Column j is labelled by its variable
+``nonbasic[j]`` and row i by its basic variable ``basis[i]``, the slack
+of row i being variable n + i.  Since every basis inverse of a rational
+matrix is rational, the tableau is kept in integers: row i is Python
+ints over one positive int denominator, with the right-hand side
+``(rp_i + rq_i*sqrt2)`` over it too.  The reduced costs are two more
+such rows, P and Q for their rational and sqrt2 parts, whose right-hand
+sides hold the objective value's parts; from the slack basis they are
+-c.  A pivot on row r and column c swaps the two labels: row r goes over
+its entry R_c, with its old denominator in column c, and every other row
+is cleared of the entering column and takes the leaving variable's
+entry there, in place when the pivot entry divides its factor, else
+cross-multiplied and brought to lowest terms by one gcd.  These are the
+ints of the dense tableau's nonbasic columns; Scalars are built only for
+the answer.
 
-Bland's anti-cycling rule is used throughout (entering: lowest column
-index with a negative reduced cost; leaving: minimum ratio, ties broken
-by lowest basic variable index), so termination is guaranteed.  Every
-decision is an exact sign of ``p + q*sqrt2`` for ints ``p`` and ``q``:
-a ratio test cross-multiplies the two right-hand sides by the positive
-pivot-column entries, and a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2``
-over the positive ``dP*dQ``.  The decisions, and so the pivots and the
-returned solution, are those of a tableau of Scalar entries.
+Bland's anti-cycling rule is used throughout, so termination is
+guaranteed: enter the nonbasic variable of lowest index (not lowest
+column position) with a negative reduced cost; leave by minimum ratio,
+ties broken by lowest basic variable index.  Every decision is an exact
+sign of ``p + q*sqrt2`` for ints ``p`` and ``q``: a ratio test
+cross-multiplies the two right-hand sides by the positive pivot-column
+entries, and a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2`` over the
+positive ``dP*dQ``.  The decisions, and so the pivots and the returned
+solution, are those of a dense tableau of Scalar entries.
 
-On optimal termination the reduced costs of the slack columns provide
-the dual vector, giving an exact strong-duality certificate that
-:func:`check_certificate` verifies in ints too, independent of the
-pivoting code: q and y each over their own common denominator, A.q and
-y.A summed from the columns' entries, each sum over the lcm of the entry
-denominators it has met (1 for a 0/+-1 matrix), every row and column
-decided by the exact sign of a cross-multiplied difference.
+The reduced cost of slack n + k is the dual multiplier of row k: its P
+and Q entries while it is nonbasic, 0 while it is basic.  Its column, or
+e_r while it is basic in row r, is column k of B^-1.  The dual gives an
+exact strong-duality certificate that :func:`check_certificate`
+verifies in ints too, independent of the pivoting code: q and y each
+over their own common denominator, A.q and y.A summed from the columns'
+entries, each sum over the lcm of the entry denominators it has met (1
+for a 0/+-1 matrix), every row and column decided by the exact sign of
+a cross-multiplied difference.
 """
 
 from __future__ import annotations
@@ -196,36 +202,42 @@ class LpSolution(Frozen):
 
 
 class _Tableau:
-    """Dense simplex tableau of integer rows, the reduced costs among them.
+    """Condensed simplex tableau of integer rows, the reduced costs among
+    them; see the module docstring.
 
-    Entry (i, j) is ``rows[i][j] / den[i]`` and the right-hand side of row
-    i is ``(rp[i] + rq[i]*sqrt2) / den[i]``, every denominator positive.
-    Rows ``0 .. m-1`` are the constraints, one per basis entry.  Rows m
-    and m+1, P and Q, are the rational and the sqrt2 parts of the
-    reduced costs, ``z_j - c_j = P_j + Q_j*sqrt2``, and the objective
-    value is ``rhs(P) + rhs(Q)*sqrt2``.
+    Entry (i, j) is ``rows[i][j] / den[i]``, the coefficient of variable
+    ``nonbasic[j]`` in the row of basic variable ``basis[i]``, and the
+    right-hand side of row i is ``(rp[i] + rq[i]*sqrt2) / den[i]``.
+    Rows m and m+1, P and Q, are the rational and sqrt2 parts of the
+    reduced costs ``z_j - c_j``, and the objective value is
+    ``rhs(P) + rhs(Q)*sqrt2``.
     """
 
-    def __init__(self, rows: list[list[int]], rp: list[int], rq: list[int], den: list[int], basis: list[int]):
-        self.rows = rows
-        self.rp = rp
-        self.rq = rq
-        self.den = den
-        self.basis = basis
+    def __init__(self, rows: list[list[int]], rp: list[int], rq: list[int], den: list[int], n: int):
+        """The slack basis: variables 0 .. n-1 nonbasic, slack n + i basic in row i."""
+        self.rows, self.rp, self.rq, self.den = rows, rp, rq, den
+        self.nonbasic = list(range(n))
+        self.basis = list(range(n, n + len(rows) - 2))
 
-    def eliminate(self, r: int, c: int) -> None:
-        """Clear column c from every other row with row r, whose entry in
-        column c is positive: a row whose factor that entry divides keeps
-        its denominator and changes only in row r's nonzero columns; any
-        other row is cross-multiplied and brought to lowest terms."""
+    def pivot(self, r: int, c: int) -> None:
+        """Exchange the labels of row r and column c, whose entry the ratio
+        test chose positive, and clear column c from every other row."""
         rows, rp, rq, den = self.rows, self.rp, self.rq, self.den
         pivot_row = rows[r]
         p, prp, prq = pivot_row[c], rp[r], rq[r]
+        # Column c now stands for the leaving variable, 1 in row r: den[r] over p.
+        pivot_row[c] = den[r]
+        g = gcd(p, prp, prq, *pivot_row)
+        if g != 1:
+            pivot_row = [v // g for v in pivot_row]
+            p, prp, prq = p // g, prp // g, prq // g
+        rows[r], rp[r], rq[r], den[r] = pivot_row, prp, prq, p
         nonzero = None
         for i, row in enumerate(rows):
             f = row[c]
             if not f or i == r:
                 continue
+            row[c] = 0  # the leaving variable's entry, before the elimination
             k, rem = divmod(f, p)
             if not rem:
                 # row - (f/p) * pivot_row over the same denominator.
@@ -243,21 +255,7 @@ class _Tableau:
                 row = [v // g for v in row]
                 ip, iq, d = ip // g, iq // g, d // g
             rows[i], rp[i], rq[i], den[i] = row, ip, iq, d
-
-    def pivot(self, r: int, c: int) -> None:
-        """Make column c basic in row r and clear it from every other row.
-        Row r is divided by its entry in column c, which the ratio test
-        chose positive: the row's ints over that entry, brought to lowest
-        terms."""
-        pivot_row = self.rows[r]
-        p, prp, prq = pivot_row[c], self.rp[r], self.rq[r]
-        g = gcd(p, prp, prq, *pivot_row)
-        if g != 1:
-            pivot_row = [v // g for v in pivot_row]
-            p, prp, prq = p // g, prp // g, prq // g
-        self.rows[r], self.rp[r], self.rq[r], self.den[r] = pivot_row, prp, prq, p
-        self.eliminate(r, c)
-        self.basis[r] = c
+        self.basis[r], self.nonbasic[c] = self.nonbasic[c], self.basis[r]
 
     def value(self) -> tuple[int, int, int]:
         """The objective value as ints (p, q, d) meaning (p + q*sqrt2)/d."""
@@ -267,19 +265,16 @@ class _Tableau:
 
     def run_bland(self) -> str:
         """Pivot until optimal or unbounded."""
-        rows, rp, rq, den, basis = self.rows, self.rp, self.rq, self.den, self.basis
+        rows, rp, rq, den, basis, nonbasic = self.rows, self.rp, self.rq, self.den, self.basis, self.nonbasic
         m = len(basis)
         while True:
             # sign(z_j - c_j) = sign(P_j*dQ + Q_j*dP*sqrt2): both denominators are positive.
             dp, dq = den[m], den[m + 1]
-            entering = next(
-                (
-                    j
-                    for j, (p, q) in enumerate(zip(rows[m], rows[m + 1]))
-                    if (p < 0 or q < 0) and _sign(p * dq, q * dp) < 0
-                ),
-                -1,
-            )
+            entering = -1
+            for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
+                if (p < 0 or q < 0) and (entering < 0 or nonbasic[j] < nonbasic[entering]):
+                    if _sign(p * dq, q * dp) < 0:
+                        entering = j
             if entering < 0:
                 return OPTIMAL
             # Minimum of rhs_i / a_i over a_i > 0; the row denominators cancel.
@@ -299,8 +294,9 @@ class _Tableau:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Exact simplex from the slack basis, for ``b >= 0`` only; see the
-    module docstring for conventions."""
+    """Exact simplex from the slack basis, for ``b >= 0`` only, over a
+    condensed tableau of the m x n cells of ``A``; see the module
+    docstring for the labels, Bland's rule and where the dual is read."""
     for i, rhs in enumerate(problem.b):
         if rhs.sign() < 0:
             raise LpFailure(
@@ -313,26 +309,23 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     rp: list[int] = []
     rq: list[int] = []
     den: list[int] = []
-    for i, (int_row, row_den, rhs) in enumerate(zip(problem.A.int_rows, problem.A.den, problem.b)):
-        # Row i, its slack and its right-hand side over the lcm of their denominators.
+    for int_row, row_den, rhs in zip(problem.A.int_rows, problem.A.den, problem.b):
+        # Row i and its right-hand side over the lcm of their denominators.
         bp, bq, bd = rhs._v
         d = lcm(row_den, bd)
         scale, row_scale = d // bd, d // row_den
-        row = list(int_row) if row_scale == 1 else [v * row_scale for v in int_row]
-        slack = [0] * m
-        slack[i] = d
-        rows.append(row + slack)
+        rows.append(list(int_row) if row_scale == 1 else [v * row_scale for v in int_row])
         rp.append(bp * scale)
         rq.append(bq * scale)
         den.append(d)
-    # Rows P and Q hold -c: no slack column is costed, so none needs pricing out.
+    # Rows P and Q hold -c: the basic slacks cost 0, so nothing needs pricing out.
     ps, qs, d = _common_denominator(problem.c)
-    rows += [[-p for p in ps] + [0] * m, [-q for q in qs] + [0] * m]
+    rows += [[-p for p in ps], [-q for q in qs]]
     rp += [0, 0]
     rq += [0, 0]
     den += [d, d]
 
-    tableau = _Tableau(rows, rp, rq, den, list(range(n, n + m)))
+    tableau = _Tableau(rows, rp, rq, den, n)
     if tableau.run_bland() == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
@@ -340,10 +333,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for i, bi in enumerate(tableau.basis):
         if bi < n:
             q[bi] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
-    # Reduced cost of slack i is the dual multiplier of constraint i.
+    # The reduced cost of slack i is the dual multiplier of constraint i:
+    # read from its column while it is nonbasic, 0 while it is basic.
+    dual = [ZERO] * m
     P, Q, dp, dq = tableau.rows[m], tableau.rows[m + 1], tableau.den[m], tableau.den[m + 1]
-    dual = tuple(_reduced(P[n + i] * dq, Q[n + i] * dp, dp * dq) for i in range(m))
-    return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), dual)
+    for j, v in enumerate(tableau.nonbasic):
+        if v >= n:
+            dual[v - n] = _reduced(P[j] * dq, Q[j] * dp, dp * dq)
+    return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), tuple(dual))
 
 
 def _widen(d: int, ad: int) -> tuple[int, int]:

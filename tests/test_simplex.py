@@ -244,6 +244,61 @@ def test_solutions_match_the_scalar_tableau_reference(problem):
         assert check_certificate(problem, solution)
 
 
+_tall_entries = st.one_of(
+    st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 3), Fraction(-5, 2), Fraction(3, 4))).map(Scalar),
+    small_fractions(3, 6).map(Scalar),
+)
+
+
+@st.composite
+def _tall_problems(draw):
+    """LPs of the benchmark's shape, many more rows than columns: up to 3
+    columns and 16 rows around a drawn point q0 >= 0.  Rows mix
+    denominators (1/3, -5/2 and 3/4 in one row), a row's right-hand side
+    is max(A_i.q0, 0) plus a slack that is often zero, so many ratio
+    tests tie at zero, and q0 and c carry sqrt2 parts; c is often
+    nonnegative, so most columns enter."""
+    n = draw(st.integers(1, 3))
+    q0 = [draw(_nonnegative_values) for _ in range(n)]
+    A, b = [], []
+    for _ in range(draw(st.integers(n, 16))):
+        row = [draw(_tall_entries) for _ in range(n)]
+        A.append(row)
+        b.append(max(_dot(row, q0), ZERO) + draw(_zero_or_nonnegative_values))
+    if not draw(_one_in_four):
+        A.append([ONE] * n)
+        b.append(_dot(A[-1], q0) + draw(_zero_or_nonnegative_values))
+    c = tuple(draw(st.one_of(_nonnegative_values, _field_values)) for _ in range(n))
+    return LpProblem(c, tuple(map(tuple, A)), tuple(b))
+
+
+@given(_tall_problems())
+@settings(max_examples=150, deadline=None)
+def test_tall_lps_match_the_scalar_tableau_reference(problem):
+    solution = solve_lp(problem)
+    assert solution == reference_solve_lp(problem)
+    if solution.status == OPTIMAL:
+        assert check_certificate(problem, solution)
+
+
+def test_a_slack_that_leaves_and_re_enters_matches_the_reference():
+    # max q0 + 3 q1 + 3 q2 over three rows.  Bland's path: q0 enters for
+    # slack 4 (row 1), q1 for slack 5, q2 for q1, then slack 4 re-enters
+    # for q0, in the column q0 took from it.  The columns then hold
+    # variables 0, 5 and 1, so entering, the dual and the basis all
+    # depend on the labels, not on the column positions.
+    problem = LpProblem(
+        (ONE, Scalar(3), Scalar(3)),
+        ((Scalar(2), ONE, Scalar(2)), (Scalar(3), -ONE, ZERO), (Scalar(2), Scalar(2), Scalar(2))),
+        (Scalar(2), ONE, ONE),
+    )
+    solution = solve_lp(problem)
+    assert solution == reference_solve_lp(problem)
+    three_halves = Scalar(Fraction(3, 2))
+    assert (solution.q, solution.value, solution.dual) == ((ZERO, ZERO, HALF), three_halves, (ZERO, ZERO, three_halves))
+    assert check_certificate(problem, solution)
+
+
 @st.composite
 def _ns_problems(draw, build=_ns_lp):
     """No-signalling LPs, as ``build`` writes them, of expressions with 0,
