@@ -38,12 +38,13 @@ of its own) and from which :func:`max_local_content` cuts its support
 LP's matrix with ``Matrix.restrict``, checking no entry again.  Entries
 are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
 spaces.  With two settings and eight outcomes per side (4096 vertices of
-256 cells) one entry takes about 17.8 MiB, measured with tracemalloc
+256 cells) one entry takes about 9.8 MiB, measured with tracemalloc
 under Python 3.11: 8.6 MiB of vertex tables (references to the shared
-ZERO and ONE Scalars) and 9.2 MiB of matrix (its int rows and its
-column lists).  That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22
-cells, so an entry at the budget takes about 71 MiB, and the simplex
-tableau of its LP holds exactly those m x n cells; the benchmark's
+ZERO and ONE Scalars) and 1.2 MiB of matrix, whose only view is its
+column lists of each vertex's unit cells.  That is a quarter of
+``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
+about 39 MiB; the simplex tableau of its LP, built from the columns
+for each solve, holds exactly those m x n cells.  The benchmark's
 largest content rung holds 81 vertices of 36 cells.
 
 The remainder and the audit work in ints over common denominators, with
@@ -58,8 +59,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import prod
+from operator import itemgetter
 
 from .boxes import (
     CACHED_SPACES,
@@ -81,15 +82,17 @@ from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_sca
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
 _ONE, _ZERO = ONE._v, ZERO._v
+_ROW = itemgetter(0)
 
 # Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
 # enumeration will build, and so the m x n cells of the content LP's
 # simplex tableau.  The strategy budget alone lets through two settings
 # with sixteen outcomes per side: 65 536 vertices of 1024 cells each and
-# a content LP to match.  Eight outcomes per side (4096
-# vertices of 256 cells, a quarter of the budget) hold about 8.6 MiB of
-# tables and 9.2 MiB of content-LP matrix; the largest benchmark rung,
-# 3333, has 729 vertices of 81 cells.
+# a content LP to match.  Eight outcomes per side (4096 vertices of 256
+# cells, a quarter of the budget) hold about 8.6 MiB of tables and
+# 1.2 MiB of content-LP matrix columns, but the tableau that a solve
+# scatters them into takes the full m x n cells; the largest benchmark
+# rung, 3333, has 729 vertices of 81 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -216,18 +219,14 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
 
 
 def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolution:
-    """The content LP over the vertices that put no unit on a zero cell
-    and over the nonzero cells, lifted to a certificate of the full LP
-    (see the module docstring).  Its matrix is cut from the cached one,
-    so no entry is checked again."""
+    """The content LP over the vertices whose columns put no unit on a
+    zero cell and over the nonzero cells, lifted to a certificate of the
+    full LP (see the module docstring).  Its matrix is cut from the cached
+    one, so no entry is checked again."""
     matrix, table, n = vertices.matrix, behavior.table, len(vertices)
-    cells, dropped = [], set()
-    for i, cell in enumerate(table):
-        if cell.is_zero():
-            dropped.update(compress(range(n), matrix.int_rows[i]))
-        else:
-            cells.append(i)
-    kept = [k for k in range(n) if k not in dropped]
+    zero = {i for i, cell in enumerate(table) if cell.is_zero()}
+    cells = [i for i in range(len(table)) if i not in zero]
+    kept = [k for k, column in enumerate(matrix.columns) if zero.isdisjoint(map(_ROW, column))]
     reduced = solve_lp(LpProblem((ONE,) * len(kept), matrix.restrict(cells, kept), [table[i] for i in cells]))
     if reduced.status != OPTIMAL:
         return reduced

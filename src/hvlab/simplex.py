@@ -7,16 +7,16 @@ entry with a nonzero sqrt2 part is refused with
 contract, with a 0/±1 matrix and sqrt2 only in ``b`` (the content LP) or
 only in ``c`` (the no-signalling LP).
 
-The matrix is a :class:`Matrix`, which holds only the two views of it
-that are read: each row as ints over one denominator, for the solver,
-and each column's nonzero entries, for :func:`check_certificate`.  Its
-entries are checked once, when :meth:`Matrix.from_rows` builds it from
-rows of Scalars (every row the same width, every entry a Scalar with no
-sqrt2 part), and :meth:`Matrix.restrict` cuts a sub-matrix out of a
-checked one without building or checking a Scalar.  :class:`LpProblem`
-builds a plain ``A`` into a ``Matrix`` and keeps a ``Matrix`` as it is,
-so a matrix that callers share (both of hvlab's LPs cache theirs per
-set of spaces) is checked only once.
+The matrix is a :class:`Matrix`, which holds one view of it: its row
+count and each column's nonzero entries, read by both the solver and
+:func:`check_certificate`.  Its entries are checked once, when
+:meth:`Matrix.from_rows` builds it from rows of Scalars (every row the
+same width, every entry a Scalar with no sqrt2 part), and
+:meth:`Matrix.restrict` cuts a sub-matrix out of a checked one without
+building or checking a Scalar.  :class:`LpProblem` builds a plain ``A``
+into a ``Matrix`` and keeps a ``Matrix`` as it is, so a matrix that
+callers share (both of hvlab's LPs cache theirs per set of spaces) is
+checked only once.
 
 :func:`solve_lp` starts from the slack basis, which is feasible exactly
 when ``b >= 0``, and so solves only such problems: a negative
@@ -33,13 +33,15 @@ the matrix and no slack block.  Column j is labelled by its variable
 of row i being variable n + i.  Since every basis inverse of a rational
 matrix is rational, the tableau is kept in integers: row i is Python
 ints over one positive int denominator, with the right-hand side
-``(rp_i + rq_i*sqrt2)`` over it too.  The reduced costs are two more
-such rows, P and Q for their rational and sqrt2 parts, whose right-hand
-sides hold the objective value's parts; from the slack basis they are
--c.  A pivot on row r and column c swaps the two labels: row r goes over
-its entry R_c, with its old denominator in column c, and every other row
-is cleared of the entering column and takes the leaving variable's
-entry there, in place when the pivot entry divides its factor, else
+``(rp_i + rq_i*sqrt2)`` over it too.  A solve starts by scattering the
+columns into these rows, row i over the lcm of b_i's denominator and
+those of its own entries.  The reduced costs are two more such rows, P
+and Q for their rational and sqrt2 parts, whose right-hand sides hold
+the objective value's parts; from the slack basis they are -c.  A pivot
+on row r and column c swaps the two labels: row r goes over its entry
+R_c, with its old denominator in column c, and every other row is
+cleared of the entering column and takes the leaving variable's entry
+there, in place when the pivot entry divides its factor, else
 cross-multiplied and brought to lowest terms by one gcd.  These are the
 ints of the dense tableau's nonbasic columns; Scalars are built only for
 the answer.
@@ -81,22 +83,20 @@ UNBOUNDED = "unbounded"
 
 
 class Matrix(Frozen):
-    """An immutable rational constraint matrix, held as the two views its
-    readers use and nothing else.
+    """An immutable rational constraint matrix, held as its row count and
+    its columns and nothing else.
 
-    ``int_rows[i]`` holds row i as ints over the positive denominator
-    ``den[i]``, the least one (the lcm of the row's entry denominators),
-    and is what :func:`solve_lp` reads; ``columns[j]`` holds the nonzero
-    entries of column j as ``(row, Scalar)`` pairs in row order, and is
-    what :func:`check_certificate` reads.  The width is ``len(columns)``.
+    ``columns[j]`` holds the nonzero entries of column j as ``(row,
+    Scalar)`` pairs in row order; the width is ``len(columns)``.  Both
+    :func:`solve_lp`, which scatters them into its tableau rows, and
+    :func:`check_certificate` read them.
 
     :meth:`from_rows` builds one from rows of Scalars and is the one place
     where entries are checked; :meth:`restrict` cuts one from another.
-    The constructor takes the three views as they are and checks nothing.
+    The constructor takes the two fields as they are and checks nothing.
     """
 
-    int_rows: tuple[tuple[int, ...], ...]
-    den: tuple[int, ...]
+    height: int
     columns: tuple[tuple[tuple[int, Scalar], ...], ...]
 
     @classmethod
@@ -104,9 +104,8 @@ class Matrix(Frozen):
         """The matrix of the given rows, each ``width`` long.  The rows are
         checked in order: the length of each, then the type and the sqrt2
         part of each entry."""
-        int_rows: list[tuple[int, ...]] = []
-        den: list[int] = []
         columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
+        height = 0
         for i, row in enumerate(rows):
             row = tuple(row)
             if len(row) != width:
@@ -118,40 +117,26 @@ class Matrix(Frozen):
             triples = list(map(_TRIPLE, row))
             if any(map(_SQRT2_PART, triples)):
                 _check_entries(i, row)
-            d = lcm(*set(map(_DENOMINATOR, triples)))
-            ints = tuple(map(_NUMERATOR, triples)) if d == 1 else tuple(p * (d // vd) for p, _, vd in triples)
-            int_rows.append(ints)
-            den.append(d)
-            for j in compress(range(width), ints):
+            for j in compress(range(width), map(_NUMERATOR, triples)):
                 columns[j].append((i, row[j]))
-        return cls(tuple(int_rows), tuple(den), tuple(map(tuple, columns)))
+            height = i + 1
+        return cls(height, tuple(map(tuple, columns)))
 
     def restrict(self, rows: Sequence[int], columns: Sequence[int]) -> Matrix:
         """The sub-matrix whose row r is row ``rows[r]`` and whose column k
         is column ``columns[k]``; each sequence holds distinct indices in
-        any order.  Each int row is brought back to its least denominator
-        and each column keeps its entries' Scalars, renumbered by row, so
-        no entry is built or checked again."""
-        int_rows: list[tuple[int, ...]] = []
-        den: list[int] = []
-        for i in rows:
-            row, d = self.int_rows[i], self.den[i]
-            ints = tuple(row[j] for j in columns)
-            g = gcd(d, *ints)
-            if g != 1:
-                ints, d = tuple(p // g for p in ints), d // g
-            int_rows.append(ints)
-            den.append(d)
+        any order.  Each column keeps its entries' Scalars, renumbered by
+        row, so no entry is built or checked again."""
         # The new row numbers are distinct, so sorting never compares entries.
         position = {i: r for r, i in enumerate(rows)}
         kept = tuple(tuple(sorted((position[i], v) for i, v in self.columns[j] if i in position)) for j in columns)
-        return Matrix(tuple(int_rows), tuple(den), kept)
+        return Matrix(len(rows), kept)
 
 
 _SCALAR_TYPE = {Scalar}
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
-_NUMERATOR, _SQRT2_PART, _DENOMINATOR = itemgetter(0), itemgetter(1), itemgetter(2)
+_NUMERATOR, _SQRT2_PART = itemgetter(0), itemgetter(1)
 
 
 def _check_entries(i: int, row: tuple[object, ...]) -> None:
@@ -179,7 +164,7 @@ class LpProblem(Frozen):
         object.__setattr__(self, "b", tuple(self.b))
         A = self.A if isinstance(self.A, Matrix) else tuple(self.A)
         n = len(self.c)
-        m = len(A.int_rows) if isinstance(A, Matrix) else len(A)
+        m = A.height if isinstance(A, Matrix) else len(A)
         if m != len(self.b):
             raise DimensionMismatch(f"{m} constraint rows but {len(self.b)} right-hand sides")
         for v in (*self.c, *self.b):
@@ -305,19 +290,33 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             )
     n = len(problem.c)
     m = len(problem.b)
-    rows: list[list[int]] = []
-    rp: list[int] = []
-    rq: list[int] = []
-    den: list[int] = []
-    for int_row, row_den, rhs in zip(problem.A.int_rows, problem.A.den, problem.b):
-        # Row i and its right-hand side over the lcm of their denominators.
-        bp, bq, bd = rhs._v
-        d = lcm(row_den, bd)
-        scale, row_scale = d // bd, d // row_den
-        rows.append(list(int_row) if row_scale == 1 else [v * row_scale for v in int_row])
-        rp.append(bp * scale)
-        rq.append(bq * scale)
-        den.append(d)
+    # Scatter the columns into rows: an integer entry as it is, a fraction
+    # once its row's denominator is known.
+    rows = [[0] * n for _ in range(m)]
+    fractions = []
+    for j, column in enumerate(problem.A.columns):
+        for i, a in column:
+            p, _, d = a._v
+            if d == 1:
+                rows[i][j] = p
+            else:
+                fractions.append((i, j, p, d))
+    # Row i and its right-hand side over the lcm of their denominators.
+    b = list(map(_TRIPLE, problem.b))
+    den = [bd for _, _, bd in b]
+    for i, _, _, d in fractions:
+        den[i] = lcm(den[i], d)
+    rp, rq = [], []
+    for i, (bp, bq, bd) in enumerate(b):
+        d = den[i]
+        if d != 1:
+            rows[i] = [v * d for v in rows[i]]
+            scale = d // bd
+            bp, bq = bp * scale, bq * scale
+        rp.append(bp)
+        rq.append(bq)
+    for i, j, p, d in fractions:
+        rows[i][j] = p * (den[i] // d)
     # Rows P and Q hold -c: the basic slacks cost 0, so nothing needs pricing out.
     ps, qs, d = _common_denominator(problem.c)
     rows += [[-p for p in ps], [-q for q in qs]]

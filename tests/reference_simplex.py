@@ -5,8 +5,9 @@ it is kept here, its pivoting unchanged, only so that the tests can demand that
 ``hvlab.simplex.solve_lp`` returns exactly the same ``LpSolution`` (same
 pivots, so the same primal vertex and dual vector, not just the same
 optimum).  Every entry is a Scalar and every decision an exact Scalar
-comparison.  Its dense rows are rebuilt from the matrix's columns, not
-from the int rows the solver reads.
+comparison.  Its dense rows of Scalars are rebuilt from the matrix's
+columns, the one view a ``Matrix`` holds, with none of the int
+arithmetic the solver scatters them into.
 
 It keeps the phase one that ``solve_lp`` no longer has: a problem with a
 negative right-hand side, which ``solve_lp`` refuses, is solved here, and

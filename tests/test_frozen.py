@@ -107,7 +107,7 @@ INSTANCES = {
         lambda: ExtendedModel((("u", "v"),), (ONE,), (_extension(),)),
         ("pairs", "weights", "extensions"),
     ),
-    Matrix: (lambda: Matrix.from_rows(((ONE, HALF), (ZERO, -ONE)), 2), ("int_rows", "den", "columns")),
+    Matrix: (lambda: Matrix.from_rows(((ONE, HALF), (ZERO, -ONE)), 2), ("height", "columns")),
     LpProblem: (_lp, ("c", "A", "b")),
     LpSolution: (lambda: solve_lp(_lp()), ("status", "q", "value", "dual")),
 }

@@ -86,9 +86,10 @@ def test_both_budgets_refuse_on_every_call():
 
 def test_a_vertex_cache_entry_holds_no_dense_scalar_rows():
     """One entry at two settings and six outcomes per side (1296 vertices
-    of 144 cells) takes about 3.4 MiB with Python 3.11.  The bound fails
-    if the matrix keeps its rows a third time, as dense Scalar rows,
-    which take 1.4 MiB more."""
+    of 144 cells) takes about 2.0 MiB with Python 3.11: 1.6 MiB of vertex
+    tables and 0.4 MiB of matrix columns.  The bound fails if the matrix
+    keeps its rows a second time, as int rows (3.4 MiB in all) or dense
+    Scalar rows, each about 1.4 MiB more."""
     spaces = numbered_spaces(2, 2, 6, 6)
     _local_vertices.cache_clear()
     tracemalloc.start()
@@ -98,7 +99,7 @@ def test_a_vertex_cache_entry_holds_no_dense_scalar_rows():
     finally:
         tracemalloc.stop()
     assert len(vertices) == 1296
-    assert size < 4.2 * 2**20
+    assert size < 2.5 * 2**20
 
 
 def test_evicted_spaces_are_rebuilt_equal():
@@ -274,9 +275,26 @@ def test_ns_bound_equals_the_equality_pair_optimum(expression):
 )
 def test_ns_constraints_have_one_row_per_cell(shape, size):
     matrix, rhs = _ns_constraints(numbered_spaces(*shape))
-    assert (len(matrix.int_rows), len(matrix.columns)) == size
+    assert (matrix.height, len(matrix.columns)) == size
     assert all(v in (ZERO, ONE) for v in rhs)
     assert all(v in (ZERO, ONE, -ONE) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
+
+
+def test_a_cached_ns_matrix_holds_only_its_columns():
+    """One setting and twenty outcomes per side (400 rows of 399 columns,
+    1520 nonzero entries) take about 0.13 MiB with Python 3.11.  The bound
+    fails if the matrix keeps its rows as well, as int rows (1.37 MiB in
+    all) or dense Scalar rows."""
+    spaces = numbered_spaces(1, 1, 20, 20)
+    _ns_constraints.cache_clear()
+    tracemalloc.start()
+    try:
+        matrix, _ = _ns_constraints(spaces)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (matrix.height, len(matrix.columns)) == (400, 399)
+    assert size < 0.5 * 2**20
 
 
 @given(_perturbed_boxes())

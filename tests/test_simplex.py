@@ -2,14 +2,14 @@
 
 import pickle
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_simplex
 from helpers import ns_behaviors, small_fractions, valid_behaviors
-from hvlab import HvlabError, IrrationalMatrix, decompose
+from hvlab import HvlabError, IrrationalMatrix, decompose, simplex
 from hvlab.bell import BellExpression, _ns_lp, ns_bound
 from hvlab.boxes import LabelSet
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
@@ -235,11 +235,36 @@ def _field_problems(draw):
     return LpProblem(tuple(c), tuple(tuple(row) for row in A), tuple(b))
 
 
+def _pivots(solve, tableau_class, entering, problem):
+    """solve(problem) and its pivots as (leaving variable, entering
+    variable) pairs, in order, recorded by wrapping the pivot method of
+    tableau_class; entering(tableau, c) names the variable of column c."""
+    pivots = []
+    pivot = tableau_class.pivot
+
+    def recording(tableau, r, c):
+        pivots.append((tableau.basis[r], entering(tableau, c)))
+        pivot(tableau, r, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableau_class, "pivot", recording)
+        return solve(problem), pivots
+
+
+def _solve_with_reference(problem):
+    """solve_lp's solution, checked equal to the reference's, pivot for
+    pivot: each pivot leaves and enters the same variables in both."""
+    solution, pivots = _pivots(solve_lp, simplex._Tableau, lambda tableau, c: tableau.nonbasic[c], problem)
+    expected, expected_pivots = _pivots(reference_solve_lp, reference_simplex._Tableau, lambda _, c: c, problem)
+    assert solution == expected
+    assert pivots == expected_pivots
+    return solution, pivots
+
+
 @given(_field_problems())
 @settings(max_examples=200, deadline=None)
 def test_solutions_match_the_scalar_tableau_reference(problem):
-    solution = solve_lp(problem)
-    assert solution == reference_solve_lp(problem)
+    solution, _ = _solve_with_reference(problem)
     if solution.status == OPTIMAL:
         assert check_certificate(problem, solution)
 
@@ -275,8 +300,7 @@ def _tall_problems(draw):
 @given(_tall_problems())
 @settings(max_examples=150, deadline=None)
 def test_tall_lps_match_the_scalar_tableau_reference(problem):
-    solution = solve_lp(problem)
-    assert solution == reference_solve_lp(problem)
+    solution, _ = _solve_with_reference(problem)
     if solution.status == OPTIMAL:
         assert check_certificate(problem, solution)
 
@@ -292,8 +316,8 @@ def test_a_slack_that_leaves_and_re_enters_matches_the_reference():
         ((Scalar(2), ONE, Scalar(2)), (Scalar(3), -ONE, ZERO), (Scalar(2), Scalar(2), Scalar(2))),
         (Scalar(2), ONE, ONE),
     )
-    solution = solve_lp(problem)
-    assert solution == reference_solve_lp(problem)
+    solution, pivots = _solve_with_reference(problem)
+    assert pivots == [(4, 0), (5, 1), (1, 2), (0, 4)]
     three_halves = Scalar(Fraction(3, 2))
     assert (solution.q, solution.value, solution.dual) == ((ZERO, ZERO, HALF), three_halves, (ZERO, ZERO, three_halves))
     assert check_certificate(problem, solution)
@@ -313,8 +337,7 @@ def _ns_problems(draw, build=_ns_lp):
 @given(_ns_problems())
 @settings(max_examples=40, deadline=None)
 def test_ns_lps_match_the_scalar_tableau_reference(problem):
-    solution = solve_lp(problem)
-    assert solution == reference_solve_lp(problem)
+    solution, _ = _solve_with_reference(problem)
     assert solution.status == OPTIMAL
     assert check_certificate(problem, solution)
 
@@ -354,7 +377,7 @@ def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns
         assert all(v.sign() >= 0 for v in problem.b)
 
 
-# -- the Matrix, its two views and its sub-matrices ---------------------------
+# -- the Matrix, its columns and its sub-matrices ------------------------------
 
 
 @st.composite
@@ -372,11 +395,7 @@ def test_matrix_views_reproduce_its_dense_rows(drawn):
     rows, n = drawn
     matrix = Matrix.from_rows(rows, n)
     assert dense_rows(matrix.columns, len(rows)) == [list(row) for row in rows]
-    assert len(matrix.int_rows) == len(matrix.den) == len(rows)
-    for row, ints, den in zip(rows, matrix.int_rows, matrix.den):
-        # One denominator per row, the least one: the lcm of the entries'.
-        assert den == lcm(*(v.a.denominator for v in row))
-        assert tuple(Scalar(Fraction(p, den)) for p in ints) == row
+    assert matrix.height == len(rows)
     assert len(matrix.columns) == n
     for j, column in enumerate(matrix.columns):
         assert column == tuple((i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero())
@@ -384,18 +403,20 @@ def test_matrix_views_reproduce_its_dense_rows(drawn):
 
 def test_empty_and_zero_width_matrices():
     empty = Matrix.from_rows((), 3)
-    assert empty == Matrix((), (), ((), (), ()))
+    assert empty == Matrix(0, ((), (), ()))
     flat = Matrix.from_rows(((), ()), 0)
-    assert flat == Matrix(((), ()), (1, 1), ())
+    assert flat == Matrix(2, ())
+    # Two rows and no column: only the right-hand side bounds the solve.
+    assert solve_lp(LpProblem((), flat, (ONE, ZERO))) == LpSolution(OPTIMAL, (), ZERO, (ZERO, ZERO))
 
 
 def test_matrix_is_immutable_and_pickles():
     matrix = Matrix.from_rows(((ONE, parse_scalar("1/2")), (ZERO, -ONE)), 2)
     with pytest.raises(AttributeError):
-        matrix.den = (1, 1)
+        matrix.height = 3
     copy = pickle.loads(pickle.dumps(matrix))
     assert type(copy) is Matrix and copy == matrix
-    assert (copy.int_rows, copy.den, copy.columns) == (matrix.int_rows, matrix.den, matrix.columns)
+    assert (copy.height, copy.columns) == (matrix.height, matrix.columns)
 
 
 @pytest.mark.parametrize(
@@ -418,7 +439,10 @@ def test_a_scalar_subclass_is_a_matrix_entry():
 
     entry = Tagged(Fraction(1, 3))
     matrix = Matrix.from_rows(((entry, ZERO),), 2)
-    assert matrix.int_rows == ((1, 0),) and matrix.den == (3,) and matrix.columns == (((0, entry),), ())
+    assert matrix.height == 1 and matrix.columns == (((0, entry),), ())
+    # The solver reads the entry as 1 over 3: q0 / 3 <= 1 at q0 = 3.
+    solution = solve_lp(LpProblem((ONE, ZERO), matrix, (ONE,)))
+    assert (solution.q, solution.value, solution.dual) == ((Scalar(3), ZERO), Scalar(3), (Scalar(3),))
 
 
 def test_lp_problem_keeps_a_matrix_of_its_width():
@@ -448,8 +472,8 @@ def test_restrict_equals_the_matrix_of_the_dense_sub_rows(drawn, data):
     kept_rows, kept_columns = _distinct_indices(data, len(rows)), _distinct_indices(data, n)
     sub = matrix.restrict(kept_rows, kept_columns)
     expected = Matrix.from_rows([[rows[i][j] for j in kept_columns] for i in kept_rows], len(kept_columns))
-    # The same int rows over the same least denominators, and columns
-    # renumbered by row that hold the very entry objects of the dense rows.
+    # The same row count, and columns renumbered by row that hold the very
+    # entry objects of the dense rows.
     assert sub == expected
     assert all(a is b for got, want in zip(sub.columns, expected.columns) for (_, a), (_, b) in zip(got, want))
 
