@@ -33,10 +33,11 @@ holds it only as each column's nonzero entries, references to the
 shared ONE and -1 Scalars.  Measured with tracemalloc under Python
 3.11, 5522 (100 rows of 35 columns) takes 0.007 MiB, and one setting
 with 45 outcomes per side (2025 rows of 2024 columns, just within
-``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB; the simplex tableau
-that a solve scatters the columns into holds all m x n cells, and the
-solve peaks at 31.9 MiB.  Spaces whose matrix would pass that budget are
-refused before it is built.
+``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB, and its build, one
+dense row at a time, peaks at 0.85 MiB; the simplex tableau that a solve
+scatters the columns into holds all m x n cells, and the solve peaks at
+31.9 MiB.  Spaces whose matrix would pass that budget are refused before
+it is built.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .boxes import (
     LabelSet,
     Spaces,
     Tensor,
+    _int_view,
     _strategy_count,
     deterministic_behavior,
 )
@@ -77,7 +79,7 @@ def evaluate(expression: BellExpression, behavior: Behavior) -> Scalar:
     if expression.spaces != behavior.spaces:
         raise SpaceMismatch("expression and behavior spaces differ")
     cp, cq, dc = _common_denominator(expression.coefficients)
-    bp, bq, db = _common_denominator(behavior.table)
+    bp, bq, db = _int_view(behavior)
     p = sum(map(mul, cp, bp)) + 2 * sum(map(mul, cq, bq))
     return _reduced(p, sum(map(mul, cp, bq)) + sum(map(mul, cq, bp)), dc * db)
 
@@ -277,24 +279,24 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
 
     # A cell's entry is minus the sign of its term.
     entry = {1: -ONE, -1: ONE}
-    rows: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
-        row = [ZERO] * n
-        for sx, jx in terms(ix, kx):
-            for sy, jy in terms(iy, ky):
-                if jx is None and jy is None:
-                    continue  # the constant, in b
-                if jy is None:
-                    column = ia * kx + jx
-                elif jx is None:
-                    column = n_alice + ib * ky + jy
-                else:
-                    column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                row[column] = entry[sx * sy]
-        rows.append(row)
-        rhs.append(ONE if ix == kx and iy == ky else ZERO)
-    return Matrix.from_rows(rows, n), tuple(rhs)
+
+    def rows() -> Iterator[list[Scalar]]:
+        for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
+            row = [ZERO] * n
+            for sx, jx in terms(ix, kx):
+                for sy, jy in terms(iy, ky):
+                    if jx is None and jy is None:
+                        continue  # the constant, in b
+                    if jy is None:
+                        column = ia * kx + jx
+                    elif jx is None:
+                        column = n_alice + ib * ky + jy
+                    else:
+                        column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
+                    row[column] = entry[sx * sy]
+            yield row
+
+    return Matrix.from_rows(rows(), n), ((ZERO,) * (nx * ny - 1) + (ONE,)) * (na * nb)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

@@ -12,21 +12,20 @@ Construction only checks structure (label sets and table shape); the
 probabilistic invariants are the job of :func:`validate_behavior`,
 which reports violations instead of raising so that deliberately broken
 tables can be inspected.  A box cannot change after it is built, so its
-report is computed once and kept on the instance (:func:`_remembered`):
-every function that needs a valid box checks its own input at no further
-cost.  All values are otherwise immutable and all operations pure, so
-everything here is safe for concurrent use; two threads that both
-compute a report store equal values.
+int view (:func:`_int_view`: the cells as ints over their common
+denominator, built only here and only from the box's own table) and its
+validity report, computed from that view, are kept on the instance
+(:func:`_remembered`); the verdict of :func:`is_no_signalling` is not.
+Every function that needs a valid box checks its own input at no further
+cost, and the report, :func:`marginal`, :func:`is_no_signalling` and the
+content and Bell code sum and compare the view's ints, building a Scalar
+only for a value they return.  All values are otherwise immutable and
+all operations pure, so everything here is safe for concurrent use; two
+threads that both compute a view or a report store equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
 LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
-The report and :func:`is_no_signalling` sum and compare the table as
-ints over its common denominator, building a Scalar only for a value
-they report.  Both take that int view from a caller that has already
-built it, and :func:`is_no_signalling` shares its own with the report
-when the box has none yet; the view is not remembered on the box, and
-neither is :func:`is_no_signalling`.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_
 Side = Literal["alice", "bob"]
 
 # A table read as ints (ps, qs, den): cell i is (ps[i] + qs[i]*sqrt2) / den.
-_IntView = tuple[list[int], list[int], int]
+_IntView = tuple[tuple[int, ...], tuple[int, ...], int]
 
 # Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
 # and vertex enumeration will accept.  Past it the input is refused
@@ -262,7 +261,8 @@ class BehaviorReport(Frozen):
 def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
     after the first call; each kind of object has one validator, whose
-    report is kept as ``_validity``."""
+    report is kept as ``_validity``, and a box also keeps its int view
+    as ``_ints``."""
     try:
         return getattr(obj, name)
     except AttributeError:
@@ -271,11 +271,20 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
         return report
 
 
-def validate_behavior(behavior: Behavior, *, view: _IntView | None = None) -> BehaviorReport:
-    """Check nonnegativity and exact per-(a,b) normalization.  ``view``
-    is the table's int view ``scalar._common_denominator(behavior.table)``
-    when the caller has already built it."""
-    return _remembered(behavior, lambda _: _behavior_report(behavior, view))
+def _int_view(behavior: Behavior) -> _IntView:
+    """The box's table as ints ``(ps, qs, den)`` over its common
+    denominator, built from the table once and kept on the box."""
+    return _remembered(behavior, _ints, "_ints")
+
+
+def _ints(behavior: Behavior) -> _IntView:
+    ps, qs, den = _common_denominator(behavior.table)
+    return tuple(ps), tuple(qs), den
+
+
+def validate_behavior(behavior: Behavior) -> BehaviorReport:
+    """Check nonnegativity and exact per-(a,b) normalization."""
+    return _remembered(behavior, _behavior_report)
 
 
 def require_valid_behavior(behavior: Behavior) -> None:
@@ -285,10 +294,8 @@ def require_valid_behavior(behavior: Behavior) -> None:
         raise InvalidBehavior(report.summary())
 
 
-def _behavior_report(behavior: Behavior, view: _IntView | None = None) -> BehaviorReport:
-    """The validity report, from the table's int view ``(ps, qs, den)``
-    when the caller already has it."""
-    ps, qs, den = _common_denominator(behavior.table) if view is None else view
+def _behavior_report(behavior: Behavior) -> BehaviorReport:
+    ps, qs, den = _int_view(behavior)
     negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
     labels = list(product(*behavior.spaces)) if negatives else []
     bad_rows: list[tuple[str, str, Scalar]] = []
@@ -301,26 +308,22 @@ def _behavior_report(behavior: Behavior, view: _IntView | None = None) -> Behavi
 
 
 def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[str, Scalar]:
-    """One-side outcome distribution P(x|a,b) or P(y|a,b)."""
+    """One-side outcome distribution P(x|a,b) or P(y|a,b), each value one
+    int sum over the box's int view."""
     a, b = settings
     ia = _require_setting(behavior.settings_a, a, "alice")
     ib = _require_setting(behavior.settings_b, b, "bob")
-    result: dict[str, Scalar] = {}
-    if side == "alice":
-        for ix, x in enumerate(behavior.outcomes_x):
-            total = ZERO
-            for iy in range(len(behavior.outcomes_y)):
-                total = total + behavior.at(ia, ib, ix, iy)
-            result[x] = total
-    elif side == "bob":
-        for iy, y in enumerate(behavior.outcomes_y):
-            total = ZERO
-            for ix in range(len(behavior.outcomes_x)):
-                total = total + behavior.at(ia, ib, ix, iy)
-            result[y] = total
-    else:
+    if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    return result
+    _, nb, nx, ny = map(len, behavior.spaces)
+    ps, qs, den = _int_view(behavior)
+    start = (ia * nb + ib) * nx * ny
+    ps, qs = ps[start : start + nx * ny], qs[start : start + nx * ny]
+    if side == "alice":
+        outcomes, sums = behavior.outcomes_x, zip(_run_sums(ps, ny), _run_sums(qs, ny))
+    else:
+        outcomes, sums = behavior.outcomes_y, ((sum(ps[iy::ny]), sum(qs[iy::ny])) for iy in range(ny))
+    return {label: _reduced(p, q, den) for label, (p, q) in zip(outcomes, sums)}
 
 
 class NsWitness(Frozen):
@@ -350,29 +353,23 @@ class NsWitness(Frozen):
         )
 
 
-def is_no_signalling(behavior: Behavior, *, view: _IntView | None = None) -> tuple[bool, NsWitness | None]:
+def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     """Check that each party's marginals ignore the other's setting.
 
     Marginals are compared against the first counterpart setting; the
     equality relation is transitive so this is equivalent to comparing
-    all pairs.  Requires a valid behavior.  The table is read as ints
+    all pairs.  Requires a valid behavior.  The box's int view is read as
     ``ps[i] + qs[i]*sqrt2`` over its common denominator, and each party's
     marginals are int sums laid out as one row per own setting, in
     (counterpart setting, outcome) order: Alice's are the runs of |Y|
     cells, Bob's the runs of |X| among every |Y|-th cell, regrouped by b.
     A row is no-signalling when it repeats its first |X| (or |Y|) sums;
-    only a witness's two values become Scalars.  That int view, or
-    ``view`` when the caller has already built it, also serves the
-    validity report if the box has none yet.
+    only a witness's two values become Scalars.
     """
-    if view is None:
-        view = _common_denominator(behavior.table)
-    report = validate_behavior(behavior, view=view)
-    if not report.ok:
-        raise InvalidBehavior(report.summary())
+    require_valid_behavior(behavior)
     settings_a, settings_b, outcomes_x, outcomes_y = behavior.spaces
     na, nb, nx, ny = map(len, behavior.spaces)
-    ps, qs, den = view
+    ps, qs, den = _int_view(behavior)
     # Alice's marginals in (a, b, x) order, and Bob's in (a, b) order for each y.
     alice = list(zip(_run_sums(ps, ny), _run_sums(qs, ny)))
     bob = [list(zip(_run_sums(ps[iy::ny], nx), _run_sums(qs[iy::ny], nx))) for iy in range(ny)]
@@ -397,7 +394,7 @@ def is_no_signalling(behavior: Behavior, *, view: _IntView | None = None) -> tup
     return True, None
 
 
-def _run_sums(values: list[int], size: int) -> list[int]:
+def _run_sums(values: Sequence[int], size: int) -> list[int]:
     """The sums of the consecutive runs of ``size`` values."""
     return list(map(sum, zip(*[iter(values)] * size)))
 

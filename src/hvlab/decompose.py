@@ -48,11 +48,13 @@ for each solve, holds exactly those m x n cells.  The benchmark's
 largest content rung holds 81 vertices of 36 cells.
 
 The remainder and the audit work in ints over common denominators, with
-one Scalar per reported cell.  The audit, :func:`verify_decomposition`,
-does not trust the cached tuple: it checks every support vertex against
-the definition by index arithmetic on its table's canonical triples,
-puts each weight on the unit cells that vertex's output tables name,
-and compares each cell with the box by cross-multiplication.
+one Scalar per reported cell; a box's ints are its int view, which only
+:mod:`hvlab.boxes` builds, from the box's own table.  The audit,
+:func:`verify_decomposition`, does not trust the cached tuple: it checks
+every support vertex against the definition by index arithmetic on its
+table's canonical triples, puts each weight on the unit cells that
+vertex's output tables name, and compares each cell with the box by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .boxes import (
     Behavior,
     LabelSet,
     Spaces,
+    _int_view,
     _output_tables,
     _position,
     _strategy_count,
@@ -173,8 +176,7 @@ def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> Lp
 
 def max_local_content(behavior: Behavior) -> LocalDecomposition:
     """Exact maximal local content of a valid no-signalling box."""
-    view = _common_denominator(behavior.table)
-    ok, witness = is_no_signalling(behavior, view=view)
+    ok, witness = is_no_signalling(behavior)
     if not ok:
         raise SignallingInput(
             f"no local decomposition exists for a signalling box ({witness.describe()})"
@@ -189,7 +191,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, the box's and the weights' common
         # denominators; 1/(1 - content) = cd*(u - v*sqrt2)/(u*u - 2*v*v).
-        bp, bq, b = view
+        bp, bq, b = _int_view(behavior)
         wp, wq, w = _common_denominator([q for _, q in support])
         rp, rq = [p * w for p in bp], [q * w for q in bq]
         for (k, _), p, q in zip(support, wp, wq):
@@ -375,15 +377,14 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     same_spaces = d.residual.spaces == behavior.spaces
     residual_ok = False
     size = len(behavior.table)
-    residual_view = _common_denominator(d.residual.table) if d.residual_used else ([0] * size, [0] * size, 1)
+    residual_view = _int_view(d.residual) if d.residual_used else ((0,) * size, (0,) * size, 1)
     if d.residual_used:
-        residual_report = validate_behavior(d.residual, view=residual_view)
+        residual_report = validate_behavior(d.residual)
         residual_ok = same_spaces and residual_report.ok
         detail = residual_report.summary() if not residual_report.ok else "residual spaces differ"
         checks.append(CheckResult("residual_valid", residual_ok, "" if residual_ok else detail))
 
     if vertices_ok:
-        box_view = _common_denominator(behavior.table)
         if d.residual_used and not same_spaces:
             checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
         else:
@@ -403,7 +404,7 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
             sp, sq, s = residual_view
             cp, cq, rd = d.local_content._v
             rp, rq = rd - cp, -cq
-            bp, bq, b = box_view
+            bp, bq, b = _int_view(behavior)
             local, remainder, box = rd * s * b, w * b, w * rd * s
             rebuilt = (
                 p * local + (rp * ps + 2 * rq * qs) * remainder == box_p * box
@@ -419,10 +420,10 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
                 )
             )
 
-        box_valid = validate_behavior(behavior, view=box_view).ok
-        original_ns = box_valid and is_no_signalling(behavior, view=box_view)[0]
+        box_valid = validate_behavior(behavior).ok
+        original_ns = box_valid and is_no_signalling(behavior)[0]
         if original_ns and residual_ok:
-            residual_ns, ns_witness = is_no_signalling(d.residual, view=residual_view)
+            residual_ns, ns_witness = is_no_signalling(d.residual)
             checks.append(
                 CheckResult(
                     "residual_no_signalling",

@@ -18,7 +18,7 @@ the locality verdict of :func:`check_locality`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .boxes import (
     Behavior,
@@ -222,27 +222,25 @@ def check_triviality(
             raise SpaceMismatch("triviality reference and model spaces differ")
         require_valid_behavior(against)
     reference = against if against is not None else reconstruct(model)
-    for pair, weight, kernel in model.items():
-        if weight.sign() <= 0:
-            continue
-        witness = _pair_triviality_witness(pair, kernel, reference)
-        if witness is not None:
-            return False, witness
-    return True, None
+    witness = next((witness for _, witness in _nontrivial_pairs(model, reference)), None)
+    return witness is None, witness
 
 
 def nontrivial_weight(model: HiddenVariableModel) -> Scalar:
     """Total weight of pairs whose kernel fails the per-pair triviality
     test against the reconstructed behavior."""
     require_valid_model(model)
-    reference = reconstruct(model)
-    total = ZERO
+    return sum((weight for weight, _ in _nontrivial_pairs(model, reconstruct(model))), ZERO)
+
+
+def _nontrivial_pairs(model: HiddenVariableModel, reference: Behavior) -> Iterator[tuple[Scalar, TrivialityWitness]]:
+    """Each positive-weight pair whose kernel's marginals differ from the
+    reference's, in model order, as its weight and first witness."""
     for pair, weight, kernel in model.items():
-        if weight.sign() <= 0:
-            continue
-        if _pair_triviality_witness(pair, kernel, reference) is not None:
-            total = total + weight
-    return total
+        if weight.sign() > 0:
+            witness = _pair_triviality_witness(pair, kernel, reference)
+            if witness is not None:
+                yield weight, witness
 
 
 def guessing_probability(model: HiddenVariableModel, side: Side, setting: str) -> Scalar:

@@ -9,9 +9,12 @@ coordinates, gives this equality-pair LP's optimum.  The equality-pair LP
 also keeps the reference solver's phase one under test, since its negated
 normalisation rows need artificials; ``hvlab.simplex.solve_lp``, which
 has no phase one, refuses it.  The no-signalling
-check that summed each marginal through ``hvlab.boxes.marginal`` is kept
-too, so that the index-arithmetic ``hvlab.boxes.is_no_signalling`` must
-give the same verdict and the same witness.  The Collins-Gisin builder
+check that summed each marginal in Scalars is kept too, with its own copy
+of the Scalar-loop ``marginal`` that ``hvlab.boxes`` shipped before it
+summed a box's int view, so that the index-arithmetic
+``hvlab.boxes.is_no_signalling`` must give the same verdict and the same
+witness, and ``hvlab.boxes.marginal`` the same distributions, without
+sharing the view with the code under test.  The Collins-Gisin builder
 that summed each objective coefficient in Scalars is kept too, so that
 ``hvlab.bell._ns_lp``, which sums in ints over one common denominator,
 must build the same ``LpProblem``.
@@ -20,7 +23,15 @@ must build the same ``LpProblem``.
 from __future__ import annotations
 
 from hvlab.bell import BellExpression, _ns_constraints
-from hvlab.boxes import Behavior, NsWitness, is_no_signalling, marginal, require_valid_behavior, validate_behavior
+from hvlab.boxes import (
+    Behavior,
+    NsWitness,
+    Side,
+    _require_setting,
+    is_no_signalling,
+    require_valid_behavior,
+    validate_behavior,
+)
 from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import LpProblem
 
@@ -72,6 +83,29 @@ def ns_lp(expression: BellExpression) -> LpProblem:
                     coeffs[idx(0, ib, ix, iy)] = -ONE
                 add_equality(coeffs, ZERO)
     return LpProblem(expression.table, tuple(rows), tuple(rhs))
+
+
+def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[str, Scalar]:
+    """One-side outcome distribution P(x|a,b) or P(y|a,b)."""
+    a, b = settings
+    ia = _require_setting(behavior.settings_a, a, "alice")
+    ib = _require_setting(behavior.settings_b, b, "bob")
+    result: dict[str, Scalar] = {}
+    if side == "alice":
+        for ix, x in enumerate(behavior.outcomes_x):
+            total = ZERO
+            for iy in range(len(behavior.outcomes_y)):
+                total = total + behavior.at(ia, ib, ix, iy)
+            result[x] = total
+    elif side == "bob":
+        for iy, y in enumerate(behavior.outcomes_y):
+            total = ZERO
+            for ix in range(len(behavior.outcomes_x)):
+                total = total + behavior.at(ia, ib, ix, iy)
+            result[y] = total
+    else:
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    return result
 
 
 def marginal_is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
