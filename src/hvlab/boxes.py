@@ -11,17 +11,17 @@ behavior is a tensor read as P(x,y|a,b), a Bell expression
 Construction only checks structure (label sets and table shape); the
 probabilistic invariants are the job of :func:`validate_behavior`,
 which reports violations instead of raising so that deliberately broken
-tables can be inspected.  A box cannot change after it is built, so its
-int view (:func:`_int_view`: the cells as ints over their common
-denominator, built only here and only from the box's own table) and its
-validity report, computed from that view, are kept on the instance
-(:func:`_remembered`); the verdict of :func:`is_no_signalling` is not.
-Every function that needs a valid box checks its own input at no further
-cost, and the report, :func:`marginal`, :func:`is_no_signalling` and the
-content and Bell code sum and compare the view's ints, building a Scalar
-only for a value they return.  All values are otherwise immutable and
-all operations pure, so everything here is safe for concurrent use; two
-threads that both compute a view or a report store equal values.
+tables can be inspected.  A box cannot change after it is built, so it
+keeps on the instance (:func:`_remembered`), each built once and only
+from its own table: its int view (:func:`_int_view`, the cells as ints
+over their common denominator), its marginal table (:func:`_marginal_table`,
+both parties' one-side marginals summed from the view) and its validity
+report.  The report's row totals, :func:`marginal`, :func:`is_no_signalling`
+(whose verdict is not kept) and the triviality search of :mod:`hvlab.hvmodel`
+read the marginal table, the content and Bell code the view, and each
+builds a Scalar only for a value it returns.  All values are otherwise
+immutable and all operations pure, so everything here is safe for
+concurrent use; two threads that compute one of these store equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
@@ -48,7 +48,7 @@ from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_
 
 Side = Literal["alice", "bob"]
 
-# A table read as ints (ps, qs, den): cell i is (ps[i] + qs[i]*sqrt2) / den.
+# A table read as ints (ps, qs, den): entry i is (ps[i] + qs[i]*sqrt2) / den.
 _IntView = tuple[tuple[int, ...], tuple[int, ...], int]
 
 # Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
@@ -260,9 +260,9 @@ class BehaviorReport(Frozen):
 
 def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
-    after the first call; each kind of object has one validator, whose
-    report is kept as ``_validity``, and a box also keeps its int view
-    as ``_ints``."""
+    after the first call; each kind of object keeps its validity report as
+    ``_validity``, a box its int view as ``_ints`` and marginal table as
+    ``_marginals``, a model its locality verdict and reconstruction."""
     try:
         return getattr(obj, name)
     except AttributeError:
@@ -295,35 +295,61 @@ def require_valid_behavior(behavior: Behavior) -> None:
 
 
 def _behavior_report(behavior: Behavior) -> BehaviorReport:
-    ps, qs, den = _int_view(behavior)
+    ps, qs, _ = _int_view(behavior)
     negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
     labels = list(product(*behavior.spaces)) if negatives else []
+    mp, mq, den = _marginal_table(behavior)
+    nx = len(behavior.outcomes_x)
     bad_rows: list[tuple[str, str, Scalar]] = []
-    block = len(behavior.outcomes_x) * len(behavior.outcomes_y)
-    for start, (a, b) in zip(range(0, len(ps), block), product(behavior.settings_a, behavior.settings_b)):
-        p, q = sum(ps[start : start + block]), sum(qs[start : start + block])
+    for j, (a, b) in enumerate(product(behavior.settings_a, behavior.settings_b)):
+        p, q = sum(mp[j * nx : (j + 1) * nx]), sum(mq[j * nx : (j + 1) * nx])
         if p != den or q:
             bad_rows.append((a, b, _reduced(p, q, den)))
     return BehaviorReport(tuple((*labels[i], behavior.table[i]) for i in negatives), tuple(bad_rows))
 
 
+def _marginal_table(behavior: Behavior) -> _IntView:
+    """Both parties' one-side marginals as ints over the view's denominator, kept
+    on the box: Alice's P(x|a,b) in (a, b, x) order, then Bob's P(y|a,b) in (b, a, y)
+    order, one row per party and own setting (entries named by :func:`_marginal_entry`)."""
+    return _remembered(behavior, _marginal_sums, "_marginals")
+
+
+def _marginal_sums(behavior: Behavior) -> _IntView:
+    ps, qs, den = _int_view(behavior)
+    na, nb, nx, ny = map(len, behavior.spaces)
+    runs = [slice(i, i + ny) for i in range(0, len(ps), ny)]
+    starts = [(ia * nb + ib) * nx * ny for ib in range(nb) for ia in range(na)]
+    runs += [slice(start + iy, start + nx * ny, ny) for start in starts for iy in range(ny)]
+    return tuple(sum(ps[run]) for run in runs), tuple(sum(qs[run]) for run in runs), den
+
+
+def _marginal_entry(spaces: Spaces, k: int) -> tuple[Side, str, str, str]:
+    """Entry ``k`` of a marginal table as (side, own setting, counterpart, outcome)."""
+    settings_a, settings_b, outcomes_x, outcomes_y = spaces
+    alice = len(settings_a) * len(settings_b) * len(outcomes_x)
+    if k < alice:
+        side, own, other, outcomes = "alice", settings_a, settings_b, outcomes_x
+    else:
+        side, own, other, outcomes, k = "bob", settings_b, settings_a, outcomes_y, k - alice
+    row, io = divmod(k, len(outcomes))
+    return side, own.labels[row // len(other)], other.labels[row % len(other)], outcomes.labels[io]
+
+
 def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[str, Scalar]:
-    """One-side outcome distribution P(x|a,b) or P(y|a,b), each value one
-    int sum over the box's int view."""
+    """One-side outcome distribution P(x|a,b) or P(y|a,b): a slice of the
+    box's marginal table, with a Scalar per returned value."""
     a, b = settings
     ia = _require_setting(behavior.settings_a, a, "alice")
     ib = _require_setting(behavior.settings_b, b, "bob")
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    _, nb, nx, ny = map(len, behavior.spaces)
-    ps, qs, den = _int_view(behavior)
-    start = (ia * nb + ib) * nx * ny
-    ps, qs = ps[start : start + nx * ny], qs[start : start + nx * ny]
-    if side == "alice":
-        outcomes, sums = behavior.outcomes_x, zip(_run_sums(ps, ny), _run_sums(qs, ny))
-    else:
-        outcomes, sums = behavior.outcomes_y, ((sum(ps[iy::ny]), sum(qs[iy::ny])) for iy in range(ny))
-    return {label: _reduced(p, q, den) for label, (p, q) in zip(outcomes, sums)}
+    na, nb, nx, ny = map(len, behavior.spaces)
+    mp, mq, den = _marginal_table(behavior)
+    outcomes = behavior.outcomes_x if side == "alice" else behavior.outcomes_y
+    start = (ia * nb + ib) * nx if side == "alice" else na * nb * nx + (ib * na + ia) * ny
+    end = start + len(outcomes)
+    return {label: _reduced(p, q, den) for label, p, q in zip(outcomes, mp[start:end], mq[start:end])}
 
 
 class NsWitness(Frozen):
@@ -358,45 +384,26 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
 
     Marginals are compared against the first counterpart setting; the
     equality relation is transitive so this is equivalent to comparing
-    all pairs.  Requires a valid behavior.  The box's int view is read as
-    ``ps[i] + qs[i]*sqrt2`` over its common denominator, and each party's
-    marginals are int sums laid out as one row per own setting, in
-    (counterpart setting, outcome) order: Alice's are the runs of |Y|
-    cells, Bob's the runs of |X| among every |Y|-th cell, regrouped by b.
-    A row is no-signalling when it repeats its first |X| (or |Y|) sums;
-    only a witness's two values become Scalars.
+    all pairs.  Requires a valid behavior.  Each row of the box's
+    marginal table (one party, one own setting) is no-signalling when it
+    repeats its first |X| (or |Y|) entries; the first moved entry, in
+    table order, is the witness, and only its two values become Scalars.
     """
     require_valid_behavior(behavior)
-    settings_a, settings_b, outcomes_x, outcomes_y = behavior.spaces
+    mp, mq, den = _marginal_table(behavior)
     na, nb, nx, ny = map(len, behavior.spaces)
-    ps, qs, den = _int_view(behavior)
-    # Alice's marginals in (a, b, x) order, and Bob's in (a, b) order for each y.
-    alice = list(zip(_run_sums(ps, ny), _run_sums(qs, ny)))
-    bob = [list(zip(_run_sums(ps[iy::ny], nx), _run_sums(qs[iy::ny], nx))) for iy in range(ny)]
-    width = nb * nx
-    rows = [
-        ("alice", a, settings_b, outcomes_x, alice[ia * width : (ia + 1) * width])
-        for ia, a in enumerate(settings_a)
-    ]
-    if all(row == row[:nx] * nb for *_, row in rows) and all(by_y == by_y[:nb] * na for by_y in bob):
-        return True, None
-    for ib, b in enumerate(settings_b):
-        row = [m for ms in zip(*(by_y[ib::nb] for by_y in bob)) for m in ms]
-        rows.append(("bob", b, settings_a, outcomes_y, row))
-    # The first moved marginal, in the order of the rows.
-    for side, setting, counterparts, outcomes, row in rows:
-        n = len(outcomes)
-        if row != row[:n] * len(counterparts):
-            k = next(k for k in range(n, len(row)) if row[k] != row[k % n])
-            values = _reduced(*row[k % n], den), _reduced(*row[k], den)
-            moved = counterparts.labels[0], counterparts.labels[k // n], outcomes.labels[k % n]
-            return False, NsWitness(side, setting, *moved, *values)
+    alice = na * nb * nx
+    rows = [(start, nb, nx) for start in range(0, alice, nb * nx)]
+    rows += [(start, na, ny) for start in range(alice, len(mp), na * ny)]
+    for start, counterparts, n in rows:
+        ps, qs = mp[start : start + counterparts * n], mq[start : start + counterparts * n]
+        if ps != ps[:n] * counterparts or qs != qs[:n] * counterparts:
+            k = next(k for k in range(n, len(ps)) if ps[k] != ps[k % n] or qs[k] != qs[k % n])
+            side, setting, reference, outcome = _marginal_entry(behavior.spaces, start + k % n)
+            other = _marginal_entry(behavior.spaces, start + k)[2]
+            values = _reduced(ps[k % n], qs[k % n], den), _reduced(ps[k], qs[k], den)
+            return False, NsWitness(side, setting, reference, other, outcome, *values)
     return True, None
-
-
-def _run_sums(values: Sequence[int], size: int) -> list[int]:
-    """The sums of the consecutive runs of ``size`` values."""
-    return list(map(sum, zip(*[iter(values)] * size)))
 
 
 def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:

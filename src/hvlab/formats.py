@@ -60,14 +60,15 @@ def _parse_table(data: Any, spaces: Spaces, where: str, parsed: dict[str, Scalar
     settings_a, settings_b, outcomes_x, outcomes_y = spaces
     if not isinstance(data, dict):
         raise FileFormatError(f"{where} must be an object keyed by 'a|b'")
-    expected_keys = {f"{a}|{b}" for a in settings_a for b in settings_b}
-    if set(data.keys()) != expected_keys:
-        raise FileFormatError(
-            f"{where} keys must be exactly the setting product {sorted(expected_keys)}"
-        )
+    # Count first, so the check costs no more than the file's own size.
+    pairs = len(settings_a) * len(settings_b)
+    if len(data) != pairs:
+        raise FileFormatError(f"{where} has {len(data)} keys, expected one 'a|b' per setting pair ({pairs})")
     table: list[Scalar] = []
     for a in settings_a:
         for b in settings_b:
+            if f"{a}|{b}" not in data:
+                raise FileFormatError(f"{where} lacks the key '{a}|{b}' and has one that is not a setting pair")
             block = data[f"{a}|{b}"]
             if (
                 not isinstance(block, list)

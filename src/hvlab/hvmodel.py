@@ -11,8 +11,10 @@ Triviality means the hidden pair reveals nothing: every positive-weight
 kernel has the same one-side marginals as the reconstructed behavior.
 
 Every check validates its input through :func:`require_valid_model`; as
-for boxes, the report is computed once and kept on the model, and so is
-the locality verdict of :func:`check_locality`.
+for boxes, the report is computed once and kept on the model, and so are
+the locality verdict of :func:`check_locality` and the reconstruction, so
+:func:`check_triviality` and :func:`nontrivial_weight` mix the kernels once
+between them and then compare only the ints of the boxes' marginal tables.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .boxes import (
     LabelSet,
     NsWitness,
     Side,
+    _marginal_entry,
+    _marginal_table,
     _remembered,
     is_no_signalling,
     marginal,
@@ -36,7 +40,7 @@ from .boxes import (
 )
 from .errors import InvalidDistribution, InvalidModel, NotLocal, SpaceMismatch
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, as_scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _reduced, as_scalar, format_scalar
 
 Pair = tuple[str, str]
 
@@ -125,8 +129,9 @@ def require_valid_model(model: HiddenVariableModel | ExtendedModel) -> None:
 
 
 def reconstruct(model: HiddenVariableModel) -> Behavior:
-    """Observed behavior: the weight mixture of the kernels."""
-    return mix(zip(model.weights, model.kernels))
+    """Observed behavior: the weight mixture of the kernels, mixed once
+    and kept on the model."""
+    return _remembered(model, lambda model: mix(zip(model.weights, model.kernels)), "_reconstruction")
 
 
 class LocalityWitness(Frozen):
@@ -185,24 +190,14 @@ class TrivialityWitness(Frozen):
         )
 
 
-def _pair_triviality_witness(
-    pair: Pair, kernel: Behavior, reference: Behavior
-) -> TrivialityWitness | None:
-    """First marginal difference between a kernel and the reference, or None."""
-    for a in kernel.settings_a:
-        for b in kernel.settings_b:
-            km = marginal(kernel, "alice", (a, b))
-            rm = marginal(reference, "alice", (a, b))
-            for x in kernel.outcomes_x:
-                if km[x] != rm[x]:
-                    return TrivialityWitness(pair, "alice", a, b, x, km[x], rm[x])
-    for b in kernel.settings_b:
-        for a in kernel.settings_a:
-            km = marginal(kernel, "bob", (a, b))
-            rm = marginal(reference, "bob", (a, b))
-            for y in kernel.outcomes_y:
-                if km[y] != rm[y]:
-                    return TrivialityWitness(pair, "bob", b, a, y, km[y], rm[y])
+def _pair_triviality_witness(pair: Pair, kernel: Behavior, reference: Behavior) -> TrivialityWitness | None:
+    """First entry, in table order, where the kernel's marginal table differs
+    from the reference's (over its own denominator: cross-multiplied), or None."""
+    (kps, kqs, kd), (rps, rqs, rd) = _marginal_table(kernel), _marginal_table(reference)
+    for k, (kp, kq, rp, rq) in enumerate(zip(kps, kqs, rps, rqs)):
+        if kp * rd != rp * kd or kq * rd != rq * kd:
+            where = _marginal_entry(kernel.spaces, k)
+            return TrivialityWitness(pair, *where, _reduced(kp, kq, kd), _reduced(rp, rq, rd))
     return None
 
 
@@ -399,18 +394,13 @@ def first_mover_joint(
         if v not in v_labels:
             v_labels.append(v)
     by_pair = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
-    marginals: dict[tuple[Pair, str, str], dict[str, Scalar]] = {}
-    for pair, _, kernel in model.items():
-        for a in sa:
-            for b in sb:
-                marginals[(pair, a, b)] = marginal(kernel, "alice", (a, b))
 
     def probability(a: str, b: str, u: str, v: str, x: str) -> Scalar:
         entry = by_pair.get((u, v))
         if entry is None:
             return ZERO
-        weight, _ = entry
-        return dist_a[a] * dist_b[b] * weight * marginals[((u, v), a, b)][x]
+        weight, kernel = entry
+        return dist_a[a] * dist_b[b] * weight * marginal(kernel, "alice", (a, b))[x]
 
     variables = (
         ("A", sa),

@@ -14,7 +14,11 @@ of the Scalar-loop ``marginal`` that ``hvlab.boxes`` shipped before it
 summed a box's int view, so that the index-arithmetic
 ``hvlab.boxes.is_no_signalling`` must give the same verdict and the same
 witness, and ``hvlab.boxes.marginal`` the same distributions, without
-sharing the view with the code under test.  The Collins-Gisin builder
+sharing the view with the code under test.  The per-pair triviality
+search that compared those Scalar marginals label by label is kept too,
+on the same copy, so that ``hvlab.hvmodel.check_triviality`` and
+``nontrivial_weight``, which compare two boxes' int marginal tables by
+cross-multiplication, must find the same witnesses.  The Collins-Gisin builder
 that summed each objective coefficient in Scalars is kept too, so that
 ``hvlab.bell._ns_lp``, which sums in ints over one common denominator,
 must build the same ``LpProblem``.
@@ -32,6 +36,7 @@ from hvlab.boxes import (
     require_valid_behavior,
     validate_behavior,
 )
+from hvlab.hvmodel import Pair, TrivialityWitness
 from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import LpProblem
 
@@ -129,6 +134,27 @@ def marginal_is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | Non
                 if reference[y] != other[y]:
                     return False, NsWitness("bob", b, a_ref, a, y, reference[y], other[y])
     return True, None
+
+
+def triviality_witness(pair: Pair, kernel: Behavior, reference: Behavior) -> TrivialityWitness | None:
+    """First marginal difference between a kernel and the reference, by
+    label through ``marginal``: Alice's in (a, b, x) order, then Bob's in
+    (b, a, y) order."""
+    for a in kernel.settings_a:
+        for b in kernel.settings_b:
+            km = marginal(kernel, "alice", (a, b))
+            rm = marginal(reference, "alice", (a, b))
+            for x in kernel.outcomes_x:
+                if km[x] != rm[x]:
+                    return TrivialityWitness(pair, "alice", a, b, x, km[x], rm[x])
+    for b in kernel.settings_b:
+        for a in kernel.settings_a:
+            km = marginal(kernel, "bob", (a, b))
+            rm = marginal(reference, "bob", (a, b))
+            for y in kernel.outcomes_y:
+                if km[y] != rm[y]:
+                    return TrivialityWitness(pair, "bob", b, a, y, km[y], rm[y])
+    return None
 
 
 def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:

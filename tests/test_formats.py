@@ -1,6 +1,8 @@
 """File formats: canonical round trips, schema strictness, scalar strings."""
 
 import json
+import re
+import tracemalloc
 
 import pytest
 
@@ -141,6 +143,48 @@ def test_wrong_key_set_rejected():
     del data["p"]["0|1"]
     with pytest.raises(FileFormatError):
         behavior_from_dict(data)
+
+
+def test_a_renamed_key_is_named_in_the_refusal():
+    data = behavior_to_dict(table1_box())
+    data["p"]["9|9"] = data["p"].pop("0|1")
+    with pytest.raises(FileFormatError, match=re.escape("'0|1'")):
+        behavior_from_dict(data)
+
+
+def test_a_key_beside_every_setting_pair_is_refused():
+    data = behavior_to_dict(table1_box())
+    data["p"]["9|9"] = data["p"]["0|1"]
+    with pytest.raises(FileFormatError, match="5 keys"):
+        behavior_from_dict(data)
+
+
+def _oversized(kind: str) -> dict:
+    """A file of the kind with 500 labels per side and an empty table: a
+    few KB of labels that name 250 000 setting pairs."""
+    labels = [str(i) for i in range(500)]
+    data = {"settings_a": labels, "settings_b": labels, "outcomes_x": ["0", "1"], "outcomes_y": ["0", "1"]}
+    if kind == "model":
+        data["pairs"] = [{"u": "u", "v": "v", "weight": "1", "p": {}}]
+    else:
+        data["p" if kind == "box" else "c"] = {}
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind, parse", [("box", behavior_from_dict), ("expression", expression_from_dict), ("model", model_from_dict)]
+)
+def test_a_key_check_costs_no_more_than_the_file(kind, parse):
+    data = _oversized(kind)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError) as refusal:
+            parse(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(str(refusal.value)) < 500
 
 
 def test_bad_scalar_string_rejected():

@@ -5,8 +5,20 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import CHSH_SPACES, SMALL_SPACES, local_models
+import hvlab.hvmodel
+import reference_scenario as reference
+from helpers import (
+    CHSH_SPACES,
+    SMALL_SPACES,
+    label_sets,
+    local_models,
+    ns_behaviors,
+    random_local_model,
+    spaces_strategy,
+    valid_behaviors,
+)
 from hvlab.boxes import (
     Behavior,
     LabelSet,
@@ -15,6 +27,7 @@ from hvlab.boxes import (
     is_no_signalling,
     marginal,
     mix,
+    uniform_behavior,
 )
 from hvlab.catalog import appendix_a_model, classical_model, pr_box, signalling_box, table1_box
 from hvlab.errors import InvalidDistribution, InvalidModel, NotLocal, UnknownSetting
@@ -32,7 +45,7 @@ from hvlab.hvmodel import (
     uniform_distribution,
     validate_model,
 )
-from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
 
 SA, SB, OX, OY = CHSH_SPACES
 
@@ -115,6 +128,92 @@ def test_classical_model_is_nontrivial():
     trivial, witness = check_triviality(classical_model())
     assert not trivial
     assert witness is not None
+
+
+def test_triviality_and_weight_mix_the_model_once(monkeypatch):
+    mixed = []
+
+    def counting_mix(components):
+        mixed.append(1)
+        return mix(components)
+
+    monkeypatch.setattr(hvlab.hvmodel, "mix", counting_mix)
+    model = random_local_model(random.Random(3), CHSH_SPACES)
+    check_triviality(model)
+    nontrivial_weight(model)
+    assert len(mixed) == 1
+    # The reconstruction is kept on the model, so every later call reads it.
+    assert reconstruct(model) is reconstruct(model) and len(mixed) == 1
+
+
+def _box(draw, spaces) -> Behavior:
+    """A signalling or no-signalling box, one mixed with sqrt2 weights, or
+    the uniform box."""
+    kind = draw(st.sampled_from(("signalling", "ns", "sqrt2", "uniform")))
+    if kind == "signalling":
+        return draw(valid_behaviors(spaces=spaces))
+    if kind == "ns":
+        return draw(ns_behaviors(spaces=spaces))
+    if kind == "sqrt2":
+        first, second = draw(ns_behaviors(spaces=spaces)), draw(valid_behaviors(spaces=spaces))
+        return mix([(SQRT2 / 2, first), (ONE - SQRT2 / 2, second)])
+    return uniform_behavior(*spaces)
+
+
+def _reshuffled(draw, box: Behavior) -> Behavior:
+    """A box with the marginals of ``box`` and cells over another
+    denominator: each (a, b) block moves t times the least of its top-left
+    2x2 cells round that square (+, -, -, +), t rational or sqrt2/2."""
+    ny = len(box.outcomes_y)
+    table = list(box.table)
+    for start in range(0, len(table), len(box.outcomes_x) * ny):
+        square = (start, start + 1, start + ny, start + ny + 1)
+        shift = draw(st.sampled_from((HALF, ONE / 3, ONE / 5, SQRT2 / 2))) * min(table[i] for i in square)
+        for i, sign in zip(square, (1, -1, -1, 1)):
+            table[i] = table[i] + shift if sign > 0 else table[i] - shift
+    return Behavior(*box.spaces, tuple(table))
+
+
+def _weights(draw, n: int) -> list[Scalar]:
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return [ONE / n] * n if sum(raw) == 0 else [Scalar(value) / sum(raw) for value in raw]
+
+
+@st.composite
+def _triviality_cases(draw):
+    """A valid model whose weights mix two rational distributions at sqrt2/2
+    (zero weights included), and an optional external reference box.  In
+    half the cases every box reshuffles one base box over at least two
+    outcomes a side, so equal marginals, sqrt2 parts included, over
+    different denominators are common."""
+    shared = draw(st.booleans())
+    spaces = draw(spaces_strategy())
+    if shared:
+        spaces = (*spaces[:2], draw(label_sets(2, 3)), draw(label_sets(2, 3)))
+    base = _box(draw, spaces)
+
+    def box() -> Behavior:
+        return _reshuffled(draw, base) if shared else _box(draw, spaces)
+
+    n = draw(st.integers(1, 3))
+    weights = tuple(SQRT2 / 2 * p + (ONE - SQRT2 / 2) * q for p, q in zip(_weights(draw, n), _weights(draw, n)))
+    model = HiddenVariableModel(tuple((f"u{i}", "v") for i in range(n)), weights, tuple(box() for _ in range(n)))
+    return model, box() if draw(st.booleans()) else None
+
+
+@given(_triviality_cases())
+@settings(max_examples=150, deadline=None)
+def test_triviality_matches_the_scalar_loop_reference(case):
+    model, against = case
+
+    def witnesses(reference_box):
+        found = [(w, reference.triviality_witness(pair, kernel, reference_box)) for pair, w, kernel in model.items()]
+        return [(w, witness) for w, witness in found if w.sign() > 0 and witness is not None]
+
+    mixture = mix(zip(model.weights, model.kernels))
+    expected = witnesses(against if against is not None else mixture)
+    assert check_triviality(model, against=against) == (not expected, expected[0][1] if expected else None)
+    assert nontrivial_weight(model) == sum((w for w, _ in witnesses(mixture)), ZERO)
 
 
 def test_triviality_against_external_box():

@@ -37,7 +37,7 @@ from hvlab.decompose import (
     verify_decomposition,
 )
 from hvlab.errors import InvalidBehavior, SizeBudgetExceeded
-from hvlab.hvmodel import check_locality
+from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
 from reference_scenario import collins_gisin_ns_lp, is_deterministic_vertex, marginal_is_no_signalling, ns_lp
@@ -371,7 +371,8 @@ def _work(boxes, expressions):
         ]
         d = max_local_content(box)
         problem = content_lp_problem(box, enumerate_local_vertices(box.spaces))
-        locality, _ = check_locality(decomposition_to_model(d))
+        model = decomposition_to_model(d)
+        locality, _ = check_locality(model)
         results.append(
             (
                 marginals,
@@ -381,6 +382,8 @@ def _work(boxes, expressions):
                 verify_decomposition(d, box).ok,
                 check_certificate(problem, d.certificate),
                 locality,
+                check_triviality(model),
+                nontrivial_weight(model),
                 problem,
             )
         )
@@ -393,13 +396,15 @@ def test_concurrent_builds_match_the_serial_results():
     # vertex tuple with its content-LP matrix and one no-signalling
     # matrix, built while they race from empty caches.  The threads share
     # fresh boxes, equal to the serial ones but with nothing remembered, so
-    # they also race to store each box's int view and validity report.
+    # they also race to store each box's int view, marginal table and
+    # validity report; the triviality checks on each decomposition's model
+    # read the marginal tables of the shared vertices too.
     rng = random.Random(11)
     boxes = [table1_box(), pr_box(), noise_box()] + [random_ns_behavior(rng, CHSH_SPACES) for _ in range(2)]
     coefficients = tuple(rng.choice((ZERO, ONE, -ONE, SQRT2)) for _ in range(16))
     expressions = [chsh(), BellExpression(*CHSH_SPACES, coefficients)]
     serial = _work(boxes, expressions)
-    assert all(ok and certified and local for *_, ok, certified, local, _ in serial[: len(boxes)])
+    assert all(ok and certified and local for *_, ok, certified, local, _, _, _ in serial[: len(boxes)])
 
     _local_vertices.cache_clear()
     _ns_constraints.cache_clear()
@@ -409,7 +414,7 @@ def test_concurrent_builds_match_the_serial_results():
     barrier = threading.Barrier(workers)
 
     fresh = [Behavior(*box.spaces, box.table) for box in boxes]
-    assert not any(hasattr(box, "_ints") or hasattr(box, "_validity") for box in fresh)
+    assert not any(hasattr(box, name) for box in fresh for name in ("_ints", "_marginals", "_validity"))
 
     def run():
         barrier.wait(timeout=30)
