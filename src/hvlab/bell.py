@@ -26,15 +26,15 @@ returned only once its certificate checks.
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
-on those spaces shares one :class:`~hvlab.simplex.Matrix`, validated
+on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
 once, with its right-hand sides.  The matrix has |A||B||X||Y| rows of
 |A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
 holds it only as each column's nonzero entries, references to the
 shared ONE and -1 Scalars.  Measured with tracemalloc under Python
 3.11, 5522 (100 rows of 35 columns) takes 0.007 MiB, and one setting
 with 45 outcomes per side (2025 rows of 2024 columns, just within
-``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB, and its build, one
-dense row at a time, peaks at 0.85 MiB; the simplex tableau that a solve
+``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB, and its build, which
+writes no dense row, peaks at 0.84 MiB; the simplex tableau that a solve
 scatters the columns into holds all m x n cells, and the solve peaks at
 31.9 MiB.  Spaces whose matrix would pass that budget are refused before
 it is built.
@@ -59,7 +59,7 @@ from .boxes import (
 )
 from .errors import LpFailure, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar
+from .scalar import ONE, ZERO, Scalar, _reduced, _sign, as_scalar
 from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
 
 
@@ -74,11 +74,11 @@ class BellExpression(Tensor):
 
 
 def evaluate(expression: BellExpression, behavior: Behavior) -> Scalar:
-    """Full contraction sum c(a,b,x,y) * P(x,y|a,b), in ints over the
-    tables' common denominators dc and db, then divided by dc*db."""
+    """Full contraction sum c(a,b,x,y) * P(x,y|a,b), in the two tensors'
+    int views over dc and db, then divided by dc*db."""
     if expression.spaces != behavior.spaces:
         raise SpaceMismatch("expression and behavior spaces differ")
-    cp, cq, dc = _common_denominator(expression.coefficients)
+    cp, cq, dc = _int_view(expression)
     bp, bq, db = _int_view(behavior)
     p = sum(map(mul, cp, bp)) + 2 * sum(map(mul, cq, bq))
     return _reduced(p, sum(map(mul, cp, bq)) + sum(map(mul, cq, bp)), dc * db)
@@ -118,10 +118,10 @@ def local_bound(expression: BellExpression) -> tuple[Scalar, DeterministicStrate
     Ties are broken by the first strategy in lexicographic order of the
     (Alice, Bob) output tables, so the witness is deterministic; see
     :func:`_best_response`, which searches the table written as ints over
-    one common denominator.
+    one common denominator, the expression's int view.
     """
     _strategy_count(expression.spaces)
-    ps, qs, den = _common_denominator(expression.table)
+    ps, qs, den = _int_view(expression)
     p, q, xs, ys = _best_response(tuple(map(len, expression.spaces)), ps, qs)
     _, _, outcomes_x, outcomes_y = expression.spaces
     return _reduced(p, q, den), DeterministicStrategy(
@@ -215,7 +215,7 @@ def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], l
 # more: one setting and 128 outcomes per side give 16 384 rows of 16 383
 # columns.  With one setting per side, 45 outcomes (2025 rows of 2024
 # columns) are within it and 46 are not; ns_bound of a 45-outcome
-# expression took about 0.9 s at 49 MB peak RSS, its solve_lp 31.9 MiB of
+# expression took 0.12-0.15 s at 48 MB peak RSS, its solve_lp 31.9 MiB of
 # tracemalloc and its cached matrix 0.64 MiB, with Python 3.11 on a
 # shared 2-core host.
 NS_CELL_BUDGET = 2**22
@@ -230,7 +230,7 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     Cell i of the table is b_i - A_i.q, so the expression is
     c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
     of ``A``: every entry is +-1, so a coefficient is added or subtracted,
-    in ints over the table's common denominator.
+    in ints over the table's common denominator, its int view.
     """
     na, nb, nx, ny = map(len, expression.spaces)
     rows, columns = na * nb * nx * ny, na * (nx - 1) + nb * (ny - 1) + na * nb * (nx - 1) * (ny - 1)
@@ -240,7 +240,7 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
             f"the budget of {NS_CELL_BUDGET} cells"
         )
     constraints, rhs = _ns_constraints(expression.spaces)
-    ps, qs, den = _common_denominator(expression.table)
+    ps, qs, den = _int_view(expression)
     objective = []
     for column in constraints.columns:
         p = q = 0
@@ -267,11 +267,14 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
     the cell is nonnegative; b_i is 1 where both outcomes are last and 0
     elsewhere, so the slack basis is feasible.  The q that satisfy the
     rows are exactly the no-signalling boxes, so the LP is always
-    feasible and bounded."""
+    feasible and bounded.
+
+    Each entry, the shared ONE or -1, is appended to its column as its
+    row is worked out, so the plain constructor builds the matrix."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
-    n = n_alice + n_bob + na * nb * kx * ky
+    columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(n_alice + n_bob + na * nb * kx * ky)]
 
     def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
         # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
@@ -279,24 +282,20 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
 
     # A cell's entry is minus the sign of its term.
     entry = {1: -ONE, -1: ONE}
-
-    def rows() -> Iterator[list[Scalar]]:
-        for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
-            row = [ZERO] * n
-            for sx, jx in terms(ix, kx):
-                for sy, jy in terms(iy, ky):
-                    if jx is None and jy is None:
-                        continue  # the constant, in b
-                    if jy is None:
-                        column = ia * kx + jx
-                    elif jx is None:
-                        column = n_alice + ib * ky + jy
-                    else:
-                        column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                    row[column] = entry[sx * sy]
-            yield row
-
-    return Matrix.from_rows(rows(), n), ((ZERO,) * (nx * ny - 1) + (ONE,)) * (na * nb)
+    for row, (ia, ib, ix, iy) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
+        for sx, jx in terms(ix, kx):
+            for sy, jy in terms(iy, ky):
+                if jx is None and jy is None:
+                    continue  # the constant, in b
+                if jy is None:
+                    column = ia * kx + jx
+                elif jx is None:
+                    column = n_alice + ib * ky + jy
+                else:
+                    column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
+                columns[column].append((row, entry[sx * sy]))
+    matrix = Matrix(na * nb * nx * ny, tuple(map(tuple, columns)))
+    return matrix, ((ZERO,) * (nx * ny - 1) + (ONE,)) * (na * nb)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:
@@ -312,9 +311,8 @@ def ns_bound(expression: BellExpression) -> Scalar:
         raise LpFailure(f"no-signalling bound LP ended {solution.status}")
     if not check_certificate(problem, solution):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
-    # The expression's constant part, c.b: its coefficients where b is 1.
-    constant = ZERO
-    for coefficient, bound in zip(expression.table, problem.b):
-        if not bound.is_zero():
-            constant = constant + coefficient
-    return constant + solution.value
+    # The constant part c.b: b is 1 where both outcomes are last, 0 elsewhere.
+    ps, qs, den = _int_view(expression)
+    _, _, nx, ny = map(len, expression.spaces)
+    last = slice(nx * ny - 1, None, nx * ny)
+    return _reduced(sum(ps[last]), sum(qs[last]), den) + solution.value

@@ -19,9 +19,10 @@ both parties' one-side marginals summed from the view) and its validity
 report.  The report's row totals, :func:`marginal`, :func:`is_no_signalling`
 (whose verdict is not kept) and the triviality search of :mod:`hvlab.hvmodel`
 read the marginal table, the content and Bell code the view, and each
-builds a Scalar only for a value it returns.  All values are otherwise
-immutable and all operations pure, so everything here is safe for
-concurrent use; two threads that compute one of these store equal values.
+builds a Scalar only for a value it returns.  A Bell expression keeps its
+own int view the same way.  All values are otherwise immutable and all
+operations pure, so everything here is safe for concurrent use; two
+threads that compute one of these store equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
@@ -262,23 +263,25 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
     after the first call; each kind of object keeps its validity report as
     ``_validity``, a box its int view as ``_ints`` and marginal table as
-    ``_marginals``, a model its locality verdict and reconstruction."""
-    try:
-        return getattr(obj, name)
-    except AttributeError:
-        report = compute(obj)
-        object.__setattr__(obj, name, report)
-        return report
+    ``_marginals``, a Bell expression its int view, a model its locality
+    verdict and reconstruction.  No computed value is None, so a first call
+    finds None without raising AttributeError."""
+    value = getattr(obj, name, None)
+    if value is None:
+        value = compute(obj)
+        object.__setattr__(obj, name, value)
+    return value
 
 
-def _int_view(behavior: Behavior) -> _IntView:
-    """The box's table as ints ``(ps, qs, den)`` over its common
-    denominator, built from the table once and kept on the box."""
-    return _remembered(behavior, _ints, "_ints")
+def _int_view(tensor: Tensor) -> _IntView:
+    """The tensor's table as ints ``(ps, qs, den)`` over its common
+    denominator, built from the table once and kept on the tensor (a box
+    or a Bell expression)."""
+    return _remembered(tensor, _ints, "_ints")
 
 
-def _ints(behavior: Behavior) -> _IntView:
-    ps, qs, den = _common_denominator(behavior.table)
+def _ints(tensor: Tensor) -> _IntView:
+    ps, qs, den = _common_denominator(tensor.table)
     return tuple(ps), tuple(qs), den
 
 

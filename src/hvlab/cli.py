@@ -41,7 +41,18 @@ from .decompose import (
 )
 from .simplex import check_certificate
 from .errors import HvlabError, InvalidBehavior, InvalidModel, NotLocal, SignallingInput
-from .formats import SERIALIZERS, dump_json, load_box, load_expression, load_model, save_model
+from .formats import (
+    SERIALIZERS,
+    _load_json,
+    behavior_from_dict,
+    dump_json,
+    load_box,
+    load_expression,
+    load_model,
+    model_from_dict,
+    save_model,
+    sniff_kind,
+)
 from .hvmodel import (
     ExtendedModel,
     HiddenVariableModel,
@@ -124,8 +135,6 @@ def _emit(args: argparse.Namespace, lines: Sequence[str], report: dict[str, Any]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .formats import _load_json, sniff_kind  # local import to keep the public surface tidy
-
     data = _load_json(args.path)
     kind = sniff_kind(data)
     if kind == "box":
@@ -145,8 +154,6 @@ def _invalid(args: argparse.Namespace, lines: list[str], report: dict[str, Any],
 
 
 def _check_box(args: argparse.Namespace, data: Any) -> int:
-    from .formats import behavior_from_dict
-
     behavior = behavior_from_dict(data, require_valid=False)
     report: dict[str, Any] = {"kind": "box"}
     lines = ["kind: box"]
@@ -166,8 +173,6 @@ def _check_box(args: argparse.Namespace, data: Any) -> int:
 
 
 def _check_model(args: argparse.Namespace, data: Any) -> int:
-    from .formats import model_from_dict
-
     model = model_from_dict(data, require_valid=False)
     report: dict[str, Any] = {"kind": "model"}
     lines = ["kind: model"]

@@ -38,11 +38,21 @@ from .boxes import (
     require_valid_behavior,
     validate_behavior,
 )
-from .errors import InvalidDistribution, InvalidModel, NotLocal, SpaceMismatch
+from .errors import InvalidDistribution, InvalidModel, NotLocal, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _reduced, as_scalar, format_scalar
 
 Pair = tuple[str, str]
+
+# Most cells |A||B||U||V||X| of the joint table that first_mover_joint will
+# build, over every u label against every v label: for a model with n hidden
+# pairs of distinct labels it grows as n**2.  Past it the model is refused
+# before the table is built.  On the CHSH spaces 181 pairs of distinct
+# labels (262 088 cells) are the most within it, and `hvlab model
+# first-mover` on them took 3.0-3.3 s at 49 MB peak RSS, 2.3 s of it the
+# product check, with Python 3.11 on a shared 2-core host.  The
+# benchmark's models hold 5040 cells.
+FIRST_MOVER_CELL_BUDGET = 2**18
 
 
 class HiddenVariableModel(Frozen):
@@ -380,19 +390,20 @@ def first_mover_joint(
     P(a,b,u,v,x) = pA(a) * pB(b) * P(u,v) * P(x|a,b,u,v), with the last
     factor read off the kernel's Alice marginal.  When the model is
     local that factor is independent of b, which is exactly what the
-    product check against {B} detects.
+    product check against {B} detects.  Models whose table would pass
+    ``FIRST_MOVER_CELL_BUDGET`` cells are refused before it is built.
     """
-    require_valid_model(model)
     sa, sb, ox, _ = model.spaces
+    u_labels = tuple(dict.fromkeys(u for u, _ in model.pairs))
+    v_labels = tuple(dict.fromkeys(v for _, v in model.pairs))
+    cells = len(sa) * len(sb) * len(u_labels) * len(v_labels) * len(ox)
+    if cells > FIRST_MOVER_CELL_BUDGET:
+        raise SizeBudgetExceeded(
+            f"the first-mover joint table's {cells} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET} cells"
+        )
+    require_valid_model(model)
     dist_a = _check_distribution(p_a, sa, "setting distribution for A")
     dist_b = _check_distribution(p_b, sb, "setting distribution for B")
-    u_labels: list[str] = []
-    v_labels: list[str] = []
-    for u, v in model.pairs:
-        if u not in u_labels:
-            u_labels.append(u)
-        if v not in v_labels:
-            v_labels.append(v)
     by_pair = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
 
     def probability(a: str, b: str, u: str, v: str, x: str) -> Scalar:
@@ -405,8 +416,8 @@ def first_mover_joint(
     variables = (
         ("A", sa),
         ("B", sb),
-        ("U", LabelSet(tuple(u_labels))),
-        ("V", LabelSet(tuple(v_labels))),
+        ("U", LabelSet(u_labels)),
+        ("V", LabelSet(v_labels)),
         ("X", ox),
     )
     return JointTable.from_function(variables, probability)

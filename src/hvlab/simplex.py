@@ -9,14 +9,15 @@ only in ``c`` (the no-signalling LP).
 
 The matrix is a :class:`Matrix`, which holds one view of it: its row
 count and each column's nonzero entries, read by both the solver and
-:func:`check_certificate`.  Its entries are checked once, when
-:meth:`Matrix.from_rows` builds it from rows of Scalars (every row the
-same width, every entry a Scalar with no sqrt2 part), and
-:meth:`Matrix.restrict` cuts a sub-matrix out of a checked one without
-building or checking a Scalar.  :class:`LpProblem` builds a plain ``A``
-into a ``Matrix`` and keeps a ``Matrix`` as it is, so a matrix that
-callers share (both of hvlab's LPs cache theirs per set of spaces) is
-checked only once.
+:func:`check_certificate`.  Rows that a caller supplies are checked
+once, entry by entry, when :meth:`Matrix.from_rows` builds the matrix
+from them (every row the same width, every entry a Scalar with no sqrt2
+part).  A builder that writes the columns itself, as the no-signalling
+LP's does with its +-1 entries, and :meth:`Matrix.restrict`, which cuts
+a sub-matrix out of a built one, use the constructor, which checks
+nothing.  :class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and
+keeps a ``Matrix`` as it is, so a matrix that callers share (both of
+hvlab's LPs cache theirs per set of spaces) is built only once.
 
 :func:`solve_lp` starts from the slack basis, which is feasible exactly
 when ``b >= 0``, and so solves only such problems: a negative
@@ -69,9 +70,9 @@ a cross-multiplied difference.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
@@ -91,9 +92,10 @@ class Matrix(Frozen):
     :func:`solve_lp`, which scatters them into its tableau rows, and
     :func:`check_certificate` read them.
 
-    :meth:`from_rows` builds one from rows of Scalars and is the one place
-    where entries are checked; :meth:`restrict` cuts one from another.
-    The constructor takes the two fields as they are and checks nothing.
+    :meth:`from_rows` builds one from rows of Scalars that a caller
+    supplies and checks each entry; :meth:`restrict` cuts one from
+    another.  The constructor takes the two fields as they are and checks
+    nothing, for builders that write the columns themselves.
     """
 
     height: int
@@ -110,15 +112,16 @@ class Matrix(Frozen):
             row = tuple(row)
             if len(row) != width:
                 raise DimensionMismatch(f"constraint row has {len(row)} entries, expected {width}")
-            # Whole-row tests first; a row that fails one is walked entry by
-            # entry, so the first offending entry names the error.
-            if not _SCALAR_TYPE.issuperset(map(type, row)):
-                _check_entries(i, row)
-            triples = list(map(_TRIPLE, row))
-            if any(map(_SQRT2_PART, triples)):
-                _check_entries(i, row)
-            for j in compress(range(width), map(_NUMERATOR, triples)):
-                columns[j].append((i, row[j]))
+            for j, v in enumerate(row):
+                if not isinstance(v, Scalar):
+                    raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
+                p, q, _ = v._v
+                if q:
+                    raise IrrationalMatrix(
+                        f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational"
+                    )
+                if p:
+                    columns[j].append((i, v))
             height = i + 1
         return cls(height, tuple(map(tuple, columns)))
 
@@ -133,19 +136,8 @@ class Matrix(Frozen):
         return Matrix(len(rows), kept)
 
 
-_SCALAR_TYPE = {Scalar}
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
-_NUMERATOR, _SQRT2_PART = itemgetter(0), itemgetter(1)
-
-
-def _check_entries(i: int, row: tuple[object, ...]) -> None:
-    """Raise for the first entry of row i that is not a rational Scalar."""
-    for j, v in enumerate(row):
-        if not isinstance(v, Scalar):
-            raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
-        if v._v[1]:
-            raise IrrationalMatrix(f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational")
 
 
 class LpProblem(Frozen):

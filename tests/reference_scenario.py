@@ -21,14 +21,22 @@ on the same copy, so that ``hvlab.hvmodel.check_triviality`` and
 cross-multiplication, must find the same witnesses.  The Collins-Gisin builder
 that summed each objective coefficient in Scalars is kept too, so that
 ``hvlab.bell._ns_lp``, which sums in ints over one common denominator,
-must build the same ``LpProblem``.
+must build the same ``LpProblem``.  So are the Collins-Gisin constraint
+rows as that builder wrote them, one dense row of Scalars per table cell,
+so that ``hvlab.bell._ns_constraints``, which appends each entry to its
+column as it computes it, must build the matrix ``Matrix.from_rows``
+reads off them.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from typing import Iterator
+
 from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import (
     Behavior,
+    Spaces,
     NsWitness,
     Side,
     _require_setting,
@@ -176,3 +184,39 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
                 total = total - coefficient if entry == ONE else total + coefficient
         objective.append(total)
     return LpProblem(tuple(objective), constraints, rhs)
+
+
+def collins_gisin_rows(spaces: Spaces) -> tuple[Iterator[list[Scalar]], int]:
+    """The Collins-Gisin constraint rows of ``hvlab.bell._ns_constraints``,
+    one dense row of Scalars per table cell, in table order, and their
+    width; each entry's column is worked out by index arithmetic and
+    written into a row of ZEROs."""
+    na, nb, nx, ny = (len(space) for space in spaces)
+    kx, ky = nx - 1, ny - 1
+    n_alice, n_bob = na * kx, nb * ky
+    n = n_alice + n_bob + na * nb * kx * ky
+
+    def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
+        # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
+        return ((1, i),) if i < k else ((1, None), *((-1, j) for j in range(k)))
+
+    # A cell's entry is minus the sign of its term.
+    entry = {1: -ONE, -1: ONE}
+
+    def rows() -> Iterator[list[Scalar]]:
+        for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
+            row = [ZERO] * n
+            for sx, jx in terms(ix, kx):
+                for sy, jy in terms(iy, ky):
+                    if jx is None and jy is None:
+                        continue  # the constant, in b
+                    if jy is None:
+                        column = ia * kx + jx
+                    elif jx is None:
+                        column = n_alice + ib * ky + jy
+                    else:
+                        column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
+                    row[column] = entry[sx * sy]
+            yield row
+
+    return rows(), n

@@ -308,7 +308,7 @@ def test_local_bound_refuses_past_the_budget_before_building_anything(monkeypatc
     def unreachable(*args):
         raise AssertionError("local_bound built its table before the budget check")
 
-    monkeypatch.setattr(hvlab.bell, "_common_denominator", unreachable)
+    monkeypatch.setattr(hvlab.bell, "_int_view", unreachable)
     monkeypatch.setattr(hvlab.bell, "_best_response", unreachable)
     with pytest.raises(SizeBudgetExceeded):
         local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import hvlab.bell
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.cli import main
 from hvlab.formats import load_model, save_box, save_model
-from hvlab.hvmodel import reconstruct
+from hvlab.hvmodel import FIRST_MOVER_CELL_BUDGET, HiddenVariableModel, reconstruct
 from hvlab.scalar import ONE, parse_scalar
 from hvlab.simplex import LpSolution, solve_lp
 
@@ -329,6 +330,20 @@ def test_model_first_mover(files, capsys):
     code, out, _ = run(capsys, "model", "first-mover", files["model"])
     assert code == 0
     assert "B independent of (X,A,U,V): true" in out
+
+
+def test_model_first_mover_refuses_an_oversized_table(tmp_path, capsys):
+    # n hidden pairs of distinct labels on the CHSH spaces need 2 * 2 * n * n * 2 cells.
+    n = isqrt(FIRST_MOVER_CELL_BUDGET // 8) + 1
+    box = noise_box()
+    model = HiddenVariableModel(tuple((f"u{i}", f"v{i}") for i in range(n)), (ONE / n,) * n, (box,) * n)
+    path = tmp_path / "wide.model.json"
+    save_model(model, path)
+    code, out, err = run(capsys, "model", "first-mover", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{8 * n * n} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET} cells" in err
+    assert "unexpected error" not in err
 
 
 def test_catalog_list_and_show(capsys):

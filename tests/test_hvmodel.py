@@ -2,6 +2,7 @@
 extension folding and the first-mover joint."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,9 @@ from hvlab.boxes import (
     uniform_behavior,
 )
 from hvlab.catalog import appendix_a_model, classical_model, pr_box, signalling_box, table1_box
-from hvlab.errors import InvalidDistribution, InvalidModel, NotLocal, UnknownSetting
+from hvlab.errors import InvalidDistribution, InvalidModel, NotLocal, SizeBudgetExceeded, UnknownSetting
 from hvlab.hvmodel import (
+    FIRST_MOVER_CELL_BUDGET,
     ExtendedModel,
     HiddenVariableModel,
     WExtension,
@@ -423,6 +425,28 @@ def test_first_mover_rejects_bad_distribution():
         first_mover_joint(model, {"0": ONE}, uniform_distribution(SB))
     with pytest.raises(InvalidDistribution):
         first_mover_joint(model, {"0": ONE, "2": ONE}, uniform_distribution(SB))
+
+
+def _distinct_pairs_model(n: int) -> HiddenVariableModel:
+    """n hidden pairs of distinct labels on CHSH spaces: a first-mover
+    table of 2 * 2 * n * n * 2 cells."""
+    kernel = uniform_behavior(*CHSH_SPACES)
+    return HiddenVariableModel(tuple((f"u{i}", f"v{i}") for i in range(n)), (ONE / n,) * n, (kernel,) * n)
+
+
+def test_first_mover_refuses_past_the_cell_budget_before_building_anything(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("first_mover_joint went past the budget check")
+
+    monkeypatch.setattr(hvlab.hvmodel, "require_valid_model", unreachable)
+    monkeypatch.setattr(hvlab.hvmodel.JointTable, "from_function", unreachable)
+    inside = isqrt(FIRST_MOVER_CELL_BUDGET // 8)
+    cells = 8 * (inside + 1) ** 2
+    with pytest.raises(SizeBudgetExceeded, match=f"{cells} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET}"):
+        first_mover_joint(_distinct_pairs_model(inside + 1), uniform_distribution(SA), uniform_distribution(SB))
+    # The largest such model within the budget gets past the check.
+    with pytest.raises(AssertionError, match="past the budget check"):
+        first_mover_joint(_distinct_pairs_model(inside), uniform_distribution(SA), uniform_distribution(SB))
 
 
 # -- properties ----------------------------------------------------------------

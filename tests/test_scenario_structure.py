@@ -40,7 +40,13 @@ from hvlab.errors import InvalidBehavior, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
-from reference_scenario import collins_gisin_ns_lp, is_deterministic_vertex, marginal_is_no_signalling, ns_lp
+from reference_scenario import (
+    collins_gisin_ns_lp,
+    collins_gisin_rows,
+    is_deterministic_vertex,
+    marginal_is_no_signalling,
+    ns_lp,
+)
 from reference_simplex import dense_rows, reference_solve_lp
 
 
@@ -280,6 +286,35 @@ def test_ns_constraints_have_one_row_per_cell(shape, size):
     assert all(v in (ZERO, ONE, -ONE) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (2, 2, 2, 2),
+        (3, 3, 2, 2),
+        (5, 5, 2, 2),
+        (2, 3, 1, 3),
+        (2, 2, 3, 4),
+        (1, 1, 1, 1),
+        (1, 1, 3, 3),
+        (1, 3, 2, 3),
+        (3, 1, 3, 2),
+        (2, 2, 1, 1),
+        (2, 3, 3, 1),
+        (3, 2, 1, 2),
+    ],
+)
+def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
+    """The columns written as they are computed are those ``Matrix.from_rows``
+    reads off the reference's dense rows, spaces with one setting or one
+    outcome on a side included."""
+    spaces = numbered_spaces(*shape)
+    matrix, _ = _ns_constraints(spaces)
+    expected = Matrix.from_rows(*collins_gisin_rows(spaces))
+    assert matrix.height == expected.height
+    assert matrix.columns == expected.columns
+    assert all(v is ONE or v == -ONE for column in matrix.columns for _, v in column)
+
+
 def test_a_cached_ns_matrix_holds_only_its_columns():
     """One setting and twenty outcomes per side (400 rows of 399 columns,
     1520 nonzero entries) take about 0.13 MiB with Python 3.11.  The bound
@@ -297,11 +332,11 @@ def test_a_cached_ns_matrix_holds_only_its_columns():
     assert size < 0.5 * 2**20
 
 
-def test_building_an_ns_matrix_holds_one_dense_row_at_a_time():
+def test_building_an_ns_matrix_holds_no_dense_row():
     """Building the 1 x 20 matrix from an empty cache peaks at about
-    0.17 MiB with Python 3.11: the kept columns and one dense row of 399
-    Scalar references.  The bound fails if every dense row is built before
-    the matrix keeps their nonzero entries (1.42 MiB)."""
+    0.17 MiB with Python 3.11: the column lists the entries are appended
+    to and the kept columns.  The bound fails if every dense row is built
+    before the matrix keeps their nonzero entries (1.42 MiB)."""
     spaces = numbered_spaces(1, 1, 20, 20)
     _ns_constraints.cache_clear()
     tracemalloc.start()
