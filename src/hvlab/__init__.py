@@ -56,6 +56,7 @@ from .errors import (
     LpFailure,
     MalformedScalar,
     NotLocal,
+    OversizedScalar,
     SignallingInput,
     SizeBudgetExceeded,
     SpaceMismatch,

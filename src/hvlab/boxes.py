@@ -19,10 +19,13 @@ both parties' one-side marginals summed from the view) and its validity
 report.  The report's row totals, :func:`marginal`, :func:`is_no_signalling`
 (whose verdict is not kept) and the triviality search of :mod:`hvlab.hvmodel`
 read the marginal table, the content and Bell code the view, and each
-builds a Scalar only for a value it returns.  A Bell expression keeps its
-own int view the same way.  All values are otherwise immutable and all
-operations pure, so everything here is safe for concurrent use; two
-threads that compute one of these store equal values.
+builds a Scalar only for a value it returns.  :func:`mix` reads its
+components' views too, leaving each one on its component, and builds a
+Scalar only per cell of the mixture.  A Bell expression and a
+:class:`JointTable`, whose validation and :func:`check_product` read it,
+keep their own int views the same way.  All values are otherwise
+immutable and all operations pure, so everything here is safe for
+concurrent use; two threads that compute one of these store equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
@@ -31,7 +34,8 @@ LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product, repeat
+from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .errors import (
@@ -263,8 +267,8 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
     after the first call; each kind of object keeps its validity report as
     ``_validity``, a box its int view as ``_ints`` and marginal table as
-    ``_marginals``, a Bell expression its int view, a model its locality
-    verdict and reconstruction.  No computed value is None, so a first call
+    ``_marginals``, a Bell expression and a joint table their int views, a
+    model its locality verdict and reconstruction.  No computed value is None, so a first call
     finds None without raising AttributeError."""
     value = getattr(obj, name, None)
     if value is None:
@@ -273,14 +277,14 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
     return value
 
 
-def _int_view(tensor: Tensor) -> _IntView:
+def _int_view(tensor: Tensor | JointTable) -> _IntView:
     """The tensor's table as ints ``(ps, qs, den)`` over its common
     denominator, built from the table once and kept on the tensor (a box
-    or a Bell expression)."""
+    or a Bell expression) or joint table."""
     return _remembered(tensor, _ints, "_ints")
 
 
-def _ints(tensor: Tensor) -> _IntView:
+def _ints(tensor: Tensor | JointTable) -> _IntView:
     ps, qs, den = _common_denominator(tensor.table)
     return tuple(ps), tuple(qs), den
 
@@ -410,7 +414,12 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
 
 
 def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
-    """Entrywise convex combination of behaviors sharing one set of spaces."""
+    """Entrywise convex combination of behaviors sharing one set of spaces.
+
+    Summed in ints: each component of nonzero weight contributes its int
+    view, scaled to the lcm of the views' denominators, times its weight
+    over the weights' common denominator; only the result's cells become
+    Scalars."""
     pairs = [(as_scalar(w), behavior) for w, behavior in components]
     if not pairs:
         raise WeightSumMismatch("empty mixture")
@@ -425,14 +434,22 @@ def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
         total = total + weight
     if total != ONE:
         raise WeightSumMismatch(f"mixture weights sum to {format_scalar(total)}, expected 1")
-    size = len(pairs[0][1].table)
-    table = [ZERO] * size
-    for weight, behavior in pairs:
-        if weight.is_zero():
-            continue
-        for i in range(size):
-            table[i] = table[i] + weight * behavior.table[i]
-    return Behavior(*spaces, tuple(table))
+    pairs = [(weight, behavior) for weight, behavior in pairs if not weight.is_zero()]
+    wps, wqs, wden = _common_denominator(weight for weight, _ in pairs)
+    views = [_int_view(behavior) for _, behavior in pairs]
+    den = lcm(*(vden for _, _, vden in views))
+    size = len(views[0][0])
+    ps, qs = [0] * size, [0] * size
+    for wp, wq, (vps, vqs, vden) in zip(wps, wqs, views):
+        # (wp + wq*sqrt2) * (x + y*sqrt2) = wp*x + 2*wq*y + (wp*y + wq*x)*sqrt2
+        wp, wq = wp * (den // vden), wq * (den // vden)
+        if wq:
+            ps = [p + wp * x + 2 * wq * y for p, x, y in zip(ps, vps, vqs)]
+            qs = [q + wp * y + wq * x for q, x, y in zip(qs, vps, vqs)]
+        else:
+            ps = [p + wp * x for p, x in zip(ps, vps)]
+            qs = [q + wp * y for q, y in zip(qs, vqs)]
+    return Behavior(*spaces, tuple(map(_reduced, ps, qs, repeat(den * wden))))
 
 
 class JointTable(Frozen):
@@ -454,13 +471,13 @@ class JointTable(Frozen):
             expected *= len(space)
         if len(self.table) != expected:
             raise InvalidJointTable(f"table has {len(self.table)} entries, expected {expected}")
-        total = ZERO
-        for value in self.table:
-            if value.sign() < 0:
+        ps, qs, den = _int_view(self)
+        for p, q, value in zip(ps, qs, self.table):
+            if (p < 0 or q < 0) and _sign(p, q) < 0:
                 raise InvalidJointTable(f"negative entry {format_scalar(value)}")
-            total = total + value
-        if total != ONE:
-            raise InvalidJointTable(f"entries sum to {format_scalar(total)}, expected 1")
+        p, q = sum(ps), sum(qs)
+        if p != den or q:
+            raise InvalidJointTable(f"entries sum to {format_scalar(_reduced(p, q, den))}, expected 1")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -487,19 +504,6 @@ class JointTable(Frozen):
         variables = tuple(variables)
         table = tuple(as_scalar(fn(*assignment)) for assignment in product(*(s.labels for _, s in variables)))
         return cls(variables, table)
-
-    def marginal_over(self, names: Sequence[str]) -> dict[tuple[str, ...], Scalar]:
-        """Marginal distribution of the named variables, in the given order."""
-        positions = []
-        for name in names:
-            if name not in self.names:
-                raise BadPartition(f"unknown variable {name!r}")
-            positions.append(self.names.index(name))
-        result: dict[tuple[str, ...], Scalar] = {}
-        for assignment, value in zip(self.assignments(), self.table):
-            key = tuple(assignment[i] for i in positions)
-            result[key] = result.get(key, ZERO) + value
-        return result
 
 
 class ProductWitness(Frozen):
@@ -530,7 +534,10 @@ def check_product(
     """Exact independence test between two blocks of variables.
 
     left and right must partition the table's variables; returns the
-    first violating assignment (in table order) as a witness.
+    first violating assignment (in table order) as a witness.  Each cell
+    is compared, in ints over the table's common denominator, with the
+    product of its two block marginals; only the witness's values become
+    Scalars.
     """
     left = tuple(left)
     right = tuple(right)
@@ -545,19 +552,45 @@ def check_product(
         missing = sorted(names - set(left) - set(right))
         unknown = sorted((set(left) | set(right)) - names)
         raise BadPartition(f"not a partition (missing {missing}, unknown {unknown})")
-    left_marginal = joint.marginal_over(left)
-    right_marginal = joint.marginal_over(right)
-    left_positions = [joint.names.index(name) for name in left]
-    right_positions = [joint.names.index(name) for name in right]
-    for assignment, value in zip(joint.assignments(), joint.table):
-        lv = left_marginal[tuple(assignment[i] for i in left_positions)]
-        rv = right_marginal[tuple(assignment[i] for i in right_positions)]
-        if value != lv * rv:
+    ps, qs, den = _int_view(joint)
+    left_index, left_size = _block_index(joint, left)
+    right_index, right_size = _block_index(joint, right)
+    lps, lqs = _block_sums(ps, left_index, left_size), _block_sums(qs, left_index, left_size)
+    rps, rqs = _block_sums(ps, right_index, right_size), _block_sums(qs, right_index, right_size)
+    # Cell (p + q*sqrt2)/den against the product of its marginals, each over den:
+    # (lp + lq*sqrt2)(rp + rq*sqrt2) = lp*rp + 2*lq*rq + (lp*rq + lq*rp)*sqrt2.
+    for cell, (p, q, li, ri) in enumerate(zip(ps, qs, left_index, right_index)):
+        lp, lq, rp, rq = lps[li], lqs[li], rps[ri], rqs[ri]
+        if p * den != lp * rp + 2 * lq * rq or q * den != lp * rq + lq * rp:
             witness = ProductWitness(
-                tuple(zip(joint.names, assignment)),
-                value,
-                lv,
-                rv,
+                tuple(zip(joint.names, next(islice(joint.assignments(), cell, None)))),
+                joint.table[cell],
+                _reduced(lp, lq, den),
+                _reduced(rp, rq, den),
             )
             return False, witness
     return True, None
+
+
+def _block_index(joint: JointTable, block: Sequence[str]) -> tuple[list[int], int]:
+    """For each cell, in table order, the row-major position of its
+    assignment to the variables of ``block``; and the number of positions."""
+    sizes = {name: len(space) for name, space in joint.variables}
+    strides, size = {}, 1
+    for name in reversed(block):
+        strides[name] = size
+        size *= sizes[name]
+    index = [0]
+    for name, space in joint.variables:
+        offsets = [i * strides.get(name, 0) for i in range(len(space))]
+        index = [k + offset for k in index for offset in offsets]
+    return index, size
+
+
+def _block_sums(values: Sequence[int], index: Sequence[int], size: int) -> list[int]:
+    """``values`` summed by their position in ``index``."""
+    sums = [0] * size
+    for k, value in zip(index, values):
+        if value:
+            sums[k] += value
+    return sums

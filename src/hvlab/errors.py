@@ -13,6 +13,10 @@ class MalformedScalar(HvlabError):
     """A scalar string does not match the number grammar."""
 
 
+class OversizedScalar(HvlabError):
+    """A scalar has more digits than the interpreter converts to text."""
+
+
 class ZeroDenominator(HvlabError):
     """A rational token has denominator zero."""
 

@@ -8,12 +8,16 @@ codec: the four label arrays plus one table under ``"p"`` (a box) or
 A table is a map keyed by the literal setting labels joined with "|",
 which is why labels may not contain that character, to |X| x |Y|
 arrays.  Serialization emits canonical scalar strings, so
-parse -> serialize -> parse is the identity.
+parse -> serialize -> parse is the identity.  As parsing reads each
+distinct cell string once per file, serialization formats each distinct
+value once per file: the tables and weights of one file share a map
+from canonical triple to text.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import product
 from pathlib import Path
 from typing import Any
 
@@ -24,6 +28,9 @@ from .hvmodel import ExtendedModel, HiddenVariableModel, WExtension, require_val
 from .scalar import Scalar, format_scalar, parse_scalar
 
 _SPACE_KEYS = ("settings_a", "settings_b", "outcomes_x", "outcomes_y")
+
+# The text of each value written so far to one file, keyed by its canonical triple.
+_Formatted = dict[tuple[int, int, int], str]
 
 
 def _parse_label_array(data: Any, key: str) -> LabelSet:
@@ -88,13 +95,25 @@ def _parse_table(data: Any, spaces: Spaces, where: str, parsed: dict[str, Scalar
     return tuple(table)
 
 
-def _serialize_table(tensor: Tensor) -> dict[str, list[list[str]]]:
+def _serialize_table(tensor: Tensor, formatted: _Formatted) -> dict[str, list[list[str]]]:
+    """The ``"p"`` or ``"c"`` object of one table, cut from the flat
+    row-major table in slices; ``formatted`` is shared by one file's tables."""
     nx, ny = len(tensor.outcomes_x), len(tensor.outcomes_y)
-    return {
-        f"{a}|{b}": [[format_scalar(tensor.at(ia, ib, ix, iy)) for iy in range(ny)] for ix in range(nx)]
-        for ia, a in enumerate(tensor.settings_a)
-        for ib, b in enumerate(tensor.settings_b)
-    }
+    texts = [_text(value, formatted) for value in tensor.table]
+    rows = [texts[i : i + ny] for i in range(0, len(texts), ny)]
+    blocks = [rows[i : i + nx] for i in range(0, len(rows), nx)]
+    pairs = product(tensor.settings_a, tensor.settings_b)
+    return {f"{a}|{b}": block for (a, b), block in zip(pairs, blocks)}
+
+
+def _text(value: Scalar, formatted: _Formatted) -> str:
+    """``format_scalar(value)``, kept in ``formatted`` under the value's
+    canonical triple; a file's values share one such map, so each distinct
+    value is formatted once per file."""
+    text = formatted.get(value._v)
+    if text is None:
+        text = formatted[value._v] = format_scalar(value)
+    return text
 
 
 def _require_keys(data: dict[str, Any], required: set[str], optional: set[str], what: str) -> None:
@@ -115,7 +134,7 @@ def _spaces_dict(spaces: Spaces) -> dict[str, Any]:
 
 def _tensor_to_dict(tensor: Tensor, key: str) -> dict[str, Any]:
     data = _spaces_dict(tensor.spaces)
-    data[key] = _serialize_table(tensor)
+    data[key] = _serialize_table(tensor, {})
     return data
 
 
@@ -148,6 +167,7 @@ def expression_from_dict(data: Any) -> BellExpression:
 
 def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
     data = _spaces_dict(model.spaces)
+    formatted: _Formatted = {}
     pairs = []
     if isinstance(model, HiddenVariableModel):
         for pair, weight, kernel in model.items():
@@ -155,18 +175,18 @@ def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
                 {
                     "u": pair[0],
                     "v": pair[1],
-                    "weight": format_scalar(weight),
-                    "p": _serialize_table(kernel),
+                    "weight": _text(weight, formatted),
+                    "p": _serialize_table(kernel, formatted),
                 }
             )
     else:
         for pair, weight, extension in zip(model.pairs, model.weights, model.extensions):
-            entry: dict[str, Any] = {"u": pair[0], "v": pair[1], "weight": format_scalar(weight)}
+            entry: dict[str, Any] = {"u": pair[0], "v": pair[1], "weight": _text(weight, formatted)}
             entry["w_extension"] = [
                 {
                     "w": w,
-                    "weight": format_scalar(w_weight),
-                    "p": _serialize_table(kernel),
+                    "weight": _text(w_weight, formatted),
+                    "p": _serialize_table(kernel, formatted),
                 }
                 for w, w_weight, kernel in zip(extension.values, extension.weights, extension.kernels)
             ]

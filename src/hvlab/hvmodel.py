@@ -49,9 +49,9 @@ Pair = tuple[str, str]
 # pairs of distinct labels it grows as n**2.  Past it the model is refused
 # before the table is built.  On the CHSH spaces 181 pairs of distinct
 # labels (262 088 cells) are the most within it, and `hvlab model
-# first-mover` on them took 3.0-3.3 s at 49 MB peak RSS, 2.3 s of it the
-# product check, with Python 3.11 on a shared 2-core host.  The
-# benchmark's models hold 5040 cells.
+# first-mover` on them takes 0.47-0.49 s at 41 MB peak RSS, about half of
+# it building the table and half the product check, with Python 3.11 on a
+# shared 2-core host.  The benchmark's models hold 5040 cells.
 FIRST_MOVER_CELL_BUDGET = 2**18
 
 

@@ -13,7 +13,9 @@ fixed-width overflow would be a correctness bug.
 
 The rational components of ``a + b*sqrt(2)`` are derived on demand:
 ``a`` and ``b`` are reduced :class:`fractions.Fraction` values (``p/d``
-and ``q/d``), and a Scalar hashes like the pair ``(a, b)``.
+and ``q/d``), and a Scalar hashes like the pair ``(a, b)``.  The text form
+does not build them: :func:`format_scalar` reduces ``p/d`` and ``q/d``
+from the triple with one gcd each.
 
 The text grammar, shared by every file format in the package::
 
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DivisionByZero, MalformedScalar, ZeroDenominator
+from .errors import DivisionByZero, MalformedScalar, OversizedScalar, ZeroDenominator
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _PURE_RE = re.compile(rf"({_RATIONAL})\Z")
@@ -346,21 +349,32 @@ def parse_scalar(text: str) -> Scalar:
     raise MalformedScalar(f"not a valid scalar string: {text!r}")
 
 
-def _format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _format_rational(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0, without the denominator when it is 1."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical text form; parse_scalar(format_scalar(s)) == s."""
-    if not s.b:
-        return _format_rational(s.a)
-    root = f"{_format_rational(abs(s.b))}*sqrt2"
-    if not s.a:
-        return root if s.b > 0 else f"-{root}"
-    sign = "+" if s.b > 0 else "-"
-    return f"{_format_rational(s.a)}{sign}{root}"
+    """Canonical text form; parse_scalar(format_scalar(s)) == s.
+
+    Written from the canonical triple, with p/d and q/d each reduced by one
+    gcd.  A component with more digits than the interpreter's int-to-str
+    limit raises OversizedScalar.
+    """
+    p, q, d = s._v
+    try:
+        if not q:
+            return _format_rational(p, d)
+        root = f"{_format_rational(abs(q), d)}*sqrt2"
+        if not p:
+            return root if q > 0 else f"-{root}"
+        return f"{_format_rational(p, d)}{'+' if q > 0 else '-'}{root}"
+    except ValueError as exc:  # only str(int) can raise it: the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise OversizedScalar(f"a number has more digits than str() converts (limit {limit} digits)") from exc
 
 
 ZERO = Scalar()

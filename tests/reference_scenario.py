@@ -26,26 +26,44 @@ rows as that builder wrote them, one dense row of Scalars per table cell,
 so that ``hvlab.bell._ns_constraints``, which appends each entry to its
 column as it computes it, must build the matrix ``Matrix.from_rows``
 reads off them.
+
+The Scalar loops that mixed, checked and wrote tables before hvlab did
+so in ints are kept last: ``format_scalar`` through the reduced
+``Fraction`` components, ``mix`` with one Scalar multiply and add per
+cell per component, the table serializer that looked each cell up by
+position through ``Tensor.at`` (with the file dicts built on it), and
+``check_product`` with one Scalar product and comparison per joint cell,
+against block marginals summed in Scalars by ``marginal_over`` (once a
+``JointTable`` method).
+``hvlab.scalar.format_scalar``, ``hvlab.boxes.mix``,
+``hvlab.boxes.check_product`` and the writers of ``hvlab.formats`` must
+give the same strings, tables, errors, verdicts, witnesses and bytes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import (
     Behavior,
-    Spaces,
+    JointTable,
     NsWitness,
+    ProductWitness,
     Side,
+    Spaces,
+    Tensor,
     _require_setting,
     is_no_signalling,
     require_valid_behavior,
     validate_behavior,
 )
-from hvlab.hvmodel import Pair, TrivialityWitness
-from hvlab.scalar import ONE, ZERO, Scalar
+from hvlab.errors import BadPartition, SpaceMismatch, WeightSumMismatch
+from hvlab.formats import _spaces_dict
+from hvlab.hvmodel import ExtendedModel, HiddenVariableModel, Pair, TrivialityWitness
+from hvlab.scalar import ONE, ZERO, Scalar, as_scalar
 from hvlab.simplex import LpProblem
 
 
@@ -220,3 +238,127 @@ def collins_gisin_rows(spaces: Spaces) -> tuple[Iterator[list[Scalar]], int]:
             yield row
 
     return rows(), n
+
+
+def _format_rational(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def format_scalar(s: Scalar) -> str:
+    """Canonical text form, from the reduced components ``a`` and ``b``."""
+    if not s.b:
+        return _format_rational(s.a)
+    root = f"{_format_rational(abs(s.b))}*sqrt2"
+    if not s.a:
+        return root if s.b > 0 else f"-{root}"
+    sign = "+" if s.b > 0 else "-"
+    return f"{_format_rational(s.a)}{sign}{root}"
+
+
+def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
+    """Entrywise convex combination, one Scalar multiply and add per cell
+    per component of nonzero weight."""
+    pairs = [(as_scalar(w), behavior) for w, behavior in components]
+    if not pairs:
+        raise WeightSumMismatch("empty mixture")
+    spaces = pairs[0][1].spaces
+    for _, behavior in pairs:
+        if behavior.spaces != spaces:
+            raise SpaceMismatch("mixture components must share all label sets")
+    total = ZERO
+    for weight, _ in pairs:
+        if weight.sign() < 0:
+            raise WeightSumMismatch(f"negative mixture weight {format_scalar(weight)}")
+        total = total + weight
+    if total != ONE:
+        raise WeightSumMismatch(f"mixture weights sum to {format_scalar(total)}, expected 1")
+    size = len(pairs[0][1].table)
+    table = [ZERO] * size
+    for weight, behavior in pairs:
+        if weight.is_zero():
+            continue
+        for i in range(size):
+            table[i] = table[i] + weight * behavior.table[i]
+    return Behavior(*spaces, tuple(table))
+
+
+def serialize_table(tensor: Tensor) -> dict[str, list[list[str]]]:
+    """The ``"p"`` or ``"c"`` object of one table, each cell looked up
+    through ``Tensor.at`` and formatted on its own."""
+    nx, ny = len(tensor.outcomes_x), len(tensor.outcomes_y)
+    return {
+        f"{a}|{b}": [[format_scalar(tensor.at(ia, ib, ix, iy)) for iy in range(ny)] for ix in range(nx)]
+        for ia, a in enumerate(tensor.settings_a)
+        for ib, b in enumerate(tensor.settings_b)
+    }
+
+
+def tensor_to_dict(tensor: Tensor, key: str) -> dict[str, Any]:
+    """A box (key ``"p"``) or expression (``"c"``) file's document."""
+    data = _spaces_dict(tensor.spaces)
+    data[key] = serialize_table(tensor)
+    return data
+
+
+def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
+    """A model file's document, every weight and cell formatted on its own."""
+    data = _spaces_dict(model.spaces)
+    pairs = []
+    if isinstance(model, HiddenVariableModel):
+        for pair, weight, kernel in model.items():
+            pairs.append(
+                {"u": pair[0], "v": pair[1], "weight": format_scalar(weight), "p": serialize_table(kernel)}
+            )
+    else:
+        for pair, weight, extension in zip(model.pairs, model.weights, model.extensions):
+            entry: dict[str, Any] = {"u": pair[0], "v": pair[1], "weight": format_scalar(weight)}
+            entry["w_extension"] = [
+                {"w": w, "weight": format_scalar(w_weight), "p": serialize_table(kernel)}
+                for w, w_weight, kernel in zip(extension.values, extension.weights, extension.kernels)
+            ]
+            pairs.append(entry)
+    data["pairs"] = pairs
+    return data
+
+
+def marginal_over(joint: JointTable, names: Sequence[str]) -> dict[tuple[str, ...], Scalar]:
+    """Marginal distribution of the named variables, in the given order,
+    summed in Scalars."""
+    positions = [joint.names.index(name) for name in names]
+    result: dict[tuple[str, ...], Scalar] = {}
+    for assignment, value in zip(joint.assignments(), joint.table):
+        key = tuple(assignment[i] for i in positions)
+        result[key] = result.get(key, ZERO) + value
+    return result
+
+
+def check_product(
+    joint: JointTable, left: Sequence[str], right: Sequence[str]
+) -> tuple[bool, ProductWitness | None]:
+    """Independence of two blocks of variables, one Scalar product and
+    comparison per joint cell against the Scalar block marginals."""
+    left = tuple(left)
+    right = tuple(right)
+    names = set(joint.names)
+    if not left or not right:
+        raise BadPartition("both blocks of the partition must be non-empty")
+    if len(set(left)) != len(left) or len(set(right)) != len(right):
+        raise BadPartition("duplicate variable in partition block")
+    if set(left) & set(right):
+        raise BadPartition(f"blocks overlap on {sorted(set(left) & set(right))}")
+    if set(left) | set(right) != names:
+        missing = sorted(names - set(left) - set(right))
+        unknown = sorted((set(left) | set(right)) - names)
+        raise BadPartition(f"not a partition (missing {missing}, unknown {unknown})")
+    left_marginal = marginal_over(joint, left)
+    right_marginal = marginal_over(joint, right)
+    left_positions = [joint.names.index(name) for name in left]
+    right_positions = [joint.names.index(name) for name in right]
+    for assignment, value in zip(joint.assignments(), joint.table):
+        lv = left_marginal[tuple(assignment[i] for i in left_positions)]
+        rv = right_marginal[tuple(assignment[i] for i in right_positions)]
+        if value != lv * rv:
+            return False, ProductWitness(tuple(zip(joint.names, assignment)), value, lv, rv)
+    return True, None

@@ -346,6 +346,26 @@ def test_model_first_mover_refuses_an_oversized_table(tmp_path, capsys):
     assert "unexpected error" not in err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit")
+def test_an_exact_result_too_long_to_print_is_a_classified_error(tmp_path, capsys):
+    # Each setting pair's row sits over its own denominator of k + 1 digits,
+    # within the digit limit; the CHSH value sits over their lcm, past it.
+    k = sys.get_int_max_str_digits() * 7 // 12
+    rows = {}
+    for key, offset in zip(("0|1", "0|3", "2|1", "2|3"), (1, 3, 7, 9)):
+        d = 10**k + offset
+        rows[key] = [[f"1/{d}", f"{d - 1}/{d}"], ["0", "0"]]
+    labels = {"settings_a": ["0", "2"], "settings_b": ["1", "3"], "outcomes_x": ["+1", "-1"], "outcomes_y": ["+1", "-1"]}
+    path = tmp_path / "long.box.json"
+    path.write_text(json.dumps({**labels, "p": rows}))
+    for extra in ((), ("--format", "json")):
+        code, out, err = run(capsys, "bell", "chsh", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert f"limit {sys.get_int_max_str_digits()} digits" in err
+        assert "unexpected error" not in err
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
