@@ -23,9 +23,14 @@ builds a Scalar only for a value it returns.  :func:`mix` reads its
 components' views too, leaving each one on its component, and builds a
 Scalar only per cell of the mixture.  A Bell expression and a
 :class:`JointTable`, whose validation and :func:`check_product` read it,
-keep their own int views the same way.  All values are otherwise
-immutable and all operations pure, so everything here is safe for
-concurrent use; two threads that compute one of these store equal values.
+keep their own int views the same way.  One helper,
+:func:`_negatives_and_total`, checks a probability vector given as ints
+over one denominator (its negative entries and its exact total): a box's
+cells, mixture weights, joint tables, and every weight vector of
+:mod:`hvlab.hvmodel` and :mod:`hvlab.decompose` go through it.  All values
+are otherwise immutable and all operations pure, so everything here is
+safe for concurrent use; two threads that compute one of these store
+equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
@@ -289,6 +294,17 @@ def _ints(tensor: Tensor | JointTable) -> _IntView:
     return tuple(ps), tuple(qs), den
 
 
+def _negatives_and_total(ps: Sequence[int], qs: Sequence[int], den: int) -> tuple[list[int], Scalar]:
+    """The positions of the negative entries of the vector whose entry i is
+    ``(ps[i] + qs[i]*sqrt2) / den``, and its exact total: the one check of
+    a probability vector, shared by box cells, mixture weights, joint
+    tables, model weights, setting distributions and decomposition weights."""
+    negatives = []
+    if min(ps, default=0) < 0 or min(qs, default=0) < 0:
+        negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
+    return negatives, _reduced(sum(ps), sum(qs), den)
+
+
 def validate_behavior(behavior: Behavior) -> BehaviorReport:
     """Check nonnegativity and exact per-(a,b) normalization."""
     return _remembered(behavior, _behavior_report)
@@ -302,8 +318,7 @@ def require_valid_behavior(behavior: Behavior) -> None:
 
 
 def _behavior_report(behavior: Behavior) -> BehaviorReport:
-    ps, qs, _ = _int_view(behavior)
-    negatives = [i for i, (p, q) in enumerate(zip(ps, qs)) if (p < 0 or q < 0) and _sign(p, q) < 0]
+    negatives, _ = _negatives_and_total(*_int_view(behavior))
     labels = list(product(*behavior.spaces)) if negatives else []
     mp, mq, den = _marginal_table(behavior)
     nx = len(behavior.outcomes_x)
@@ -416,10 +431,10 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
 def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
     """Entrywise convex combination of behaviors sharing one set of spaces.
 
-    Summed in ints: each component of nonzero weight contributes its int
-    view, scaled to the lcm of the views' denominators, times its weight
-    over the weights' common denominator; only the result's cells become
-    Scalars."""
+    Checked and summed in ints: the weights, over their common denominator,
+    go through :func:`_negatives_and_total`, then each component of nonzero
+    weight contributes its int view, scaled to the lcm of the views'
+    denominators, times its weight; only the result's cells become Scalars."""
     pairs = [(as_scalar(w), behavior) for w, behavior in components]
     if not pairs:
         raise WeightSumMismatch("empty mixture")
@@ -427,20 +442,17 @@ def mix(components: Iterable[tuple[Scalar | int, Behavior]]) -> Behavior:
     for _, behavior in pairs:
         if behavior.spaces != spaces:
             raise SpaceMismatch("mixture components must share all label sets")
-    total = ZERO
-    for weight, _ in pairs:
-        if weight.sign() < 0:
-            raise WeightSumMismatch(f"negative mixture weight {format_scalar(weight)}")
-        total = total + weight
+    wps, wqs, wden = _common_denominator(weight for weight, _ in pairs)
+    negatives, total = _negatives_and_total(wps, wqs, wden)
+    if negatives:
+        raise WeightSumMismatch(f"negative mixture weight {format_scalar(pairs[negatives[0]][0])}")
     if total != ONE:
         raise WeightSumMismatch(f"mixture weights sum to {format_scalar(total)}, expected 1")
-    pairs = [(weight, behavior) for weight, behavior in pairs if not weight.is_zero()]
-    wps, wqs, wden = _common_denominator(weight for weight, _ in pairs)
-    views = [_int_view(behavior) for _, behavior in pairs]
-    den = lcm(*(vden for _, _, vden in views))
-    size = len(views[0][0])
+    kept = [(wp, wq, _int_view(behavior)) for wp, wq, (_, behavior) in zip(wps, wqs, pairs) if wp or wq]
+    den = lcm(*(view[2] for _, _, view in kept))
+    size = len(pairs[0][1].table)
     ps, qs = [0] * size, [0] * size
-    for wp, wq, (vps, vqs, vden) in zip(wps, wqs, views):
+    for wp, wq, (vps, vqs, vden) in kept:
         # (wp + wq*sqrt2) * (x + y*sqrt2) = wp*x + 2*wq*y + (wp*y + wq*x)*sqrt2
         wp, wq = wp * (den // vden), wq * (den // vden)
         if wq:
@@ -471,13 +483,11 @@ class JointTable(Frozen):
             expected *= len(space)
         if len(self.table) != expected:
             raise InvalidJointTable(f"table has {len(self.table)} entries, expected {expected}")
-        ps, qs, den = _int_view(self)
-        for p, q, value in zip(ps, qs, self.table):
-            if (p < 0 or q < 0) and _sign(p, q) < 0:
-                raise InvalidJointTable(f"negative entry {format_scalar(value)}")
-        p, q = sum(ps), sum(qs)
-        if p != den or q:
-            raise InvalidJointTable(f"entries sum to {format_scalar(_reduced(p, q, den))}, expected 1")
+        negatives, total = _negatives_and_total(*_int_view(self))
+        if negatives:
+            raise InvalidJointTable(f"negative entry {format_scalar(self.table[negatives[0]])}")
+        if total != ONE:
+            raise InvalidJointTable(f"entries sum to {format_scalar(total)}, expected 1")
 
     @property
     def names(self) -> tuple[str, ...]:

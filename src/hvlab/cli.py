@@ -13,7 +13,6 @@ the reader of stdout closed it early.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -84,34 +83,21 @@ def _scalar_fields(report: dict[str, Any], key: str, value: Scalar) -> None:
     report[f"{key}_approx"] = approx if math.isfinite(approx) else None
 
 
-def _ns_witness_dict(witness: NsWitness) -> dict[str, Any]:
-    return {
-        "side": witness.side,
-        "setting": witness.setting,
-        "counterpart_reference": witness.counterpart_reference,
-        "counterpart_other": witness.counterpart_other,
-        "outcome": witness.outcome,
-        "value_reference": format_scalar(witness.value_reference),
-        "value_other": format_scalar(witness.value_other),
-    }
-
-
-def _locality_witness_dict(witness: LocalityWitness) -> dict[str, Any]:
-    data = _ns_witness_dict(witness.witness)
-    data["pair"] = list(witness.pair)
+def _witness_dict(witness: NsWitness | TrivialityWitness) -> dict[str, Any]:
+    """The witness's fields in field order, Scalars as exact strings and tuples as lists."""
+    data = {}
+    for name in witness._fields:
+        value = getattr(witness, name)
+        if isinstance(value, Scalar):
+            value = format_scalar(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        data[name] = value
     return data
 
 
-def _triviality_witness_dict(witness: TrivialityWitness) -> dict[str, Any]:
-    return {
-        "pair": list(witness.pair),
-        "side": witness.side,
-        "setting": witness.setting,
-        "counterpart": witness.counterpart,
-        "outcome": witness.outcome,
-        "kernel_value": format_scalar(witness.kernel_value),
-        "model_value": format_scalar(witness.model_value),
-    }
+def _locality_witness_dict(witness: LocalityWitness) -> dict[str, Any]:
+    return {**_witness_dict(witness.witness), "pair": list(witness.pair)}
 
 
 def _product_witness_dict(witness: ProductWitness) -> dict[str, Any]:
@@ -125,7 +111,7 @@ def _product_witness_dict(witness: ProductWitness) -> dict[str, Any]:
 
 def _emit(args: argparse.Namespace, lines: Sequence[str], report: dict[str, Any]) -> None:
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(dump_json(report), end="")
     else:
         for line in lines:
             print(line)
@@ -154,6 +140,9 @@ def _invalid(args: argparse.Namespace, lines: list[str], report: dict[str, Any],
 
 
 def _check_box(args: argparse.Namespace, data: Any) -> int:
+    if args.against:
+        print("error: --against applies to model files, not to a box", file=sys.stderr)
+        return 2
     behavior = behavior_from_dict(data, require_valid=False)
     report: dict[str, Any] = {"kind": "box"}
     lines = ["kind: box"]
@@ -166,7 +155,7 @@ def _check_box(args: argparse.Namespace, data: Any) -> int:
     report["no_signalling"] = ok
     lines.append(f"no-signalling: {str(ok).lower()}")
     if witness is not None:
-        report["witness"] = _ns_witness_dict(witness)
+        report["witness"] = _witness_dict(witness)
         lines.append(f"witness: {witness.describe()}")
     _emit(args, lines, report)
     return 0 if ok else 1
@@ -180,9 +169,9 @@ def _check_model(args: argparse.Namespace, data: Any) -> int:
         require_valid_model(model)
     except InvalidModel as exc:
         return _invalid(args, lines, report, str(exc))
-    if isinstance(model, ExtendedModel):
-        # Valid kernels mixed with valid weights: the folded model is valid too.
-        model = marginalize_nonlocal(model)
+    # Valid kernels mixed with valid weights: the folded model is valid too.
+    model, folded = _fold(model)
+    if folded:
         report["w_extension"] = "folded"
         lines.append("w_extension: folded into pair kernels")
     report["valid"] = True
@@ -198,7 +187,7 @@ def _check_model(args: argparse.Namespace, data: Any) -> int:
     report["trivial"] = trivial
     lines.append(f"trivial: {str(trivial).lower()}")
     if triviality_witness is not None:
-        report["triviality_witness"] = _triviality_witness_dict(triviality_witness)
+        report["triviality_witness"] = _witness_dict(triviality_witness)
         lines.append(f"triviality witness: {triviality_witness.describe()}")
     weight = nontrivial_weight(model)
     _scalar_fields(report, "nontrivial_weight", weight)
@@ -278,11 +267,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 # -- model -------------------------------------------------------------------
 
 
-def _load_plain_model(path: str) -> HiddenVariableModel:
-    model = load_model(path)
+def _fold(model: HiddenVariableModel | ExtendedModel) -> tuple[HiddenVariableModel, bool]:
+    """The model with any w_extension folded into its pair kernels, and
+    whether it had one."""
     if isinstance(model, ExtendedModel):
-        return marginalize_nonlocal(model)
-    return model
+        return marginalize_nonlocal(model), True
+    return model, False
+
+
+def _load_plain_model(path: str) -> HiddenVariableModel:
+    return _fold(load_model(path))[0]
 
 
 def _cmd_model_verify(args: argparse.Namespace) -> int:
@@ -338,14 +332,9 @@ def _cmd_model_guess(args: argparse.Namespace) -> int:
 
 
 def _cmd_model_marginalize(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    if isinstance(model, ExtendedModel):
-        folded = marginalize_nonlocal(model)
-        note = "w_extension folded into pair kernels"
-    else:
-        folded = model
-        note = "model has no w_extension; written unchanged"
-    save_model(folded, args.output)
+    model, folded = _fold(load_model(args.model))
+    note = "w_extension folded into pair kernels" if folded else "model has no w_extension; written unchanged"
+    save_model(model, args.output)
     report = {"model_written": args.output, "note": note}
     _emit(args, [f"model written: {args.output}", note], report)
     return 0

@@ -70,6 +70,7 @@ from .boxes import (
     LabelSet,
     Spaces,
     _int_view,
+    _negatives_and_total,
     _output_tables,
     _position,
     _strategy_count,
@@ -312,9 +313,8 @@ def _intrinsic_checks(
     and each vertex's output index tables (None for a vertex that is not
     local deterministic); given ``spaces``, every vertex must also have
     them."""
-    negative = [format_scalar(q) for q in d.weights if q.sign() < 0]
-    ps, qs, den = _common_denominator(d.weights)
-    total = _reduced(sum(ps), sum(qs), den)
+    negatives, total = _negatives_and_total(*_common_denominator(d.weights))
+    negative = [format_scalar(d.weights[i]) for i in negatives]
     tables = [_vertex_output_tables(vertex) for vertex in d.vertices]
     bad_vertices = [
         i

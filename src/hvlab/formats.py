@@ -116,10 +116,10 @@ def _text(value: Scalar, formatted: _Formatted) -> str:
     return text
 
 
-def _require_keys(data: dict[str, Any], required: set[str], optional: set[str], what: str) -> None:
+def _require_keys(data: dict[str, Any], required: set[str], what: str) -> None:
     keys = set(data.keys())
     missing = required - keys
-    unknown = keys - required - optional
+    unknown = keys - required
     if missing or unknown:
         raise FileFormatError(f"{what}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
 
@@ -141,7 +141,7 @@ def _tensor_to_dict(tensor: Tensor, key: str) -> dict[str, Any]:
 def _tensor_from_dict(data: Any, cls: type[Tensor], key: str, what: str) -> Any:
     if not isinstance(data, dict):
         raise FileFormatError(f"{what} must contain a JSON object")
-    _require_keys(data, set(_SPACE_KEYS) | {key}, set(), what)
+    _require_keys(data, set(_SPACE_KEYS) | {key}, what)
     spaces = _parse_spaces(data)
     return cls(*spaces, _parse_table(data[key], spaces, key, {}))
 
@@ -200,7 +200,7 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
     w_extension (extensionless pairs then get a single trivial w)."""
     if not isinstance(data, dict):
         raise FileFormatError("model file must contain a JSON object")
-    _require_keys(data, set(_SPACE_KEYS) | {"pairs"}, set(), "model file")
+    _require_keys(data, set(_SPACE_KEYS) | {"pairs"}, "model file")
     spaces = _parse_spaces(data)
     raw_pairs = data["pairs"]
     if not isinstance(raw_pairs, list) or not raw_pairs:
@@ -214,10 +214,10 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
         if not isinstance(entry, dict):
             raise FileFormatError(f"{where} must be an object")
         if "w_extension" in entry:
-            _require_keys(entry, {"u", "v", "weight", "w_extension"}, set(), where)
+            _require_keys(entry, {"u", "v", "weight", "w_extension"}, where)
             extended = True
         else:
-            _require_keys(entry, {"u", "v", "weight", "p"}, set(), where)
+            _require_keys(entry, {"u", "v", "weight", "p"}, where)
         u, v = entry.get("u"), entry.get("v")
         if not isinstance(u, str) or not isinstance(v, str) or not u or not v:
             raise FileFormatError(f"{where}: u and v must be non-empty strings")
@@ -255,7 +255,7 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
                     sub_where = f"{where}.w_extension[{k}]"
                     if not isinstance(sub, dict):
                         raise FileFormatError(f"{sub_where} must be an object")
-                    _require_keys(sub, {"w", "weight", "p"}, set(), sub_where)
+                    _require_keys(sub, {"w", "weight", "p"}, sub_where)
                     w = sub.get("w")
                     if not isinstance(w, str) or not w:
                         raise FileFormatError(f"{sub_where}: w must be a non-empty string")

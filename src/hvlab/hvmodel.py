@@ -10,17 +10,23 @@ conditioning on the hidden pair could never be used to signal.
 Triviality means the hidden pair reveals nothing: every positive-weight
 kernel has the same one-side marginals as the reconstructed behavior.
 
+Both kinds of model, plain and extended (whose pairs carry an extra
+variable w), run one structure check when built (:func:`_check_structure`).
 Every check validates its input through :func:`require_valid_model`; as
 for boxes, the report is computed once and kept on the model, and so are
 the locality verdict of :func:`check_locality` and the reconstruction, so
 :func:`check_triviality` and :func:`nontrivial_weight` mix the kernels once
 between them and then compare only the ints of the boxes' marginal tables.
+Each weight vector (a model's pair weights, an extension's w weights, a
+setting distribution) is checked in ints over its common denominator by
+``boxes._negatives_and_total``, and each check keeps its own message.
+:func:`first_mover_joint` fills its table from the kernels' marginal tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .boxes import (
     Behavior,
@@ -31,6 +37,7 @@ from .boxes import (
     Side,
     _marginal_entry,
     _marginal_table,
+    _negatives_and_total,
     _remembered,
     is_no_signalling,
     marginal,
@@ -40,7 +47,7 @@ from .boxes import (
 )
 from .errors import InvalidDistribution, InvalidModel, NotLocal, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, _reduced, as_scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, as_scalar, format_scalar
 
 Pair = tuple[str, str]
 
@@ -49,8 +56,8 @@ Pair = tuple[str, str]
 # pairs of distinct labels it grows as n**2.  Past it the model is refused
 # before the table is built.  On the CHSH spaces 181 pairs of distinct
 # labels (262 088 cells) are the most within it, and `hvlab model
-# first-mover` on them takes 0.47-0.49 s at 41 MB peak RSS, about half of
-# it building the table and half the product check, with Python 3.11 on a
+# first-mover` on them takes 0.49-0.61 s at 40 MB peak RSS, about 0.1 s of
+# it building the table and 0.23 s the product check, with Python 3.11 on a
 # shared 2-core host.  The benchmark's models hold 5040 cells.
 FIRST_MOVER_CELL_BUDGET = 2**18
 
@@ -63,19 +70,7 @@ class HiddenVariableModel(Frozen):
     kernels: tuple[Behavior, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((str(u), str(v)) for u, v in self.pairs))
-        object.__setattr__(self, "weights", tuple(as_scalar(w) for w in self.weights))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
-        if not self.pairs:
-            raise InvalidModel("model needs at least one hidden pair")
-        if len(self.pairs) != len(self.weights) or len(self.pairs) != len(self.kernels):
-            raise InvalidModel("pairs, weights and kernels must align")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise InvalidModel("duplicate hidden pairs")
-        spaces = self.kernels[0].spaces
-        for kernel in self.kernels:
-            if kernel.spaces != spaces:
-                raise InvalidModel("kernels must share one set of spaces")
+        _check_structure(self, "kernels", lambda: self.kernels)
 
     @property
     def spaces(self) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
@@ -83,6 +78,28 @@ class HiddenVariableModel(Frozen):
 
     def items(self):
         return zip(self.pairs, self.weights, self.kernels)
+
+
+def _check_structure(
+    model: HiddenVariableModel | ExtendedModel, parts: str, kernels: Callable[[], Iterable[Behavior]]
+) -> None:
+    """The structure check of both kinds of model, run by their constructors:
+    the pairs become string pairs, the weights Scalars and the field ``parts``
+    (kernels or extensions) a tuple; then there must be at least one pair,
+    one weight and one part per pair, no pair twice, and every kernel that
+    ``kernels()`` yields must have the model's spaces."""
+    object.__setattr__(model, "pairs", tuple((str(u), str(v)) for u, v in model.pairs))
+    object.__setattr__(model, "weights", tuple(as_scalar(w) for w in model.weights))
+    object.__setattr__(model, parts, tuple(getattr(model, parts)))
+    if not model.pairs:
+        raise InvalidModel("model needs at least one hidden pair")
+    if len(model.pairs) != len(model.weights) or len(model.pairs) != len(getattr(model, parts)):
+        raise InvalidModel(f"pairs, weights and {parts} must align")
+    if len(set(model.pairs)) != len(model.pairs):
+        raise InvalidModel("duplicate hidden pairs")
+    spaces = model.spaces
+    if any(kernel.spaces != spaces for kernel in kernels()):
+        raise InvalidModel("kernels must share one set of spaces")
 
 
 class ModelReport(Frozen):
@@ -114,17 +131,13 @@ def validate_model(model: HiddenVariableModel) -> ModelReport:
 
 
 def _model_report(model: HiddenVariableModel) -> ModelReport:
-    negatives = []
-    total = ZERO
+    negatives, total = _negatives_and_total(*_common_denominator(model.weights))
     bad_kernels = []
-    for pair, weight, kernel in model.items():
-        if weight.sign() < 0:
-            negatives.append((pair, weight))
-        total = total + weight
+    for pair, kernel in zip(model.pairs, model.kernels):
         report = validate_behavior(kernel)
         if not report.ok:
             bad_kernels.append((pair, report))
-    return ModelReport(tuple(negatives), total, tuple(bad_kernels))
+    return ModelReport(tuple((model.pairs[i], model.weights[i]) for i in negatives), total, tuple(bad_kernels))
 
 
 def require_valid_model(model: HiddenVariableModel | ExtendedModel) -> None:
@@ -292,20 +305,7 @@ class ExtendedModel(Frozen):
     extensions: tuple[WExtension, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((str(u), str(v)) for u, v in self.pairs))
-        object.__setattr__(self, "weights", tuple(as_scalar(w) for w in self.weights))
-        object.__setattr__(self, "extensions", tuple(self.extensions))
-        if not self.pairs:
-            raise InvalidModel("model needs at least one hidden pair")
-        if len(self.pairs) != len(self.weights) or len(self.pairs) != len(self.extensions):
-            raise InvalidModel("pairs, weights and extensions must align")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise InvalidModel("duplicate hidden pairs")
-        spaces = self.extensions[0].kernels[0].spaces
-        for extension in self.extensions:
-            for kernel in extension.kernels:
-                if kernel.spaces != spaces:
-                    raise InvalidModel("kernels must share one set of spaces")
+        _check_structure(self, "extensions", lambda: (k for extension in self.extensions for k in extension.kernels))
 
     @property
     def spaces(self) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
@@ -318,20 +318,15 @@ def validate_extended_model(model: ExtendedModel) -> list[str]:
 
 
 def _extended_model_problems(model: ExtendedModel) -> tuple[str, ...]:
-    problems: list[str] = []
-    total = ZERO
-    for pair, weight in zip(model.pairs, model.weights):
-        if weight.sign() < 0:
-            problems.append(f"negative weight {format_scalar(weight)} at pair {pair}")
-        total = total + weight
+    negatives, total = _negatives_and_total(*_common_denominator(model.weights))
+    problems = [f"negative weight {format_scalar(model.weights[i])} at pair {model.pairs[i]}" for i in negatives]
     if total != ONE:
         problems.append(f"pair weights sum to {format_scalar(total)}, expected 1")
     for pair, extension in zip(model.pairs, model.extensions):
-        w_total = ZERO
-        for w, weight in zip(extension.values, extension.weights):
-            if weight.sign() < 0:
-                problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
-            w_total = w_total + weight
+        negatives, w_total = _negatives_and_total(*_common_denominator(extension.weights))
+        for i in negatives:
+            w, weight = extension.values.labels[i], extension.weights[i]
+            problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
         if w_total != ONE:
             problems.append(f"w weights at pair {pair} sum to {format_scalar(w_total)}, expected 1")
         for w, kernel in zip(extension.values, extension.kernels):
@@ -363,21 +358,23 @@ def uniform_distribution(labels: LabelSet | Sequence[str]) -> dict[str, Scalar]:
 def _check_distribution(
     dist: Mapping[str, Scalar | int | Fraction], space: LabelSet, what: str
 ) -> dict[str, Scalar]:
-    cleaned: dict[str, Scalar] = {}
     if set(dist.keys()) != set(space.labels):
         raise InvalidDistribution(
             f"{what} must assign a weight to exactly the settings {space.labels}"
         )
-    total = ZERO
-    for label in space:
-        value = as_scalar(dist[label])
-        if value.sign() < 0:
-            raise InvalidDistribution(f"{what} has negative weight at {label!r}")
-        cleaned[label] = value
-        total = total + value
+    values: list[Scalar] = []
+    try:
+        for label in space:
+            values.append(as_scalar(dist[label]))
+    finally:
+        # The values are read in space order, and a negative one is refused
+        # before a later one that cannot be read.
+        negatives, total = _negatives_and_total(*_common_denominator(values))
+        if negatives:
+            raise InvalidDistribution(f"{what} has negative weight at {space.labels[negatives[0]]!r}")
     if total != ONE:
         raise InvalidDistribution(f"{what} sums to {format_scalar(total)}, expected 1")
-    return cleaned
+    return dict(zip(space.labels, values))
 
 
 def first_mover_joint(
@@ -392,6 +389,10 @@ def first_mover_joint(
     local that factor is independent of b, which is exactly what the
     product check against {B} detects.  Models whose table would pass
     ``FIRST_MOVER_CELL_BUDGET`` cells are refused before it is built.
+
+    The flat table starts as zeros; each hidden pair of nonzero weight
+    fills its cells from its kernel's marginal table, one run of |X|
+    entries per (a, b), each times pA(a)*pB(b)*P(u,v) in ints.
     """
     sa, sb, ox, _ = model.spaces
     u_labels = tuple(dict.fromkeys(u for u, _ in model.pairs))
@@ -404,15 +405,22 @@ def first_mover_joint(
     require_valid_model(model)
     dist_a = _check_distribution(p_a, sa, "setting distribution for A")
     dist_b = _check_distribution(p_b, sb, "setting distribution for B")
-    by_pair = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
-
-    def probability(a: str, b: str, u: str, v: str, x: str) -> Scalar:
-        entry = by_pair.get((u, v))
-        if entry is None:
-            return ZERO
-        weight, kernel = entry
-        return dist_a[a] * dist_b[b] * weight * marginal(kernel, "alice", (a, b))[x]
-
+    setting_weights = [dist_a[a] * dist_b[b] for a in sa for b in sb]
+    u_index = {u: i for i, u in enumerate(u_labels)}
+    v_index = {v: i for i, v in enumerate(v_labels)}
+    nu, nv, nx = len(u_labels), len(v_labels), len(ox)
+    table = [ZERO] * cells
+    for (u, v), weight, kernel in model.items():
+        if weight.is_zero():
+            continue
+        mp, mq, den = _marginal_table(kernel)
+        for ab, setting_weight in enumerate(setting_weights):
+            # (fp + fq*sqrt2)/fd times the marginal entry (p + q*sqrt2)/den.
+            fp, fq, fd = (setting_weight * weight)._v
+            cell, entry = ((ab * nu + u_index[u]) * nv + v_index[v]) * nx, ab * nx
+            for ix, (p, q) in enumerate(zip(mp[entry : entry + nx], mq[entry : entry + nx])):
+                if p or q:
+                    table[cell + ix] = _reduced(fp * p + 2 * fq * q, fp * q + fq * p, fd * den)
     variables = (
         ("A", sa),
         ("B", sb),
@@ -420,4 +428,4 @@ def first_mover_joint(
         ("V", LabelSet(v_labels)),
         ("X", ox),
     )
-    return JointTable.from_function(variables, probability)
+    return JointTable(variables, tuple(table))

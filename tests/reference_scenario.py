@@ -38,18 +38,30 @@ against block marginals summed in Scalars by ``marginal_over`` (once a
 ``hvlab.scalar.format_scalar``, ``hvlab.boxes.mix``,
 ``hvlab.boxes.check_product`` and the writers of ``hvlab.formats`` must
 give the same strings, tables, errors, verdicts, witnesses and bytes.
+
+The model checks that summed weights in Scalar loops, and the two model
+constructors that each checked their own structure, are kept after them:
+``model_report``, ``extended_model_problems`` and ``check_distribution``,
+``model_structure`` and ``extended_model_structure`` (the constructors'
+bodies, returning the normalised fields), and ``first_mover_joint``, which
+built every cell through a callback reading the Scalar ``marginal`` above.
+(``mix`` above keeps its Scalar weight checks too.)  The model validation,
+constructors and ``first_mover_joint`` of ``hvlab.hvmodel``, which check
+every weight vector through one int helper, must give the same reports,
+problem lists, exception types and messages, and tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import (
     Behavior,
     JointTable,
+    LabelSet,
     NsWitness,
     ProductWitness,
     Side,
@@ -60,9 +72,24 @@ from hvlab.boxes import (
     require_valid_behavior,
     validate_behavior,
 )
-from hvlab.errors import BadPartition, SpaceMismatch, WeightSumMismatch
+from hvlab.errors import (
+    BadPartition,
+    InvalidDistribution,
+    InvalidModel,
+    SizeBudgetExceeded,
+    SpaceMismatch,
+    WeightSumMismatch,
+)
 from hvlab.formats import _spaces_dict
-from hvlab.hvmodel import ExtendedModel, HiddenVariableModel, Pair, TrivialityWitness
+from hvlab.hvmodel import (
+    FIRST_MOVER_CELL_BUDGET,
+    ExtendedModel,
+    HiddenVariableModel,
+    ModelReport,
+    Pair,
+    TrivialityWitness,
+    require_valid_model,
+)
 from hvlab.scalar import ONE, ZERO, Scalar, as_scalar
 from hvlab.simplex import LpProblem
 
@@ -362,3 +389,138 @@ def check_product(
         if value != lv * rv:
             return False, ProductWitness(tuple(zip(joint.names, assignment)), value, lv, rv)
     return True, None
+
+
+def model_report(model: HiddenVariableModel) -> ModelReport:
+    """A model's validation report, its weights summed in Scalars."""
+    negatives = []
+    total = ZERO
+    bad_kernels = []
+    for pair, weight, kernel in model.items():
+        if weight.sign() < 0:
+            negatives.append((pair, weight))
+        total = total + weight
+        report = validate_behavior(kernel)
+        if not report.ok:
+            bad_kernels.append((pair, report))
+    return ModelReport(tuple(negatives), total, tuple(bad_kernels))
+
+
+def extended_model_problems(model: ExtendedModel) -> tuple[str, ...]:
+    """An extended model's problems, its pair and w weights summed in Scalars."""
+    problems: list[str] = []
+    total = ZERO
+    for pair, weight in zip(model.pairs, model.weights):
+        if weight.sign() < 0:
+            problems.append(f"negative weight {format_scalar(weight)} at pair {pair}")
+        total = total + weight
+    if total != ONE:
+        problems.append(f"pair weights sum to {format_scalar(total)}, expected 1")
+    for pair, extension in zip(model.pairs, model.extensions):
+        w_total = ZERO
+        for w, weight in zip(extension.values, extension.weights):
+            if weight.sign() < 0:
+                problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
+            w_total = w_total + weight
+        if w_total != ONE:
+            problems.append(f"w weights at pair {pair} sum to {format_scalar(w_total)}, expected 1")
+        for w, kernel in zip(extension.values, extension.kernels):
+            report = validate_behavior(kernel)
+            if not report.ok:
+                problems.append(f"kernel at pair {pair}, w={w}: {report.summary()}")
+    return tuple(problems)
+
+
+def check_distribution(dist: Mapping[str, Any], space: LabelSet, what: str) -> dict[str, Scalar]:
+    """A setting distribution coerced and checked label by label, in space
+    order, and summed in Scalars."""
+    cleaned: dict[str, Scalar] = {}
+    if set(dist.keys()) != set(space.labels):
+        raise InvalidDistribution(
+            f"{what} must assign a weight to exactly the settings {space.labels}"
+        )
+    total = ZERO
+    for label in space:
+        value = as_scalar(dist[label])
+        if value.sign() < 0:
+            raise InvalidDistribution(f"{what} has negative weight at {label!r}")
+        cleaned[label] = value
+        total = total + value
+    if total != ONE:
+        raise InvalidDistribution(f"{what} sums to {format_scalar(total)}, expected 1")
+    return cleaned
+
+
+def model_structure(pairs: Any, weights: Any, kernels: Any) -> tuple[Any, ...]:
+    """The checks of the ``HiddenVariableModel`` constructor, with the
+    normalised (pairs, weights, kernels) they leave."""
+    pairs = tuple((str(u), str(v)) for u, v in pairs)
+    weights = tuple(as_scalar(w) for w in weights)
+    kernels = tuple(kernels)
+    if not pairs:
+        raise InvalidModel("model needs at least one hidden pair")
+    if len(pairs) != len(weights) or len(pairs) != len(kernels):
+        raise InvalidModel("pairs, weights and kernels must align")
+    if len(set(pairs)) != len(pairs):
+        raise InvalidModel("duplicate hidden pairs")
+    spaces = kernels[0].spaces
+    for kernel in kernels:
+        if kernel.spaces != spaces:
+            raise InvalidModel("kernels must share one set of spaces")
+    return pairs, weights, kernels
+
+
+def extended_model_structure(pairs: Any, weights: Any, extensions: Any) -> tuple[Any, ...]:
+    """The checks of the ``ExtendedModel`` constructor, with the
+    normalised (pairs, weights, extensions) they leave."""
+    pairs = tuple((str(u), str(v)) for u, v in pairs)
+    weights = tuple(as_scalar(w) for w in weights)
+    extensions = tuple(extensions)
+    if not pairs:
+        raise InvalidModel("model needs at least one hidden pair")
+    if len(pairs) != len(weights) or len(pairs) != len(extensions):
+        raise InvalidModel("pairs, weights and extensions must align")
+    if len(set(pairs)) != len(pairs):
+        raise InvalidModel("duplicate hidden pairs")
+    spaces = extensions[0].kernels[0].spaces
+    for extension in extensions:
+        for kernel in extension.kernels:
+            if kernel.spaces != spaces:
+                raise InvalidModel("kernels must share one set of spaces")
+    return pairs, weights, extensions
+
+
+def first_mover_joint(
+    model: HiddenVariableModel, p_a: Mapping[str, Any], p_b: Mapping[str, Any]
+) -> JointTable:
+    """The (A, B, U, V, X) table when Alice measures first, one callback per
+    cell, each reading the Scalar-loop ``marginal`` and doing three Scalar
+    multiplies."""
+    sa, sb, ox, _ = model.spaces
+    u_labels = tuple(dict.fromkeys(u for u, _ in model.pairs))
+    v_labels = tuple(dict.fromkeys(v for _, v in model.pairs))
+    cells = len(sa) * len(sb) * len(u_labels) * len(v_labels) * len(ox)
+    if cells > FIRST_MOVER_CELL_BUDGET:
+        raise SizeBudgetExceeded(
+            f"the first-mover joint table's {cells} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET} cells"
+        )
+    require_valid_model(model)
+    dist_a = check_distribution(p_a, sa, "setting distribution for A")
+    dist_b = check_distribution(p_b, sb, "setting distribution for B")
+    by_pair = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
+
+    def probability(a: str, b: str, u: str, v: str, x: str) -> Scalar:
+        entry = by_pair.get((u, v))
+        if entry is None:
+            return ZERO
+        weight, kernel = entry
+        return dist_a[a] * dist_b[b] * weight * marginal(kernel, "alice", (a, b))[x]
+
+    variables = (
+        ("A", sa),
+        ("B", sb),
+        ("U", LabelSet(u_labels)),
+        ("V", LabelSet(v_labels)),
+        ("X", ox),
+    )
+    return JointTable.from_function(variables, probability)

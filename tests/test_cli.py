@@ -588,3 +588,12 @@ def test_check_model_against_box_with_other_spaces_exits_two(files, capsys, tmp_
     assert "unexpected error" not in err
     assert err == "error: triviality reference and model spaces differ\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("report_format", ["text", "json"])
+def test_check_box_refuses_a_triviality_reference(files, capsys, report_format):
+    # --against names the triviality reference of a model; a box has none.
+    code, out, err = run(capsys, "check", files["table1"], "--against", files["table1"], "--format", report_format)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --against applies to model files, not to a box\n"
