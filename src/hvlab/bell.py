@@ -14,7 +14,7 @@ and one Scalar is built for the answer; spaces past
 ``boxes.STRATEGY_BUDGET`` total strategies are refused before anything
 is built.  At that budget (four settings and four outcomes per side, or
 eight and two) a search takes 2-4 ms with Python 3.11 on a shared 2-core
-host, against 15-46 ms with a Scalar addition per step.
+host.
 
 The no-signalling bound is an exact LP over the no-signalling polytope
 in Collins-Gisin coordinates (Collins and Gisin, J. Phys. A 37, 1775

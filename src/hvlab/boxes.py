@@ -131,6 +131,13 @@ def _position(nb: int, nx: int, ny: int, ia: int, ib: int, ix: int, iy: int) -> 
 _T = TypeVar("_T", bound="Tensor")
 
 
+def _require_scalars(table: tuple[Any, ...]) -> None:
+    """The type check of a tensor's or joint table's entries."""
+    for value in table:
+        if not isinstance(value, Scalar):
+            raise TypeError(f"table entries must be Scalar, got {type(value).__name__}")
+
+
 class Tensor(Frozen):
     """Exact table over the spaces (a, b, x, y), row-major with y fastest."""
 
@@ -145,9 +152,7 @@ class Tensor(Frozen):
         expected = len(self.settings_a) * len(self.settings_b) * len(self.outcomes_x) * len(self.outcomes_y)
         if len(self.table) != expected:
             raise ValueError(f"table has {len(self.table)} entries, expected {expected}")
-        for value in self.table:
-            if not isinstance(value, Scalar):
-                raise TypeError(f"table entries must be Scalar, got {type(value).__name__}")
+        _require_scalars(self.table)
 
     @property
     def spaces(self) -> Spaces:
@@ -483,6 +488,7 @@ class JointTable(Frozen):
             expected *= len(space)
         if len(self.table) != expected:
             raise InvalidJointTable(f"table has {len(self.table)} entries, expected {expected}")
+        _require_scalars(self.table)
         negatives, total = _negatives_and_total(*_int_view(self))
         if negatives:
             raise InvalidJointTable(f"negative entry {format_scalar(self.table[negatives[0]])}")

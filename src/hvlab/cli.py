@@ -39,7 +39,7 @@ from .decompose import (
     verify_decomposition,
 )
 from .simplex import check_certificate
-from .errors import HvlabError, InvalidBehavior, InvalidModel, NotLocal, SignallingInput
+from .errors import FileFormatError, HvlabError, InvalidBehavior, InvalidModel, NotLocal, SignallingInput
 from .formats import (
     SERIALIZERS,
     _load_json,
@@ -127,8 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return _check_box(args, data)
     if kind == "model":
         return _check_model(args, data)
-    print("check expects a box or model file", file=sys.stderr)
-    return 2
+    raise FileFormatError("check expects a box or model file")
 
 
 def _invalid(args: argparse.Namespace, lines: list[str], report: dict[str, Any], problems: str) -> int:

@@ -4,7 +4,12 @@ JSON is the container; every number is a string in the exact scalar
 grammar, because raw JSON numbers cannot represent sqrt(2).  Boxes and
 expressions are both :class:`~hvlab.boxes.Tensor` files and share one
 codec: the four label arrays plus one table under ``"p"`` (a box) or
-``"c"`` (an expression).  Model files hold one such table per kernel.
+``"c"`` (an expression).  A model file holds the label arrays and a
+``"pairs"`` list, and its entries at both levels have one shape,
+``{labels..., "weight", "p"}``: the labels (u and v for a hidden pair,
+w for a value of a pair's extra variable), a weight and a kernel table.
+A pair entry may hold, in place of ``"p"``, a ``"w_extension"`` list of
+w entries.  One reader and one writer serve the entries of both levels.
 A table is a map keyed by the literal setting labels joined with "|",
 which is why labels may not contain that character, to |X| x |Y|
 arrays.  Serialization emits canonical scalar strings, so
@@ -25,7 +30,7 @@ from .bell import BellExpression
 from .boxes import Behavior, LabelSet, Spaces, Tensor, require_valid_behavior
 from .errors import FileFormatError, HvlabError, InvalidModel
 from .hvmodel import ExtendedModel, HiddenVariableModel, WExtension, require_valid_model
-from .scalar import Scalar, format_scalar, parse_scalar
+from .scalar import ONE, Scalar, format_scalar, parse_scalar
 
 _SPACE_KEYS = ("settings_a", "settings_b", "outcomes_x", "outcomes_y")
 
@@ -165,109 +170,100 @@ def expression_from_dict(data: Any) -> BellExpression:
     return _tensor_from_dict(data, BellExpression, "c", "expression file")
 
 
+def _entry_to_dict(
+    labels: dict[str, str], weight: Scalar, body: Behavior | WExtension, formatted: _Formatted
+) -> dict[str, Any]:
+    """One weighted entry of a model file: ``labels`` (u and v, or w), the
+    weight, and then a kernel as the table ``"p"`` or an extension as the
+    list ``"w_extension"`` of its w entries."""
+    entry: dict[str, Any] = {**labels, "weight": _text(weight, formatted)}
+    if isinstance(body, WExtension):
+        entry["w_extension"] = [
+            _entry_to_dict({"w": w}, w_weight, kernel, formatted)
+            for w, w_weight, kernel in zip(body.values, body.weights, body.kernels)
+        ]
+    else:
+        entry["p"] = _serialize_table(body, formatted)
+    return entry
+
+
 def model_to_dict(model: HiddenVariableModel | ExtendedModel) -> dict[str, Any]:
     data = _spaces_dict(model.spaces)
     formatted: _Formatted = {}
-    pairs = []
-    if isinstance(model, HiddenVariableModel):
-        for pair, weight, kernel in model.items():
-            pairs.append(
-                {
-                    "u": pair[0],
-                    "v": pair[1],
-                    "weight": _text(weight, formatted),
-                    "p": _serialize_table(kernel, formatted),
-                }
-            )
-    else:
-        for pair, weight, extension in zip(model.pairs, model.weights, model.extensions):
-            entry: dict[str, Any] = {"u": pair[0], "v": pair[1], "weight": _text(weight, formatted)}
-            entry["w_extension"] = [
-                {
-                    "w": w,
-                    "weight": _text(w_weight, formatted),
-                    "p": _serialize_table(kernel, formatted),
-                }
-                for w, w_weight, kernel in zip(extension.values, extension.weights, extension.kernels)
-            ]
-            pairs.append(entry)
-    data["pairs"] = pairs
+    parts = model.kernels if isinstance(model, HiddenVariableModel) else model.extensions
+    data["pairs"] = [
+        _entry_to_dict({"u": u, "v": v}, weight, part, formatted)
+        for (u, v), weight, part in zip(model.pairs, model.weights, parts)
+    ]
     return data
+
+
+def _entry_head(
+    entry: Any, where: str, labels: tuple[str, ...], bodies: tuple[str, ...]
+) -> tuple[tuple[str, ...], Scalar]:
+    """The labels and weight of one weighted entry of a model file, after
+    checking that it is an object with exactly the keys ``labels``,
+    ``"weight"`` and one body: the first of ``bodies`` that it has, else
+    the last."""
+    if not isinstance(entry, dict):
+        raise FileFormatError(f"{where} must be an object")
+    body = next((key for key in bodies if key in entry), bodies[-1])
+    _require_keys(entry, {*labels, "weight", body}, where)
+    values = tuple(entry[label] for label in labels)
+    if not all(isinstance(value, str) and value for value in values):
+        must = "must be non-empty strings" if len(labels) > 1 else "must be a non-empty string"
+        raise FileFormatError(f"{where}: {' and '.join(labels)} {must}")
+    return values, _parse_cell(entry["weight"], f"{where}.weight")
+
+
+_ONE_W = LabelSet(("0",))
+
+
+def _pair_body(entry: dict[str, Any], where: str, spaces: Spaces, parsed: dict[str, Scalar]) -> WExtension:
+    """The body of a pair entry whose head has been read, as a w-extension:
+    its ``w_extension`` list, or its ``p`` kernel as the extension with the
+    one value w = "0".  Each w entry's head is read before its table."""
+
+    def kernel(entry: dict[str, Any], where: str) -> Behavior:
+        return Behavior(*spaces, _parse_table(entry["p"], spaces, f"{where}.p", parsed))
+
+    if "w_extension" not in entry:
+        return WExtension(_ONE_W, (ONE,), (kernel(entry, where),))
+    raw = entry["w_extension"]
+    if not isinstance(raw, list) or not raw:
+        raise FileFormatError(f"{where}.w_extension must be a non-empty array")
+    heads: list[tuple[tuple[str, ...], Scalar]] = []
+    kernels: list[Behavior] = []
+    for k, sub in enumerate(raw):
+        heads.append(_entry_head(sub, f"{where}.w_extension[{k}]", ("w",), ("p",)))
+        kernels.append(kernel(sub, f"{where}.w_extension[{k}]"))
+    try:
+        values = LabelSet(tuple(w for (w,), _ in heads))
+    except ValueError as exc:
+        raise FileFormatError(f"{where}.w_extension: {exc}") from exc
+    return WExtension(values, tuple(weight for _, weight in heads), tuple(kernels))
 
 
 def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableModel | ExtendedModel:
     """Parse a model file; the result is extended iff any pair carries a
-    w_extension (extensionless pairs then get a single trivial w)."""
+    w_extension (extensionless pairs then get a single trivial w).  The
+    head of every pair is read before any pair's body."""
     if not isinstance(data, dict):
         raise FileFormatError("model file must contain a JSON object")
     _require_keys(data, set(_SPACE_KEYS) | {"pairs"}, "model file")
     spaces = _parse_spaces(data)
-    raw_pairs = data["pairs"]
-    if not isinstance(raw_pairs, list) or not raw_pairs:
+    entries = data["pairs"]
+    if not isinstance(entries, list) or not entries:
         raise FileFormatError("pairs must be a non-empty array")
-    pairs: list[tuple[str, str]] = []
-    weights: list[Scalar] = []
-    bodies: list[Any] = []
-    extended = False
-    for index, entry in enumerate(raw_pairs):
-        where = f"pairs[{index}]"
-        if not isinstance(entry, dict):
-            raise FileFormatError(f"{where} must be an object")
-        if "w_extension" in entry:
-            _require_keys(entry, {"u", "v", "weight", "w_extension"}, where)
-            extended = True
-        else:
-            _require_keys(entry, {"u", "v", "weight", "p"}, where)
-        u, v = entry.get("u"), entry.get("v")
-        if not isinstance(u, str) or not isinstance(v, str) or not u or not v:
-            raise FileFormatError(f"{where}: u and v must be non-empty strings")
-        pairs.append((u, v))
-        weights.append(_parse_cell(entry["weight"], f"{where}.weight"))
-        bodies.append(entry)
-
+    heads = [_entry_head(entry, f"pairs[{i}]", ("u", "v"), ("w_extension", "p")) for i, entry in enumerate(entries)]
+    pairs, weights = zip(*heads)
     parsed: dict[str, Scalar] = {}
-
-    def kernel_of(entry: Any, where: str) -> Behavior:
-        return Behavior(*spaces, _parse_table(entry["p"], spaces, f"{where}.p", parsed))
-
+    extensions = tuple(_pair_body(entry, f"pairs[{i}]", spaces, parsed) for i, entry in enumerate(entries))
     try:
-        if not extended:
-            kernels = [kernel_of(entry, f"pairs[{i}]") for i, entry in enumerate(bodies)]
-            model: HiddenVariableModel | ExtendedModel = HiddenVariableModel(
-                tuple(pairs), tuple(weights), tuple(kernels)
-            )
+        if any("w_extension" in entry for entry in entries):
+            model: HiddenVariableModel | ExtendedModel = ExtendedModel(pairs, weights, extensions)
         else:
-            extensions = []
-            for i, entry in enumerate(bodies):
-                where = f"pairs[{i}]"
-                if "w_extension" not in entry:
-                    extensions.append(
-                        WExtension(LabelSet(("0",)), (parse_scalar("1"),), (kernel_of(entry, where),))
-                    )
-                    continue
-                raw_ext = entry["w_extension"]
-                if not isinstance(raw_ext, list) or not raw_ext:
-                    raise FileFormatError(f"{where}.w_extension must be a non-empty array")
-                w_values: list[str] = []
-                w_weights: list[Scalar] = []
-                w_kernels: list[Behavior] = []
-                for k, sub in enumerate(raw_ext):
-                    sub_where = f"{where}.w_extension[{k}]"
-                    if not isinstance(sub, dict):
-                        raise FileFormatError(f"{sub_where} must be an object")
-                    _require_keys(sub, {"w", "weight", "p"}, sub_where)
-                    w = sub.get("w")
-                    if not isinstance(w, str) or not w:
-                        raise FileFormatError(f"{sub_where}: w must be a non-empty string")
-                    w_values.append(w)
-                    w_weights.append(_parse_cell(sub["weight"], f"{sub_where}.weight"))
-                    w_kernels.append(kernel_of(sub, sub_where))
-                try:
-                    ext_values = LabelSet(tuple(w_values))
-                except ValueError as exc:
-                    raise FileFormatError(f"{where}.w_extension: {exc}") from exc
-                extensions.append(WExtension(ext_values, tuple(w_weights), tuple(w_kernels)))
-            model = ExtendedModel(tuple(pairs), tuple(weights), tuple(extensions))
+            model = HiddenVariableModel(pairs, weights, tuple(extension.kernels[0] for extension in extensions))
     except InvalidModel as exc:
         raise FileFormatError(f"model file: {exc}") from exc
     if require_valid:

@@ -134,6 +134,43 @@ def test_joint_table_invariants_enforced():
         JointTable((("A", pair),), (HALF, HALF + HALF))
 
 
+_BITS = LabelSet(("0", "1"))
+
+
+@pytest.mark.parametrize(
+    "variables, table, error, message",
+    [
+        (
+            (("A", _BITS), ("A", _BITS)),
+            (HALF, ZERO, ZERO, HALF),
+            InvalidJointTable,
+            "duplicate variable names in ['A', 'A']",
+        ),
+        ((), (ONE,), InvalidJointTable, "joint table needs at least one variable"),
+        ((("A", _BITS),), (ONE,), InvalidJointTable, "table has 1 entries, expected 2"),
+        ((("A", _BITS),), (1, 0), TypeError, "table entries must be Scalar, got int"),
+        ((("A", _BITS),), (HALF, Fraction(1, 2)), TypeError, "table entries must be Scalar, got Fraction"),
+    ],
+    ids=["duplicate-names", "no-variables", "wrong-length", "int-entries", "fraction-entry"],
+)
+def test_joint_table_refusals(variables, table, error, message):
+    with pytest.raises(error) as refusal:
+        JointTable(variables, table)
+    assert str(refusal.value) == message
+
+
+def test_joint_table_value_reads_the_row_major_cell():
+    joint = JointTable(
+        (("A", _BITS), ("T", LabelSet(("t0", "t1", "t2")))),
+        tuple(parse_scalar(text) for text in ("0", "1/8", "1/8", "1/4", "1/4", "1/4")),
+    )
+    assert joint.value(("0", "t1")) == parse_scalar("1/8")
+    assert joint.value(("1", "t0")) == parse_scalar("1/4")
+    assert [joint.value(assignment) for assignment in joint.assignments()] == list(joint.table)
+    with pytest.raises(UnknownOutcome, match="^variable T has no value 't3'$"):
+        joint.value(("0", "t3"))
+
+
 def _product_joint() -> JointTable:
     setting = LabelSet(("0", "1"))
     data = LabelSet(("t0", "t1", "t2"))

@@ -159,8 +159,11 @@ def test_check_rejects_expression_file(files, capsys, tmp_path):
 
     path = tmp_path / "chsh.expr.json"
     save_expression(chsh(), path)
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 2
+    for report_format in ("text", "json"):
+        code, out, err = run(capsys, "check", str(path), "--format", report_format)
+        assert code == 2
+        assert out == ""
+        assert err == "error: check expects a box or model file\n"
 
 
 def test_check_model_against_external_box(files, capsys):
@@ -597,3 +600,74 @@ def test_check_box_refuses_a_triviality_reference(files, capsys, report_format):
     assert code == 2
     assert out == ""
     assert err == "error: --against applies to model files, not to a box\n"
+
+
+# -- property-false reports of the model commands ----------------------------
+
+
+@pytest.fixture()
+def signalling_model(tmp_path):
+    """One hidden pair whose kernel is half the signalling box and half
+    the uniform box on binary spaces: Alice's marginal moves with b."""
+    from hvlab.boxes import mix, uniform_behavior
+    from hvlab.scalar import HALF
+
+    box = signalling_box()
+    kernel = mix([(HALF, box), (HALF, uniform_behavior(*box.spaces))])
+    path = tmp_path / "signalling.model.json"
+    save_model(HiddenVariableModel((("u0", "v0"),), (ONE,), (kernel,)), path)
+    return str(path)
+
+
+def test_check_a_model_with_a_signalling_kernel_exits_one_with_its_witness(signalling_model, capsys):
+    code, out, _ = run(capsys, "check", signalling_model)
+    assert code == 1
+    assert "local: false\n" in out
+    assert (
+        "witness: pair (u0,v0): alice marginal at a=0, outcome 0 depends on the counterpart: "
+        "b=0 gives 3/4 but b=1 gives 1/4\n"
+    ) in out
+    code, out, _ = run(capsys, "check", signalling_model, "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["local"] is False
+    # The no-signalling witness's fields in field order, then the pair.
+    assert list(report["locality_witness"].items()) == [
+        ("side", "alice"),
+        ("setting", "0"),
+        ("counterpart_reference", "0"),
+        ("counterpart_other", "1"),
+        ("outcome", "0"),
+        ("value_reference", "3/4"),
+        ("value_other", "1/4"),
+        ("pair", ["u0", "v0"]),
+    ]
+
+
+def test_first_mover_on_a_signalling_kernel_exits_one_with_its_witness(signalling_model, capsys):
+    code, out, _ = run(capsys, "model", "first-mover", signalling_model)
+    assert code == 1
+    assert out == (
+        "B independent of (X,A,U,V): false\n"
+        "witness: at A=0, B=0, U=u0, V=v0, X=0: joint 3/16 != 1/2 * 1/4 = 1/8\n"
+    )
+    code, out, _ = run(capsys, "model", "first-mover", signalling_model, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "independent": False,
+        "witness": {
+            "assignment": {"A": "0", "B": "0", "U": "u0", "V": "v0", "X": "0"},
+            "joint_value": "3/16",
+            "left_value": "1/2",
+            "right_value": "1/4",
+        },
+    }
+
+
+def test_model_verify_against_a_box_on_other_spaces_exits_one(files, signalling_model, capsys):
+    code, out, _ = run(capsys, "model", "verify", signalling_model, "--against", files["table1"])
+    assert code == 1
+    assert out == "reconstruction matches: false (spaces differ)\n"
+    code, out, _ = run(capsys, "model", "verify", signalling_model, "--against", files["table1"], "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"matches": False, "reason": "spaces differ"}

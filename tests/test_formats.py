@@ -284,3 +284,228 @@ def test_emitted_json_is_stable(tmp_path):
     assert path_one.read_text() == path_two.read_text()
     parsed = json.loads(path_one.read_text())
     assert list(parsed) == ["settings_a", "settings_b", "outcomes_x", "outcomes_y", "p"]
+
+
+# -- every refusal of a file, with its exact message --------------------------
+# Each case edits a valid file in one place and names the message it must
+# get; a model file's pair entries and w entries are read by shared code,
+# so every refusal of either level is pinned here.
+
+
+def _set(path, value):
+    """An edit that sets ``data[path[0]]...[path[-1]] = value``."""
+
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    return edit
+
+
+def _box_file():
+    return behavior_to_dict(table1_box())
+
+
+def _model_file():
+    return model_to_dict(appendix_a_model())
+
+
+def _extended_file():
+    return model_to_dict(_extended_model())
+
+
+def _same_pair_twice(data):
+    data["pairs"][1]["u"], data["pairs"][1]["v"] = data["pairs"][0]["u"], data["pairs"][0]["v"]
+
+
+def _kernel_and_extension(data):
+    data["pairs"][0]["p"] = data["pairs"][1]["w_extension"][0]["p"]
+
+
+_W = ("pairs", 0, "w_extension")
+
+_REFUSALS = {
+    "box-label-not-a-string": (
+        behavior_from_dict, _box_file, _set(("settings_a",), ["0", 2]), "settings_a entries must be non-empty strings"
+    ),
+    "box-label-twice": (
+        behavior_from_dict, _box_file, _set(("settings_b",), ["1", "1"]), "settings_b: duplicate labels in ('1', '1')"
+    ),
+    "box-table-not-an-object": (behavior_from_dict, _box_file, _set(("p",), []), "p must be an object keyed by 'a|b'"),
+    "expression-table-not-an-object": (
+        expression_from_dict,
+        lambda: expression_to_dict(chsh()),
+        _set(("c",), "0"),
+        "c must be an object keyed by 'a|b'",
+    ),
+    "model-label-twice": (
+        model_from_dict, _model_file, _set(("outcomes_x",), ["+1", "+1"]), "outcomes_x: duplicate labels in ('+1', '+1')"
+    ),
+    "model-not-an-object": (model_from_dict, lambda: [], lambda data: None, "model file must contain a JSON object"),
+    "model-keys": (
+        model_from_dict, _model_file, _set(("p",), {}), "model file: missing keys [], unknown keys ['p']"
+    ),
+    "pairs-empty": (model_from_dict, _model_file, _set(("pairs",), []), "pairs must be a non-empty array"),
+    "pairs-not-an-array": (model_from_dict, _model_file, _set(("pairs",), {}), "pairs must be a non-empty array"),
+    "pair-not-an-object": (model_from_dict, _model_file, _set(("pairs", 1), "u1"), "pairs[1] must be an object"),
+    "pair-keys": (
+        model_from_dict, _model_file, _set(("pairs", 2, "q"), "1"), "pairs[2]: missing keys [], unknown keys ['q']"
+    ),
+    "pair-without-kernel": (
+        model_from_dict,
+        _model_file,
+        lambda data: data["pairs"][3].pop("p"),
+        "pairs[3]: missing keys ['p'], unknown keys []",
+    ),
+    "pair-with-kernel-and-extension": (
+        model_from_dict, _extended_file, _kernel_and_extension, "pairs[0]: missing keys [], unknown keys ['p']"
+    ),
+    "pair-label-not-a-string": (
+        model_from_dict, _model_file, _set(("pairs", 0, "u"), 0), "pairs[0]: u and v must be non-empty strings"
+    ),
+    "pair-label-empty": (
+        model_from_dict, _extended_file, _set(("pairs", 1, "v"), ""), "pairs[1]: u and v must be non-empty strings"
+    ),
+    "pair-weight-not-a-string": (
+        model_from_dict,
+        _model_file,
+        _set(("pairs", 2, "weight"), 0.25),
+        "pairs[2].weight: expected a scalar string, got float",
+    ),
+    "pair-kernel-not-an-object": (
+        model_from_dict, _model_file, _set(("pairs", 1, "p"), []), "pairs[1].p must be an object keyed by 'a|b'"
+    ),
+    "pair-twice": (model_from_dict, _model_file, _same_pair_twice, "model file: duplicate hidden pairs"),
+    "extension-empty": (
+        model_from_dict, _extended_file, _set(_W, []), "pairs[0].w_extension must be a non-empty array"
+    ),
+    "extension-not-an-array": (
+        model_from_dict, _extended_file, _set(_W, {}), "pairs[0].w_extension must be a non-empty array"
+    ),
+    "w-entry-not-an-object": (
+        model_from_dict, _extended_file, _set((*_W, 1), "w1"), "pairs[0].w_extension[1] must be an object"
+    ),
+    "w-entry-keys": (
+        model_from_dict,
+        _extended_file,
+        lambda data: data["pairs"][0]["w_extension"][1].pop("p"),
+        "pairs[0].w_extension[1]: missing keys ['p'], unknown keys []",
+    ),
+    "w-not-a-string": (
+        model_from_dict, _extended_file, _set((*_W, 0, "w"), 0), "pairs[0].w_extension[0]: w must be a non-empty string"
+    ),
+    "w-empty": (
+        model_from_dict, _extended_file, _set((*_W, 1, "w"), ""), "pairs[0].w_extension[1]: w must be a non-empty string"
+    ),
+    "w-twice": (
+        model_from_dict,
+        _extended_file,
+        _set((*_W, 1, "w"), "w0"),
+        "pairs[0].w_extension: duplicate labels in ('w0', 'w0')",
+    ),
+    "w-weight-not-a-string": (
+        model_from_dict,
+        _extended_file,
+        _set(("pairs", 1, "w_extension", 0, "weight"), 1),
+        "pairs[1].w_extension[0].weight: expected a scalar string, got int",
+    ),
+    "w-kernel-not-an-object": (
+        model_from_dict,
+        _extended_file,
+        _set((*_W, 1, "p"), "p"),
+        "pairs[0].w_extension[1].p must be an object keyed by 'a|b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, original, edit, message", _REFUSALS.values(), ids=list(_REFUSALS))
+def test_every_file_refusal_has_its_message(parse, original, edit, message):
+    data = original()
+    edit(data)
+    with pytest.raises(FileFormatError) as refusal:
+        parse(data)
+    assert str(refusal.value) == message
+
+
+# A file with several faults reports one of them: all pair heads (labels and
+# weight) first, then the bodies in pair order, each w entry's head before
+# its table, a repeated w value after the tables of its pair, and the model's
+# structure last.
+_FIRST_REFUSALS = {
+    "a-later-head-before-an-earlier-kernel": (
+        _model_file,
+        (_set(("pairs", 0, "p", "0|1", 0, 0), "x"), _set(("pairs", 3, "weight"), 1)),
+        "pairs[3].weight: expected a scalar string, got int",
+    ),
+    "a-later-head-before-an-earlier-extension": (
+        _extended_file,
+        (_set(_W, []), _set(("pairs", 1, "u"), "")),
+        "pairs[1]: u and v must be non-empty strings",
+    ),
+    "an-earlier-kernel-before-a-later-one": (
+        _model_file,
+        (_set(("pairs", 2, "p"), []), _set(("pairs", 1, "p", "2|3", 1, 1), 0)),
+        "pairs[1].p['2|3'][1][1]: expected a scalar string, got int",
+    ),
+    "an-extension-before-a-later-plain-kernel": (
+        _extended_file,
+        (_set(("pairs", 1, "w_extension", 0, "p"), []), _set((*_W, 1, "w"), "")),
+        "pairs[0].w_extension[1]: w must be a non-empty string",
+    ),
+    "a-plain-kernel-before-a-later-extension": (
+        lambda: {**_extended_file(), "pairs": [_model_file()["pairs"][0], _extended_file()["pairs"][0]]},
+        (_set(("pairs", 0, "p"), []), _set(("pairs", 1, "w_extension"), [])),
+        "pairs[0].p must be an object keyed by 'a|b'",
+    ),
+    "a-w-head-before-its-table": (
+        _extended_file,
+        (_set((*_W, 0, "p"), []), _set((*_W, 0, "weight"), None)),
+        "pairs[0].w_extension[0].weight: expected a scalar string, got NoneType",
+    ),
+    "an-earlier-w-table-before-a-later-w-head": (
+        _extended_file,
+        (_set((*_W, 0, "p"), []), _set((*_W, 1, "w"), 1)),
+        "pairs[0].w_extension[0].p must be an object keyed by 'a|b'",
+    ),
+    "a-w-table-before-a-repeated-w": (
+        _extended_file,
+        (_set((*_W, 1, "w"), "w0"), _set((*_W, 1, "p"), [])),
+        "pairs[0].w_extension[1].p must be an object keyed by 'a|b'",
+    ),
+    "a-repeated-w-before-a-later-pair": (
+        _extended_file,
+        (_set((*_W, 1, "w"), "w0"), _set(("pairs", 1, "w_extension", 0, "p"), [])),
+        "pairs[0].w_extension: duplicate labels in ('w0', 'w0')",
+    ),
+    "a-kernel-before-the-model-structure": (
+        _model_file,
+        (_same_pair_twice, _set(("pairs", 3, "p"), [])),
+        "pairs[3].p must be an object keyed by 'a|b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("original, edits, message", _FIRST_REFUSALS.values(), ids=list(_FIRST_REFUSALS))
+def test_a_file_with_several_faults_reports_the_first_in_reading_order(original, edits, message):
+    data = original()
+    for edit in edits:
+        edit(data)
+    with pytest.raises(FileFormatError) as refusal:
+        model_from_dict(data)
+    assert str(refusal.value) == message
+
+
+def test_an_extended_file_parses_each_distinct_string_once_and_formats_each_value_once(monkeypatch):
+    import hvlab.formats
+
+    formatted, parsed = [], []
+    original_format, original_parse = hvlab.formats.format_scalar, hvlab.formats.parse_scalar
+    monkeypatch.setattr(hvlab.formats, "format_scalar", lambda value: formatted.append(value) or original_format(value))
+    data = model_to_dict(_extended_model())
+    assert sorted(map(format_scalar, formatted)) == ["0", "1", "1/2"]
+    monkeypatch.setattr(hvlab.formats, "parse_scalar", lambda text: parsed.append(text) or original_parse(text))
+    assert model_from_dict(data) == _extended_model()
+    # Weights are parsed as they are read; table cells once per distinct string.
+    weights = ["1/2", "1/2", "1/2", "1/2", "1"]
+    assert sorted(parsed) == sorted(weights + ["0", "1"])
