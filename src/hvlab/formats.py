@@ -286,6 +286,9 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # An integer literal past the interpreter's int() digit limit.
+        raise FileFormatError(f"{path} holds a number too long to read: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path} nests JSON values too deeply") from exc
 

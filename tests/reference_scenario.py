@@ -1,146 +1,51 @@
-"""Reference builders for the per-spaces structure of hvlab's two LPs.
+"""Scalar-loop references for code that hvlab now runs in ints.
 
-These are the vertex audit and the no-signalling LP builder hvlab shipped
-before each scenario's structure was built once per process; they are
-kept here, unchanged, only so that the tests can demand that
-``hvlab.decompose._vertex_output_tables`` gives the same verdict on
-every table and that ``hvlab.bell.ns_bound``, now an LP in Collins-Gisin
-coordinates, gives this equality-pair LP's optimum.  The equality-pair LP
-also keeps the reference solver's phase one under test, since its negated
-normalisation rows need artificials; ``hvlab.simplex.solve_lp``, which
-has no phase one, refuses it.  The no-signalling
-check that summed each marginal in Scalars is kept too, with its own copy
-of the Scalar-loop ``marginal`` that ``hvlab.boxes`` shipped before it
-summed a box's int view, so that the index-arithmetic
-``hvlab.boxes.is_no_signalling`` must give the same verdict and the same
-witness, and ``hvlab.boxes.marginal`` the same distributions, without
-sharing the view with the code under test.  The per-pair triviality
-search that compared those Scalar marginals label by label is kept too,
-on the same copy, so that ``hvlab.hvmodel.check_triviality`` and
-``nontrivial_weight``, which compare two boxes' int marginal tables by
-cross-multiplication, must find the same witnesses.  The Collins-Gisin builder
-that summed each objective coefficient in Scalars is kept too, so that
-``hvlab.bell._ns_lp``, which sums in ints over one common denominator,
-must build the same ``LpProblem``.  So are the Collins-Gisin constraint
-rows as that builder wrote them, one dense row of Scalars per table cell,
-so that ``hvlab.bell._ns_constraints``, which appends each entry to its
-column as it computes it, must build the matrix ``Matrix.from_rows``
-reads off them.
+Each function is the code hvlab shipped before the int kernel that
+replaced it, kept unchanged so that the tests can demand the same
+results from the kernel where no independent oracle pins them.
 
-The Scalar loops that mixed, checked and wrote tables before hvlab did
-so in ints are kept last: ``format_scalar`` through the reduced
-``Fraction`` components, ``mix`` with one Scalar multiply and add per
-cell per component, the table serializer that looked each cell up by
-position through ``Tensor.at`` (with the file dicts built on it), and
-``check_product`` with one Scalar product and comparison per joint cell,
-against block marginals summed in Scalars by ``marginal_over`` (once a
-``JointTable`` method).
-``hvlab.scalar.format_scalar``, ``hvlab.boxes.mix``,
-``hvlab.boxes.check_product`` and the writers of ``hvlab.formats`` must
-give the same strings, tables, errors, verdicts, witnesses and bytes.
-
-The model checks that summed weights in Scalar loops, and the two model
-constructors that each checked their own structure, are kept after them:
-``model_report``, ``extended_model_problems`` and ``check_distribution``,
-``model_structure`` and ``extended_model_structure`` (the constructors'
-bodies, returning the normalised fields), and ``first_mover_joint``, which
-built every cell through a callback reading the Scalar ``marginal`` above.
-(``mix`` above keeps its Scalar weight checks too.)  The model validation,
-constructors and ``first_mover_joint`` of ``hvlab.hvmodel``, which check
-every weight vector through one int helper, must give the same reports,
-problem lists, exception types and messages, and tables.
+- ``marginal``, the Scalar-loop one-side marginal, with
+  ``marginal_is_no_signalling`` and ``triviality_witness`` on it:
+  ``hvlab.boxes.marginal``, ``hvlab.boxes.is_no_signalling`` and
+  ``hvlab.hvmodel.check_triviality`` must give the same distributions,
+  verdicts and witnesses without sharing a box's int view.
+- ``collins_gisin_ns_lp`` and ``collins_gisin_rows``, the no-signalling LP
+  with its objective summed in Scalars and its matrix written as one
+  dense row per table cell: ``hvlab.bell._ns_lp`` and
+  ``hvlab.bell._ns_constraints`` must build the same ``LpProblem``.
+- ``format_scalar`` through the reduced ``Fraction`` components, ``mix``
+  with one Scalar multiply and add per cell per component, the table
+  serializer that looked each cell up through ``Tensor.at`` (with the file
+  dicts built on it), and ``check_product`` with one Scalar product per
+  joint cell against block marginals summed by ``marginal_over``:
+  ``hvlab.scalar.format_scalar``, ``hvlab.boxes.mix``,
+  ``hvlab.boxes.check_product`` and the writers of ``hvlab.formats`` must
+  give the same strings, tables, errors, verdicts, witnesses and bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import (
     Behavior,
     JointTable,
-    LabelSet,
     NsWitness,
     ProductWitness,
     Side,
     Spaces,
     Tensor,
     _require_setting,
-    is_no_signalling,
     require_valid_behavior,
-    validate_behavior,
 )
-from hvlab.errors import (
-    BadPartition,
-    InvalidDistribution,
-    InvalidModel,
-    SizeBudgetExceeded,
-    SpaceMismatch,
-    WeightSumMismatch,
-)
+from hvlab.errors import BadPartition, SpaceMismatch, WeightSumMismatch
 from hvlab.formats import _spaces_dict
-from hvlab.hvmodel import (
-    FIRST_MOVER_CELL_BUDGET,
-    ExtendedModel,
-    HiddenVariableModel,
-    ModelReport,
-    Pair,
-    TrivialityWitness,
-    require_valid_model,
-)
+from hvlab.hvmodel import ExtendedModel, HiddenVariableModel, Pair, TrivialityWitness
 from hvlab.scalar import ONE, ZERO, Scalar, as_scalar
 from hvlab.simplex import LpProblem
-
-
-def is_deterministic_vertex(behavior: Behavior) -> bool:
-    return (
-        validate_behavior(behavior).ok
-        and all(cell.is_zero() or cell == ONE for cell in behavior.table)
-        and is_no_signalling(behavior)[0]
-    )
-
-
-def ns_lp(expression: BellExpression) -> LpProblem:
-    """LP over table entries: nonnegativity, exact normalization per
-    setting pair, and marginal equality against the first counterpart
-    setting (equalities encoded as inequality pairs)."""
-    na, nb, nx, ny = (len(space) for space in expression.spaces)
-    n = len(expression.table)
-    idx = expression.index
-    rows: list[tuple[Scalar, ...]] = []
-    rhs: list[Scalar] = []
-
-    def add_equality(coeffs: dict[int, Scalar], value: Scalar) -> None:
-        forward = [ZERO] * n
-        for j, coefficient in coeffs.items():
-            forward[j] = coefficient
-        rows.append(tuple(forward))
-        rhs.append(value)
-        rows.append(tuple(-v for v in forward))
-        rhs.append(-value)
-
-    for ia in range(na):
-        for ib in range(nb):
-            add_equality({idx(ia, ib, ix, iy): ONE for ix in range(nx) for iy in range(ny)}, ONE)
-    for ia in range(na):
-        for ix in range(nx):
-            for ib in range(1, nb):
-                coeffs: dict[int, Scalar] = {}
-                for iy in range(ny):
-                    coeffs[idx(ia, ib, ix, iy)] = ONE
-                    coeffs[idx(ia, 0, ix, iy)] = -ONE
-                add_equality(coeffs, ZERO)
-    for ib in range(nb):
-        for iy in range(ny):
-            for ia in range(1, na):
-                coeffs = {}
-                for ix in range(nx):
-                    coeffs[idx(ia, ib, ix, iy)] = ONE
-                    coeffs[idx(0, ib, ix, iy)] = -ONE
-                add_equality(coeffs, ZERO)
-    return LpProblem(expression.table, tuple(rows), tuple(rhs))
 
 
 def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[str, Scalar]:
@@ -389,138 +294,3 @@ def check_product(
         if value != lv * rv:
             return False, ProductWitness(tuple(zip(joint.names, assignment)), value, lv, rv)
     return True, None
-
-
-def model_report(model: HiddenVariableModel) -> ModelReport:
-    """A model's validation report, its weights summed in Scalars."""
-    negatives = []
-    total = ZERO
-    bad_kernels = []
-    for pair, weight, kernel in model.items():
-        if weight.sign() < 0:
-            negatives.append((pair, weight))
-        total = total + weight
-        report = validate_behavior(kernel)
-        if not report.ok:
-            bad_kernels.append((pair, report))
-    return ModelReport(tuple(negatives), total, tuple(bad_kernels))
-
-
-def extended_model_problems(model: ExtendedModel) -> tuple[str, ...]:
-    """An extended model's problems, its pair and w weights summed in Scalars."""
-    problems: list[str] = []
-    total = ZERO
-    for pair, weight in zip(model.pairs, model.weights):
-        if weight.sign() < 0:
-            problems.append(f"negative weight {format_scalar(weight)} at pair {pair}")
-        total = total + weight
-    if total != ONE:
-        problems.append(f"pair weights sum to {format_scalar(total)}, expected 1")
-    for pair, extension in zip(model.pairs, model.extensions):
-        w_total = ZERO
-        for w, weight in zip(extension.values, extension.weights):
-            if weight.sign() < 0:
-                problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
-            w_total = w_total + weight
-        if w_total != ONE:
-            problems.append(f"w weights at pair {pair} sum to {format_scalar(w_total)}, expected 1")
-        for w, kernel in zip(extension.values, extension.kernels):
-            report = validate_behavior(kernel)
-            if not report.ok:
-                problems.append(f"kernel at pair {pair}, w={w}: {report.summary()}")
-    return tuple(problems)
-
-
-def check_distribution(dist: Mapping[str, Any], space: LabelSet, what: str) -> dict[str, Scalar]:
-    """A setting distribution coerced and checked label by label, in space
-    order, and summed in Scalars."""
-    cleaned: dict[str, Scalar] = {}
-    if set(dist.keys()) != set(space.labels):
-        raise InvalidDistribution(
-            f"{what} must assign a weight to exactly the settings {space.labels}"
-        )
-    total = ZERO
-    for label in space:
-        value = as_scalar(dist[label])
-        if value.sign() < 0:
-            raise InvalidDistribution(f"{what} has negative weight at {label!r}")
-        cleaned[label] = value
-        total = total + value
-    if total != ONE:
-        raise InvalidDistribution(f"{what} sums to {format_scalar(total)}, expected 1")
-    return cleaned
-
-
-def model_structure(pairs: Any, weights: Any, kernels: Any) -> tuple[Any, ...]:
-    """The checks of the ``HiddenVariableModel`` constructor, with the
-    normalised (pairs, weights, kernels) they leave."""
-    pairs = tuple((str(u), str(v)) for u, v in pairs)
-    weights = tuple(as_scalar(w) for w in weights)
-    kernels = tuple(kernels)
-    if not pairs:
-        raise InvalidModel("model needs at least one hidden pair")
-    if len(pairs) != len(weights) or len(pairs) != len(kernels):
-        raise InvalidModel("pairs, weights and kernels must align")
-    if len(set(pairs)) != len(pairs):
-        raise InvalidModel("duplicate hidden pairs")
-    spaces = kernels[0].spaces
-    for kernel in kernels:
-        if kernel.spaces != spaces:
-            raise InvalidModel("kernels must share one set of spaces")
-    return pairs, weights, kernels
-
-
-def extended_model_structure(pairs: Any, weights: Any, extensions: Any) -> tuple[Any, ...]:
-    """The checks of the ``ExtendedModel`` constructor, with the
-    normalised (pairs, weights, extensions) they leave."""
-    pairs = tuple((str(u), str(v)) for u, v in pairs)
-    weights = tuple(as_scalar(w) for w in weights)
-    extensions = tuple(extensions)
-    if not pairs:
-        raise InvalidModel("model needs at least one hidden pair")
-    if len(pairs) != len(weights) or len(pairs) != len(extensions):
-        raise InvalidModel("pairs, weights and extensions must align")
-    if len(set(pairs)) != len(pairs):
-        raise InvalidModel("duplicate hidden pairs")
-    spaces = extensions[0].kernels[0].spaces
-    for extension in extensions:
-        for kernel in extension.kernels:
-            if kernel.spaces != spaces:
-                raise InvalidModel("kernels must share one set of spaces")
-    return pairs, weights, extensions
-
-
-def first_mover_joint(
-    model: HiddenVariableModel, p_a: Mapping[str, Any], p_b: Mapping[str, Any]
-) -> JointTable:
-    """The (A, B, U, V, X) table when Alice measures first, one callback per
-    cell, each reading the Scalar-loop ``marginal`` and doing three Scalar
-    multiplies."""
-    sa, sb, ox, _ = model.spaces
-    u_labels = tuple(dict.fromkeys(u for u, _ in model.pairs))
-    v_labels = tuple(dict.fromkeys(v for _, v in model.pairs))
-    cells = len(sa) * len(sb) * len(u_labels) * len(v_labels) * len(ox)
-    if cells > FIRST_MOVER_CELL_BUDGET:
-        raise SizeBudgetExceeded(
-            f"the first-mover joint table's {cells} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET} cells"
-        )
-    require_valid_model(model)
-    dist_a = check_distribution(p_a, sa, "setting distribution for A")
-    dist_b = check_distribution(p_b, sb, "setting distribution for B")
-    by_pair = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
-
-    def probability(a: str, b: str, u: str, v: str, x: str) -> Scalar:
-        entry = by_pair.get((u, v))
-        if entry is None:
-            return ZERO
-        weight, kernel = entry
-        return dist_a[a] * dist_b[b] * weight * marginal(kernel, "alice", (a, b))[x]
-
-    variables = (
-        ("A", sa),
-        ("B", sb),
-        ("U", LabelSet(u_labels)),
-        ("V", LabelSet(v_labels)),
-        ("X", ox),
-    )
-    return JointTable.from_function(variables, probability)

@@ -16,7 +16,6 @@ from hvlab.catalog import pr_box, table1_box
 from hvlab.errors import LpFailure, SizeBudgetExceeded, SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
 from hvlab.simplex import LpSolution, solve_lp
-from reference_local_bound import local_bound as reference_local_bound
 
 
 def _zero_expression() -> BellExpression:
@@ -147,6 +146,16 @@ def test_linearity_of_evaluate(b1, b2):
     assert evaluate(e, mixed) == w * evaluate(e, b1) + (ONE - w) * evaluate(e, b2)
 
 
+def test_evaluate_is_the_sum_of_cell_products_when_both_tables_hold_sqrt2():
+    # table1's cells are (2 +- sqrt2)/8, so the sqrt2*sqrt2 = 2 terms count;
+    # 2**89 - 1 is a prime denominator past 2**64.
+    box = table1_box()
+    coefficients = tuple(Scalar(Fraction(k % 5 - 2, 2**89 - 1), Fraction(k % 3 - 1, 7)) for k in range(16))
+    e = BellExpression(*box.spaces, coefficients)
+    assert evaluate(e, box) == sum((c * p for c, p in zip(coefficients, box.table)), ZERO)
+    assert evaluate(BellExpression(*box.spaces, tuple(SQRT2 * c for c in chsh().table)), box) == Scalar(4)
+
+
 @given(ns_behaviors(spaces=CHSH_SPACES))
 @settings(max_examples=15, deadline=None)
 def test_no_signalling_boxes_never_beat_the_ns_bound(box):
@@ -216,7 +225,7 @@ def test_local_bound_matches_the_lexicographic_reference(e):
     assert (value, strategy.outputs_a, strategy.outputs_b) == _reference_local_bound(e)
 
 
-# -- the int best-response kernel against the Scalar search it replaced ------
+# -- the int best-response kernel on values of every size -----------------------
 
 
 def _pell(k: int) -> tuple[int, int]:
@@ -261,13 +270,24 @@ def _wide_range_expressions(draw):
 
 @given(_wide_range_expressions())
 @settings(max_examples=150, deadline=None)
-def test_local_bound_matches_the_scalar_search(e):
-    assert local_bound(e) == reference_local_bound(e)
+def test_local_bound_on_values_of_every_size_matches_the_lexicographic_reference(e):
+    value, strategy = local_bound(e)
+    assert (value, strategy.outputs_a, strategy.outputs_b) == _reference_local_bound(e)
+
+
+def _swapped(e: BellExpression) -> BellExpression:
+    """The expression with Alice and Bob exchanged."""
+    sa, sb, ox, oy = e.spaces
+    return BellExpression.from_function(sb, sa, oy, ox, lambda b, a, y, x: e.coefficient(a, b, x, y))
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (8, 8, 2, 2)], ids=["4444", "8822"])
 @pytest.mark.parametrize("kind", ["ties", "rational", "sqrt2"])
-def test_local_bound_at_the_strategy_budget_matches_the_scalar_search(shape, kind):
+def test_local_bound_at_the_strategy_budget_is_attained_and_no_party_gains_by_deviating(shape, kind):
+    # Evaluating all 65 536 strategies would be slow, so: the witness must
+    # attain the value, no one-setting change of either party's table may
+    # beat it, and exchanging the parties, which walks the other side's
+    # tables, must give the same value.
     spaces = numbered_spaces(*shape)
     assert _strategy_count(spaces) == STRATEGY_BUDGET
     rng = random.Random(f"{shape}{kind}")
@@ -278,7 +298,16 @@ def test_local_bound_at_the_strategy_budget_matches_the_scalar_search(shape, kin
     else:
         pool = (ZERO, ONE, -ONE, SQRT2, Scalar(0, Fraction(-1, 5)), Scalar(_P1, -_Q1))
     e = BellExpression(*spaces, tuple(rng.choice(pool) for _ in range(256)))
-    assert local_bound(e) == reference_local_bound(e)
+    value, strategy = local_bound(e)
+    assert evaluate(e, strategy.to_behavior(spaces)) == value
+    outputs = (strategy.outputs_a, strategy.outputs_b)
+    for side, labels in enumerate(spaces[2:]):
+        for k in range(len(outputs[side])):
+            for label in labels:
+                changed = list(outputs)
+                changed[side] = outputs[side][:k] + (label,) + outputs[side][k + 1 :]
+                assert evaluate(e, deterministic_behavior(*spaces, *changed)) <= value
+    assert local_bound(_swapped(e))[0] == value
 
 
 @st.composite

@@ -462,6 +462,8 @@ def test_fuzzed_inputs_never_crash(capsys, tmp_path):
         ).encode(),
         # past the interpreter's recursion limit
         b"[" * 200000,
+        # a JSON integer literal past the interpreter's int() digit limit
+        b'{"p": ' + b"1" * 5000 + b"}",
     ]
     for _ in range(20):
         samples.append(bytes(rng.randrange(256) for _ in range(rng.randrange(1, 80))))
@@ -473,6 +475,20 @@ def test_fuzzed_inputs_never_crash(capsys, tmp_path):
             err = capsys.readouterr().err
             assert code == 2, (argv, blob)
             assert "unexpected error" not in err, (argv, blob[:80], err)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int() digit limit")
+@pytest.mark.parametrize(
+    "command",
+    [["check", "{}"], ["bell", "chsh", "{}"], ["decompose", "{}"], ["model", "verify", "{}", "--against", "{}"]],
+)
+def test_a_json_integer_past_the_digit_limit_is_a_file_format_error(command, capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_bytes(b'{"p": ' + b"1" * 5000 + b"}")
+    assert main([arg.format(path) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} holds a number too long to read")
+    assert "unexpected error" not in err
 
 
 # -- check on invalid and w-extension models --------------------------------

@@ -322,6 +322,50 @@ def test_oracle_agreement_on_random_boxes_desk_scale():
         assert report.ok, report.summary()
 
 
+def test_the_audit_does_not_judge_the_residual_of_a_signalling_target():
+    # table1 with its first two cells swapped moves one of Bob's marginals
+    # at one setting pair only.
+    box = table1_box()
+    d = max_local_content(box)
+    target = Behavior(*box.spaces, (box.table[1], box.table[0], *box.table[2:]))
+    assert not is_no_signalling(target)[0]
+    report = verify_decomposition(d, target)
+    assert [(check.name, check.detail) for check in report.checks if not check.ok] == [
+        ("reconstruction_exact", "first differing cell index 0")
+    ]
+    assert "residual_no_signalling" not in [check.name for check in report.checks]
+
+
+def test_the_audit_names_a_signalling_residual():
+    # A valid residual on table1's spaces whose Alice outcome follows Bob's
+    # setting: the audit must judge the residual's own marginals.
+    box = table1_box()
+    d = max_local_content(box)
+    b0, (x0, x1), y0 = box.settings_b.labels[0], box.outcomes_x.labels[:2], box.outcomes_y.labels[0]
+    residual = Behavior.from_function(
+        *box.spaces, lambda a, b, x, y: ONE if (x, y) == (x0 if b == b0 else x1, y0) else ZERO
+    )
+    report = verify_decomposition(LocalDecomposition(d.vertices, d.weights, residual, d.local_content), box)
+    failed = [check.name for check in report.checks if not check.ok]
+    assert failed == ["reconstruction_exact", "residual_no_signalling"]
+
+
+def _tilted_table1() -> Behavior:
+    """table1 mixed with a vertex at weight 1/(2**89 - 1): a denominator
+    past 2**64 beside table1's sqrt2 cells."""
+    tilt = Scalar(Fraction(1, 2**89 - 1))
+    return mix([(tilt, enumerate_local_vertices(CHSH_SPACES)[5]), (ONE - tilt, table1_box())])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 1, 2, 3), (3, 2, 2, 2), (2, 2, 3, 2), (2, 2, 3, 3), None])
+def test_every_desk_shape_gives_an_audited_and_certified_decomposition(shape):
+    box = _tilted_table1() if shape is None else random_ns_behavior(random.Random(16), numbered_spaces(*shape))
+    d = max_local_content(box)
+    report = verify_decomposition(d, box)
+    assert report.ok, report.summary()
+    assert check_certificate(content_lp_problem(box, enumerate_local_vertices(box.spaces)), d.certificate)
+
+
 def test_monotonicity_of_content_under_vertex_mixing():
     rng = random.Random(99)
     vertices = enumerate_local_vertices(CHSH_SPACES)

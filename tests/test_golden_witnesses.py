@@ -4,28 +4,21 @@ The simplex skips terms with a zero factor; that must change no pivot, so
 the primal vector, the duals and the decomposition support below stay
 exactly as first recorded.  A skip that altered pivot order would still
 give the same optimum but a different vertex or dual vector.  The
-no-signalling LP is pinned twice: as hvlab builds it, in Collins-Gisin
-coordinates, and as the equality-pair reference builds it.  The negated
-rows of the latter need a phase one, which ``solve_lp`` does not have:
-it refuses that LP, and the reference solver, which keeps phase one,
-must still return the values first recorded from hvlab's solver.
+no-signalling LP is pinned as hvlab builds it, in Collins-Gisin
+coordinates; ``ns_bound`` must still give the values first recorded
+from the equality-pair LP it replaced.
 """
 
 import random
 from fractions import Fraction
-
-import pytest
 
 from helpers import random_ns_behavior
 from hvlab.bell import BellExpression, _ns_lp, chsh, ns_bound
 from hvlab.boxes import Behavior, LabelSet, deterministic_behavior, mix
 from hvlab.catalog import table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
-from hvlab.errors import LpFailure
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
 from hvlab.simplex import LpSolution, check_certificate, solve_lp
-from reference_scenario import ns_lp
-from reference_simplex import reference_solve_lp
 
 A = "1/4-1/8*sqrt2"
 
@@ -42,16 +35,6 @@ def test_table1_content_lp_solution():
     assert solution.value == parse_scalar("2-1*sqrt2")
 
 
-def test_chsh_ns_lp_solution():
-    problem = ns_lp(chsh())
-    with pytest.raises(LpFailure):
-        solve_lp(problem)
-    solution = reference_solve_lp(problem)
-    assert solution.q == _scalars("1/2 0 0 1/2 0 1/2 1/2 0 1/2 0 0 1/2 1/2 0 0 1/2".split())
-    assert solution.dual == _scalars(["1", "0", "1", "0", "1", "0", "1", "0"] + ["0"] * 16)
-    assert solution.value == parse_scalar("4")
-
-
 def test_chsh_collins_gisin_ns_lp_solution():
     problem = _ns_lp(chsh())
     solution = solve_lp(problem)
@@ -60,6 +43,7 @@ def test_chsh_collins_gisin_ns_lp_solution():
     # The LP value plus the expression's constant part, 2.
     assert solution.value == parse_scalar("2")
     assert check_certificate(problem, solution)
+    assert ns_bound(chsh()) == parse_scalar("4")
 
 
 def _box_3322() -> Behavior:
@@ -161,34 +145,6 @@ def _expression_3322() -> BellExpression:
         "1 1 1/2 1 -1*sqrt2 1*sqrt2 1/2 0 1/2 0 1 -1*sqrt2".split()
     )
     return BellExpression(settings, settings, outcomes, outcomes, coefficients)
-
-
-def test_3322_sqrt2_ns_lp_solution():
-    problem = ns_lp(_expression_3322())
-    with pytest.raises(LpFailure):
-        solve_lp(problem)
-    solution = reference_solve_lp(problem)
-    assert solution.q == _scalars("0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0 0 0 0 1 0 0 1 0 0 0 1 0".split())
-    dual = ["0"] * 66
-    for i, value in {
-        0: "3-2*sqrt2",
-        2: "1/2",
-        6: "1*sqrt2",
-        8: "1*sqrt2",
-        10: "1*sqrt2",
-        12: "1",
-        14: "1*sqrt2",
-        19: "-2+2*sqrt2",
-        33: "-1+1*sqrt2",
-        47: "-2+2*sqrt2",
-        53: "-1/2+1*sqrt2",
-        58: "-1+1*sqrt2",
-        60: "1",
-    }.items():
-        dual[i] = value
-    assert solution.dual == _scalars(dual)
-    assert solution.value == parse_scalar("9/2+2*sqrt2")
-    assert check_certificate(problem, solution)
 
 
 def test_3322_sqrt2_collins_gisin_ns_lp_solution():

@@ -45,6 +45,8 @@ from hvlab.hvmodel import (
     nontrivial_weight,
     reconstruct,
     uniform_distribution,
+    _check_distribution,
+    validate_extended_model,
     validate_model,
 )
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
@@ -447,6 +449,125 @@ def test_first_mover_refuses_past_the_cell_budget_before_building_anything(monke
     # The largest such model within the budget gets past the check.
     with pytest.raises(AssertionError, match="past the budget check"):
         first_mover_joint(_distinct_pairs_model(inside), uniform_distribution(SA), uniform_distribution(SB))
+
+
+def test_first_mover_cells_are_the_product_of_their_factors():
+    # Pairs share u and v labels, one has weight 0, the weights and Alice's
+    # distribution carry sqrt2 parts, so do the last kernel's marginals, and
+    # the signalling kernel's Alice marginal moves with b.
+    tilt = SQRT2 / 8
+    weights = (ONE / 2 - tilt, ZERO, ONE / 4 + tilt, ONE / 4)
+    pairs = (("u0", "v0"), ("u0", "v1"), ("u1", "v1"), ("u2", "v0"))
+    vertex = deterministic_behavior(SA, SB, OX, OY, ("+1", "-1"), ("+1", "+1"))
+    tilted = mix([(2 * tilt, vertex), (ONE - 2 * tilt, uniform_behavior(SA, SB, OX, OY))])
+    kernels = (table1_box(), pr_box(), _signalling_kernel(), tilted)
+    model = HiddenVariableModel(pairs, weights, kernels)
+    p_a, p_b = {"0": ONE / 2 + tilt, "2": ONE / 2 - tilt}, {"1": ONE / 3, "3": 2 * ONE / 3}
+    joint = first_mover_joint(model, p_a, p_b)
+    factors = {pair: (weight, kernel) for pair, weight, kernel in model.items()}
+    for assignment, value in zip(joint.assignments(), joint.table):
+        a, b, u, v, x = assignment
+        weight, kernel = factors.get((u, v), (ZERO, None))
+        expected = ZERO if kernel is None else p_a[a] * p_b[b] * weight * marginal(kernel, "alice", (a, b))[x]
+        assert value == expected, assignment
+
+
+def _bad_kernel() -> Behavior:
+    """table1 with its first cell set to -1/8."""
+    return Behavior(SA, SB, OX, OY, (parse_scalar("-1/8"),) + table1_box().table[1:])
+
+
+def _other_spaces_box() -> Behavior:
+    return uniform_behavior(SA, SB, OX, LabelSet(("0", "1", "2")))
+
+
+def test_a_model_report_lists_every_problem():
+    weights = (parse_scalar("-1/2"), parse_scalar("-1/2*sqrt2"), parse_scalar("2"))
+    model = HiddenVariableModel((("u", "v"), ("w", "z"), ("s", "t")), weights, (pr_box(), _bad_kernel(), pr_box()))
+    assert validate_model(model).summary() == (
+        "negative weight -1/2 at pair ('u', 'v'); negative weight -1/2*sqrt2 at pair ('w', 'z'); "
+        "weights sum to 3/2-1/2*sqrt2, expected 1; "
+        "kernel at pair ('w', 'z'): negative cell P(+1,+1|0,1) = -1/8; row (0,1) sums to 5/8-1/8*sqrt2"
+    )
+
+
+def test_an_extended_model_lists_every_problem_by_pair_and_w():
+    extensions = (
+        WExtension(LabelSet(("w0", "w1")), (HALF, HALF), (pr_box(), _bad_kernel())),
+        WExtension(LabelSet(("x", "y")), (parse_scalar("-1/2*sqrt2"), ONE), (pr_box(), pr_box())),
+    )
+    model = ExtendedModel((("u", "v"), ("w", "z")), (parse_scalar("3/2"), parse_scalar("-1/2")), extensions)
+    assert validate_extended_model(model) == [
+        "negative weight -1/2 at pair ('w', 'z')",
+        "kernel at pair ('u', 'v'), w=w1: negative cell P(+1,+1|0,1) = -1/8; row (0,1) sums to 5/8-1/8*sqrt2",
+        "negative weight -1/2*sqrt2 for w=x at pair ('w', 'z')",
+        "w weights at pair ('w', 'z') sum to 1-1/2*sqrt2, expected 1",
+    ]
+
+
+def _one_w(*kernels) -> tuple[WExtension, ...]:
+    return tuple(WExtension(LabelSet(("w",)), (ONE,), (kernel,)) for kernel in kernels)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HiddenVariableModel((), (), ()), "model needs at least one hidden pair"),
+        (lambda: ExtendedModel((), (), ()), "model needs at least one hidden pair"),
+        (lambda: HiddenVariableModel((("u", "v"),), (ONE, HALF), (pr_box(),)), "pairs, weights and kernels must align"),
+        (lambda: ExtendedModel((("u", "v"),), (ONE,), ()), "pairs, weights and extensions must align"),
+        (lambda: HiddenVariableModel(((0, 1), ("0", "1")), (HALF, HALF), (pr_box(),) * 2), "duplicate hidden pairs"),
+        (lambda: ExtendedModel(((0, 1), ("0", "1")), (HALF, HALF), _one_w(pr_box(), pr_box())), "duplicate hidden pairs"),
+        (
+            lambda: HiddenVariableModel((("u", "v"), ("w", "z")), (HALF, HALF), (pr_box(), _other_spaces_box())),
+            "kernels must share one set of spaces",
+        ),
+        (
+            lambda: ExtendedModel(
+                (("u", "v"),), (ONE,), (WExtension(LabelSet(("0", "1")), (HALF, HALF), (pr_box(), _other_spaces_box())),)
+            ),
+            "kernels must share one set of spaces",
+        ),
+    ],
+    ids=["empty", "extended-empty", "misaligned", "extended-misaligned", "pair-twice", "extended-pair-twice",
+         "mixed-spaces", "extended-mixed-w-spaces"],
+)
+def test_every_model_structure_refusal_has_its_message(build, message):
+    with pytest.raises(InvalidModel) as refusal:
+        build()
+    assert str(refusal.value) == message
+
+
+def test_a_model_reads_its_weights_and_labels_as_given():
+    model = HiddenVariableModel([(0, 1)], ["1"], [pr_box()])
+    assert (model.pairs, model.weights, model.kernels) == ((("0", "1"),), (ONE,), (pr_box(),))
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a scalar"):
+        HiddenVariableModel((("u", "v"),), (0.5,), (pr_box(),))
+
+
+_SETTINGS = LabelSet(("0", "1", "2"))
+
+
+@pytest.mark.parametrize(
+    "dist, error, message",
+    [
+        ({"0": ONE, "1": -ONE / 2, "2": 0.5}, InvalidDistribution, "p has negative weight at '1'"),
+        ({"0": 0.5, "1": -ONE / 2, "2": ONE}, TypeError, "cannot interpret 0.5 as a scalar"),
+        ({"0": ONE, "1": "1/2*sqrt2", "2": 0}, InvalidDistribution, "p sums to 1+1/2*sqrt2, expected 1"),
+        ({"0": ONE, "1": ONE}, InvalidDistribution, "p must assign a weight to exactly the settings ('0', '1', '2')"),
+    ],
+    ids=["negative-before-unreadable", "unreadable-before-negative", "sum", "keys"],
+)
+def test_every_setting_distribution_refusal_has_its_message(dist, error, message):
+    with pytest.raises(error) as refusal:
+        _check_distribution(dist, _SETTINGS, "p")
+    assert str(refusal.value) == message
+
+
+def test_a_setting_distribution_is_read_in_the_order_of_its_settings():
+    # Neither the mapping's order nor the sorted one.
+    dist = _check_distribution({"2": "1/2*sqrt2", "0": 0, "1": ONE - SQRT2 / 2}, LabelSet(("1", "2", "0")), "p")
+    assert list(dist.items()) == [("1", ONE - SQRT2 / 2), ("2", SQRT2 / 2), ("0", ZERO)]
 
 
 # -- properties ----------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""The README's command-line blocks run exactly as written."""
+"""The README's command-line blocks and library example run exactly as
+written, and it states every limit a user can hit."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from hvlab import bell, boxes, decompose, hvmodel
 from hvlab.boxes import LabelSet, deterministic_behavior
 from hvlab.catalog import table1_box
 from hvlab.cli import main
@@ -20,8 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
+def _section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _command_lines() -> list[str]:
-    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Command line")
     blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
     return [line for block in blocks for line in block.splitlines() if line.startswith("hvlab ")]
 
@@ -50,7 +58,7 @@ def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
 
 
 def _script_lines() -> list[str]:
-    section = README.read_text(encoding="utf-8").split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Scripts")
     block = re.findall(r"```sh\n(.*?)```", section, re.S)[0]
     return [line for line in block.splitlines() if line.startswith("python ")]
 
@@ -86,3 +94,26 @@ def test_readme_scripts_run_as_written(tmp_path, capsys):
     assert len(contents) == 11
     assert all(content == "1" for w, content in contents.items() if w <= Fraction(1, 2))
     assert contents[Fraction(1)] == "0"
+
+
+def test_readme_library_block_prints_what_its_comments_say():
+    block = re.findall(r"```python\n(.*?)```", _section("Library"), re.S)[0]
+    expected = [line.split("# ", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected == ["1-1/2*sqrt2", "2*sqrt2", "2-1*sqrt2"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_readme_states_every_size_budget_and_exit_code():
+    budgets = _section("Size budgets")
+    for name, value in (
+        ("boxes.STRATEGY_BUDGET", boxes.STRATEGY_BUDGET),
+        ("decompose.VERTEX_CELL_BUDGET", decompose.VERTEX_CELL_BUDGET),
+        ("bell.NS_CELL_BUDGET", bell.NS_CELL_BUDGET),
+        ("hvmodel.FIRST_MOVER_CELL_BUDGET", hvmodel.FIRST_MOVER_CELL_BUDGET),
+    ):
+        assert re.search(rf"^\| `{re.escape(name)}` \| {value} \|", budgets, re.M), name
+    codes = re.findall(r"^\| `(\d+)` \|", _section("Exit codes and guarantees"), re.M)
+    assert codes == ["0", "1", "2", "141"]
