@@ -503,6 +503,8 @@ class JointTable(Frozen):
         yield from product(*(space.labels for _, space in self.variables))
 
     def value(self, assignment: Sequence[str]) -> Scalar:
+        if len(assignment) != len(self.variables):
+            raise ValueError(f"assignment has {len(assignment)} values for {len(self.variables)} variables")
         index = 0
         for (name, space), label in zip(self.variables, assignment):
             pos = space.position(label)

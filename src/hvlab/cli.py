@@ -372,7 +372,7 @@ def _cmd_catalog_show(args: argparse.Namespace) -> int:
     listing = catalog_module.entries()
     entry = listing.get(args.key)
     if entry is None:
-        print(f"unknown catalog key {args.key!r}; try 'hvlab catalog list'", file=sys.stderr)
+        print(f"error: unknown catalog key {args.key!r}; try 'hvlab catalog list'", file=sys.stderr)
         return 2
     lines = [f"key: {entry.key}", f"kind: {entry.kind}", f"note: {entry.note}"]
     if entry.kind == "scalar":
@@ -520,7 +520,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     demos = {"appendix-a": _demo_appendix_a, "appendix-b": _demo_appendix_b}
     runner = demos.get(args.name)
     if runner is None:
-        print(f"unknown demo {args.name!r}; available: {', '.join(sorted(demos))}", file=sys.stderr)
+        print(f"error: unknown demo {args.name!r}; available: {', '.join(sorted(demos))}", file=sys.stderr)
         return 2
     lines: list[str] = [f"demo: {args.name}"]
     steps: list[dict[str, Any]] = []

@@ -11,15 +11,17 @@ an exact LP over the vertex weights, solved by the field simplex.
 A zero cell of the box rules out every vertex with a unit there: the box
 dominates sum_k q_k * D_k with q and D nonnegative, so on a cell where
 the box is 0 every vertex through that cell has weight 0.
-:func:`max_local_content` therefore solves the LP only over the vertices
-that put no unit on a zero cell, and only over the box's nonzero cells
-(the presolve step for a row with zero right-hand side and nonnegative
-entries; Andersen and Andersen, Math. Prog. 71, 221 (1995)).  It lifts
-that LP's answer to a certificate of the full LP of
+:func:`max_local_content` therefore solves the LP over every cell of the
+box but only over the vertices that put no unit on a zero cell (the
+presolve step for a row with zero right-hand side and nonnegative
+entries; Andersen and Andersen, Math. Prog. 71, 221 (1995)).  A zero
+cell's row is then 0 in every kept column and in ``b``, so its slack
+stays basic through every pivot, with dual 0, and the pivots, weights,
+value and dual on the other cells are those of the LP without that row.
+The solved LP's answer lifts to a certificate of the full LP of
 :func:`content_lp_problem`: the weights are 0 on the dropped vertices
-and the dual is the reduced one on the kept cells and 1 on every zero
-cell.  Every dropped vertex has a unit on a zero cell and y, D >= 0, so
-y.D >= 1 for it, and y.b is unchanged since b is 0 there; the lifted
+and the dual is the solved one with 1 on every zero cell.  Every dropped vertex has a unit on a zero cell and y, D >= 0,
+so y.D >= 1 for it, and y.b is unchanged since b is 0 there; the lifted
 pair passes :func:`check_certificate` with the same value.  A box with
 no zero cell drops nothing and solves the full LP.
 
@@ -34,9 +36,9 @@ certificate problem, ``hvlab decompose --verify`` and the demos) the same
 tuple of the same vertex objects, and that tuple carries the transposed
 vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
 :func:`content_lp_problem` reuses for it (any other tuple gets a matrix
-of its own) and from which :func:`max_local_content` cuts its support
-LP's matrix with ``Matrix.restrict``, checking no entry again.  Entries
-are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
+of its own) and whose kept columns :func:`max_local_content` hands to
+the plain ``Matrix`` constructor as they are, checking no entry again.
+Entries are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
 spaces.  With two settings and eight outcomes per side (4096 vertices of
 256 cells) one entry takes about 9.8 MiB, measured with tracemalloc
 under Python 3.11: 8.6 MiB of vertex tables (references to the shared
@@ -79,7 +81,7 @@ from .boxes import (
     uniform_behavior,
     validate_behavior,
 )
-from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded
+from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_scalar
@@ -152,7 +154,7 @@ class LocalDecomposition:
 
     ``certificate`` is a strong-duality certificate of the full content
     LP, ``content_lp_problem(box, enumerate_local_vertices(box.spaces))``,
-    also when the LP was solved over the box's support only.
+    also when the LP was solved over fewer vertices.
     """
 
     vertices: tuple[Behavior, ...]
@@ -166,12 +168,16 @@ class LocalDecomposition:
 def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> LpProblem:
     """maximize sum(q) s.t. sum_i q_i * D_i <= behavior entrywise, q >= 0.
 
-    The tuple :func:`enumerate_local_vertices` returns brings its own
-    matrix, built once per spaces; any other tuple is transposed here."""
-    if type(vertices) is _LocalVertices:
-        matrix = vertices.matrix
-    else:
-        matrix = _transposed(vertices, len(behavior.table))
+    A vertex on other spaces than the box's is refused with
+    :class:`~hvlab.errors.SpaceMismatch`.  The tuple
+    :func:`enumerate_local_vertices` returns lies on one set of spaces, so
+    only its first vertex is compared, and it brings its own matrix, built
+    once per spaces; any other tuple has every vertex compared and is
+    transposed here."""
+    cached = type(vertices) is _LocalVertices
+    if any(vertex.spaces != behavior.spaces for vertex in (vertices[:1] if cached else vertices)):
+        raise SpaceMismatch("vertex and behavior spaces differ")
+    matrix = vertices.matrix if cached else _transposed(vertices, len(behavior.table))
     return LpProblem((ONE,) * len(vertices), matrix, behavior.table)
 
 
@@ -183,11 +189,16 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
             f"no local decomposition exists for a signalling box ({witness.describe()})"
         )
     vertices = enumerate_local_vertices(behavior.spaces)
-    solution = _solve_over_support(behavior, vertices)
+    # The content LP over every cell and the vertices with no unit on a zero
+    # cell, its columns taken from the cached matrix (see the module docstring).
+    table, columns = behavior.table, vertices.matrix.columns
+    zero = {i for i, cell in enumerate(table) if cell.is_zero()}
+    kept = [k for k, column in enumerate(columns) if zero.isdisjoint(map(_ROW, column))]
+    solution = solve_lp(LpProblem((ONE,) * len(kept), Matrix(len(table), tuple(columns[k] for k in kept)), table))
     if solution.status != OPTIMAL:
         raise LpFailure(f"local-content LP ended {solution.status}")
     content = solution.value
-    support = [(k, q) for k, q in enumerate(solution.q) if q.sign() > 0]
+    support = [(kept[j], q) for j, q in enumerate(solution.q) if q.sign() > 0]
     if content != ONE:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, the box's and the weights' common
@@ -196,7 +207,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         wp, wq, w = _common_denominator([q for _, q in support])
         rp, rq = [p * w for p in bp], [q * w for q in bq]
         for (k, _), p, q in zip(support, wp, wq):
-            for i, _ in vertices.matrix.columns[k]:
+            for i, _ in columns[k]:
                 rp[i] -= p * b
                 rq[i] -= q * b
         cp, cq, cd = content._v
@@ -211,35 +222,19 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     else:
         residual = uniform_behavior(*behavior.spaces)
         residual_used = False
+    # Lifted to the full LP: q is 0 on every dropped vertex, y is 1 on every zero cell.
+    lifted = [ZERO] * len(vertices)
+    for k, v in zip(kept, solution.q):
+        lifted[k] = v
+    dual = tuple(ONE if i in zero else y for i, y in enumerate(solution.dual))
     return LocalDecomposition(
         vertices=tuple(vertices[k] for k, _ in support),
         weights=tuple(q for _, q in support),
         residual=residual,
         local_content=content,
         residual_used=residual_used,
-        certificate=solution,
+        certificate=LpSolution(OPTIMAL, tuple(lifted), content, dual),
     )
-
-
-def _solve_over_support(behavior: Behavior, vertices: _LocalVertices) -> LpSolution:
-    """The content LP over the vertices whose columns put no unit on a
-    zero cell and over the nonzero cells, lifted to a certificate of the
-    full LP (see the module docstring).  Its matrix is cut from the cached
-    one, so no entry is checked again."""
-    matrix, table, n = vertices.matrix, behavior.table, len(vertices)
-    zero = {i for i, cell in enumerate(table) if cell.is_zero()}
-    cells = [i for i in range(len(table)) if i not in zero]
-    kept = [k for k, column in enumerate(matrix.columns) if zero.isdisjoint(map(_ROW, column))]
-    reduced = solve_lp(LpProblem((ONE,) * len(kept), matrix.restrict(cells, kept), [table[i] for i in cells]))
-    if reduced.status != OPTIMAL:
-        return reduced
-    q = [ZERO] * n
-    for k, v in zip(kept, reduced.q):
-        q[k] = v
-    dual = [ONE] * len(table)
-    for i, y in zip(cells, reduced.dual):
-        dual[i] = y
-    return LpSolution(OPTIMAL, tuple(q), reduced.value, tuple(dual))
 
 
 def _vertex_output_tables(behavior: Behavior) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

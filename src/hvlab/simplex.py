@@ -13,9 +13,9 @@ count and each column's nonzero entries, read by both the solver and
 once, entry by entry, when :meth:`Matrix.from_rows` builds the matrix
 from them (every row the same width, every entry a Scalar with no sqrt2
 part).  A builder that writes the columns itself, as the no-signalling
-LP's does with its +-1 entries, and :meth:`Matrix.restrict`, which cuts
-a sub-matrix out of a built one, use the constructor, which checks
-nothing.  :class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and
+LP's does with its +-1 entries, or that takes some columns of a built
+matrix, as the content LP does with its kept vertices, uses the
+constructor, which checks nothing.  :class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and
 keeps a ``Matrix`` as it is, so a matrix that callers share (both of
 hvlab's LPs cache theirs per set of spaces) is built only once.
 
@@ -93,9 +93,9 @@ class Matrix(Frozen):
     :func:`check_certificate` read them.
 
     :meth:`from_rows` builds one from rows of Scalars that a caller
-    supplies and checks each entry; :meth:`restrict` cuts one from
-    another.  The constructor takes the two fields as they are and checks
-    nothing, for builders that write the columns themselves.
+    supplies and checks each entry.  The constructor takes the two fields
+    as they are and checks nothing, for builders that write the columns
+    themselves or take them from another matrix.
     """
 
     height: int
@@ -124,16 +124,6 @@ class Matrix(Frozen):
                     columns[j].append((i, v))
             height = i + 1
         return cls(height, tuple(map(tuple, columns)))
-
-    def restrict(self, rows: Sequence[int], columns: Sequence[int]) -> Matrix:
-        """The sub-matrix whose row r is row ``rows[r]`` and whose column k
-        is column ``columns[k]``; each sequence holds distinct indices in
-        any order.  Each column keeps its entries' Scalars, renumbered by
-        row, so no entry is built or checked again."""
-        # The new row numbers are distinct, so sorting never compares entries.
-        position = {i: r for r, i in enumerate(rows)}
-        kept = tuple(tuple(sorted((position[i], v) for i, v in self.columns[j] if i in position)) for j in columns)
-        return Matrix(len(rows), kept)
 
 
 _TRIPLE = attrgetter("_v")

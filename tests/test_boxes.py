@@ -171,6 +171,18 @@ def test_joint_table_value_reads_the_row_major_cell():
         joint.value(("0", "t3"))
 
 
+@pytest.mark.parametrize("assignment", [("1",), ("1", "0", "0")], ids=["short", "long"])
+def test_joint_table_value_refuses_an_assignment_of_the_wrong_length(assignment):
+    # Zipped with the variables, ("1",) would read the cell A=0, B=1 and
+    # ("1", "0", "0") the cell A=1, B=0.
+    joint = JointTable(
+        (("A", _BITS), ("B", _BITS)), tuple(parse_scalar(text) for text in ("0", "1/6", "1/3", "1/2"))
+    )
+    with pytest.raises(ValueError) as refusal:
+        joint.value(assignment)
+    assert str(refusal.value) == f"assignment has {len(assignment)} values for 2 variables"
+
+
 def _product_joint() -> JointTable:
     setting = LabelSet(("0", "1"))
     data = LabelSet(("t0", "t1", "t2"))

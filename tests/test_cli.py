@@ -382,6 +382,7 @@ def test_catalog_list_and_show(capsys):
     assert report["p"]["0|1"][0][0] == "1/4+1/8*sqrt2"
     code, _, err = run(capsys, "catalog", "show", "nope")
     assert code == 2
+    assert err == "error: unknown catalog key 'nope'; try 'hvlab catalog list'\n"
 
 
 class _ClosedPipe:
@@ -436,6 +437,7 @@ def test_demo_appendix_b(capsys):
 def test_demo_unknown_name(capsys):
     code, _, err = run(capsys, "demo", "unknown")
     assert code == 2
+    assert err == "error: unknown demo 'unknown'; available: appendix-a, appendix-b\n"
 
 
 def test_usage_error_exits_two(capsys):

@@ -392,7 +392,7 @@ def test_an_unused_residual_needs_full_content():
         decomposition_to_model(d)
 
 
-# -- the content LP over the box's support -------------------------------------
+# -- the content LP over the kept vertices -------------------------------------
 
 SUPPORT_SPACES = (
     SMALL_SPACES,
@@ -461,29 +461,47 @@ def _solved_problems(monkeypatch):
     return problems
 
 
+def _kept_columns(solved, box, d) -> list[int]:
+    """Check the one LP that max_local_content solved on ``box``: its
+    right-hand side is the box's table, its columns are the cached columns
+    of the vertices with no unit on a zero cell, the very same objects, and
+    its answer lifts to ``d.certificate`` with q 0 off those vertices and
+    the dual 1 on every zero cell.  Returns the kept vertex indices."""
+    vertices = enumerate_local_vertices(box.spaces)
+    zero = [i for i, cell in enumerate(box.table) if cell.is_zero()]
+    kept = [k for k, vertex in enumerate(vertices) if all(vertex.table[i].is_zero() for i in zero)]
+    assert solved.b == box.table and solved.A.height == len(box.table)
+    assert solved.c == (ONE,) * len(kept) and len(solved.A.columns) == len(kept)
+    assert all(column is vertices.matrix.columns[k] for column, k in zip(solved.A.columns, kept))
+    solution = solve_lp(solved)
+    lifted_q = [ZERO] * len(vertices)
+    for k, q in zip(kept, solution.q):
+        lifted_q[k] = q
+    assert d.certificate.q == tuple(lifted_q)
+    assert d.certificate.value == solution.value == d.local_content
+    assert d.certificate.dual == tuple(ONE if i in zero else y for i, y in enumerate(solution.dual))
+    assert check_certificate(content_lp_problem(box, vertices), d.certificate)
+    return kept
+
+
 def test_pr_box_rules_out_every_vertex(monkeypatch):
     pr = pr_box()
     problems = _solved_problems(monkeypatch)
     d = max_local_content(pr)
-    [reduced] = problems
-    assert reduced.c == ()
-    assert reduced.b == tuple(cell for cell in pr.table if not cell.is_zero())
+    [solved] = problems
+    assert _kept_columns(solved, pr, d) == []
     assert d.local_content == ZERO
-    full = content_lp_problem(pr, enumerate_local_vertices(pr.spaces))
     assert d.certificate.q == (ZERO,) * 16
-    assert check_certificate(full, d.certificate)
 
 
 def test_a_vertex_leaves_one_column(monkeypatch):
     vertices = enumerate_local_vertices(CHSH_SPACES)
     problems = _solved_problems(monkeypatch)
     d = max_local_content(vertices[5])
-    [reduced] = problems
-    assert reduced.c == (ONE,)
-    assert reduced.b == (ONE,) * 4
+    [solved] = problems
+    assert _kept_columns(solved, vertices[5], d) == [5]
     assert d.local_content == ONE
     assert d.vertices == (vertices[5],)
-    assert check_certificate(content_lp_problem(vertices[5], vertices), d.certificate)
 
 
 @pytest.mark.parametrize("spaces", SUPPORT_SPACES, ids=["small", "chsh", "3322", "2233", "3223"])
@@ -497,11 +515,9 @@ def test_a_warm_cache_builds_no_matrix_from_rows(spaces, monkeypatch):
 
     monkeypatch.setattr(Matrix, "from_rows", refuse)
     d = max_local_content(box)
-    [reduced] = problems
-    assert 0 < len(reduced.c) < len(vertices) and 0 < len(reduced.b) < len(box.table)
-    full = content_lp_problem(box, vertices)
-    assert check_certificate(full, d.certificate)
-    assert d.local_content == solve_lp(full).value
+    [solved] = problems
+    assert 0 < len(_kept_columns(solved, box, d)) < len(vertices)
+    assert d.local_content == solve_lp(content_lp_problem(box, vertices)).value
 
 
 @pytest.mark.parametrize("box", [table1_box(), noise_box()], ids=["table1", "noise"])

@@ -27,7 +27,14 @@ from helpers import (
     random_ns_behavior,
 )
 from hvlab.bell import BellExpression, _ns_constraints, _ns_lp, chsh, evaluate, local_bound, ns_bound
-from hvlab.boxes import CACHED_SPACES, Behavior, deterministic_behavior, is_no_signalling, marginal
+from hvlab.boxes import (
+    CACHED_SPACES,
+    Behavior,
+    deterministic_behavior,
+    is_no_signalling,
+    marginal,
+    uniform_behavior,
+)
 from hvlab.catalog import noise_box, pr_box, table1_box
 from hvlab.decompose import (
     LocalDecomposition,
@@ -39,7 +46,7 @@ from hvlab.decompose import (
     max_local_content,
     verify_decomposition,
 )
-from hvlab.errors import InvalidBehavior, SizeBudgetExceeded
+from hvlab.errors import InvalidBehavior, SizeBudgetExceeded, SpaceMismatch
 from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
 from hvlab.simplex import LpProblem, Matrix, check_certificate
@@ -147,6 +154,29 @@ def test_content_lp_on_a_caller_built_vertex_tuple(pick):
     problem = content_lp_problem(box, vertices)
     assert problem.A is not cached.matrix
     assert problem == _transposed_problem(box, vertices)
+
+
+def _mixed_vertex_tuple(box):
+    """Vertices of 36 cells each, the first on the 2233 box's spaces and
+    the rest on 3322 ones."""
+    return enumerate_local_vertices(box.spaces)[:1] + enumerate_local_vertices(numbered_spaces(3, 3, 2, 2))[1:]
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        lambda box: enumerate_local_vertices(numbered_spaces(3, 3, 2, 2)),
+        lambda box: enumerate_local_vertices(numbered_spaces(2, 2, 2, 2)),
+        _mixed_vertex_tuple,
+    ],
+    ids=["cached-3322", "cached-2222", "caller-built-mixed"],
+)
+def test_content_lp_refuses_vertices_on_other_spaces(vertices):
+    # Without the check, the cached 3322 vertices (36 cells, like the box)
+    # give a certified "optimal" 4/9 for a box of content 1.
+    box = uniform_behavior(*numbered_spaces(2, 2, 3, 3))
+    with pytest.raises(SpaceMismatch, match="^vertex and behavior spaces differ$"):
+        content_lp_problem(box, vertices(box))
 
 
 # -- direct vertex audit -------------------------------------------------------

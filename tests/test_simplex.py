@@ -430,26 +430,6 @@ def test_lp_problem_keeps_a_matrix_of_its_width():
     assert LpProblem((ONE, ONE), (), ()).A.columns == ((), ())
 
 
-def _distinct_indices(data, size: int) -> list[int]:
-    """Distinct indices below size, some or none, sorted or in any order."""
-    picked = data.draw(st.permutations(range(size)))[: data.draw(st.integers(0, size))]
-    return sorted(picked) if data.draw(st.booleans()) else picked
-
-
-@given(_matrix_rows(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_restrict_equals_the_matrix_of_the_dense_sub_rows(drawn, data):
-    rows, n = drawn
-    matrix = Matrix.from_rows(rows, n)
-    kept_rows, kept_columns = _distinct_indices(data, len(rows)), _distinct_indices(data, n)
-    sub = matrix.restrict(kept_rows, kept_columns)
-    expected = Matrix.from_rows([[rows[i][j] for j in kept_columns] for i in kept_rows], len(kept_columns))
-    # The same row count, and columns renumbered by row that hold the very
-    # entry objects of the dense rows.
-    assert sub == expected
-    assert all(a is b for got, want in zip(sub.columns, expected.columns) for (_, a), (_, b) in zip(got, want))
-
-
 @given(_field_problems())
 @settings(max_examples=100, deadline=None)
 def test_problems_from_a_matrix_equal_those_from_plain_rows(problem):
