@@ -239,11 +239,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     lines.append(f"local_content: {_display(decomposition.local_content)}")
     report["vertices_used"] = len(decomposition.vertices)
     lines.append(f"vertices_used: {len(decomposition.vertices)}")
-    report["residual_used"] = decomposition.residual_used
-    if decomposition.residual_used:
-        remainder = _display(Scalar(1) - decomposition.local_content)
-        lines.append(f"residual_weight: {remainder}")
-        _scalar_fields(report, "residual_weight", Scalar(1) - decomposition.local_content)
+    report["residual_used"] = decomposition.residual is not None
+    if decomposition.residual is not None:
+        remainder = Scalar(1) - decomposition.local_content
+        lines.append(f"residual_weight: {_display(remainder)}")
+        _scalar_fields(report, "residual_weight", remainder)
     failed = False
     if args.verify:
         verification = verify_decomposition(decomposition, behavior)

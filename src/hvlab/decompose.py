@@ -6,7 +6,9 @@ splits as p * (mixture of local deterministic vertices) plus
 equivalent to the remainder being a valid behavior, and its
 no-signalling follows automatically because the defining equalities are
 affine and hold for the box and for every vertex.  The maximization is
-an exact LP over the vertex weights, solved by the field simplex.
+an exact LP over the vertex weights, solved by the field simplex.  A box
+of content 1 is fully local and has no remainder: the residual of its
+decomposition is None.
 
 A zero cell of the box rules out every vertex with a unit there: the box
 dominates sum_k q_k * D_k with q and D nonnegative, so on a cell where
@@ -20,10 +22,11 @@ stays basic through every pivot, with dual 0, and the pivots, weights,
 value and dual on the other cells are those of the LP without that row.
 The solved LP's answer lifts to a certificate of the full LP of
 :func:`content_lp_problem`: the weights are 0 on the dropped vertices
-and the dual is the solved one with 1 on every zero cell.  Every dropped vertex has a unit on a zero cell and y, D >= 0,
-so y.D >= 1 for it, and y.b is unchanged since b is 0 there; the lifted
-pair passes :func:`check_certificate` with the same value.  A box with
-no zero cell drops nothing and solves the full LP.
+and the dual is the solved one with 1 on every zero cell.  Every
+dropped vertex has a unit on a zero cell and y, D >= 0, so y.D >= 1 for
+it, and y.b is unchanged since b is 0 there; the lifted pair passes
+:func:`check_certificate` with the same value.  A box with no zero cell
+drops nothing and solves the full LP.
 
 This is the standard convex-decomposition quantity; the qualitative
 notion it grounds does not come with a numeric definition, so all
@@ -78,7 +81,6 @@ from .boxes import (
     _strategy_count,
     deterministic_behavior,
     is_no_signalling,
-    uniform_behavior,
     validate_behavior,
 )
 from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudgetExceeded, SpaceMismatch
@@ -97,8 +99,8 @@ _ROW = itemgetter(0)
 # a content LP to match.  Eight outcomes per side (4096 vertices of 256
 # cells, a quarter of the budget) hold about 8.6 MiB of tables and
 # 1.2 MiB of content-LP matrix columns, but the tableau that a solve
-# scatters them into takes the full m x n cells; the largest benchmark
-# rung, 3333, has 729 vertices of 81 cells.
+# scatters them into takes the full m x n cells; the benchmark's largest
+# vertex set, 2233's, has 81 vertices of 36 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -148,9 +150,10 @@ class LocalDecomposition:
     """Vertex weights, remainder box and total local content.
 
     ``vertices`` holds only the support (positive-weight) vertices.
-    When ``local_content`` is one the decomposition is fully local; the
-    residual field then carries an unused uniform box to avoid a 0/0
-    normalization, flagged by ``residual_used``.
+    When ``local_content`` is 1 the decomposition is fully local and has
+    no remainder: ``residual`` is None, as normalizing a remainder of
+    weight 0 would divide 0 by 0.  A residual given with content 1 is
+    audited like any other, with weight 0.
 
     ``certificate`` is a strong-duality certificate of the full content
     LP, ``content_lp_problem(box, enumerate_local_vertices(box.spaces))``,
@@ -159,9 +162,8 @@ class LocalDecomposition:
 
     vertices: tuple[Behavior, ...]
     weights: tuple[Scalar, ...]
-    residual: Behavior
+    residual: Behavior | None
     local_content: Scalar
-    residual_used: bool = True
     certificate: LpSolution | None = None
 
 
@@ -199,6 +201,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         raise LpFailure(f"local-content LP ended {solution.status}")
     content = solution.value
     support = [(kept[j], q) for j, q in enumerate(solution.q) if q.sign() > 0]
+    residual = None
     if content != ONE:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, the box's and the weights' common
@@ -218,10 +221,6 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         scale = b * w * norm
         cells = (_reduced(cd * (p * u - 2 * q * v), cd * (q * u - p * v), scale) for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
-        residual_used = True
-    else:
-        residual = uniform_behavior(*behavior.spaces)
-        residual_used = False
     # Lifted to the full LP: q is 0 on every dropped vertex, y is 1 on every zero cell.
     lifted = [ZERO] * len(vertices)
     for k, v in zip(kept, solution.q):
@@ -232,7 +231,6 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         weights=tuple(q for _, q in support),
         residual=residual,
         local_content=content,
-        residual_used=residual_used,
         certificate=LpSolution(OPTIMAL, tuple(lifted), content, dual),
     )
 
@@ -317,7 +315,7 @@ def _intrinsic_checks(
         if (spaces is not None and vertex.spaces != spaces) or outputs is None
     ]
     inconsistent = "weights are inconsistent with the recorded local content"
-    residual_missing = not d.residual_used and d.local_content != ONE
+    residual_missing = d.residual is None and d.local_content != ONE
     checks = [
         (
             CheckResult("weights_nonnegative", not negative, ", ".join(negative)),
@@ -369,23 +367,23 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     vertices_ok = checks[-1].ok  # vertices_are_local_deterministic
 
     # The residual counts only on the box's own spaces.
-    same_spaces = d.residual.spaces == behavior.spaces
+    same_spaces = d.residual is None or d.residual.spaces == behavior.spaces
     residual_ok = False
     size = len(behavior.table)
-    residual_view = _int_view(d.residual) if d.residual_used else ((0,) * size, (0,) * size, 1)
-    if d.residual_used:
+    residual_view = ((0,) * size, (0,) * size, 1) if d.residual is None else _int_view(d.residual)
+    if d.residual is not None:
         residual_report = validate_behavior(d.residual)
         residual_ok = same_spaces and residual_report.ok
         detail = residual_report.summary() if not residual_report.ok else "residual spaces differ"
         checks.append(CheckResult("residual_valid", residual_ok, "" if residual_ok else detail))
 
     if vertices_ok:
-        if d.residual_used and not same_spaces:
+        if not same_spaces:
             checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
         else:
             # Each weight goes on the unit cells its vertex's output tables name,
             # as ints over the weights' common denominator w.  With the residual
-            # (zero when unused) over s, its weight 1 - content over rd and the
+            # (zero when None) over s, its weight 1 - content over rd and the
             # box over b, each cell is compared times w*rd*s*b.
             _, nb, nx, ny = (len(space) for space in behavior.spaces)
             wp, wq, w = _common_denominator(d.weights)
@@ -434,7 +432,7 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
 
     Each vertex becomes a hidden pair labelled by its output tables
     (collapsed to the bare outcome when constant), and the remainder,
-    when present, becomes the pair ("0","0").  A label already taken,
+    when present, becomes the pair ("0","0") of weight 1 - content.  A label already taken,
     which outcome labels holding "," can cause, gets primes appended to
     both parts until it is not.
     """
@@ -447,8 +445,11 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     spaces = d.vertices[0].spaces if d.vertices else d.residual.spaces
     if any(vertex.spaces != spaces for vertex in d.vertices):
         raise InvalidDecomposition("vertex spaces differ")
-    if d.local_content != ONE and d.residual.spaces != spaces:
-        raise InvalidDecomposition("residual spaces differ")
+    if d.residual is not None:
+        if d.residual.spaces != spaces:
+            raise InvalidDecomposition("residual spaces differ")
+        if not validate_behavior(d.residual).ok:
+            raise InvalidDecomposition("residual is not a valid behavior")
 
     pairs: list[tuple[str, str]] = []
     weights: list[Scalar] = []
@@ -459,9 +460,7 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
         pairs.append(_unused_label(label, taken))
         weights.append(q)
         kernels.append(vertex)
-    if d.local_content != ONE:
-        if not validate_behavior(d.residual).ok:
-            raise InvalidDecomposition("residual is not a valid behavior")
+    if d.residual is not None:
         pairs.append(_unused_label(("0", "0"), taken))
         weights.append(ONE - d.local_content)
         kernels.append(d.residual)

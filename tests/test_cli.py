@@ -185,6 +185,31 @@ def test_decompose_pr(files, capsys):
     assert "local_content: 0" in out
 
 
+@pytest.mark.parametrize(
+    "k, lines",
+    [
+        (0, ["local_content: 1/2 (~0.5000000)", "vertices_used: 1", "residual_weight: 1/2 (~0.5000000)"]),
+        (2, ["local_content: 1 (~1.0000000)", "vertices_used: 4"]),
+    ],
+)
+def test_decompose_reports_a_residual_only_below_full_content(capsys, tmp_path, k, lines):
+    # Half the PR box and half vertex 0 has content 1/2; with vertex 2 the
+    # box is fully local and its decomposition has no residual.
+    from hvlab.boxes import mix
+    from hvlab.decompose import enumerate_local_vertices
+    from hvlab.scalar import HALF
+
+    path = tmp_path / f"pr-vertex-{k}.box.json"
+    save_box(mix([(HALF, pr_box()), (HALF, enumerate_local_vertices(pr_box().spaces)[k])]), path)
+    code, out, _ = run(capsys, "decompose", str(path))
+    assert code == 0
+    assert out.splitlines() == ["maximal local content (decomposition-based)", *lines]
+    code, out, _ = run(capsys, "decompose", str(path), "--format", "json")
+    report = json.loads(out)
+    assert report["residual_used"] is (k == 0)
+    assert report.get("residual_weight") == ("1/2" if k == 0 else None)
+
+
 def test_decompose_signalling_exits_one(files, capsys):
     code, _, err = run(capsys, "decompose", files["signalling"])
     assert code == 1
@@ -512,14 +537,16 @@ def _invalid_model():
 def _extended_model(valid: bool):
     """Pair (s, s) averages the signalling box X=B, Y=A with its
     outcome-flipped twin; pair (d, d) has a plain deterministic kernel.
-    The invalid variant weights w with 3/2 and -1/2 and breaks one kernel."""
+    The invalid variant weights the pairs with 1/2 and 1/3, weights w with
+    3/2 and -1/2 and breaks one kernel."""
     from hvlab.boxes import Behavior, LabelSet, deterministic_behavior
     from hvlab.hvmodel import ExtendedModel, WExtension
 
     box = signalling_box()
     flipped = Behavior(*box.spaces, tuple(v for i in range(0, 16, 4) for v in reversed(box.table[i : i + 4])))
-    w_weights = (parse_scalar("1/2"), parse_scalar("1/2"))
+    w_weights = pair_weights = (parse_scalar("1/2"), parse_scalar("1/2"))
     if not valid:
+        pair_weights = (parse_scalar("1/2"), parse_scalar("1/3"))
         w_weights = (parse_scalar("3/2"), parse_scalar("-1/2"))
         flipped = Behavior(*box.spaces, (parse_scalar("2"),) + flipped.table[1:])
     plain = deterministic_behavior(*box.spaces, ("0", "0"), ("1", "1"))
@@ -527,13 +554,14 @@ def _extended_model(valid: bool):
         WExtension(LabelSet(("0", "1")), w_weights, (box, flipped)),
         WExtension(LabelSet(("0",)), (parse_scalar("1"),), (plain,)),
     )
-    return ExtendedModel((("s", "s"), ("d", "d")), (parse_scalar("1/2"), parse_scalar("1/2")), extensions)
+    return ExtendedModel((("s", "s"), ("d", "d")), pair_weights, extensions)
 
 
 _INVALID_MODEL_PROBLEMS = (
     "weights sum to 5/6, expected 1; kernel at pair ('u1', 'v1'): negative cell P(+1,-1|0,1) = -1/2"
 )
 _INVALID_EXTENDED_PROBLEMS = (
+    "pair weights sum to 5/6, expected 1; "
     "negative weight -1/2 for w=1 at pair ('s', 's'); kernel at pair ('s', 's'), w=1: row (0,0) sums to 3"
 )
 

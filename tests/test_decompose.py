@@ -119,11 +119,12 @@ def test_pr_box_content_zero_and_zero_cells_argument():
     assert decomposition.residual == pr
 
 
-def test_deterministic_vertex_is_fully_local():
-    vertex = enumerate_local_vertices(CHSH_SPACES)[5]
-    decomposition = max_local_content(vertex)
-    assert decomposition.local_content == ONE
-    assert not decomposition.residual_used
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 2, 2), (2, 2, 3, 3)], ids=["2222", "3322", "2233"])
+def test_deterministic_vertex_is_fully_local(shape):
+    # Every vertex is its own decomposition, with no residual.
+    for k, vertex in enumerate(enumerate_local_vertices(numbered_spaces(*shape))):
+        d = max_local_content(vertex)
+        assert (d.local_content, d.vertices, d.weights, d.residual) == (ONE, (vertex,), (ONE,), None), k
 
 
 def test_signalling_input_rejected():
@@ -200,7 +201,6 @@ def test_verify_detects_perturbed_weight():
         weights=(d.weights[0] + parse_scalar("1/1000"),) + d.weights[1:],
         residual=d.residual,
         local_content=d.local_content + parse_scalar("1/1000"),
-        residual_used=d.residual_used,
     )
     report = verify_decomposition(perturbed, box)
     assert not report.ok
@@ -216,7 +216,6 @@ def test_verify_detects_negative_weight():
         weights=(-d.weights[0],) + d.weights[1:],
         residual=d.residual,
         local_content=d.local_content - 2 * d.weights[0],
-        residual_used=d.residual_used,
     )
     report = verify_decomposition(negated, box)
     assert not report.ok
@@ -232,7 +231,7 @@ def test_verify_refuses_a_residual_on_other_spaces(outcomes_y):
     # than the box's.
     residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(outcomes_y))
     assert validate_behavior(residual).ok
-    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content, residual_used=True)
+    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
     checks = {check.name: check for check in verify_decomposition(moved, box).checks}
     assert not checks["residual_valid"].ok
     assert checks["residual_valid"].detail == "residual spaces differ"
@@ -249,7 +248,6 @@ def test_decomposition_to_model_rejects_inconsistent_data():
         weights=d.weights,
         residual=d.residual,
         local_content=d.local_content + ONE,
-        residual_used=True,
     )
     with pytest.raises(InvalidDecomposition):
         decomposition_to_model(broken)
@@ -259,10 +257,20 @@ def test_decomposition_to_model_refuses_a_residual_on_other_spaces():
     box = table1_box()
     d = max_local_content(box)
     residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(("0", "1", "2")))
-    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content, residual_used=True)
+    moved = LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
     assert verify_decomposition(moved, box).summary().count("residual spaces differ") == 2
     with pytest.raises(InvalidDecomposition, match="^residual spaces differ$"):
         decomposition_to_model(moved)
+
+
+def test_decomposition_to_model_refuses_an_invalid_residual():
+    box = table1_box()
+    d = max_local_content(box)
+    # On the box's spaces, but its first cell is -1/8.
+    residual = Behavior(*box.spaces, (parse_scalar("-1/8"),) + d.residual.table[1:])
+    broken = LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
+    with pytest.raises(InvalidDecomposition, match="^residual is not a valid behavior$"):
+        decomposition_to_model(broken)
 
 
 def test_decomposition_to_model_refuses_a_vertex_on_other_spaces():
@@ -272,17 +280,19 @@ def test_decomposition_to_model_refuses_a_vertex_on_other_spaces():
     # A local deterministic vertex, but on other spaces than the first one.
     other = deterministic_behavior(*wider, ("+1", "+1"), ("0", "-1"))
     vertices = (*d.vertices[:-1], other)
-    moved = LocalDecomposition(vertices, d.weights, d.residual, d.local_content, residual_used=True)
+    moved = LocalDecomposition(vertices, d.weights, d.residual, d.local_content)
     assert not verify_decomposition(moved, box).ok
     with pytest.raises(InvalidDecomposition, match="^vertex spaces differ$"):
         decomposition_to_model(moved)
-    # A fully local decomposition carries an unused residual, whose spaces
-    # do not matter.
+    # A fully local decomposition has no residual and becomes its vertices
+    # alone; a residual given with content 1 is checked like any other.
     vertex = enumerate_local_vertices(box.spaces)[5]
     local = max_local_content(vertex)
-    assert local.local_content == ONE and not local.residual_used
-    unused = LocalDecomposition(local.vertices, local.weights, uniform_behavior(*wider), ONE, residual_used=False)
-    assert decomposition_to_model(unused).kernels == (vertex,)
+    assert local.local_content == ONE and local.residual is None
+    assert decomposition_to_model(LocalDecomposition(local.vertices, local.weights, None, ONE)).kernels == (vertex,)
+    given = LocalDecomposition(local.vertices, local.weights, uniform_behavior(*wider), ONE)
+    with pytest.raises(InvalidDecomposition, match="^residual spaces differ$"):
+        decomposition_to_model(given)
 
 
 @pytest.mark.parametrize("tenths", range(11))
@@ -380,10 +390,10 @@ def test_monotonicity_of_content_under_vertex_mixing():
 
 
 def test_an_unused_residual_needs_full_content():
-    # Content 0 with the residual flagged unused: the vertices and weights
-    # are consistent, but nothing rebuilds the box.
+    # Content 0 with no residual: the vertices and weights are consistent,
+    # but nothing rebuilds the box.
     pr = pr_box()
-    d = LocalDecomposition((), (), pr, ZERO, residual_used=False)
+    d = LocalDecomposition((), (), None, ZERO)
     checks = {check.name: check for check in verify_decomposition(d, pr).checks}
     assert not checks["residual_used_unless_fully_local"].ok
     assert checks["residual_used_unless_fully_local"].detail == "local content 0"
@@ -561,7 +571,7 @@ def _corrupted_table1_decomposition(kind: str) -> LocalDecomposition:
         residual = uniform_behavior(box.settings_a, box.settings_b, box.outcomes_x, LabelSet(("0", "1", "2")))
         return LocalDecomposition(d.vertices, d.weights, residual, d.local_content)
     assert kind == "residual_unused"
-    return LocalDecomposition(d.vertices, d.weights, d.residual, d.local_content, residual_used=False)
+    return LocalDecomposition(d.vertices, d.weights, None, d.local_content)
 
 
 AUDIT_FAILURES = {

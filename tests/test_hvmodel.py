@@ -496,9 +496,10 @@ def test_an_extended_model_lists_every_problem_by_pair_and_w():
         WExtension(LabelSet(("w0", "w1")), (HALF, HALF), (pr_box(), _bad_kernel())),
         WExtension(LabelSet(("x", "y")), (parse_scalar("-1/2*sqrt2"), ONE), (pr_box(), pr_box())),
     )
-    model = ExtendedModel((("u", "v"), ("w", "z")), (parse_scalar("3/2"), parse_scalar("-1/2")), extensions)
+    model = ExtendedModel((("u", "v"), ("w", "z")), (parse_scalar("3/2"), parse_scalar("-1/4")), extensions)
     assert validate_extended_model(model) == [
-        "negative weight -1/2 at pair ('w', 'z')",
+        "negative weight -1/4 at pair ('w', 'z')",
+        "pair weights sum to 5/4, expected 1",
         "kernel at pair ('u', 'v'), w=w1: negative cell P(+1,+1|0,1) = -1/8; row (0,1) sums to 5/8-1/8*sqrt2",
         "negative weight -1/2*sqrt2 for w=x at pair ('w', 'z')",
         "w weights at pair ('w', 'z') sum to 1-1/2*sqrt2, expected 1",

@@ -232,7 +232,7 @@ def test_vertex_audit_accepts_exactly_the_enumerated_vertices(behavior):
 @settings(max_examples=100, deadline=None)
 def test_audit_refuses_vertices_on_other_spaces(vertex, same_spaces):
     target = Behavior(*vertex.spaces, vertex.table) if same_spaces else pr_box()
-    d = LocalDecomposition((vertex,), (ONE,), target, ONE, residual_used=False)
+    d = LocalDecomposition((vertex,), (ONE,), None, ONE)
     check = next(c for c in verify_decomposition(d, target).checks if c.name == "vertices_are_local_deterministic")
     assert check.ok == (vertex.spaces == target.spaces and _is_enumerated_vertex(vertex))
 

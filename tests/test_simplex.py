@@ -126,6 +126,31 @@ def test_certificate_rejects_tampering():
     assert not check_certificate(problem, negative_dual)
 
 
+# max q0 + q1 s.t. q0 + q1 <= 1 and an all-zero row: optimum 1 at q = (1, 0)
+# with dual (1, 0).  Each candidate below holds these numbers in another
+# status or shape, and the sums alone would accept the unbounded one and
+# every one an entry short or long: a missing entry reads as 0, and every
+# extra entry is 0.
+_TRAILING_ZEROS = LpProblem((ONE, ONE), ((ONE, ONE), (ZERO, ZERO)), (ONE, ONE))
+_REFUSED_SHAPES = {
+    "unbounded": LpSolution(UNBOUNDED, (ONE, ZERO), ONE, (ONE, ZERO)),
+    "no-q": LpSolution(OPTIMAL, None, ONE, (ONE, ZERO)),
+    "no-value": LpSolution(OPTIMAL, (ONE, ZERO), None, (ONE, ZERO)),
+    "no-dual": LpSolution(OPTIMAL, (ONE, ZERO), ONE, None),
+    "q-short": LpSolution(OPTIMAL, (ONE,), ONE, (ONE, ZERO)),
+    "q-long": LpSolution(OPTIMAL, (ONE, ZERO, ZERO), ONE, (ONE, ZERO)),
+    "dual-short": LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE,)),
+    "dual-long": LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE, ZERO, ZERO)),
+}
+
+
+@pytest.mark.parametrize("candidate", _REFUSED_SHAPES.values(), ids=_REFUSED_SHAPES)
+def test_certificate_refuses_another_status_a_missing_part_or_a_wrong_length(candidate):
+    assert solve_lp(_TRAILING_ZEROS) == LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE, ZERO))
+    assert check_certificate(_TRAILING_ZEROS, LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE, ZERO)))
+    assert check_certificate(_TRAILING_ZEROS, candidate) is False
+
+
 def test_solver_is_deterministic():
     # A tie in the first ratio test (rows 0 and 2), a sqrt2 right-hand
     # side and a negative matrix entry; three pivots to the optimum.
