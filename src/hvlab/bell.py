@@ -29,9 +29,9 @@ builds them once per set of spaces and keeps them for the
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
 once, with its right-hand sides.  The matrix has |A||B||X||Y| rows of
 |A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
-holds it only as each column's nonzero entries, references to the
-shared ONE and -1 Scalars.  Measured with tracemalloc under Python
-3.11, 5522 (100 rows of 35 columns) takes 0.007 MiB, and one setting
+holds it only as each column's nonzero entries, the ints +-1.  Measured
+with tracemalloc under Python 3.11, 5522 (100 rows of 35 columns) takes
+0.012 MiB, and one setting
 with 45 outcomes per side (2025 rows of 2024 columns, just within
 ``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB, and its build, which
 writes no dense row, peaks at 0.84 MiB; the simplex tableau that a solve
@@ -228,9 +228,9 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     built, on every call.
 
     Cell i of the table is b_i - A_i.q, so the expression is
-    c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
-    of ``A``: every entry is +-1, so a coefficient is added or subtracted,
-    in ints over the table's common denominator, its int view.
+    c.b - (A^T.c).q and the objective is -A^T.c, summed from the int
+    entries of the columns of ``A`` in ints over the table's common
+    denominator, its int view.
     """
     na, nb, nx, ny = map(len, expression.spaces)
     rows, columns = na * nb * nx * ny, na * (nx - 1) + nb * (ny - 1) + na * nb * (nx - 1) * (ny - 1)
@@ -244,11 +244,9 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     objective = []
     for column in constraints.columns:
         p = q = 0
-        for i, entry in column:
-            if entry == ONE:
-                p, q = p - ps[i], q - qs[i]
-            else:
-                p, q = p + ps[i], q + qs[i]
+        for i, a in column:
+            p -= a * ps[i]
+            q -= a * qs[i]
         objective.append(_reduced(p, q, den))
     return LpProblem(tuple(objective), constraints, rhs)
 
@@ -269,19 +267,17 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
     rows are exactly the no-signalling boxes, so the LP is always
     feasible and bounded.
 
-    Each entry, the shared ONE or -1, is appended to its column as its
-    row is worked out, so the plain constructor builds the matrix."""
+    Each entry, the int 1 or -1, is appended to its column as its row
+    is worked out, so the plain constructor builds the matrix."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
-    columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(n_alice + n_bob + na * nb * kx * ky)]
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n_alice + n_bob + na * nb * kx * ky)]
 
     def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
         # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
         return ((1, i),) if i < k else ((1, None), *((-1, j) for j in range(k)))
 
-    # A cell's entry is minus the sign of its term.
-    entry = {1: -ONE, -1: ONE}
     for row, (ia, ib, ix, iy) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
         for sx, jx in terms(ix, kx):
             for sy, jy in terms(iy, ky):
@@ -293,7 +289,7 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
                     column = n_alice + ib * ky + jy
                 else:
                     column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                columns[column].append((row, entry[sx * sy]))
+                columns[column].append((row, -sx * sy))  # minus the sign of its term
     matrix = Matrix(na * nb * nx * ny, tuple(map(tuple, columns)))
     return matrix, ((ZERO,) * (nx * ny - 1) + (ONE,)) * (na * nb)
 

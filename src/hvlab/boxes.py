@@ -115,6 +115,11 @@ def _require_setting(space: LabelSet, label: str, side: str) -> int:
     return pos
 
 
+def _require_side(side: str) -> None:
+    if side not in ("alice", "bob"):
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+
+
 def _require_outcome(space: LabelSet, label: str, side: str) -> int:
     pos = space.position(label)
     if pos is None:
@@ -369,8 +374,7 @@ def marginal(behavior: Behavior, side: Side, settings: tuple[str, str]) -> dict[
     a, b = settings
     ia = _require_setting(behavior.settings_a, a, "alice")
     ib = _require_setting(behavior.settings_b, b, "bob")
-    if side not in ("alice", "bob"):
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    _require_side(side)
     na, nb, nx, ny = map(len, behavior.spaces)
     mp, mq, den = _marginal_table(behavior)
     outcomes = behavior.outcomes_x if side == "alice" else behavior.outcomes_y

@@ -37,7 +37,8 @@ spaces, so each process builds them once per set of spaces:
 :func:`enumerate_local_vertices` hands every caller (the content LP, its
 certificate problem, ``hvlab decompose --verify`` and the demos) the same
 tuple of the same vertex objects, and that tuple carries the transposed
-vertex matrix as a :class:`~hvlab.simplex.Matrix`, validated once, which
+vertex matrix as a :class:`~hvlab.simplex.Matrix` of 0/1 ints, built and
+checked once by :meth:`~hvlab.simplex.Matrix.from_rows`, which
 :func:`content_lp_problem` reuses for it (any other tuple gets a matrix
 of its own) and whose kept columns :func:`max_local_content` hands to
 the plain ``Matrix`` constructor as they are, checking no entry again.
@@ -46,9 +47,9 @@ spaces.  With two settings and eight outcomes per side (4096 vertices of
 256 cells) one entry takes about 9.8 MiB, measured with tracemalloc
 under Python 3.11: 8.6 MiB of vertex tables (references to the shared
 ZERO and ONE Scalars) and 1.2 MiB of matrix, whose only view is its
-column lists of each vertex's unit cells.  That is a quarter of
-``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
-about 39 MiB; the simplex tableau of its LP, built from the columns
+column lists of each vertex's unit cells, each a ``(cell, 1)`` pair.
+That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry
+at the budget takes about 39 MiB; the simplex tableau of its LP, built from the columns
 for each solve, holds exactly those m x n cells.  The benchmark's
 largest content rung holds 81 vertices of 36 cells.
 
@@ -138,7 +139,9 @@ def _local_vertices(spaces: Spaces) -> _LocalVertices:
 
 
 def _transposed(vertices: tuple[Behavior, ...], cells: int) -> Matrix:
-    """The matrix whose column j is the table of vertex j."""
+    """The matrix whose column j is the table of vertex j; a vertex with a
+    cell that is not an integer is refused with
+    :class:`~hvlab.errors.IrrationalMatrix`."""
     rows = zip(*(vertex.table for vertex in vertices)) if vertices else ((),) * cells
     return Matrix.from_rows(rows, len(vertices))
 
@@ -175,7 +178,8 @@ def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> Lp
     :func:`enumerate_local_vertices` returns lies on one set of spaces, so
     only its first vertex is compared, and it brings its own matrix, built
     once per spaces; any other tuple has every vertex compared and is
-    transposed here."""
+    transposed here, and a vertex with a cell that is not an integer is
+    refused with :class:`~hvlab.errors.IrrationalMatrix`."""
     cached = type(vertices) is _LocalVertices
     if any(vertex.spaces != behavior.spaces for vertex in (vertices[:1] if cached else vertices)):
         raise SpaceMismatch("vertex and behavior spaces differ")

@@ -70,7 +70,9 @@ class DimensionMismatch(HvlabError):
 
 
 class IrrationalMatrix(HvlabError):
-    """An LP constraint matrix entry has a nonzero sqrt2 part."""
+    """An LP constraint matrix entry is not an integer: it has a fraction
+    or a nonzero sqrt2 part.  A row of fractions is made integer by
+    scaling it, and its right-hand side, by the lcm of its denominators."""
 
 
 class LpFailure(HvlabError):

@@ -39,6 +39,7 @@ from .boxes import (
     _marginal_table,
     _negatives_and_total,
     _remembered,
+    _require_side,
     is_no_signalling,
     marginal,
     mix,
@@ -265,8 +266,10 @@ def guessing_probability(model: HiddenVariableModel, side: Side, setting: str) -
     """Success probability of the best outcome guess given the hidden pair.
 
     Only defined for local models, where the one-side kernel marginal
-    does not depend on the counterpart's setting.
+    does not depend on the counterpart's setting.  A side other than
+    "alice" or "bob" is refused first, with ``ValueError``.
     """
+    _require_side(side)
     local, witness = check_locality(model)
     if not local:
         raise NotLocal(f"guessing probability undefined: {witness.describe()}")

@@ -1,23 +1,27 @@
-"""Exact one-phase simplex over Q(sqrt(2)) with a rational constraint matrix.
+"""Exact one-phase simplex over Q(sqrt(2)) with an integer constraint matrix.
 
 Solves  maximize c.q  subject to  A.q <= b, q >= 0, where the entries of
-``A`` are rational and ``b`` and ``c`` may carry sqrt2 parts: an ``A``
-entry with a nonzero sqrt2 part is refused with
+``A`` are integers and ``b`` and ``c`` may be any values of the field:
+an ``A`` entry with a fraction or a sqrt2 part is refused with
 :class:`~hvlab.errors.IrrationalMatrix`.  Both of hvlab's LPs fit this
-contract, with a 0/±1 matrix and sqrt2 only in ``b`` (the content LP) or
-only in ``c`` (the no-signalling LP).
+contract, with a 0/+-1 matrix and sqrt2 only in ``b`` (the content LP)
+or only in ``c`` (the no-signalling LP).  A caller with rational rows
+scales each row and its b_i by the lcm of the row's denominators, which
+leaves the feasible set, the optimum and q unchanged and divides the
+dual multiplier of that row by the same lcm.
 
 The matrix is a :class:`Matrix`, which holds one view of it: its row
-count and each column's nonzero entries, read by both the solver and
-:func:`check_certificate`.  Rows that a caller supplies are checked
+count and each column's nonzero entries as ints, read by both the solver
+and :func:`check_certificate`.  Rows that a caller supplies are checked
 once, entry by entry, when :meth:`Matrix.from_rows` builds the matrix
-from them (every row the same width, every entry a Scalar with no sqrt2
-part).  A builder that writes the columns itself, as the no-signalling
-LP's does with its +-1 entries, or that takes some columns of a built
-matrix, as the content LP does with its kept vertices, uses the
-constructor, which checks nothing.  :class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and
-keeps a ``Matrix`` as it is, so a matrix that callers share (both of
-hvlab's LPs cache theirs per set of spaces) is built only once.
+from them (every row the same width, every entry a Scalar that is an
+integer).  A builder that writes the columns itself, as the
+no-signalling LP's does with its +-1 entries, or that takes some columns
+of a built matrix, as the content LP does with its kept vertices, uses
+the constructor, which checks nothing.  :class:`LpProblem` builds a
+plain ``A`` into a ``Matrix`` and keeps a ``Matrix`` as it is, so a
+matrix that callers share (both of hvlab's LPs cache theirs per set of
+spaces) is built only once.
 
 :func:`solve_lp` starts from the slack basis, which is feasible exactly
 when ``b >= 0``, and so solves only such problems: a negative
@@ -31,21 +35,20 @@ The tableau is condensed (a dictionary; Chvatal, *Linear Programming*,
 1983, ch. 2-3): it holds only the n nonbasic columns, the m x n cells of
 the matrix and no slack block.  Column j is labelled by its variable
 ``nonbasic[j]`` and row i by its basic variable ``basis[i]``, the slack
-of row i being variable n + i.  Since every basis inverse of a rational
+of row i being variable n + i.  Since every basis inverse of an integer
 matrix is rational, the tableau is kept in integers: row i is Python
 ints over one positive int denominator, with the right-hand side
 ``(rp_i + rq_i*sqrt2)`` over it too.  A solve starts by scattering the
-columns into these rows, row i over the lcm of b_i's denominator and
-those of its own entries.  The reduced costs are two more such rows, P
-and Q for their rational and sqrt2 parts, whose right-hand sides hold
-the objective value's parts; from the slack basis they are -c.  A pivot
-on row r and column c swaps the two labels: row r goes over its entry
-R_c, with its old denominator in column c, and every other row is
-cleared of the entering column and takes the leaving variable's entry
-there, in place when the pivot entry divides its factor, else
-cross-multiplied and brought to lowest terms by one gcd.  These are the
-ints of the dense tableau's nonbasic columns; Scalars are built only for
-the answer.
+columns into these rows, row i over b_i's denominator.  The reduced
+costs are two more such rows, P and Q for their rational and sqrt2
+parts, whose right-hand sides hold the objective value's parts; from
+the slack basis they are -c.  A pivot on row r and column c swaps the
+two labels: row r goes over its entry R_c, with its old denominator in
+column c, and every other row is cleared of the entering column and
+takes the leaving variable's entry there, in place when the pivot entry
+divides its factor, else cross-multiplied and brought to lowest terms by
+one gcd.  These are the ints of the dense tableau's nonbasic columns;
+Scalars are built only for the answer.
 
 Bland's anti-cycling rule is used throughout, so termination is
 guaranteed: enter the nonbasic variable of lowest index (not lowest
@@ -63,15 +66,14 @@ e_r while it is basic in row r, is column k of B^-1.  The dual gives an
 exact strong-duality certificate that :func:`check_certificate`
 verifies in ints too, independent of the pivoting code: q and y each
 over their own common denominator, A.q and y.A summed from the columns'
-entries, each sum over the lcm of the entry denominators it has met (1
-for a 0/+-1 matrix), every row and column decided by the exact sign of
-a cross-multiplied difference.
+int entries over those denominators, every row and column decided by the
+exact sign of a cross-multiplied difference.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -84,13 +86,15 @@ UNBOUNDED = "unbounded"
 
 
 class Matrix(Frozen):
-    """An immutable rational constraint matrix, held as its row count and
+    """An immutable integer constraint matrix, held as its row count and
     its columns and nothing else.
 
     ``columns[j]`` holds the nonzero entries of column j as ``(row,
-    Scalar)`` pairs in row order; the width is ``len(columns)``.  Both
+    int)`` pairs in row order; the width is ``len(columns)``.  Both
     :func:`solve_lp`, which scatters them into its tableau rows, and
-    :func:`check_certificate` read them.
+    :func:`check_certificate` read them.  A rational row is scaled by the
+    lcm of its denominators, with its right-hand side, before it is
+    given.
 
     :meth:`from_rows` builds one from rows of Scalars that a caller
     supplies and checks each entry.  The constructor takes the two fields
@@ -99,14 +103,14 @@ class Matrix(Frozen):
     """
 
     height: int
-    columns: tuple[tuple[tuple[int, Scalar], ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Scalar]], width: int) -> Matrix:
         """The matrix of the given rows, each ``width`` long.  The rows are
-        checked in order: the length of each, then the type and the sqrt2
-        part of each entry."""
-        columns: list[list[tuple[int, Scalar]]] = [[] for _ in range(width)]
+        checked in order: the length of each, then the type of each entry
+        and that it is an integer, with no fraction and no sqrt2 part."""
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(width)]
         height = 0
         for i, row in enumerate(rows):
             row = tuple(row)
@@ -115,13 +119,13 @@ class Matrix(Frozen):
             for j, v in enumerate(row):
                 if not isinstance(v, Scalar):
                     raise TypeError(f"constraint entries must be Scalar, got {type(v).__name__}")
-                p, q, _ = v._v
-                if q:
+                p, q, d = v._v
+                if q or d != 1:
                     raise IrrationalMatrix(
-                        f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be rational"
+                        f"constraint entry ({i}, {j}) is {format_scalar(v)}; the matrix must be integer"
                     )
                 if p:
-                    columns[j].append((i, v))
+                    columns[j].append((i, p))
             height = i + 1
         return cls(height, tuple(map(tuple, columns)))
 
@@ -131,11 +135,13 @@ _ZERO = ZERO._v
 
 
 class LpProblem(Frozen):
-    """maximize c.q subject to A.q <= b, q >= 0, with A rational.
+    """maximize c.q subject to A.q <= b, q >= 0, with A integer.
 
-    A plain ``A``, a sequence of rows, is built into a :class:`Matrix` by
-    :meth:`Matrix.from_rows`, which checks it; a ``Matrix`` is kept as it
-    is and must have the objective's width."""
+    A plain ``A``, a sequence of rows of Scalars, is built into a
+    :class:`Matrix` by :meth:`Matrix.from_rows`, which refuses an entry
+    that is not an integer; a row with fractions is scaled, with its
+    right-hand side, by the lcm of its denominators first.  A ``Matrix``
+    is kept as it is and must have the objective's width."""
 
     c: tuple[Scalar, ...]
     A: Matrix
@@ -272,33 +278,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             )
     n = len(problem.c)
     m = len(problem.b)
-    # Scatter the columns into rows: an integer entry as it is, a fraction
-    # once its row's denominator is known.
+    # Row i and its right-hand side over b_i's denominator.
+    b = list(map(_TRIPLE, problem.b))
+    rp, rq, den = [p for p, _, _ in b], [q for _, q, _ in b], [d for _, _, d in b]
     rows = [[0] * n for _ in range(m)]
-    fractions = []
     for j, column in enumerate(problem.A.columns):
         for i, a in column:
-            p, _, d = a._v
-            if d == 1:
-                rows[i][j] = p
-            else:
-                fractions.append((i, j, p, d))
-    # Row i and its right-hand side over the lcm of their denominators.
-    b = list(map(_TRIPLE, problem.b))
-    den = [bd for _, _, bd in b]
-    for i, _, _, d in fractions:
-        den[i] = lcm(den[i], d)
-    rp, rq = [], []
-    for i, (bp, bq, bd) in enumerate(b):
-        d = den[i]
-        if d != 1:
-            rows[i] = [v * d for v in rows[i]]
-            scale = d // bd
-            bp, bq = bp * scale, bq * scale
-        rp.append(bp)
-        rq.append(bq)
-    for i, j, p, d in fractions:
-        rows[i][j] = p * (den[i] // d)
+            rows[i][j] = a * den[i]
     # Rows P and Q hold -c: the basic slacks cost 0, so nothing needs pricing out.
     ps, qs, d = _common_denominator(problem.c)
     rows += [[-p for p in ps], [-q for q in qs]]
@@ -322,13 +308,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if v >= n:
             dual[v - n] = _reduced(P[j] * dq, Q[j] * dp, dp * dq)
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), tuple(dual))
-
-
-def _widen(d: int, ad: int) -> tuple[int, int]:
-    """(f, k) that bring a sum over d and an entry over ad to their lcm
-    d*f: the sum's numerators are multiplied by f, the entry's by k."""
-    f = ad // gcd(d, ad)
-    return f, d * f // ad
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
@@ -355,34 +334,22 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     pairs = chain(zip(qp, qq), zip(yp, yq))
     if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, q) < 0 for p, q in pairs):
         return False
-    # A.q: row i is (P[i] + Q[i]*sqrt2) / (D[i]*qd).
-    P, Q, D = [0] * m, [0] * m, [1] * m
+    # A.q: row i is (P[i] + Q[i]*sqrt2) / qd.
+    P, Q = [0] * m, [0] * m
     for j, p, q in zip(support, qp, qq):
         for i, a in problem.A.columns[j]:
-            an, _, ad = a._v
-            if ad != D[i]:
-                f, k = _widen(D[i], ad)
-                P[i], Q[i], D[i] = P[i] * f, Q[i] * f, D[i] * f
-                an *= k
-            P[i] += an * p
-            Q[i] += an * q
-    for (bp, bq, bd), p, q, d in zip(map(_TRIPLE, problem.b), P, Q, D):
-        t = d * qd
-        if _sign(p * bd - bp * t, q * bd - bq * t) > 0:
+            P[i] += a * p
+            Q[i] += a * q
+    for (bp, bq, bd), p, q in zip(map(_TRIPLE, problem.b), P, Q):
+        if _sign(p * bd - bp * qd, q * bd - bq * qd) > 0:
             return False
-    # y.A: column j is (p + q*sqrt2) / (d*yd).
+    # y.A: column j is (p + q*sqrt2) / yd.
     for column, (cp, cq, cd) in zip(problem.A.columns, map(_TRIPLE, problem.c)):
-        p, q, d = 0, 0, 1
+        p = q = 0
         for i, a in column:
-            an, _, ad = a._v
-            if ad != d:
-                f, k = _widen(d, ad)
-                p, q, d = p * f, q * f, d * f
-                an *= k
-            p += an * yp[i]
-            q += an * yq[i]
-        t = d * yd
-        if _sign(p * cd - cp * t, q * cd - cq * t) < 0:
+            p += a * yp[i]
+            q += a * yq[i]
+        if _sign(p * cd - cp * yd, q * cd - cq * yd) < 0:
             return False
     primal = _common_denominator([problem.c[j] * solution.q[j] for j in support])
     dual = _common_denominator(

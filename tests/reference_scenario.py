@@ -121,7 +121,8 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
 
     Cell i of the table is b_i - A_i.q, so the expression is
     c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
-    of ``A``: every entry is +-1, so a coefficient is added or subtracted.
+    of ``A``: every entry is the int +-1, so a coefficient is added or
+    subtracted.
     """
     constraints, rhs = _ns_constraints(expression.spaces)
     coefficients = expression.table
@@ -131,7 +132,7 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
         for i, entry in column:
             coefficient = coefficients[i]
             if not coefficient.is_zero():
-                total = total - coefficient if entry == ONE else total + coefficient
+                total = total - coefficient if entry == 1 else total + coefficient
         objective.append(total)
     return LpProblem(tuple(objective), constraints, rhs)
 

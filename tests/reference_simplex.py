@@ -5,9 +5,9 @@ it is kept here, its pivoting unchanged, only so that the tests can demand that
 ``hvlab.simplex.solve_lp`` returns exactly the same ``LpSolution`` (same
 pivots, so the same primal vertex and dual vector, not just the same
 optimum).  Every entry is a Scalar and every decision an exact Scalar
-comparison.  Its dense rows of Scalars are rebuilt from the matrix's
-columns, the one view a ``Matrix`` holds, with none of the int
-arithmetic the solver scatters them into.
+comparison.  Its dense rows are rebuilt from the matrix's columns of int
+entries, the one view a ``Matrix`` holds, and each entry made a Scalar,
+with none of the int arithmetic the solver scatters them into.
 
 Like ``solve_lp`` it starts from the slack basis and runs one Bland
 phase, so it needs ``b >= 0``.
@@ -21,10 +21,10 @@ from hvlab.scalar import ONE, ZERO, Scalar
 from hvlab.simplex import OPTIMAL, UNBOUNDED, LpProblem, LpSolution
 
 
-def dense_rows(columns: Sequence[Sequence[tuple[int, Scalar]]], m: int) -> list[list[Scalar]]:
-    """The m dense rows of Scalars whose columns' nonzero entries are
-    ``columns``, as ``(row, Scalar)`` pairs."""
-    rows = [[ZERO] * len(columns) for _ in range(m)]
+def dense_rows(columns: Sequence[Sequence[tuple[int, int]]], m: int) -> list[list[int]]:
+    """The m dense rows of ints whose columns' nonzero entries are
+    ``columns``, as ``(row, int)`` pairs."""
+    rows = [[0] * len(columns) for _ in range(m)]
     for j, column in enumerate(columns):
         for i, v in column:
             rows[i][j] = v
@@ -103,7 +103,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     n = len(problem.c)
     m = len(problem.b)
     matrix = dense_rows(problem.A.columns, m)
-    rows = [matrix[i] + [ONE if k == i else ZERO for k in range(m)] for i in range(m)]
+    rows = [[Scalar(a) for a in matrix[i]] + [ONE if k == i else ZERO for k in range(m)] for i in range(m)]
     tableau = _Tableau(rows, list(problem.b), list(problem.c) + [ZERO] * m)
     if tableau.run_bland() == UNBOUNDED:
         return LpSolution(UNBOUNDED)

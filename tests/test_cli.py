@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hvlab.bell
+from hvlab.boxes import LabelSet, uniform_behavior
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.cli import main
 from hvlab.formats import load_model, save_box, save_model
@@ -427,9 +428,15 @@ def test_closed_stdout_ends_quietly_with_141(capsys, monkeypatch):
     assert "unexpected error" not in err
 
 
-def test_closed_stdout_pipe_in_a_fresh_process():
+def _cli_env(**extra):
+    """The environment of a fresh ``python -m hvlab.cli``: this checkout's
+    sources first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
+def _list_into_a_closed_pipe(tmp_path):
+    """``catalog list`` into a pipe whose read end is closed before it starts."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -437,14 +444,37 @@ def test_closed_stdout_pipe_in_a_fresh_process():
             [sys.executable, "-m", "hvlab.cli", "catalog", "list"],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
-            text=True,
+            env=_cli_env(),
             timeout=120,
         )
     finally:
         os.close(write_end)
-    assert result.returncode == 141
-    assert result.stderr == ""  # no "unexpected error", no ignored exception at exit
+    return result.returncode, result.stderr
+
+
+def _unbuffered_json_cut_short(tmp_path):
+    """``model guess --format json`` under PYTHONUNBUFFERED=1, its reader
+    closing after the first bytes: one pair whose kernel has 6000 Alice
+    settings gives a report of about 214 KB, larger than the pipe."""
+    outcomes = LabelSet(("0", "1"))
+    box = uniform_behavior(LabelSet(tuple(map(str, range(6000)))), LabelSet(("0",)), outcomes, outcomes)
+    model = tmp_path / "big.model.json"
+    save_model(HiddenVariableModel((("u", "v"),), (ONE,), (box,)), model)
+    command = [sys.executable, "-m", "hvlab.cli", "model", "guess", str(model), "--side", "A", "--format", "json"]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED="1")
+    ) as process:
+        assert process.stdout.read(10) == b'{\n  "side"'
+        process.stdout.close()
+        stderr = process.stderr.read()
+        return process.wait(timeout=120), stderr
+
+
+@pytest.mark.parametrize("run_cut_short", [_list_into_a_closed_pipe, _unbuffered_json_cut_short])
+def test_closed_stdout_pipe_in_a_fresh_process(tmp_path, run_cut_short):
+    returncode, stderr = run_cut_short(tmp_path)
+    assert returncode == 141
+    assert stderr == b""  # no "unexpected error", no ignored exception at exit
 
 
 def test_demo_appendix_a(capsys):

@@ -33,6 +33,7 @@ from hvlab.decompose import (
     max_local_content,
     verify_decomposition,
 )
+from hvlab.errors import InvalidModel
 from hvlab.frozen import Frozen
 from hvlab.hvmodel import (
     ExtendedModel,
@@ -107,7 +108,7 @@ INSTANCES = {
         lambda: ExtendedModel((("u", "v"),), (ONE,), (_extension(),)),
         ("pairs", "weights", "extensions"),
     ),
-    Matrix: (lambda: Matrix.from_rows(((ONE, HALF), (ZERO, -ONE)), 2), ("height", "columns")),
+    Matrix: (lambda: Matrix.from_rows(((ONE, Scalar(2)), (ZERO, -ONE)), 2), ("height", "columns")),
     LpProblem: (_lp, ("c", "A", "b")),
     LpSolution: (lambda: solve_lp(_lp()), ("status", "q", "value", "dual")),
 }
@@ -158,6 +159,47 @@ def test_value_copies_and_pickles_are_equal_and_immutable(cls):
         assert duplicate == obj and hash(duplicate) == hash(obj)
         with pytest.raises(AttributeError):
             duplicate.note = 1
+
+
+# Fields that contradict each other, each with the error and message that
+# the constructor refuses them with.
+_REFUSED_FIELDS = {
+    "label-set-empty": (lambda: LabelSet(()), ValueError, "label set must not be empty"),
+    "label-empty": (lambda: LabelSet(("0", "")), ValueError, "labels must be non-empty strings, got ''"),
+    "label-not-str": (lambda: LabelSet(("0", 1)), ValueError, "labels must be non-empty strings, got 1"),
+    "ns-witness-equal-values": (
+        lambda: NsWitness("alice", "0", "1", "3", "+1", HALF, HALF),
+        ValueError,
+        "witness values must differ",
+    ),
+    "product-witness-holds": (
+        lambda: ProductWitness((("X", "0"), ("Y", "0")), HALF * HALF, HALF, HALF),
+        ValueError,
+        "witness must violate the product identity",
+    ),
+    "triviality-witness-equal-values": (
+        lambda: TrivialityWitness(("u", "v"), "alice", "0", "1", "+1", HALF, HALF),
+        ValueError,
+        "witness values must differ",
+    ),
+    "w-extension-weight-short": (
+        lambda: WExtension(BITS, (ONE,), (table1_box(), table1_box())),
+        InvalidModel,
+        "w values, weights and kernels must align",
+    ),
+    "w-extension-kernel-short": (
+        lambda: WExtension(BITS, (HALF, HALF), (table1_box(),)),
+        InvalidModel,
+        "w values, weights and kernels must align",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", _REFUSED_FIELDS.values(), ids=_REFUSED_FIELDS)
+def test_a_value_class_refuses_contradictory_fields(build, error, message):
+    with pytest.raises(error) as refusal:
+        build()
+    assert str(refusal.value) == message
 
 
 def test_tensor_kinds_with_one_table_are_not_equal():

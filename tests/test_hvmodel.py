@@ -279,6 +279,21 @@ def test_guessing_probability_refuses_a_nonlocal_model_on_every_call():
             guessing_probability(model, "alice", "0")
 
 
+@pytest.mark.parametrize(
+    "model, setting",
+    [
+        (appendix_a_model, "0"),
+        (appendix_a_model, "1"),
+        (lambda: HiddenVariableModel((("u", "v"),), (ONE,), (signalling_box(),)), "0"),
+    ],
+    ids=["alice-setting", "bob-setting", "nonlocal-model"],
+)
+def test_guessing_probability_refuses_an_unknown_side_first(model, setting):
+    # Neither an Alice setting read as Bob's, nor the locality check, comes first.
+    with pytest.raises(ValueError, match=r"^side must be 'alice' or 'bob', got 'carol'$"):
+        guessing_probability(model(), "carol", setting)
+
+
 def test_guessing_probability_trivial_model_is_half():
     model = _single_pair(table1_box())
     assert guessing_probability(model, "alice", "0") == HALF

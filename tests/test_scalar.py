@@ -91,8 +91,34 @@ def test_int_and_fraction_coercion():
     assert 2 * SQRT2 == Scalar(0, 2)
     assert SQRT2 + 1 == Scalar(1, 1)
     assert 1 - SQRT2 == Scalar(1, -1)
+    assert SQRT2 - 1 == Scalar(-1, 1)
     assert Scalar(4) / 2 == Scalar(2)
+    assert 1 / SQRT2 == Scalar(0, Fraction(1, 2))
     assert Scalar(Fraction(1, 2)) + Fraction(1, 2) == ONE
+    assert +SQRT2 is SQRT2
+
+
+# A str operand, on either side: Scalar returns NotImplemented, so Python
+# raises its own TypeError and names both types.
+_STR_OPERANDS = {
+    "add": (lambda x: x + "x", "unsupported operand type(s) for +: 'Scalar' and 'str'"),
+    "sub": (lambda x: x - "x", "unsupported operand type(s) for -: 'Scalar' and 'str'"),
+    "mul": (lambda x: x * "x", "can't multiply sequence by non-int of type 'Scalar'"),
+    "div": (lambda x: x / "x", "unsupported operand type(s) for /: 'Scalar' and 'str'"),
+    "rsub": (lambda x: "x" - x, "unsupported operand type(s) for -: 'str' and 'Scalar'"),
+    "rdiv": (lambda x: "x" / x, "unsupported operand type(s) for /: 'str' and 'Scalar'"),
+    "lt": (lambda x: x < "x", "'<' not supported between instances of 'Scalar' and 'str'"),
+    "le": (lambda x: x <= "x", "'<=' not supported between instances of 'Scalar' and 'str'"),
+    "gt": (lambda x: x > "x", "'>' not supported between instances of 'Scalar' and 'str'"),
+    "ge": (lambda x: x >= "x", "'>=' not supported between instances of 'Scalar' and 'str'"),
+}
+
+
+@pytest.mark.parametrize("operation, message", _STR_OPERANDS.values(), ids=_STR_OPERANDS)
+def test_a_str_operand_is_a_type_error(operation, message):
+    with pytest.raises(TypeError) as refusal:
+        operation(SQRT2)
+    assert str(refusal.value) == message
 
 
 def test_ordering_operators():

@@ -1,6 +1,7 @@
 """Exact LP solver and its strong-duality certificate checker."""
 
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from helpers import ns_behaviors, small_fractions, valid_behaviors
 from hvlab import HvlabError, IrrationalMatrix, decompose, simplex
 from hvlab.bell import BellExpression, _ns_lp
 from hvlab.boxes import LabelSet
+from hvlab.catalog import pr_box, table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.errors import DimensionMismatch, LpFailure
-from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, format_scalar, parse_scalar
 from hvlab.simplex import (
     OPTIMAL,
     UNBOUNDED,
@@ -168,11 +170,12 @@ def test_solver_is_deterministic():
 
 @st.composite
 def random_problems(draw):
-    """Random LPs with rational b >= 0, often with zero entries."""
+    """Random LPs with rational b >= 0 and c and an integer matrix, often
+    with zero entries."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 4))
     c = tuple(Scalar(draw(small_fractions(2, 4))) for _ in range(n))
-    A = tuple(tuple(Scalar(draw(small_fractions(2, 4))) for _ in range(n)) for _ in range(m))
+    A = tuple(tuple(draw(_matrix_entries) for _ in range(n)) for _ in range(m))
     b = tuple(draw(st.one_of(st.just(ZERO), _nonnegative_fractions.map(Scalar))) for _ in range(m))
     return LpProblem(c, A, b)
 
@@ -198,9 +201,37 @@ def test_matrix_entry_with_sqrt2_part_is_refused():
     LpProblem((SQRT2,), ((ONE,),), (ONE - SQRT2,))
 
 
-# Rational matrix entries, half of them 0 or +-1 as in both of hvlab's LPs;
-# objective and right-hand side values with sqrt2 parts.
-_matrix_entries = st.one_of(st.sampled_from((0, 0, 1, -1)).map(Scalar), small_fractions(3, 4).map(Scalar))
+# Entries that are not integers, each with its text and a catalog box whose
+# first cell is such an entry: the PR box's 1/2 and the table1 box's
+# 1/4+1/8*sqrt2.
+_NOT_INTEGER = {
+    "fraction": (HALF, "1/2", pr_box),
+    "sqrt2": (ONE + SQRT2, "1+1*sqrt2", table1_box),
+}
+
+
+@pytest.mark.parametrize("entry, text, box", _NOT_INTEGER.values(), ids=_NOT_INTEGER)
+def test_a_matrix_entry_that_is_not_an_integer_is_refused(entry, text, box):
+    rows = ((ONE, entry), (ZERO, ONE))
+    message = rf"^constraint entry \(0, 1\) is {re.escape(text)}; the matrix must be integer$"
+    with pytest.raises(IrrationalMatrix, match=message):
+        Matrix.from_rows(rows, 2)
+    with pytest.raises(IrrationalMatrix, match=message):
+        LpProblem((ONE, ONE), rows, (ONE, ONE))
+    # A caller-built vertex tuple is transposed through Matrix.from_rows: a
+    # box among the vertices puts its first cell at entry (0, 1), after
+    # vertex 0's unit.
+    box = box()
+    vertices = (enumerate_local_vertices(box.spaces)[0], box)
+    first = format_scalar(box.table[0])
+    with pytest.raises(IrrationalMatrix, match=rf"^constraint entry \(0, 1\) is {re.escape(first)}; "):
+        content_lp_problem(box, vertices)
+
+
+# Integer matrix entries, half of them 0 or +-1 as in both of hvlab's LPs
+# and the rest up to 5 in size, so that a pivot entry often does not divide
+# a row's factor; objective and right-hand side values with sqrt2 parts.
+_matrix_entries = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-5, 5)).map(Scalar)
 _field_values = st.builds(Scalar, small_fractions(2, 4), st.one_of(st.just(0), small_fractions(2, 4)))
 _nonnegative_fractions = st.fractions(min_value=0, max_value=2, max_denominator=4)
 _nonnegative_values = st.builds(Scalar, _nonnegative_fractions, st.one_of(st.just(0), _nonnegative_fractions))
@@ -282,17 +313,14 @@ def test_solutions_match_the_scalar_tableau_reference(problem):
         assert check_certificate(problem, solution)
 
 
-_tall_entries = st.one_of(
-    st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 3), Fraction(-5, 2), Fraction(3, 4))).map(Scalar),
-    small_fractions(3, 6).map(Scalar),
-)
+_tall_entries = st.one_of(st.sampled_from((0, 0, 0, 1, -1, 3, -5, 2)), st.integers(-6, 6)).map(Scalar)
 
 
 @st.composite
 def _tall_problems(draw):
     """LPs of the benchmark's shape, many more rows than columns: up to 3
     columns and 16 rows around a drawn point q0 >= 0.  Rows mix
-    denominators (1/3, -5/2 and 3/4 in one row), a row's right-hand side
+    non-unit entries (3, -5 and 2 in one row), a row's right-hand side
     is max(A_i.q0, 0) plus a slack that is often zero, so many ratio
     tests tie at zero, and q0 and c carry sqrt2 parts; c is often
     nonnegative, so most columns enter."""
@@ -379,10 +407,10 @@ def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns
 
 @st.composite
 def _matrix_rows(draw):
-    """Rows of rational Scalars, from 0 by 0 to 4 by 5: zero rows, zero
-    width and asymmetric shapes, entries 0, +-1 or fractions."""
+    """Rows of ints, from 0 by 0 to 4 by 5: zero rows, zero width and
+    asymmetric shapes, entries 0, +-1 or up to 12 in size."""
     m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    entry = st.one_of(st.sampled_from((ZERO, ZERO, ONE, -ONE)), small_fractions(3, 12).map(Scalar))
+    entry = st.one_of(st.sampled_from((0, 0, 1, -1)), st.integers(-12, 12))
     return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(m)), n
 
 
@@ -390,12 +418,13 @@ def _matrix_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_matrix_views_reproduce_its_dense_rows(drawn):
     rows, n = drawn
-    matrix = Matrix.from_rows(rows, n)
+    matrix = Matrix.from_rows([[Scalar(a) for a in row] for row in rows], n)
     assert dense_rows(matrix.columns, len(rows)) == [list(row) for row in rows]
     assert matrix.height == len(rows)
     assert len(matrix.columns) == n
     for j, column in enumerate(matrix.columns):
-        assert column == tuple((i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero())
+        assert column == tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+        assert all(type(a) is int for _, a in column)
 
 
 def test_empty_and_zero_width_matrices():
@@ -408,7 +437,7 @@ def test_empty_and_zero_width_matrices():
 
 
 def test_matrix_is_immutable_and_pickles():
-    matrix = Matrix.from_rows(((ONE, parse_scalar("1/2")), (ZERO, -ONE)), 2)
+    matrix = Matrix.from_rows(((ONE, Scalar(2)), (ZERO, -ONE)), 2)
     with pytest.raises(AttributeError):
         matrix.height = 3
     copy = pickle.loads(pickle.dumps(matrix))
@@ -420,10 +449,12 @@ def test_matrix_is_immutable_and_pickles():
     "row, error",
     [
         ((ONE + SQRT2, "x"), IrrationalMatrix),
+        ((HALF, "x"), IrrationalMatrix),
         (("x", ONE + SQRT2), TypeError),
+        (("x", HALF), TypeError),
         ((ONE, ZERO, 1), TypeError),
     ],
-    ids=["irrational-first", "type-first", "int-last"],
+    ids=["irrational-first", "fraction-first", "type-first", "type-before-fraction", "int-last"],
 )
 def test_matrix_names_the_first_bad_entry_of_a_row(row, error):
     with pytest.raises(error):
@@ -434,12 +465,14 @@ def test_a_scalar_subclass_is_a_matrix_entry():
     class Tagged(Scalar):
         __slots__ = ()
 
-    entry = Tagged(Fraction(1, 3))
+    entry = Tagged(3)
     matrix = Matrix.from_rows(((entry, ZERO),), 2)
-    assert matrix.height == 1 and matrix.columns == (((0, entry),), ())
-    # The solver reads the entry as 1 over 3: q0 / 3 <= 1 at q0 = 3.
+    assert matrix.height == 1 and matrix.columns == (((0, 3),), ())
+    assert type(matrix.columns[0][0][1]) is int
+    # The solver reads the entry as the int 3: 3 q0 <= 1 at q0 = 1/3.
+    third = Scalar(Fraction(1, 3))
     solution = solve_lp(LpProblem((ONE, ZERO), matrix, (ONE,)))
-    assert (solution.q, solution.value, solution.dual) == ((Scalar(3), ZERO), Scalar(3), (Scalar(3),))
+    assert (solution.q, solution.value, solution.dual) == ((third, ZERO), third, (third,))
 
 
 def test_lp_problem_keeps_a_matrix_of_its_width():
@@ -458,7 +491,7 @@ def test_lp_problem_keeps_a_matrix_of_its_width():
 @given(_field_problems())
 @settings(max_examples=100, deadline=None)
 def test_problems_from_a_matrix_equal_those_from_plain_rows(problem):
-    plain = dense_rows(problem.A.columns, len(problem.b))
+    plain = [[Scalar(a) for a in row] for row in dense_rows(problem.A.columns, len(problem.b))]
     from_plain = LpProblem(problem.c, plain, problem.b)
     from_matrix = LpProblem(problem.c, Matrix.from_rows(plain, len(problem.c)), problem.b)
     assert from_plain == from_matrix
@@ -466,9 +499,9 @@ def test_problems_from_a_matrix_equal_those_from_plain_rows(problem):
 
 
 def test_a_tampered_certificate_fails_at_each_part():
-    # max q0 + q1 s.t. q0/3 + 5/2*q1 <= 1, q0 <= 3/2: optimum at q = (3/2, 1/5).
-    third, five_halves = Scalar(Fraction(1, 3)), Scalar(Fraction(5, 2))
-    problem = LpProblem((ONE, ONE), ((third, five_halves), (ONE, ZERO)), (ONE, Scalar(Fraction(3, 2))))
+    # max q0 + q1 s.t. 2*q0 + 15*q1 <= 6, q0 <= 3/2: optimum at q = (3/2, 1/5).
+    third = Scalar(Fraction(1, 3))
+    problem = LpProblem((ONE, ONE), ((Scalar(2), Scalar(15)), (ONE, ZERO)), (Scalar(6), Scalar(Fraction(3, 2))))
     solution = solve_lp(problem)
     assert solution.q == (Scalar(Fraction(3, 2)), Scalar(Fraction(1, 5)))
     assert check_certificate(problem, solution)
@@ -496,14 +529,15 @@ def test_certificate_checks_every_row(violated):
 
 @pytest.mark.parametrize("short", range(3))
 def test_certificate_checks_every_column(short):
-    # max sum(q) s.t. row.q <= 1 with q at a unit vector and dual 1: with
-    # a row of ones every column is covered; an entry 1/2 leaves y.A
+    # max 2*sum(q) s.t. row.q <= 2 with q at a unit vector and dual 1:
+    # with a row of twos every column is covered; an entry 1 leaves y.A
     # short of c in that column alone.
+    two = Scalar(2)
     q = tuple(ONE if j == (short + 1) % 3 else ZERO for j in range(3))
-    candidate = LpSolution(OPTIMAL, q, ONE, (ONE,))
-    assert check_certificate(LpProblem((ONE,) * 3, ((ONE,) * 3,), (ONE,)), candidate)
-    row = tuple(HALF if j == short else ONE for j in range(3))
-    assert not check_certificate(LpProblem((ONE,) * 3, (row,), (ONE,)), candidate)
+    candidate = LpSolution(OPTIMAL, q, two, (ONE,))
+    assert check_certificate(LpProblem((two,) * 3, ((two,) * 3,), (two,)), candidate)
+    row = tuple(ONE if j == short else two for j in range(3))
+    assert not check_certificate(LpProblem((two,) * 3, (row,), (two,)), candidate)
 
 
 def test_certificate_subtracts_on_minus_one_entries():
@@ -519,8 +553,8 @@ def test_certificate_subtracts_on_minus_one_entries():
 
 
 def test_certificate_multiplies_only_for_the_objective_values(monkeypatch):
-    """A 0/+-1 matrix is checked by additions and subtractions alone: the
-    only products are c_j*q_j over q's support and y_i*b_i over y's."""
+    """An integer matrix is checked in ints alone: the only Scalar
+    products are c_j*q_j over q's support and y_i*b_i over y's."""
     settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
     coefficients = tuple(Scalar(k % 3 - 1, k % 2) for k in range(36))
     problem = _ns_lp(BellExpression(settings, settings, outcomes, outcomes, coefficients))
