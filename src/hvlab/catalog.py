@@ -14,11 +14,9 @@ from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import HALF, ONE, ZERO, Scalar
 
-CHSH_SETTINGS_A = LabelSet(("0", "2"))
-CHSH_SETTINGS_B = LabelSet(("1", "3"))
-CHSH_OUTCOMES = LabelSet(("+1", "-1"))
-
-_CHSH_SPACES = (CHSH_SETTINGS_A, CHSH_SETTINGS_B, CHSH_OUTCOMES, CHSH_OUTCOMES)
+# The CHSH spaces, and the sign pattern that table1_box and pr_box follow.
+_CHSH = chsh()
+_SPACES = _CHSH.spaces
 
 
 def alpha() -> Scalar:
@@ -30,12 +28,10 @@ def alpha() -> Scalar:
     return Scalar(Fraction(1, 4), Fraction(-1, 8))
 
 
-def _chsh_sign(a: str, b: str) -> int:
-    return -1 if (a, b) == ("0", "3") else 1
-
-
-def _aligned(x: str, y: str) -> bool:
-    return x == y
+def _chsh_pattern(large: Scalar, small: Scalar) -> Behavior:
+    """The box on the CHSH spaces that is ``large`` where the CHSH
+    coefficient is +1 and ``small`` where it is -1."""
+    return Behavior(*_SPACES, tuple(large if c == ONE else small for c in _CHSH.coefficients))
 
 
 def table1_box() -> Behavior:
@@ -44,30 +40,18 @@ def table1_box() -> Behavior:
     Outcomes agree with probability 1/2 - alpha per cell (alpha on the
     flipped setting pair (0,3)), matching the maximal quantum violation.
     """
-    a_small = alpha()
-    a_large = HALF - a_small
-
-    def cell(a: str, b: str, x: str, y: str) -> Scalar:
-        favoured = _aligned(x, y) if _chsh_sign(a, b) > 0 else not _aligned(x, y)
-        return a_large if favoured else a_small
-
-    return Behavior.from_function(*_CHSH_SPACES, cell)
+    return _chsh_pattern(HALF - alpha(), alpha())
 
 
 def pr_box() -> Behavior:
     """Extremal no-signalling box: outcomes perfectly follow the CHSH
     sign pattern, value 4."""
-
-    def cell(a: str, b: str, x: str, y: str) -> Scalar:
-        favoured = _aligned(x, y) if _chsh_sign(a, b) > 0 else not _aligned(x, y)
-        return HALF if favoured else ZERO
-
-    return Behavior.from_function(*_CHSH_SPACES, cell)
+    return _chsh_pattern(HALF, ZERO)
 
 
 def noise_box() -> Behavior:
     """Uniform box on the CHSH spaces; every cell 1/4."""
-    return uniform_behavior(*_CHSH_SPACES)
+    return uniform_behavior(*_SPACES)
 
 
 def appendix_a_model() -> HiddenVariableModel:
@@ -81,12 +65,12 @@ def appendix_a_model() -> HiddenVariableModel:
     pairs: list[tuple[str, str]] = [("0", "0")]
     weights: list[Scalar] = [ONE - 4 * a_small]
     kernels: list[Behavior] = [pr_box()]
-    for x0 in CHSH_OUTCOMES:
-        for y0 in CHSH_OUTCOMES:
+    for x0 in _SPACES[2]:
+        for y0 in _SPACES[3]:
             pairs.append((x0, y0))
             weights.append(a_small)
             kernels.append(
-                deterministic_behavior(*_CHSH_SPACES, (x0, x0), (y0, y0))
+                deterministic_behavior(*_SPACES, (x0, x0), (y0, y0))
             )
     return HiddenVariableModel(tuple(pairs), tuple(weights), tuple(kernels))
 
@@ -108,10 +92,10 @@ def classical_model() -> HiddenVariableModel:
     pairs = []
     weights = []
     kernels = []
-    for c in CHSH_OUTCOMES:
+    for c in _SPACES[2]:
         pairs.append((c, c))
         weights.append(HALF)
-        kernels.append(deterministic_behavior(*_CHSH_SPACES, (c, c), (c, c)))
+        kernels.append(deterministic_behavior(*_SPACES, (c, c), (c, c)))
     return HiddenVariableModel(tuple(pairs), tuple(weights), tuple(kernels))
 
 

@@ -209,7 +209,7 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     if content != ONE:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, the box's and the weights' common
-        # denominators; 1/(1 - content) = cd*(u - v*sqrt2)/(u*u - 2*v*v).
+        # denominators, each times 1/(1 - content) = (sp + sq*sqrt2)/sd.
         bp, bq, b = _int_view(behavior)
         wp, wq, w = _common_denominator([q for _, q in support])
         rp, rq = [p * w for p in bp], [q * w for q in bq]
@@ -217,13 +217,8 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
             for i, _ in columns[k]:
                 rp[i] -= p * b
                 rq[i] -= q * b
-        cp, cq, cd = content._v
-        u, v = cd - cp, -cq
-        norm = u * u - 2 * v * v
-        if norm < 0:
-            u, v, norm = -u, -v, -norm
-        scale = b * w * norm
-        cells = (_reduced(cd * (p * u - 2 * q * v), cd * (q * u - p * v), scale) for p, q in zip(rp, rq))
+        sp, sq, sd = (ONE / (ONE - content))._v
+        cells = (_reduced(p * sp + 2 * q * sq, p * sq + q * sp, b * w * sd) for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
     # Lifted to the full LP: q is 0 on every dropped vertex, y is 1 on every zero cell.
     lifted = [ZERO] * len(vertices)

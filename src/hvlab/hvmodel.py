@@ -11,9 +11,11 @@ Triviality means the hidden pair reveals nothing: every positive-weight
 kernel has the same one-side marginals as the reconstructed behavior.
 
 Both kinds of model, plain and extended (whose pairs carry an extra
-variable w), run one structure check when built (:func:`_check_structure`).
-Every check validates its input through :func:`require_valid_model`; as
-for boxes, the report is computed once and kept on the model, and so are
+variable w), run one structure check when built (:func:`_check_structure`)
+and have one validity report, a :class:`ModelReport` listing their problems
+(:func:`validate_model`).  Every check validates its input through
+:func:`require_valid_model`, which raises with that list; as for boxes,
+the report is computed once and kept on the model, and so are
 the locality verdict of :func:`check_locality` and the reconstruction, so
 :func:`check_triviality` and :func:`nontrivial_weight` mix the kernels once
 between them and then compare only the ints of the boxes' marginal tables.
@@ -30,7 +32,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .boxes import (
     Behavior,
-    BehaviorReport,
     JointTable,
     LabelSet,
     NsWitness,
@@ -104,52 +105,56 @@ def _check_structure(
 
 
 class ModelReport(Frozen):
-    """Validation outcome for a model's weights and kernels."""
+    """Validation outcome of a model of either kind: its problems, in the
+    order :func:`validate_model` finds them; none means a valid model."""
 
-    negative_weights: tuple[tuple[Pair, Scalar], ...]
-    weight_total: Scalar
-    invalid_kernels: tuple[tuple[Pair, BehaviorReport], ...]
+    problems: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.negative_weights and self.weight_total == ONE and not self.invalid_kernels
+        return not self.problems
 
     def summary(self) -> str:
-        if self.ok:
-            return "valid"
-        parts = []
-        for pair, weight in self.negative_weights:
-            parts.append(f"negative weight {format_scalar(weight)} at pair {pair}")
-        if self.weight_total != ONE:
-            parts.append(f"weights sum to {format_scalar(self.weight_total)}, expected 1")
-        for pair, report in self.invalid_kernels:
-            parts.append(f"kernel at pair {pair}: {report.summary()}")
-        return "; ".join(parts)
+        return "; ".join(self.problems) or "valid"
 
 
-def validate_model(model: HiddenVariableModel) -> ModelReport:
+def validate_model(model: HiddenVariableModel | ExtendedModel) -> ModelReport:
+    """The validity report of a plain or an extended model, computed once
+    and kept on the model."""
     return _remembered(model, _model_report)
 
 
-def _model_report(model: HiddenVariableModel) -> ModelReport:
+def _model_report(model: HiddenVariableModel | ExtendedModel) -> ModelReport:
+    """The pair weights' problems, then pair by pair those of its w weights
+    (an extended model only) and of each of its kernels."""
+    extended = isinstance(model, ExtendedModel)
     negatives, total = _negatives_and_total(*_common_denominator(model.weights))
-    bad_kernels = []
-    for pair, kernel in zip(model.pairs, model.kernels):
-        report = validate_behavior(kernel)
-        if not report.ok:
-            bad_kernels.append((pair, report))
-    return ModelReport(tuple((model.pairs[i], model.weights[i]) for i in negatives), total, tuple(bad_kernels))
+    problems = [f"negative weight {format_scalar(model.weights[i])} at pair {model.pairs[i]}" for i in negatives]
+    if total != ONE:
+        problems.append(f"{'pair weights' if extended else 'weights'} sum to {format_scalar(total)}, expected 1")
+    for pair, part in zip(model.pairs, model.extensions if extended else model.kernels):
+        kernels = [("", part)]
+        if extended:
+            negatives, w_total = _negatives_and_total(*_common_denominator(part.weights))
+            for i in negatives:
+                w, weight = part.values.labels[i], part.weights[i]
+                problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
+            if w_total != ONE:
+                problems.append(f"w weights at pair {pair} sum to {format_scalar(w_total)}, expected 1")
+            kernels = [(f", w={w}", kernel) for w, kernel in zip(part.values, part.kernels)]
+        for where, kernel in kernels:
+            report = validate_behavior(kernel)
+            if not report.ok:
+                problems.append(f"kernel at pair {pair}{where}: {report.summary()}")
+    return ModelReport(tuple(problems))
 
 
 def require_valid_model(model: HiddenVariableModel | ExtendedModel) -> None:
-    """Raise InvalidModel, listing the problems, unless the model is valid."""
-    if isinstance(model, ExtendedModel):
-        problems = validate_extended_model(model)
-    else:
-        report = validate_model(model)
-        problems = [] if report.ok else [report.summary()]
-    if problems:
-        raise InvalidModel("; ".join(problems))
+    """Raise InvalidModel, listing the problems, unless the model, plain or
+    extended, is valid."""
+    report = validate_model(model)
+    if not report.ok:
+        raise InvalidModel(report.summary())
 
 
 def reconstruct(model: HiddenVariableModel) -> Behavior:
@@ -313,30 +318,6 @@ class ExtendedModel(Frozen):
     @property
     def spaces(self) -> tuple[LabelSet, LabelSet, LabelSet, LabelSet]:
         return self.extensions[0].kernels[0].spaces
-
-
-def validate_extended_model(model: ExtendedModel) -> list[str]:
-    """List of problems; empty means valid."""
-    return list(_remembered(model, _extended_model_problems))
-
-
-def _extended_model_problems(model: ExtendedModel) -> tuple[str, ...]:
-    negatives, total = _negatives_and_total(*_common_denominator(model.weights))
-    problems = [f"negative weight {format_scalar(model.weights[i])} at pair {model.pairs[i]}" for i in negatives]
-    if total != ONE:
-        problems.append(f"pair weights sum to {format_scalar(total)}, expected 1")
-    for pair, extension in zip(model.pairs, model.extensions):
-        negatives, w_total = _negatives_and_total(*_common_denominator(extension.weights))
-        for i in negatives:
-            w, weight = extension.values.labels[i], extension.weights[i]
-            problems.append(f"negative weight {format_scalar(weight)} for w={w} at pair {pair}")
-        if w_total != ONE:
-            problems.append(f"w weights at pair {pair} sum to {format_scalar(w_total)}, expected 1")
-        for w, kernel in zip(extension.values, extension.kernels):
-            report = validate_behavior(kernel)
-            if not report.ok:
-                problems.append(f"kernel at pair {pair}, w={w}: {report.summary()}")
-    return tuple(problems)
 
 
 def marginalize_nonlocal(model: ExtendedModel) -> HiddenVariableModel:

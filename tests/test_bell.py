@@ -29,6 +29,7 @@ def test_chsh_coefficients():
     assert e.coefficient("0", "3", "+1", "+1") == -ONE
     assert e.coefficient("2", "3", "+1", "-1") == -ONE
     assert e.coefficient("2", "1", "-1", "-1") == ONE
+    assert e.coefficients == tuple(e.coefficient(*cell) for cell in product(*e.spaces))
     with pytest.raises(UnknownSetting):
         e.coefficient("1", "1", "+1", "+1")
 

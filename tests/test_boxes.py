@@ -252,6 +252,12 @@ def test_deterministic_behavior_cells_and_refusals_on_asymmetric_spaces():
         deterministic_behavior(sa, sb, ox, oy, ("x0", "x1"), ("y0", "y1"))
 
 
+def test_a_label_set_contains_exactly_its_labels():
+    labels = LabelSet(("0", "1"))
+    assert "0" in labels and "1" in labels
+    assert "2" not in labels and 0 not in labels
+
+
 def test_degenerate_single_setting_spaces_allowed():
     one = LabelSet(("only",))
     two = LabelSet(("0", "1"))
@@ -318,6 +324,7 @@ def test_validate_accepts_exactly_the_invariant_holders(box):
 def test_validate_behavior_returns_one_report_per_box(make):
     box = make()
     report = validate_behavior(box)
+    assert (report.summary() == "valid") == report.ok
     assert validate_behavior(box) is report
     twin = make()
     assert twin == box and twin is not box

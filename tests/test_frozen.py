@@ -93,7 +93,7 @@ INSTANCES = {
     HiddenVariableModel: (appendix_a_model, ("pairs", "weights", "kernels")),
     ModelReport: (
         lambda: validate_model(appendix_a_model()),
-        ("negative_weights", "weight_total", "invalid_kernels"),
+        ("problems",),
     ),
     LocalityWitness: (
         lambda: check_locality(HiddenVariableModel((("u", "v"),), (ONE,), (signalling_box(),)))[1],

@@ -46,7 +46,6 @@ from hvlab.hvmodel import (
     reconstruct,
     uniform_distribution,
     _check_distribution,
-    validate_extended_model,
     validate_model,
 )
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, parse_scalar
@@ -328,7 +327,7 @@ def test_validate_model_flags_problems():
         )
     )
     assert not report.ok
-    assert report.negative_weights
+    assert report.problems == ("negative weight -1/2 at pair ('w', 'z')",)
 
 
 def test_operations_reject_invalid_models():
@@ -456,7 +455,7 @@ def test_first_mover_refuses_past_the_cell_budget_before_building_anything(monke
         raise AssertionError("first_mover_joint went past the budget check")
 
     monkeypatch.setattr(hvlab.hvmodel, "require_valid_model", unreachable)
-    monkeypatch.setattr(hvlab.hvmodel.JointTable, "from_function", unreachable)
+    monkeypatch.setattr(hvlab.hvmodel, "JointTable", unreachable)
     inside = isqrt(FIRST_MOVER_CELL_BUDGET // 8)
     cells = 8 * (inside + 1) ** 2
     with pytest.raises(SizeBudgetExceeded, match=f"{cells} cells exceed the budget of {FIRST_MOVER_CELL_BUDGET}"):
@@ -512,13 +511,13 @@ def test_an_extended_model_lists_every_problem_by_pair_and_w():
         WExtension(LabelSet(("x", "y")), (parse_scalar("-1/2*sqrt2"), ONE), (pr_box(), pr_box())),
     )
     model = ExtendedModel((("u", "v"), ("w", "z")), (parse_scalar("3/2"), parse_scalar("-1/4")), extensions)
-    assert validate_extended_model(model) == [
+    assert validate_model(model).problems == (
         "negative weight -1/4 at pair ('w', 'z')",
         "pair weights sum to 5/4, expected 1",
         "kernel at pair ('u', 'v'), w=w1: negative cell P(+1,+1|0,1) = -1/8; row (0,1) sums to 5/8-1/8*sqrt2",
         "negative weight -1/2*sqrt2 for w=x at pair ('w', 'z')",
         "w weights at pair ('w', 'z') sum to 1-1/2*sqrt2, expected 1",
-    ]
+    )
 
 
 def _one_w(*kernels) -> tuple[WExtension, ...]:
@@ -687,6 +686,7 @@ def _invalid_model() -> HiddenVariableModel:
 def test_validate_model_returns_one_report_per_model(make):
     model = make()
     report = validate_model(model)
+    assert (report.summary() == "valid") == report.ok
     assert validate_model(model) is report
     twin = make()
     assert twin == model and twin is not model
@@ -695,18 +695,17 @@ def test_validate_model_returns_one_report_per_model(make):
 
 @pytest.mark.parametrize("valid", [True, False])
 def test_validate_extended_model_gives_equal_problem_lists(valid):
-    from hvlab.hvmodel import validate_extended_model
-
     def make() -> ExtendedModel:
         weights = (HALF, HALF) if valid else (HALF, parse_scalar("-1/2"))
         kernels = (pr_box(), table1_box())
         return ExtendedModel((("u", "v"),), (ONE,), (WExtension(LabelSet(("w0", "w1")), weights, kernels),))
 
     model = make()
-    problems = validate_extended_model(model)
-    assert (problems == []) == valid
-    problems.append("edited by the caller")
-    assert validate_extended_model(model) == validate_extended_model(make()) != problems
+    problems = validate_model(model).problems
+    assert (problems == ()) == valid
+    with pytest.raises(AttributeError):
+        problems.append("edited by the caller")
+    assert validate_model(model).problems == validate_model(make()).problems == problems
 
 
 def test_concurrent_validation_stores_equal_reports():

@@ -31,7 +31,7 @@ def test_parse_root_only_forms():
 
 @pytest.mark.parametrize(
     "text",
-    ["", " 1", "1 ", "1/4 - 1/8*sqrt2", "1.5", "sqrt2", "1*sqrt3", "1//2", "--1", "1+*sqrt2", "0x1", "1e3"],
+    ["", " 1", "1 ", "1/4 - 1/8*sqrt2", "1.5", "sqrt2", "1*sqrt3", "1//2", "--1", "1+*sqrt2", "0x1", "1e3", 1, None],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(MalformedScalar):
