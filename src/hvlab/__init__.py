@@ -8,12 +8,12 @@ library API; the command line lives in :mod:`hvlab.cli`.
 from .bell import BellExpression, DeterministicStrategy, chsh, evaluate, local_bound, ns_bound
 from .boxes import (
     Behavior,
-    BehaviorReport,
     JointTable,
     LabelSet,
     NsWitness,
     ProductWitness,
     Tensor,
+    ValidityReport,
     check_product,
     deterministic_behavior,
     is_no_signalling,

@@ -11,7 +11,10 @@ behavior is a tensor read as P(x,y|a,b), a Bell expression
 Construction only checks structure (label sets and table shape); the
 probabilistic invariants are the job of :func:`validate_behavior`,
 which reports violations instead of raising so that deliberately broken
-tables can be inspected.  A box cannot change after it is built, so it
+tables can be inspected.  Its :class:`ValidityReport`, the one report
+shape of boxes and models alike, lists the problems as strings; a box
+file is validated where :mod:`hvlab.formats` reads it, so only a box
+built in code can be invalid.  A box cannot change after it is built, so it
 keeps on the instance (:func:`_remembered`), each built once and only
 from its own table: its int view (:func:`_int_view`, the cells as ints
 over their common denominator), its marginal table (:func:`_marginal_table`,
@@ -257,25 +260,19 @@ def uniform_behavior(
     return Behavior.from_function(settings_a, settings_b, outcomes_x, outcomes_y, lambda a, b, x, y: cell)
 
 
-class BehaviorReport(Frozen):
-    """Outcome of validate_behavior; empty fields mean a valid box."""
+class ValidityReport(Frozen):
+    """The validity report of a box (:func:`validate_behavior`) or of a
+    model of either kind (:func:`hvlab.hvmodel.validate_model`): its
+    problems in the order they are found; none means valid."""
 
-    negative_cells: tuple[tuple[str, str, str, str, Scalar], ...]
-    bad_normalizations: tuple[tuple[str, str, Scalar], ...]
+    problems: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.negative_cells and not self.bad_normalizations
+        return not self.problems
 
     def summary(self) -> str:
-        if self.ok:
-            return "valid"
-        parts = []
-        for a, b, x, y, value in self.negative_cells:
-            parts.append(f"negative cell P({x},{y}|{a},{b}) = {format_scalar(value)}")
-        for a, b, total in self.bad_normalizations:
-            parts.append(f"row ({a},{b}) sums to {format_scalar(total)}")
-        return "; ".join(parts)
+        return "; ".join(self.problems) or "valid"
 
 
 def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
@@ -315,29 +312,34 @@ def _negatives_and_total(ps: Sequence[int], qs: Sequence[int], den: int) -> tupl
     return negatives, _reduced(sum(ps), sum(qs), den)
 
 
-def validate_behavior(behavior: Behavior) -> BehaviorReport:
-    """Check nonnegativity and exact per-(a,b) normalization."""
+def validate_behavior(behavior: Behavior) -> ValidityReport:
+    """The box's validity report: each negative cell, in table order, then
+    each setting pair whose row does not sum to exactly 1."""
     return _remembered(behavior, _behavior_report)
 
 
 def require_valid_behavior(behavior: Behavior) -> None:
-    """Raise InvalidBehavior, with the report's summary, unless the box is valid."""
+    """Raise InvalidBehavior, with the report's problems joined by "; ",
+    unless the box is valid."""
     report = validate_behavior(behavior)
     if not report.ok:
         raise InvalidBehavior(report.summary())
 
 
-def _behavior_report(behavior: Behavior) -> BehaviorReport:
+def _behavior_report(behavior: Behavior) -> ValidityReport:
     negatives, _ = _negatives_and_total(*_int_view(behavior))
     labels = list(product(*behavior.spaces)) if negatives else []
+    problems = []
+    for i in negatives:
+        a, b, x, y = labels[i]
+        problems.append(f"negative cell P({x},{y}|{a},{b}) = {format_scalar(behavior.table[i])}")
     mp, mq, den = _marginal_table(behavior)
     nx = len(behavior.outcomes_x)
-    bad_rows: list[tuple[str, str, Scalar]] = []
     for j, (a, b) in enumerate(product(behavior.settings_a, behavior.settings_b)):
         p, q = sum(mp[j * nx : (j + 1) * nx]), sum(mq[j * nx : (j + 1) * nx])
         if p != den or q:
-            bad_rows.append((a, b, _reduced(p, q, den)))
-    return BehaviorReport(tuple((*labels[i], behavior.table[i]) for i in negatives), tuple(bad_rows))
+            problems.append(f"row ({a},{b}) sums to {format_scalar(_reduced(p, q, den))}")
+    return ValidityReport(tuple(problems))
 
 
 def _marginal_table(behavior: Behavior) -> _IntView:

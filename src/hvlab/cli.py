@@ -64,7 +64,6 @@ from .hvmodel import (
     marginalize_nonlocal,
     nontrivial_weight,
     reconstruct,
-    require_valid_model,
     uniform_distribution,
 )
 from .scalar import Scalar, format_scalar, parse_scalar
@@ -146,13 +145,13 @@ def _check_box(args: argparse.Namespace, data: Any) -> int:
     if args.against:
         print("error: --against applies to model files, not to a box", file=sys.stderr)
         return 2
-    behavior = behavior_from_dict(data, require_valid=False)
     report: dict[str, Any] = {"kind": "box"}
     lines = ["kind: box"]
     try:
-        ok, witness = is_no_signalling(behavior)
+        behavior = behavior_from_dict(data)
     except InvalidBehavior as exc:
         return _invalid(args, lines, report, str(exc))
+    ok, witness = is_no_signalling(behavior)
     report["valid"] = True
     lines.append("valid: true")
     report["no_signalling"] = ok
@@ -165,18 +164,17 @@ def _check_box(args: argparse.Namespace, data: Any) -> int:
 
 
 def _check_model(args: argparse.Namespace, data: Any) -> int:
-    model = model_from_dict(data, require_valid=False)
     report: dict[str, Any] = {"kind": "model"}
     lines = ["kind: model"]
     try:
-        require_valid_model(model)
+        model = model_from_dict(data)
     except InvalidModel as exc:
         return _invalid(args, lines, report, str(exc))
-    # Valid kernels mixed with valid weights: the folded model is valid too.
-    model, folded = _fold(model)
-    if folded:
+    if isinstance(model, ExtendedModel):
         report["w_extension"] = "folded"
         lines.append("w_extension: folded into pair kernels")
+    # Valid kernels mixed with valid weights: the folded model is valid too.
+    model = marginalize_nonlocal(model)
     report["valid"] = True
     lines.append("valid: true")
     local, locality_witness = check_locality(model)
@@ -270,16 +268,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 # -- model -------------------------------------------------------------------
 
 
-def _fold(model: HiddenVariableModel | ExtendedModel) -> tuple[HiddenVariableModel, bool]:
-    """The model with any w_extension folded into its pair kernels, and
-    whether it had one."""
-    if isinstance(model, ExtendedModel):
-        return marginalize_nonlocal(model), True
-    return model, False
-
-
 def _load_plain_model(path: str) -> HiddenVariableModel:
-    return _fold(load_model(path))[0]
+    """The model file's model with any w_extension folded into its pair kernels."""
+    return marginalize_nonlocal(load_model(path))
 
 
 def _cmd_model_verify(args: argparse.Namespace) -> int:
@@ -335,9 +326,10 @@ def _cmd_model_guess(args: argparse.Namespace) -> int:
 
 
 def _cmd_model_marginalize(args: argparse.Namespace) -> int:
-    model, folded = _fold(load_model(args.model))
+    model = load_model(args.model)
+    folded = isinstance(model, ExtendedModel)
     note = "w_extension folded into pair kernels" if folded else "model has no w_extension; written unchanged"
-    save_model(model, args.output)
+    save_model(marginalize_nonlocal(model), args.output)
     report = {"model_written": args.output, "note": note}
     _emit(args, [f"model written: {args.output}", note], report)
     return 0

@@ -155,10 +155,11 @@ def behavior_to_dict(behavior: Behavior) -> dict[str, Any]:
     return _tensor_to_dict(behavior, "p")
 
 
-def behavior_from_dict(data: Any, require_valid: bool = True) -> Behavior:
+def behavior_from_dict(data: Any) -> Behavior:
+    """Parse a box file and validate the box: a box that is not valid is
+    refused with InvalidBehavior, whose message lists its problems."""
     behavior = _tensor_from_dict(data, Behavior, "p", "box file")
-    if require_valid:
-        require_valid_behavior(behavior)
+    require_valid_behavior(behavior)
     return behavior
 
 
@@ -244,10 +245,12 @@ def _pair_body(entry: dict[str, Any], where: str, spaces: Spaces, parsed: dict[s
     return WExtension(values, tuple(weight for _, weight in heads), tuple(kernels))
 
 
-def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableModel | ExtendedModel:
-    """Parse a model file; the result is extended iff any pair carries a
-    w_extension (extensionless pairs then get a single trivial w).  The
-    head of every pair is read before any pair's body."""
+def model_from_dict(data: Any) -> HiddenVariableModel | ExtendedModel:
+    """Parse a model file and validate the model; the result is extended
+    iff any pair carries a w_extension (extensionless pairs then get a
+    single trivial w).  The head of every pair is read before any pair's
+    body.  A model that is not valid is refused with InvalidModel, whose
+    message lists its problems; a structure error is a FileFormatError."""
     if not isinstance(data, dict):
         raise FileFormatError("model file must contain a JSON object")
     _require_keys(data, set(_SPACE_KEYS) | {"pairs"}, "model file")
@@ -266,8 +269,7 @@ def model_from_dict(data: Any, require_valid: bool = True) -> HiddenVariableMode
             model = HiddenVariableModel(pairs, weights, tuple(extension.kernels[0] for extension in extensions))
     except InvalidModel as exc:
         raise FileFormatError(f"model file: {exc}") from exc
-    if require_valid:
-        require_valid_model(model)
+    require_valid_model(model)
     return model
 
 

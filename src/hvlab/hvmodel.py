@@ -12,11 +12,16 @@ kernel has the same one-side marginals as the reconstructed behavior.
 
 Both kinds of model, plain and extended (whose pairs carry an extra
 variable w), run one structure check when built (:func:`_check_structure`)
-and have one validity report, a :class:`ModelReport` listing their problems
-(:func:`validate_model`).  Every check validates its input through
-:func:`require_valid_model`, which raises with that list; as for boxes,
-the report is computed once and kept on the model, and so are
-the locality verdict of :func:`check_locality` and the reconstruction, so
+and have one validity report, a :class:`~hvlab.boxes.ValidityReport`
+listing their problems as strings (:func:`validate_model`), the shape of a
+box's report.  Every check validates its input through
+:func:`require_valid_model`, which raises with that list, and a model file
+is validated where :mod:`hvlab.formats` reads it.  Beyond validation only
+:func:`marginalize_nonlocal` takes an extended model: every check reads
+the pair kernels and refuses an extended model (:func:`_require_plain`)
+rather than fold it unasked, since a w-level kernel may signal.  As for
+boxes, the report is computed once and kept on the model, and so are the
+locality verdict of :func:`check_locality` and the reconstruction, so
 :func:`check_triviality` and :func:`nontrivial_weight` mix the kernels once
 between them and then compare only the ints of the boxes' marginal tables.
 Each weight vector (a model's pair weights, an extension's w weights, a
@@ -36,6 +41,7 @@ from .boxes import (
     LabelSet,
     NsWitness,
     Side,
+    ValidityReport,
     _marginal_entry,
     _marginal_table,
     _negatives_and_total,
@@ -104,27 +110,15 @@ def _check_structure(
         raise InvalidModel("kernels must share one set of spaces")
 
 
-class ModelReport(Frozen):
-    """Validation outcome of a model of either kind: its problems, in the
-    order :func:`validate_model` finds them; none means a valid model."""
-
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def summary(self) -> str:
-        return "; ".join(self.problems) or "valid"
-
-
-def validate_model(model: HiddenVariableModel | ExtendedModel) -> ModelReport:
-    """The validity report of a plain or an extended model, computed once
-    and kept on the model."""
+def validate_model(model: HiddenVariableModel | ExtendedModel) -> ValidityReport:
+    """The validity report of a plain or an extended model: the problems of
+    its weights and kernels, in the order of :func:`_model_report`, as one
+    :class:`~hvlab.boxes.ValidityReport` (a kernel's problems are those of
+    its box report, joined by "; "), computed once and kept on the model."""
     return _remembered(model, _model_report)
 
 
-def _model_report(model: HiddenVariableModel | ExtendedModel) -> ModelReport:
+def _model_report(model: HiddenVariableModel | ExtendedModel) -> ValidityReport:
     """The pair weights' problems, then pair by pair those of its w weights
     (an extended model only) and of each of its kernels."""
     extended = isinstance(model, ExtendedModel)
@@ -146,20 +140,29 @@ def _model_report(model: HiddenVariableModel | ExtendedModel) -> ModelReport:
             report = validate_behavior(kernel)
             if not report.ok:
                 problems.append(f"kernel at pair {pair}{where}: {report.summary()}")
-    return ModelReport(tuple(problems))
+    return ValidityReport(tuple(problems))
 
 
 def require_valid_model(model: HiddenVariableModel | ExtendedModel) -> None:
-    """Raise InvalidModel, listing the problems, unless the model, plain or
-    extended, is valid."""
+    """Raise InvalidModel, with the report's problems joined by "; ",
+    unless the model, plain or extended, is valid."""
     report = validate_model(model)
     if not report.ok:
         raise InvalidModel(report.summary())
 
 
+def _require_plain(model: HiddenVariableModel | ExtendedModel) -> None:
+    """Refuse an extended model.  The checks of a model read its pair
+    kernels, and an extended model's w-level kernels may signal, which
+    makes it unphysical; folding them is left to the caller."""
+    if isinstance(model, ExtendedModel):
+        raise InvalidModel("extended model: fold its w_extension into pair kernels first with marginalize_nonlocal")
+
+
 def reconstruct(model: HiddenVariableModel) -> Behavior:
     """Observed behavior: the weight mixture of the kernels, mixed once
-    and kept on the model."""
+    and kept on the model.  An extended model is refused."""
+    _require_plain(model)
     return _remembered(model, lambda model: mix(zip(model.weights, model.kernels)), "_reconstruction")
 
 
@@ -179,8 +182,9 @@ def check_locality(model: HiddenVariableModel) -> tuple[bool, LocalityWitness | 
     Zero-weight pairs are exempt: they are unobservable and the
     conditional distributions are undefined there.  The verdict is kept
     on the model, as its validity report is: :func:`guessing_probability`
-    asks for it once per setting.
+    asks for it once per setting.  An extended model is refused.
     """
+    _require_plain(model)
     return _remembered(model, _locality, "_locality")
 
 
@@ -238,8 +242,9 @@ def check_triviality(
 
     The reference defaults to the reconstructed behavior; pass
     ``against`` to compare with an externally specified valid box with
-    the model's spaces instead.
+    the model's spaces instead.  An extended model is refused.
     """
+    _require_plain(model)
     require_valid_model(model)
     if against is not None:
         if against.spaces != model.spaces:
@@ -252,7 +257,8 @@ def check_triviality(
 
 def nontrivial_weight(model: HiddenVariableModel) -> Scalar:
     """Total weight of pairs whose kernel fails the per-pair triviality
-    test against the reconstructed behavior."""
+    test against the reconstructed behavior.  An extended model is refused."""
+    _require_plain(model)
     require_valid_model(model)
     return sum((weight for weight, _ in _nontrivial_pairs(model, reconstruct(model))), ZERO)
 
@@ -272,7 +278,8 @@ def guessing_probability(model: HiddenVariableModel, side: Side, setting: str) -
 
     Only defined for local models, where the one-side kernel marginal
     does not depend on the counterpart's setting.  A side other than
-    "alice" or "bob" is refused first, with ``ValueError``.
+    "alice" or "bob" is refused first, with ``ValueError``, then an
+    extended model.
     """
     _require_side(side)
     local, witness = check_locality(model)
@@ -320,13 +327,16 @@ class ExtendedModel(Frozen):
         return self.extensions[0].kernels[0].spaces
 
 
-def marginalize_nonlocal(model: ExtendedModel) -> HiddenVariableModel:
+def marginalize_nonlocal(model: HiddenVariableModel | ExtendedModel) -> HiddenVariableModel:
     """Fold the extra variable into each pair's kernel by averaging.
 
     The per-w kernels may individually signal; only the averaged
-    pair-level kernels enter the resulting model.
+    pair-level kernels enter the resulting model.  A valid plain model is
+    returned unchanged, so the result of either kind is a plain model.
     """
     require_valid_model(model)
+    if isinstance(model, HiddenVariableModel):
+        return model
     kernels = tuple(
         mix(zip(extension.weights, extension.kernels)) for extension in model.extensions
     )
@@ -376,8 +386,10 @@ def first_mover_joint(
 
     The flat table starts as zeros; each hidden pair of nonzero weight
     fills its cells from its kernel's marginal table, one run of |X|
-    entries per (a, b), each times pA(a)*pB(b)*P(u,v) in ints.
+    entries per (a, b), each times pA(a)*pB(b)*P(u,v) in ints.  An
+    extended model is refused first.
     """
+    _require_plain(model)
     sa, sb, ox, _ = model.spaces
     u_labels = tuple(dict.fromkeys(u for u, _ in model.pairs))
     v_labels = tuple(dict.fromkeys(v for _, v in model.pairs))

@@ -53,8 +53,10 @@ class Scalar:
     __slots__ = ("_v",)  # the canonical (p, q, d) triple
 
     def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0) -> Scalar:
-        if not (isinstance(a, _COMPONENT_TYPES) and isinstance(b, _COMPONENT_TYPES)):
-            name, value = ("b", b) if isinstance(a, _COMPONENT_TYPES) else ("a", a)
+        # bool is an int subclass, but True is no component: Scalar(1, True) is refused.
+        a_ok = isinstance(a, _COMPONENT_TYPES) and type(a) is not bool
+        if not (a_ok and isinstance(b, _COMPONENT_TYPES) and type(b) is not bool):
+            name, value = ("b", b) if a_ok else ("a", a)
             raise TypeError(f"Scalar component {name} must be int or Fraction, got {type(value).__name__}")
         na, da = a.as_integer_ratio()
         nb, db = b.as_integer_ratio()

@@ -46,15 +46,14 @@ def test_validate_flags_negative_cell():
     box = _tweak(table1_box(), 0, parse_scalar("-1/8"))
     report = validate_behavior(box)
     assert not report.ok
-    assert report.negative_cells[0][:4] == ("0", "1", "+1", "+1")
+    assert report.problems == ("negative cell P(+1,+1|0,1) = -1/8", "row (0,1) sums to 5/8-1/8*sqrt2")
 
 
 def test_validate_flags_bad_normalization():
     box = _tweak(noise_box(), 2, HALF)  # row (0,1) now sums to 5/4
     report = validate_behavior(box)
     assert not report.ok
-    assert report.bad_normalizations[0][:2] == ("0", "1")
-    assert report.bad_normalizations[0][2] == parse_scalar("5/4")
+    assert report.problems == ("row (0,1) sums to 5/4",)
 
 
 def test_marginals_of_table1_are_uniform():

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 import hvlab.bell
+import hvlab.cli
 from hvlab.boxes import LabelSet, uniform_behavior
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
 from hvlab.cli import main
 from hvlab.formats import load_model, save_box, save_model
 from hvlab.hvmodel import FIRST_MOVER_CELL_BUDGET, HiddenVariableModel, reconstruct
-from hvlab.scalar import ONE, parse_scalar
+from hvlab.scalar import ONE, ZERO, parse_scalar
 from hvlab.simplex import LpSolution, solve_lp
 
 
@@ -66,15 +67,24 @@ def test_check_model_report(files, capsys):
     assert "nontrivial_weight: 1-1/2*sqrt2" in out
 
 
+_INVALID_BOX_PROBLEMS = (
+    "negative cell P(+1,-1|0,1) = -1/8; row (0,1) sums to 5/8+1/8*sqrt2; row (2,3) sums to 7/4-1/8*sqrt2"
+)
+
+
 def test_check_invalid_box_exits_two(files, capsys, tmp_path):
     with open(files["table1"]) as handle:
         data = json.load(handle)
-    data["p"]["0|1"][0][0] = "1"
+    data["p"]["0|1"][0][1] = "-1/8"  # P(+1,-1|0,1): x and y differ
+    data["p"]["2|3"][1][1] = "1"
     bad = tmp_path / "bad.box.json"
     bad.write_text(json.dumps(data))
     code, out, _ = run(capsys, "check", str(bad))
     assert code == 2
-    assert "valid: false" in out
+    assert out == f"kind: box\nvalid: false\nproblems: {_INVALID_BOX_PROBLEMS}\n"
+    code, out, _ = run(capsys, "check", str(bad), "--format", "json")
+    assert code == 2
+    assert json.loads(out) == {"kind": "box", "valid": False, "problems": _INVALID_BOX_PROBLEMS}
 
 
 def test_check_json_format_has_exact_strings(files, capsys):
@@ -481,6 +491,21 @@ def test_demo_appendix_a(capsys):
     code, out, _ = run(capsys, "demo", "appendix-a")
     assert code == 0
     assert out.rstrip().endswith("nontrivial_weight: 1-1/2*sqrt2; max_local_content: 2-1*sqrt2")
+
+
+def test_a_failing_demo_step_is_the_last_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(hvlab.cli, "nontrivial_weight", lambda model: ZERO)
+    code, out, _ = run(capsys, "demo", "appendix-a")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 6  # the title and five steps, the fifth failing
+    assert lines[-1] == "FAIL: nontrivial_weight = 0"
+    code, out, _ = run(capsys, "demo", "appendix-a", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert [step["ok"] for step in report["steps"]] == [True] * 4 + [False]
+    assert report["steps"][-1] == {"label": "nontrivial_weight = 0", "ok": False, "detail": ""}
 
 
 def test_demo_appendix_b(capsys):

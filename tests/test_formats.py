@@ -227,13 +227,12 @@ def test_a_model_file_parses_each_distinct_cell_string_once(monkeypatch):
     assert model == appendix_a_model()
 
 
-def test_validation_enforced_by_default_but_optional():
+def test_a_box_file_is_validated_where_it_is_read():
     data = behavior_to_dict(table1_box())
     data["p"]["0|1"][0][0] = "1"  # breaks normalization
-    with pytest.raises(InvalidBehavior):
+    with pytest.raises(InvalidBehavior) as refusal:
         behavior_from_dict(data)
-    box = behavior_from_dict(data, require_valid=False)
-    assert box.p("0", "1", "+1", "+1") == ONE
+    assert str(refusal.value) == "row (0,1) sums to 7/4-1/8*sqrt2"
 
 
 def test_model_weight_validation():

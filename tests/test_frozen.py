@@ -15,15 +15,14 @@ from helpers import CHSH_SPACES
 from hvlab.bell import BellExpression, DeterministicStrategy, chsh, local_bound
 from hvlab.boxes import (
     Behavior,
-    BehaviorReport,
     JointTable,
     LabelSet,
     NsWitness,
     ProductWitness,
     Tensor,
+    ValidityReport,
     check_product,
     is_no_signalling,
-    validate_behavior,
 )
 from hvlab.catalog import CatalogEntry, appendix_a_model, entries, signalling_box, table1_box
 from hvlab.decompose import (
@@ -39,7 +38,6 @@ from hvlab.hvmodel import (
     ExtendedModel,
     HiddenVariableModel,
     LocalityWitness,
-    ModelReport,
     TrivialityWitness,
     WExtension,
     check_locality,
@@ -73,7 +71,10 @@ INSTANCES = {
     ),
     Behavior: (table1_box, ("settings_a", "settings_b", "outcomes_x", "outcomes_y", "table")),
     BellExpression: (chsh, ("settings_a", "settings_b", "outcomes_x", "outcomes_y", "table")),
-    BehaviorReport: (lambda: validate_behavior(table1_box()), ("negative_cells", "bad_normalizations")),
+    ValidityReport: (
+        lambda: validate_model(HiddenVariableModel((("u", "v"),), (HALF,), (table1_box(),))),
+        ("problems",),
+    ),
     NsWitness: (
         lambda: is_no_signalling(signalling_box())[1],
         ("side", "setting", "counterpart_reference", "counterpart_other", "outcome", "value_reference", "value_other"),
@@ -91,10 +92,6 @@ INSTANCES = {
         ("checks",),
     ),
     HiddenVariableModel: (appendix_a_model, ("pairs", "weights", "kernels")),
-    ModelReport: (
-        lambda: validate_model(appendix_a_model()),
-        ("problems",),
-    ),
     LocalityWitness: (
         lambda: check_locality(HiddenVariableModel((("u", "v"),), (ONE,), (signalling_box(),)))[1],
         ("pair", "witness"),

@@ -397,6 +397,35 @@ def test_marginalize_signalling_branches_into_pr_box():
     assert check_locality(folded) == (True, None)
 
 
+_FOLD_FIRST = "extended model: fold its w_extension into pair kernels first with marginalize_nonlocal"
+
+# Each library call that reads a model's pair kernels, and the fold itself.
+_MODEL_CALLS = {
+    "check_locality": check_locality,
+    "check_triviality": check_triviality,
+    "nontrivial_weight": nontrivial_weight,
+    "guessing_probability": lambda model: guessing_probability(model, "alice", "0"),
+    "first_mover_joint": lambda model: first_mover_joint(model, uniform_distribution(SA), uniform_distribution(SB)),
+    "reconstruct": reconstruct,
+    "marginalize_nonlocal": marginalize_nonlocal,
+}
+
+
+@pytest.mark.parametrize("call", _MODEL_CALLS.values(), ids=_MODEL_CALLS)
+def test_only_the_fold_takes_an_extended_model_and_it_keeps_a_plain_one(call):
+    # Each w-level kernel signals, and the pair kernel they fold into is the PR box.
+    extended = _pr_from_signalling_extension()
+    plain = HiddenVariableModel((("0", "0"),), (ONE,), (pr_box(),))
+    if call is marginalize_nonlocal:
+        assert marginalize_nonlocal(plain) is plain
+        assert marginalize_nonlocal(extended) == plain
+    else:
+        with pytest.raises(InvalidModel) as refusal:
+            call(extended)
+        assert str(refusal.value) == _FOLD_FIRST
+        assert call(marginalize_nonlocal(extended)) == call(plain)
+
+
 def test_marginalize_rejects_bad_w_weights():
     kernel = table1_box()
     extended = ExtendedModel(

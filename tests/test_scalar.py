@@ -98,6 +98,18 @@ def test_int_and_fraction_coercion():
     assert +SQRT2 is SQRT2
 
 
+# bool is an int subclass, yet neither component may be one, as
+# as_scalar(True) and Scalar(1) + True are refused too.
+@pytest.mark.parametrize(
+    "components, name",
+    [((True,), "a"), ((1, True), "b"), ((False, Fraction(1, 2)), "a"), ((Fraction(1, 2), False), "b")],
+)
+def test_a_bool_component_is_refused(components, name):
+    with pytest.raises(TypeError) as refusal:
+        Scalar(*components)
+    assert str(refusal.value) == f"Scalar component {name} must be int or Fraction, got bool"
+
+
 # A str operand, on either side: Scalar returns NotImplemented, so Python
 # raises its own TypeError and names both types.
 _STR_OPERANDS = {
