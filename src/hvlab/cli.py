@@ -111,9 +111,9 @@ def _product_witness_dict(witness: ProductWitness) -> dict[str, Any]:
 def _emit(args: argparse.Namespace, lines: Sequence[str], report: dict[str, Any]) -> None:
     # The JSON is printed line by line too: unbuffered (PYTHONUNBUFFERED=1),
     # one large print drops the rest of a partial pipe write without an
-    # error, where a later line's write raises BrokenPipeError.  json.dumps
-    # escapes every control and non-ASCII character, so "\n" is its only
-    # line break and the bytes are those of the one print.
+    # error, where a later line's write raises BrokenPipeError.  dump_json
+    # escapes every control and non-ASCII character, as json.dumps does, so
+    # "\n" is its only line break and the bytes are those of the one print.
     if args.format == "json":
         lines = dump_json(report).splitlines()
     for line in lines:

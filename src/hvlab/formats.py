@@ -16,13 +16,17 @@ arrays.  Serialization emits canonical scalar strings, so
 parse -> serialize -> parse is the identity.  As parsing reads each
 distinct cell string once per file, serialization formats each distinct
 value once per file: the tables and weights of one file share a map
-from canonical triple to text.
+from canonical triple to text.  Files, and the CLI's JSON reports, are
+written by :func:`dump_json` as two-space-indented JSON, byte for byte
+what ``json.dumps(..., indent=2)`` writes, with each repeated row and
+block rendered once per file.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -319,8 +323,53 @@ def sniff_kind(data: Any) -> str:
     raise FileFormatError("file is neither a box, a model nor an expression file")
 
 
-def dump_json(data: dict[str, Any]) -> str:
-    return json.dumps(data, indent=2) + "\n"
+def _strings(items: list | tuple) -> tuple | None:
+    """``items`` as a tuple if every item is a str, or as a tuple of tuples
+    if every item is a list or tuple of strs; else None."""
+    types = set(map(type, items))
+    if types == {str}:
+        return tuple(items)
+    if types <= {list, tuple} and set(map(type, chain.from_iterable(items))) <= {str}:
+        return tuple(map(tuple, items))
+    return None
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json`` writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def dump_json(data: Any) -> str:
+    """``json.dumps(data, indent=2) + "\\n"``, written in one pass.  Strings
+    go through the C escaper that ``json`` uses, so the only line break is
+    "\\n", and numbers, booleans, null and empty containers through
+    ``json.dumps`` itself.  Within one call each list of strs, and each
+    list of such lists, is rendered once per indent and content, so a
+    file's repeated rows and blocks are rendered once."""
+    rendered: dict[tuple[str, tuple], str] = {}
+
+    def write(value: Any, indent: str) -> str:
+        if isinstance(value, str):
+            return _quote(value)
+        if not isinstance(value, (list, tuple, dict)) or not value:
+            return json.dumps(value)
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{_quote(_key(key))}: {write(item, inner)}" for key, item in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        key = (indent, _strings(value))
+        text = rendered.get(key)
+        if text is None:
+            text = "[\n" + inner + (",\n" + inner).join([write(item, inner) for item in value]) + "\n" + indent + "]"
+            if key[1] is not None:
+                rendered[key] = text
+        return text
+
+    return write(data, "") + "\n"
 
 
 def _save_json(data: dict[str, Any], path: str | Path) -> None:

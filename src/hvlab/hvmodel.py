@@ -161,9 +161,15 @@ def _require_plain(model: HiddenVariableModel | ExtendedModel) -> None:
 
 def reconstruct(model: HiddenVariableModel) -> Behavior:
     """Observed behavior: the weight mixture of the kernels, mixed once
-    and kept on the model.  An extended model is refused."""
+    and kept on the model.  An extended model is refused, and so is an
+    invalid one, with its report, before anything is mixed."""
     _require_plain(model)
-    return _remembered(model, lambda model: mix(zip(model.weights, model.kernels)), "_reconstruction")
+    return _remembered(model, _reconstruction, "_reconstruction")
+
+
+def _reconstruction(model: HiddenVariableModel) -> Behavior:
+    require_valid_model(model)
+    return mix(zip(model.weights, model.kernels))
 
 
 class LocalityWitness(Frozen):

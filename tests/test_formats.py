@@ -1,10 +1,13 @@
 """File formats: canonical round trips, schema strictness, scalar strings."""
 
 import json
+import math
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import CHSH_SPACES
 from hvlab.bell import chsh
@@ -14,6 +17,7 @@ from hvlab.errors import FileFormatError, InvalidBehavior, InvalidModel
 from hvlab.formats import (
     behavior_from_dict,
     behavior_to_dict,
+    dump_json,
     expression_from_dict,
     expression_to_dict,
     load_box,
@@ -283,6 +287,63 @@ def test_emitted_json_is_stable(tmp_path):
     assert path_one.read_text() == path_two.read_text()
     parsed = json.loads(path_one.read_text())
     assert list(parsed) == ["settings_a", "settings_b", "outcomes_x", "outcomes_y", "p"]
+
+
+# Quotes, backslashes, control characters and non-ASCII ones, lone
+# surrogates among them, and the line breaks that str.splitlines knows.
+_TEXT = st.text(st.sampled_from('a|"\\/\b\f\n\r\t\x00\x1f\x7f\x85 é€\ud800😀'), max_size=6) | st.text(max_size=4)
+_NUMBERS = (
+    st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, -1e-300, 5e-324])
+)
+
+
+@st.composite
+def _documents(draw):
+    """A JSON document whose rows (lists of strings) and blocks (lists of
+    rows) recur, as lists and as tuples, at several depths."""
+    rows = draw(st.lists(st.lists(_TEXT, max_size=3), min_size=1, max_size=3))
+    blocks = draw(st.lists(st.lists(st.sampled_from(rows), max_size=3), min_size=1, max_size=3))
+    shared = st.sampled_from(rows + blocks) | st.sampled_from(rows + blocks).map(tuple)
+    leaves = _TEXT | _NUMBERS | st.booleans() | st.none() | shared
+    return draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(_TEXT, inner, max_size=4),
+            max_leaves=40,
+        )
+    )
+
+
+@given(_documents())
+@settings(max_examples=300, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(document):
+    text = dump_json(document)
+    assert text == json.dumps(document, indent=2) + "\n"
+    # cli._emit prints a report line by line and relies on this.
+    assert text.splitlines() == text.split("\n")[:-1]
+
+
+def test_dump_json_writes_keys_that_are_not_strs_as_json_dumps_does():
+    document = {1: [], 1.5: {}, True: (), None: -0.0, math.inf: [math.nan]}
+    assert dump_json(document) == json.dumps(document, indent=2) + "\n"
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        dump_json({(1, 2): "x"})
+
+
+def test_dump_json_renders_each_repeated_row_and_block_once(monkeypatch):
+    import hvlab.formats
+
+    quoted = []
+    monkeypatch.setattr(hvlab.formats, "_quote", lambda text: quoted.append(text) or json.dumps(text))
+    block = [["1/2", "0"], ["0", "1/2"]]
+    document = {"p": {f"{k}": [list(row) for row in block] for k in range(50)}, "rows": [["1/2", "0"]] * 50}
+    assert dump_json(document) == json.dumps(document, indent=2) + "\n"
+    # The 52 keys, the four cells of the block and the two of the row.
+    assert len(quoted) == 2 + 50 + 4 + 2
 
 
 # -- every refusal of a file, with its exact message --------------------------

@@ -338,6 +338,27 @@ def test_operations_reject_invalid_models():
         check_triviality(bad)
 
 
+@pytest.mark.parametrize(
+    "weights, kernel, message",
+    [
+        ((HALF, ONE / 3), pr_box(), "weights sum to 5/6, expected 1"),
+        # table1 with P(+1,-1|0,1) = -1/2: mixed half and half with table1,
+        # the cell would be -1/8-1/16*sqrt2.
+        (
+            (HALF, HALF),
+            Behavior(SA, SB, OX, OY, table1_box().table[:1] + (-HALF,) + table1_box().table[2:]),
+            "kernel at pair ('u', 'v'): negative cell P(+1,-1|0,1) = -1/2; row (0,1) sums to 1/4+1/8*sqrt2",
+        ),
+    ],
+    ids=["weight-sum", "negative-kernel-cell"],
+)
+def test_reconstruct_refuses_an_invalid_model_with_its_report(weights, kernel, message):
+    model = HiddenVariableModel((("u", "v"), ("w", "z")), weights, (kernel, table1_box()))
+    with pytest.raises(InvalidModel) as refusal:
+        reconstruct(model)
+    assert str(refusal.value) == message
+
+
 # -- extensions ---------------------------------------------------------------
 
 
