@@ -19,25 +19,29 @@ host.
 The no-signalling bound is an exact LP over the no-signalling polytope
 in Collins-Gisin coordinates (Collins and Gisin, J. Phys. A 37, 1775
 (2004)): the marginals and joint probabilities of every outcome but the
-last, one inequality per table cell and no equalities, so its
-right-hand side is nonnegative, as the simplex requires.  Its value is
-returned only once its certificate checks.
+last, one inequality per table cell that is not itself a coordinate and
+no equalities, so its right-hand side is nonnegative, as the simplex
+requires.  A cell with neither outcome last is its own joint
+coordinate, whose row would only restate q >= 0, so it has none and its
+coefficient goes to that coordinate's objective.  Its value is returned
+only once the certificate of the LP it solved checks.
 
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
-once, with its right-hand sides.  The matrix has |A||B||X||Y| rows of
-|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
-holds it only as each column's nonzero entries, the ints +-1.  Measured
-with tracemalloc under Python 3.11, 5522 (100 rows of 35 columns) takes
-0.012 MiB, and one setting
-with 45 outcomes per side (2025 rows of 2024 columns, just within
-``NS_CELL_BUDGET`` = 2**22 cells) takes 0.64 MiB, and its build, which
-writes no dense row, peaks at 0.84 MiB; the simplex tableau that a solve
-scatters the columns into holds all m x n cells, and the solve peaks at
-31.9 MiB.  Spaces whose matrix would pass that budget are refused before
-it is built.
+once, with its right-hand sides and the table cell of each row.  With
+at least two outcomes per side the matrix has |A||B|(|X|+|Y|-1) rows,
+against |A||B||X||Y| cells, of |A|(|X|-1) + |B|(|Y|-1) +
+|A||B|(|X|-1)(|Y|-1) columns, and an entry holds it only as each
+column's nonzero entries, the ints +-1.  Measured with tracemalloc under
+Python 3.11, one setting with 45 outcomes per side (89 rows of 2024
+columns; its 2025 x 2024 Collins-Gisin cells are just within
+``NS_CELL_BUDGET`` = 2**22) takes 0.79 MiB with its cell maps, and its
+build, which writes no dense row, peaks at 1.06 MiB; the simplex tableau
+that a solve scatters the columns into holds all m x n cells, and the
+solve peaks at 1.6 MiB.  Spaces whose full Collins-Gisin matrix would
+pass that budget are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -209,51 +213,62 @@ def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], l
             sums[k + 1] = list(map(add, sums[k], columns[k][xs[k]]))
 
 
-# Most cells, rows times columns, of the no-signalling LP's constraint
-# matrix that _ns_lp will build, and so of the simplex tableau, which
-# holds exactly those m x n cells.  The strategy budget lets through far
-# more: one setting and 128 outcomes per side give 16 384 rows of 16 383
-# columns.  With one setting per side, 45 outcomes (2025 rows of 2024
-# columns) are within it and 46 are not; ns_bound of a 45-outcome
-# expression took 0.12-0.15 s at 48 MB peak RSS, its solve_lp 31.9 MiB of
-# tracemalloc and its cached matrix 0.64 MiB, with Python 3.11 on a
-# shared 2-core host.
+# Most cells, rows times columns, of the full Collins-Gisin matrix of the
+# no-signalling LP, one row per table cell.  The LP that _ns_lp builds
+# keeps fewer rows, so its simplex tableau, which holds exactly its m x n
+# cells, stays within the budget too.  The strategy budget lets through
+# far more: one setting and 128 outcomes per side give 16 384 rows of
+# 16 383 columns in full.  With one setting per side, 45 outcomes (2025
+# rows of 2024 columns in full) are within it and 46 are not; ns_bound of
+# a 45-outcome expression, whose LP has 89 rows, took 0.02 s at 19 MB
+# peak RSS and its solve_lp 1.6 MiB of tracemalloc, with Python 3.11 on a
+# shared 2-core host (0.065 s, 50 MB and 31.9 MiB with one row per cell).
 NS_CELL_BUDGET = 2**22
 
 
 def _ns_lp(expression: BellExpression) -> LpProblem:
     """LP over the Collins-Gisin coordinates q maximising the expression
     less its constant part; see :func:`_ns_constraints`.  Spaces whose
-    matrix would pass ``NS_CELL_BUDGET`` cells are refused before it is
-    built, on every call.
+    full Collins-Gisin matrix, one row per table cell, would pass
+    ``NS_CELL_BUDGET`` cells are refused before any matrix is built, on
+    every call.
 
-    Cell i of the table is b_i - A_i.q, so the expression is
-    c.b - (A^T.c).q and the objective is -A^T.c, summed from the int
-    entries of the columns of ``A`` in ints over the table's common
-    denominator, its int view.
+    A cell with a row is b_i - A_i.q, and a cell without one is its own
+    coordinate q_j, so the expression is c.b - (A^T.c).q plus c_cell*q_j
+    for each of the latter.  The objective is summed from the int entries
+    of the columns of ``A`` and the coefficients of those cells, in ints
+    over the table's common denominator, its int view.
     """
     na, nb, nx, ny = map(len, expression.spaces)
     rows, columns = na * nb * nx * ny, na * (nx - 1) + nb * (ny - 1) + na * nb * (nx - 1) * (ny - 1)
     if rows * columns > NS_CELL_BUDGET:
         raise SizeBudgetExceeded(
-            f"the no-signalling LP's {rows} rows of {columns} columns ({rows * columns} cells) exceed "
-            f"the budget of {NS_CELL_BUDGET} cells"
+            f"the no-signalling LP's full Collins-Gisin matrix, {rows} rows of {columns} columns "
+            f"({rows * columns} cells), exceeds the budget of {NS_CELL_BUDGET} cells"
         )
-    constraints, rhs = _ns_constraints(expression.spaces)
+    constraints, rhs, cells, own = _ns_constraints(expression.spaces)
     ps, qs, den = _int_view(expression)
+    objective_p, objective_q = [0] * columns, [0] * columns
+    for cell, j in own:
+        objective_p[j] += ps[cell]
+        objective_q[j] += qs[cell]
+    row_p, row_q = [ps[cell] for cell in cells], [qs[cell] for cell in cells]
     objective = []
-    for column in constraints.columns:
-        p = q = 0
+    for column, p, q in zip(constraints.columns, objective_p, objective_q):
         for i, a in column:
-            p -= a * ps[i]
-            q -= a * qs[i]
+            p -= a * row_p[i]
+            q -= a * row_q[i]
         objective.append(_reduced(p, q, den))
     return LpProblem(tuple(objective), constraints, rhs)
 
 
 @lru_cache(maxsize=CACHED_SPACES)
-def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
-    """The no-signalling polytope A.q <= b in Collins-Gisin coordinates.
+def _ns_constraints(
+    spaces: Spaces,
+) -> tuple[Matrix, tuple[Scalar, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The no-signalling polytope A.q <= b in Collins-Gisin coordinates,
+    with the table cell of each row and the coordinate of each cell that
+    has no row.
 
     The columns are Alice's marginals p(x|a) for every outcome x but the
     last, Bob's p(y|b) likewise, then the joint p(x,y|a,b) for x and y
@@ -261,24 +276,34 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
     these numbers, and each table cell is b_i - A_i.q: P(x,y|a,b) is
     p(x|a)*p(y|b) with a last outcome's factor read as 1 minus the sum of
     the others, expanded and with each product p(x|a)*p(y|b) read as
-    p(x,y|a,b).  There is one row per cell, in table order, stating that
-    the cell is nonnegative; b_i is 1 where both outcomes are last and 0
-    elsewhere, so the slack basis is feasible.  The q that satisfy the
-    rows are exactly the no-signalling boxes, so the LP is always
-    feasible and bounded.
+    p(x,y|a,b).  A cell's row states that the cell is nonnegative; b_i is
+    1 where both outcomes are last and 0 elsewhere, so the slack basis is
+    feasible.  A cell whose row would be -q_j <= 0 with b_i = 0, one with
+    neither outcome last or with a last outcome on a side that has only
+    one, is the coordinate q_j itself: its row restates q_j >= 0, so it
+    has none, and the rows are those of the other cells, in table order.
+    With at least two outcomes per side that leaves |A||B|(|X|+|Y|-1) of
+    the |A||B||X||Y| cells.  The q that satisfy the rows are exactly the
+    no-signalling boxes, so the LP is always feasible and bounded.
 
-    Each entry, the int 1 or -1, is appended to its column as its row
-    is worked out, so the plain constructor builds the matrix."""
+    Returns the matrix, its right-hand sides, ``cells`` (the table cell
+    of each row) and ``own`` (a ``(cell, j)`` pair for each cell that is
+    q_j).  Each entry, the int 1 or -1, is appended to its column once its
+    cell is known to keep a row, so the plain constructor builds the
+    matrix."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
     columns: list[list[tuple[int, int]]] = [[] for _ in range(n_alice + n_bob + na * nb * kx * ky)]
+    cells: list[int] = []
+    own: list[tuple[int, int]] = []
 
     def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
         # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
         return ((1, i),) if i < k else ((1, None), *((-1, j) for j in range(k)))
 
-    for row, (ia, ib, ix, iy) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
+    for cell, (ia, ib, ix, iy) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
+        entries = []
         for sx, jx in terms(ix, kx):
             for sy, jy in terms(iy, ky):
                 if jx is None and jy is None:
@@ -289,9 +314,18 @@ def _ns_constraints(spaces: Spaces) -> tuple[Matrix, tuple[Scalar, ...]]:
                     column = n_alice + ib * ky + jy
                 else:
                     column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                columns[column].append((row, -sx * sy))  # minus the sign of its term
-    matrix = Matrix(na * nb * nx * ny, tuple(map(tuple, columns)))
-    return matrix, ((ZERO,) * (nx * ny - 1) + (ONE,)) * (na * nb)
+                entries.append((column, -sx * sy))  # minus the sign of its term
+        if len(entries) == 1 and entries[0][1] == -1:
+            own.append((cell, entries[0][0]))
+            continue
+        row = len(cells)
+        for column, a in entries:
+            columns[column].append((row, a))
+        cells.append(cell)
+    matrix = Matrix(len(cells), tuple(map(tuple, columns)))
+    last = nx * ny - 1
+    rhs = tuple(ONE if cell % (nx * ny) == last else ZERO for cell in cells)
+    return matrix, rhs, tuple(cells), tuple(own)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

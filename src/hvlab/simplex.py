@@ -50,15 +50,33 @@ divides its factor, else cross-multiplied and brought to lowest terms by
 one gcd.  These are the ints of the dense tableau's nonbasic columns;
 Scalars are built only for the answer.
 
-Bland's anti-cycling rule is used throughout, so termination is
-guaranteed: enter the nonbasic variable of lowest index (not lowest
-column position) with a negative reduced cost; leave by minimum ratio,
-ties broken by lowest basic variable index.  Every decision is an exact
+The entering variable is the one with the most negative reduced cost
+(Dantzig's rule), ties going to the lowest variable index (not lowest
+column position); the leaving variable is chosen by minimum ratio, ties
+going to the lowest basic variable index.  Every decision is an exact
 sign of ``p + q*sqrt2`` for ints ``p`` and ``q``: a ratio test
 cross-multiplies the two right-hand sides by the positive pivot-column
-entries, and a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2`` over the
-positive ``dP*dQ``.  The decisions, and so the pivots and the returned
-solution, are those of a dense tableau of Scalar entries.
+entries, a reduced cost is ``P_j*dQ + Q_j*dP*sqrt2`` over the positive
+``dP*dQ``, and since P and Q each have one denominator, two reduced
+costs j and k compare as ``(P_j - P_k)*dQ + (Q_j - Q_k)*dP*sqrt2``.  The
+decisions, and so the pivots and the returned solution, are those of a
+dense tableau of Scalar entries.
+
+Dantzig's rule alone can cycle through degenerate pivots, those whose
+leaving row has right-hand side 0 and which leave the objective where it
+is.  So the loop keeps a key of the basis through each run of them: the
+XOR of a fixed 64-bit mix (splitmix64's output step) of each basic
+label, taken against the run's first basis, so that it starts at 0 and
+each pivot XORs in the mixes of the two labels it swaps.  When a key
+repeats, the entering rule switches to Bland's (lowest index with a
+negative reduced cost) until the next pivot that is not degenerate.
+Every solve ends: a pivot that is not degenerate raises the objective,
+so no basis before it comes back and there are finitely many of them; a
+degenerate run under Dantzig's rule repeats a basis within finitely many
+pivots, and a repeated basis repeats its key; and Bland's rule, with
+this leaving rule, never repeats a basis (Bland, Math. Oper. Res. 2, 103
+(1977)), so it too leaves the run or ends the solve.  Two bases whose
+keys collide only switch the rule early, which is as safe.
 
 The reduced cost of slack n + k is the dual multiplier of row k: its P
 and Q entries while it is nonbasic, 0 while it is basic.  Its column, or
@@ -67,14 +85,15 @@ exact strong-duality certificate that :func:`check_certificate`
 verifies in ints too, independent of the pivoting code: q and y each
 over their own common denominator, A.q and y.A summed from the columns'
 int entries over those denominators, every row and column decided by the
-exact sign of a cross-multiplied difference.
+exact sign of a cross-multiplied difference, and c.q and y.b summed as
+int products over q's and y's supports.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
@@ -132,6 +151,7 @@ class Matrix(Frozen):
 
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
+_MASK64 = 2**64 - 1
 
 
 class LpProblem(Frozen):
@@ -236,18 +256,39 @@ class _Tableau:
         rp, rq, dp, dq = self.rp, self.rq, self.den[m], self.den[m + 1]
         return rp[m] * dq + 2 * rq[m + 1] * dp, rq[m] * dq + rp[m + 1] * dp, dp * dq
 
-    def run_bland(self) -> str:
-        """Pivot until optimal or unbounded."""
+    def run(self) -> str:
+        """Pivot until optimal or unbounded; see the module docstring for
+        the entering rule and the guard that makes it terminate."""
         rows, rp, rq, den, basis, nonbasic = self.rows, self.rp, self.rq, self.den, self.basis, self.nonbasic
         m = len(basis)
+        # Keys of the bases of the current degenerate run, each the XOR of
+        # the mixed labels that differ from the run's first basis.
+        seen: set[int] = set()
+        key = 0
+        bland = False
         while True:
-            # sign(z_j - c_j) = sign(P_j*dQ + Q_j*dP*sqrt2): both denominators are positive.
+            # z_j - c_j = P_j/dP + (Q_j/dQ)*sqrt2 with both denominators positive, so
+            # its sign is that of P_j*dQ + Q_j*dP*sqrt2, and it is below z_k - c_k
+            # when (P_j - P_k)*dQ + (Q_j - Q_k)*dP*sqrt2 is negative.
             dp, dq = den[m], den[m + 1]
             entering = -1
-            for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
-                if (p < 0 or q < 0) and (entering < 0 or nonbasic[j] < nonbasic[entering]):
-                    if _sign(p * dq, q * dp) < 0:
-                        entering = j
+            if bland:
+                for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
+                    if (p < 0 or q < 0) and (entering < 0 or nonbasic[j] < nonbasic[entering]):
+                        if _sign(p * dq, q * dp) < 0:
+                            entering = j
+            else:
+                for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
+                    if p >= 0 and q >= 0:
+                        continue
+                    if entering < 0:
+                        if (p > 0 or q > 0) and _sign(p * dq, q * dp) > 0:
+                            continue
+                    else:
+                        s = p - low_p if q == low_q else _sign((p - low_p) * dq, (q - low_q) * dp)
+                        if s > 0 or (s == 0 and nonbasic[j] > nonbasic[entering]):
+                            continue
+                    entering, low_p, low_q = j, p, q
             if entering < 0:
                 return OPTIMAL
             # Minimum of rhs_i / a_i over a_i > 0; the row denominators cancel.
@@ -257,29 +298,57 @@ class _Tableau:
                 if a <= 0:
                     continue
                 if leaving >= 0:
-                    s = _sign(rp[i] * best_a - best_p * a, rq[i] * best_a - best_q * a)
-                    if s > 0 or (s == 0 and basis[i] > basis[leaving]):
-                        continue
+                    if not (best_p or best_q):
+                        # The least ratio so far is 0, and no ratio is negative.
+                        if rp[i] or rq[i] or basis[i] > basis[leaving]:
+                            continue
+                    else:
+                        s, z = rp[i] * best_a - best_p * a, rq[i] * best_a - best_q * a
+                        if z:
+                            s = _sign(s, z)
+                        if s > 0 or (s == 0 and basis[i] > basis[leaving]):
+                            continue
                 leaving, best_a, best_p, best_q = i, a, rp[i], rq[i]
             if leaving < 0:
                 return UNBOUNDED
+            if rp[leaving] or rq[leaving]:
+                # A step of positive length raises the objective: no basis seen so far returns.
+                if seen:
+                    seen.clear()
+                    bland = False
+                self.pivot(leaving, entering)
+                continue
+            if not seen:
+                key = 0
+                seen.add(key)
+            labels = (basis[leaving], nonbasic[entering])
             self.pivot(leaving, entering)
+            for z in labels:
+                # splitmix64's output step, a fixed bijection of 64-bit ints.
+                z = (z + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                key ^= z ^ (z >> 31)
+            if key in seen:
+                bland = True
+            else:
+                seen.add(key)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Exact simplex from the slack basis, for ``b >= 0`` only, over a
     condensed tableau of the m x n cells of ``A``; see the module
-    docstring for the labels, Bland's rule and where the dual is read."""
-    for i, rhs in enumerate(problem.b):
-        if rhs.sign() < 0:
+    docstring for the labels, the pivoting rule and where the dual is read."""
+    b = list(map(_TRIPLE, problem.b))
+    for i, (p, q, _) in enumerate(b):
+        if (p < 0 or q < 0) and _sign(p, q) < 0:
             raise LpFailure(
-                f"right-hand side entry {i} is {format_scalar(rhs)}; "
+                f"right-hand side entry {i} is {format_scalar(problem.b[i])}; "
                 "the simplex starts from the slack basis and needs b >= 0"
             )
     n = len(problem.c)
     m = len(problem.b)
     # Row i and its right-hand side over b_i's denominator.
-    b = list(map(_TRIPLE, problem.b))
     rp, rq, den = [p for p, _, _ in b], [q for _, q, _ in b], [d for _, _, d in b]
     rows = [[0] * n for _ in range(m)]
     for j, column in enumerate(problem.A.columns):
@@ -293,19 +362,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     den += [d, d]
 
     tableau = _Tableau(rows, rp, rq, den, n)
-    if tableau.run_bland() == UNBOUNDED:
+    if tableau.run() == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
     q = [ZERO] * n
     for i, bi in enumerate(tableau.basis):
-        if bi < n:
+        if bi < n and (tableau.rp[i] or tableau.rq[i]):
             q[bi] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
     # The reduced cost of slack i is the dual multiplier of constraint i:
     # read from its column while it is nonbasic, 0 while it is basic.
     dual = [ZERO] * m
     P, Q, dp, dq = tableau.rows[m], tableau.rows[m + 1], tableau.den[m], tableau.den[m + 1]
     for j, v in enumerate(tableau.nonbasic):
-        if v >= n:
+        if v >= n and (P[j] or Q[j]):
             dual[v - n] = _reduced(P[j] * dq, Q[j] * dp, dp * dq)
     return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), tuple(dual))
 
@@ -316,8 +385,8 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     Requires primal feasibility (A.q <= b, q >= 0), dual feasibility
     (y >= 0, y.A >= c componentwise) and matching objectives
     (c.q == y.b == value).  Deliberately shares no code with the solver;
-    see the module docstring.  c.q and y.b are one Scalar product per
-    nonzero term, summed as ints.
+    see the module docstring.  c.q and y.b are summed in ints too, and no
+    Scalar product is formed.
     """
     if solution.status != OPTIMAL:
         return False
@@ -341,7 +410,8 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
             P[i] += a * p
             Q[i] += a * q
     for (bp, bq, bd), p, q in zip(map(_TRIPLE, problem.b), P, Q):
-        if _sign(p * bd - bp * qd, q * bd - bq * qd) > 0:
+        x, z = p * bd - bp * qd, q * bd - bq * qd
+        if (_sign(x, z) if z else x) > 0:
             return False
     # y.A: column j is (p + q*sqrt2) / yd.
     for column, (cp, cq, cd) in zip(problem.A.columns, map(_TRIPLE, problem.c)):
@@ -349,11 +419,20 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         for i, a in column:
             p += a * yp[i]
             q += a * yq[i]
-        if _sign(p * cd - cp * yd, q * cd - cq * yd) < 0:
+        x, z = p * cd - cp * yd, q * cd - cq * yd
+        if (_sign(x, z) if z else x) < 0:
             return False
-    primal = _common_denominator([problem.c[j] * solution.q[j] for j in support])
-    dual = _common_denominator(
-        [w * bound for w, bound, p, q in zip(solution.dual, problem.b, yp, yq) if p or q]
+    # c.q over q's support and y.b over y's, each a sum of int products over
+    # two common denominators, (p + q*sqrt2) / (cd*d), equal to the value.
+    weights = [i for i, (p, q) in enumerate(zip(yp, yq)) if p or q]
+    sums = (
+        (_common_denominator([problem.c[j] for j in support]), qp, qq, qd),
+        (_common_denominator([problem.b[i] for i in weights]), [yp[i] for i in weights], [yq[i] for i in weights], yd),
     )
     vp, vq, vd = solution.value._v
-    return all(sum(ps) * vd == vp * d and sum(qs) * vd == vq * d for ps, qs, d in (primal, dual))
+    for (cp, cq, cd), xp, xq, d in sums:
+        p = sum(map(mul, cp, xp)) + 2 * sum(map(mul, cq, xq))
+        q = sum(map(mul, cp, xq)) + sum(map(mul, cq, xp))
+        if p * vd != vp * cd * d or q * vd != vq * cd * d:
+            return False
+    return True

@@ -9,10 +9,12 @@ results from the kernel where no independent oracle pins them.
   ``hvlab.boxes.marginal``, ``hvlab.boxes.is_no_signalling`` and
   ``hvlab.hvmodel.check_triviality`` must give the same distributions,
   verdicts and witnesses without sharing a box's int view.
-- ``collins_gisin_ns_lp`` and ``collins_gisin_rows``, the no-signalling LP
-  with its objective summed in Scalars and its matrix written as one
-  dense row per table cell: ``hvlab.bell._ns_lp`` and
-  ``hvlab.bell._ns_constraints`` must build the same ``LpProblem``.
+- ``collins_gisin_ns_lp``, the no-signalling LP with its objective summed
+  in Scalars: ``hvlab.bell._ns_lp`` must build the same ``LpProblem``.
+- ``collins_gisin_rows`` and ``collins_gisin_full_lp``, the no-signalling
+  LP with one dense row per table cell: ``hvlab.bell._ns_constraints``
+  must keep exactly those rows that do not restate q_j >= 0, and
+  ``hvlab.bell.ns_bound`` must reach the full LP's optimum.
 - ``format_scalar`` through the reduced ``Fraction`` components, ``mix``
   with one Scalar multiply and add per cell per component, the table
   serializer that looked each cell up through ``Tensor.at`` (with the file
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from hvlab.bell import BellExpression, _ns_constraints
 from hvlab.boxes import (
@@ -119,29 +121,46 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
     """LP over the Collins-Gisin coordinates q maximising the expression
     less its constant part; see ``hvlab.bell._ns_constraints``.
 
-    Cell i of the table is b_i - A_i.q, so the expression is
-    c.b - (A^T.c).q and the objective is -A^T.c, read from the columns
-    of ``A``: every entry is the int +-1, so a coefficient is added or
-    subtracted.
+    A cell with a row is b_i - A_i.q and a cell without one is its own
+    coordinate q_j, so the objective is -A^T.c, read from the columns of
+    ``A``, plus c_cell on q_j for each of the latter: every entry is the
+    int +-1, so a coefficient is added or subtracted.
     """
-    constraints, rhs = _ns_constraints(expression.spaces)
+    constraints, rhs, cells, own = _ns_constraints(expression.spaces)
     coefficients = expression.table
-    objective = []
-    for column in constraints.columns:
-        total = ZERO
+    objective = [ZERO] * len(constraints.columns)
+    for cell, j in own:
+        objective[j] = objective[j] + coefficients[cell]
+    for j, column in enumerate(constraints.columns):
+        total = objective[j]
         for i, entry in column:
-            coefficient = coefficients[i]
+            coefficient = coefficients[cells[i]]
             if not coefficient.is_zero():
                 total = total - coefficient if entry == 1 else total + coefficient
-        objective.append(total)
+        objective[j] = total
     return LpProblem(tuple(objective), constraints, rhs)
 
 
-def collins_gisin_rows(spaces: Spaces) -> tuple[Iterator[list[Scalar]], int]:
-    """The Collins-Gisin constraint rows of ``hvlab.bell._ns_constraints``,
-    one dense row of Scalars per table cell, in table order, and their
-    width; each entry's column is worked out by index arithmetic and
-    written into a row of ZEROs."""
+def collins_gisin_full_lp(expression: BellExpression) -> LpProblem:
+    """The no-signalling LP with one row per table cell, as hvlab built it
+    before dropping the rows that restate q_j >= 0: the rows of
+    ``collins_gisin_rows`` and the objective -A^T.c summed in Scalars from
+    them.  Its optimum plus the constant part is the no-signalling bound."""
+    rows, _ = collins_gisin_rows(expression.spaces)
+    objective = [ZERO] * len(rows[0][0])
+    for (row, _), coefficient in zip(rows, expression.table):
+        for j, entry in enumerate(row):
+            objective[j] = objective[j] - entry * coefficient
+    return LpProblem(tuple(objective), tuple(row for row, _ in rows), tuple(bound for _, bound in rows))
+
+
+def collins_gisin_rows(spaces: Spaces) -> tuple[list[tuple[list[Scalar], Scalar]], int]:
+    """The Collins-Gisin constraint rows, one dense row of Scalars per
+    table cell, in table order, each with its right-hand side (1 where
+    both outcomes are last, 0 elsewhere), and their width; each entry's
+    column is worked out by index arithmetic and written into a row of
+    ZEROs.  ``hvlab.bell._ns_constraints`` keeps those of the rows that do
+    not read -q_j <= 0."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
@@ -153,24 +172,22 @@ def collins_gisin_rows(spaces: Spaces) -> tuple[Iterator[list[Scalar]], int]:
 
     # A cell's entry is minus the sign of its term.
     entry = {1: -ONE, -1: ONE}
-
-    def rows() -> Iterator[list[Scalar]]:
-        for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
-            row = [ZERO] * n
-            for sx, jx in terms(ix, kx):
-                for sy, jy in terms(iy, ky):
-                    if jx is None and jy is None:
-                        continue  # the constant, in b
-                    if jy is None:
-                        column = ia * kx + jx
-                    elif jx is None:
-                        column = n_alice + ib * ky + jy
-                    else:
-                        column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                    row[column] = entry[sx * sy]
-            yield row
-
-    return rows(), n
+    rows = []
+    for ia, ib, ix, iy in product(range(na), range(nb), range(nx), range(ny)):
+        row = [ZERO] * n
+        for sx, jx in terms(ix, kx):
+            for sy, jy in terms(iy, ky):
+                if jx is None and jy is None:
+                    continue  # the constant, in b
+                if jy is None:
+                    column = ia * kx + jx
+                elif jx is None:
+                    column = n_alice + ib * ky + jy
+                else:
+                    column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
+                row[column] = entry[sx * sy]
+        rows.append((row, ONE if (ix, iy) == (kx, ky) else ZERO))
+    return rows, n
 
 
 def _format_rational(q: Fraction) -> str:

@@ -1,16 +1,19 @@
-"""Reference solver: the dense Bland simplex over Scalar entries.
+"""Reference solver: the dense simplex over Scalar entries.
 
-This is the solver hvlab shipped before its tableau moved to integer rows;
-it is kept here, its pivoting unchanged, only so that the tests can demand that
+This is the solver hvlab shipped before its tableau moved to integer rows,
+its pivoting rule since brought in line with ``hvlab.simplex``'s; it is kept
+here only so that the tests can demand that
 ``hvlab.simplex.solve_lp`` returns exactly the same ``LpSolution`` (same
 pivots, so the same primal vertex and dual vector, not just the same
-optimum).  Every entry is a Scalar and every decision an exact Scalar
+optimum).  It keeps the bases of a degenerate run as sets, where the
+solver keeps a 64-bit key of each; the two differ only if two keys
+collide.  Every entry is a Scalar and every decision an exact Scalar
 comparison.  Its dense rows are rebuilt from the matrix's columns of int
 entries, the one view a ``Matrix`` holds, and each entry made a Scalar,
 with none of the int arithmetic the solver scatters them into.
 
-Like ``solve_lp`` it starts from the slack basis and runs one Bland
-phase, so it needs ``b >= 0``.
+Like ``solve_lp`` it starts from the slack basis and runs one phase,
+so it needs ``b >= 0``.
 """
 
 from __future__ import annotations
@@ -68,16 +71,19 @@ class _Tableau:
             self.zval = self.zval - factor * pivot_rhs
         self.basis[r] = c
 
-    def run_bland(self) -> str:
-        """Pivot until optimal or unbounded."""
+    def run(self) -> str:
+        """Pivot until optimal or unbounded.  Enter the most negative
+        reduced cost, the lowest variable on ties, or the lowest negative
+        one (Bland's rule) once a run of degenerate pivots has come back to
+        a basis it saw, until the next pivot that is not degenerate; leave
+        by minimum ratio, the lowest basic variable on ties."""
+        seen: set[frozenset[int]] = set()
+        bland = False
         while True:
-            entering = -1
-            for j, z in enumerate(self.zrow):
-                if z.sign() < 0:
-                    entering = j
-                    break
-            if entering < 0:
+            negative = [j for j, z in enumerate(self.zrow) if z.sign() < 0]
+            if not negative:
                 return OPTIMAL
+            entering = negative[0] if bland else min(negative, key=lambda j: (self.zrow[j], j))
             leaving = -1
             best_ratio: Scalar | None = None
             for i, row in enumerate(self.rows):
@@ -94,7 +100,16 @@ class _Tableau:
                     leaving = i
             if leaving < 0:
                 return UNBOUNDED
+            if not self.rhs[leaving].is_zero():
+                seen.clear()
+                bland = False
+                self.pivot(leaving, entering)
+                continue
+            seen.add(frozenset(self.basis))
             self.pivot(leaving, entering)
+            basis = frozenset(self.basis)
+            bland = bland or basis in seen
+            seen.add(basis)
 
 
 def reference_solve_lp(problem: LpProblem) -> LpSolution:
@@ -105,7 +120,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     matrix = dense_rows(problem.A.columns, m)
     rows = [[Scalar(a) for a in matrix[i]] + [ONE if k == i else ZERO for k in range(m)] for i in range(m)]
     tableau = _Tableau(rows, list(problem.b), list(problem.c) + [ZERO] * m)
-    if tableau.run_bland() == UNBOUNDED:
+    if tableau.run() == UNBOUNDED:
         return LpSolution(UNBOUNDED)
 
     q = [ZERO] * n

@@ -1,12 +1,13 @@
-"""Exact LP witnesses pinned to the values the solver has always returned.
+"""Exact LP witnesses pinned to the values the solver returns.
 
 The simplex skips terms with a zero factor; that must change no pivot, so
 the primal vector, the duals and the decomposition support below stay
-exactly as first recorded.  A skip that altered pivot order would still
-give the same optimum but a different vertex or dual vector.  The
+exactly as recorded under the current pivoting rule (Dantzig's entering
+rule with Bland's as its guard).  A skip that altered pivot order would
+still give the same optimum but a different vertex or dual vector.  The
 no-signalling LP is pinned as hvlab builds it, in Collins-Gisin
-coordinates; ``ns_bound`` must still give the values first recorded
-from the equality-pair LP it replaced.
+coordinates without the rows that restate q >= 0; ``ns_bound`` must still
+give the values first recorded from the equality-pair LP it replaced.
 """
 
 import random
@@ -39,7 +40,7 @@ def test_chsh_collins_gisin_ns_lp_solution():
     problem = _ns_lp(chsh())
     solution = solve_lp(problem)
     assert solution.q == _scalars("1/2 1/2 1/2 1/2 1/2 0 1/2 1/2".split())
-    assert solution.dual == _scalars("0 2 2 0 0 0 0 2 0 2 2 0 0 2 2 0".split())
+    assert solution.dual == _scalars("2 2 0 0 0 2 2 2 0 2 2 0".split())
     # The LP value plus the expression's constant part, 2.
     assert solution.value == parse_scalar("2")
     assert check_certificate(problem, solution)
@@ -64,10 +65,10 @@ def test_3322_decomposition_support():
     decomposition = max_local_content(box)
     vertices = enumerate_local_vertices(box.spaces)
     assert decomposition.local_content == Scalar(Fraction(2593, 5040))
-    assert [vertices.index(v) for v in decomposition.vertices] == [0, 2, 29, 30, 31, 32, 35, 46, 47, 53, 60, 61]
+    assert [vertices.index(v) for v in decomposition.vertices] == [0, 2, 29, 30, 32, 35, 46, 47, 53, 60, 61, 62]
     assert decomposition.weights == _scalars(
-        "8273/65520 759/14560 543/14560 145/20384 1/10192 183/14560 "
-        "489/14560 25/1764 9419/76440 289/3640 739/183456 1411/57330".split()
+        "115777/917280 2659/50960 1903/50960 73/10192 643/50960 1709/50960 "
+        "25/1764 9419/76440 289/3640 103/26208 22621/917280 1/20384".split()
     )
 
 
@@ -113,17 +114,21 @@ def test_3333_sqrt2_content_lp_solution():
     problem = content_lp_problem(box, enumerate_local_vertices(box.spaces))
     solution = solve_lp(problem)
     support = {
-        162: "1/30*sqrt2",
-        191: "1/30*sqrt2",
-        217: "1/30*sqrt2",
-        218: "1/3-1/5*sqrt2",
-        341: "1/30*sqrt2",
-        367: "1/30*sqrt2",
-        393: "1/30*sqrt2",
-        394: "1/3-1/5*sqrt2",
-        583: "1/30*sqrt2",
-        584: "1/12-7/120*sqrt2",
-        666: "1/4-3/40*sqrt2",
+        162: "1/18-1/60*sqrt2",
+        163: "-1/18+1/20*sqrt2",
+        189: "-1/18+1/20*sqrt2",
+        191: "1/18-1/60*sqrt2",
+        217: "1/18-1/60*sqrt2",
+        218: "5/18-3/20*sqrt2",
+        339: "-1/36+1/24*sqrt2",
+        341: "1/18-1/60*sqrt2",
+        367: "1/36-1/120*sqrt2",
+        368: "-1/18+1/20*sqrt2",
+        394: "1/3-1/6*sqrt2",
+        583: "1/18-1/60*sqrt2",
+        609: "1/36-1/120*sqrt2",
+        666: "1/4-13/120*sqrt2",
+        720: "1/30*sqrt2",
     }
     assert solution.q == tuple(parse_scalar(support.get(j, "0")) for j in range(729))
     assert solution.dual == _scalars(
@@ -151,16 +156,17 @@ def test_3322_sqrt2_collins_gisin_ns_lp_solution():
     problem = _ns_lp(_expression_3322())
     solution = solve_lp(problem)
     assert solution.q == _scalars("0 0 0 0 1 1 0 0 0 0 0 0 0 0 0".split())
-    dual = ["0"] * 36
+    dual = ["0"] * 27
     for i, value in {
-        1: "-1/2+2*sqrt2",
-        2: "5/2",
-        13: "2",
-        14: "2*sqrt2",
-        19: "-1/2+1*sqrt2",
-        23: "1/2+1*sqrt2",
-        25: "1/2",
-        31: "1/2+2*sqrt2",
+        0: "3+1*sqrt2",
+        1: "-1+1*sqrt2",
+        5: "3/2-1*sqrt2",
+        6: "1/2+1*sqrt2",
+        8: "1/2+1*sqrt2",
+        10: "2+2*sqrt2",
+        14: "-2+2*sqrt2",
+        18: "1/2",
+        23: "1/2+2*sqrt2",
     }.items():
         dual[i] = value
     assert solution.dual == _scalars(dual)

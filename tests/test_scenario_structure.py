@@ -49,9 +49,9 @@ from hvlab.decompose import (
 from hvlab.errors import InvalidBehavior, SizeBudgetExceeded, SpaceMismatch
 from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
-from hvlab.simplex import LpProblem, Matrix, check_certificate
+from hvlab.simplex import LpProblem, Matrix, check_certificate, solve_lp
 from oracle import extremal_generator_tables, local_generator_tables
-from reference_scenario import collins_gisin_ns_lp, collins_gisin_rows, marginal_is_no_signalling
+from reference_scenario import collins_gisin_full_lp, collins_gisin_ns_lp, collins_gisin_rows, marginal_is_no_signalling
 from reference_simplex import dense_rows
 
 
@@ -311,11 +311,14 @@ def test_ns_bound_lies_between_the_local_bound_and_no_no_signalling_box_beats_it
 
 @pytest.mark.parametrize(
     "shape, size",
-    [((2, 2, 2, 2), (16, 8)), ((3, 3, 2, 2), (36, 15)), ((5, 5, 2, 2), (100, 35)), ((2, 3, 1, 3), (18, 6))],
+    [((2, 2, 2, 2), (12, 8)), ((3, 3, 2, 2), (27, 15)), ((5, 5, 2, 2), (75, 35)), ((2, 3, 1, 3), (6, 6))],
 )
-def test_ns_constraints_have_one_row_per_cell(shape, size):
-    matrix, rhs = _ns_constraints(numbered_spaces(*shape))
+def test_ns_constraints_have_a_row_per_cell_that_is_no_coordinate(shape, size):
+    """|A||B|(|X|+|Y|-1) rows with two outcomes or more a side; with one
+    outcome on Alice's side only the cells where Bob's is last keep a row."""
+    matrix, rhs, cells, own = _ns_constraints(numbered_spaces(*shape))
     assert (matrix.height, len(matrix.columns)) == size
+    assert len(cells) + len(own) == prod(shape)
     assert all(v in (ZERO, ONE) for v in rhs)
     assert all(v in (0, 1, -1) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
 
@@ -339,38 +342,51 @@ def test_ns_constraints_have_one_row_per_cell(shape, size):
 )
 def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
     """The columns written as they are computed are those ``Matrix.from_rows``
-    reads off the reference's dense rows, spaces with one setting or one
-    outcome on a side included."""
+    reads off the reference's dense rows, less exactly the rows -q_j <= 0
+    with b = 0, spaces with one setting or one outcome on a side included;
+    each dropped cell is named with the coordinate q_j it is."""
     spaces = numbered_spaces(*shape)
-    matrix, _ = _ns_constraints(spaces)
-    expected = Matrix.from_rows(*collins_gisin_rows(spaces))
-    assert matrix.height == expected.height
+    matrix, rhs, cells, own = _ns_constraints(spaces)
+    rows, width = collins_gisin_rows(spaces)
+
+    def restated(row, bound):
+        nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
+        return bound.is_zero() and len(nonzero) == 1 and nonzero[0][1] == -ONE
+
+    kept = [cell for cell, (row, bound) in enumerate(rows) if not restated(row, bound)]
+    expected = Matrix.from_rows((rows[cell][0] for cell in kept), width)
+    assert matrix.height == expected.height == len(kept)
     assert matrix.columns == expected.columns
+    assert rhs == tuple(rows[cell][1] for cell in kept)
+    assert cells == tuple(kept)
+    assert own == tuple((cell, row.index(-ONE)) for cell, (row, bound) in enumerate(rows) if restated(row, bound))
     assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
 
 
 def test_a_cached_ns_matrix_holds_only_its_columns():
-    """One setting and twenty outcomes per side (400 rows of 399 columns,
-    1520 nonzero entries) take about 0.13 MiB with Python 3.11.  The bound
-    fails if the matrix keeps its rows as well, as int rows (1.37 MiB in
-    all) or dense Scalar rows."""
+    """One setting and twenty outcomes per side (39 rows of 399 columns,
+    1159 nonzero entries, and the 361 cells that are coordinates) take
+    about 0.13 MiB with Python 3.11.  The bound fails if the matrix keeps
+    its rows as well, as int rows (0.25 MiB in all) or dense Scalar rows
+    (0.36 MiB)."""
     spaces = numbered_spaces(1, 1, 20, 20)
     _ns_constraints.cache_clear()
     tracemalloc.start()
     try:
-        matrix, _ = _ns_constraints(spaces)
+        matrix, *_ = _ns_constraints(spaces)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (matrix.height, len(matrix.columns)) == (400, 399)
-    assert size < 0.5 * 2**20
+    assert (matrix.height, len(matrix.columns)) == (39, 399)
+    assert size < 0.2 * 2**20
 
 
 def test_building_an_ns_matrix_holds_no_dense_row():
     """Building the 1 x 20 matrix from an empty cache peaks at about
     0.17 MiB with Python 3.11: the column lists the entries are appended
-    to and the kept columns.  The bound fails if every dense row is built
-    before the matrix keeps their nonzero entries (1.42 MiB)."""
+    to and the kept columns.  The bound fails if the dense rows are built
+    before the matrix keeps their nonzero entries: about 0.29 MiB for the
+    39 rows it keeps, 1.42 MiB for one per cell."""
     spaces = numbered_spaces(1, 1, 20, 20)
     _ns_constraints.cache_clear()
     tracemalloc.start()
@@ -379,23 +395,51 @@ def test_building_an_ns_matrix_holds_no_dense_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * 2**20
+    assert peak < 0.25 * 2**20
 
 
 @given(_perturbed_boxes())
 @settings(max_examples=100, deadline=None)
 def test_collins_gisin_rows_give_back_every_no_signalling_box(box):
-    """b - A.q, with q read off the box, is the box's table exactly when
+    """b - A.q at the cells with a row, and q_j at the cells that are
+    coordinates, with q read off the box, is the box's table exactly when
     the box does not signal."""
-    matrix, rhs = _ns_constraints(box.spaces)
+    matrix, rhs, cells, own = _ns_constraints(box.spaces)
     na, nb, nx, ny = (len(space) for space in box.spaces)
     alice = [sum((box.at(ia, 0, ix, iy) for iy in range(ny)), ZERO) for ia in range(na) for ix in range(nx - 1)]
     bob = [sum((box.at(0, ib, ix, iy) for ix in range(nx)), ZERO) for ib in range(nb) for iy in range(ny - 1)]
     joint = [box.at(ia, ib, ix, iy) for ia, ib, ix, iy in product(range(na), range(nb), range(nx - 1), range(ny - 1))]
     q = alice + bob + joint
     rows = dense_rows(matrix.columns, len(rhs))
-    cells = tuple(bound - sum((a * v for a, v in zip(row, q)), ZERO) for row, bound in zip(rows, rhs))
-    assert (cells == box.table) == is_no_signalling(box)[0]
+    table = [None] * len(box.table)
+    for cell, row, bound in zip(cells, rows, rhs):
+        table[cell] = bound - sum((a * v for a, v in zip(row, q)), ZERO)
+    for cell, j in own:
+        table[cell] = q[j]
+    assert (tuple(table) == box.table) == is_no_signalling(box)[0]
+
+
+@st.composite
+def _outcome_expressions(draw):
+    """Expressions on one or two settings and two to four outcomes a side,
+    with rational coefficients only or with sqrt2 parts too."""
+    counts = [draw(st.integers(1, 2)) for _ in range(2)] + [draw(st.integers(2, 4)) for _ in range(2)]
+    values = _COEFFICIENTS if draw(st.booleans()) else (ZERO, ONE, -ONE, HALF, -HALF, Scalar(3))
+    return BellExpression(*numbered_spaces(*counts), tuple(draw(st.sampled_from(values)) for _ in range(prod(counts))))
+
+
+@given(_outcome_expressions())
+@settings(max_examples=40, deadline=None)
+def test_ns_bound_is_the_optimum_of_the_lp_with_a_row_per_cell(expression):
+    """Dropping the rows that restate q_j >= 0 moves no bound: ns_bound is
+    the certified optimum of the LP with every cell's row, plus the
+    constant part."""
+    problem = collins_gisin_full_lp(expression)
+    solution = solve_lp(problem)
+    assert check_certificate(problem, solution)
+    _, _, nx, ny = map(len, expression.spaces)
+    constant = sum(expression.table[nx * ny - 1 :: nx * ny], ZERO)
+    assert ns_bound(expression) == constant + solution.value
 
 
 def test_expressions_on_equal_spaces_share_one_constraint_matrix():

@@ -128,6 +128,19 @@ def test_certificate_rejects_tampering():
     assert not check_certificate(problem, negative_dual)
 
 
+def test_certificate_sets_both_objectives_against_the_value():
+    # max q0 + q1 s.t. q0 + q1 <= 2 - sqrt2: value 2 - sqrt2 with dual 1.
+    # Each tampered candidate stays primal and dual feasible, so only the
+    # objective sums can reject it: q = 0 gives c.q = 0, and y = 1 + sqrt2
+    # gives y.b = sqrt2, a sum with sqrt2 parts on both sides.
+    problem = LpProblem((ONE, ONE), ((ONE, ONE),), (Scalar(2, -1),))
+    solution = solve_lp(problem)
+    assert (solution.value, solution.dual) == (Scalar(2, -1), (ONE,))
+    assert check_certificate(problem, solution)
+    assert not check_certificate(problem, LpSolution(OPTIMAL, (ZERO, ZERO), solution.value, solution.dual))
+    assert not check_certificate(problem, LpSolution(OPTIMAL, solution.q, solution.value, (Scalar(1, 1),)))
+
+
 # max q0 + q1 s.t. q0 + q1 <= 1 and an all-zero row: optimum 1 at q = (1, 0)
 # with dual (1, 0).  Each candidate below holds these numbers in another
 # status or shape, and the sums alone would accept the unbounded one and
@@ -347,21 +360,90 @@ def test_tall_lps_match_the_scalar_tableau_reference(problem):
 
 
 def test_a_slack_that_leaves_and_re_enters_matches_the_reference():
-    # max q0 + 3 q1 + 3 q2 over three rows.  Bland's path: q0 enters for
-    # slack 4 (row 1), q1 for slack 5, q2 for q1, then slack 4 re-enters
-    # for q0, in the column q0 took from it.  The columns then hold
-    # variables 0, 5 and 1, so entering, the dual and the basis all
-    # depend on the labels, not on the column positions.
+    # max 2 q0 + 3 q1 + 3 q2 over three rows.  The path: q1 and q2 tie
+    # for the most negative reduced cost, -3, and the lower index q1
+    # enters for slack 3 (row 0), q2 for slack 4, q0 for slack 5, then
+    # slack 4 re-enters for q2, in the column q2 took from it.  The
+    # columns then hold variables 5, 3 and 2, so entering, the dual and
+    # the basis all depend on the labels, not on the column positions.
     problem = LpProblem(
-        (ONE, Scalar(3), Scalar(3)),
-        ((Scalar(2), ONE, Scalar(2)), (Scalar(3), -ONE, ZERO), (Scalar(2), Scalar(2), Scalar(2))),
-        (Scalar(2), ONE, ONE),
+        (Scalar(2), Scalar(3), Scalar(3)),
+        ((ZERO, Scalar(2), ZERO), (ZERO, Scalar(2), Scalar(2)), (ONE, ZERO, Scalar(3))),
+        (Scalar(2), Scalar(3), Scalar(2)),
     )
     solution, pivots = _solve_with_reference(problem)
-    assert pivots == [(4, 0), (5, 1), (1, 2), (0, 4)]
+    assert pivots == [(3, 1), (4, 2), (5, 0), (2, 4)]
     three_halves = Scalar(Fraction(3, 2))
-    assert (solution.q, solution.value, solution.dual) == ((ZERO, ZERO, HALF), three_halves, (ZERO, ZERO, three_halves))
+    assert (solution.q, solution.value) == ((Scalar(2), ONE, ZERO), Scalar(7))
+    assert solution.dual == (three_halves, ZERO, Scalar(2))
     assert check_certificate(problem, solution)
+
+
+# Beale's cycling example (E. M. L. Beale, Naval Res. Logist. Q. 2, 269
+# (1955)) as a maximisation: max 3/4 q0 - 150 q1 + 1/50 q2 - 6 q3 with
+# optimum 1/20 at q = (1/25, 0, 1, 0).  Its two tied rows are scaled by
+# 100 to integers.  Scaling a row divides its slack's reduced cost by
+# 100, which breaks the cycle, so each scaled row also gets a zero-cost
+# column of 100 (q4 and q5) that is priced as its unit slack was.  From
+# the slack basis, entering the most negative reduced cost and leaving by
+# the lowest basic variable on a tie of zero ratios then repeats Beale's
+# six degenerate pivots for ever, q4 and q5 standing in for the slacks.
+_BEALE_COST = (Scalar(Fraction(3, 4)), Scalar(-150), Scalar(Fraction(1, 50)), Scalar(-6), ZERO, ZERO)
+_BEALE_ROWS = (
+    (Scalar(25), Scalar(-6000), Scalar(-4), Scalar(900), Scalar(100), ZERO),
+    (Scalar(50), Scalar(-9000), Scalar(-2), Scalar(300), ZERO, Scalar(100)),
+    (ZERO, ZERO, ONE, ZERO, ZERO, ZERO),
+)
+_BEALE = LpProblem(_BEALE_COST, _BEALE_ROWS, (ZERO, ZERO, ONE))
+
+
+def _capped_pivots(monkeypatch, cap):
+    """The pivots of every solve_lp from here on, as (leaving variable,
+    entering variable) pairs; past ``cap`` of them the solve fails instead
+    of going round for ever."""
+    pivot, pivots = simplex._Tableau.pivot, []
+
+    def capped(tableau, r, c):
+        pivots.append((tableau.basis[r], tableau.nonbasic[c]))
+        assert len(pivots) <= cap, "the simplex is cycling"
+        pivot(tableau, r, c)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", capped)
+    return pivots
+
+
+def test_beales_cycling_example_ends_optimal(monkeypatch):
+    """The guard switches the entering rule to Bland's once the degenerate
+    run repeats a basis, so the solve ends; without it the pivots go round
+    for ever, and the cap turns that into a failure."""
+    pivots = _capped_pivots(monkeypatch, 50)
+    solution = solve_lp(_BEALE)
+    assert solution.status == OPTIMAL
+    assert solution.value == Scalar(Fraction(1, 20))
+    assert solution.q == (Scalar(Fraction(1, 25)), ZERO, ONE, ZERO, Scalar(Fraction(3, 100)), ZERO)
+    assert check_certificate(_BEALE, solution)
+    monkeypatch.undo()
+    assert _solve_with_reference(_BEALE) == (solution, pivots)
+
+
+def test_the_guard_gives_way_to_dantzig_after_a_step(monkeypatch):
+    """Beale's example with a variable of its own put first, q0 <= 1 at
+    cost 1/100.  Once the guard trips, Bland's rule enters q0, a step of
+    length 1; Dantzig's rule then takes over again, runs round Beale's
+    cycle a second time, and the guard trips again.  Left on Bland's rule
+    after that step, the solve would take another path."""
+    problem = LpProblem(
+        (Scalar(Fraction(1, 100)), *_BEALE_COST),
+        (*((ZERO, *row) for row in _BEALE_ROWS), (ONE,) + (ZERO,) * 6),
+        (ZERO, ZERO, ONE, ONE),
+    )
+    pivots = _capped_pivots(monkeypatch, 50)
+    solution = solve_lp(problem)
+    assert pivots[8] == (10, 0) and len(pivots) == 19
+    assert solution.value == Scalar(Fraction(1, 100) + Fraction(1, 20))
+    assert check_certificate(problem, solution)
+    monkeypatch.undo()
+    assert _solve_with_reference(problem) == (solution, pivots)
 
 
 @st.composite
@@ -552,13 +634,14 @@ def test_certificate_subtracts_on_minus_one_entries():
     assert not check_certificate(problem, LpSolution(OPTIMAL, solution.q, Scalar(3), (Scalar(3), ZERO)))
 
 
-def test_certificate_multiplies_only_for_the_objective_values(monkeypatch):
-    """An integer matrix is checked in ints alone: the only Scalar
-    products are c_j*q_j over q's support and y_i*b_i over y's."""
+def test_certificate_makes_no_scalar_product(monkeypatch):
+    """An integer matrix is checked in ints alone: c.q and y.b are summed
+    as int products too, so no Scalar is multiplied."""
     settings, outcomes = LabelSet(("0", "1", "2")), LabelSet(("0", "1"))
     coefficients = tuple(Scalar(k % 3 - 1, k % 2) for k in range(36))
     problem = _ns_lp(BellExpression(settings, settings, outcomes, outcomes, coefficients))
     solution = solve_lp(problem)
+    assert any(not v.is_zero() for v in solution.q) and any(not w.is_zero() for w in solution.dual)
     products = []
     multiply = Scalar.__mul__
 
@@ -568,6 +651,4 @@ def test_certificate_multiplies_only_for_the_objective_values(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__mul__", counting)
     assert check_certificate(problem, solution)
-    support = sum(not v.is_zero() for v in solution.q)
-    weights = sum(not w.is_zero() for w in solution.dual)
-    assert len(products) == support + weights
+    assert products == []
