@@ -19,18 +19,21 @@ keeps on the instance (:func:`_remembered`), each built once and only
 from its own table: its int view (:func:`_int_view`, the cells as ints
 over their common denominator), its marginal table (:func:`_marginal_table`,
 both parties' one-side marginals summed from the view) and its validity
-report.  The report's row totals, :func:`marginal`, :func:`is_no_signalling`
-(whose verdict is not kept) and the triviality search of :mod:`hvlab.hvmodel`
+report and no-signalling verdict.  The report's row totals, :func:`marginal`,
+:func:`is_no_signalling` and the triviality search of :mod:`hvlab.hvmodel`
 read the marginal table, the content and Bell code the view, and each
-builds a Scalar only for a value it returns.  :func:`mix` reads its
-components' views too, leaving each one on its component, and builds a
-Scalar only per cell of the mixture.  A Bell expression and a
-:class:`JointTable`, whose validation and :func:`check_product` read it,
-keep their own int views the same way.  One helper,
-:func:`_negatives_and_total`, checks a probability vector given as ints
-over one denominator (its negative entries and its exact total): a box's
-cells, mixture weights, joint tables, and every weight vector of
-:mod:`hvlab.hvmodel` and :mod:`hvlab.decompose` go through it.  All values
+builds a Scalar only for a value it returns.  The verdict, kept as
+``(ok, witness)`` the first time a valid box is checked, is what every
+later check of that box returns; an invalid box keeps no verdict and is
+refused on every call.  :func:`mix` reads its components' views too,
+leaving each one on its component, and builds a Scalar only per cell of
+the mixture.  A Bell expression and a :class:`JointTable`, whose
+validation and :func:`check_product` read it, keep their own int views
+the same way.  One helper, :func:`_negatives_and_total`, checks a
+probability vector given as ints over one denominator (its negative
+entries and its exact total): a box's cells, mixture weights, joint
+tables, and every weight vector of :mod:`hvlab.hvmodel` and
+:mod:`hvlab.decompose` go through it.  All values
 are otherwise immutable and all operations pure, so everything here is
 safe for concurrent use; two threads that compute one of these store
 equal values.
@@ -278,10 +281,13 @@ class ValidityReport(Frozen):
 def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
     after the first call; each kind of object keeps its validity report as
-    ``_validity``, a box its int view as ``_ints`` and marginal table as
-    ``_marginals``, a Bell expression and a joint table their int views, a
-    model its locality verdict and reconstruction.  No computed value is None, so a first call
-    finds None without raising AttributeError."""
+    ``_validity``, a box its int view as ``_ints``, marginal table as
+    ``_marginals``, no-signalling verdict as ``_ns`` and, once the content
+    audit of :mod:`hvlab.decompose` has checked it as a vertex, its output
+    tables as ``_vertex``; a Bell expression and a joint table their int
+    views, a model its locality verdict and reconstruction.  No computed
+    value is None, so a first call finds None without raising
+    AttributeError."""
     value = getattr(obj, name, None)
     if value is None:
         value = compute(obj)
@@ -421,8 +427,14 @@ def is_no_signalling(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     marginal table (one party, one own setting) is no-signalling when it
     repeats its first |X| (or |Y|) entries; the first moved entry, in
     table order, is the witness, and only its two values become Scalars.
+    The verdict is kept on the box; an invalid box raises
+    :class:`~hvlab.errors.InvalidBehavior` on every call and keeps none.
     """
     require_valid_behavior(behavior)
+    return _remembered(behavior, _ns_verdict, "_ns")
+
+
+def _ns_verdict(behavior: Behavior) -> tuple[bool, NsWitness | None]:
     mp, mq, den = _marginal_table(behavior)
     na, nb, nx, ny = map(len, behavior.spaces)
     alice = na * nb * nx

@@ -42,25 +42,32 @@ checked once by :meth:`~hvlab.simplex.Matrix.from_rows`, which
 :func:`content_lp_problem` reuses for it (any other tuple gets a matrix
 of its own) and whose kept columns :func:`max_local_content` hands to
 the plain ``Matrix`` constructor as they are, checking no entry again.
-Entries are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used sets of
-spaces.  With two settings and eight outcomes per side (4096 vertices of
-256 cells) one entry takes about 9.8 MiB, measured with tracemalloc
-under Python 3.11: 8.6 MiB of vertex tables (references to the shared
-ZERO and ONE Scalars) and 1.2 MiB of matrix, whose only view is its
-column lists of each vertex's unit cells, each a ``(cell, 1)`` pair.
-That is a quarter of ``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry
-at the budget takes about 39 MiB; the simplex tableau of its LP, built from the columns
-for each solve, holds exactly those m x n cells.  The benchmark's
-largest content rung holds 81 vertices of 36 cells.
+The tuple also carries one int mask per cell, whose bit k is set when
+vertex k has a unit on that cell: the kept vertices are those outside
+the OR of the zero cells' masks, in the order the tuple gives them.
+Entries are kept for the ``boxes.CACHED_SPACES`` = 4 most recently used
+sets of spaces.  With two settings and eight outcomes per side (4096
+vertices of 256 cells) one entry takes about 9.9 MiB, measured with
+tracemalloc under Python 3.11: 8.6 MiB of vertex tables (references to
+the shared ZERO and ONE Scalars), 1.2 MiB of matrix, whose only view is
+its column lists of each vertex's unit cells, each a ``(cell, 1)`` pair,
+and 0.1 MiB of masks, 256 of 4096 bits.  That is a quarter of
+``VERTEX_CELL_BUDGET`` = 2**22 cells, so an entry at the budget takes
+about 40 MiB; the simplex tableau of its LP, built from the columns for
+each solve, holds exactly those m x n cells.  The benchmark's largest
+content rung holds 81 vertices of 36 cells.
 
 The remainder and the audit work in ints over common denominators, with
 one Scalar per reported cell; a box's ints are its int view, which only
 :mod:`hvlab.boxes` builds, from the box's own table.  The audit,
 :func:`verify_decomposition`, does not trust the cached tuple: it checks
 every support vertex against the definition by index arithmetic on its
-table's canonical triples, puts each weight on the unit cells that
-vertex's output tables name, and compares each cell with the box by
-cross-multiplication.
+table's canonical triples, puts each weight on the unit cells that this
+check found, and compares each cell with the box by cross-multiplication.
+A box cannot change, so the check's outcome, its output index tables and
+unit cells or a refusal, is computed once from the vertex's own triples
+and kept on it; the cached vertices, audited for every box of their
+spaces, are checked once each per process.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
 
 from .boxes import (
     CACHED_SPACES,
@@ -78,7 +84,7 @@ from .boxes import (
     _int_view,
     _negatives_and_total,
     _output_tables,
-    _position,
+    _remembered,
     _strategy_count,
     deterministic_behavior,
     is_no_signalling,
@@ -91,17 +97,16 @@ from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_sca
 from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
 
 _ONE, _ZERO = ONE._v, ZERO._v
-_ROW = itemgetter(0)
 
 # Most table cells, vertices times |A|*|B|*|X|*|Y|, that vertex
 # enumeration will build, and so the m x n cells of the content LP's
 # simplex tableau.  The strategy budget alone lets through two settings
 # with sixteen outcomes per side: 65 536 vertices of 1024 cells each and
 # a content LP to match.  Eight outcomes per side (4096 vertices of 256
-# cells, a quarter of the budget) hold about 8.6 MiB of tables and
-# 1.2 MiB of content-LP matrix columns, but the tableau that a solve
-# scatters them into takes the full m x n cells; the benchmark's largest
-# vertex set, 2233's, has 81 vertices of 36 cells.
+# cells, a quarter of the budget) hold about 8.6 MiB of tables, 1.2 MiB
+# of content-LP matrix columns and 0.1 MiB of per-cell masks, but the
+# tableau that a solve scatters them into takes the full m x n cells; the
+# benchmark's largest vertex set, 2233's, has 81 vertices of 36 cells.
 VERTEX_CELL_BUDGET = 2**22
 
 
@@ -112,29 +117,37 @@ def enumerate_local_vertices(spaces: Spaces) -> tuple[Behavior, ...]:
     ``VERTEX_CELL_BUDGET`` cells in all, are refused before any is built,
     on every call.  Equal spaces give the same tuple of the same objects
     (see the module docstring)."""
-    spaces = tuple(spaces)
-    count = _strategy_count(spaces)
-    cells = count * prod(len(space) for space in spaces)
-    if cells > VERTEX_CELL_BUDGET:
-        raise SizeBudgetExceeded(
-            f"{count} vertices of {cells // count} cells ({cells} cells) exceed the budget of "
-            f"{VERTEX_CELL_BUDGET} cells"
-        )
-    return _local_vertices(spaces)
+    return _local_vertices(tuple(spaces))
 
 
 class _LocalVertices(tuple):
-    """The cached vertex tuple of one set of spaces.  It carries, as
-    ``matrix``, the content LP's constraint matrix over those vertices,
-    built with it: row i is cell i of every vertex table."""
+    """The cached vertex tuple of one set of spaces.  It carries, built
+    with it, the content LP's constraint matrix over those vertices as
+    ``matrix`` (row i is cell i of every vertex table) and, as ``masks``,
+    one int per cell whose bit k is set when vertex k has a unit there."""
 
 
 @lru_cache(maxsize=CACHED_SPACES)
 def _local_vertices(spaces: Spaces) -> _LocalVertices:
+    # The budgets are checked under the cache, so a hit pays for none of
+    # it; lru_cache keeps no exception, so spaces past them are refused on
+    # every call.
+    count = _strategy_count(spaces)
+    size = prod(len(space) for space in spaces)
+    if count * size > VERTEX_CELL_BUDGET:
+        raise SizeBudgetExceeded(
+            f"{count} vertices of {size} cells ({count * size} cells) exceed the budget of "
+            f"{VERTEX_CELL_BUDGET} cells"
+        )
     vertices = _LocalVertices(
         deterministic_behavior(*spaces, outputs_a, outputs_b) for outputs_a, outputs_b in _output_tables(spaces)
     )
-    vertices.matrix = _transposed(vertices, prod(len(space) for space in spaces))
+    vertices.matrix = _transposed(vertices, size)
+    masks = [0] * size
+    for k, column in enumerate(vertices.matrix.columns):
+        for i, _ in column:
+            masks[i] |= 1 << k
+    vertices.masks = tuple(masks)
     return vertices
 
 
@@ -196,10 +209,14 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         )
     vertices = enumerate_local_vertices(behavior.spaces)
     # The content LP over every cell and the vertices with no unit on a zero
-    # cell, its columns taken from the cached matrix (see the module docstring).
-    table, columns = behavior.table, vertices.matrix.columns
-    zero = {i for i, cell in enumerate(table) if cell.is_zero()}
-    kept = [k for k, column in enumerate(columns) if zero.isdisjoint(map(_ROW, column))]
+    # cell, those outside the OR of the zero cells' masks, its columns taken
+    # from the cached matrix (see the module docstring).
+    table, columns, masks = behavior.table, vertices.matrix.columns, vertices.masks
+    zero = [i for i, cell in enumerate(table) if cell.is_zero()]
+    dropped = 0
+    for i in zero:
+        dropped |= masks[i]
+    kept = [k for k in range(len(columns)) if not dropped >> k & 1]
     solution = solve_lp(LpProblem((ONE,) * len(kept), Matrix(len(table), tuple(columns[k] for k in kept)), table))
     if solution.status != OPTIMAL:
         raise LpFailure(f"local-content LP ended {solution.status}")
@@ -224,40 +241,59 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     lifted = [ZERO] * len(vertices)
     for k, v in zip(kept, solution.q):
         lifted[k] = v
-    dual = tuple(ONE if i in zero else y for i, y in enumerate(solution.dual))
+    dual = list(solution.dual)
+    for i in zero:
+        dual[i] = ONE
     return LocalDecomposition(
         vertices=tuple(vertices[k] for k, _ in support),
         weights=tuple(q for _, q in support),
         residual=residual,
         local_content=content,
-        certificate=LpSolution(OPTIMAL, tuple(lifted), content, dual),
+        certificate=LpSolution(OPTIMAL, tuple(lifted), content, tuple(dual)),
     )
 
 
-def _vertex_output_tables(behavior: Behavior) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The (Alice, Bob) output index tables of a local deterministic vertex,
-    or None for any other box, checked against the definition by index
-    arithmetic on its table's canonical triples: each (a, b) block holds
-    exactly one cell equal to ONE and zeros elsewhere, Alice's unit outcome
-    does not depend on b, and Bob's does not depend on a.  That is the same
-    as valid, 0/1 and no-signalling, and shares no code with vertex
-    enumeration or the LP."""
+_VertexTables = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _vertex_output_tables(behavior: Behavior) -> _VertexTables | None:
+    """The (Alice, Bob) output index tables of a local deterministic vertex
+    and the positions of its unit cells, one per (a, b) block in table
+    order, or None for any other box, checked against the definition by
+    index arithmetic on its table's canonical triples: each (a, b) block
+    holds exactly one cell equal to ONE and zeros elsewhere, Alice's unit
+    outcome does not depend on b, and Bob's does not depend on a.  That is
+    the same as valid, 0/1 and no-signalling, and shares no code with
+    vertex enumeration or the LP."""
     na, nb, nx, ny = (len(space) for space in behavior.spaces)
     cells = [cell._v for cell in behavior.table]
     block = nx * ny
     outcome_a: dict[int, int] = {}
     outcome_b: dict[int, int] = {}
+    units = []
     for ia in range(na):
         for ib in range(nb):
             start = (ia * nb + ib) * block
             triples = cells[start : start + block]
             if triples.count(_ZERO) != block - 1 or _ONE not in triples:
                 return None
-            ix, iy = divmod(triples.index(_ONE), ny)
+            unit = triples.index(_ONE)
+            ix, iy = divmod(unit, ny)
             if outcome_a.setdefault(ia, ix) != ix or outcome_b.setdefault(ib, iy) != iy:
                 return None
+            units.append(start + unit)
     # Both dicts were filled in setting order.
-    return tuple(outcome_a.values()), tuple(outcome_b.values())
+    return tuple(outcome_a.values()), tuple(outcome_b.values()), tuple(units)
+
+
+def _audited_tables(behavior: Behavior) -> _VertexTables | None:
+    """:func:`_vertex_output_tables` of the box, kept on it after the first
+    call; any other box keeps ``()``, as a kept value is never None."""
+    return _remembered(behavior, _kept_tables, "_vertex") or None
+
+
+def _kept_tables(behavior: Behavior) -> _VertexTables | tuple[()]:
+    return _vertex_output_tables(behavior) or ()
 
 
 def _strategy_label(outcomes: LabelSet, outputs: tuple[int, ...]) -> str:
@@ -299,15 +335,17 @@ class DecompositionReport(Frozen):
 
 def _intrinsic_checks(
     d: LocalDecomposition, spaces: Spaces | None = None
-) -> tuple[list[tuple[CheckResult, str]], list[tuple[tuple[int, ...], tuple[int, ...]] | None]]:
+) -> tuple[list[tuple[CheckResult, str]], list[_VertexTables | None], tuple[list[int], list[int], int]]:
     """The checks of the weights and vertices that need no target box, each
-    with the message :func:`decomposition_to_model` raises when it fails,
-    and each vertex's output index tables (None for a vertex that is not
-    local deterministic); given ``spaces``, every vertex must also have
-    them."""
-    negatives, total = _negatives_and_total(*_common_denominator(d.weights))
+    with the message :func:`decomposition_to_model` raises when it fails;
+    each vertex's output index tables and unit cells (None for a vertex
+    that is not local deterministic), given ``spaces`` on which every
+    vertex must also lie; and the weights as ints over their common
+    denominator."""
+    weights = _common_denominator(d.weights)
+    negatives, total = _negatives_and_total(*weights)
     negative = [format_scalar(d.weights[i]) for i in negatives]
-    tables = [_vertex_output_tables(vertex) for vertex in d.vertices]
+    tables = [_audited_tables(vertex) for vertex in d.vertices]
     bad_vertices = [
         i
         for i, (vertex, outputs) in enumerate(zip(d.vertices, tables))
@@ -351,7 +389,7 @@ def _intrinsic_checks(
             "vertices must be deterministic local behaviors",
         ),
     ]
-    return checks, tables
+    return checks, tables, weights
 
 
 def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) -> DecompositionReport:
@@ -361,7 +399,7 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
     code with the LP and so serves as its external auditor.
     """
     d = decomposition
-    intrinsic, tables = _intrinsic_checks(d, behavior.spaces)
+    intrinsic, tables, (wp, wq, w) = _intrinsic_checks(d, behavior.spaces)
     checks = [check for check, _ in intrinsic]
     vertices_ok = checks[-1].ok  # vertices_are_local_deterministic
 
@@ -380,19 +418,15 @@ def verify_decomposition(decomposition: LocalDecomposition, behavior: Behavior) 
         if not same_spaces:
             checks.append(CheckResult("reconstruction_exact", False, "residual spaces differ"))
         else:
-            # Each weight goes on the unit cells its vertex's output tables name,
-            # as ints over the weights' common denominator w.  With the residual
-            # (zero when None) over s, its weight 1 - content over rd and the
-            # box over b, each cell is compared times w*rd*s*b.
-            _, nb, nx, ny = (len(space) for space in behavior.spaces)
-            wp, wq, w = _common_denominator(d.weights)
+            # Each weight goes on its vertex's unit cells, as ints over the
+            # weights' common denominator w.  With the residual (zero when
+            # None) over s, its weight 1 - content over rd and the box over b,
+            # each cell is compared times w*rd*s*b.
             lp, lq = [0] * size, [0] * size
-            for (xs, ys), p, q in zip(tables, wp, wq):
-                for ia, ix in enumerate(xs):
-                    for ib, iy in enumerate(ys):
-                        i = _position(nb, nx, ny, ia, ib, ix, iy)
-                        lp[i] += p
-                        lq[i] += q
+            for (_, _, units), p, q in zip(tables, wp, wq):
+                for i in units:
+                    lp[i] += p
+                    lq[i] += q
             sp, sq, s = residual_view
             cp, cq, rd = d.local_content._v
             rp, rq = rd - cp, -cq
@@ -436,7 +470,7 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     both parts until it is not.
     """
     d = decomposition
-    checks, tables = _intrinsic_checks(d)
+    checks, tables, _ = _intrinsic_checks(d)
     for check, message in checks:
         if not check.ok:
             raise InvalidDecomposition(message)
@@ -454,7 +488,7 @@ def decomposition_to_model(decomposition: LocalDecomposition) -> HiddenVariableM
     weights: list[Scalar] = []
     kernels: list[Behavior] = []
     taken: set[tuple[str, str]] = set()
-    for vertex, q, (outputs_a, outputs_b) in zip(d.vertices, d.weights, tables):
+    for vertex, q, (outputs_a, outputs_b, _) in zip(d.vertices, d.weights, tables):
         label = (_strategy_label(vertex.outcomes_x, outputs_a), _strategy_label(vertex.outcomes_y, outputs_b))
         pairs.append(_unused_label(label, taken))
         weights.append(q)

@@ -387,6 +387,13 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     (c.q == y.b == value).  Deliberately shares no code with the solver;
     see the module docstring.  c.q and y.b are summed in ints too, and no
     Scalar product is formed.
+
+    The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
+    sqrt2 half of y.A is skipped whole when no entry of y has one: A is
+    an integer matrix, so such an entry adds exactly 0 to that half, and
+    every comparison still reads the half it skipped as 0 against c's or
+    b's sqrt2 part.  The content LP's dual is rational, since its ``c`` is
+    all ones, and so is the no-signalling LP's primal, since its ``b`` is.
     """
     if solution.status != OPTIMAL:
         return False
@@ -403,22 +410,32 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     pairs = chain(zip(qp, qq), zip(yp, yq))
     if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, q) < 0 for p, q in pairs):
         return False
-    # A.q: row i is (P[i] + Q[i]*sqrt2) / qd.
+    # A.q: row i is (P[i] + Q[i]*sqrt2) / qd; a q entry with no sqrt2 part
+    # adds nothing to Q.
     P, Q = [0] * m, [0] * m
     for j, p, q in zip(support, qp, qq):
-        for i, a in problem.A.columns[j]:
-            P[i] += a * p
-            Q[i] += a * q
+        if q:
+            for i, a in problem.A.columns[j]:
+                P[i] += a * p
+                Q[i] += a * q
+        else:
+            for i, a in problem.A.columns[j]:
+                P[i] += a * p
     for (bp, bq, bd), p, q in zip(map(_TRIPLE, problem.b), P, Q):
         x, z = p * bd - bp * qd, q * bd - bq * qd
         if (_sign(x, z) if z else x) > 0:
             return False
-    # y.A: column j is (p + q*sqrt2) / yd.
+    # y.A: column j is (p + q*sqrt2) / yd, q being 0 when y is rational.
+    rational = not any(yq)
     for column, (cp, cq, cd) in zip(problem.A.columns, map(_TRIPLE, problem.c)):
         p = q = 0
-        for i, a in column:
-            p += a * yp[i]
-            q += a * yq[i]
+        if rational:
+            for i, a in column:
+                p += a * yp[i]
+        else:
+            for i, a in column:
+                p += a * yp[i]
+                q += a * yq[i]
         x, z = p * cd - cp * yd, q * cd - cq * yd
         if (_sign(x, z) if z else x) < 0:
             return False

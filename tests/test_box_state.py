@@ -1,8 +1,8 @@
-"""What a box keeps about itself: its int view and its validity report,
-both built by ``hvlab.boxes`` from the box's own table.  No caller can
-hand a view in, so no call can make an invalid box read as valid, and
-``marginal`` summed over the view gives the Scalar-loop reference's
-distributions."""
+"""What a box keeps about itself: its int view, its validity report and
+its no-signalling verdict, each built by ``hvlab.boxes`` from the box's
+own table.  No caller can hand a view in, so no call can make an invalid
+box read as valid, and ``marginal`` summed over the view gives the
+Scalar-loop reference's distributions."""
 
 from contextlib import suppress
 
@@ -15,7 +15,7 @@ import reference_scenario as reference
 from helpers import ns_behaviors, scalars, spaces_strategy, valid_behaviors
 from hvlab.bell import chsh, evaluate
 from hvlab.boxes import Behavior, is_no_signalling, marginal, mix, validate_behavior
-from hvlab.catalog import pr_box, table1_box
+from hvlab.catalog import pr_box, signalling_box, table1_box
 from hvlab.decompose import max_local_content, verify_decomposition
 from hvlab.errors import InvalidBehavior, InvalidModel, UnknownSetting
 from hvlab.hvmodel import HiddenVariableModel, check_locality, check_triviality
@@ -77,6 +77,22 @@ def test_a_box_builds_its_view_once_from_its_own_table():
     # An equal box built separately builds its own, equal view.
     twin = Behavior(*box.spaces, box.table)
     assert int_view(twin) == view and int_view(twin) is not view
+
+
+@pytest.mark.parametrize(
+    "make", [table1_box, pr_box, signalling_box, _all_ones], ids=["table1", "pr", "signalling", "invalid"]
+)
+def test_the_no_signalling_verdict_is_kept_only_for_a_valid_box(make):
+    box = make()
+    if not validate_behavior(box).ok:
+        for _ in range(3):
+            with pytest.raises(InvalidBehavior, match="row"):
+                is_no_signalling(box)
+            assert getattr(box, "_ns", None) is None
+        return
+    verdict = is_no_signalling(box)
+    assert is_no_signalling(box) is verdict
+    assert is_no_signalling(box) == verdict == reference.marginal_is_no_signalling(Behavior(*box.spaces, box.table))
 
 
 # -- marginal over the view ----------------------------------------------------

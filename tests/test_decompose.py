@@ -603,3 +603,69 @@ def test_the_audit_names_each_corruption_in_fixed_words(kind):
     # only when the vertices and the residual are both sound.
     names = [check.name for check in report.checks]
     assert ("residual_no_signalling" in names) == (kind == "weight")
+
+
+# -- what the audit keeps on a vertex ------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 2, 2), (2, 2, 3, 3)], ids=["2222", "3322", "2233"])
+def test_the_kept_vertex_tables_are_those_of_an_equal_hand_built_box(shape):
+    for vertex in enumerate_local_vertices(numbered_spaces(*shape)):
+        assert verify_decomposition(LocalDecomposition((vertex,), (ONE,), None, ONE), vertex).ok
+        kept = decompose._audited_tables(vertex)
+        assert kept is vertex._vertex
+        twin = Behavior(*vertex.spaces, tuple(vertex.table))
+        assert twin is not vertex and not hasattr(twin, "_vertex")
+        assert kept == decompose._vertex_output_tables(twin)
+        # The tables name the strategy that builds the vertex, and the unit
+        # cells are where its table holds 1, one per (a, b) block.
+        outputs_a, outputs_b, units = kept
+        labels_x, labels_y = vertex.outcomes_x.labels, vertex.outcomes_y.labels
+        strategy = ([labels_x[i] for i in outputs_a], [labels_y[i] for i in outputs_b])
+        assert deterministic_behavior(*vertex.spaces, *strategy) == twin
+        assert list(units) == [i for i, cell in enumerate(twin.table) if cell == ONE]
+        assert len(units) == len(vertex.settings_a) * len(vertex.settings_b)
+
+
+def _non_vertex(kind: str) -> Behavior:
+    """A hand-built box on the CHSH spaces that is not a local deterministic
+    vertex: a second unit in the first (a, b) block, or one unit per block
+    with Alice's outcome following Bob's setting (valid, but signalling)."""
+    if kind == "two_units":
+        table = list(enumerate_local_vertices(CHSH_SPACES)[0].table)
+        table[3] = ONE
+        return Behavior(*CHSH_SPACES, tuple(table))
+    settings_b, outcomes_x, outcomes_y = CHSH_SPACES[1:]
+    return Behavior.from_function(
+        *CHSH_SPACES,
+        lambda a, b, x, y: ONE if (x, y) == (outcomes_x.labels[settings_b.position(b)], outcomes_y.labels[0]) else ZERO,
+    )
+
+
+@pytest.mark.parametrize("kind", ["two_units", "moving_unit"])
+def test_a_hand_built_non_vertex_is_refused_on_every_call(kind):
+    box = _non_vertex(kind)
+    assert kind == "two_units" or (validate_behavior(box).ok and not is_no_signalling(box)[0])
+    d = LocalDecomposition((box,), (ONE,), None, ONE)
+    target = enumerate_local_vertices(CHSH_SPACES)[0]
+    for _ in range(2):
+        report = verify_decomposition(d, target)
+        assert [(check.name, check.detail) for check in report.checks if not check.ok] == [
+            ("vertices_are_local_deterministic", "offending indices [0]")
+        ]
+        with pytest.raises(InvalidDecomposition, match="vertices must be deterministic local behaviors"):
+            decomposition_to_model(d)
+        # The refusal is what the box keeps: a value that is not None.
+        assert box._vertex == () and decompose._audited_tables(box) is None
+
+
+def test_spaces_past_the_cell_budget_are_refused_and_never_cached():
+    enumerate_local_vertices(CHSH_SPACES)
+    size = decompose._local_vertices.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(
+            SizeBudgetExceeded,
+            match=r"^65536 vertices of 1024 cells \(67108864 cells\) exceed the budget of 4194304 cells$",
+        ):
+            enumerate_local_vertices(WIDE_SPACES)
+        assert decompose._local_vertices.cache_info().currsize == size

@@ -652,3 +652,22 @@ def test_certificate_makes_no_scalar_product(monkeypatch):
     monkeypatch.setattr(Scalar, "__mul__", counting)
     assert check_certificate(problem, solution)
     assert products == []
+
+
+def test_the_sqrt2_halves_are_summed_when_q_or_y_carries_sqrt2():
+    # max sqrt2*q0 + q1 s.t. q0 + q2 <= sqrt2, q1 <= 1, q1 - q0 <= 0: optimum 3
+    # at q = (sqrt2, 1, 0) with dual y = (sqrt2, 1, 0), both carrying sqrt2.
+    # Row 2 has b = 0 and column 2 has c = 0, so a sqrt2 part moved there
+    # leaves y.b and c.q as they are: only the sqrt2 half of y.A (or of A.q)
+    # can refuse it.
+    problem = LpProblem(
+        (SQRT2, ONE, ZERO),
+        ((ONE, ZERO, ONE), (ZERO, ONE, ZERO), (-ONE, ONE, ZERO)),
+        (SQRT2, ONE, ZERO),
+    )
+    q, y, value = (SQRT2, ONE, ZERO), (SQRT2, ONE, ZERO), Scalar(3)
+    assert check_certificate(problem, LpSolution(OPTIMAL, q, value, y))
+    # y_2 = sqrt2/2 leaves column 0 of y.A at sqrt2/2, short of c_0 = sqrt2.
+    assert not check_certificate(problem, LpSolution(OPTIMAL, q, value, (SQRT2, ONE, SQRT2 / 2)))
+    # q_2 = sqrt2 puts row 0 of A.q at 2*sqrt2, past b_0 = sqrt2.
+    assert not check_certificate(problem, LpSolution(OPTIMAL, (SQRT2, ONE, SQRT2), value, y))
