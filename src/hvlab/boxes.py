@@ -170,7 +170,11 @@ class Tensor(Frozen):
         return (self.settings_a, self.settings_b, self.outcomes_x, self.outcomes_y)
 
     def index(self, ia: int, ib: int, ix: int, iy: int) -> int:
-        """Position in ``table`` of the cell with these label positions."""
+        """Position in ``table`` of the cell with these label positions;
+        a position outside its label set raises IndexError."""
+        for name, space, i in zip(self._fields, self.spaces, (ia, ib, ix, iy)):
+            if not 0 <= i < len(space):
+                raise IndexError(f"{name} has no position {i}: it has {len(space)} labels")
         return _position(len(self.settings_b), len(self.outcomes_x), len(self.outcomes_y), ia, ib, ix, iy)
 
     def at(self, ia: int, ib: int, ix: int, iy: int) -> Scalar:
@@ -278,6 +282,9 @@ class ValidityReport(Frozen):
         return "; ".join(self.problems) or "valid"
 
 
+_UNSET = object()
+
+
 def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity") -> Any:
     """``compute(obj)``, kept on the immutable ``obj`` as attribute ``name``
     after the first call; each kind of object keeps its validity report as
@@ -285,11 +292,10 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
     ``_marginals``, no-signalling verdict as ``_ns`` and, once the content
     audit of :mod:`hvlab.decompose` has checked it as a vertex, its output
     tables as ``_vertex``; a Bell expression and a joint table their int
-    views, a model its locality verdict and reconstruction.  No computed
-    value is None, so a first call finds None without raising
-    AttributeError."""
-    value = getattr(obj, name, None)
-    if value is None:
+    views, a model its locality verdict and reconstruction.  A kept value
+    may be None."""
+    value = getattr(obj, name, _UNSET)
+    if value is _UNSET:
         value = compute(obj)
         object.__setattr__(obj, name, value)
     return value

@@ -288,12 +288,8 @@ def _vertex_output_tables(behavior: Behavior) -> _VertexTables | None:
 
 def _audited_tables(behavior: Behavior) -> _VertexTables | None:
     """:func:`_vertex_output_tables` of the box, kept on it after the first
-    call; any other box keeps ``()``, as a kept value is never None."""
-    return _remembered(behavior, _kept_tables, "_vertex") or None
-
-
-def _kept_tables(behavior: Behavior) -> _VertexTables | tuple[()]:
-    return _vertex_output_tables(behavior) or ()
+    call."""
+    return _remembered(behavior, _vertex_output_tables, "_vertex")
 
 
 def _strategy_label(outcomes: LabelSet, outputs: tuple[int, ...]) -> str:

@@ -64,19 +64,17 @@ dense tableau of Scalar entries.
 
 Dantzig's rule alone can cycle through degenerate pivots, those whose
 leaving row has right-hand side 0 and which leave the objective where it
-is.  So the loop keeps a key of the basis through each run of them: the
-XOR of a fixed 64-bit mix (splitmix64's output step) of each basic
-label, taken against the run's first basis, so that it starts at 0 and
-each pivot XORs in the mixes of the two labels it swaps.  When a key
-repeats, the entering rule switches to Bland's (lowest index with a
-negative reduced cost) until the next pivot that is not degenerate.
-Every solve ends: a pivot that is not degenerate raises the objective,
-so no basis before it comes back and there are finitely many of them; a
-degenerate run under Dantzig's rule repeats a basis within finitely many
-pivots, and a repeated basis repeats its key; and Bland's rule, with
+is.  So the loop keeps the set of bases of each run of them, and when a
+basis repeats, the entering rule switches to Bland's (the lowest index
+with a negative reduced cost) until the next pivot that is not
+degenerate.  Both rules go through one loop over the reduced costs,
+which tests each for negativity once and ranks the negative ones by
+value and then index, or by index alone.  Every solve ends: a pivot that
+is not degenerate raises the objective, so no basis before it comes back
+and there are finitely many of them; a degenerate run under Dantzig's
+rule repeats a basis within finitely many pivots; and Bland's rule, with
 this leaving rule, never repeats a basis (Bland, Math. Oper. Res. 2, 103
-(1977)), so it too leaves the run or ends the solve.  Two bases whose
-keys collide only switch the rule early, which is as safe.
+(1977)), so it too leaves the run or ends the solve.
 
 The reduced cost of slack n + k is the dual multiplier of row k: its P
 and Q entries while it is nonbasic, 0 while it is basic.  Its column, or
@@ -151,7 +149,6 @@ class Matrix(Frozen):
 
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
-_MASK64 = 2**64 - 1
 
 
 class LpProblem(Frozen):
@@ -261,34 +258,27 @@ class _Tableau:
         the entering rule and the guard that makes it terminate."""
         rows, rp, rq, den, basis, nonbasic = self.rows, self.rp, self.rq, self.den, self.basis, self.nonbasic
         m = len(basis)
-        # Keys of the bases of the current degenerate run, each the XOR of
-        # the mixed labels that differ from the run's first basis.
-        seen: set[int] = set()
-        key = 0
+        # The bases of the current degenerate run.
+        seen: set[frozenset[int]] = set()
         bland = False
         while True:
             # z_j - c_j = P_j/dP + (Q_j/dQ)*sqrt2 with both denominators positive, so
             # its sign is that of P_j*dQ + Q_j*dP*sqrt2, and it is below z_k - c_k
             # when (P_j - P_k)*dQ + (Q_j - Q_k)*dP*sqrt2 is negative.
             dp, dq = den[m], den[m + 1]
-            entering = -1
-            if bland:
-                for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
-                    if (p < 0 or q < 0) and (entering < 0 or nonbasic[j] < nonbasic[entering]):
-                        if _sign(p * dq, q * dp) < 0:
-                            entering = j
-            else:
-                for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
-                    if p >= 0 and q >= 0:
-                        continue
-                    if entering < 0:
-                        if (p > 0 or q > 0) and _sign(p * dq, q * dp) > 0:
-                            continue
-                    else:
-                        s = p - low_p if q == low_q else _sign((p - low_p) * dq, (q - low_q) * dp)
-                        if s > 0 or (s == 0 and nonbasic[j] > nonbasic[entering]):
-                            continue
-                    entering, low_p, low_q = j, p, q
+            entering, low_p, low_q = -1, 0, 0
+            for j, (p, q) in enumerate(zip(rows[m], rows[m + 1])):
+                if p >= 0 and q >= 0:
+                    continue
+                # Compared with the lowest so far, which starts at 0 and stays
+                # there under Bland's rule, in one test of negativity and rank;
+                # ties and Bland's rule go to the lowest label.
+                s = p - low_p if q == low_q else _sign((p - low_p) * dq, (q - low_q) * dp)
+                if s > 0 or (s == 0 or bland) and entering >= 0 and nonbasic[j] > nonbasic[entering]:
+                    continue
+                entering = j
+                if not bland:
+                    low_p, low_q = p, q
             if entering < 0:
                 return OPTIMAL
             # Minimum of rhs_i / a_i over a_i > 0; the row denominators cancel.
@@ -298,37 +288,24 @@ class _Tableau:
                 if a <= 0:
                     continue
                 if leaving >= 0:
-                    if not (best_p or best_q):
-                        # The least ratio so far is 0, and no ratio is negative.
-                        if rp[i] or rq[i] or basis[i] > basis[leaving]:
-                            continue
-                    else:
-                        s, z = rp[i] * best_a - best_p * a, rq[i] * best_a - best_q * a
-                        if z:
-                            s = _sign(s, z)
-                        if s > 0 or (s == 0 and basis[i] > basis[leaving]):
-                            continue
+                    s, z = rp[i] * best_a - best_p * a, rq[i] * best_a - best_q * a
+                    if z:
+                        s = _sign(s, z)
+                    if s > 0 or (s == 0 and basis[i] > basis[leaving]):
+                        continue
                 leaving, best_a, best_p, best_q = i, a, rp[i], rq[i]
             if leaving < 0:
                 return UNBOUNDED
             if rp[leaving] or rq[leaving]:
                 # A step of positive length raises the objective: no basis seen so far returns.
-                if seen:
-                    seen.clear()
-                    bland = False
+                seen.clear()
+                bland = False
                 self.pivot(leaving, entering)
                 continue
             if not seen:
-                key = 0
-                seen.add(key)
-            labels = (basis[leaving], nonbasic[entering])
+                seen.add(frozenset(basis))
             self.pivot(leaving, entering)
-            for z in labels:
-                # splitmix64's output step, a fixed bijection of 64-bit ints.
-                z = (z + 0x9E3779B97F4A7C15) & _MASK64
-                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                key ^= z ^ (z >> 31)
+            key = frozenset(basis)
             if key in seen:
                 bland = True
             else:

@@ -5,9 +5,8 @@ its pivoting rule since brought in line with ``hvlab.simplex``'s; it is kept
 here only so that the tests can demand that
 ``hvlab.simplex.solve_lp`` returns exactly the same ``LpSolution`` (same
 pivots, so the same primal vertex and dual vector, not just the same
-optimum).  It keeps the bases of a degenerate run as sets, where the
-solver keeps a 64-bit key of each; the two differ only if two keys
-collide.  Every entry is a Scalar and every decision an exact Scalar
+optimum).  It keeps the bases of a degenerate run as sets, as the
+solver does.  Every entry is a Scalar and every decision an exact Scalar
 comparison.  Its dense rows are rebuilt from the matrix's columns of int
 entries, the one view a ``Matrix`` holds, and each entry made a Scalar,
 with none of the int arithmetic the solver scatters them into.

@@ -81,6 +81,26 @@ def test_marginal_unknown_setting():
         marginal(table1_box(), "alice", ("9", "1"))
 
 
+@pytest.mark.parametrize(
+    "position, message",
+    [
+        ((0, 0, 0, 2), "outcomes_y has no position 2: it has 2 labels"),
+        ((-1, 0, 0, 0), "settings_a has no position -1: it has 2 labels"),
+    ],
+    ids=["past-the-end", "negative"],
+)
+def test_at_refuses_a_position_outside_its_label_set(position, message):
+    # Unchecked, (0, 0, 0, 2) would read the cell at (0, 0, 1, 0) and
+    # (-1, 0, 0, 0) a cell of Alice's last setting.
+    box = table1_box()
+    for read in (box.at, box.index):
+        with pytest.raises(IndexError) as refusal:
+            read(*position)
+        assert str(refusal.value) == message
+    with pytest.raises(UnknownOutcome):
+        box.p("0", "1", "+1", "2")
+
+
 def test_no_signalling_table1_and_pr():
     assert is_no_signalling(table1_box()) == (True, None)
     assert is_no_signalling(pr_box()) == (True, None)

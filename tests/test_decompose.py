@@ -655,8 +655,8 @@ def test_a_hand_built_non_vertex_is_refused_on_every_call(kind):
         ]
         with pytest.raises(InvalidDecomposition, match="vertices must be deterministic local behaviors"):
             decomposition_to_model(d)
-        # The refusal is what the box keeps: a value that is not None.
-        assert box._vertex == () and decompose._audited_tables(box) is None
+        # The refusal is what the box keeps: None.
+        assert box._vertex is None and decompose._audited_tables(box) is None
 
 
 def test_spaces_past_the_cell_budget_are_refused_and_never_cached():

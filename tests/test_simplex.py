@@ -426,6 +426,24 @@ def test_beales_cycling_example_ends_optimal(monkeypatch):
     assert _solve_with_reference(_BEALE) == (solution, pivots)
 
 
+def test_beales_example_with_sqrt2_in_every_reduced_cost(monkeypatch):
+    """Beale's costs times 2 - sqrt2.  A positive factor leaves every
+    choice of Dantzig's rule as it was, so the pivots still go round
+    without the guard; and each nonzero reduced cost now has a rational
+    and a sqrt2 part of opposite signs, so once the guard trips, Bland's
+    rule decides which of them are negative by their exact sign."""
+    factor = Scalar(2) - SQRT2
+    problem = LpProblem(tuple(c * factor for c in _BEALE_COST), _BEALE_ROWS, _BEALE.b)
+    pivots = _capped_pivots(monkeypatch, 50)
+    solution = solve_lp(problem)
+    assert solution.status == OPTIMAL
+    assert solution.value == Scalar(Fraction(1, 10)) - SQRT2 / Scalar(20)
+    assert check_certificate(problem, solution)
+    monkeypatch.undo()
+    assert _solve_with_reference(problem) == (solution, pivots)
+    assert len(pivots) == 12
+
+
 def test_the_guard_gives_way_to_dantzig_after_a_step(monkeypatch):
     """Beale's example with a variable of its own put first, q0 <= 1 at
     cost 1/100.  Once the guard trips, Bland's rule enters q0, a step of
