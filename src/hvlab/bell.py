@@ -23,18 +23,24 @@ last, one inequality per table cell that is not itself a coordinate and
 no equalities, so its right-hand side is nonnegative, as the simplex
 requires.  A cell with neither outcome last is its own joint
 coordinate, whose row would only restate q >= 0, so it has none and its
-coefficient goes to that coordinate's objective.  Its value is returned
-only once the certificate of the LP it solved checks.
+coefficient goes to that coordinate's objective.  :func:`ns_bound`
+works in ints from end to end: it sums the objective from the
+expression's int view, solves and checks the LP's strong-duality
+certificate with the int core of :mod:`hvlab.simplex`
+(``_solve_ints`` and ``_check_ints``), and builds one Scalar, the
+bound, only once that check passes.  :func:`_ns_lp` wraps the same int
+objective in an :class:`~hvlab.simplex.LpProblem` of Scalars for
+callers of :func:`~hvlab.simplex.solve_lp`.
 
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
-once, with its right-hand sides and the table cell of each row.  With
-at least two outcomes per side the matrix has |A||B|(|X|+|Y|-1) rows,
-against |A||B||X||Y| cells, of |A|(|X|-1) + |B|(|Y|-1) +
-|A||B|(|X|-1)(|Y|-1) columns, and an entry holds it only as each
-column's nonzero entries, the ints +-1.  Measured with tracemalloc under
+once, with its right-hand sides, as the int triples the core reads, and
+the table cell of each row.  With at least two outcomes per side the
+matrix has |A||B|(|X|+|Y|-1) rows, against |A||B||X||Y| cells, of
+|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
+holds it only as each column's nonzero entries, the ints +-1.  Measured with tracemalloc under
 Python 3.11, one setting with 45 outcomes per side (89 rows of 2024
 columns; its 2025 x 2024 Collins-Gisin cells are just within
 ``NS_CELL_BUDGET`` = 2**22) takes 0.79 MiB with its cell maps, and its
@@ -47,7 +53,8 @@ pass that budget are refused before anything is built.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
+from math import gcd
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -64,7 +71,7 @@ from .boxes import (
 from .errors import LpFailure, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
 from .scalar import ONE, ZERO, Scalar, _reduced, _sign, as_scalar
-from .simplex import OPTIMAL, LpProblem, Matrix, check_certificate, solve_lp
+from .simplex import LpProblem, Matrix, _check_ints, _Ints, _solve_ints
 
 
 class BellExpression(Tensor):
@@ -228,16 +235,27 @@ NS_CELL_BUDGET = 2**22
 
 def _ns_lp(expression: BellExpression) -> LpProblem:
     """LP over the Collins-Gisin coordinates q maximising the expression
-    less its constant part; see :func:`_ns_constraints`.  Spaces whose
-    full Collins-Gisin matrix, one row per table cell, would pass
-    ``NS_CELL_BUDGET`` cells are refused before any matrix is built, on
-    every call.
+    less its constant part, as an :class:`~hvlab.simplex.LpProblem` of
+    Scalars: the LP that :func:`ns_bound` solves in ints, from the same
+    int objective (:func:`_ns_objective`) and the same cached entry."""
+    constraints, rhs, (ps, qs, d) = _ns_objective(expression)
+    return LpProblem(tuple(map(_reduced, ps, qs, repeat(d))), constraints, tuple(_reduced(*t) for t in rhs))
+
+
+def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, int, int], ...], _Ints]:
+    """The cached matrix and right-hand sides of the expression's spaces
+    (see :func:`_ns_constraints`) and the objective as ints ``(ps, qs,
+    d)``.  Spaces whose full Collins-Gisin matrix, one row per table cell,
+    would pass ``NS_CELL_BUDGET`` cells are refused before any matrix is
+    built, on every call.
 
     A cell with a row is b_i - A_i.q, and a cell without one is its own
     coordinate q_j, so the expression is c.b - (A^T.c).q plus c_cell*q_j
     for each of the latter.  The objective is summed from the int entries
     of the columns of ``A`` and the coefficients of those cells, in ints
-    over the table's common denominator, its int view.
+    over the table's common denominator, its int view, and then brought
+    over the lcm of its entries' own denominators by one gcd, the ints
+    that :func:`~hvlab.scalar._common_denominator` reads off its Scalars.
     """
     na, nb, nx, ny = map(len, expression.spaces)
     rows, columns = na * nb * nx * ny, na * (nx - 1) + nb * (ny - 1) + na * nb * (nx - 1) * (ny - 1)
@@ -253,19 +271,22 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
         objective_p[j] += ps[cell]
         objective_q[j] += qs[cell]
     row_p, row_q = [ps[cell] for cell in cells], [qs[cell] for cell in cells]
-    objective = []
-    for column, p, q in zip(constraints.columns, objective_p, objective_q):
+    for j, column in enumerate(constraints.columns):
+        p, q = objective_p[j], objective_q[j]
         for i, a in column:
             p -= a * row_p[i]
             q -= a * row_q[i]
-        objective.append(_reduced(p, q, den))
-    return LpProblem(tuple(objective), constraints, rhs)
+        objective_p[j], objective_q[j] = p, q
+    g = gcd(den, *objective_p, *objective_q)
+    if g != 1:
+        objective_p, objective_q, den = [p // g for p in objective_p], [q // g for q in objective_q], den // g
+    return constraints, rhs, (objective_p, objective_q, den)
 
 
 @lru_cache(maxsize=CACHED_SPACES)
 def _ns_constraints(
     spaces: Spaces,
-) -> tuple[Matrix, tuple[Scalar, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+) -> tuple[Matrix, tuple[tuple[int, int, int], ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The no-signalling polytope A.q <= b in Collins-Gisin coordinates,
     with the table cell of each row and the coordinate of each cell that
     has no row.
@@ -286,11 +307,12 @@ def _ns_constraints(
     the |A||B||X||Y| cells.  The q that satisfy the rows are exactly the
     no-signalling boxes, so the LP is always feasible and bounded.
 
-    Returns the matrix, its right-hand sides, ``cells`` (the table cell
-    of each row) and ``own`` (a ``(cell, j)`` pair for each cell that is
-    q_j).  Each entry, the int 1 or -1, is appended to its column once its
-    cell is known to keep a row, so the plain constructor builds the
-    matrix."""
+    Returns the matrix, its right-hand sides as ``(p, q, d)`` triples,
+    the form :func:`~hvlab.simplex._solve_ints` reads, ``cells`` (the
+    table cell of each row) and ``own`` (a ``(cell, j)`` pair for each
+    cell that is q_j).  Each entry, the int 1 or -1, is appended to its
+    column once its cell is known to keep a row, so the plain constructor
+    builds the matrix."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
@@ -324,25 +346,31 @@ def _ns_constraints(
         cells.append(cell)
     matrix = Matrix(len(cells), tuple(map(tuple, columns)))
     last = nx * ny - 1
-    rhs = tuple(ONE if cell % (nx * ny) == last else ZERO for cell in cells)
+    rhs = tuple(ONE._v if cell % (nx * ny) == last else ZERO._v for cell in cells)
     return matrix, rhs, tuple(cells), tuple(own)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:
     """Exact maximum of the functional over all no-signalling behaviors.
 
-    The value is returned only after :func:`~hvlab.simplex.check_certificate`
-    has verified the LP's strong-duality certificate; a solution that fails
-    the check raises :class:`~hvlab.errors.LpFailure`.
+    The LP is solved and its strong-duality certificate checked in ints,
+    by :func:`~hvlab.simplex._solve_ints` and
+    :func:`~hvlab.simplex._check_ints`, over the cached matrix and
+    right-hand sides and the int objective; a solution that fails the
+    check raises :class:`~hvlab.errors.LpFailure`.  The one Scalar built is
+    the answer, the constant part plus the LP's value.
     """
-    problem = _ns_lp(expression)
-    solution = solve_lp(problem)
-    if solution.status != OPTIMAL:
-        raise LpFailure(f"no-signalling bound LP ended {solution.status}")
-    if not check_certificate(problem, solution):
+    constraints, rhs, (cp, cq, cd) = _ns_objective(expression)
+    tableau = _solve_ints(constraints.columns, (cp, cq, cd), rhs)
+    if tableau is None:
+        raise LpFailure("no-signalling bound LP ended unbounded")
+    value = tableau.value()
+    costs = list(zip(cp, cq, repeat(cd)))
+    if not _check_ints(constraints.columns, costs, rhs, tableau.primal(), tableau.dual(), value):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
     # The constant part c.b: b is 1 where both outcomes are last, 0 elsewhere.
     ps, qs, den = _int_view(expression)
     _, _, nx, ny = map(len, expression.spaces)
     last = slice(nx * ny - 1, None, nx * ny)
-    return _reduced(sum(ps[last]), sum(qs[last]), den) + solution.value
+    vp, vq, vd = value
+    return _reduced(sum(ps[last]) * vd + vp * den, sum(qs[last]) * vd + vq * den, den * vd)

@@ -10,26 +10,45 @@ scales each row and its b_i by the lcm of the row's denominators, which
 leaves the feasible set, the optimum and q unchanged and divides the
 dual multiplier of that row by the same lcm.
 
-The matrix is a :class:`Matrix`, which holds one view of it: its row
-count and each column's nonzero entries as ints, read by both the solver
-and :func:`check_certificate`.  Rows that a caller supplies are checked
-once, entry by entry, when :meth:`Matrix.from_rows` builds the matrix
-from them (every row the same width, every entry a Scalar that is an
-integer).  A builder that writes the columns itself, as the
-no-signalling LP's does with its +-1 entries, or that takes some columns
-of a built matrix, as the content LP does with its kept vertices, uses
-the constructor, which checks nothing.  :class:`LpProblem` builds a
-plain ``A`` into a ``Matrix`` and keeps a ``Matrix`` as it is, so a
-matrix that callers share (both of hvlab's LPs cache theirs per set of
-spaces) is built only once.
+The module is one int core and two thin Scalar adapters.  The core is
+two private functions that share no code.  :func:`_solve_ints` takes the
+matrix's columns, ``c`` as ints ``(ps, qs, d)`` over one common
+denominator and ``b`` as one ``(p, q, d)`` triple per row, and returns
+the final tableau, from which :meth:`_Tableau.primal`,
+:meth:`_Tableau.dual` and :meth:`_Tableau.value` read the answer in
+ints: q over its support and one common denominator, the dual y over its
+support and ``dP*dQ`` (below), and the value as a triple.
+:func:`_check_ints` checks the strong-duality certificate from those
+ints, with ``c`` and ``b`` as one triple per column and per row.
+:func:`solve_lp` and :func:`check_certificate` are the adapters: they
+read an :class:`LpProblem` and an :class:`LpSolution` of Scalars into
+the core's ints, and :func:`solve_lp` builds Scalars only for the
+answer, straight from the tableau.  The content LP goes through the
+adapters (``decompose.max_local_content`` solves it, and ``hvlab
+decompose --verify`` checks its certificate); ``bell.ns_bound`` calls
+the core itself, with the objective it sums in ints from the
+expression's int view and the right-hand sides cached as triples,
+checks the tableau's int answer with :func:`_check_ints`, and builds
+one Scalar, its bound.
 
-:func:`solve_lp` starts from the slack basis, which is feasible exactly
-when ``b >= 0``, and so solves only such problems: a negative
-right-hand-side entry is refused with :class:`~hvlab.errors.LpFailure`
-naming its row, before any tableau row is built.  Both of hvlab's LPs
-qualify: the content LP's right-hand side is a box and the
-no-signalling LP's is 0 or 1.  :class:`LpProblem` itself still accepts
-any ``b``.
+The matrix is a :class:`Matrix`, which holds one view of it: its row
+count and each column's nonzero entries as ints, read by both halves of
+the core.  Rows that a caller supplies are checked once, entry by entry,
+when :meth:`Matrix.from_rows` builds the matrix from them (every row the
+same width, every entry a Scalar that is an integer).  A builder that
+writes the columns itself, as the no-signalling LP's does with its +-1
+entries, or that takes some columns of a built matrix, as the content LP
+does with its kept vertices, uses the constructor, which checks nothing.
+:class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and keeps a
+``Matrix`` as it is, so a matrix that callers share (both of hvlab's LPs
+cache theirs per set of spaces) is built only once.
+
+The solve starts from the slack basis, which is feasible exactly when
+``b >= 0``, and so solves only such problems: a negative right-hand-side
+entry is refused with :class:`~hvlab.errors.LpFailure` naming its row,
+before any tableau row is built.  Both of hvlab's LPs qualify: the
+content LP's right-hand side is a box and the no-signalling LP's is 0 or
+1 in each row.  :class:`LpProblem` itself still accepts any ``b``.
 
 The tableau is condensed (a dictionary; Chvatal, *Linear Programming*,
 1983, ch. 2-3): it holds only the n nonbasic columns, the m x n cells of
@@ -79,19 +98,22 @@ this leaving rule, never repeats a basis (Bland, Math. Oper. Res. 2, 103
 The reduced cost of slack n + k is the dual multiplier of row k: its P
 and Q entries while it is nonbasic, 0 while it is basic.  Its column, or
 e_r while it is basic in row r, is column k of B^-1.  The dual gives an
-exact strong-duality certificate that :func:`check_certificate`
-verifies in ints too, independent of the pivoting code: q and y each
-over their own common denominator, A.q and y.A summed from the columns'
-int entries over those denominators, every row and column decided by the
-exact sign of a cross-multiplied difference, and c.q and y.b summed as
-int products over q's and y's supports.
+exact strong-duality certificate that :func:`_check_ints` verifies in
+ints, independent of the pivoting code: q and y each over its support
+and its own common denominator, A.q and y.A summed from the columns'
+int entries over those denominators, every row and column decided by
+the exact sign of a cross-multiplied difference, and c.q and y.b summed
+as int products, c and b brought over one denominator on q's and y's
+supports.  It accepts any positive denominators, so the tableau's
+answer, whose q and y need not be in lowest terms, is checked as it is
+read off.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd
-from operator import attrgetter, mul
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
@@ -108,8 +130,8 @@ class Matrix(Frozen):
 
     ``columns[j]`` holds the nonzero entries of column j as ``(row,
     int)`` pairs in row order; the width is ``len(columns)``.  Both
-    :func:`solve_lp`, which scatters them into its tableau rows, and
-    :func:`check_certificate` read them.  A rational row is scaled by the
+    :func:`_solve_ints`, which scatters them into its tableau rows, and
+    :func:`_check_ints` read them.  A rational row is scaled by the
     lcm of its denominators, with its right-hand side, before it is
     given.
 
@@ -149,6 +171,13 @@ class Matrix(Frozen):
 
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
+# The int core's forms: one value (p + q*sqrt2)/d as a triple, a vector as
+# its ps and qs over one positive common denominator d, and a vector over
+# its support as the indices of its nonzero entries with their ps and qs
+# over d.
+_Triple = tuple[int, int, int]
+_Ints = tuple[list[int], list[int], int]
+_Sparse = tuple[list[int], list[int], list[int], int]
 
 
 class LpProblem(Frozen):
@@ -253,6 +282,24 @@ class _Tableau:
         rp, rq, dp, dq = self.rp, self.rq, self.den[m], self.den[m + 1]
         return rp[m] * dq + 2 * rq[m + 1] * dp, rq[m] * dq + rp[m + 1] * dp, dp * dq
 
+    def primal(self) -> _Sparse:
+        """q over its support and one common denominator, the lcm of its
+        rows': q_j is the right-hand side of its row while basic, 0 while
+        nonbasic."""
+        n, basis, rp, rq, den = len(self.nonbasic), self.basis, self.rp, self.rq, self.den
+        rows = [i for i, v in enumerate(basis) if v < n and (rp[i] or rq[i])]
+        d = lcm(*(den[i] for i in rows))
+        return [basis[i] for i in rows], [rp[i] * (d // den[i]) for i in rows], [rq[i] * (d // den[i]) for i in rows], d
+
+    def dual(self) -> _Sparse:
+        """y over its support and dP*dQ: y_k is the reduced cost of slack
+        n + k, read from its P and Q entries while it is nonbasic, 0 while
+        it is basic."""
+        nonbasic, n, m = self.nonbasic, len(self.nonbasic), len(self.basis)
+        P, Q, dp, dq = self.rows[m], self.rows[m + 1], self.den[m], self.den[m + 1]
+        columns = [j for j, v in enumerate(nonbasic) if v >= n and (P[j] or Q[j])]
+        return [nonbasic[j] - n for j in columns], [P[j] * dq for j in columns], [Q[j] * dp for j in columns], dp * dq
+
     def run(self) -> str:
         """Pivot until optimal or unbounded; see the module docstring for
         the entering rule and the guard that makes it terminate."""
@@ -312,42 +359,137 @@ class _Tableau:
                 seen.add(key)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Exact simplex from the slack basis, for ``b >= 0`` only, over a
-    condensed tableau of the m x n cells of ``A``; see the module
-    docstring for the labels, the pivoting rule and where the dual is read."""
-    b = list(map(_TRIPLE, problem.b))
-    for i, (p, q, _) in enumerate(b):
+def _solve_ints(columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: Sequence[_Triple]) -> _Tableau | None:
+    """The int core of :func:`solve_lp`: maximize c.q subject to A.q <= b,
+    q >= 0, for the matrix of ``columns``, c as ints ``(ps, qs, d)`` over
+    one positive denominator and b as one ``(p, q, d)`` triple per row,
+    each with ``d > 0``.  Returns None when the LP is unbounded, else the
+    final tableau, whose :meth:`~_Tableau.primal`, :meth:`~_Tableau.dual`
+    and :meth:`~_Tableau.value` read the answer in ints.  A negative b_i
+    is refused with :class:`~hvlab.errors.LpFailure` naming row i, before
+    any tableau row is built."""
+    for i, (p, q, d) in enumerate(b):
         if (p < 0 or q < 0) and _sign(p, q) < 0:
             raise LpFailure(
-                f"right-hand side entry {i} is {format_scalar(problem.b[i])}; "
+                f"right-hand side entry {i} is {format_scalar(_reduced(p, q, d))}; "
                 "the simplex starts from the slack basis and needs b >= 0"
             )
-    n = len(problem.c)
-    m = len(problem.b)
+    ps, qs, d = c
+    n = len(ps)
     # Row i and its right-hand side over b_i's denominator.
     rp, rq, den = [p for p, _, _ in b], [q for _, q, _ in b], [d for _, _, d in b]
-    rows = [[0] * n for _ in range(m)]
-    for j, column in enumerate(problem.A.columns):
+    rows = [[0] * n for _ in b]
+    for j, column in enumerate(columns):
         for i, a in column:
             rows[i][j] = a * den[i]
     # Rows P and Q hold -c: the basic slacks cost 0, so nothing needs pricing out.
-    ps, qs, d = _common_denominator(problem.c)
     rows += [[-p for p in ps], [-q for q in qs]]
     rp += [0, 0]
     rq += [0, 0]
     den += [d, d]
-
     tableau = _Tableau(rows, rp, rq, den, n)
-    if tableau.run() == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+    return None if tableau.run() == UNBOUNDED else tableau
 
+
+def _check_ints(
+    columns: Sequence[Sequence[tuple[int, int]]],
+    c: Sequence[_Triple],
+    b: Sequence[_Triple],
+    q: _Sparse,
+    y: _Sparse,
+    value: _Triple,
+) -> bool:
+    """The int core of :func:`check_certificate`: the certificate (q, y,
+    value) of the LP of :func:`_solve_ints`, for c and b given as one
+    ``(p, q, d)`` triple per column and per row.  q and y are each ints
+    ``(support, ps, qs, d)`` over its support, no index twice, and the
+    value is a triple; every denominator is positive.  Requires q >= 0,
+    y >= 0, A.q <= b, y.A >= c componentwise and c.q == y.b == value.
+    Shares no code with the pivoting.
+
+    The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
+    sqrt2 half of y.A is skipped whole when no entry of y has one: A is
+    an integer matrix, so such an entry adds exactly 0 to that half, and
+    every comparison still reads the half it skipped as 0 against c's or
+    b's sqrt2 part.  The content LP's dual is rational, since its ``c`` is
+    all ones, and so is the no-signalling LP's primal, since its ``b`` is.
+    """
+    support, qp, qq, qd = q
+    weights, yp, yq, yd = y
+    pairs = chain(zip(qp, qq), zip(yp, yq))
+    if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, s) < 0 for p, s in pairs):
+        return False
+    # A.q: row i is (P[i] + Q[i]*sqrt2) / qd; a q entry with no sqrt2 part
+    # adds nothing to Q.
+    P, Q = [0] * len(b), [0] * len(b)
+    for j, p, s in zip(support, qp, qq):
+        if s:
+            for i, a in columns[j]:
+                P[i] += a * p
+                Q[i] += a * s
+        else:
+            for i, a in columns[j]:
+                P[i] += a * p
+    for (bp, bq, bd), p, s in zip(b, P, Q):
+        x, z = p * bd - bp * qd, s * bd - bq * qd
+        if (_sign(x, z) if z else x) > 0:
+            return False
+    # y.A: column j is (p + s*sqrt2) / yd, s being 0 when y is rational.
+    rational = not any(yq)
+    YP, YQ = [0] * len(b), [0] * len(b)
+    for i, p, s in zip(weights, yp, yq):
+        YP[i], YQ[i] = p, s
+    for column, (cp, cq, cd) in zip(columns, c):
+        p = s = 0
+        if rational:
+            for i, a in column:
+                p += a * YP[i]
+        else:
+            for i, a in column:
+                p += a * YP[i]
+                s += a * YQ[i]
+        x, z = p * cd - cp * yd, s * cd - cq * yd
+        if (_sign(x, z) if z else x) < 0:
+            return False
+    # c.q and y.b, each (p + s*sqrt2) / (d1*d2) for two common denominators,
+    # equal to the value.
+    vp, vq, vd = value
+    for (p, s, d1), d2 in ((_dot(c, q), qd), (_dot(b, y), yd)):
+        if p * vd != vp * d1 * d2 or s * vd != vq * d1 * d2:
+            return False
+    return True
+
+
+def _dot(triples: Sequence[_Triple], vector: _Sparse) -> _Triple:
+    """The sum of triples[k] * (p_k + q_k*sqrt2) over the vector's support,
+    as ints ``(p, s, d)`` meaning (p + s*sqrt2) / (d * the vector's
+    denominator), d being the lcm of those triples' denominators."""
+    support, ps, qs, _ = vector
+    chosen = [triples[k] for k in support]
+    d = lcm(*{e for _, _, e in chosen})
+    p = s = 0
+    for (tp, tq, e), x, z in zip(chosen, ps, qs):
+        k = d // e
+        p += (tp * x + 2 * tq * z) * k
+        s += (tp * z + tq * x) * k
+    return p, s, d
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Exact simplex from the slack basis, for ``b >= 0`` only, over a
+    condensed tableau of the m x n cells of ``A``; see the module
+    docstring for the labels, the pivoting rule and where the dual is read.
+    The Scalar adapter of :func:`_solve_ints`: it builds each nonzero
+    entry of q and y as a Scalar straight from its tableau row or
+    reduced cost, which costs less than going through the int readers."""
+    tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), list(map(_TRIPLE, problem.b)))
+    if tableau is None:
+        return LpSolution(UNBOUNDED)
+    n, m = len(problem.c), len(problem.b)
     q = [ZERO] * n
-    for i, bi in enumerate(tableau.basis):
-        if bi < n and (tableau.rp[i] or tableau.rq[i]):
-            q[bi] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
-    # The reduced cost of slack i is the dual multiplier of constraint i:
-    # read from its column while it is nonbasic, 0 while it is basic.
+    for i, v in enumerate(tableau.basis):
+        if v < n and (tableau.rp[i] or tableau.rq[i]):
+            q[v] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
     dual = [ZERO] * m
     P, Q, dp, dq = tableau.rows[m], tableau.rows[m + 1], tableau.den[m], tableau.den[m + 1]
     for j, v in enumerate(tableau.nonbasic):
@@ -357,76 +499,37 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
-    """Verify the strong-duality certificate by direct arithmetic.
+    """Verify the strong-duality certificate by direct arithmetic: primal
+    feasibility (A.q <= b, q >= 0), dual feasibility (y >= 0, y.A >= c
+    componentwise) and matching objectives (c.q == y.b == value).
 
-    Requires primal feasibility (A.q <= b, q >= 0), dual feasibility
-    (y >= 0, y.A >= c componentwise) and matching objectives
-    (c.q == y.b == value).  Deliberately shares no code with the solver;
-    see the module docstring.  c.q and y.b are summed in ints too, and no
-    Scalar product is formed.
-
-    The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
-    sqrt2 half of y.A is skipped whole when no entry of y has one: A is
-    an integer matrix, so such an entry adds exactly 0 to that half, and
-    every comparison still reads the half it skipped as 0 against c's or
-    b's sqrt2 part.  The content LP's dual is rational, since its ``c`` is
-    all ones, and so is the no-signalling LP's primal, since its ``b`` is.
+    The Scalar adapter of :func:`_check_ints`, which reads q, y and c each
+    over its own common denominator and makes no Scalar product.  Another
+    status, a missing part or a part of the wrong length gives False; an
+    entry of q, value or dual that is not a Scalar is refused with
+    ``TypeError`` naming its field.
     """
     if solution.status != OPTIMAL:
         return False
     if solution.q is None or solution.value is None or solution.dual is None:
         return False
-    n = len(problem.c)
-    m = len(problem.b)
-    if len(solution.q) != n or len(solution.dual) != m:
+    if len(solution.q) != len(problem.c) or len(solution.dual) != len(problem.b):
         return False
-    # q over its support, y in full, each as ints over its own common denominator.
-    support = [j for j, v in enumerate(map(_TRIPLE, solution.q)) if v != _ZERO]
-    qp, qq, qd = _common_denominator([solution.q[j] for j in support])
-    yp, yq, yd = _common_denominator(solution.dual)
-    pairs = chain(zip(qp, qq), zip(yp, yq))
-    if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, q) < 0 for p, q in pairs):
-        return False
-    # A.q: row i is (P[i] + Q[i]*sqrt2) / qd; a q entry with no sqrt2 part
-    # adds nothing to Q.
-    P, Q = [0] * m, [0] * m
-    for j, p, q in zip(support, qp, qq):
-        if q:
-            for i, a in problem.A.columns[j]:
-                P[i] += a * p
-                Q[i] += a * q
-        else:
-            for i, a in problem.A.columns[j]:
-                P[i] += a * p
-    for (bp, bq, bd), p, q in zip(map(_TRIPLE, problem.b), P, Q):
-        x, z = p * bd - bp * qd, q * bd - bq * qd
-        if (_sign(x, z) if z else x) > 0:
-            return False
-    # y.A: column j is (p + q*sqrt2) / yd, q being 0 when y is rational.
-    rational = not any(yq)
-    for column, (cp, cq, cd) in zip(problem.A.columns, map(_TRIPLE, problem.c)):
-        p = q = 0
-        if rational:
-            for i, a in column:
-                p += a * yp[i]
-        else:
-            for i, a in column:
-                p += a * yp[i]
-                q += a * yq[i]
-        x, z = p * cd - cp * yd, q * cd - cq * yd
-        if (_sign(x, z) if z else x) < 0:
-            return False
-    # c.q over q's support and y.b over y's, each a sum of int products over
-    # two common denominators, (p + q*sqrt2) / (cd*d), equal to the value.
-    weights = [i for i, (p, q) in enumerate(zip(yp, yq)) if p or q]
-    sums = (
-        (_common_denominator([problem.c[j] for j in support]), qp, qq, qd),
-        (_common_denominator([problem.b[i] for i in weights]), [yp[i] for i in weights], [yq[i] for i in weights], yd),
+    for name, values in (("q", solution.q), ("value", (solution.value,)), ("dual", solution.dual)):
+        if not all(map(isinstance, values, repeat(Scalar))):
+            bad = next(v for v in values if not isinstance(v, Scalar))
+            raise TypeError(f"LpSolution.{name} must hold Scalars, got {type(bad).__name__}")
+    return _check_ints(
+        problem.A.columns,
+        list(map(_TRIPLE, problem.c)),
+        list(map(_TRIPLE, problem.b)),
+        _on_support(solution.q),
+        _on_support(solution.dual),
+        solution.value._v,
     )
-    vp, vq, vd = solution.value._v
-    for (cp, cq, cd), xp, xq, d in sums:
-        p = sum(map(mul, cp, xp)) + 2 * sum(map(mul, cq, xq))
-        q = sum(map(mul, cp, xq)) + sum(map(mul, cq, xp))
-        if p * vd != vp * cd * d or q * vd != vq * cd * d:
-            return False
-    return True
+
+
+def _on_support(values: Sequence[Scalar]) -> _Sparse:
+    """Scalars as ints over their support and its common denominator."""
+    support = [k for k, v in enumerate(map(_TRIPLE, values)) if v != _ZERO]
+    return (support, *_common_denominator([values[k] for k in support]))

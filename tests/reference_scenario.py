@@ -124,9 +124,11 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
     A cell with a row is b_i - A_i.q and a cell without one is its own
     coordinate q_j, so the objective is -A^T.c, read from the columns of
     ``A``, plus c_cell on q_j for each of the latter: every entry is the
-    int +-1, so a coefficient is added or subtracted.
+    int +-1, so a coefficient is added or subtracted.  The right-hand
+    sides are those of ``collins_gisin_rows`` at the cells with a row.
     """
-    constraints, rhs, cells, own = _ns_constraints(expression.spaces)
+    constraints, _, cells, own = _ns_constraints(expression.spaces)
+    rows, _ = collins_gisin_rows(expression.spaces)
     coefficients = expression.table
     objective = [ZERO] * len(constraints.columns)
     for cell, j in own:
@@ -138,7 +140,7 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
             if not coefficient.is_zero():
                 total = total - coefficient if entry == 1 else total + coefficient
         objective[j] = total
-    return LpProblem(tuple(objective), constraints, rhs)
+    return LpProblem(tuple(objective), constraints, tuple(rows[cell][1] for cell in cells))
 
 
 def collins_gisin_full_lp(expression: BellExpression) -> LpProblem:

@@ -5,17 +5,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import CHSH_SPACES, OVERSIZED_SPACES, numbered_spaces, ns_behaviors, valid_behaviors
 import hvlab.bell
-from hvlab.bell import BellExpression, _best_response, chsh, evaluate, local_bound, ns_bound
+from hvlab import simplex
+from hvlab.bell import BellExpression, _best_response, _ns_lp, chsh, evaluate, local_bound, ns_bound
 from hvlab.boxes import STRATEGY_BUDGET, LabelSet, _strategy_count, deterministic_behavior, mix
 from hvlab.catalog import pr_box, table1_box
 from hvlab.errors import LpFailure, SizeBudgetExceeded, SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
-from hvlab.simplex import LpSolution, solve_lp
+from hvlab.simplex import _solve_ints, check_certificate, solve_lp
 
 
 def _zero_expression() -> BellExpression:
@@ -109,13 +110,59 @@ def test_ns_bound_of_chsh_is_four_attained_by_pr():
 
 
 def test_ns_bound_refuses_a_solution_that_fails_its_certificate(monkeypatch):
-    def overstated(problem):
-        solution = solve_lp(problem)
-        return LpSolution(solution.status, solution.q, solution.value + ONE, solution.dual)
+    def overstated(columns, c, b):
+        # The final tableau, its value read as 1 more than it is.
+        tableau = _solve_ints(columns, c, b)
+        p, s, d = tableau.value()
+        tableau.value = lambda: (p + d, s, d)
+        return tableau
 
-    monkeypatch.setattr(hvlab.bell, "solve_lp", overstated)
+    monkeypatch.setattr(hvlab.bell, "_solve_ints", overstated)
     with pytest.raises(LpFailure, match="certificate"):
         ns_bound(chsh())
+
+
+def _pivots_of(call):
+    """call() and the (row, column) of each _Tableau.pivot it makes, in order."""
+    pivots = []
+    pivot = simplex._Tableau.pivot
+
+    def recording(tableau, r, c):
+        pivots.append((r, c))
+        pivot(tableau, r, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._Tableau, "pivot", recording)
+        return call(), pivots
+
+
+@st.composite
+def _ns_expressions(draw):
+    """Expressions on 1-3 settings and 1-3 outcomes a side, with rational
+    coefficients only or with sqrt2 parts too."""
+    counts = [draw(st.integers(1, 3)) for _ in range(4)]
+    values = (ZERO, ONE, -ONE, Scalar(Fraction(1, 2)), Scalar(Fraction(-2, 3)), Scalar(3))
+    if draw(st.booleans()):
+        values += (SQRT2, -SQRT2, Scalar(1, Fraction(-1, 2)), Scalar(Fraction(1, 3), 1))
+    size = counts[0] * counts[1] * counts[2] * counts[3]
+    return BellExpression(*numbered_spaces(*counts), tuple(draw(st.sampled_from(values)) for _ in range(size)))
+
+
+@given(_ns_expressions())
+@example(BellExpression(*numbered_spaces(2, 3, 1, 3), tuple(Scalar(k % 5 - 2, 1 - k % 3) for k in range(18))))
+@example(BellExpression(*numbered_spaces(3, 2, 3, 1), tuple(Scalar(k % 4 - 2) for k in range(18))))
+@settings(max_examples=60, deadline=None)
+def test_ns_bound_pivots_as_solve_lp_does_on_the_ns_lp(expression):
+    """ns_bound, which solves in ints, makes the pivots of solve_lp on
+    _ns_lp's LpProblem of Scalars, and returns that LP's certified value
+    plus the constant part."""
+    bound, pivots = _pivots_of(lambda: ns_bound(expression))
+    problem = _ns_lp(expression)
+    solution, expected = _pivots_of(lambda: solve_lp(problem))
+    assert pivots == expected
+    assert check_certificate(problem, solution)
+    _, _, nx, ny = map(len, expression.spaces)
+    assert bound == sum(expression.table[nx * ny - 1 :: nx * ny], ZERO) + solution.value
 
 
 def test_ns_bound_zero_expression():

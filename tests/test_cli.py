@@ -18,7 +18,7 @@ from hvlab.cli import main
 from hvlab.formats import load_model, save_box, save_model
 from hvlab.hvmodel import FIRST_MOVER_CELL_BUDGET, HiddenVariableModel, reconstruct
 from hvlab.scalar import ONE, ZERO, parse_scalar
-from hvlab.simplex import LpSolution, solve_lp
+from hvlab.simplex import _solve_ints
 
 
 @pytest.fixture()
@@ -112,11 +112,14 @@ def test_bell_chsh_on_pr_and_noise(files, capsys):
 
 
 def test_bell_with_an_uncertified_ns_bound_exits_two(files, capsys, monkeypatch):
-    def overstated(problem):
-        solution = solve_lp(problem)
-        return LpSolution(solution.status, solution.q, solution.value + ONE, solution.dual)
+    def overstated(columns, c, b):
+        # The final tableau, its value read as 1 more than it is.
+        tableau = _solve_ints(columns, c, b)
+        p, s, d = tableau.value()
+        tableau.value = lambda: (p + d, s, d)
+        return tableau
 
-    monkeypatch.setattr(hvlab.bell, "solve_lp", overstated)
+    monkeypatch.setattr(hvlab.bell, "_solve_ints", overstated)
     code, out, err = run(capsys, "bell", "chsh", files["table1"])
     assert code == 2
     assert "certificate" in err and "unexpected error" not in err

@@ -48,7 +48,7 @@ from hvlab.decompose import (
 )
 from hvlab.errors import InvalidBehavior, SizeBudgetExceeded, SpaceMismatch
 from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
-from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _reduced
 from hvlab.simplex import LpProblem, Matrix, check_certificate, solve_lp
 from oracle import extremal_generator_tables, local_generator_tables
 from reference_scenario import collins_gisin_full_lp, collins_gisin_ns_lp, collins_gisin_rows, marginal_is_no_signalling
@@ -319,7 +319,7 @@ def test_ns_constraints_have_a_row_per_cell_that_is_no_coordinate(shape, size):
     matrix, rhs, cells, own = _ns_constraints(numbered_spaces(*shape))
     assert (matrix.height, len(matrix.columns)) == size
     assert len(cells) + len(own) == prod(shape)
-    assert all(v in (ZERO, ONE) for v in rhs)
+    assert all(v in (ZERO._v, ONE._v) for v in rhs)
     assert all(v in (0, 1, -1) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
 
 
@@ -357,7 +357,7 @@ def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
     expected = Matrix.from_rows((rows[cell][0] for cell in kept), width)
     assert matrix.height == expected.height == len(kept)
     assert matrix.columns == expected.columns
-    assert rhs == tuple(rows[cell][1] for cell in kept)
+    assert rhs == tuple(rows[cell][1]._v for cell in kept)
     assert cells == tuple(kept)
     assert own == tuple((cell, row.index(-ONE)) for cell, (row, bound) in enumerate(rows) if restated(row, bound))
     assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
@@ -413,7 +413,7 @@ def test_collins_gisin_rows_give_back_every_no_signalling_box(box):
     rows = dense_rows(matrix.columns, len(rhs))
     table = [None] * len(box.table)
     for cell, row, bound in zip(cells, rows, rhs):
-        table[cell] = bound - sum((a * v for a, v in zip(row, q)), ZERO)
+        table[cell] = _reduced(*bound) - sum((a * v for a, v in zip(row, q)), ZERO)
     for cell, j in own:
         table[cell] = q[j]
     assert (tuple(table) == box.table) == is_no_signalling(box)[0]
@@ -446,7 +446,7 @@ def test_expressions_on_equal_spaces_share_one_constraint_matrix():
     other = BellExpression(*CHSH_SPACES, (ONE,) * 16)
     assert _ns_constraints(other.spaces) is _ns_constraints(chsh().spaces)
     first, second = _ns_lp(chsh()), _ns_lp(other)
-    assert first.A is second.A and first.b is second.b
+    assert first.A is second.A and first.b == second.b
 
 
 def _mixed_expression(spaces, seed: int) -> BellExpression:

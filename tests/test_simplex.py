@@ -16,13 +16,15 @@ from hvlab.boxes import LabelSet
 from hvlab.catalog import pr_box, table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.errors import DimensionMismatch, LpFailure
-from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, format_scalar, parse_scalar
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _common_denominator, format_scalar, parse_scalar
 from hvlab.simplex import (
     OPTIMAL,
     UNBOUNDED,
     LpProblem,
     LpSolution,
     Matrix,
+    _check_ints,
+    _solve_ints,
     check_certificate,
     solve_lp,
 )
@@ -164,6 +166,24 @@ def test_certificate_refuses_another_status_a_missing_part_or_a_wrong_length(can
     assert solve_lp(_TRAILING_ZEROS) == LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE, ZERO))
     assert check_certificate(_TRAILING_ZEROS, LpSolution(OPTIMAL, (ONE, ZERO), ONE, (ONE, ZERO)))
     assert check_certificate(_TRAILING_ZEROS, candidate) is False
+
+
+_ONE_ROW = LpProblem((ONE,), [[ONE]], (ONE,))
+
+
+@pytest.mark.parametrize(
+    "candidate, field",
+    [
+        (LpSolution(OPTIMAL, (1,), ONE, (ONE,)), "q"),
+        (LpSolution(OPTIMAL, (ONE,), 1, (ONE,)), "value"),
+        (LpSolution(OPTIMAL, (ONE,), ONE, (Fraction(1),)), "dual"),
+    ],
+    ids=["q", "value", "dual"],
+)
+def test_certificate_refuses_an_entry_that_is_not_a_scalar(candidate, field):
+    assert check_certificate(_ONE_ROW, LpSolution(OPTIMAL, (ONE,), ONE, (ONE,)))
+    with pytest.raises(TypeError, match=rf"LpSolution\.{field} must hold Scalars, got"):
+        check_certificate(_ONE_ROW, candidate)
 
 
 def test_solver_is_deterministic():
@@ -689,3 +709,58 @@ def test_the_sqrt2_halves_are_summed_when_q_or_y_carries_sqrt2():
     assert not check_certificate(problem, LpSolution(OPTIMAL, q, value, (SQRT2, ONE, SQRT2 / 2)))
     # q_2 = sqrt2 puts row 0 of A.q at 2*sqrt2, past b_0 = sqrt2.
     assert not check_certificate(problem, LpSolution(OPTIMAL, (SQRT2, ONE, SQRT2), value, y))
+
+
+# max sqrt2*q0 + q1 s.t. q0 <= 1, q1 - q0 <= 0, q1 <= 1: optimum 1 + sqrt2 at
+# q = (1, 1).  Every y = (sqrt2 + t, t, 1 - t) has y.A = c and y.b = 1 + sqrt2,
+# so each broken certificate below fails exactly one part of the check.
+_SQRT2_COST = LpProblem((SQRT2, ONE), ((ONE, ZERO), (-ONE, ONE), (ZERO, ONE)), (ONE, ZERO, ONE))
+_BROKEN = {
+    # c.q and y.b both fall short of it.
+    "overstated-value": LpSolution(OPTIMAL, (ONE, ONE), Scalar(2, 1), (Scalar(1, 1), ONE, ZERO)),
+    # t = 2: y.A and y.b still hold.
+    "negative-dual": LpSolution(OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(2, 1), Scalar(2), -ONE)),
+    # q0 = 3/2 breaks row 0 alone, and c.q is still 1 + sqrt2.
+    "row-broken": LpSolution(
+        OPTIMAL, (Scalar(Fraction(3, 2)), Scalar(1, Fraction(-1, 2))), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO)
+    ),
+    # y = (sqrt2/2, 0, 1 + sqrt2/2): y.A_0 = c_0 - sqrt2/2, its rational part
+    # equal to c_0's; y >= 0 and y.b = 1 + sqrt2.
+    "sqrt2-short-column": LpSolution(
+        OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(0, Fraction(1, 2)), ZERO, Scalar(1, Fraction(1, 2)))
+    ),
+}
+
+
+def _int_certificate(problem, solution, k):
+    """The int check's arguments for a certificate of Scalars, with q and y
+    each over its support, last index first, and k times its lowest common
+    denominator, as the tableau may give them."""
+
+    def widened(values):
+        ps, qs, d = _common_denominator(values)
+        return [p * k for p in ps], [q * k for q in qs], d * k
+
+    def on_support(values):
+        support = [i for i in reversed(range(len(values))) if not values[i].is_zero()]
+        return (support, *widened(values[i] for i in support))
+
+    c, b = [v._v for v in problem.c], [v._v for v in problem.b]
+    return problem.A.columns, c, b, on_support(solution.q), on_support(solution.dual), solution.value._v
+
+
+def test_the_int_check_passes_the_int_answer_of_the_sqrt2_cost_lp():
+    solution = solve_lp(_SQRT2_COST)
+    assert solution == LpSolution(OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO))
+    c, b = [v._v for v in _SQRT2_COST.c], [v._v for v in _SQRT2_COST.b]
+    tableau = _solve_ints(_SQRT2_COST.A.columns, _common_denominator(_SQRT2_COST.c), b)
+    assert _check_ints(_SQRT2_COST.A.columns, c, b, tableau.primal(), tableau.dual(), tableau.value())
+    for k in (1, 6):
+        assert _check_ints(*_int_certificate(_SQRT2_COST, solution, k))
+
+
+@pytest.mark.parametrize("broken", _BROKEN.values(), ids=_BROKEN)
+def test_both_checks_refuse_each_broken_certificate(broken):
+    assert not check_certificate(_SQRT2_COST, broken)
+    for k in (1, 6):
+        assert not _check_ints(*_int_certificate(_SQRT2_COST, broken, k))
