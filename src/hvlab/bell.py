@@ -40,14 +40,15 @@ once, with its right-hand sides, as the int triples the core reads, and
 the table cell of each row.  With at least two outcomes per side the
 matrix has |A||B|(|X|+|Y|-1) rows, against |A||B||X||Y| cells, of
 |A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
-holds it only as each column's nonzero entries, the ints +-1.  Measured with tracemalloc under
-Python 3.11, one setting with 45 outcomes per side (89 rows of 2024
-columns; its 2025 x 2024 Collins-Gisin cells are just within
-``NS_CELL_BUDGET`` = 2**22) takes 0.79 MiB with its cell maps, and its
-build, which writes no dense row, peaks at 1.06 MiB; the simplex tableau
-that a solve scatters the columns into holds all m x n cells, and the
-solve peaks at 1.6 MiB.  Spaces whose full Collins-Gisin matrix would
-pass that budget are refused before anything is built.
+holds it only as each column's nonzero entries, the ints +-1.  Measured
+with tracemalloc under Python 3.11, one setting with 45 outcomes per
+side (89 rows of 2024 columns; its 2025 x 2024 Collins-Gisin cells are
+just within ``NS_CELL_BUDGET`` = 2**22) takes 0.79 MiB with its cell
+maps, and its build, which writes no dense row, peaks at 1.06 MiB; the
+simplex tableau that a solve scatters the columns into holds all m x n
+cells, and :func:`ns_bound` and ``solve_lp`` of :func:`_ns_lp` each
+peak at 1.9 MiB over the cached entry.  Spaces whose full Collins-Gisin
+matrix would pass that budget are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -227,9 +228,10 @@ def _alice_tables(columns: list[list[list[int]]]) -> Iterator[tuple[list[int], l
 # far more: one setting and 128 outcomes per side give 16 384 rows of
 # 16 383 columns in full.  With one setting per side, 45 outcomes (2025
 # rows of 2024 columns in full) are within it and 46 are not; ns_bound of
-# a 45-outcome expression, whose LP has 89 rows, took 0.02 s at 19 MB
-# peak RSS and its solve_lp 1.6 MiB of tracemalloc, with Python 3.11 on a
-# shared 2-core host (0.065 s, 50 MB and 31.9 MiB with one row per cell).
+# a 45-outcome expression, whose LP has 89 rows, took 0.03 s at 18 MB
+# peak RSS and peaked at 1.9 MiB of tracemalloc over the cached entry, as
+# solve_lp of its _ns_lp does, with Python 3.11 on a shared 2-core host
+# (0.065 s, 50 MB and 31.9 MiB with one row per cell).
 NS_CELL_BUDGET = 2**22
 
 
@@ -360,13 +362,12 @@ def ns_bound(expression: BellExpression) -> Scalar:
     check raises :class:`~hvlab.errors.LpFailure`.  The one Scalar built is
     the answer, the constant part plus the LP's value.
     """
-    constraints, rhs, (cp, cq, cd) = _ns_objective(expression)
-    tableau = _solve_ints(constraints.columns, (cp, cq, cd), rhs)
+    constraints, rhs, c = _ns_objective(expression)
+    tableau = _solve_ints(constraints.columns, c, rhs)
     if tableau is None:
         raise LpFailure("no-signalling bound LP ended unbounded")
     value = tableau.value()
-    costs = list(zip(cp, cq, repeat(cd)))
-    if not _check_ints(constraints.columns, costs, rhs, tableau.primal(), tableau.dual(), value):
+    if not _check_ints(constraints.columns, c, rhs, tableau.primal(), tableau.dual(), value):
         raise LpFailure("no-signalling bound LP solution failed its strong-duality certificate check")
     # The constant part c.b: b is 1 where both outcomes are last, 0 elsewhere.
     ps, qs, den = _int_view(expression)

@@ -19,11 +19,11 @@ the final tableau, from which :meth:`_Tableau.primal`,
 ints: q over its support and one common denominator, the dual y over its
 support and ``dP*dQ`` (below), and the value as a triple.
 :func:`_check_ints` checks the strong-duality certificate from those
-ints, with ``c`` and ``b`` as one triple per column and per row.
+ints, with ``c`` and ``b`` in the forms the solve takes.
 :func:`solve_lp` and :func:`check_certificate` are the adapters: they
 read an :class:`LpProblem` and an :class:`LpSolution` of Scalars into
 the core's ints, and :func:`solve_lp` builds Scalars only for the
-answer, straight from the tableau.  The content LP goes through the
+answer, from those readers.  The content LP goes through the
 adapters (``decompose.max_local_content`` solves it, and ``hvlab
 decompose --verify`` checks its certificate); ``bell.ns_bound`` calls
 the core itself, with the objective it sums in ints from the
@@ -103,8 +103,8 @@ ints, independent of the pivoting code: q and y each over its support
 and its own common denominator, A.q and y.A summed from the columns'
 int entries over those denominators, every row and column decided by
 the exact sign of a cross-multiplied difference, and c.q and y.b summed
-as int products, c and b brought over one denominator on q's and y's
-supports.  It accepts any positive denominators, so the tableau's
+as int products, c over its own denominator and b brought over one on
+y's support.  It accepts any positive denominators, so the tableau's
 answer, whose q and y need not be in lowest terms, is checked as it is
 read off.
 """
@@ -171,11 +171,10 @@ class Matrix(Frozen):
 
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
-# The int core's forms: one value (p + q*sqrt2)/d as a triple, a vector as
-# its ps and qs over one positive common denominator d, and a vector over
-# its support as the indices of its nonzero entries with their ps and qs
-# over d.
-_Triple = tuple[int, int, int]
+# The int core's forms, beside one value (p + q*sqrt2)/d as a triple: a
+# vector as its ps and qs over one positive common denominator d, and a
+# vector over its support as the indices of its nonzero entries with their
+# ps and qs over d.
 _Ints = tuple[list[int], list[int], int]
 _Sparse = tuple[list[int], list[int], list[int], int]
 
@@ -359,7 +358,9 @@ class _Tableau:
                 seen.add(key)
 
 
-def _solve_ints(columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: Sequence[_Triple]) -> _Tableau | None:
+def _solve_ints(
+    columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: Sequence[tuple[int, int, int]]
+) -> _Tableau | None:
     """The int core of :func:`solve_lp`: maximize c.q subject to A.q <= b,
     q >= 0, for the matrix of ``columns``, c as ints ``(ps, qs, d)`` over
     one positive denominator and b as one ``(p, q, d)`` triple per row,
@@ -393,19 +394,19 @@ def _solve_ints(columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: Seque
 
 def _check_ints(
     columns: Sequence[Sequence[tuple[int, int]]],
-    c: Sequence[_Triple],
-    b: Sequence[_Triple],
+    c: _Ints,
+    b: Sequence[tuple[int, int, int]],
     q: _Sparse,
     y: _Sparse,
-    value: _Triple,
+    value: tuple[int, int, int],
 ) -> bool:
     """The int core of :func:`check_certificate`: the certificate (q, y,
-    value) of the LP of :func:`_solve_ints`, for c and b given as one
-    ``(p, q, d)`` triple per column and per row.  q and y are each ints
-    ``(support, ps, qs, d)`` over its support, no index twice, and the
-    value is a triple; every denominator is positive.  Requires q >= 0,
-    y >= 0, A.q <= b, y.A >= c componentwise and c.q == y.b == value.
-    Shares no code with the pivoting.
+    value) of the LP of :func:`_solve_ints`, for c and b in the forms it
+    takes.  q and y are each ints ``(support, ps, qs, d)`` over its
+    support, no index twice, and the value is a triple; every
+    denominator is positive.  Requires q >= 0, y >= 0, A.q <= b,
+    y.A >= c componentwise and c.q == y.b == value.  Shares no code with
+    the pivoting.
 
     The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
     sqrt2 half of y.A is skipped whole when no entry of y has one: A is
@@ -414,6 +415,7 @@ def _check_ints(
     b's sqrt2 part.  The content LP's dual is rational, since its ``c`` is
     all ones, and so is the no-signalling LP's primal, since its ``b`` is.
     """
+    cp, cq, cd = c
     support, qp, qq, qd = q
     weights, yp, yq, yd = y
     pairs = chain(zip(qp, qq), zip(yp, yq))
@@ -439,7 +441,7 @@ def _check_ints(
     YP, YQ = [0] * len(b), [0] * len(b)
     for i, p, s in zip(weights, yp, yq):
         YP[i], YQ[i] = p, s
-    for column, (cp, cq, cd) in zip(columns, c):
+    for column, cp_j, cq_j in zip(columns, cp, cq):
         p = s = 0
         if rational:
             for i, a in column:
@@ -448,31 +450,27 @@ def _check_ints(
             for i, a in column:
                 p += a * YP[i]
                 s += a * YQ[i]
-        x, z = p * cd - cp * yd, s * cd - cq * yd
+        x, z = p * cd - cp_j * yd, s * cd - cq_j * yd
         if (_sign(x, z) if z else x) < 0:
             return False
-    # c.q and y.b, each (p + s*sqrt2) / (d1*d2) for two common denominators,
-    # equal to the value.
-    vp, vq, vd = value
-    for (p, s, d1), d2 in ((_dot(c, q), qd), (_dot(b, y), yd)):
-        if p * vd != vp * d1 * d2 or s * vd != vq * d1 * d2:
-            return False
-    return True
-
-
-def _dot(triples: Sequence[_Triple], vector: _Sparse) -> _Triple:
-    """The sum of triples[k] * (p_k + q_k*sqrt2) over the vector's support,
-    as ints ``(p, s, d)`` meaning (p + s*sqrt2) / (d * the vector's
-    denominator), d being the lcm of those triples' denominators."""
-    support, ps, qs, _ = vector
-    chosen = [triples[k] for k in support]
-    d = lcm(*{e for _, _, e in chosen})
+    # c.q is (p + s*sqrt2) / (cd*qd).
     p = s = 0
-    for (tp, tq, e), x, z in zip(chosen, ps, qs):
-        k = d // e
-        p += (tp * x + 2 * tq * z) * k
-        s += (tp * z + tq * x) * k
-    return p, s, d
+    for j, x, z in zip(support, qp, qq):
+        p += cp[j] * x + 2 * cq[j] * z
+        s += cp[j] * z + cq[j] * x
+    vp, vq, vd = value
+    if p * vd != vp * cd * qd or s * vd != vq * cd * qd:
+        return False
+    # y.b is (p + s*sqrt2) / (bd*yd), bd being the lcm of b's denominators
+    # on y's support.
+    chosen = [b[i] for i in weights]
+    bd = lcm(*{e for _, _, e in chosen})
+    p = s = 0
+    for (bp, bq, e), x, z in zip(chosen, yp, yq):
+        k = bd // e
+        p += (bp * x + 2 * bq * z) * k
+        s += (bp * z + bq * x) * k
+    return p * vd == vp * bd * yd and s * vd == vq * bd * yd
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -480,22 +478,21 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     condensed tableau of the m x n cells of ``A``; see the module
     docstring for the labels, the pivoting rule and where the dual is read.
     The Scalar adapter of :func:`_solve_ints`: it builds each nonzero
-    entry of q and y as a Scalar straight from its tableau row or
-    reduced cost, which costs less than going through the int readers."""
+    entry of q and y as a Scalar from the tableau's int readers."""
     tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), list(map(_TRIPLE, problem.b)))
     if tableau is None:
         return LpSolution(UNBOUNDED)
-    n, m = len(problem.c), len(problem.b)
-    q = [ZERO] * n
-    for i, v in enumerate(tableau.basis):
-        if v < n and (tableau.rp[i] or tableau.rq[i]):
-            q[v] = _reduced(tableau.rp[i], tableau.rq[i], tableau.den[i])
-    dual = [ZERO] * m
-    P, Q, dp, dq = tableau.rows[m], tableau.rows[m + 1], tableau.den[m], tableau.den[m + 1]
-    for j, v in enumerate(tableau.nonbasic):
-        if v >= n and (P[j] or Q[j]):
-            dual[v - n] = _reduced(P[j] * dq, Q[j] * dp, dp * dq)
-    return LpSolution(OPTIMAL, tuple(q), _reduced(*tableau.value()), tuple(dual))
+    q, dual = _dense(tableau.primal(), len(problem.c)), _dense(tableau.dual(), len(problem.b))
+    return LpSolution(OPTIMAL, q, _reduced(*tableau.value()), dual)
+
+
+def _dense(vector: _Sparse, size: int) -> tuple[Scalar, ...]:
+    """A vector over its support as ``size`` Scalars in lowest terms."""
+    support, ps, qs, d = vector
+    values = [ZERO] * size
+    for k, p, q in zip(support, ps, qs):
+        values[k] = _reduced(p, q, d)
+    return tuple(values)
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
@@ -521,7 +518,7 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
             raise TypeError(f"LpSolution.{name} must hold Scalars, got {type(bad).__name__}")
     return _check_ints(
         problem.A.columns,
-        list(map(_TRIPLE, problem.c)),
+        _common_denominator(problem.c),
         list(map(_TRIPLE, problem.b)),
         _on_support(solution.q),
         _on_support(solution.dual),

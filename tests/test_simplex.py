@@ -113,6 +113,15 @@ def test_a_negative_right_hand_side_is_refused(problem, row):
         solve_lp(problem)
 
 
+def test_a_right_hand_side_is_refused_by_its_exact_sign():
+    # -1 + sqrt2 > 0 has a negative rational part, and 1 - sqrt2 < 0 a
+    # negative sqrt2 part only: the first is a right-hand side, the second
+    # is not.
+    assert solve_lp(LpProblem((ONE,), ((ONE,),), (SQRT2 - ONE,))).value == SQRT2 - ONE
+    with pytest.raises(LpFailure, match=r"^right-hand side entry 1 is 1-1\*sqrt2; .*b >= 0"):
+        solve_lp(LpProblem((ONE,), ((ONE,), (ONE,)), (ONE, ONE - SQRT2)))
+
+
 def test_certificate_on_known_solution():
     problem = LpProblem((ONE,), ((ONE,),), (parse_scalar("1/2"),))
     solution = solve_lp(problem)
@@ -724,6 +733,10 @@ _BROKEN = {
     "row-broken": LpSolution(
         OPTIMAL, (Scalar(Fraction(3, 2)), Scalar(1, Fraction(-1, 2))), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO)
     ),
+    # q = (1, 0) is feasible with c.q = sqrt2, short of the value y.b.
+    "suboptimal-q": LpSolution(OPTIMAL, (ONE, ZERO), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO)),
+    # y = (1 + sqrt2, 0, 1) is feasible with y.b = 2 + sqrt2, past the value c.q.
+    "suboptimal-dual": LpSolution(OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(1, 1), ZERO, ONE)),
     # y = (sqrt2/2, 0, 1 + sqrt2/2): y.A_0 = c_0 - sqrt2/2, its rational part
     # equal to c_0's; y >= 0 and y.b = 1 + sqrt2.
     "sqrt2-short-column": LpSolution(
@@ -745,15 +758,15 @@ def _int_certificate(problem, solution, k):
         support = [i for i in reversed(range(len(values))) if not values[i].is_zero()]
         return (support, *widened(values[i] for i in support))
 
-    c, b = [v._v for v in problem.c], [v._v for v in problem.b]
+    c, b = _common_denominator(problem.c), [v._v for v in problem.b]
     return problem.A.columns, c, b, on_support(solution.q), on_support(solution.dual), solution.value._v
 
 
 def test_the_int_check_passes_the_int_answer_of_the_sqrt2_cost_lp():
     solution = solve_lp(_SQRT2_COST)
     assert solution == LpSolution(OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO))
-    c, b = [v._v for v in _SQRT2_COST.c], [v._v for v in _SQRT2_COST.b]
-    tableau = _solve_ints(_SQRT2_COST.A.columns, _common_denominator(_SQRT2_COST.c), b)
+    c, b = _common_denominator(_SQRT2_COST.c), [v._v for v in _SQRT2_COST.b]
+    tableau = _solve_ints(_SQRT2_COST.A.columns, c, b)
     assert _check_ints(_SQRT2_COST.A.columns, c, b, tableau.primal(), tableau.dual(), tableau.value())
     for k in (1, 6):
         assert _check_ints(*_int_certificate(_SQRT2_COST, solution, k))
