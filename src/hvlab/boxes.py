@@ -40,7 +40,8 @@ equal values.
 
 Nothing here is cached per set of spaces; ``CACHED_SPACES`` sizes the
 caches of :mod:`hvlab.decompose` (the local vertices with the content
-LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints).
+LP's matrix) and :mod:`hvlab.bell` (the no-signalling constraints, and
+the local bound's gathers per table shape).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ STRATEGY_BUDGET = 65_536
 
 # How many sets of spaces the per-spaces caches keep: the local vertices
 # and the content LP's matrix in ``decompose``, the no-signalling
-# constraints in ``bell``.
+# constraints and the local bound's gathers (per shape) in ``bell``.
 CACHED_SPACES = 4
 
 
@@ -309,8 +310,7 @@ def _int_view(tensor: Tensor | JointTable) -> _IntView:
 
 
 def _ints(tensor: Tensor | JointTable) -> _IntView:
-    ps, qs, den = _common_denominator(tensor.table)
-    return tuple(ps), tuple(qs), den
+    return _common_denominator(tensor.table)
 
 
 def _negatives_and_total(ps: Sequence[int], qs: Sequence[int], den: int) -> tuple[list[int], Scalar]:

@@ -264,13 +264,22 @@ def _reduced(p: int, q: int, d: int) -> Scalar:
     return _canonical(p, q, d)
 
 
-def _common_denominator(values: Iterable[Scalar]) -> tuple[list[int], list[int], int]:
+def _common_denominator(values: Iterable[Scalar]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The values as ints ``(ps, qs, den)``: value i is
     ``(ps[i] + qs[i]*sqrt2) / den``, where den is the lcm of their
-    denominators (1 for no values)."""
+    denominators (1 for no values).
+
+    When every value has the same denominator, an integer table or a
+    vector of ONEs for one, ps and qs are read off the canonical triples
+    by one ``zip`` and nothing is scaled; otherwise each part is scaled
+    by den over its own denominator."""
     triples = [v._v for v in values]
-    den = lcm(*{d for _, _, d in triples})
-    return [p * (den // d) for p, _, d in triples], [q * (den // d) for _, q, d in triples], den
+    dens = {d for _, _, d in triples}
+    if len(dens) == 1:
+        ps, qs, ds = zip(*triples)
+        return ps, qs, ds[0]
+    den = lcm(*dens)
+    return tuple([p * (den // d) for p, _, d in triples]), tuple([q * (den // d) for _, q, d in triples]), den
 
 
 def _sign(p: int, q: int) -> int:

@@ -175,8 +175,8 @@ _ZERO = ZERO._v
 # vector as its ps and qs over one positive common denominator d, and a
 # vector over its support as the indices of its nonzero entries with their
 # ps and qs over d.
-_Ints = tuple[list[int], list[int], int]
-_Sparse = tuple[list[int], list[int], list[int], int]
+_Ints = tuple[Sequence[int], Sequence[int], int]
+_Sparse = tuple[Sequence[int], Sequence[int], Sequence[int], int]
 
 
 class LpProblem(Frozen):

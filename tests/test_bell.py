@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from helpers import CHSH_SPACES, OVERSIZED_SPACES, numbered_spaces, ns_behaviors, valid_behaviors
 import hvlab.bell
 from hvlab import simplex
-from hvlab.bell import BellExpression, _best_response, _ns_lp, chsh, evaluate, local_bound, ns_bound
-from hvlab.boxes import STRATEGY_BUDGET, LabelSet, _strategy_count, deterministic_behavior, mix
+from hvlab.bell import BellExpression, _best_response, _gathers, _ns_lp, chsh, evaluate, local_bound, ns_bound
+from hvlab.boxes import CACHED_SPACES, STRATEGY_BUDGET, LabelSet, _strategy_count, deterministic_behavior, mix
 from hvlab.catalog import pr_box, table1_box
 from hvlab.errors import LpFailure, SizeBudgetExceeded, SpaceMismatch, UnknownSetting
 from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, parse_scalar
@@ -381,14 +381,56 @@ def test_best_response_on_a_plain_table_matches_local_bound(table):
     assert tuple(spaces[3].labels[iy] for iy in ys) == strategy.outputs_b
 
 
+# Shapes (|A|, |B|, |X|, |Y|) whose gathers read one Bob entry, |B||Y| = 1,
+# or where Alice has one outcome.
+_DEGENERATE_SHAPES = [(1, 1, 1, 1), (3, 1, 2, 1), (2, 1, 3, 1), (1, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("shape", _DEGENERATE_SHAPES, ids=lambda shape: "".join(map(str, shape)))
+@pytest.mark.parametrize("kind", ["rational", "sqrt2"])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_best_response_and_local_bound_on_degenerate_shapes_match_the_reference(shape, kind, container):
+    rng = random.Random(f"{shape}{kind}")
+    size = shape[0] * shape[1] * shape[2] * shape[3]
+    ps = [rng.randint(-3, 3) for _ in range(size)]
+    # A sqrt2 table has a nonzero sqrt2 part in every cell, so it is never
+    # searched as a rational one.
+    qs = [rng.choice((-2, -1, 1, 2)) if kind == "sqrt2" else 0 for _ in range(size)]
+    spaces = numbered_spaces(*shape)
+    e = BellExpression(*spaces, tuple(map(Scalar, ps, qs)))
+    expected = _reference_local_bound(e)
+    p, q, xs, ys = _best_response(shape, container(ps), container(qs))
+    outputs_a = tuple(spaces[2].labels[ix] for ix in xs)
+    outputs_b = tuple(spaces[3].labels[iy] for iy in ys)
+    assert (Scalar(p, q), outputs_a, outputs_b) == expected
+    value, strategy = local_bound(e)
+    assert (value, strategy.outputs_a, strategy.outputs_b) == expected
+
+
 def test_local_bound_refuses_past_the_budget_before_building_anything(monkeypatch):
     def unreachable(*args):
         raise AssertionError("local_bound built its table before the budget check")
 
     monkeypatch.setattr(hvlab.bell, "_int_view", unreachable)
     monkeypatch.setattr(hvlab.bell, "_best_response", unreachable)
+    monkeypatch.setattr(hvlab.bell, "_gathers", unreachable)
     with pytest.raises(SizeBudgetExceeded):
         local_bound(BellExpression.from_function(*OVERSIZED_SPACES, lambda a, b, x, y: ZERO))
+
+
+def test_expressions_on_equal_spaces_share_one_gathers_object():
+    _gathers.cache_clear()
+    shape = (2, 3, 2, 2)
+    for k in range(2):
+        spaces = numbered_spaces(*shape)
+        local_bound(BellExpression.from_function(*spaces, lambda a, b, x, y: Scalar(k, len(a + b + x + y) % 2)))
+    info = _gathers.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert _gathers(shape) is _gathers(shape)
+    for k in range(CACHED_SPACES + 2):
+        local_bound(BellExpression.from_function(*numbered_spaces(1, 1, 2, k + 1), lambda a, b, x, y: ONE))
+        assert _gathers.cache_info().currsize <= CACHED_SPACES
+    assert _gathers.cache_info().currsize == CACHED_SPACES
 
 
 def test_ns_bound_refuses_an_oversized_matrix_before_building_it(monkeypatch):

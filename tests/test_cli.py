@@ -243,6 +243,23 @@ def test_decompose_past_the_size_budget_exits_two(capsys, tmp_path):
         assert "unexpected error" not in err
 
 
+def test_bell_on_a_one_cell_expression_reports_its_one_strategy(capsys, tmp_path):
+    from hvlab.bell import BellExpression
+    from hvlab.formats import save_expression
+
+    # One setting and one outcome per side: Bob's best reply reads a single
+    # entry for each Alice output.
+    spaces = (LabelSet(("a",)), LabelSet(("b",)), LabelSet(("x",)), LabelSet(("y",)))
+    save_expression(BellExpression(*spaces, (parse_scalar("1/2-1*sqrt2"),)), tmp_path / "one.expr.json")
+    save_box(uniform_behavior(*spaces), tmp_path / "one.box.json")
+    expression, box = str(tmp_path / "one.expr.json"), str(tmp_path / "one.box.json")
+    code, out, err = run(capsys, "bell", expression, box, "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["local_bound_strategy"] == {"alice_outputs": ["x"], "bob_outputs": ["y"]}
+    assert report["value"] == report["local_bound"] == report["ns_bound"] == "1/2-1*sqrt2"
+
+
 def test_bell_past_the_no_signalling_budget_exits_two(capsys, tmp_path):
     from helpers import numbered_spaces
     from hvlab.bell import BellExpression

@@ -1,13 +1,16 @@
 """Exact field arithmetic, parsing and ordering."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import nonzero_scalars, scalars
+from helpers import nonzero_scalars, numbered_spaces, scalars
+from hvlab.boxes import Behavior, _int_view
 from hvlab.errors import DivisionByZero, MalformedScalar, ZeroDenominator
-from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, compare, format_scalar, parse_scalar
+from hvlab.scalar import ONE, SQRT2, ZERO, Scalar, _common_denominator, compare, format_scalar, parse_scalar
 
 
 def test_parse_alpha_string():
@@ -171,3 +174,27 @@ def test_uniqueness_of_representation(x, y):
     # sign(x - y) == 0 iff both components agree: irrationality of
     # sqrt(2) makes the components of equal values forced
     assert (compare(x, y) == 0) == (x.a == y.a and x.b == y.b)
+
+
+# Vectors over one shared denominator d: (1 + d*k)/d is in lowest terms
+# for every k, so each value's canonical denominator is d itself.
+_one_denominator = st.integers(1, 12).flatmap(
+    lambda d: st.lists(
+        st.builds(lambda k, q: Scalar(Fraction(1 + d * k, d), Fraction(q, d)), st.integers(-9, 9), st.integers(-9, 9)),
+        max_size=8,
+    )
+)
+
+
+@given(st.one_of(_one_denominator, st.lists(scalars, max_size=8)))
+@example([])
+@example([ONE] * 5)
+@example([Scalar(Fraction(1, 3)), Scalar(Fraction(-1, 2), Fraction(1, 4)), SQRT2])
+def test_common_denominator_is_the_lcm_and_gives_back_every_value(values):
+    ps, qs, den = _common_denominator(values)
+    assert den == lcm(*(part.denominator for value in values for part in (value.a, value.b)))
+    assert len(ps) == len(qs) == len(values)
+    assert [Scalar(Fraction(p, den), Fraction(q, den)) for p, q in zip(ps, qs)] == values
+    if values:
+        box = Behavior(*numbered_spaces(1, 1, 1, len(values)), tuple(values))
+        assert _int_view(box) == (tuple(ps), tuple(qs), den)

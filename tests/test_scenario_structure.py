@@ -26,7 +26,7 @@ from helpers import (
     ns_behaviors,
     random_ns_behavior,
 )
-from hvlab.bell import BellExpression, _ns_constraints, _ns_lp, chsh, evaluate, local_bound, ns_bound
+from hvlab.bell import BellExpression, _gathers, _ns_constraints, _ns_lp, chsh, evaluate, local_bound, ns_bound
 from hvlab.boxes import (
     CACHED_SPACES,
     Behavior,
@@ -62,6 +62,7 @@ def test_cache_sizes_are_the_module_constant():
     assert CACHED_SPACES == 4
     assert _local_vertices.cache_info().maxsize == CACHED_SPACES
     assert _ns_constraints.cache_info().maxsize == CACHED_SPACES
+    assert _gathers.cache_info().maxsize == CACHED_SPACES
 
 
 def test_equal_spaces_built_separately_share_one_vertex_tuple():
