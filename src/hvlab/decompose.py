@@ -41,7 +41,7 @@ vertex matrix as a :class:`~hvlab.simplex.Matrix` of 0/1 ints, built and
 checked once by :meth:`~hvlab.simplex.Matrix.from_rows`, which
 :func:`content_lp_problem` reuses for it (any other tuple gets a matrix
 of its own) and whose kept columns :func:`max_local_content` hands to
-the plain ``Matrix`` constructor as they are, checking no entry again.
+the simplex's int core as they are, checking no entry again.
 The tuple also carries one int mask per cell, whose bit k is set when
 vertex k has a unit on that cell: the kept vertices are those outside
 the OR of the zero cells' masks, in the order the tuple gives them.
@@ -56,6 +56,21 @@ and 0.1 MiB of masks, 256 of 4096 bits.  That is a quarter of
 about 40 MiB; the simplex tableau of its LP, built from the columns for
 each solve, holds exactly those m x n cells.  The benchmark's largest
 content rung holds 81 vertices of 36 cells.
+
+The content LP is solved in ints from the box to the answer, with no
+:class:`~hvlab.simplex.LpProblem` and no Scalar on the way:
+:func:`max_local_content` gives :func:`~hvlab.simplex._solve_ints` the
+kept columns, ``c`` as all ones over 1 and ``b`` as the box's int view,
+one ``(p, q, den)`` triple per cell, and finds the zero cells on that
+view.  The tableau's readers give q, y and the value in ints; q is read
+in basis-row order and put in vertex order, and the remainder is built
+from its ints over their common denominator.  Scalars are built only
+for what is reported: the support weights, the residual cells, the
+content and the lifted certificate, whose q is 0 off the support and
+whose dual is 1 on every zero cell.  No certificate check runs inside
+:func:`max_local_content`; ``hvlab decompose --verify`` and any caller
+check the lifted certificate against the full LP with
+:func:`~hvlab.simplex.check_certificate`.
 
 The remainder and the audit work in ints over common denominators, with
 one Scalar per reported cell; a box's ints are its int view, which only
@@ -94,7 +109,7 @@ from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudget
 from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_scalar
-from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, solve_lp
+from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, _solve_ints
 
 _ONE, _ZERO = ONE._v, ZERO._v
 
@@ -201,7 +216,15 @@ def content_lp_problem(behavior: Behavior, vertices: tuple[Behavior, ...]) -> Lp
 
 
 def max_local_content(behavior: Behavior) -> LocalDecomposition:
-    """Exact maximal local content of a valid no-signalling box."""
+    """Exact maximal local content of a valid no-signalling box.
+
+    The content LP over the vertices with no unit on a zero cell is solved
+    by the simplex's int core, from the box's int view to the tableau's
+    int answer; Scalars are built only for the support weights, the
+    residual cells, the content and the certificate, lifted to the full
+    LP of :func:`content_lp_problem` (see the module docstring).  The
+    certificate is not checked here: :func:`~hvlab.simplex.check_certificate`
+    checks it."""
     ok, witness = is_no_signalling(behavior)
     if not ok:
         raise SignallingInput(
@@ -210,43 +233,60 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     vertices = enumerate_local_vertices(behavior.spaces)
     # The content LP over every cell and the vertices with no unit on a zero
     # cell, those outside the OR of the zero cells' masks, its columns taken
-    # from the cached matrix (see the module docstring).
-    table, columns, masks = behavior.table, vertices.matrix.columns, vertices.masks
-    zero = [i for i, cell in enumerate(table) if cell.is_zero()]
+    # from the cached matrix and b from the box's int view, every cell over
+    # its denominator b (see the module docstring).
+    columns, masks = vertices.matrix.columns, vertices.masks
+    bp, bq, b = _int_view(behavior)
+    zero = [i for i, (p, q) in enumerate(zip(bp, bq)) if not (p or q)]
     dropped = 0
     for i in zero:
         dropped |= masks[i]
-    kept = [k for k in range(len(columns)) if not dropped >> k & 1]
-    solution = solve_lp(LpProblem((ONE,) * len(kept), Matrix(len(table), tuple(columns[k] for k in kept)), table))
-    if solution.status != OPTIMAL:
-        raise LpFailure(f"local-content LP ended {solution.status}")
-    content = solution.value
-    support = [(kept[j], q) for j, q in enumerate(solution.q) if q.sign() > 0]
+    # The set bits of the kept mask, lowest first: one step per kept vertex.
+    kept = []
+    rest = ~dropped & ((1 << len(columns)) - 1)
+    while rest:
+        low = rest & -rest
+        kept.append(low.bit_length() - 1)
+        rest ^= low
+    n = len(kept)
+    tableau = _solve_ints([columns[k] for k in kept], ((1,) * n, (0,) * n, 1), [(p, q, b) for p, q in zip(bp, bq)])
+    if tableau is None:
+        raise LpFailure("local-content LP ended unbounded")
+    vp, vq, vd = tableau.value()
+    content = _reduced(vp, vq, vd)
+    # q over its support and w, read in basis-row order and put in vertex order.
+    basic, qp, qq, w = tableau.primal()
+    support = sorted(zip([kept[j] for j in basic], qp, qq))
+    weights = [_reduced(p, q, w) for _, p, q in support]
     residual = None
-    if content != ONE:
+    if vq or vp != vd:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
-        # matrix, all 1s: numerators r over b*w, the box's and the weights' common
-        # denominators, each times 1/(1 - content) = (sp + sq*sqrt2)/sd.
-        bp, bq, b = _int_view(behavior)
-        wp, wq, w = _common_denominator([q for _, q in support])
+        # matrix, all 1s: numerators r over b*w, each times 1/(1 - content) =
+        # vd/((vd - vp) - vq*sqrt2) = (sp + sq*sqrt2)/sd, by the conjugate.
         rp, rq = [p * w for p in bp], [q * w for q in bq]
-        for (k, _), p, q in zip(support, wp, wq):
+        for k, p, q in support:
             for i, _ in columns[k]:
                 rp[i] -= p * b
                 rq[i] -= q * b
-        sp, sq, sd = (ONE / (ONE - content))._v
-        cells = (_reduced(p * sp + 2 * q * sq, p * sq + q * sp, b * w * sd) for p, q in zip(rp, rq))
+        sp, sq, sd = vd * (vd - vp), vd * vq, (vd - vp) ** 2 - 2 * vq * vq
+        if sd < 0:
+            sp, sq, sd = -sp, -sq, -sd
+        d = b * w * sd
+        cells = (_reduced(p * sp + 2 * q * sq, p * sq + q * sp, d) if p or q else ZERO for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
     # Lifted to the full LP: q is 0 on every dropped vertex, y is 1 on every zero cell.
     lifted = [ZERO] * len(vertices)
-    for k, v in zip(kept, solution.q):
-        lifted[k] = v
-    dual = list(solution.dual)
+    for (k, _, _), weight in zip(support, weights):
+        lifted[k] = weight
+    dual = [ZERO] * len(bp)
+    ys, yp, yq, yd = tableau.dual()
+    for i, p, q in zip(ys, yp, yq):
+        dual[i] = _reduced(p, q, yd)
     for i in zero:
         dual[i] = ONE
     return LocalDecomposition(
-        vertices=tuple(vertices[k] for k, _ in support),
-        weights=tuple(q for _, q in support),
+        vertices=tuple(vertices[k] for k, _, _ in support),
+        weights=tuple(weights),
         residual=residual,
         local_content=content,
         certificate=LpSolution(OPTIMAL, tuple(lifted), content, tuple(dual)),

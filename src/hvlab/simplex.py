@@ -23,13 +23,17 @@ ints, with ``c`` and ``b`` in the forms the solve takes.
 :func:`solve_lp` and :func:`check_certificate` are the adapters: they
 read an :class:`LpProblem` and an :class:`LpSolution` of Scalars into
 the core's ints, and :func:`solve_lp` builds Scalars only for the
-answer, from those readers.  The content LP goes through the
-adapters (``decompose.max_local_content`` solves it, and ``hvlab
-decompose --verify`` checks its certificate); ``bell.ns_bound`` calls
-the core itself, with the objective it sums in ints from the
-expression's int view and the right-hand sides cached as triples,
-checks the tableau's int answer with :func:`_check_ints`, and builds
-one Scalar, its bound.
+answer, from those readers.  Both of hvlab's LPs are solved by the core
+itself.  ``decompose.max_local_content`` hands it the kept columns of
+the cached vertex matrix, ``c`` as all ones over 1 and ``b`` as the
+box's int view, reads q, y and the value with the tableau's readers,
+and builds Scalars only for the weights, the residual cells, the
+content and the certificate it reports; it checks no certificate
+itself, and ``hvlab decompose --verify`` checks that one through
+:func:`check_certificate`.  ``bell.ns_bound`` sums its objective in
+ints from the expression's int view, takes the right-hand sides cached
+as triples, checks the tableau's int answer with :func:`_check_ints`,
+and builds one Scalar, its bound.
 
 The matrix is a :class:`Matrix`, which holds one view of it: its row
 count and each column's nonzero entries as ints, read by both halves of
@@ -37,8 +41,8 @@ the core.  Rows that a caller supplies are checked once, entry by entry,
 when :meth:`Matrix.from_rows` builds the matrix from them (every row the
 same width, every entry a Scalar that is an integer).  A builder that
 writes the columns itself, as the no-signalling LP's does with its +-1
-entries, or that takes some columns of a built matrix, as the content LP
-does with its kept vertices, uses the constructor, which checks nothing.
+entries, uses the constructor, which checks nothing; the content LP
+hands the core some columns of its built matrix as they are.
 :class:`LpProblem` builds a plain ``A`` into a ``Matrix`` and keeps a
 ``Matrix`` as it is, so a matrix that callers share (both of hvlab's LPs
 cache theirs per set of spaces) is built only once.

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,6 +22,7 @@ from hvlab.bell import BellExpression, local_bound
 from hvlab.boxes import (
     Behavior,
     LabelSet,
+    _int_view,
     deterministic_behavior,
     is_no_signalling,
     mix,
@@ -29,7 +30,7 @@ from hvlab.boxes import (
     validate_behavior,
 )
 from hvlab.catalog import appendix_a_model, noise_box, pr_box, signalling_box, table1_box
-from hvlab import decompose
+from hvlab import decompose, simplex
 from hvlab.decompose import (
     LocalDecomposition,
     content_lp_problem,
@@ -41,7 +42,7 @@ from hvlab.decompose import (
 from hvlab.errors import InvalidBehavior, InvalidDecomposition, SignallingInput, SizeBudgetExceeded
 from hvlab.hvmodel import check_locality, nontrivial_weight, reconstruct
 from hvlab.scalar import HALF, ONE, ZERO, Scalar, parse_scalar
-from hvlab.simplex import Matrix, check_certificate, solve_lp
+from hvlab.simplex import LpProblem, LpSolution, Matrix, _solve_ints, check_certificate, solve_lp
 
 ALPHA = parse_scalar("1/4-1/8*sqrt2")
 
@@ -460,36 +461,60 @@ def test_support_lp_matches_the_full_lp(box):
 
 
 def _solved_problems(monkeypatch):
-    """Record every LP that max_local_content hands to the solver."""
+    """Record the ``(columns, c, b)`` of every LP that max_local_content
+    hands to the int core."""
     problems = []
 
-    def recording_solve_lp(problem):
-        problems.append(problem)
-        return solve_lp(problem)
+    def recording_solve_ints(columns, c, b):
+        problems.append((columns, c, b))
+        return _solve_ints(columns, c, b)
 
-    monkeypatch.setattr(decompose, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(decompose, "_solve_ints", recording_solve_ints)
     return problems
+
+
+def _int_rhs(box) -> list[tuple[int, int, int]]:
+    """The box's int view as one ``(p, q, den)`` triple per cell."""
+    ps, qs, den = _int_view(box)
+    return [(p, q, den) for p, q in zip(ps, qs)]
+
+
+def _kept_by_definition(box) -> list[int]:
+    """The vertices with no unit on a zero cell of ``box``, read off their
+    tables."""
+    zero = [i for i, cell in enumerate(box.table) if cell.is_zero()]
+    vertices = enumerate_local_vertices(box.spaces)
+    return [k for k, vertex in enumerate(vertices) if all(vertex.table[i].is_zero() for i in zero)]
+
+
+def _lifted_solution(box, kept: list[int]) -> LpSolution:
+    """solve_lp's answer to the content LP of ``box`` over the ``kept``
+    vertices, as an LpProblem of Scalars, lifted to the full LP: q 0 off
+    those vertices and the dual 1 on every zero cell."""
+    vertices = enumerate_local_vertices(box.spaces)
+    columns = tuple(vertices.matrix.columns[k] for k in kept)
+    solution = solve_lp(LpProblem((ONE,) * len(kept), Matrix(len(box.table), columns), box.table))
+    lifted_q = [ZERO] * len(vertices)
+    for k, q in zip(kept, solution.q):
+        lifted_q[k] = q
+    dual = tuple(ONE if cell.is_zero() else y for cell, y in zip(box.table, solution.dual))
+    return LpSolution(solution.status, tuple(lifted_q), solution.value, dual)
 
 
 def _kept_columns(solved, box, d) -> list[int]:
     """Check the one LP that max_local_content solved on ``box``: its
-    right-hand side is the box's table, its columns are the cached columns
-    of the vertices with no unit on a zero cell, the very same objects, and
-    its answer lifts to ``d.certificate`` with q 0 off those vertices and
-    the dual 1 on every zero cell.  Returns the kept vertex indices."""
+    columns are the cached columns of the vertices with no unit on a zero
+    cell, the very same objects, c is all ones, b is the box's int view,
+    and its answer is the lifted solve_lp answer of the same LP of Scalars.
+    Returns the kept vertex indices."""
+    columns, c, b = solved
     vertices = enumerate_local_vertices(box.spaces)
-    zero = [i for i, cell in enumerate(box.table) if cell.is_zero()]
-    kept = [k for k, vertex in enumerate(vertices) if all(vertex.table[i].is_zero() for i in zero)]
-    assert solved.b == box.table and solved.A.height == len(box.table)
-    assert solved.c == (ONE,) * len(kept) and len(solved.A.columns) == len(kept)
-    assert all(column is vertices.matrix.columns[k] for column, k in zip(solved.A.columns, kept))
-    solution = solve_lp(solved)
-    lifted_q = [ZERO] * len(vertices)
-    for k, q in zip(kept, solution.q):
-        lifted_q[k] = q
-    assert d.certificate.q == tuple(lifted_q)
-    assert d.certificate.value == solution.value == d.local_content
-    assert d.certificate.dual == tuple(ONE if i in zero else y for i, y in enumerate(solution.dual))
+    kept = _kept_by_definition(box)
+    assert b == _int_rhs(box)
+    assert c == ((1,) * len(kept), (0,) * len(kept), 1) and len(columns) == len(kept)
+    assert all(column is vertices.matrix.columns[k] for column, k in zip(columns, kept))
+    assert d.certificate == _lifted_solution(box, kept)
+    assert d.certificate.value == d.local_content
     assert check_certificate(content_lp_problem(box, vertices), d.certificate)
     return kept
 
@@ -537,9 +562,64 @@ def test_a_box_without_zero_cells_solves_the_full_lp(box, monkeypatch):
     problems = _solved_problems(monkeypatch)
     d = max_local_content(box)
     [solved] = problems
-    full = content_lp_problem(box, vertices)
-    assert solved == full
-    assert d.certificate == solve_lp(full)
+    assert _kept_columns(solved, box, d) == list(range(len(vertices)))
+    assert d.certificate == solve_lp(content_lp_problem(box, vertices))
+
+
+def test_the_content_lp_builds_no_lp_problem_and_no_scalar_solve(monkeypatch):
+    # max_local_content solves its kept LP in the int core: no LpProblem of
+    # Scalars is built, and neither Scalar adapter of the core runs.
+    box = mix([(HALF, pr_box()), (HALF, enumerate_local_vertices(CHSH_SPACES)[0])])
+    expected = max_local_content(box)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_local_content went through the Scalar LP path")
+
+    monkeypatch.setattr(LpProblem, "__post_init__", refuse)
+    for module in (simplex, decompose):
+        for name in ("solve_lp", "check_certificate"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for candidate in (box, table1_box(), pr_box(), _tilted_table1()):
+        d = max_local_content(candidate)
+        assert d.certificate.status == "optimal"
+    assert max_local_content(box) == expected
+
+
+def _scalar_path_decomposition(box) -> LocalDecomposition:
+    """The decomposition by the Scalar path: solve_lp on the LpProblem of
+    the kept vertices, the support in vertex order, the residual in Scalar
+    arithmetic and the certificate lifted as in :func:`_lifted_solution`."""
+    vertices = enumerate_local_vertices(box.spaces)
+    certificate = _lifted_solution(box, _kept_by_definition(box))
+    content = certificate.value
+    support = [k for k, q in enumerate(certificate.q) if q.sign() > 0]
+    residual = None
+    if content != ONE:
+        scale = ONE / (ONE - content)
+        cells = [
+            (cell - sum((certificate.q[k] * vertices[k].table[i] for k in support), ZERO)) * scale
+            for i, cell in enumerate(box.table)
+        ]
+        residual = Behavior(*box.spaces, cells)
+    return LocalDecomposition(
+        tuple(vertices[k] for k in support), tuple(certificate.q[k] for k in support), residual, content, certificate
+    )
+
+
+_SQRT2_HALF = parse_scalar("1/2*sqrt2")
+
+
+@given(_boxes_with_zero_cells())
+@example(mix([(_SQRT2_HALF, pr_box()), (ONE - _SQRT2_HALF, enumerate_local_vertices(CHSH_SPACES)[0])]))
+@example(mix([(_SQRT2_HALF, enumerate_local_vertices(CHSH_SPACES)[3]), (ONE - _SQRT2_HALF, enumerate_local_vertices(CHSH_SPACES)[9])]))
+@settings(max_examples=100, deadline=None)
+def test_the_int_solve_matches_the_scalar_path_field_by_field(box):
+    d, expected = max_local_content(box), _scalar_path_decomposition(box)
+    assert d.vertices == expected.vertices
+    assert d.weights == expected.weights
+    assert d.residual == expected.residual
+    assert d.local_content == expected.local_content
+    assert d.certificate == expected.certificate
 
 
 def test_positive_content_gives_nontrivial_model_for_uniform_marginal_boxes():

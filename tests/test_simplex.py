@@ -16,7 +16,7 @@ from hvlab.boxes import LabelSet
 from hvlab.catalog import pr_box, table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.errors import DimensionMismatch, LpFailure
-from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _common_denominator, format_scalar, parse_scalar
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _common_denominator, _sign, format_scalar, parse_scalar
 from hvlab.simplex import (
     OPTIMAL,
     UNBOUNDED,
@@ -516,18 +516,20 @@ def test_ns_lps_match_the_scalar_tableau_reference(problem):
 @settings(max_examples=40, deadline=None)
 def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns_problem):
     # The content LP of a valid box, the support LP that max_local_content
-    # solves and the no-signalling LP: each starts from its slack basis.
+    # hands the int core as (p, q, den) triples and the no-signalling LP:
+    # each starts from its slack basis.
     solved = []
 
-    def recording_solve_lp(problem):
-        solved.append(problem)
-        return solve_lp(problem)
+    def recording_solve_ints(columns, c, b):
+        solved.append(b)
+        return _solve_ints(columns, c, b)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(decompose, "solve_lp", recording_solve_lp)
+        patch.setattr(decompose, "_solve_ints", recording_solve_ints)
         max_local_content(ns_box)
     assert len(solved) == 1
-    for problem in (content_lp_problem(box, enumerate_local_vertices(box.spaces)), *solved, ns_problem):
+    assert all(_sign(p, q) >= 0 and d > 0 for p, q, d in solved[0])
+    for problem in (content_lp_problem(box, enumerate_local_vertices(box.spaces)), ns_problem):
         assert all(v.sign() >= 0 for v in problem.b)
 
 
