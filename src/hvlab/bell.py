@@ -24,38 +24,42 @@ and four outcomes per side, and 1.2 and 1.6 ms at eight settings and
 two outcomes, with Python 3.11.7 on a shared 2-core host.
 
 The no-signalling bound is an exact LP over the no-signalling polytope
-in Collins-Gisin coordinates (Collins and Gisin, J. Phys. A 37, 1775
-(2004)): the marginals and joint probabilities of every outcome but the
-last, one inequality per table cell that is not itself a coordinate and
-no equalities, so its right-hand side is nonnegative, as the simplex
-requires.  A cell with neither outcome last is its own joint
-coordinate, whose row would only restate q >= 0, so it has none and its
-coefficient goes to that coordinate's objective.  :func:`ns_bound`
-works in ints from end to end: it sums the objective from the
-expression's int view, solves and checks the LP's strong-duality
-certificate with the int core of :mod:`hvlab.simplex`
-(``_solve_ints`` and ``_check_ints``), and builds one Scalar, the
-bound, only once that check passes.  :func:`_ns_lp` wraps the same int
-objective in an :class:`~hvlab.simplex.LpProblem` of Scalars for
-callers of :func:`~hvlab.simplex.solve_lp`.
+in cell coordinates: the Collins-Gisin coordinates (Collins and Gisin,
+J. Phys. A 37, 1775 (2004)), the marginals and joints of every outcome
+but the last, under a unimodular change that makes each coordinate a
+table cell that is 0 at the all-last deterministic box (see
+:func:`_ns_constraints`), so the polytope and every bound are the same.
+The LP has one inequality per table cell that is not a coordinate and
+no equalities: a coordinate's own row would only restate q >= 0, so it
+has none and its coefficient goes to that coordinate's objective.  The
+right-hand side is 1 where both outcomes are last and 0 elsewhere,
+nonnegative as the simplex requires, so the slack basis, the all-last
+box, is feasible.  :func:`ns_bound` works in ints from end to end: it
+sums the objective from the expression's int view, solves and checks
+the LP's strong-duality certificate with the int core of
+:mod:`hvlab.simplex` (``_solve_ints`` and ``_check_ints``), and builds
+one Scalar, the bound, only once that check passes.  :func:`_ns_lp`
+wraps the same int objective in an :class:`~hvlab.simplex.LpProblem` of
+Scalars for callers of :func:`~hvlab.simplex.solve_lp`.
 
 The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
-once, with its right-hand sides, as the int triples the core reads, and
-the table cell of each row.  With at least two outcomes per side the
-matrix has |A||B|(|X|+|Y|-1) rows, against |A||B||X||Y| cells, of
-|A|(|X|-1) + |B|(|Y|-1) + |A||B|(|X|-1)(|Y|-1) columns, and an entry
-holds it only as each column's nonzero entries, the ints +-1.  Measured
-with tracemalloc under Python 3.11, one setting with 45 outcomes per
-side (89 rows of 2024 columns; its 2025 x 2024 Collins-Gisin cells are
-just within ``NS_CELL_BUDGET`` = 2**22) takes 0.79 MiB with its cell
-maps, and its build, which writes no dense row, peaks at 1.06 MiB; the
-simplex tableau that a solve scatters the columns into holds all m x n
-cells, and :func:`ns_bound` and ``solve_lp`` of :func:`_ns_lp` each
-peak at 1.9 MiB over the cached entry.  Spaces whose full Collins-Gisin
-matrix would pass that budget are refused before anything is built.
+once, with its right-hand sides, as the int triples the core reads, the
+table cell of each row and, as one tuple of ints, the cell of each
+column.  With at least two outcomes per side the matrix has
+|A||B||X||Y| - n rows of n = |A|(|X|-1) + |B|(|Y|-1) +
+|A||B|(|X|-1)(|Y|-1) columns, and an entry holds it only as each
+column's nonzero entries, the ints +-1.  Measured with tracemalloc under
+Python 3.11, one setting with 45 outcomes per side (1 row of 2024
+columns; its 2025 x 2024 cells in full are just within
+``NS_CELL_BUDGET`` = 2**22) takes 0.28 MiB with its cell maps, and its
+build, which writes no dense row, peaks at 0.55 MiB; the simplex tableau
+that a solve scatters the columns into holds all m x n cells, and
+:func:`ns_bound` and ``solve_lp`` of :func:`_ns_lp` peak at 0.33 and
+0.22 MiB over the cached entry.  Spaces whose full matrix, one row per
+table cell, would pass that budget are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -251,24 +255,25 @@ def _alice_tables(columns: Sequence[Sequence[Sequence[int]]]) -> Iterator[tuple[
 
 
 # Most cells, rows times columns, of the full Collins-Gisin matrix of the
-# no-signalling LP, one row per table cell.  The LP that _ns_lp builds
-# keeps fewer rows, so its simplex tableau, which holds exactly its m x n
-# cells, stays within the budget too.  The strategy budget lets through
-# far more: one setting and 128 outcomes per side give 16 384 rows of
-# 16 383 columns in full.  With one setting per side, 45 outcomes (2025
-# rows of 2024 columns in full) are within it and 46 are not; ns_bound of
-# a 45-outcome expression, whose LP has 89 rows, took 0.03 s at 18 MB
-# peak RSS and peaked at 1.9 MiB of tracemalloc over the cached entry, as
-# solve_lp of its _ns_lp does, with Python 3.11 on a shared 2-core host
-# (0.065 s, 50 MB and 31.9 MiB with one row per cell).
+# no-signalling LP, one row per table cell: |A||B||X||Y| x n, the same in
+# cell coordinates.  The LP that _ns_lp builds keeps fewer rows, so its
+# simplex tableau, which holds exactly its m x n cells, stays within the
+# budget too.  The strategy budget lets through far more: one setting and
+# 128 outcomes per side give 16 384 rows of 16 383 columns in full.  With
+# one setting per side, 45 outcomes (2025 rows of 2024 columns in full)
+# are within it and 46 are not; ns_bound of a 45-outcome expression,
+# whose LP has 1 row, took 0.007 s at 16.7 MB peak RSS and peaked at
+# 0.33 MiB of tracemalloc over the cached entry (solve_lp of its _ns_lp
+# at 0.22 MiB), with Python 3.11 on a shared 2-core host (0.03 s, 18.5 MB
+# and 1.9 MiB with 89 rows in Collins-Gisin coordinates).
 NS_CELL_BUDGET = 2**22
 
 
 def _ns_lp(expression: BellExpression) -> LpProblem:
-    """LP over the Collins-Gisin coordinates q maximising the expression
-    less its constant part, as an :class:`~hvlab.simplex.LpProblem` of
-    Scalars: the LP that :func:`ns_bound` solves in ints, from the same
-    int objective (:func:`_ns_objective`) and the same cached entry."""
+    """LP over the cell coordinates q maximising the expression less its
+    constant part, as an :class:`~hvlab.simplex.LpProblem` of Scalars:
+    the LP that :func:`ns_bound` solves in ints, from the same int
+    objective (:func:`_ns_objective`) and the same cached entry."""
     constraints, rhs, (ps, qs, d) = _ns_objective(expression)
     return LpProblem(tuple(map(_reduced, ps, qs, repeat(d))), constraints, tuple(_reduced(*t) for t in rhs))
 
@@ -276,14 +281,16 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
 def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, int, int], ...], _Ints]:
     """The cached matrix and right-hand sides of the expression's spaces
     (see :func:`_ns_constraints`) and the objective as ints ``(ps, qs,
-    d)``.  Spaces whose full Collins-Gisin matrix, one row per table cell,
-    would pass ``NS_CELL_BUDGET`` cells are refused before any matrix is
-    built, on every call.
+    d)``.  Spaces whose full matrix, one row per table cell, would pass
+    ``NS_CELL_BUDGET`` cells are refused before any matrix is built, on
+    every call.
 
-    A cell with a row is b_i - A_i.q, and a cell without one is its own
-    coordinate q_j, so the expression is c.b - (A^T.c).q plus c_cell*q_j
-    for each of the latter.  The objective is summed from the int entries
-    of the columns of ``A`` and the coefficients of those cells, in ints
+    A cell with a row is b_i - A_i.q, and a cell without one is a
+    coordinate q_j, its own or one it restates, so the expression is
+    c.b - (A^T.c).q plus c_cell*q_j for each of the latter.  The
+    objective starts from the coefficients of the coordinates' cells,
+    gathered through the entry's ``coords``, and the restated cells'; the
+    rest is summed from the int entries of the columns of ``A``, in ints
     over the table's common denominator, its int view, and then brought
     over the lcm of its entries' own denominators by one gcd, the ints
     that :func:`~hvlab.scalar._common_denominator` reads off its Scalars.
@@ -295,10 +302,10 @@ def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, 
             f"the no-signalling LP's full Collins-Gisin matrix, {rows} rows of {columns} columns "
             f"({rows * columns} cells), exceeds the budget of {NS_CELL_BUDGET} cells"
         )
-    constraints, rhs, cells, own = _ns_constraints(expression.spaces)
+    constraints, rhs, cells, coords, restated = _ns_constraints(expression.spaces)
     ps, qs, den = _int_view(expression)
-    objective_p, objective_q = [0] * columns, [0] * columns
-    for cell, j in own:
+    objective_p, objective_q = [ps[cell] for cell in coords], [qs[cell] for cell in coords]
+    for cell, j in restated:
         objective_p[j] += ps[cell]
         objective_q[j] += qs[cell]
     row_p, row_q = [ps[cell] for cell in cells], [qs[cell] for cell in cells]
@@ -317,68 +324,101 @@ def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, 
 @lru_cache(maxsize=CACHED_SPACES)
 def _ns_constraints(
     spaces: Spaces,
-) -> tuple[Matrix, tuple[tuple[int, int, int], ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The no-signalling polytope A.q <= b in Collins-Gisin coordinates,
-    with the table cell of each row and the coordinate of each cell that
-    has no row.
+) -> tuple[Matrix, tuple[tuple[int, int, int], ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The no-signalling polytope A.q <= b in cell coordinates, with the
+    table cell of each row, the cell that each coordinate is and the
+    coordinate of each cell whose row would restate q_j >= 0.
 
-    The columns are Alice's marginals p(x|a) for every outcome x but the
-    last, Bob's p(y|b) likewise, then the joint p(x,y|a,b) for x and y
-    both not last, each group row-major.  A no-signalling box is fixed by
-    these numbers, and each table cell is b_i - A_i.q: P(x,y|a,b) is
-    p(x|a)*p(y|b) with a last outcome's factor read as 1 minus the sum of
-    the others, expanded and with each product p(x|a)*p(y|b) read as
-    p(x,y|a,b).  A cell's row states that the cell is nonnegative; b_i is
-    1 where both outcomes are last and 0 elsewhere, so the slack basis is
-    feasible.  A cell whose row would be -q_j <= 0 with b_i = 0, one with
-    neither outcome last or with a last outcome on a side that has only
-    one, is the coordinate q_j itself: its row restates q_j >= 0, so it
-    has none, and the rows are those of the other cells, in table order.
-    With at least two outcomes per side that leaves |A||B|(|X|+|Y|-1) of
-    the |A||B||X||Y| cells.  The q that satisfy the rows are exactly the
-    no-signalling boxes, so the LP is always feasible and bounded.
+    Every coordinate is a table cell that is 0 at the all-last
+    deterministic box.  For every outcome x of Alice's but the last it is
+    P(x, last | a, b0), b0 Bob's first setting, then for every outcome y
+    of Bob's but the last P(last, y | a0, b), a0 Alice's first setting,
+    then the joint P(x, y | a, b) for x and y both not last, each group
+    row-major.  These are the Collins-Gisin coordinates (Collins and Gisin,
+    J. Phys. A 37, 1775 (2004)) under a unimodular change: p(x|a) is
+    P(x, last | a, b0) plus the joints of (a, b0) at x, and p(y|b) is
+    P(last, y | a0, b) plus the joints of (a0, b) at y.  A no-signalling
+    box is fixed by them, and each other table cell is b_i - A_i.q, with
+    every entry of A_i +-1:
+
+    - P(x, last | a, b) for b != b0 is P(x, last | a, b0) plus the joints
+      of (a, b0) at x less those of (a, b) at x;
+    - P(last, y | a, b) for a != a0 is P(last, y | a0, b) plus the joints
+      of (a0, b) at y less those of (a, b) at y;
+    - P(last, last | a, b) is 1 less Alice's coordinates at a and Bob's at
+      b, less the joints of (a0, b0) when a = a0 or b = b0, and otherwise
+      less the joints of (a, b0) and of (a0, b) plus those of (a, b).
+
+    A cell's row states that the cell is nonnegative; b_i is 1 where both
+    outcomes are last and 0 elsewhere, so b >= 0 and the slack basis, the
+    all-last box, is feasible.  A coordinate's cell has no row, and nor
+    has a cell that is one coordinate with b_i = 0 (on a side with one
+    outcome, the cell of its last outcome at a setting but the first), a
+    row that would only restate q_j >= 0.  The rows are those of the other
+    cells, in table order: with at least two outcomes per side that is
+    |A||B||X||Y| - n of the cells, n the number of columns.  The q that
+    satisfy the rows are exactly the no-signalling boxes, so the LP is
+    always feasible and bounded.
 
     Returns the matrix, its right-hand sides as ``(p, q, d)`` triples,
     the form :func:`~hvlab.simplex._solve_ints` reads, ``cells`` (the
-    table cell of each row) and ``own`` (a ``(cell, j)`` pair for each
-    cell that is q_j).  Each entry, the int 1 or -1, is appended to its
-    column once its cell is known to keep a row, so the plain constructor
-    builds the matrix."""
+    table cell of each row), ``coords`` (the cell of each column) and
+    ``restated`` (a ``(cell, j)`` pair for each cell that is q_j but not
+    its coordinate).  Each entry, the int 1 or -1, is appended to its
+    column as its row is kept, so the plain constructor builds the
+    matrix."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(n_alice + n_bob + na * nb * kx * ky)]
+    n = n_alice + n_bob + na * nb * kx * ky
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    coords = [0] * n
     cells: list[int] = []
-    own: list[tuple[int, int]] = []
+    restated: list[tuple[int, int]] = []
 
-    def terms(i: int, k: int) -> tuple[tuple[int, int | None], ...]:
-        # Outcome i of k + 1 as signed marginal terms, None for the constant 1.
-        return ((1, i),) if i < k else ((1, None), *((-1, j) for j in range(k)))
+    def joints(a: int, b: int, x: int | None = None, y: int | None = None) -> range:
+        # The joint columns of (a, b), at Alice's outcome x or Bob's y if given.
+        start = n_alice + n_bob + (a * nb + b) * kx * ky
+        if x is not None:
+            return range(start + x * ky, start + (x + 1) * ky)
+        if y is not None:
+            return range(start + y, start + kx * ky, ky)
+        return range(start, start + kx * ky)
 
-    for cell, (ia, ib, ix, iy) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
-        entries = []
-        for sx, jx in terms(ix, kx):
-            for sy, jy in terms(iy, ky):
-                if jx is None and jy is None:
-                    continue  # the constant, in b
-                if jy is None:
-                    column = ia * kx + jx
-                elif jx is None:
-                    column = n_alice + ib * ky + jy
-                else:
-                    column = n_alice + n_bob + ((ia * nb + ib) * kx + jx) * ky + jy
-                entries.append((column, -sx * sy))  # minus the sign of its term
-        if len(entries) == 1 and entries[0][1] == -1:
-            own.append((cell, entries[0][0]))
+    for cell, (a, b, x, y) in enumerate(product(range(na), range(nb), range(nx), range(ny))):
+        # The cell is b_i + sum(q over plus) - sum(q over minus).
+        if x < kx and y < ky:
+            coords[joints(a, b, x)[y]] = cell
+            continue
+        if x < kx:
+            if b == 0:
+                coords[a * kx + x] = cell
+                continue
+            plus, minus = [a * kx + x, *joints(a, 0, x)], joints(a, b, x)
+        elif y < ky:
+            if a == 0:
+                coords[n_alice + b * ky + y] = cell
+                continue
+            plus, minus = [n_alice + b * ky + y, *joints(0, b, y=y)], joints(a, b, y=y)
+        else:
+            margins = [*range(a * kx, (a + 1) * kx), *range(n_alice + b * ky, n_alice + (b + 1) * ky)]
+            if a == 0 or b == 0:
+                plus, minus = [], [*margins, *joints(0, 0)]
+            else:
+                plus, minus = joints(a, b), [*margins, *joints(a, 0), *joints(0, b)]
+        if not minus and len(plus) == 1:
+            restated.append((cell, plus[0]))
             continue
         row = len(cells)
-        for column, a in entries:
-            columns[column].append((row, a))
+        for j in plus:
+            columns[j].append((row, -1))
+        for j in minus:
+            columns[j].append((row, 1))
         cells.append(cell)
     matrix = Matrix(len(cells), tuple(map(tuple, columns)))
     last = nx * ny - 1
     rhs = tuple(ONE._v if cell % (nx * ny) == last else ZERO._v for cell in cells)
-    return matrix, rhs, tuple(cells), tuple(own)
+    return matrix, rhs, tuple(cells), tuple(coords), tuple(restated)
 
 
 def ns_bound(expression: BellExpression) -> Scalar:

@@ -9,12 +9,16 @@ results from the kernel where no independent oracle pins them.
   ``hvlab.boxes.marginal``, ``hvlab.boxes.is_no_signalling`` and
   ``hvlab.hvmodel.check_triviality`` must give the same distributions,
   verdicts and witnesses without sharing a box's int view.
-- ``collins_gisin_ns_lp``, the no-signalling LP with its objective summed
-  in Scalars: ``hvlab.bell._ns_lp`` must build the same ``LpProblem``.
+- ``scalar_ns_lp``, the no-signalling LP with its objective summed in
+  Scalars: ``hvlab.bell._ns_lp`` must build the same ``LpProblem``.
 - ``collins_gisin_rows`` and ``collins_gisin_full_lp``, the no-signalling
-  LP with one dense row per table cell: ``hvlab.bell._ns_constraints``
-  must keep exactly those rows that do not restate q_j >= 0, and
+  LP in Collins-Gisin coordinates with one dense row per table cell, as
+  hvlab built it before it moved to cell coordinates:
   ``hvlab.bell.ns_bound`` must reach the full LP's optimum.
+- ``cell_coordinate_rows``, the same rows in cell coordinates, each
+  Collins-Gisin marginal expanded in Scalars:
+  ``hvlab.bell._ns_constraints`` must keep exactly those rows that do not
+  restate q_j >= 0.
 - ``format_scalar`` through the reduced ``Fraction`` components, ``mix``
   with one Scalar multiply and add per cell per component, the table
   serializer that looked each cell up through ``Tensor.at`` (with the file
@@ -117,21 +121,21 @@ def triviality_witness(pair: Pair, kernel: Behavior, reference: Behavior) -> Tri
     return None
 
 
-def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
-    """LP over the Collins-Gisin coordinates q maximising the expression
-    less its constant part; see ``hvlab.bell._ns_constraints``.
+def scalar_ns_lp(expression: BellExpression) -> LpProblem:
+    """LP over the cell coordinates q maximising the expression less its
+    constant part; see ``hvlab.bell._ns_constraints``.
 
-    A cell with a row is b_i - A_i.q and a cell without one is its own
+    A cell with a row is b_i - A_i.q and a cell without one is a
     coordinate q_j, so the objective is -A^T.c, read from the columns of
     ``A``, plus c_cell on q_j for each of the latter: every entry is the
     int +-1, so a coefficient is added or subtracted.  The right-hand
-    sides are those of ``collins_gisin_rows`` at the cells with a row.
+    sides are those of ``cell_coordinate_rows`` at the cells with a row.
     """
-    constraints, _, cells, own = _ns_constraints(expression.spaces)
-    rows, _ = collins_gisin_rows(expression.spaces)
+    constraints, _, cells, coords, restated = _ns_constraints(expression.spaces)
+    rows, _ = cell_coordinate_rows(expression.spaces)
     coefficients = expression.table
-    objective = [ZERO] * len(constraints.columns)
-    for cell, j in own:
+    objective = [coefficients[cell] for cell in coords]
+    for cell, j in restated:
         objective[j] = objective[j] + coefficients[cell]
     for j, column in enumerate(constraints.columns):
         total = objective[j]
@@ -144,8 +148,9 @@ def collins_gisin_ns_lp(expression: BellExpression) -> LpProblem:
 
 
 def collins_gisin_full_lp(expression: BellExpression) -> LpProblem:
-    """The no-signalling LP with one row per table cell, as hvlab built it
-    before dropping the rows that restate q_j >= 0: the rows of
+    """The no-signalling LP with one row per table cell in Collins-Gisin
+    coordinates, as hvlab built it before dropping the rows that restate
+    q_j >= 0 and before it moved to cell coordinates: the rows of
     ``collins_gisin_rows`` and the objective -A^T.c summed in Scalars from
     them.  Its optimum plus the constant part is the no-signalling bound."""
     rows, _ = collins_gisin_rows(expression.spaces)
@@ -161,8 +166,8 @@ def collins_gisin_rows(spaces: Spaces) -> tuple[list[tuple[list[Scalar], Scalar]
     table cell, in table order, each with its right-hand side (1 where
     both outcomes are last, 0 elsewhere), and their width; each entry's
     column is worked out by index arithmetic and written into a row of
-    ZEROs.  ``hvlab.bell._ns_constraints`` keeps those of the rows that do
-    not read -q_j <= 0."""
+    ZEROs.  ``cell_coordinate_rows`` expands them in the coordinates of
+    ``hvlab.bell._ns_constraints``."""
     na, nb, nx, ny = (len(space) for space in spaces)
     kx, ky = nx - 1, ny - 1
     n_alice, n_bob = na * kx, nb * ky
@@ -190,6 +195,45 @@ def collins_gisin_rows(spaces: Spaces) -> tuple[list[tuple[list[Scalar], Scalar]
                 row[column] = entry[sx * sy]
         rows.append((row, ONE if (ix, iy) == (kx, ky) else ZERO))
     return rows, n
+
+
+def cell_coordinate_rows(spaces: Spaces) -> tuple[list[tuple[list[Scalar], Scalar]], list[int]]:
+    """The no-signalling constraint rows in cell coordinates, one dense row
+    of Scalars per table cell, in table order, each with its right-hand
+    side, and the table cell of each column.
+
+    The columns are the cells P(x, last | a, b0) for Alice's outcomes x
+    but the last, b0 Bob's first setting, then P(last, y | a0, b) for
+    Bob's, a0 Alice's first setting, then the joint cells with neither
+    outcome last, each group row-major.  A box that does not signal has
+    p(x|a) = sum over every y of P(x, y | a, b0), and p(y|b) likewise at
+    a0, so each row is the Collins-Gisin row of ``collins_gisin_rows``
+    with each marginal's entry spread, in Scalars, over the columns that
+    sum to it; the joints are the same columns in both."""
+    na, nb, nx, ny = (len(space) for space in spaces)
+    kx, ky = nx - 1, ny - 1
+
+    def cell(a: int, b: int, x: int, y: int) -> int:
+        return ((a * nb + b) * nx + x) * ny + y
+
+    joints = list(product(range(na), range(nb), range(kx), range(ky)))
+    coords = [
+        *(cell(a, 0, x, ky) for a in range(na) for x in range(kx)),
+        *(cell(0, b, kx, y) for b in range(nb) for y in range(ky)),
+        *(cell(*joint) for joint in joints),
+    ]
+    column = {c: j for j, c in enumerate(coords)}
+    spread = [[column[cell(a, 0, x, y)] for y in range(ny)] for a in range(na) for x in range(kx)]
+    spread += [[column[cell(0, b, x, y)] for x in range(nx)] for b in range(nb) for y in range(ky)]
+    spread += [[column[cell(*joint)]] for joint in joints]
+    rows = []
+    for collins_gisin, bound in collins_gisin_rows(spaces)[0]:
+        row = [ZERO] * len(coords)
+        for entry, targets in zip(collins_gisin, spread):
+            for j in targets:
+                row[j] = row[j] + entry
+        rows.append((row, bound))
+    return rows, coords
 
 
 def _format_rational(q: Fraction) -> str:

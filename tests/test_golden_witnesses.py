@@ -5,9 +5,9 @@ the primal vector, the duals and the decomposition support below stay
 exactly as recorded under the current pivoting rule (Dantzig's entering
 rule with Bland's as its guard).  A skip that altered pivot order would
 still give the same optimum but a different vertex or dual vector.  The
-no-signalling LP is pinned as hvlab builds it, in Collins-Gisin
-coordinates without the rows that restate q >= 0; ``ns_bound`` must still
-give the values first recorded from the equality-pair LP it replaced.
+no-signalling LP is pinned as hvlab builds it, in cell coordinates with no
+row for a cell that is a coordinate or restates q >= 0; ``ns_bound`` must
+still give the values first recorded from the equality-pair LP it replaced.
 """
 
 import random
@@ -36,11 +36,11 @@ def test_table1_content_lp_solution():
     assert solution.value == parse_scalar("2-1*sqrt2")
 
 
-def test_chsh_collins_gisin_ns_lp_solution():
+def test_chsh_ns_lp_solution():
     problem = _ns_lp(chsh())
     solution = solve_lp(problem)
-    assert solution.q == _scalars("1/2 1/2 1/2 1/2 1/2 0 1/2 1/2".split())
-    assert solution.dual == _scalars("2 2 0 0 0 2 2 2 0 2 2 0".split())
+    assert solution.q == _scalars("0 0 0 1/2 1/2 0 1/2 1/2".split())
+    assert solution.dual == _scalars("0 0 2 2 0 2 2 0".split())
     # The LP value plus the expression's constant part, 2.
     assert solution.value == parse_scalar("2")
     assert check_certificate(problem, solution)
@@ -152,21 +152,20 @@ def _expression_3322() -> BellExpression:
     return BellExpression(settings, settings, outcomes, outcomes, coefficients)
 
 
-def test_3322_sqrt2_collins_gisin_ns_lp_solution():
+def test_3322_sqrt2_ns_lp_solution():
     problem = _ns_lp(_expression_3322())
     solution = solve_lp(problem)
     assert solution.q == _scalars("0 0 0 0 1 1 0 0 0 0 0 0 0 0 0".split())
-    dual = ["0"] * 27
+    dual = ["0"] * 21
     for i, value in {
-        0: "3+1*sqrt2",
-        1: "-1+1*sqrt2",
-        5: "3/2-1*sqrt2",
-        6: "1/2+1*sqrt2",
-        8: "1/2+1*sqrt2",
-        10: "2+2*sqrt2",
-        14: "-2+2*sqrt2",
-        18: "1/2",
-        23: "1/2+2*sqrt2",
+        1: "3/2-1*sqrt2",
+        2: "2-1*sqrt2",
+        3: "1/2+1*sqrt2",
+        4: "1/2+1*sqrt2",
+        5: "2+2*sqrt2",
+        9: "-2+2*sqrt2",
+        13: "1/2",
+        17: "2*sqrt2",
     }.items():
         dual[i] = value
     assert solution.dual == _scalars(dual)

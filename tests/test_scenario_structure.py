@@ -51,7 +51,7 @@ from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
 from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _reduced
 from hvlab.simplex import LpProblem, Matrix, check_certificate, solve_lp
 from oracle import extremal_generator_tables, local_generator_tables
-from reference_scenario import collins_gisin_full_lp, collins_gisin_ns_lp, collins_gisin_rows, marginal_is_no_signalling
+from reference_scenario import cell_coordinate_rows, collins_gisin_full_lp, marginal_is_no_signalling, scalar_ns_lp
 from reference_simplex import dense_rows
 
 
@@ -242,12 +242,16 @@ def test_audit_refuses_vertices_on_other_spaces(vertex, same_spaces):
 
 
 @st.composite
-def _perturbed_boxes(draw):
+def _perturbed_boxes(draw, shapes=None):
     """No-signalling boxes on asymmetric spaces of up to three settings and
-    outcomes per side, with up to two moves of mass inside one (a, b)
-    block: a valid box that generically signals.  A move takes a
-    fraction 1/2, 1/sqrt2 or 1 of a cell, so cells can carry sqrt2 parts."""
-    counts = [draw(st.sampled_from((1, 2, 2, 3))) for _ in range(2)] + [draw(st.integers(1, 3)) for _ in range(2)]
+    outcomes per side, or of a shape drawn from ``shapes``, with up to two
+    moves of mass inside one (a, b) block: a valid box that generically
+    signals.  A move takes a fraction 1/2, 1/sqrt2 or 1 of a cell, so
+    cells can carry sqrt2 parts."""
+    if shapes is None:
+        counts = [draw(st.sampled_from((1, 2, 2, 3))) for _ in range(2)] + [draw(st.integers(1, 3)) for _ in range(2)]
+    else:
+        counts = draw(shapes)
     box = draw(ns_behaviors(spaces=numbered_spaces(*counts)))
     table = list(box.table)
     block = len(box.outcomes_x) * len(box.outcomes_y)
@@ -312,16 +316,22 @@ def test_ns_bound_lies_between_the_local_bound_and_no_no_signalling_box_beats_it
 
 @pytest.mark.parametrize(
     "shape, size",
-    [((2, 2, 2, 2), (12, 8)), ((3, 3, 2, 2), (27, 15)), ((5, 5, 2, 2), (75, 35)), ((2, 3, 1, 3), (6, 6))],
+    [((2, 2, 2, 2), (8, 8)), ((3, 3, 2, 2), (21, 15)), ((5, 5, 2, 2), (65, 35)), ((2, 3, 1, 3), (6, 6))],
 )
 def test_ns_constraints_have_a_row_per_cell_that_is_no_coordinate(shape, size):
-    """|A||B|(|X|+|Y|-1) rows with two outcomes or more a side; with one
-    outcome on Alice's side only the cells where Bob's is last keep a row."""
-    matrix, rhs, cells, own = _ns_constraints(numbered_spaces(*shape))
+    """|A||B||X||Y| - n rows of n columns with two outcomes or more a side;
+    with one outcome on Alice's side, the cells of Bob's coordinates at
+    Alice's other settings restate q >= 0 too and keep no row.  b is 1
+    exactly where both outcomes are last, and every entry is +-1."""
+    na, nb, nx, ny = shape
+    matrix, rhs, cells, coords, restated = _ns_constraints(numbered_spaces(*shape))
     assert (matrix.height, len(matrix.columns)) == size
-    assert len(cells) + len(own) == prod(shape)
-    assert all(v in (ZERO._v, ONE._v) for v in rhs)
-    assert all(v in (0, 1, -1) for row in dense_rows(matrix.columns, len(rhs)) for v in row)
+    assert len(coords) == len(matrix.columns)
+    assert sorted((*cells, *coords, *(cell for cell, _ in restated))) == list(range(prod(shape)))
+    if min(nx, ny) >= 2:
+        assert matrix.height == prod(shape) - len(coords) and not restated
+    assert rhs == tuple(ONE._v if cell % (nx * ny) == nx * ny - 1 else ZERO._v for cell in cells)
+    assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
 
 
 @pytest.mark.parametrize(
@@ -343,34 +353,41 @@ def test_ns_constraints_have_a_row_per_cell_that_is_no_coordinate(shape, size):
 )
 def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
     """The columns written as they are computed are those ``Matrix.from_rows``
-    reads off the reference's dense rows, less exactly the rows -q_j <= 0
-    with b = 0, spaces with one setting or one outcome on a side included;
-    each dropped cell is named with the coordinate q_j it is."""
+    reads off the reference's dense cell-coordinate rows, less exactly the
+    rows -q_j <= 0 with b = 0, spaces with one setting or one outcome on a
+    side included; each column is the reference's cell, and each other
+    dropped cell is named with the coordinate q_j it is."""
     spaces = numbered_spaces(*shape)
-    matrix, rhs, cells, own = _ns_constraints(spaces)
-    rows, width = collins_gisin_rows(spaces)
+    matrix, rhs, cells, coords, restated = _ns_constraints(spaces)
+    rows, reference_coords = cell_coordinate_rows(spaces)
 
-    def restated(row, bound):
+    def restates(row, bound):
         nonzero = [(j, v) for j, v in enumerate(row) if not v.is_zero()]
         return bound.is_zero() and len(nonzero) == 1 and nonzero[0][1] == -ONE
 
-    kept = [cell for cell, (row, bound) in enumerate(rows) if not restated(row, bound)]
-    expected = Matrix.from_rows((rows[cell][0] for cell in kept), width)
+    kept = [cell for cell, (row, bound) in enumerate(rows) if not restates(row, bound)]
+    expected = Matrix.from_rows((rows[cell][0] for cell in kept), len(reference_coords))
     assert matrix.height == expected.height == len(kept)
     assert matrix.columns == expected.columns
     assert rhs == tuple(rows[cell][1]._v for cell in kept)
     assert cells == tuple(kept)
-    assert own == tuple((cell, row.index(-ONE)) for cell, (row, bound) in enumerate(rows) if restated(row, bound))
+    assert coords == tuple(reference_coords)
+    assert all(rows[cell][0].index(-ONE) == j for j, cell in enumerate(coords))
+    assert restated == tuple(
+        (cell, row.index(-ONE))
+        for cell, (row, bound) in enumerate(rows)
+        if restates(row, bound) and cell not in reference_coords
+    )
     assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
 
 
 def test_a_cached_ns_matrix_holds_only_its_columns():
-    """One setting and twenty outcomes per side (39 rows of 399 columns,
-    1159 nonzero entries, and the 361 cells that are coordinates) take
-    about 0.13 MiB with Python 3.11.  The bound fails if the matrix keeps
-    its rows as well, as int rows (0.25 MiB in all) or dense Scalar rows
-    (0.36 MiB)."""
-    spaces = numbered_spaces(1, 1, 20, 20)
+    """Eight settings and two outcomes per side (176 rows of 80 columns,
+    626 nonzero entries, and the 80 cells that are coordinates) take
+    about 0.05 MiB with Python 3.11.  The bound fails if the matrix keeps
+    its rows as well, as int rows (0.16 MiB in all) or dense Scalar rows
+    (0.23 MiB)."""
+    spaces = numbered_spaces(8, 8, 2, 2)
     _ns_constraints.cache_clear()
     tracemalloc.start()
     try:
@@ -378,17 +395,17 @@ def test_a_cached_ns_matrix_holds_only_its_columns():
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (matrix.height, len(matrix.columns)) == (39, 399)
-    assert size < 0.2 * 2**20
+    assert (matrix.height, len(matrix.columns)) == (176, 80)
+    assert size < 0.1 * 2**20
 
 
 def test_building_an_ns_matrix_holds_no_dense_row():
-    """Building the 1 x 20 matrix from an empty cache peaks at about
-    0.17 MiB with Python 3.11: the column lists the entries are appended
+    """Building the 8 x 8 x 2 x 2 matrix from an empty cache peaks at about
+    0.06 MiB with Python 3.11: the column lists the entries are appended
     to and the kept columns.  The bound fails if the dense rows are built
-    before the matrix keeps their nonzero entries: about 0.29 MiB for the
-    39 rows it keeps, 1.42 MiB for one per cell."""
-    spaces = numbered_spaces(1, 1, 20, 20)
+    before the matrix keeps their nonzero entries: about 0.21 MiB for the
+    176 rows it keeps, 0.26 MiB for one per cell."""
+    spaces = numbered_spaces(8, 8, 2, 2)
     _ns_constraints.cache_clear()
     tracemalloc.start()
     try:
@@ -396,26 +413,32 @@ def test_building_an_ns_matrix_holds_no_dense_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * 2**20
+    assert peak < 0.1 * 2**20
 
 
-@given(_perturbed_boxes())
+# Shapes with one setting or one outcome on a side, where the restated
+# cells and the empty coordinate groups are.
+_THIN_SHAPES = st.sampled_from(
+    [(1, 2, 2, 3), (3, 1, 2, 2), (2, 2, 1, 3), (2, 3, 3, 1), (1, 1, 3, 2), (2, 2, 1, 1), (1, 3, 1, 2)]
+)
+
+
+@given(st.one_of(_perturbed_boxes(), _perturbed_boxes(_THIN_SHAPES)))
 @settings(max_examples=100, deadline=None)
-def test_collins_gisin_rows_give_back_every_no_signalling_box(box):
+def test_ns_rows_give_back_every_no_signalling_box(box):
     """b - A.q at the cells with a row, and q_j at the cells that are
-    coordinates, with q read off the box, is the box's table exactly when
-    the box does not signal."""
-    matrix, rhs, cells, own = _ns_constraints(box.spaces)
-    na, nb, nx, ny = (len(space) for space in box.spaces)
-    alice = [sum((box.at(ia, 0, ix, iy) for iy in range(ny)), ZERO) for ia in range(na) for ix in range(nx - 1)]
-    bob = [sum((box.at(0, ib, ix, iy) for ix in range(nx)), ZERO) for ib in range(nb) for iy in range(ny - 1)]
-    joint = [box.at(ia, ib, ix, iy) for ia, ib, ix, iy in product(range(na), range(nb), range(nx - 1), range(ny - 1))]
-    q = alice + bob + joint
+    coordinates or restate one, with q read straight off the box's
+    coordinate cells, is the box's table exactly when the box does not
+    signal."""
+    matrix, rhs, cells, coords, restated = _ns_constraints(box.spaces)
+    q = [box.table[cell] for cell in coords]
     rows = dense_rows(matrix.columns, len(rhs))
     table = [None] * len(box.table)
     for cell, row, bound in zip(cells, rows, rhs):
         table[cell] = _reduced(*bound) - sum((a * v for a, v in zip(row, q)), ZERO)
-    for cell, j in own:
+    for j, cell in enumerate(coords):
+        table[cell] = q[j]
+    for cell, j in restated:
         table[cell] = q[j]
     assert (tuple(table) == box.table) == is_no_signalling(box)[0]
 
@@ -471,7 +494,7 @@ def _mixed_expression(spaces, seed: int) -> BellExpression:
 def test_ns_lp_objective_equals_the_scalar_sum_builder(expression):
     """Summing each objective coefficient in ints over one common
     denominator builds the same LP as summing it in Scalars."""
-    assert _ns_lp(expression) == collins_gisin_ns_lp(expression)
+    assert _ns_lp(expression) == scalar_ns_lp(expression)
 
 
 # -- shared objects under threads ----------------------------------------------

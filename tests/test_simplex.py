@@ -64,17 +64,21 @@ def test_no_constraint_rows_match_the_reference():
     assert solution.status == UNBOUNDED
 
 
+_OBJECTIVE_OR_RHS = "objective and right-hand side entries"
+
+
 @pytest.mark.parametrize(
-    "c, A, b",
+    "c, A, b, entries, got",
     [
-        ((1,), ((ONE,),), (ONE,)),
-        ((ONE,), ((1,),), (ONE,)),
-        ((ONE,), ((ONE,),), (1,)),
+        ((1,), ((ONE,),), (ONE,), _OBJECTIVE_OR_RHS, "int"),
+        ((ONE,), ((1,),), (ONE,), "constraint entries", "int"),
+        ((ONE,), ((ONE,),), (1,), _OBJECTIVE_OR_RHS, "int"),
+        ((ONE, Fraction(1)), ((ONE, ONE),), (1.0,), _OBJECTIVE_OR_RHS, "Fraction"),
     ],
-    ids=["objective", "matrix", "rhs"],
+    ids=["objective", "matrix", "rhs", "first-of-two"],
 )
-def test_non_scalar_entries_are_refused(c, A, b):
-    with pytest.raises(TypeError):
+def test_non_scalar_entries_are_refused(c, A, b, entries, got):
+    with pytest.raises(TypeError, match=f"^{entries} must be Scalar, got {got}$"):
         LpProblem(c, A, b)
 
 
