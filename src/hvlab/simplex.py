@@ -204,11 +204,9 @@ class LpProblem(Frozen):
         m = A.height if isinstance(A, Matrix) else len(A)
         if m != len(self.b):
             raise DimensionMismatch(f"{m} constraint rows but {len(self.b)} right-hand sides")
-        if not all(map(isinstance, chain(self.c, self.b), repeat(Scalar))):
-            # One pass in C above; the loop only names the first bad entry.
-            for v in chain(self.c, self.b):
-                if not isinstance(v, Scalar):
-                    raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
+        for v in (*self.c, *self.b):
+            if not isinstance(v, Scalar):
+                raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
         if not isinstance(A, Matrix):
             A = Matrix.from_rows(A, n)
         elif len(A.columns) != n:

@@ -384,9 +384,12 @@ def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
 def test_a_cached_ns_matrix_holds_only_its_columns():
     """Eight settings and two outcomes per side (176 rows of 80 columns,
     626 nonzero entries, and the 80 cells that are coordinates) take
-    about 0.05 MiB with Python 3.11.  The bound fails if the matrix keeps
-    its rows as well, as int rows (0.16 MiB in all) or dense Scalar rows
-    (0.23 MiB)."""
+    about 0.05 MiB with Python 3.11 when this test runs alone, and about
+    0.01 MiB after the rest of this file, whose freed tuples the
+    interpreter reuses untraced.  The bound fails, alone and after the
+    rest of the file, if the matrix keeps its rows as well, as int rows
+    (0.17 MiB in all alone, 0.13 MiB after the file) or dense Scalar rows
+    (0.23 and 0.15 MiB)."""
     spaces = numbered_spaces(8, 8, 2, 2)
     _ns_constraints.cache_clear()
     tracemalloc.start()
@@ -401,10 +404,12 @@ def test_a_cached_ns_matrix_holds_only_its_columns():
 
 def test_building_an_ns_matrix_holds_no_dense_row():
     """Building the 8 x 8 x 2 x 2 matrix from an empty cache peaks at about
-    0.06 MiB with Python 3.11: the column lists the entries are appended
-    to and the kept columns.  The bound fails if the dense rows are built
-    before the matrix keeps their nonzero entries: about 0.21 MiB for the
-    176 rows it keeps, 0.26 MiB for one per cell."""
+    0.06 MiB with Python 3.11 when this test runs alone (0.015 MiB after
+    the rest of this file): the column lists the entries are appended to
+    and the kept columns.  The bound fails, alone and after the rest of
+    the file, if the dense rows are built before the matrix keeps their
+    nonzero entries: about 0.28 MiB alone and 0.16 MiB after the file for
+    the 176 rows it keeps, 0.33 and 0.22 MiB for one per cell."""
     spaces = numbered_spaces(8, 8, 2, 2)
     _ns_constraints.cache_clear()
     tracemalloc.start()
