@@ -46,8 +46,8 @@ The constraints of that LP depend only on the spaces, so each process
 builds them once per set of spaces and keeps them for the
 ``boxes.CACHED_SPACES`` = 4 most recently used sets: every expression
 on those spaces shares one :class:`~hvlab.simplex.Matrix`, built
-once, with its right-hand sides, as the int triples the core reads, the
-table cell of each row and, as one tuple of ints, the cell of each
+once, with its right-hand side, as the ints over 1 that the core reads,
+the table cell of each row and, as one tuple of ints, the cell of each
 column.  With at least two outcomes per side the matrix has
 |A||B||X||Y| - n rows of n = |A|(|X|-1) + |B|(|Y|-1) +
 |A||B|(|X|-1)(|Y|-1) columns, and an entry holds it only as each
@@ -82,8 +82,8 @@ from .boxes import (
 )
 from .errors import LpFailure, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, _reduced, _sign, as_scalar
-from .simplex import LpProblem, Matrix, _check_ints, _Ints, _solve_ints
+from .scalar import Scalar, _Ints, _reduced, _sign, as_scalar
+from .simplex import LpProblem, Matrix, _check_ints, _solve_ints
 
 
 class BellExpression(Tensor):
@@ -274,14 +274,14 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     constant part, as an :class:`~hvlab.simplex.LpProblem` of Scalars:
     the LP that :func:`ns_bound` solves in ints, from the same int
     objective (:func:`_ns_objective`) and the same cached entry."""
-    constraints, rhs, (ps, qs, d) = _ns_objective(expression)
-    return LpProblem(tuple(map(_reduced, ps, qs, repeat(d))), constraints, tuple(_reduced(*t) for t in rhs))
+    constraints, (bp, bq, bd), (ps, qs, d) = _ns_objective(expression)
+    return LpProblem(tuple(map(_reduced, ps, qs, repeat(d))), constraints, tuple(map(_reduced, bp, bq, repeat(bd))))
 
 
-def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, int, int], ...], _Ints]:
-    """The cached matrix and right-hand sides of the expression's spaces
-    (see :func:`_ns_constraints`) and the objective as ints ``(ps, qs,
-    d)``.  Spaces whose full matrix, one row per table cell, would pass
+def _ns_objective(expression: BellExpression) -> tuple[Matrix, _Ints, _Ints]:
+    """The cached matrix and right-hand side of the expression's spaces
+    (see :func:`_ns_constraints`) and the objective, both as ints ``(ps,
+    qs, d)``.  Spaces whose full matrix, one row per table cell, would pass
     ``NS_CELL_BUDGET`` cells are refused before any matrix is built, on
     every call.
 
@@ -324,7 +324,7 @@ def _ns_objective(expression: BellExpression) -> tuple[Matrix, tuple[tuple[int, 
 @lru_cache(maxsize=CACHED_SPACES)
 def _ns_constraints(
     spaces: Spaces,
-) -> tuple[Matrix, tuple[tuple[int, int, int], ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+) -> tuple[Matrix, _Ints, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The no-signalling polytope A.q <= b in cell coordinates, with the
     table cell of each row, the cell that each coordinate is and the
     coordinate of each cell whose row would restate q_j >= 0.
@@ -360,8 +360,8 @@ def _ns_constraints(
     satisfy the rows are exactly the no-signalling boxes, so the LP is
     always feasible and bounded.
 
-    Returns the matrix, its right-hand sides as ``(p, q, d)`` triples,
-    the form :func:`~hvlab.simplex._solve_ints` reads, ``cells`` (the
+    Returns the matrix, its right-hand side as ints ``(ps, qs, 1)``, the
+    form :func:`~hvlab.simplex._solve_ints` reads, ``cells`` (the
     table cell of each row), ``coords`` (the cell of each column) and
     ``restated`` (a ``(cell, j)`` pair for each cell that is q_j but not
     its coordinate).  Each entry, the int 1 or -1, is appended to its
@@ -417,7 +417,7 @@ def _ns_constraints(
         cells.append(cell)
     matrix = Matrix(len(cells), tuple(map(tuple, columns)))
     last = nx * ny - 1
-    rhs = tuple(ONE._v if cell % (nx * ny) == last else ZERO._v for cell in cells)
+    rhs = tuple([1 if cell % (nx * ny) == last else 0 for cell in cells]), (0,) * len(cells), 1
     return matrix, rhs, tuple(cells), tuple(coords), tuple(restated)
 
 

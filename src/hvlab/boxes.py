@@ -61,12 +61,9 @@ from .errors import (
     WeightSumMismatch,
 )
 from .frozen import Frozen
-from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, _sign, as_scalar, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _Ints, _reduced, _sign, as_scalar, format_scalar
 
 Side = Literal["alice", "bob"]
-
-# A table read as ints (ps, qs, den): entry i is (ps[i] + qs[i]*sqrt2) / den.
-_IntView = tuple[tuple[int, ...], tuple[int, ...], int]
 
 # Most deterministic strategies |X|^|A| * |Y|^|B| that the local bound
 # and vertex enumeration will accept.  Past it the input is refused
@@ -302,14 +299,14 @@ def _remembered(obj: Any, compute: Callable[[Any], Any], name: str = "_validity"
     return value
 
 
-def _int_view(tensor: Tensor | JointTable) -> _IntView:
+def _int_view(tensor: Tensor | JointTable) -> _Ints:
     """The tensor's table as ints ``(ps, qs, den)`` over its common
     denominator, built from the table once and kept on the tensor (a box
     or a Bell expression) or joint table."""
     return _remembered(tensor, _ints, "_ints")
 
 
-def _ints(tensor: Tensor | JointTable) -> _IntView:
+def _ints(tensor: Tensor | JointTable) -> _Ints:
     return _common_denominator(tensor.table)
 
 
@@ -354,14 +351,14 @@ def _behavior_report(behavior: Behavior) -> ValidityReport:
     return ValidityReport(tuple(problems))
 
 
-def _marginal_table(behavior: Behavior) -> _IntView:
+def _marginal_table(behavior: Behavior) -> _Ints:
     """Both parties' one-side marginals as ints over the view's denominator, kept
     on the box: Alice's P(x|a,b) in (a, b, x) order, then Bob's P(y|a,b) in (b, a, y)
     order, one row per party and own setting (entries named by :func:`_marginal_entry`)."""
     return _remembered(behavior, _marginal_sums, "_marginals")
 
 
-def _marginal_sums(behavior: Behavior) -> _IntView:
+def _marginal_sums(behavior: Behavior) -> _Ints:
     ps, qs, den = _int_view(behavior)
     na, nb, nx, ny = map(len, behavior.spaces)
     runs = [slice(i, i + ny) for i in range(0, len(ps), ny)]

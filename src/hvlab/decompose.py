@@ -61,13 +61,14 @@ The content LP is solved in ints from the box to the answer, with no
 :class:`~hvlab.simplex.LpProblem` and no Scalar on the way:
 :func:`max_local_content` gives :func:`~hvlab.simplex._solve_ints` the
 kept columns, ``c`` as all ones over 1 and ``b`` as the box's int view,
-one ``(p, q, den)`` triple per cell, and finds the zero cells on that
-view.  The tableau's readers give q, y and the value in ints; q is read
-in basis-row order and put in vertex order, and the remainder is built
-from its ints over their common denominator.  Scalars are built only
-for what is reported: the support weights, the residual cells, the
-content and the lifted certificate, whose q is 0 off the support and
-whose dual is 1 on every zero cell.  No certificate check runs inside
+the very ints ``(ps, qs, den)`` kept on the box, and finds the zero
+cells on that view.  The tableau's readers give q, y and the value in
+ints, and the remainder is built from q's ints over their common
+denominator.  Scalars are built only for what is reported: the content,
+the residual cells and the lifted certificate, whose q is 0 off the
+support and whose dual is 1 on every zero cell, both read through
+:func:`~hvlab.simplex._dense`; the support weights are the lifted q's
+nonzero entries, in vertex order.  No certificate check runs inside
 :func:`max_local_content`; ``hvlab decompose --verify`` and any caller
 check the lifted certificate against the full LP with
 :func:`~hvlab.simplex.check_certificate`.
@@ -109,7 +110,7 @@ from .errors import InvalidDecomposition, LpFailure, SignallingInput, SizeBudget
 from .frozen import Frozen
 from .hvmodel import HiddenVariableModel
 from .scalar import ONE, ZERO, Scalar, _common_denominator, _reduced, format_scalar
-from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, _solve_ints
+from .simplex import OPTIMAL, LpProblem, LpSolution, Matrix, _dense, _solve_ints
 
 _ONE, _ZERO = ONE._v, ZERO._v
 
@@ -233,10 +234,10 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
     vertices = enumerate_local_vertices(behavior.spaces)
     # The content LP over every cell and the vertices with no unit on a zero
     # cell, those outside the OR of the zero cells' masks, its columns taken
-    # from the cached matrix and b from the box's int view, every cell over
-    # its denominator b (see the module docstring).
+    # from the cached matrix and b the box's int view (see the module docstring).
     columns, masks = vertices.matrix.columns, vertices.masks
-    bp, bq, b = _int_view(behavior)
+    view = _int_view(behavior)
+    bp, bq, b = view
     zero = [i for i, (p, q) in enumerate(zip(bp, bq)) if not (p or q)]
     dropped = 0
     for i in zero:
@@ -249,22 +250,23 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         kept.append(low.bit_length() - 1)
         rest ^= low
     n = len(kept)
-    tableau = _solve_ints([columns[k] for k in kept], ((1,) * n, (0,) * n, 1), [(p, q, b) for p, q in zip(bp, bq)])
+    tableau = _solve_ints([columns[k] for k in kept], ((1,) * n, (0,) * n, 1), view)
     if tableau is None:
         raise LpFailure("local-content LP ended unbounded")
     vp, vq, vd = tableau.value()
     content = _reduced(vp, vq, vd)
-    # q over its support and w, read in basis-row order and put in vertex order.
+    # q over its support and w, read in basis-row order and lifted to the full
+    # LP: 0 on every dropped vertex.
     basic, qp, qq, w = tableau.primal()
-    support = sorted(zip([kept[j] for j in basic], qp, qq))
-    weights = [_reduced(p, q, w) for _, p, q in support]
+    support = [kept[j] for j in basic]
+    lifted = _dense((support, qp, qq, w), len(vertices))
     residual = None
     if vq or vp != vd:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, each times 1/(1 - content) =
         # vd/((vd - vp) - vq*sqrt2) = (sp + sq*sqrt2)/sd, by the conjugate.
         rp, rq = [p * w for p in bp], [q * w for q in bq]
-        for k, p, q in support:
+        for k, p, q in zip(support, qp, qq):
             for i, _ in columns[k]:
                 rp[i] -= p * b
                 rq[i] -= q * b
@@ -274,22 +276,17 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         d = b * w * sd
         cells = (_reduced(p * sp + 2 * q * sq, p * sq + q * sp, d) if p or q else ZERO for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
-    # Lifted to the full LP: q is 0 on every dropped vertex, y is 1 on every zero cell.
-    lifted = [ZERO] * len(vertices)
-    for (k, _, _), weight in zip(support, weights):
-        lifted[k] = weight
-    dual = [ZERO] * len(bp)
-    ys, yp, yq, yd = tableau.dual()
-    for i, p, q in zip(ys, yp, yq):
-        dual[i] = _reduced(p, q, yd)
+    # y lifted to the full LP: 1 on every zero cell.
+    dual = list(_dense(tableau.dual(), len(bp)))
     for i in zero:
         dual[i] = ONE
+    support.sort()
     return LocalDecomposition(
-        vertices=tuple(vertices[k] for k, _, _ in support),
-        weights=tuple(weights),
+        vertices=tuple(vertices[k] for k in support),
+        weights=tuple(lifted[k] for k in support),
         residual=residual,
         local_content=content,
-        certificate=LpSolution(OPTIMAL, tuple(lifted), content, tuple(dual)),
+        certificate=LpSolution(OPTIMAL, lifted, content, tuple(dual)),
     )
 
 

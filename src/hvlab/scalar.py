@@ -33,7 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DivisionByZero, MalformedScalar, OversizedScalar, ZeroDenominator
 
@@ -264,7 +264,13 @@ def _reduced(p: int, q: int, d: int) -> Scalar:
     return _canonical(p, q, d)
 
 
-def _common_denominator(values: Iterable[Scalar]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+# A vector as ints ``(ps, qs, den)`` over one positive common denominator:
+# entry i is ``(ps[i] + qs[i]*sqrt2) / den``.  The form of a box's or a Bell
+# expression's int view, and of ``c`` and ``b`` in the simplex's int core.
+_Ints = tuple[Sequence[int], Sequence[int], int]
+
+
+def _common_denominator(values: Iterable[Scalar]) -> _Ints:
     """The values as ints ``(ps, qs, den)``: value i is
     ``(ps[i] + qs[i]*sqrt2) / den``, where den is the lcm of their
     denominators (1 for no values).

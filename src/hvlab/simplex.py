@@ -12,27 +12,28 @@ dual multiplier of that row by the same lcm.
 
 The module is one int core and two thin Scalar adapters.  The core is
 two private functions that share no code.  :func:`_solve_ints` takes the
-matrix's columns, ``c`` as ints ``(ps, qs, d)`` over one common
-denominator and ``b`` as one ``(p, q, d)`` triple per row, and returns
-the final tableau, from which :meth:`_Tableau.primal`,
-:meth:`_Tableau.dual` and :meth:`_Tableau.value` read the answer in
-ints: q over its support and one common denominator, the dual y over its
-support and ``dP*dQ`` (below), and the value as a triple.
-:func:`_check_ints` checks the strong-duality certificate from those
-ints, with ``c`` and ``b`` in the forms the solve takes.
+matrix's columns and ``c`` and ``b`` each as ints ``(ps, qs, d)`` over
+one common denominator, and returns the final tableau, from which
+:meth:`_Tableau.primal`, :meth:`_Tableau.dual` and :meth:`_Tableau.value`
+read the answer in ints: q over its support and one common denominator,
+the dual y over its support and ``dP*dQ`` (below), and the value as a
+triple.  :func:`_check_ints` checks the strong-duality certificate from
+those ints, with ``c`` and ``b`` in the form the solve takes.
 :func:`solve_lp` and :func:`check_certificate` are the adapters: they
 read an :class:`LpProblem` and an :class:`LpSolution` of Scalars into
-the core's ints, and :func:`solve_lp` builds Scalars only for the
-answer, from those readers.  Both of hvlab's LPs are solved by the core
-itself.  ``decompose.max_local_content`` hands it the kept columns of
+the core's ints, each vector by
+:func:`~hvlab.scalar._common_denominator`, and :func:`solve_lp` builds
+Scalars only for the answer, from those readers through :func:`_dense`.
+Both of hvlab's LPs are solved by the core itself.
+``decompose.max_local_content`` hands it the kept columns of
 the cached vertex matrix, ``c`` as all ones over 1 and ``b`` as the
 box's int view, reads q, y and the value with the tableau's readers,
 and builds Scalars only for the weights, the residual cells, the
 content and the certificate it reports; it checks no certificate
 itself, and ``hvlab decompose --verify`` checks that one through
 :func:`check_certificate`.  ``bell.ns_bound`` sums its objective in
-ints from the expression's int view, takes the right-hand sides cached
-as triples, checks the tableau's int answer with :func:`_check_ints`,
+ints from the expression's int view, takes the right-hand side cached
+as ints over 1, checks the tableau's int answer with :func:`_check_ints`,
 and builds one Scalar, its bound.
 
 The matrix is a :class:`Matrix`, which holds one view of it: its row
@@ -62,7 +63,7 @@ of row i being variable n + i.  Since every basis inverse of an integer
 matrix is rational, the tableau is kept in integers: row i is Python
 ints over one positive int denominator, with the right-hand side
 ``(rp_i + rq_i*sqrt2)`` over it too.  A solve starts by scattering the
-columns into these rows, row i over b_i's denominator.  The reduced
+columns into these rows, every row over b's denominator.  The reduced
 costs are two more such rows, P and Q for their rational and sqrt2
 parts, whose right-hand sides hold the objective value's parts; from
 the slack basis they are -c.  A pivot on row r and column c swaps the
@@ -107,10 +108,9 @@ ints, independent of the pivoting code: q and y each over its support
 and its own common denominator, A.q and y.A summed from the columns'
 int entries over those denominators, every row and column decided by
 the exact sign of a cross-multiplied difference, and c.q and y.b summed
-as int products, c over its own denominator and b brought over one on
-y's support.  It accepts any positive denominators, so the tableau's
-answer, whose q and y need not be in lowest terms, is checked as it is
-read off.
+as int products, c and b each over its own denominator.  It accepts any
+positive denominators, so the tableau's answer, whose q and y need not
+be in lowest terms, is checked as it is read off.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
 from .frozen import Frozen
-from .scalar import ZERO, Scalar, _common_denominator, _reduced, _sign, format_scalar
+from .scalar import ZERO, Scalar, _common_denominator, _Ints, _reduced, _sign, format_scalar
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -175,11 +175,9 @@ class Matrix(Frozen):
 
 _TRIPLE = attrgetter("_v")
 _ZERO = ZERO._v
-# The int core's forms, beside one value (p + q*sqrt2)/d as a triple: a
-# vector as its ps and qs over one positive common denominator d, and a
-# vector over its support as the indices of its nonzero entries with their
-# ps and qs over d.
-_Ints = tuple[Sequence[int], Sequence[int], int]
+# The int core's form of a vector over its support, beside ``_Ints`` and one
+# value (p + q*sqrt2)/d as a triple: the indices of its nonzero entries with
+# their ps and qs over one positive common denominator d.
 _Sparse = tuple[Sequence[int], Sequence[int], Sequence[int], int]
 
 
@@ -362,55 +360,49 @@ class _Tableau:
                 seen.add(key)
 
 
-def _solve_ints(
-    columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: Sequence[tuple[int, int, int]]
-) -> _Tableau | None:
+def _solve_ints(columns: Sequence[Sequence[tuple[int, int]]], c: _Ints, b: _Ints) -> _Tableau | None:
     """The int core of :func:`solve_lp`: maximize c.q subject to A.q <= b,
-    q >= 0, for the matrix of ``columns``, c as ints ``(ps, qs, d)`` over
-    one positive denominator and b as one ``(p, q, d)`` triple per row,
-    each with ``d > 0``.  Returns None when the LP is unbounded, else the
-    final tableau, whose :meth:`~_Tableau.primal`, :meth:`~_Tableau.dual`
-    and :meth:`~_Tableau.value` read the answer in ints.  A negative b_i
-    is refused with :class:`~hvlab.errors.LpFailure` naming row i, before
-    any tableau row is built."""
-    for i, (p, q, d) in enumerate(b):
+    q >= 0, for the matrix of ``columns``, c and b each as ints ``(ps, qs,
+    d)`` over one positive denominator.  Returns None when the LP is
+    unbounded, else the final tableau, whose :meth:`~_Tableau.primal`,
+    :meth:`~_Tableau.dual` and :meth:`~_Tableau.value` read the answer in
+    ints.  A negative b_i is refused with :class:`~hvlab.errors.LpFailure`
+    naming row i, before any tableau row is built."""
+    bp, bq, bd = b
+    for i, (p, q) in enumerate(zip(bp, bq)):
         if (p < 0 or q < 0) and _sign(p, q) < 0:
             raise LpFailure(
-                f"right-hand side entry {i} is {format_scalar(_reduced(p, q, d))}; "
+                f"right-hand side entry {i} is {format_scalar(_reduced(p, q, bd))}; "
                 "the simplex starts from the slack basis and needs b >= 0"
             )
     ps, qs, d = c
     n = len(ps)
-    # Row i and its right-hand side over b_i's denominator.
-    rp, rq, den = [p for p, _, _ in b], [q for _, q, _ in b], [d for _, _, d in b]
-    rows = [[0] * n for _ in b]
+    # Every row and its right-hand side over b's denominator.
+    rows = [[0] * n for _ in bp]
     for j, column in enumerate(columns):
         for i, a in column:
-            rows[i][j] = a * den[i]
+            rows[i][j] = a * bd
     # Rows P and Q hold -c: the basic slacks cost 0, so nothing needs pricing out.
     rows += [[-p for p in ps], [-q for q in qs]]
-    rp += [0, 0]
-    rq += [0, 0]
-    den += [d, d]
-    tableau = _Tableau(rows, rp, rq, den, n)
+    tableau = _Tableau(rows, [*bp, 0, 0], [*bq, 0, 0], [bd] * len(bp) + [d, d], n)
     return None if tableau.run() == UNBOUNDED else tableau
 
 
 def _check_ints(
     columns: Sequence[Sequence[tuple[int, int]]],
     c: _Ints,
-    b: Sequence[tuple[int, int, int]],
+    b: _Ints,
     q: _Sparse,
     y: _Sparse,
     value: tuple[int, int, int],
 ) -> bool:
     """The int core of :func:`check_certificate`: the certificate (q, y,
-    value) of the LP of :func:`_solve_ints`, for c and b in the forms it
-    takes.  q and y are each ints ``(support, ps, qs, d)`` over its
-    support, no index twice, and the value is a triple; every
-    denominator is positive.  Requires q >= 0, y >= 0, A.q <= b,
-    y.A >= c componentwise and c.q == y.b == value.  Shares no code with
-    the pivoting.
+    value) of the LP of :func:`_solve_ints`, for c and b in the form it
+    takes, ints ``(ps, qs, d)`` over one denominator.  q and y are each
+    ints ``(support, ps, qs, d)`` over its support, no index twice, and
+    the value is a triple; every denominator is positive.  Requires
+    q >= 0, y >= 0, A.q <= b, y.A >= c componentwise and
+    c.q == y.b == value.  Shares no code with the pivoting.
 
     The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
     sqrt2 half of y.A is skipped whole when no entry of y has one: A is
@@ -420,6 +412,7 @@ def _check_ints(
     all ones, and so is the no-signalling LP's primal, since its ``b`` is.
     """
     cp, cq, cd = c
+    bp, bq, bd = b
     support, qp, qq, qd = q
     weights, yp, yq, yd = y
     pairs = chain(zip(qp, qq), zip(yp, yq))
@@ -427,7 +420,7 @@ def _check_ints(
         return False
     # A.q: row i is (P[i] + Q[i]*sqrt2) / qd; a q entry with no sqrt2 part
     # adds nothing to Q.
-    P, Q = [0] * len(b), [0] * len(b)
+    P, Q = [0] * len(bp), [0] * len(bp)
     for j, p, s in zip(support, qp, qq):
         if s:
             for i, a in columns[j]:
@@ -436,13 +429,13 @@ def _check_ints(
         else:
             for i, a in columns[j]:
                 P[i] += a * p
-    for (bp, bq, bd), p, s in zip(b, P, Q):
-        x, z = p * bd - bp * qd, s * bd - bq * qd
+    for p, s, bp_i, bq_i in zip(P, Q, bp, bq):
+        x, z = p * bd - bp_i * qd, s * bd - bq_i * qd
         if (_sign(x, z) if z else x) > 0:
             return False
     # y.A: column j is (p + s*sqrt2) / yd, s being 0 when y is rational.
     rational = not any(yq)
-    YP, YQ = [0] * len(b), [0] * len(b)
+    YP, YQ = [0] * len(bp), [0] * len(bp)
     for i, p, s in zip(weights, yp, yq):
         YP[i], YQ[i] = p, s
     for column, cp_j, cq_j in zip(columns, cp, cq):
@@ -465,15 +458,11 @@ def _check_ints(
     vp, vq, vd = value
     if p * vd != vp * cd * qd or s * vd != vq * cd * qd:
         return False
-    # y.b is (p + s*sqrt2) / (bd*yd), bd being the lcm of b's denominators
-    # on y's support.
-    chosen = [b[i] for i in weights]
-    bd = lcm(*{e for _, _, e in chosen})
+    # y.b is (p + s*sqrt2) / (bd*yd).
     p = s = 0
-    for (bp, bq, e), x, z in zip(chosen, yp, yq):
-        k = bd // e
-        p += (bp * x + 2 * bq * z) * k
-        s += (bp * z + bq * x) * k
+    for i, x, z in zip(weights, yp, yq):
+        p += bp[i] * x + 2 * bq[i] * z
+        s += bp[i] * z + bq[i] * x
     return p * vd == vp * bd * yd and s * vd == vq * bd * yd
 
 
@@ -483,7 +472,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     docstring for the labels, the pivoting rule and where the dual is read.
     The Scalar adapter of :func:`_solve_ints`: it builds each nonzero
     entry of q and y as a Scalar from the tableau's int readers."""
-    tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), list(map(_TRIPLE, problem.b)))
+    tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), _common_denominator(problem.b))
     if tableau is None:
         return LpSolution(UNBOUNDED)
     q, dual = _dense(tableau.primal(), len(problem.c)), _dense(tableau.dual(), len(problem.b))
@@ -504,8 +493,8 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     feasibility (A.q <= b, q >= 0), dual feasibility (y >= 0, y.A >= c
     componentwise) and matching objectives (c.q == y.b == value).
 
-    The Scalar adapter of :func:`_check_ints`, which reads q, y and c each
-    over its own common denominator and makes no Scalar product.  Another
+    The Scalar adapter of :func:`_check_ints`, which reads c, b, q and y
+    each over its own common denominator and makes no Scalar product.  Another
     status, a missing part or a part of the wrong length gives False; an
     entry of q, value or dual that is not a Scalar is refused with
     ``TypeError`` naming its field.
@@ -523,7 +512,7 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     return _check_ints(
         problem.A.columns,
         _common_denominator(problem.c),
-        list(map(_TRIPLE, problem.b)),
+        _common_denominator(problem.b),
         _on_support(solution.q),
         _on_support(solution.dual),
         solution.value._v,

@@ -473,12 +473,6 @@ def _solved_problems(monkeypatch):
     return problems
 
 
-def _int_rhs(box) -> list[tuple[int, int, int]]:
-    """The box's int view as one ``(p, q, den)`` triple per cell."""
-    ps, qs, den = _int_view(box)
-    return [(p, q, den) for p, q in zip(ps, qs)]
-
-
 def _kept_by_definition(box) -> list[int]:
     """The vertices with no unit on a zero cell of ``box``, read off their
     tables."""
@@ -505,12 +499,12 @@ def _kept_columns(solved, box, d) -> list[int]:
     """Check the one LP that max_local_content solved on ``box``: its
     columns are the cached columns of the vertices with no unit on a zero
     cell, the very same objects, c is all ones, b is the box's int view,
-    and its answer is the lifted solve_lp answer of the same LP of Scalars.
+    the very object kept on the box, and its answer is the lifted solve_lp answer of the same LP of Scalars.
     Returns the kept vertex indices."""
     columns, c, b = solved
     vertices = enumerate_local_vertices(box.spaces)
     kept = _kept_by_definition(box)
-    assert b == _int_rhs(box)
+    assert b is _int_view(box)
     assert c == ((1,) * len(kept), (0,) * len(kept), 1) and len(columns) == len(kept)
     assert all(column is vertices.matrix.columns[k] for column, k in zip(columns, kept))
     assert d.certificate == _lifted_solution(box, kept)

@@ -48,7 +48,8 @@ from hvlab.decompose import (
 )
 from hvlab.errors import InvalidBehavior, SizeBudgetExceeded, SpaceMismatch
 from hvlab.hvmodel import check_locality, check_triviality, nontrivial_weight
-from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _reduced
+from hvlab.frozen import Frozen
+from hvlab.scalar import HALF, ONE, SQRT2, ZERO, Scalar, _common_denominator, _reduced
 from hvlab.simplex import LpProblem, Matrix, check_certificate, solve_lp
 from oracle import extremal_generator_tables, local_generator_tables
 from reference_scenario import cell_coordinate_rows, collins_gisin_full_lp, marginal_is_no_signalling, scalar_ns_lp
@@ -330,7 +331,7 @@ def test_ns_constraints_have_a_row_per_cell_that_is_no_coordinate(shape, size):
     assert sorted((*cells, *coords, *(cell for cell, _ in restated))) == list(range(prod(shape)))
     if min(nx, ny) >= 2:
         assert matrix.height == prod(shape) - len(coords) and not restated
-    assert rhs == tuple(ONE._v if cell % (nx * ny) == nx * ny - 1 else ZERO._v for cell in cells)
+    assert rhs == (tuple(1 if cell % (nx * ny) == nx * ny - 1 else 0 for cell in cells), (0,) * len(cells), 1)
     assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
 
 
@@ -369,7 +370,7 @@ def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
     expected = Matrix.from_rows((rows[cell][0] for cell in kept), len(reference_coords))
     assert matrix.height == expected.height == len(kept)
     assert matrix.columns == expected.columns
-    assert rhs == tuple(rows[cell][1]._v for cell in kept)
+    assert rhs == _common_denominator(rows[cell][1] for cell in kept)
     assert cells == tuple(kept)
     assert coords == tuple(reference_coords)
     assert all(rows[cell][0].index(-ONE) == j for j, cell in enumerate(coords))
@@ -381,25 +382,42 @@ def test_ns_constraints_equal_the_matrix_of_the_dense_reference_rows(shape):
     assert all(type(v) is int and v in (1, -1) for column in matrix.columns for _, v in column)
 
 
+def _container_bytes(root) -> int:
+    """The summed ``sys.getsizeof`` of each distinct tuple and list reachable
+    from ``root`` through tuples, lists and the fields of hvlab's value
+    classes.  Unlike a traced allocation, it does not depend on which freed
+    tuples the interpreter reuses, and so on which tests ran before."""
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        if isinstance(obj, (tuple, list)):
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            stack += obj
+        elif isinstance(obj, Frozen):
+            seen.add(id(obj))
+            stack += vars(obj).values()
+    return total
+
+
 def test_a_cached_ns_matrix_holds_only_its_columns():
-    """Eight settings and two outcomes per side (176 rows of 80 columns,
-    626 nonzero entries, and the 80 cells that are coordinates) take
-    about 0.05 MiB with Python 3.11 when this test runs alone, and about
-    0.01 MiB after the rest of this file, whose freed tuples the
-    interpreter reuses untraced.  The bound fails, alone and after the
-    rest of the file, if the matrix keeps its rows as well, as int rows
-    (0.17 MiB in all alone, 0.13 MiB after the file) or dense Scalar rows
-    (0.23 and 0.15 MiB)."""
+    """The entry for eight settings and two outcomes per side (176 rows of
+    80 columns, 626 nonzero entries, and the 80 cells that are
+    coordinates) holds 49 152 bytes of tuples with Python 3.11.7: 43 944
+    of matrix columns, whose entries are one ``(row, entry)`` pair each,
+    2 960 of right-hand side, 2 168 of cell maps and 80 of the entry's
+    own tuple.  The bound fails if the matrix keeps its rows as well, as
+    int rows or dense Scalar rows (about 120 000 bytes more each), or
+    keeps a second ``(row, entry)`` tuple per entry (about 40 000 bytes
+    more)."""
     spaces = numbered_spaces(8, 8, 2, 2)
     _ns_constraints.cache_clear()
-    tracemalloc.start()
-    try:
-        matrix, *_ = _ns_constraints(spaces)
-        size, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    entry = _ns_constraints(spaces)
+    matrix = entry[0]
     assert (matrix.height, len(matrix.columns)) == (176, 80)
-    assert size < 0.1 * 2**20
+    assert _container_bytes(entry) < 0.06 * 2**20
 
 
 def test_building_an_ns_matrix_holds_no_dense_row():
@@ -437,10 +455,11 @@ def test_ns_rows_give_back_every_no_signalling_box(box):
     signal."""
     matrix, rhs, cells, coords, restated = _ns_constraints(box.spaces)
     q = [box.table[cell] for cell in coords]
-    rows = dense_rows(matrix.columns, len(rhs))
+    rows = dense_rows(matrix.columns, matrix.height)
+    bp, bq, bd = rhs
     table = [None] * len(box.table)
-    for cell, row, bound in zip(cells, rows, rhs):
-        table[cell] = _reduced(*bound) - sum((a * v for a, v in zip(row, q)), ZERO)
+    for cell, row, p, s in zip(cells, rows, bp, bq):
+        table[cell] = _reduced(p, s, bd) - sum((a * v for a, v in zip(row, q)), ZERO)
     for j, cell in enumerate(coords):
         table[cell] = q[j]
     for cell, j in restated:

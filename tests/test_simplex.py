@@ -5,14 +5,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_simplex
 from helpers import ns_behaviors, small_fractions, valid_behaviors
 from hvlab import HvlabError, IrrationalMatrix, decompose, simplex
 from hvlab.bell import BellExpression, _ns_lp
-from hvlab.boxes import LabelSet
+from hvlab.boxes import LabelSet, _int_view
 from hvlab.catalog import pr_box, table1_box
 from hvlab.decompose import content_lp_problem, enumerate_local_vertices, max_local_content
 from hvlab.errors import DimensionMismatch, LpFailure
@@ -351,7 +351,19 @@ def _solve_with_reference(problem):
     return solution, pivots
 
 
+# b with pairwise coprime denominators and a sqrt2 part, the one case where
+# the tableau's rows start over the lcm of b's denominators (105) and not
+# each over its own: a degenerate pivot on the row with b = 0, then one
+# whose ratio test compares 1/3 with 1/5 + sqrt2/7.
+_COPRIME_RHS = LpProblem(
+    (ONE, Scalar(2)),
+    ((ONE, ZERO), (ONE, ONE), (-ONE, ONE)),
+    (Scalar(Fraction(1, 3)), Scalar(Fraction(1, 5), Fraction(1, 7)), ZERO),
+)
+
+
 @given(_field_problems())
+@example(_COPRIME_RHS)
 @settings(max_examples=200, deadline=None)
 def test_solutions_match_the_scalar_tableau_reference(problem):
     solution, _ = _solve_with_reference(problem)
@@ -520,7 +532,7 @@ def test_ns_lps_match_the_scalar_tableau_reference(problem):
 @settings(max_examples=40, deadline=None)
 def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns_problem):
     # The content LP of a valid box, the support LP that max_local_content
-    # hands the int core as (p, q, den) triples and the no-signalling LP:
+    # hands the int core with b the box's int view and the no-signalling LP:
     # each starts from its slack basis.
     solved = []
 
@@ -532,7 +544,9 @@ def test_every_lp_hvlab_builds_has_a_nonnegative_right_hand_side(box, ns_box, ns
         patch.setattr(decompose, "_solve_ints", recording_solve_ints)
         max_local_content(ns_box)
     assert len(solved) == 1
-    assert all(_sign(p, q) >= 0 and d > 0 for p, q, d in solved[0])
+    assert solved[0] is _int_view(ns_box)
+    bp, bq, bd = solved[0]
+    assert bd > 0 and all(_sign(p, q) >= 0 for p, q in zip(bp, bq))
     for problem in (content_lp_problem(box, enumerate_local_vertices(box.spaces)), ns_problem):
         assert all(v.sign() >= 0 for v in problem.b)
 
@@ -764,22 +778,44 @@ def _int_certificate(problem, solution, k):
         support = [i for i in reversed(range(len(values))) if not values[i].is_zero()]
         return (support, *widened(values[i] for i in support))
 
-    c, b = _common_denominator(problem.c), [v._v for v in problem.b]
+    c, b = _common_denominator(problem.c), _common_denominator(problem.b)
     return problem.A.columns, c, b, on_support(solution.q), on_support(solution.dual), solution.value._v
 
 
 def test_the_int_check_passes_the_int_answer_of_the_sqrt2_cost_lp():
     solution = solve_lp(_SQRT2_COST)
     assert solution == LpSolution(OPTIMAL, (ONE, ONE), Scalar(1, 1), (Scalar(1, 1), ONE, ZERO))
-    c, b = _common_denominator(_SQRT2_COST.c), [v._v for v in _SQRT2_COST.b]
+    c, b = _common_denominator(_SQRT2_COST.c), _common_denominator(_SQRT2_COST.b)
     tableau = _solve_ints(_SQRT2_COST.A.columns, c, b)
     assert _check_ints(_SQRT2_COST.A.columns, c, b, tableau.primal(), tableau.dual(), tableau.value())
     for k in (1, 6):
         assert _check_ints(*_int_certificate(_SQRT2_COST, solution, k))
 
 
-@pytest.mark.parametrize("broken", _BROKEN.values(), ids=_BROKEN)
-def test_both_checks_refuse_each_broken_certificate(broken):
-    assert not check_certificate(_SQRT2_COST, broken)
+# max q0 + q1 + q2 s.t. q <= b = (1/6, 1/6, 1/2 + sqrt2/2), where only b_2's
+# denominator differs from the others'.  The certificate is the optimal one
+# of the same LP with b_2 read as (1 + sqrt2)/6, its ints over 2 taken over
+# the lcm 6 unscaled: q is feasible, y >= 0, y.A = c and c.q is the value,
+# so only y.b is off, and only in b_2's term.
+_MIXED_RHS = LpProblem(
+    (ONE, ONE, ONE),
+    ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)),
+    (Scalar(Fraction(1, 6)), Scalar(Fraction(1, 6)), Scalar(Fraction(1, 2), Fraction(1, 2))),
+)
+_UNSCALED_B2 = LpSolution(
+    OPTIMAL,
+    (Scalar(Fraction(1, 6)), Scalar(Fraction(1, 6)), Scalar(Fraction(1, 6), Fraction(1, 6))),
+    Scalar(Fraction(1, 2), Fraction(1, 6)),
+    (ONE, ONE, ONE),
+)
+
+
+@pytest.mark.parametrize(
+    "problem, broken",
+    [*((_SQRT2_COST, broken) for broken in _BROKEN.values()), (_MIXED_RHS, _UNSCALED_B2)],
+    ids=[*_BROKEN, "unscaled-mixed-rhs"],
+)
+def test_both_checks_refuse_each_broken_certificate(problem, broken):
+    assert not check_certificate(problem, broken)
     for k in (1, 6):
-        assert not _check_ints(*_int_certificate(_SQRT2_COST, broken, k))
+        assert not _check_ints(*_int_certificate(problem, broken, k))
