@@ -65,7 +65,7 @@ table cell, would pass that budget are refused before anything is built.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import gcd
 from operator import add, itemgetter, mul
 from typing import Callable, Iterator, Sequence
@@ -83,7 +83,7 @@ from .boxes import (
 from .errors import LpFailure, SizeBudgetExceeded, SpaceMismatch
 from .frozen import Frozen
 from .scalar import Scalar, _Ints, _reduced, _sign, as_scalar
-from .simplex import LpProblem, Matrix, _check_ints, _solve_ints
+from .simplex import LpProblem, Matrix, _check_ints, _dense, _solve_ints
 
 
 class BellExpression(Tensor):
@@ -274,8 +274,8 @@ def _ns_lp(expression: BellExpression) -> LpProblem:
     constant part, as an :class:`~hvlab.simplex.LpProblem` of Scalars:
     the LP that :func:`ns_bound` solves in ints, from the same int
     objective (:func:`_ns_objective`) and the same cached entry."""
-    constraints, (bp, bq, bd), (ps, qs, d) = _ns_objective(expression)
-    return LpProblem(tuple(map(_reduced, ps, qs, repeat(d))), constraints, tuple(map(_reduced, bp, bq, repeat(bd))))
+    constraints, rhs, c = _ns_objective(expression)
+    return LpProblem(_dense(c), constraints, _dense(rhs))
 
 
 def _ns_objective(expression: BellExpression) -> tuple[Matrix, _Ints, _Ints]:

@@ -63,10 +63,12 @@ The content LP is solved in ints from the box to the answer, with no
 kept columns, ``c`` as all ones over 1 and ``b`` as the box's int view,
 the very ints ``(ps, qs, den)`` kept on the box, and finds the zero
 cells on that view.  The tableau's readers give q, y and the value in
-ints, and the remainder is built from q's ints over their common
-denominator.  Scalars are built only for what is reported: the content,
-the residual cells and the lifted certificate, whose q is 0 off the
-support and whose dual is 1 on every zero cell, both read through
+ints, q and y in the form ``c`` and ``b`` go in, one entry per kept
+vertex or per cell over one denominator.  Both are lifted to the full
+LP in that form, q with 0 on every dropped vertex and y with 1 on every
+zero cell, and the remainder is built from the lifted q's ints.  Scalars
+are built only for what is reported: the content, the residual cells
+and the lifted certificate, whose q and dual are each read by one
 :func:`~hvlab.simplex._dense`; the support weights are the lifted q's
 nonzero entries, in vertex order.  No certificate check runs inside
 :func:`max_local_content`; ``hvlab decompose --verify`` and any caller
@@ -255,38 +257,40 @@ def max_local_content(behavior: Behavior) -> LocalDecomposition:
         raise LpFailure("local-content LP ended unbounded")
     vp, vq, vd = tableau.value()
     content = _reduced(vp, vq, vd)
-    # q over its support and w, read in basis-row order and lifted to the full
-    # LP: 0 on every dropped vertex.
-    basic, qp, qq, w = tableau.primal()
-    support = [kept[j] for j in basic]
-    lifted = _dense((support, qp, qq, w), len(vertices))
+    # q over w lifted to the full LP: 0 on every dropped vertex.
+    kp, kq, w = tableau.primal()
+    qp, qq, support = [0] * len(vertices), [0] * len(vertices), []
+    for k, p, q in zip(kept, kp, kq):
+        if p or q:
+            qp[k], qq[k] = p, q
+            support.append(k)
+    lifted = _dense((qp, qq, w))
     residual = None
     if vq or vp != vd:
         # (box - sum_k q_k*D_k) / (1 - content), D_k being column k of the vertex
         # matrix, all 1s: numerators r over b*w, each times 1/(1 - content) =
         # vd/((vd - vp) - vq*sqrt2) = (sp + sq*sqrt2)/sd, by the conjugate.
         rp, rq = [p * w for p in bp], [q * w for q in bq]
-        for k, p, q in zip(support, qp, qq):
+        for k in support:
             for i, _ in columns[k]:
-                rp[i] -= p * b
-                rq[i] -= q * b
+                rp[i] -= qp[k] * b
+                rq[i] -= qq[k] * b
         sp, sq, sd = vd * (vd - vp), vd * vq, (vd - vp) ** 2 - 2 * vq * vq
         if sd < 0:
             sp, sq, sd = -sp, -sq, -sd
         d = b * w * sd
         cells = (_reduced(p * sp + 2 * q * sq, p * sq + q * sp, d) if p or q else ZERO for p, q in zip(rp, rq))
         residual = Behavior(*behavior.spaces, cells)
-    # y lifted to the full LP: 1 on every zero cell.
-    dual = list(_dense(tableau.dual(), len(bp)))
+    # y over yd lifted to the full LP: 1 on every zero cell, where the solved y is 0.
+    yp, yq, yd = tableau.dual()
     for i in zero:
-        dual[i] = ONE
-    support.sort()
+        yp[i] = yd
     return LocalDecomposition(
         vertices=tuple(vertices[k] for k in support),
         weights=tuple(lifted[k] for k in support),
         residual=residual,
         local_content=content,
-        certificate=LpSolution(OPTIMAL, lifted, content, tuple(dual)),
+        certificate=LpSolution(OPTIMAL, lifted, content, _dense((yp, yq, yd))),
     )
 
 

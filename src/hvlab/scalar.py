@@ -266,7 +266,8 @@ def _reduced(p: int, q: int, d: int) -> Scalar:
 
 # A vector as ints ``(ps, qs, den)`` over one positive common denominator:
 # entry i is ``(ps[i] + qs[i]*sqrt2) / den``.  The form of a box's or a Bell
-# expression's int view, and of ``c`` and ``b`` in the simplex's int core.
+# expression's int view, and of every vector into and out of the simplex's
+# int core.
 _Ints = tuple[Sequence[int], Sequence[int], int]
 
 

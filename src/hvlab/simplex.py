@@ -11,19 +11,21 @@ leaves the feasible set, the optimum and q unchanged and divides the
 dual multiplier of that row by the same lcm.
 
 The module is one int core and two thin Scalar adapters.  The core is
-two private functions that share no code.  :func:`_solve_ints` takes the
-matrix's columns and ``c`` and ``b`` each as ints ``(ps, qs, d)`` over
-one common denominator, and returns the final tableau, from which
-:meth:`_Tableau.primal`, :meth:`_Tableau.dual` and :meth:`_Tableau.value`
-read the answer in ints: q over its support and one common denominator,
-the dual y over its support and ``dP*dQ`` (below), and the value as a
+two private functions that share no code, and every vector goes in and
+comes out of it in one form: ints ``(ps, qs, d)`` over one positive
+common denominator, one entry per column or per row, zeros included.
+:func:`_solve_ints` takes the matrix's columns and ``c`` and ``b`` in
+that form, and returns the final tableau, from which
+:meth:`_Tableau.primal` and :meth:`_Tableau.dual` read q and the dual y
+in it too, q over the lcm of its basic rows' denominators and y over
+``dP*dQ`` (below), and :meth:`_Tableau.value` reads the value as a
 triple.  :func:`_check_ints` checks the strong-duality certificate from
-those ints, with ``c`` and ``b`` in the form the solve takes.
-:func:`solve_lp` and :func:`check_certificate` are the adapters: they
-read an :class:`LpProblem` and an :class:`LpSolution` of Scalars into
-the core's ints, each vector by
-:func:`~hvlab.scalar._common_denominator`, and :func:`solve_lp` builds
-Scalars only for the answer, from those readers through :func:`_dense`.
+those four vectors and the value.  :func:`solve_lp` and
+:func:`check_certificate` are the adapters: they read an
+:class:`LpProblem` and an :class:`LpSolution` of Scalars into the core's
+ints, each vector by :func:`~hvlab.scalar._common_denominator`, and
+:func:`solve_lp` builds Scalars only for the answer, through
+:func:`_dense`, the one reader from that form to Scalars.
 Both of hvlab's LPs are solved by the core itself.
 ``decompose.max_local_content`` hands it the kept columns of
 the cached vertex matrix, ``c`` as all ones over 1 and ``b`` as the
@@ -104,25 +106,24 @@ The reduced cost of slack n + k is the dual multiplier of row k: its P
 and Q entries while it is nonbasic, 0 while it is basic.  Its column, or
 e_r while it is basic in row r, is column k of B^-1.  The dual gives an
 exact strong-duality certificate that :func:`_check_ints` verifies in
-ints, independent of the pivoting code: q and y each over its support
-and its own common denominator, A.q and y.A summed from the columns'
-int entries over those denominators, every row and column decided by
-the exact sign of a cross-multiplied difference, and c.q and y.b summed
-as int products, c and b each over its own denominator.  It accepts any
-positive denominators, so the tableau's answer, whose q and y need not
-be in lowest terms, is checked as it is read off.
+ints, independent of the pivoting code: q and y each over its own common
+denominator, A.q and y.A summed from the columns' int entries over
+those denominators, every row and column decided by the exact sign of a
+cross-multiplied difference, and c.q and y.b summed as int products, c
+and b each over its own denominator.  It accepts any positive
+denominators, so the tableau's answer, whose q and y need not be in
+lowest terms, is checked as it is read off.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IrrationalMatrix, LpFailure
 from .frozen import Frozen
-from .scalar import ZERO, Scalar, _common_denominator, _Ints, _reduced, _sign, format_scalar
+from .scalar import ONE, ZERO, Scalar, _common_denominator, _Ints, _reduced, _sign, format_scalar
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -171,14 +172,6 @@ class Matrix(Frozen):
                     columns[j].append((i, p))
             height = i + 1
         return cls(height, tuple(map(tuple, columns)))
-
-
-_TRIPLE = attrgetter("_v")
-_ZERO = ZERO._v
-# The int core's form of a vector over its support, beside ``_Ints`` and one
-# value (p + q*sqrt2)/d as a triple: the indices of its nonzero entries with
-# their ps and qs over one positive common denominator d.
-_Sparse = tuple[Sequence[int], Sequence[int], Sequence[int], int]
 
 
 class LpProblem(Frozen):
@@ -283,23 +276,30 @@ class _Tableau:
         rp, rq, dp, dq = self.rp, self.rq, self.den[m], self.den[m + 1]
         return rp[m] * dq + 2 * rq[m + 1] * dp, rq[m] * dq + rp[m + 1] * dp, dp * dq
 
-    def primal(self) -> _Sparse:
-        """q over its support and one common denominator, the lcm of its
-        rows': q_j is the right-hand side of its row while basic, 0 while
-        nonbasic."""
+    def primal(self) -> _Ints:
+        """q as ints over one common denominator, the lcm of the
+        denominators of the rows that hold its nonzero entries: q_j is the
+        right-hand side of its row while basic, 0 while nonbasic."""
         n, basis, rp, rq, den = len(self.nonbasic), self.basis, self.rp, self.rq, self.den
         rows = [i for i, v in enumerate(basis) if v < n and (rp[i] or rq[i])]
         d = lcm(*(den[i] for i in rows))
-        return [basis[i] for i in rows], [rp[i] * (d // den[i]) for i in rows], [rq[i] * (d // den[i]) for i in rows], d
+        ps, qs = [0] * n, [0] * n
+        for i in rows:
+            k = d // den[i]
+            ps[basis[i]], qs[basis[i]] = rp[i] * k, rq[i] * k
+        return ps, qs, d
 
-    def dual(self) -> _Sparse:
-        """y over its support and dP*dQ: y_k is the reduced cost of slack
-        n + k, read from its P and Q entries while it is nonbasic, 0 while
-        it is basic."""
+    def dual(self) -> _Ints:
+        """y as ints over dP*dQ: y_k is the reduced cost of slack n + k,
+        read from its P and Q entries while it is nonbasic, 0 while it is
+        basic."""
         nonbasic, n, m = self.nonbasic, len(self.nonbasic), len(self.basis)
         P, Q, dp, dq = self.rows[m], self.rows[m + 1], self.den[m], self.den[m + 1]
-        columns = [j for j, v in enumerate(nonbasic) if v >= n and (P[j] or Q[j])]
-        return [nonbasic[j] - n for j in columns], [P[j] * dq for j in columns], [Q[j] * dp for j in columns], dp * dq
+        ps, qs = [0] * m, [0] * m
+        for j, v in enumerate(nonbasic):
+            if v >= n:
+                ps[v - n], qs[v - n] = P[j] * dq, Q[j] * dp
+        return ps, qs, dp * dq
 
     def run(self) -> str:
         """Pivot until optimal or unbounded; see the module docstring for
@@ -392,42 +392,42 @@ def _check_ints(
     columns: Sequence[Sequence[tuple[int, int]]],
     c: _Ints,
     b: _Ints,
-    q: _Sparse,
-    y: _Sparse,
+    q: _Ints,
+    y: _Ints,
     value: tuple[int, int, int],
 ) -> bool:
     """The int core of :func:`check_certificate`: the certificate (q, y,
-    value) of the LP of :func:`_solve_ints`, for c and b in the form it
-    takes, ints ``(ps, qs, d)`` over one denominator.  q and y are each
-    ints ``(support, ps, qs, d)`` over its support, no index twice, and
-    the value is a triple; every denominator is positive.  Requires
-    q >= 0, y >= 0, A.q <= b, y.A >= c componentwise and
-    c.q == y.b == value.  Shares no code with the pivoting.
+    value) of the LP of :func:`_solve_ints`.  c and q have one entry per
+    column and b and y one per row, each as ints ``(ps, qs, d)`` over one
+    positive denominator, and the value is a triple.  Requires q >= 0,
+    y >= 0, A.q <= b, y.A >= c componentwise and c.q == y.b == value.
+    Shares no code with the pivoting.
 
-    The sqrt2 half of A.q skips each q entry with no sqrt2 part, and the
-    sqrt2 half of y.A is skipped whole when no entry of y has one: A is
-    an integer matrix, so such an entry adds exactly 0 to that half, and
-    every comparison still reads the half it skipped as 0 against c's or
-    b's sqrt2 part.  The content LP's dual is rational, since its ``c`` is
-    all ones, and so is the no-signalling LP's primal, since its ``b`` is.
+    A.q skips each zero entry of q and its sqrt2 half each entry with no
+    sqrt2 part, and the sqrt2 half of y.A is skipped whole when no entry
+    of y has one: A is an integer matrix, so such an entry adds exactly 0
+    to that half, and every comparison still reads the half it skipped as
+    0 against c's or b's sqrt2 part.  The content LP's dual is rational,
+    since its ``c`` is all ones, and so is the no-signalling LP's primal,
+    since its ``b`` is.
     """
     cp, cq, cd = c
     bp, bq, bd = b
-    support, qp, qq, qd = q
-    weights, yp, yq, yd = y
+    qp, qq, qd = q
+    yp, yq, yd = y
     pairs = chain(zip(qp, qq), zip(yp, yq))
-    if min(chain(qp, qq, yp, yq), default=0) < 0 and any(_sign(p, s) < 0 for p, s in pairs):
+    if min(chain(qp, qq, yp, yq), default=0) < 0 and any((_sign(p, s) if s else p) < 0 for p, s in pairs):
         return False
     # A.q: row i is (P[i] + Q[i]*sqrt2) / qd; a q entry with no sqrt2 part
     # adds nothing to Q.
     P, Q = [0] * len(bp), [0] * len(bp)
-    for j, p, s in zip(support, qp, qq):
+    for column, p, s in zip(columns, qp, qq):
         if s:
-            for i, a in columns[j]:
+            for i, a in column:
                 P[i] += a * p
                 Q[i] += a * s
-        else:
-            for i, a in columns[j]:
+        elif p:
+            for i, a in column:
                 P[i] += a * p
     for p, s, bp_i, bq_i in zip(P, Q, bp, bq):
         x, z = p * bd - bp_i * qd, s * bd - bq_i * qd
@@ -435,34 +435,33 @@ def _check_ints(
             return False
     # y.A: column j is (p + s*sqrt2) / yd, s being 0 when y is rational.
     rational = not any(yq)
-    YP, YQ = [0] * len(bp), [0] * len(bp)
-    for i, p, s in zip(weights, yp, yq):
-        YP[i], YQ[i] = p, s
     for column, cp_j, cq_j in zip(columns, cp, cq):
         p = s = 0
         if rational:
             for i, a in column:
-                p += a * YP[i]
+                p += a * yp[i]
         else:
             for i, a in column:
-                p += a * YP[i]
-                s += a * YQ[i]
+                p += a * yp[i]
+                s += a * yq[i]
         x, z = p * cd - cp_j * yd, s * cd - cq_j * yd
         if (_sign(x, z) if z else x) < 0:
             return False
-    # c.q is (p + s*sqrt2) / (cd*qd).
+    # c.q is (p + s*sqrt2) / (cd*qd), over q's nonzero entries.
     p = s = 0
-    for j, x, z in zip(support, qp, qq):
-        p += cp[j] * x + 2 * cq[j] * z
-        s += cp[j] * z + cq[j] * x
+    for cp_j, cq_j, x, z in zip(cp, cq, qp, qq):
+        if x or z:
+            p += cp_j * x + 2 * cq_j * z
+            s += cp_j * z + cq_j * x
     vp, vq, vd = value
     if p * vd != vp * cd * qd or s * vd != vq * cd * qd:
         return False
-    # y.b is (p + s*sqrt2) / (bd*yd).
+    # y.b is (p + s*sqrt2) / (bd*yd), over y's nonzero entries.
     p = s = 0
-    for i, x, z in zip(weights, yp, yq):
-        p += bp[i] * x + 2 * bq[i] * z
-        s += bp[i] * z + bq[i] * x
+    for bp_i, bq_i, x, z in zip(bp, bq, yp, yq):
+        if x or z:
+            p += bp_i * x + 2 * bq_i * z
+            s += bp_i * z + bq_i * x
     return p * vd == vp * bd * yd and s * vd == vq * bd * yd
 
 
@@ -470,22 +469,20 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Exact simplex from the slack basis, for ``b >= 0`` only, over a
     condensed tableau of the m x n cells of ``A``; see the module
     docstring for the labels, the pivoting rule and where the dual is read.
-    The Scalar adapter of :func:`_solve_ints`: it builds each nonzero
-    entry of q and y as a Scalar from the tableau's int readers."""
+    The Scalar adapter of :func:`_solve_ints`: it builds q and y as
+    Scalars from the tableau's int readers."""
     tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), _common_denominator(problem.b))
     if tableau is None:
         return LpSolution(UNBOUNDED)
-    q, dual = _dense(tableau.primal(), len(problem.c)), _dense(tableau.dual(), len(problem.b))
-    return LpSolution(OPTIMAL, q, _reduced(*tableau.value()), dual)
+    return LpSolution(OPTIMAL, _dense(tableau.primal()), _reduced(*tableau.value()), _dense(tableau.dual()))
 
 
-def _dense(vector: _Sparse, size: int) -> tuple[Scalar, ...]:
-    """A vector over its support as ``size`` Scalars in lowest terms."""
-    support, ps, qs, d = vector
-    values = [ZERO] * size
-    for k, p, q in zip(support, ps, qs):
-        values[k] = _reduced(p, q, d)
-    return tuple(values)
+def _dense(vector: _Ints) -> tuple[Scalar, ...]:
+    """A vector of ints ``(ps, qs, d)`` as Scalars in lowest terms, the
+    shared ZERO and ONE for each entry 0 or 1: a lifted content dual is 1
+    on every zero cell."""
+    ps, qs, d = vector
+    return tuple([ZERO if not (p or q) else ONE if p == d and not q else _reduced(p, q, d) for p, q in zip(ps, qs)])
 
 
 def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
@@ -493,8 +490,9 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     feasibility (A.q <= b, q >= 0), dual feasibility (y >= 0, y.A >= c
     componentwise) and matching objectives (c.q == y.b == value).
 
-    The Scalar adapter of :func:`_check_ints`, which reads c, b, q and y
-    each over its own common denominator and makes no Scalar product.  Another
+    The Scalar adapter of :func:`_check_ints`: it reads c, b, q and y
+    each by :func:`~hvlab.scalar._common_denominator`, and the check makes
+    no Scalar product.  Another
     status, a missing part or a part of the wrong length gives False; an
     entry of q, value or dual that is not a Scalar is refused with
     ``TypeError`` naming its field.
@@ -513,13 +511,7 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         problem.A.columns,
         _common_denominator(problem.c),
         _common_denominator(problem.b),
-        _on_support(solution.q),
-        _on_support(solution.dual),
+        _common_denominator(solution.q),
+        _common_denominator(solution.dual),
         solution.value._v,
     )
-
-
-def _on_support(values: Sequence[Scalar]) -> _Sparse:
-    """Scalars as ints over their support and its common denominator."""
-    support = [k for k, v in enumerate(map(_TRIPLE, values)) if v != _ZERO]
-    return (support, *_common_denominator([values[k] for k in support]))

@@ -767,19 +767,15 @@ _BROKEN = {
 
 def _int_certificate(problem, solution, k):
     """The int check's arguments for a certificate of Scalars, with q and y
-    each over its support, last index first, and k times its lowest common
+    each one entry per column or row over k times its lowest common
     denominator, as the tableau may give them."""
 
     def widened(values):
         ps, qs, d = _common_denominator(values)
         return [p * k for p in ps], [q * k for q in qs], d * k
 
-    def on_support(values):
-        support = [i for i in reversed(range(len(values))) if not values[i].is_zero()]
-        return (support, *widened(values[i] for i in support))
-
     c, b = _common_denominator(problem.c), _common_denominator(problem.b)
-    return problem.A.columns, c, b, on_support(solution.q), on_support(solution.dual), solution.value._v
+    return problem.A.columns, c, b, widened(solution.q), widened(solution.dual), solution.value._v
 
 
 def test_the_int_check_passes_the_int_answer_of_the_sqrt2_cost_lp():
