@@ -18,6 +18,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import Any, Sequence
 
 from . import catalog as catalog_module
@@ -30,7 +31,7 @@ from .boxes import (
     is_no_signalling,
     mix,
 )
-from .catalog import appendix_a_model, signalling_box, table1_box
+from .catalog import appendix_a_model, pr_box, signalling_box, table1_box
 from .decompose import (
     content_lp_problem,
     decomposition_to_model,
@@ -285,26 +286,15 @@ def _cmd_model_verify(args: argparse.Namespace) -> int:
         lines.append("reconstruction matches: false (spaces differ)")
         _emit(args, lines, report)
         return 1
-    mismatch = next(
-        (cell for (cell, got), want in zip(rebuilt.cells(), target.table) if got != want),
-        None,
-    )
+    mismatch = next((i for i, (got, want) in enumerate(zip(rebuilt.table, target.table)) if got != want), None)
     matches = mismatch is None
     report["matches"] = matches
     lines.append(f"reconstruction matches: {str(matches).lower()}")
     if not matches:
-        a, b, x, y = mismatch
-        got = rebuilt.p(a, b, x, y)
-        want = target.p(a, b, x, y)
-        report["first_mismatch"] = {
-            "cell": [a, b, x, y],
-            "reconstructed": format_scalar(got),
-            "target": format_scalar(want),
-        }
-        lines.append(
-            f"first mismatch at P({x},{y}|{a},{b}): reconstructed {format_scalar(got)}, "
-            f"target {format_scalar(want)}"
-        )
+        a, b, x, y = list(product(*rebuilt.spaces))[mismatch]
+        got, want = format_scalar(rebuilt.table[mismatch]), format_scalar(target.table[mismatch])
+        report["first_mismatch"] = {"cell": [a, b, x, y], "reconstructed": got, "target": want}
+        lines.append(f"first mismatch at P({x},{y}|{a},{b}): reconstructed {got}, target {want}")
     _emit(args, lines, report)
     return 0 if matches else 1
 
@@ -407,8 +397,6 @@ def _random_rational_weights(rng: random.Random, count: int) -> list[Fraction]:
 
 
 def _random_ns_kernel(rng: random.Random) -> Behavior:
-    from .catalog import pr_box
-
     generators = list(enumerate_local_vertices(table1_box().spaces)) + [pr_box()]
     weights = _random_rational_weights(rng, len(generators))
     return mix((Scalar(w), g) for w, g in zip(weights, generators))

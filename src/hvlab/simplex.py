@@ -20,12 +20,15 @@ that form, and returns the final tableau, from which
 in it too, q over the lcm of its basic rows' denominators and y over
 ``dP*dQ`` (below), and :meth:`_Tableau.value` reads the value as a
 triple.  :func:`_check_ints` checks the strong-duality certificate from
-those four vectors and the value.  :func:`solve_lp` and
-:func:`check_certificate` are the adapters: they read an
-:class:`LpProblem` and an :class:`LpSolution` of Scalars into the core's
-ints, each vector by :func:`~hvlab.scalar._common_denominator`, and
-:func:`solve_lp` builds Scalars only for the answer, through
-:func:`_dense`, the one reader from that form to Scalars.
+those four vectors and the value.  Every vector of Scalars crosses into
+that form through one reader, :func:`_read`, which checks each entry's
+type as it goes: :class:`LpProblem` reads its ``c`` and ``b`` once, when
+it is built, and keeps the result, and :func:`check_certificate` reads
+an :class:`LpSolution`'s q, value and dual.  :func:`solve_lp` and
+:func:`check_certificate` are the adapters: they hand the problem's kept
+``c`` and ``b`` to the core, and :func:`solve_lp` builds Scalars only
+for the answer, through :func:`_dense`, the one reader from that form
+to Scalars.
 Both of hvlab's LPs are solved by the core itself.
 ``decompose.max_local_content`` hands it the kept columns of
 the cached vertex matrix, ``c`` as all ones over 1 and ``b`` as the
@@ -117,7 +120,7 @@ lowest terms, is checked as it is read off.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -181,7 +184,14 @@ class LpProblem(Frozen):
     :class:`Matrix` by :meth:`Matrix.from_rows`, which refuses an entry
     that is not an integer; a row with fractions is scaled, with its
     right-hand side, by the lcm of its denominators first.  A ``Matrix``
-    is kept as it is and must have the objective's width."""
+    is kept as it is and must have the objective's width.
+
+    The checks run in order: the row count, then the type of each entry
+    of ``c`` and ``b``, then the matrix.  ``c`` and ``b`` are read into
+    the core's ints as they are checked, by :func:`_read`, and kept as
+    ``_ints``, the pair of them, which :func:`solve_lp` and
+    :func:`check_certificate` hand to the core; the pair is not a field,
+    so equality, hash and repr stay those of (c, A, b)."""
 
     c: tuple[Scalar, ...]
     A: Matrix
@@ -195,9 +205,8 @@ class LpProblem(Frozen):
         m = A.height if isinstance(A, Matrix) else len(A)
         if m != len(self.b):
             raise DimensionMismatch(f"{m} constraint rows but {len(self.b)} right-hand sides")
-        for v in (*self.c, *self.b):
-            if not isinstance(v, Scalar):
-                raise TypeError(f"objective and right-hand side entries must be Scalar, got {type(v).__name__}")
+        refusal = "objective and right-hand side entries must be Scalar"
+        object.__setattr__(self, "_ints", (_read(self.c, refusal), _read(self.b, refusal)))
         if not isinstance(A, Matrix):
             A = Matrix.from_rows(A, n)
         elif len(A.columns) != n:
@@ -469,12 +478,24 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Exact simplex from the slack basis, for ``b >= 0`` only, over a
     condensed tableau of the m x n cells of ``A``; see the module
     docstring for the labels, the pivoting rule and where the dual is read.
-    The Scalar adapter of :func:`_solve_ints`: it builds q and y as
-    Scalars from the tableau's int readers."""
-    tableau = _solve_ints(problem.A.columns, _common_denominator(problem.c), _common_denominator(problem.b))
+    The Scalar adapter of :func:`_solve_ints`: it hands over the
+    problem's kept ``c`` and ``b`` and builds q and y as Scalars from the
+    tableau's int readers."""
+    tableau = _solve_ints(problem.A.columns, *problem._ints)
     if tableau is None:
         return LpSolution(UNBOUNDED)
     return LpSolution(OPTIMAL, _dense(tableau.primal()), _reduced(*tableau.value()), _dense(tableau.dual()))
+
+
+def _read(values: Sequence[Scalar], refusal: str) -> _Ints:
+    """The values as the core's ints ``(ps, qs, d)``, by
+    :func:`~hvlab.scalar._common_denominator`, once each is checked to be
+    a Scalar: the first that is not is refused with ``TypeError``, its
+    message ``refusal`` followed by ``", got "`` and the entry's type."""
+    for v in values:
+        if not isinstance(v, Scalar):
+            raise TypeError(f"{refusal}, got {type(v).__name__}")
+    return _common_denominator(values)
 
 
 def _dense(vector: _Ints) -> tuple[Scalar, ...]:
@@ -490,12 +511,12 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
     feasibility (A.q <= b, q >= 0), dual feasibility (y >= 0, y.A >= c
     componentwise) and matching objectives (c.q == y.b == value).
 
-    The Scalar adapter of :func:`_check_ints`: it reads c, b, q and y
-    each by :func:`~hvlab.scalar._common_denominator`, and the check makes
-    no Scalar product.  Another
-    status, a missing part or a part of the wrong length gives False; an
-    entry of q, value or dual that is not a Scalar is refused with
-    ``TypeError`` naming its field.
+    The Scalar adapter of :func:`_check_ints`: it hands over the
+    problem's kept ``c`` and ``b`` and reads q, the value and the dual,
+    in that order, by :func:`_read`, and the check makes no Scalar
+    product.  Another status, a missing part or a part of the wrong
+    length gives False; an entry of q, value or dual that is not a Scalar
+    is refused with ``TypeError`` naming its field.
     """
     if solution.status != OPTIMAL:
         return False
@@ -503,15 +524,7 @@ def check_certificate(problem: LpProblem, solution: LpSolution) -> bool:
         return False
     if len(solution.q) != len(problem.c) or len(solution.dual) != len(problem.b):
         return False
-    for name, values in (("q", solution.q), ("value", (solution.value,)), ("dual", solution.dual)):
-        if not all(map(isinstance, values, repeat(Scalar))):
-            bad = next(v for v in values if not isinstance(v, Scalar))
-            raise TypeError(f"LpSolution.{name} must hold Scalars, got {type(bad).__name__}")
-    return _check_ints(
-        problem.A.columns,
-        _common_denominator(problem.c),
-        _common_denominator(problem.b),
-        _common_denominator(solution.q),
-        _common_denominator(solution.dual),
-        solution.value._v,
-    )
+    q = _read(solution.q, "LpSolution.q must hold Scalars")
+    (vp,), (vq,), vd = _read((solution.value,), "LpSolution.value must hold Scalars")
+    y = _read(solution.dual, "LpSolution.dual must hold Scalars")
+    return _check_ints(problem.A.columns, *problem._ints, q, y, (vp, vq, vd))

@@ -324,6 +324,23 @@ def test_model_verify_match_and_mismatch(files, capsys):
     assert "reconstruction matches: false" in out
 
 
+def test_model_verify_names_the_first_mismatch(files, capsys):
+    # The appendix-A model rebuilds the Table 1 box, which first differs
+    # from the PR box at the fourth cell of its second setting pair.
+    code, out, _ = run(capsys, "model", "verify", files["model"], "--against", files["pr"])
+    assert code == 1
+    assert out == (
+        "reconstruction matches: false\n"
+        "first mismatch at P(+1,+1|0,1): reconstructed 1/4+1/8*sqrt2, target 1/2\n"
+    )
+    code, out, _ = run(capsys, "model", "verify", files["model"], "--against", files["pr"], "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "matches": False,
+        "first_mismatch": {"cell": ["0", "1", "+1", "+1"], "reconstructed": "1/4+1/8*sqrt2", "target": "1/2"},
+    }
+
+
 def test_model_guess_sides(files, capsys):
     code, out, _ = run(capsys, "model", "guess", files["model"], "--side", "A")
     assert code == 0

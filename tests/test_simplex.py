@@ -74,8 +74,10 @@ _OBJECTIVE_OR_RHS = "objective and right-hand side entries"
         ((ONE,), ((1,),), (ONE,), "constraint entries", "int"),
         ((ONE,), ((ONE,),), (1,), _OBJECTIVE_OR_RHS, "int"),
         ((ONE, Fraction(1)), ((ONE, ONE),), (1.0,), _OBJECTIVE_OR_RHS, "Fraction"),
+        ((None,), ((1,),), (1.0,), _OBJECTIVE_OR_RHS, "NoneType"),
+        ((ONE,), ((1,),), (1.0,), _OBJECTIVE_OR_RHS, "float"),
     ],
-    ids=["objective", "matrix", "rhs", "first-of-two"],
+    ids=["objective", "matrix", "rhs", "first-of-two", "objective-before-rhs", "rhs-before-matrix"],
 )
 def test_non_scalar_entries_are_refused(c, A, b, entries, got):
     with pytest.raises(TypeError, match=f"^{entries} must be Scalar, got {got}$"):
@@ -190,13 +192,47 @@ _ONE_ROW = LpProblem((ONE,), [[ONE]], (ONE,))
         (LpSolution(OPTIMAL, (1,), ONE, (ONE,)), "q"),
         (LpSolution(OPTIMAL, (ONE,), 1, (ONE,)), "value"),
         (LpSolution(OPTIMAL, (ONE,), ONE, (Fraction(1),)), "dual"),
+        (LpSolution(OPTIMAL, (1,), 1, (1,)), "q"),
+        (LpSolution(OPTIMAL, (ONE,), 1.0, (None,)), "value"),
     ],
-    ids=["q", "value", "dual"],
+    ids=["q", "value", "dual", "q-before-value-and-dual", "value-before-dual"],
 )
 def test_certificate_refuses_an_entry_that_is_not_a_scalar(candidate, field):
     assert check_certificate(_ONE_ROW, LpSolution(OPTIMAL, (ONE,), ONE, (ONE,)))
     with pytest.raises(TypeError, match=rf"LpSolution\.{field} must hold Scalars, got"):
         check_certificate(_ONE_ROW, candidate)
+
+
+# max q0 + sqrt2*q1 s.t. q0 + q1 <= 1/2 and q1 <= 1/3 + sqrt2: c and b
+# each over more than one denominator, so each is scaled to a common one.
+_SCALED = LpProblem((ONE, SQRT2), ((ONE, ONE), (ZERO, ONE)), (HALF, Scalar(Fraction(1, 3), 1)))
+
+
+def test_a_problem_keeps_c_and_b_as_the_cores_ints():
+    c, A, b = _SCALED.c, _SCALED.A, _SCALED.b
+    assert _SCALED._ints == (_common_denominator(c), _common_denominator(b))
+    assert _SCALED._ints[1][2] == 6
+    copy = pickle.loads(pickle.dumps(_SCALED))
+    assert copy._ints == _SCALED._ints
+    # The kept pair is no field: equality, hash and repr are those of (c, A, b).
+    rebuilt = LpProblem(list(c), A, list(b))
+    assert rebuilt == _SCALED == copy and hash(rebuilt) == hash(_SCALED) == hash((c, A, b))
+    assert repr(_SCALED) == f"LpProblem(c={c!r}, A={A!r}, b={b!r})"
+
+
+def test_solving_and_checking_read_no_vector_of_the_problem(monkeypatch):
+    problem = _SCALED
+    reads = []
+
+    def counting(values):
+        reads.append(values)
+        return _common_denominator(values)
+
+    monkeypatch.setattr(simplex, "_common_denominator", counting)
+    solution = solve_lp(problem)
+    assert check_certificate(problem, solution)
+    assert reads and not any(v is problem.c or v is problem.b for v in reads)
+    assert solution == reference_solve_lp(problem)
 
 
 def test_solver_is_deterministic():
